@@ -247,7 +247,3 @@ def basis_from_descriptor(desc: dict) -> BasisSet:
     return build_basis(desc["family"], desc["dim"], desc["degree"],
                        desc.get("box"))
 
-
-def basis_jet(basis: BasisSet, k: int, x):
-    """Jet (value, gradient, Hessian) of basis element k at state x."""
-    return basis.element_jet(k, x)

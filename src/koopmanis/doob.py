@@ -9,6 +9,7 @@ c * B(x)^T grad(Phi)/max(Phi, floor).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -123,12 +124,47 @@ def positivize(components, coefficients, fitted, margin: float | None = None):
     return coefficients, fitted, shift
 
 
-class DoobController:
-    """Evaluates the value surrogate and its biasing for path simulation.
+class Controller:
+    """Base of every biasing controller: the Doob bias c B(x)^T grad(Phi)/Phi.
 
-    Immutable after construction; ``with_multiplier`` returns a rescaled
-    copy so multiplier sweeps never mutate a controller in flight.
+    A subclass sets ``horizon``, ``multiplier`` (c) and ``floor`` and
+    supplies three things:
+
+    - ``value_grad_batch(t, X) -> (Phi (m,), grad Phi (m, d))`` for
+      t in [0, horizon], which it enforces with ``_check_time``;
+    - ``bias_batch(t, X) -> (u (m, r), floored)``: c times its own B-map
+      applied to grad Phi, over Phi floored by ``_floor``; ``floored`` counts
+      the rows where the floor was active.  Each subclass keeps its own
+      order of that product, which fixes the last bit of every weight;
+    - its serialization, where it has one.
+
+    Controllers are immutable after construction: ``with_multiplier``
+    returns a copy with a new c, so multiplier sweeps never mutate a
+    controller in flight.
     """
+
+    horizon: float
+    multiplier: float
+    floor: float
+
+    def with_multiplier(self, c: float):
+        out = copy.copy(self)
+        out.multiplier = float(c)
+        return out
+
+    def _check_time(self, t):
+        if t < -1e-12 or t > self.horizon + 1e-12:
+            raise ValueError("t outside [0, T]")
+
+    def _floor(self, val):
+        """max(Phi, floor) per row and the number of rows it floored."""
+        return (np.maximum(val, self.floor),
+                int(np.count_nonzero(val < self.floor)))
+
+
+class DoobController(Controller):
+    """Value surrogate built from a validated spectrum; B-map the constant
+    diffusion matrix."""
 
     def __init__(self, basis: BasisSet, components, coefficients,
                  diffusion_const, T, multiplier=1.0, floor=1e-12,
@@ -142,12 +178,6 @@ class DoobController:
         self.floor = float(floor)
         self.margin = float(margin)
         self.model_name = model_name
-        self.floor_activations = 0
-
-    def with_multiplier(self, c: float) -> "DoobController":
-        return DoobController(self.basis, self.components, self.coefficients,
-                              self.diffusion_const, self.horizon, c,
-                              self.floor, self.margin, self.model_name)
 
     @property
     def n_eigenfunctions(self) -> int:
@@ -173,29 +203,16 @@ class DoobController:
         return a
 
     def value_grad_batch(self, t, X):
-        if t < -1e-12 or t > self.horizon + 1e-12:
-            raise ValueError("t outside [0, T]")
+        self._check_time(t)
         a = self.basis_coefficients(t)
         vals, grads = self.basis.values_and_grads(X)
         return vals @ a, np.einsum("mnd,n->md", grads, a)
 
-    def kbe_value_grad(self, t, x):
-        """Surrogate value and gradient at a single (t, x)."""
-        val, grad = self.value_grad_batch(t, np.asarray(x, float)[None, :])
-        return float(val[0]), grad[0]
-
     def bias_batch(self, t, X):
         val, grad = self.value_grad_batch(t, X)
-        floored = val < self.floor
-        nf = int(np.count_nonzero(floored))
-        denom = np.maximum(val, self.floor)
+        denom, nf = self._floor(val)
         u = (self.multiplier / denom)[:, None] * (grad @ self.diffusion_const)
         return u, nf
-
-    def bias(self, t, x):
-        u, nf = self.bias_batch(t, np.asarray(x, float)[None, :])
-        self.floor_activations += nf
-        return u[0]
 
     def to_dict(self) -> dict:
         return {
@@ -229,11 +246,6 @@ class DoobController:
                    np.array(data["coefficients"]), np.array(data["diffusion"]),
                    data["T"], data["multiplier"], data["floor"],
                    data["margin"], data.get("model", ""))
-
-
-def bias_eval(controller, t, x) -> np.ndarray:
-    """Biasing vector (length r) at a single (t, x)."""
-    return controller.bias(t, np.asarray(x, dtype=float))
 
 
 def build_controller(spectrum: KoopmanSpectrum, model, points, f_values, T,

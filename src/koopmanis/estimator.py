@@ -17,6 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import erfc, erfcx
 
+from .doob import Controller
 from .errors import ConfigError, DiagnosticError, InvalidParameterError
 from .model import EventObservable, SdeModel
 from .paths import PathEnsemble, derive_path_rng, run_paths
@@ -202,13 +203,14 @@ def analytic_oracles(model: SdeModel, event: EventObservable, T: float,
     raise InvalidParameterError(f"no oracle for event kind {event.kind!r}")
 
 
-class OuExactController:
+class OuExactController(Controller):
     """Exact biasing for the 1-D linear model from its Gaussian transition.
 
     The value function E[f(X_T) | X_t = x] is evaluated in closed form for
     the indicator terminal function and by Gauss-Hermite quadrature for the
     mollified one (which is the C^2, strictly positive setting in which the
     weighted outcome is constant path-by-path up to discretization error).
+    The B-map is the noise intensity.
     """
 
     def __init__(self, rate, noise, threshold, T, terminal="mollified",
@@ -223,18 +225,12 @@ class OuExactController:
         self.sharpness = float(sharpness)
         self.multiplier = float(multiplier)
         self.floor = 1e-300
-        self.floor_activations = 0
         # composite rule in the standardized coordinate u = (v - mean)/sd:
         # three panels of [-12, 12] with the middle panel tracking the
         # mollifier transition, which keeps every panel well clear of the
         # tanh poles
         self._gl_x, self._gl_w = np.polynomial.legendre.leggauss(
             max(8, quad_nodes // 3))
-
-    def with_multiplier(self, c):
-        return OuExactController(self.rate, self.noise, self.threshold,
-                                 self.horizon, self.terminal, self.sharpness,
-                                 c, len(self._nodes))
 
     n_eigenfunctions = 0
 
@@ -253,6 +249,7 @@ class OuExactController:
         return 0.5 * self.sharpness * (1.0 - th * th)
 
     def value_grad_batch(self, t, X):
+        self._check_time(t)
         x = np.asarray(X, dtype=float).reshape(-1)
         m_fac, sd = self._transition(t)
         if sd < 1e-13:  # at the horizon the value is the terminal function
@@ -284,11 +281,8 @@ class OuExactController:
             grad += (self._fprime(pts) * w).sum(axis=1)
         return val, (m_fac * grad)[:, None]
 
-    def kbe_value_grad(self, t, x):
-        val, grad = self.value_grad_batch(t, np.asarray(x, float).reshape(1))
-        return float(val[0]), grad[0]
-
     def bias_batch(self, t, X):
+        self._check_time(t)
         x = np.asarray(X, dtype=float).reshape(-1)
         m_fac, sd = self._transition(t)
         if self.terminal == "indicator" and sd > 1e-13:
@@ -298,15 +292,8 @@ class OuExactController:
             u = self.multiplier * self.noise * m_fac / sd * hazard
             return u[:, None], 0
         val, grad = self.value_grad_batch(t, X)
-        floored = val < self.floor
-        nf = int(np.count_nonzero(floored))
-        u = self.multiplier * self.noise * grad[:, 0] / np.maximum(val, self.floor)
-        return u[:, None], nf
-
-    def bias(self, t, x):
-        u, nf = self.bias_batch(t, np.asarray(x, float).reshape(1, -1))
-        self.floor_activations += nf
-        return u[0]
+        denom, nf = self._floor(val)
+        return self.multiplier * self.noise * grad / denom[:, None], nf
 
     def value_at_origin(self, x0) -> float:
         val, _ = self.value_grad_batch(0.0, np.asarray(x0, float).reshape(1))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -20,7 +21,8 @@ from .basis import BasisSet
 from .errors import (ConfigError, EmptySpectrumError, NumericalError,
                      RankDeficiencyWarning)
 from .model import SdeModel, generator_apply_batch, half_diffusion_sq
-from .paths import adjust_steps, default_scheme, derive_path_rng, _step_block
+from .paths import (default_scheme, derive_path_rng, sde_stepper,
+                    trajectory_snapshots)
 
 RESIDUAL_TOL = 1e-8
 SVD_RTOL = 1e-10
@@ -45,32 +47,6 @@ def _ic_grid(box, counts):
     return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
-def _simulate_snapshots(model, ics, T_traj, stride, seed, dt, scheme):
-    """States of uncontrolled trajectories at every stride, including t=0."""
-    n_ic, d = ics.shape
-    if T_traj <= 0:
-        return ics.copy()
-    K, dt = adjust_steps(T_traj, dt)
-    step_per = max(1, int(round(stride / dt)))
-    gens = [derive_path_rng(seed, i) for i in range(n_ic)]
-    x = ics.astype(float).copy()
-    snaps = [x.copy()]
-    r = model.dim_noise
-    chunk_steps = max(1, 4_000_000 // max(1, n_ic * r))
-    k = 0
-    while k < K:
-        kc = min(chunk_steps, K - k)
-        xi_chunk = np.stack([g.standard_normal((kc, r)) for g in gens])
-        for j in range(kc):
-            x = _step_block(model, scheme, x, None, dt, xi_chunk[:, j, :])
-            if (k + j + 1) % step_per == 0:
-                snaps.append(x.copy())
-        k += kc
-    # snapshot-major -> trajectory-major ordering
-    stacked = np.stack(snaps, axis=1)  # (n_ic, n_snap, d)
-    return stacked.reshape(-1, d)
-
-
 def generate_test_points(model: SdeModel, ic_grid: dict, T_traj: float,
                          stride: float, seed: int, dt: float = 1e-3,
                          scheme: str | None = None,
@@ -79,7 +55,8 @@ def generate_test_points(model: SdeModel, ic_grid: dict, T_traj: float,
 
     The holdout set is generated identically under seed + 1.  When a
     box-restricted basis is supplied, snapshots that leave the box are
-    dropped (and counted in the provenance record).
+    dropped; so are all snapshots of a trajectory that blows up.  Both are
+    counted in the provenance record.
     """
     scheme = scheme or default_scheme(model)
     ics = _ic_grid(ic_grid["box"], ic_grid["counts"])
@@ -87,11 +64,12 @@ def generate_test_points(model: SdeModel, ic_grid: dict, T_traj: float,
         raise ConfigError("IC grid dimension does not match the model")
 
     def one(seed_k):
-        pts = _simulate_snapshots(model, ics, T_traj, stride, seed_k, dt, scheme)
-        dropped = 0
+        pts, dropped = trajectory_snapshots(
+            partial(sde_stepper, model, scheme), model.dim_noise, ics,
+            T_traj, stride, seed_k, dt)
         if basis is not None:
             keep = basis.contains(pts)
-            dropped = int((~keep).sum())
+            dropped += int((~keep).sum())
             pts = pts[keep]
         return pts, dropped
 

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from . import spde as spde_mod
 from .errors import InvalidParameterError, ModelNotFoundError, ShapeError
+
+if TYPE_CHECKING:
+    from .spde import SpectralSpde
 
 BUILTIN_MODELS = ("ou1d", "nonnormal2d", "brownian_osc", "advdiff", "vdp",
                   "duffing")
@@ -33,7 +35,7 @@ class SdeModel:
     linear_spec: tuple | None = None          # (A_lin, B_lin)
     diffusion_const: np.ndarray | None = None  # set iff diffusion is additive
     params: dict = field(default_factory=dict)
-    spde: spde_mod.SpectralSpde | None = None
+    spde: SpectralSpde | None = None
 
 
 @dataclass(eq=False)
@@ -61,11 +63,6 @@ class EventObservable:
     def statistic(self, x):
         """Raw scalar the event thresholds (margin shifted back by L)."""
         return self.margin(np.asarray(x, dtype=float)) + self.threshold
-
-
-def observable_eval(obs: EventObservable, x) -> float:
-    out = obs.value(np.asarray(x, dtype=float))
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def make_event(kind: str, threshold: float, component: int = 0,
@@ -144,8 +141,10 @@ def make_builtin_model(name: str, params: dict | None = None) -> SdeModel:
         p = _merge_params({"b": 1.0, "alpha": 0.1, "eps_noise": 1.0,
                            "n_modes": 64}, params, name)
         _require_positive(p, ("alpha", "eps_noise"))
-        sp = spde_mod.spectral_setup(int(p["n_modes"]), p["alpha"], p["b"],
-                                     p["eps_noise"])
+        # local import: spde builds on doob, which imports this module
+        from .spde import spectral_setup
+        sp = spectral_setup(int(p["n_modes"]), p["alpha"], p["b"],
+                            p["eps_noise"])
         A = sp.drift_matrix
         B = math.sqrt(p["eps_noise"]) * np.eye(sp.n_modes)
         m = _linear_model(name, A, B, p)

@@ -1,10 +1,34 @@
-"""Simulation of uncontrolled and controlled SDE paths.
+"""Simulation of uncontrolled and controlled paths through one block engine.
 
 Every path owns a deterministic noise stream derived from (master_seed,
-path_index), so ensembles are reproducible bit-for-bit regardless of how
-paths are partitioned into blocks or spread over worker threads.  The
-Girsanov log-weight is accumulated alongside the state using the same
-noise increments that drive the path.
+path_index).  The Girsanov log-weight is accumulated alongside the state
+using the same noise increments that drive the path, with the control
+c B(x)^T grad(Phi)/Phi read from the controller's ``bias_batch``.
+
+One engine (``run_engine``) runs every multi-path simulation in the
+package: SDE ensembles (``run_paths``), SPDE mode ensembles
+(``spde.run_spde_paths``), SDE test points (``gedmd.generate_test_points``)
+and SPDE mode snapshots (``spde.generate_mode_snapshots``).  It takes
+
+- a stepper ``step(x, u, xi) -> x`` that advances a block of states (B, d)
+  by one step, given the control u (B, r) or None and standard normal
+  draws xi (B, r): Euler-Maruyama or SRK through ``_step_block``, or the
+  exponential Euler recurrence of ``spde.exp_euler``;
+- a per-path start of shape (M, d);
+- one snapshot stride: the states of the first ``record`` paths are kept at
+  t = 0 and after every ``stride`` steps.  ``run_paths`` builds its
+  trajectory rows from these snapshots and adds the terminal state when K
+  is not a multiple of the stride.
+
+Determinism contract: path i draws its noise only from
+``derive_path_rng(master_seed, i)``, in time order and in the same amounts
+whatever the chunking; blocks are independent and assembled in path-index
+order.  Results are therefore bit-identical for any worker count, and for
+any block size when the stepper's arithmetic does not depend on the
+number of rows (the SDE steppers; the SPDE mode-coupling matmul is
+shape-sensitive at the ulp level).  A path whose state becomes non-finite
+is marked blown and frozen at zero.  ``simulate_path`` is the single-path
+reference the engine is tested against.
 """
 
 from __future__ import annotations
@@ -99,6 +123,11 @@ def _step_block(model, scheme, x, u, dt, xi):
     return x + 0.5 * dt * (a + model.drift(pred)) + incr
 
 
+def sde_stepper(model, scheme, dt):
+    """Engine stepper for one EM or SRK step of size dt."""
+    return lambda x, u, xi: _step_block(model, scheme, x, u, dt, xi)
+
+
 @dataclass
 class PathResult:
     terminal_state: np.ndarray
@@ -149,7 +178,7 @@ def simulate_path(model, controller, obs, x0, T, dt, scheme=None,
         t = k * dt
         xi = rng.standard_normal(model.dim_noise)
         if controller is not None:
-            u = controller.bias(t, x)
+            u = controller.bias_batch(t, x[None, :])[0][0]
             logw -= float(u @ xi) * sqdt + 0.5 * float(u @ u) * dt
         else:
             u = None
@@ -167,23 +196,17 @@ def _block_ranges(M, block_size):
     return [(s, min(s + block_size, M)) for s in range(0, M, block_size)]
 
 
-def _run_block(model, controller, obs, x0, K, dt, scheme, master_seed,
-               start, stop, traj_count, traj_stride):
-    B = stop - start
-    r = model.dim_noise
+def _run_block(step, r, x0, K, dt, controller, master_seed, start, stride,
+               record):
+    B = len(x0)
     sqdt = math.sqrt(dt)
-    gens = [derive_path_rng(master_seed, i) for i in range(start, stop)]
-    x = np.tile(np.asarray(x0, dtype=float), (B, 1))
+    gens = [derive_path_rng(master_seed, i) for i in range(start, start + B)]
+    x = np.array(x0, dtype=float)
     logw = np.zeros(B)
     blown = np.zeros(B, dtype=bool)
     floor_count = 0
-
-    rows = []
-    rec = None
-    if traj_count > start:
-        rec = min(traj_count, stop) - start  # first `rec` paths of this block
-        for j in range(rec):
-            rows.append((start + j, 0.0, x[j].copy()))
+    snaps = np.empty((record, 1 + K // stride) + x.shape[1:])
+    snaps[:, 0] = x[:record]
 
     # noise is pre-drawn per path in time-ordered chunks so each stream is
     # consumed identically no matter the chunking
@@ -194,27 +217,79 @@ def _run_block(model, controller, obs, x0, K, dt, scheme, master_seed,
         xi_chunk = np.stack([g.standard_normal((kc, r)) for g in gens])
         for j in range(kc):
             xi = xi_chunk[:, j, :]
-            t = (k + j) * dt
+            u = None
             if controller is not None:
-                u, nf = controller.bias_batch(t, x)
+                u, nf = controller.bias_batch((k + j) * dt, x)
                 floor_count += nf
                 logw -= (u * xi).sum(axis=1) * sqdt + 0.5 * (u * u).sum(axis=1) * dt
-            else:
-                u = None
             with np.errstate(over="ignore", invalid="ignore"):
-                x = _step_block(model, scheme, x, u, dt, xi)
-            bad = ~np.isfinite(x).all(axis=1)
-            newly = bad & ~blown
-            if newly.any():
+                x = step(x, u, xi)
+            if not np.isfinite(x).all():
+                newly = ~np.isfinite(x).all(axis=1) & ~blown
                 blown |= newly
                 x[newly] = 0.0  # frozen; excluded from every estimate
-            if rec:
-                kk = k + j + 1
-                if kk % traj_stride == 0 or kk == K:
-                    for jj in range(rec):
-                        rows.append((start + jj, kk * dt, x[jj].copy()))
+            if record and (k + j + 1) % stride == 0:
+                snaps[:, (k + j + 1) // stride] = x[:record]
         k += kc
-    return x, logw, blown, floor_count, rows
+    return x, logw, blown, floor_count, snaps
+
+
+def run_engine(step, r, starts, K, dt, controller=None, obs=None,
+               master_seed=0, block_size=8192, workers=1, stride=1,
+               record=0):
+    """The block engine: K steps of ``step(x, u, xi) -> x`` from each row of
+    ``starts``, with r standard normal draws per path and step and the
+    control of ``controller`` when one is given.
+
+    Returns the ensemble and the snapshots (record, 1 + K // stride, d) of
+    paths 0..record-1, taken at t = 0 and after every ``stride`` steps.
+    """
+    M = len(starts)
+    if M == 0:
+        raise ValueError("no paths to simulate")
+    ranges = _block_ranges(M, block_size)
+
+    def work(rng_pair):
+        s, e = rng_pair
+        return _run_block(step, r, starts[s:e], K, dt, controller,
+                          master_seed, s, stride, max(0, min(record, e) - s))
+
+    if workers > 1 and len(ranges) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(work, ranges))
+    else:
+        results = [work(rg) for rg in ranges]
+    terminal, log_weight, blown, floors, snaps = zip(*results)
+    terminal = np.concatenate(terminal)
+    blown = np.concatenate(blown)
+    in_event = np.zeros(M, dtype=bool)
+    if obs is not None:
+        ok = ~blown
+        if ok.any():
+            in_event[ok] = obs.indicator(terminal[ok]).astype(bool)
+    ens = PathEnsemble(terminal, np.concatenate(log_weight), in_event, blown,
+                       sum(floors), [], K, dt)
+    return ens, np.concatenate(snaps)
+
+
+def trajectory_snapshots(make_step, r, starts, T_traj, stride, seed, dt):
+    """Uncontrolled trajectories from each start, sampled every ``stride``
+    time units including t = 0, stacked trajectory-major.
+
+    ``make_step(dt)`` builds the stepper for the (adjusted) step size.
+    Trajectories that blow up are left out; returns the points and the
+    number of points left out that way.
+    """
+    starts = np.asarray(starts, dtype=float)
+    if T_traj <= 0:
+        return starts.copy(), 0
+    K, dt = adjust_steps(T_traj, dt)
+    every = max(1, int(round(stride / dt)))
+    n = len(starts)
+    ens, snaps = run_engine(make_step(dt), r, starts, K, dt, master_seed=seed,
+                            block_size=n, stride=every, record=n)
+    kept = snaps[~ens.blown]
+    return kept.reshape(-1, starts.shape[1]), (n - len(kept)) * snaps.shape[1]
 
 
 def run_paths(model, controller, obs, x0, T, dt, scheme=None, M=1,
@@ -224,46 +299,23 @@ def run_paths(model, controller, obs, x0, T, dt, scheme=None, M=1,
 
     Paths are partitioned into blocks that may run on worker threads; the
     result arrays are always assembled in path-index order and are
-    bit-identical for any block size or worker count.
+    bit-identical for any block size or worker count.  The first
+    ``trajectory_count`` paths also report (path, t, state) rows every
+    ``trajectory_stride`` steps and at T.
     """
     scheme = scheme or default_scheme(model)
     _check_scheme(model, scheme)
     K, dt = adjust_steps(T, dt)
     if trajectory_count and not trajectory_stride:
         trajectory_stride = max(1, K // 200)
-    d = model.dim_state
-    terminal = np.empty((M, d))
-    log_weight = np.empty(M)
-    blown = np.empty(M, dtype=bool)
-    floor_total = 0
-    all_rows = []
-
-    ranges = _block_ranges(M, block_size)
-
-    def work(rng_pair):
-        s, e = rng_pair
-        return _run_block(model, controller, obs, x0, K, dt, scheme,
-                          master_seed, s, e, trajectory_count,
-                          trajectory_stride or 1)
-
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, ranges))
-    else:
-        results = [work(rg) for rg in ranges]
-
-    for (s, e), (xT, lw, bl, fc, rows) in zip(ranges, results):
-        terminal[s:e] = xT
-        log_weight[s:e] = lw
-        blown[s:e] = bl
-        floor_total += fc
-        all_rows.extend(rows)
-
-    in_event = np.zeros(M, dtype=bool)
-    if obs is not None:
-        ok = ~blown
-        if ok.any():
-            in_event[ok] = obs.indicator(terminal[ok]).astype(bool)
-    all_rows.sort(key=lambda rw: (rw[0], rw[1]))
-    return PathEnsemble(terminal, log_weight, in_event, blown,
-                        floor_total, all_rows, K, dt)
+    stride = trajectory_stride or 1
+    starts = np.tile(np.asarray(x0, dtype=float), (M, 1))
+    ens, snaps = run_engine(sde_stepper(model, scheme, dt), model.dim_noise,
+                            starts, K, dt, controller, obs, master_seed,
+                            block_size, workers, stride, trajectory_count)
+    steps = range(0, K + 1, stride)
+    for p, traj in enumerate(snaps):
+        ens.trajectories.extend((p, kk * dt, x) for kk, x in zip(steps, traj))
+        if K % stride:
+            ens.trajectories.append((p, K * dt, ens.terminal[p]))
+    return ens

@@ -6,18 +6,25 @@ diagonal in this basis and integrated exactly; the advection term b v_x is
 treated through the nonlinearity slot of an exponential Euler recurrence.
 Space-time white noise enters mode-by-mode with the exact Ito-isometry
 variance of the stochastically integrated linear flow.
+
+This module owns no path loop: ensembles and mode snapshots run the block
+engine of ``paths`` with the exponential Euler recurrence as its stepper.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericalError
-from .paths import _block_ranges, adjust_steps, derive_path_rng
+from .doob import Controller
+from .errors import InvalidParameterError, NumericalError, PathBlowupError
+from .paths import adjust_steps, run_engine, trajectory_snapshots
+# bound here for the benchmark's layer trace, which patches each module's
+# derive_path_rng
+from .paths import derive_path_rng  # noqa: F401
 
 
 @dataclass(eq=False)
@@ -113,22 +120,36 @@ def qwiener_increment(spde: SpectralSpde, dt: float,
     return noise_std(spde, dt) * rng.standard_normal(spde.n_modes)
 
 
-def exp_euler_step(spde: SpectralSpde, Y, u_val, dt, noise) -> np.ndarray:
-    """Advance mode coefficients one step of the exponential Euler recurrence.
+def exp_euler(spde: SpectralSpde, dt):
+    """The exponential Euler recurrence for step dt as ``step(Y, u, noise)``.
 
     The control (if any) enters through the same slot as the advection
     term, scaled by sqrt(eps_noise) to match the diffusion operator.
     """
-    Y = np.asarray(Y, dtype=float)
-    lam = spde.lam
-    decay = np.exp(-lam * dt)
-    fac = (1.0 - decay) / lam
-    F = Y @ spde.coupling.T if Y.ndim > 1 else spde.coupling @ Y
-    if u_val is not None:
-        F = F + math.sqrt(spde.eps_noise) * np.asarray(u_val, dtype=float)
-    out = decay * Y + fac * F + noise
+    decay = np.exp(-spde.lam * dt)
+    fac = (1.0 - decay) / spde.lam
+    sqeps = math.sqrt(spde.eps_noise)
+
+    def step(Y, u, noise):
+        F = Y @ spde.coupling.T
+        if u is not None:
+            F = F + sqeps * u
+        return decay * Y + fac * F + noise
+    return step
+
+
+def _engine_stepper(spde: SpectralSpde, dt):
+    """Engine stepper: exponential Euler driven by standard normal draws."""
+    step = exp_euler(spde, dt)
+    sig = noise_std(spde, dt)
+    return lambda Y, u, xi: step(Y, u, sig * xi)
+
+
+def exp_euler_step(spde: SpectralSpde, Y, u_val, dt, noise) -> np.ndarray:
+    """Advance mode coefficients one exponential Euler step."""
+    u = None if u_val is None else np.asarray(u_val, dtype=float)
+    out = exp_euler(spde, dt)(np.asarray(Y, dtype=float), u, noise)
     if not np.all(np.isfinite(out)):
-        from .errors import PathBlowupError
         raise PathBlowupError(-1, "non-finite SPDE coefficients")
     return out
 
@@ -148,12 +169,13 @@ def reconstruct_field(Y, grid_points: int = 256):
     return x, Y @ E.T
 
 
-class SpdeController:
+class SpdeController(Controller):
     """Biasing built from the constant and the leading quadratic functional.
 
     The value surrogate is  f0 + f2 * exp(-2 mu1 (T - t)) * phi2(Y)  with
     phi2(Y) = kappa <Y, w1>^2 - 1, an exact eigenfunctional of the
-    discretized generator with decay rate 2 mu1.
+    discretized generator with decay rate 2 mu1.  Noise enters every mode
+    with intensity sqrt(eps_noise), so the B-map is that scalar.
     """
 
     def __init__(self, spde: SpectralSpde, f0: float, f2: float, T: float,
@@ -164,23 +186,13 @@ class SpdeController:
         self.horizon = float(T)
         self.multiplier = float(multiplier)
         self.floor = float(floor)
-        self.floor_activations = 0
-
-    def with_multiplier(self, c: float) -> "SpdeController":
-        return SpdeController(self.spde, self.f0, self.f2, self.horizon,
-                              multiplier=c, floor=self.floor)
 
     @property
     def n_eigenfunctions(self) -> int:
         return 2
 
-    def phi2(self, Y):
-        q = np.asarray(Y, dtype=float) @ self.spde.adjoint_w1
-        return self.spde.quad_scale * q * q - 1.0
-
     def value_grad_batch(self, t, Y):
-        if t < -1e-12 or t > self.horizon + 1e-12:
-            raise ValueError("t outside [0, T]")
+        self._check_time(t)
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         w1 = self.spde.adjoint_w1
         q = Y @ w1
@@ -189,23 +201,11 @@ class SpdeController:
         coef = self.f2 * decay * 2.0 * self.spde.quad_scale * q
         return val, np.multiply.outer(coef, w1)
 
-    def kbe_value_grad(self, t, y):
-        val, grad = self.value_grad_batch(t, np.asarray(y, float)[None, :])
-        return float(val[0]), grad[0]
-
     def bias_batch(self, t, Y):
         val, grad = self.value_grad_batch(t, Y)
-        floored = val < self.floor
-        nf = int(np.count_nonzero(floored))
-        denom = np.maximum(val, self.floor)
+        denom, nf = self._floor(val)
         scale = self.multiplier * math.sqrt(self.spde.eps_noise)
-        u = scale * grad / denom[:, None]
-        return u, nf
-
-    def bias(self, t, Y):
-        u, nf = self.bias_batch(t, np.asarray(Y, dtype=float)[None, :])
-        self.floor_activations += nf
-        return u[0]
+        return scale * grad / denom[:, None], nf
 
     def to_dict(self) -> dict:
         return {"type": "spde", "f0": self.f0, "f2": self.f2,
@@ -222,14 +222,6 @@ class SpdeController:
                               sp["eps_noise"])
         return cls(spde, data["f0"], data["f2"], data["T"],
                    data["multiplier"], data["floor"])
-
-
-def spde_bias(spde: SpectralSpde, doob_coefficients, c, t, T, Y,
-              floor: float = 1e-12):
-    """Biasing vector for given (constant, quadratic) coefficients."""
-    f0, f2 = doob_coefficients
-    ctrl = SpdeController(spde, f0, f2, T, multiplier=c, floor=floor)
-    return ctrl.bias(t, Y)
 
 
 def build_spde_controller(spde: SpectralSpde, snapshots, event, T,
@@ -255,100 +247,27 @@ def build_spde_controller(spde: SpectralSpde, snapshots, event, T,
                           multiplier=multiplier, floor=1e-8 * scale)
 
 
-def _run_spde_block(spde, controller, obs, Y0, K, dt, master_seed,
-                    start, stop):
-    B = stop - start
-    N = spde.n_modes
-    sqdt = math.sqrt(dt)
-    decay = np.exp(-spde.lam * dt)
-    fac = (1.0 - decay) / spde.lam
-    sig = noise_std(spde, dt)
-    sqeps = math.sqrt(spde.eps_noise)
-    gens = [derive_path_rng(master_seed, i) for i in range(start, stop)]
-    Y = np.tile(np.asarray(Y0, dtype=float), (B, 1))
-    logw = np.zeros(B)
-    blown = np.zeros(B, dtype=bool)
-    floor_count = 0
-    chunk_steps = max(1, 4_000_000 // max(1, B * N))
-    k = 0
-    while k < K:
-        kc = min(chunk_steps, K - k)
-        xi_chunk = np.stack([g.standard_normal((kc, N)) for g in gens])
-        for j in range(kc):
-            xi = xi_chunk[:, j, :]
-            F = Y @ spde.coupling.T
-            if controller is not None:
-                u, nf = controller.bias_batch((k + j) * dt, Y)
-                floor_count += nf
-                logw -= (u * xi).sum(axis=1) * sqdt + 0.5 * (u * u).sum(axis=1) * dt
-                F = F + sqeps * u
-            Y = decay * Y + fac * F + sig * xi
-            bad = ~np.isfinite(Y).all(axis=1)
-            newly = bad & ~blown
-            if newly.any():
-                blown |= newly
-                Y[newly] = 0.0
-        k += kc
-    return Y, logw, blown, floor_count
-
-
 def run_spde_paths(spde, controller, obs, Y0, T, dt, M, master_seed,
                    block_size=2048, workers=1):
     """Ensemble of SPDE mode paths; same determinism contract as run_paths."""
-    from .paths import PathEnsemble
-
     K, dt = adjust_steps(T, dt)
-    N = spde.n_modes
-    terminal = np.empty((M, N))
-    log_weight = np.empty(M)
-    blown = np.empty(M, dtype=bool)
-    floor_total = 0
-    ranges = _block_ranges(M, block_size)
-
-    def work(rng_pair):
-        s, e = rng_pair
-        return _run_spde_block(spde, controller, obs, Y0, K, dt,
-                               master_seed, s, e)
-
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, ranges))
-    else:
-        results = [work(rg) for rg in ranges]
-    for (s, e), (YT, lw, bl, fc) in zip(ranges, results):
-        terminal[s:e] = YT
-        log_weight[s:e] = lw
-        blown[s:e] = bl
-        floor_total += fc
-    in_event = np.zeros(M, dtype=bool)
-    if obs is not None:
-        ok = ~blown
-        if ok.any():
-            in_event[ok] = obs.indicator(terminal[ok]).astype(bool)
-    return PathEnsemble(terminal, log_weight, in_event, blown,
-                        floor_total, [], K, dt)
+    starts = np.tile(np.asarray(Y0, dtype=float), (M, 1))
+    ens, _ = run_engine(_engine_stepper(spde, dt), spde.n_modes, starts, K,
+                        dt, controller, obs, master_seed, block_size, workers)
+    return ens
 
 
 def generate_mode_snapshots(spde, amplitudes, T_traj, stride, seed, dt=1e-3):
     """Unbiased mode trajectories started along the adjoint direction.
 
-    One trajectory per requested amplitude a, started at a * w1; states are
-    recorded every `stride` time units including t = 0.  Used as the point
-    set for fitting the terminal observable in mode space.
+    One trajectory per requested amplitude a, started at a * w1 with path
+    index its position in ``amplitudes``; states are recorded every
+    `stride` time units including t = 0.  Used as the point set for
+    fitting the terminal observable in mode space.
     """
-    K, dt = adjust_steps(T_traj, dt) if T_traj > 0 else (0, dt)
-    step_per = max(1, int(round(stride / dt))) if T_traj > 0 else 1
-    snaps = []
-    for idx, a in enumerate(np.asarray(amplitudes, dtype=float)):
-        rng = derive_path_rng(seed, idx)
-        Y = a * spde.adjoint_w1
-        snaps.append(Y.copy())
-        decay = np.exp(-spde.lam * dt)
-        fac = (1.0 - decay) / spde.lam
-        sig = noise_std(spde, dt)
-        for k in range(K):
-            xi = rng.standard_normal(spde.n_modes)
-            Y = decay * Y + fac * (spde.coupling @ Y) + sig * xi
-            if (k + 1) % step_per == 0:
-                snaps.append(Y.copy())
-    return np.array(snaps)
+    starts = np.multiply.outer(np.asarray(amplitudes, dtype=float),
+                               spde.adjoint_w1)
+    snaps, _ = trajectory_snapshots(partial(_engine_stepper, spde),
+                                    spde.n_modes, starts, T_traj, stride,
+                                    seed, dt)
+    return snaps

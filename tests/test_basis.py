@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from koopmanis import basis_jet, build_basis, hermite_jet
+from koopmanis import build_basis, hermite_jet
 from koopmanis.basis import graded_lex_indices
 from koopmanis.errors import ConfigError
 
@@ -138,4 +138,7 @@ def test_values_and_grads_consistent_with_jets():
 def test_basis_jet_is_element_jet():
     b = build_basis("hermite", 2, 3)
     x = np.array([0.4, -1.2])
-    assert basis_jet(b, 5, x)[0] == b.element_jet(5, x)[0]
+    v, g, h = b.element_jet_batch(5, x[None, :])
+    val, grad, hess = b.element_jet(5, x)
+    assert val == v[0]
+    assert np.array_equal(grad, g[0]) and np.array_equal(hess, h[0])

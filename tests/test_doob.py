@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from koopmanis import build_basis, make_builtin_model, make_event
-from koopmanis import doob, gedmd
+from koopmanis import doob, estimator, gedmd, spde
 from koopmanis.errors import ConfigError, TuningFailedError
 
 
@@ -93,8 +93,8 @@ def test_positivization_preserves_gradient(ou_spectrum):
     for _ in range(100):
         t = rng.uniform(0.0, 1.0)
         x = rng.normal(size=(1,)) * 2
-        _, g0 = before.kbe_value_grad(t, x)
-        _, g1 = after.kbe_value_grad(t, x)
+        _, g0 = before.value_grad_batch(t, x[None, :])
+        _, g1 = after.value_grad_batch(t, x[None, :])
         assert np.allclose(g0, g1, rtol=1e-12, atol=1e-15)
 
 
@@ -122,10 +122,10 @@ def test_kbe_constant_only_spectrum(ou_spectrum):
     ctrl = doob.DoobController(spec.basis, comps, np.array([2.5]),
                                m.diffusion_const, T=1.0)
     for t in (0.0, 0.3, 1.0):
-        v, g = ctrl.kbe_value_grad(t, np.array([0.7]))
-        assert v == pytest.approx(2.5)
+        v, g = ctrl.value_grad_batch(t, np.array([[0.7]]))
+        assert v[0] == pytest.approx(2.5)
         assert np.allclose(g, 0.0)
-        assert np.allclose(ctrl.bias(t, np.array([0.7])), 0.0)
+        assert np.allclose(ctrl.bias_batch(t, np.array([[0.7]]))[0], 0.0)
 
 
 def test_kbe_single_decaying_mode(ou_spectrum):
@@ -140,9 +140,9 @@ def test_kbe_single_decaying_mode(ou_spectrum):
     comps = doob.realify_spectrum(one)
     ctrl = doob.DoobController(b, comps, np.array([1.0]), m.diffusion_const,
                                T=1.0)
-    v, g = ctrl.kbe_value_grad(0.0, np.array([2.0]))
-    assert v == pytest.approx(math.exp(-1.0) * 2.0, rel=1e-12)
-    assert g[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
+    v, g = ctrl.value_grad_batch(0.0, np.array([[2.0]]))
+    assert v[0] == pytest.approx(math.exp(-1.0) * 2.0, rel=1e-12)
+    assert g[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_bias_two_term_expansion(ou_spectrum):
@@ -157,11 +157,11 @@ def test_bias_two_term_expansion(ou_spectrum):
     comps = doob.realify_spectrum(two)
     ctrl = doob.DoobController(b, comps, np.array([1.0, 1.0]),
                                m.diffusion_const, T=1.0)
-    u = ctrl.bias(0.0, np.array([0.0]))
-    assert u[0] == pytest.approx(math.sqrt(2.0) * math.exp(-1.0), rel=1e-12)
+    u, _ = ctrl.bias_batch(0.0, np.array([[0.0]]))
+    assert u[0, 0] == pytest.approx(math.sqrt(2.0) * math.exp(-1.0), rel=1e-12)
     # doubling the multiplier doubles the output exactly
-    u2 = ctrl.with_multiplier(2.0).bias(0.0, np.array([0.0]))
-    assert u2[0] == 2.0 * u[0]
+    u2, _ = ctrl.with_multiplier(2.0).bias_batch(0.0, np.array([[0.0]]))
+    assert u2[0, 0] == 2.0 * u[0, 0]
 
 
 def test_bias_time_range_check(ou_spectrum):
@@ -170,9 +170,9 @@ def test_bias_time_range_check(ou_spectrum):
     ctrl = doob.build_controller(spec, m, pts.points,
                                  ev.mollified(pts.points), T=1.0)
     with pytest.raises(ValueError):
-        ctrl.kbe_value_grad(1.5, np.array([0.0]))
+        ctrl.value_grad_batch(1.5, np.array([[0.0]]))
     with pytest.raises(ValueError):
-        ctrl.kbe_value_grad(-0.5, np.array([0.0]))
+        ctrl.value_grad_batch(-0.5, np.array([[0.0]]))
 
 
 def test_complex_pair_evaluation_matches_complex_arithmetic():
@@ -238,9 +238,6 @@ class _FlatController:
     def bias_batch(self, t, X):
         return np.zeros((len(X), 1)), 0
 
-    def bias(self, t, x):
-        return np.zeros(1)
-
 
 def test_tune_tie_break_toward_smaller_multiplier():
     m = make_builtin_model("ou1d")
@@ -283,3 +280,37 @@ def test_controller_serialization_roundtrip(ou_spectrum):
         u0, _ = ctrl.bias_batch(t, X)
         u1, _ = back.bias_batch(t, X)
         assert np.array_equal(u0, u1)
+
+
+def _controller(kind):
+    """A small controller of each class and its state dimension."""
+    if kind == "eigen":
+        b = build_basis("hermite", 1, 2)
+        comps = [doob._Component(0.0, 0.0, np.eye(3)[0], None, True),
+                 doob._Component(-1.0, 0.0, np.eye(3)[1], None)]
+        return doob.DoobController(b, comps, np.array([1.0, 0.5]),
+                                   np.array([[1.0]]), T=1.0), 1
+    if kind == "spde":
+        sp = spde.spectral_setup(8, 0.1, 1.0, 1.0)
+        return spde.SpdeController(sp, 1.0, 0.3, 1.0), 8
+    m = make_builtin_model("ou1d")
+    ev = make_event("coordinate", 2.0, sharpness=5.0, mode="indicator")
+    return estimator.ou_exact_controller(m, ev, 1.0, terminal="indicator"), 1
+
+
+@pytest.mark.parametrize("kind", ["eigen", "spde", "ou_exact"])
+def test_with_multiplier_copies_without_mutating(kind):
+    ctrl, d = _controller(kind)
+    before = dict(vars(ctrl))
+    out = ctrl.with_multiplier(2.0)
+    assert type(out) is type(ctrl) and out.multiplier == 2.0
+    assert vars(ctrl) == before
+    # everything else is carried over: terminal, sharpness, quadrature
+    # nodes, spectrum, floor
+    for key, value in before.items():
+        if key != "multiplier":
+            assert vars(out)[key] is value
+    X = np.full((3, d), 0.3)
+    u1, _ = ctrl.bias_batch(0.5, X)
+    u2, _ = out.bias_batch(0.5, X)
+    assert np.array_equal(u2, 2.0 * u1)

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from koopmanis import make_builtin_model, make_event
-from koopmanis import estimator
+from koopmanis import doob, estimator
 from koopmanis.errors import ConfigError, DiagnosticError, InvalidParameterError
 
 
@@ -142,12 +142,24 @@ def test_exact_controller_bias_is_hazard_rate():
     ev = make_event("coordinate", 2.0, mode="indicator")
     ctrl = estimator.ou_exact_controller(m, ev, 1.0, terminal="indicator")
     # deep in the tail the hazard form stays finite and positive
-    u = ctrl.bias(0.5, np.array([-50.0]))
-    assert np.isfinite(u[0]) and u[0] > 0
+    u, _ = ctrl.bias_batch(0.5, np.array([[-50.0]]))
+    assert np.isfinite(u[0, 0]) and u[0, 0] > 0
     # consistency with value/grad where the tail is mild
-    v, g = ctrl.kbe_value_grad(0.3, np.array([1.0]))
-    u2 = ctrl.bias(0.3, np.array([1.0]))
-    assert u2[0] == pytest.approx(math.sqrt(2.0) * g[0] / v, rel=1e-10)
+    v, g = ctrl.value_grad_batch(0.3, np.array([[1.0]]))
+    u2, _ = ctrl.bias_batch(0.3, np.array([[1.0]]))
+    assert u2[0, 0] == pytest.approx(math.sqrt(2.0) * g[0, 0] / v[0],
+                                     rel=1e-10)
+
+
+def test_exact_controller_multiplier_tuning():
+    m = make_builtin_model("ou1d")
+    ev = make_event("coordinate", 2.0, mode="indicator")
+    ctrl = estimator.ou_exact_controller(m, ev, 1.0, terminal="indicator")
+    res = doob.tune_multiplier(ctrl, m, ev, [0.0], 1.0, 1e-2,
+                               grid=[0.5, 1.0], batch=100)
+    assert res.multiplier in (0.5, 1.0)
+    assert [row[0] for row in res.table] == [0.5, 1.0]
+    assert ctrl.multiplier == 1.0
 
 
 def test_second_moment_bound_cases():

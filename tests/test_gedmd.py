@@ -6,6 +6,8 @@ import pytest
 from koopmanis import build_basis, make_builtin_model, make_event
 from koopmanis.errors import EmptySpectrumError, RankDeficiencyWarning
 from koopmanis import gedmd
+from koopmanis.model import SdeModel
+from koopmanis.paths import _step_block, adjust_steps, derive_path_rng
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +47,55 @@ def test_vdp_points_approx_count_and_box():
     assert 400 * 201 * 0.97 <= pts.m <= 400 * 201
     assert b.contains(pts.points).all()
     assert pts.provenance["dropped_train"] == 400 * 201 - pts.m
+
+
+def _reference_snapshots(model, ics, T_traj, stride, seed, dt, scheme):
+    """Loop version of the test-point trajectories, kept as the reference
+    for the block engine."""
+    n_ic, d = ics.shape
+    K, dt = adjust_steps(T_traj, dt)
+    step_per = max(1, int(round(stride / dt)))
+    gens = [derive_path_rng(seed, i) for i in range(n_ic)]
+    x = ics.astype(float).copy()
+    snaps = [x.copy()]
+    r = model.dim_noise
+    chunk_steps = max(1, 4_000_000 // max(1, n_ic * r))
+    k = 0
+    while k < K:
+        kc = min(chunk_steps, K - k)
+        xi_chunk = np.stack([g.standard_normal((kc, r)) for g in gens])
+        for j in range(kc):
+            x = _step_block(model, scheme, x, None, dt, xi_chunk[:, j, :])
+            if (k + j + 1) % step_per == 0:
+                snaps.append(x.copy())
+        k += kc
+    return np.stack(snaps, axis=1).reshape(-1, d)
+
+
+def test_test_points_match_reference_loop():
+    m = make_builtin_model("vdp", {"mu": 0.3, "eps": 0.01})
+    grid = {"box": [[-4.0, 4.0], [-4.0, 4.0]], "counts": [20, 20]}
+    pts = gedmd.generate_test_points(m, grid, T_traj=1.0, stride=0.1,
+                                     seed=11, dt=5e-3, scheme="srk_additive")
+    ics = gedmd._ic_grid(grid["box"], grid["counts"])
+    for got, seed in ((pts.points, 11), (pts.holdout, 12)):
+        ref = _reference_snapshots(m, ics, 1.0, 0.1, seed, 5e-3,
+                                   "srk_additive")
+        assert np.array_equal(got, ref)
+
+
+def test_blown_trajectories_are_dropped_and_counted():
+    zero = np.zeros((1, 1))
+    m = SdeModel("explode", 1, 1, lambda x: np.asarray(x, float) ** 3,
+                 lambda x: zero, diffusion_const=zero)
+    # from 0.5 the ODE x' = x^3 stays finite up to t = 2; from 10 it
+    # blows up at t = 0.005
+    pts = gedmd.generate_test_points(m, {"box": [[0.5, 10.0]], "counts": [2]},
+                                     T_traj=1.0, stride=0.1, seed=0, dt=0.05,
+                                     scheme="euler_maruyama")
+    assert pts.m == 11 and np.isfinite(pts.points).all()
+    assert pts.points[0, 0] == 0.5
+    assert pts.provenance["dropped_train"] == 11
 
 
 def test_assembly_shapes_and_rows(ou_setup):

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from koopmanis import (basis, generator_apply, make_builtin_model, make_event,
-                       observable_eval)
+from koopmanis import basis, generator_apply, make_builtin_model, make_event
 from koopmanis.errors import (InvalidParameterError, ModelNotFoundError,
                               ShapeError)
 from koopmanis.model import generator_apply_batch
@@ -135,19 +134,18 @@ def test_generator_batch_matches_scalar():
 
 def test_mollified_observable_values():
     ev = make_event("coordinate", 2.0, sharpness=3.0, mode="mollified")
-    assert observable_eval(ev, np.array([2.0])) == pytest.approx(0.5)
-    assert observable_eval(ev, np.array([50.0])) == pytest.approx(1.0)
+    assert ev.value(np.array([2.0])) == pytest.approx(0.5)
+    assert ev.value(np.array([50.0])) == pytest.approx(1.0)
     # direct evaluation: 0.5*(1 + tanh(-3))
-    assert observable_eval(ev, np.array([1.0])) == pytest.approx(
+    assert ev.value(np.array([1.0])) == pytest.approx(
         0.5 * (1.0 + math.tanh(-3.0)))
-    assert observable_eval(ev, np.array([1.0])) == pytest.approx(0.0024726232,
-                                                                 rel=1e-6)
+    assert ev.value(np.array([1.0])) == pytest.approx(0.0024726232, rel=1e-6)
 
 
 def test_indicator_boundary_and_monotonicity():
     ev = make_event("coordinate", 2.0, mode="indicator")
-    assert observable_eval(ev, np.array([2.0])) == 0.0
-    assert observable_eval(ev, np.array([2.0 + 1e-12])) == 1.0
+    assert ev.value(np.array([2.0])) == 0.0
+    assert ev.value(np.array([2.0 + 1e-12])) == 1.0
     ev_m = make_event("coordinate", 2.0, mode="mollified")
     xs = np.linspace(-3, 5, 200)[:, None]
     vals = ev_m.value(xs)
@@ -158,10 +156,10 @@ def test_indicator_boundary_and_monotonicity():
 def test_mollified_converges_to_indicator():
     for x in (1.5, 2.5, -1.0, 3.0):
         ind = make_event("coordinate", 2.0, mode="indicator")
-        target = observable_eval(ind, np.array([x]))
+        target = ind.value(np.array([x]))
         for s in (10.0, 100.0, 1000.0):
             ev = make_event("coordinate", 2.0, sharpness=s, mode="mollified")
-            err = abs(observable_eval(ev, np.array([x])) - target)
+            err = abs(ev.value(np.array([x])) - target)
             assert err <= math.exp(-2 * s * abs(x - 2.0)) + 1e-12
 
 

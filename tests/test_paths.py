@@ -7,7 +7,7 @@ from koopmanis import (derive_path_rng, integrate_step, make_builtin_model,
                        make_event, run_paths, simulate_path)
 from koopmanis.errors import PathBlowupError, UnsupportedSchemeError
 from koopmanis.model import SdeModel
-from koopmanis.paths import adjust_steps
+from koopmanis.paths import _step_block, adjust_steps
 
 
 def _deterministic_decay_model():
@@ -44,9 +44,6 @@ class _ConstantController:
     def with_multiplier(self, c):
         return _ConstantController(self.u * c / max(self.multiplier, 1e-300),
                                    self.horizon, self.r)
-
-    def bias(self, t, x):
-        return self.u
 
     def bias_batch(self, t, X):
         return np.tile(self.u, (len(X), 1)), 0
@@ -209,3 +206,46 @@ def test_trajectory_capture():
     mine = [row for row in ens.trajectories if row[0] == 1]
     assert len(res.trajectory) == len(mine)
     assert np.allclose(res.trajectory[-1][1], mine[-1][2])
+
+
+def _reference_rows(model, controller, x0, T, dt, scheme, master_seed, M,
+                    traj_count, traj_stride):
+    """Loop version of the trajectory rows (one block), kept as the
+    reference for the block engine's snapshot stride."""
+    K, dt = adjust_steps(T, dt)
+    gens = [derive_path_rng(master_seed, i) for i in range(M)]
+    x = np.tile(np.asarray(x0, dtype=float), (M, 1))
+    blown = np.zeros(M, dtype=bool)
+    rec = min(traj_count, M)
+    rows = [(j, 0.0, x[j].copy()) for j in range(rec)]
+    for k in range(K):
+        xi = np.stack([g.standard_normal(model.dim_noise) for g in gens])
+        u = None if controller is None else controller.bias_batch(k * dt, x)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = _step_block(model, scheme, x, u, dt, xi)
+        newly = ~np.isfinite(x).all(axis=1) & ~blown
+        if newly.any():
+            blown |= newly
+            x[newly] = 0.0
+        kk = k + 1
+        if kk % traj_stride == 0 or kk == K:
+            rows.extend((j, kk * dt, x[j].copy()) for j in range(rec))
+    rows.sort(key=lambda rw: (rw[0], rw[1]))
+    return rows
+
+
+def test_trajectory_rows_match_reference_when_stride_leaves_a_remainder():
+    m = make_builtin_model("duffing")
+    ctrl = _ConstantController([0.3], 1.0)
+    # K = 100 steps, stride 7: the final row at T is off the stride grid;
+    # block size 2 splits the recorded paths across blocks
+    ens = run_paths(m, ctrl, None, [-1.5, 0.0], 1.0, 1e-2, M=5,
+                    master_seed=4, block_size=2, trajectory_count=3,
+                    trajectory_stride=7)
+    ref = _reference_rows(m, ctrl, [-1.5, 0.0], 1.0, 1e-2, "srk_additive",
+                          4, 5, 3, 7)
+    assert len(ens.trajectories) == len(ref) == 3 * (1 + 14 + 1)
+    for (p, t, x), (p_ref, t_ref, x_ref) in zip(ens.trajectories, ref):
+        assert (p, t) == (p_ref, t_ref)
+        assert np.array_equal(x, x_ref)
+    assert ens.trajectories[-1][1] == 1.0

@@ -5,10 +5,10 @@ import pytest
 from scipy.linalg import expm
 
 from koopmanis import (exp_euler_step, l2_norm, make_builtin_model, make_event,
-                       qwiener_increment, spde_bias, spectral_setup)
+                       qwiener_increment, spectral_setup)
 from koopmanis import spde as spde_mod
 from koopmanis.errors import InvalidParameterError
-from koopmanis.paths import derive_path_rng
+from koopmanis.paths import adjust_steps, derive_path_rng
 
 
 @pytest.fixture(scope="module")
@@ -182,10 +182,12 @@ def test_exp_euler_noiseless_norm_never_grows(sp64):
 
 def test_spde_bias_trivial_cases(sp64):
     Y = np.random.default_rng(0).normal(size=64)
-    assert np.allclose(spde_bias(sp64, (1.0, 0.0), 2.0, 0.0, 10.0, Y), 0.0)
+    flat = spde_mod.SpdeController(sp64, 1.0, 0.0, 10.0, multiplier=2.0)
+    assert np.allclose(flat.bias_batch(0.0, Y[None, :])[0], 0.0)
     # zero overlap with w1: gradient vanishes
     Yp = Y - (Y @ sp64.adjoint_w1) * sp64.adjoint_w1
-    u = spde_bias(sp64, (1.0, 0.5), 2.0, 0.0, 10.0, Yp)
+    ctrl = spde_mod.SpdeController(sp64, 1.0, 0.5, 10.0, multiplier=2.0)
+    u, _ = ctrl.bias_batch(0.0, Yp[None, :])
     assert np.allclose(u, 0.0, atol=1e-12)
 
 
@@ -231,6 +233,42 @@ def test_mode_snapshots_shapes(sp64):
                                              0.25, seed=0, dt=5e-3)
     assert snaps.shape == (3 * 5, 64)
     assert np.allclose(snaps[0], -2.0 * sp64.adjoint_w1)
+
+
+def _reference_mode_snapshots(spde, amplitudes, T_traj, stride, seed, dt):
+    """Per-amplitude loop version of generate_mode_snapshots, kept as the
+    reference for the block engine."""
+    K, dt = adjust_steps(T_traj, dt)
+    step_per = max(1, int(round(stride / dt)))
+    decay = np.exp(-spde.lam * dt)
+    fac = (1.0 - decay) / spde.lam
+    sig = spde_mod.noise_std(spde, dt)
+    snaps = []
+    for idx, a in enumerate(np.asarray(amplitudes, dtype=float)):
+        rng = derive_path_rng(seed, idx)
+        Y = a * spde.adjoint_w1
+        snaps.append(Y.copy())
+        for k in range(K):
+            xi = rng.standard_normal(spde.n_modes)
+            Y = decay * Y + fac * (spde.coupling @ Y) + sig * xi
+            if (k + 1) % step_per == 0:
+                snaps.append(Y.copy())
+    return np.array(snaps)
+
+
+def test_mode_snapshots_match_reference_loop(sp64):
+    # the engine advances all amplitudes with one matmul where the loop
+    # uses a matrix-vector product per amplitude: equal up to round-off
+    amps = np.linspace(-4.0, 4.0, 9)
+    snaps = spde_mod.generate_mode_snapshots(sp64, amps, 2.0, 0.25, seed=11,
+                                             dt=5e-3)
+    ref = _reference_mode_snapshots(sp64, amps, 2.0, 0.25, 11, 5e-3)
+    assert snaps.shape == ref.shape == (9 * 9, 64)
+    assert np.allclose(snaps, ref, rtol=1e-12, atol=0.0)
+    ev = make_event("norm", 2.5, mode="indicator")
+    got = spde_mod.build_spde_controller(sp64, snaps, ev, 1.0)
+    want = spde_mod.build_spde_controller(sp64, ref, ev, 1.0)
+    assert (got.f0, got.f2) == pytest.approx((want.f0, want.f2), rel=1e-12)
 
 
 def test_build_spde_controller_positive(sp64):
