@@ -12,6 +12,20 @@ Families:
 Multi-indices are ordered graded-lexicographically (degree first, then
 lexicographic), which puts the constant element first.  All jets come from
 derivative recurrences, never finite differences.
+
+Per-element arrays (``values``, ``element_jet_batch``) serve the gEDMD
+set-up, which needs one column per function; ``values_and_grads`` is the
+per-function reference the contraction below is tested against.  An expansion
+sum_k a_k psi_k -- the controller's value surrogate at time t -- is
+evaluated by ``value_grad`` as a tensor-product contraction instead: a is
+scattered into a (p+1)^d coefficient tensor (zero outside the index set),
+and its axes are contracted one at a time, last first, against the 1-D
+value tables.  The gradient along x_j takes the derivative table on axis j
+instead, so the value and the d gradient chains share their partial
+contractions.  Only value and first-derivative tables are built, and no
+(m, n, d) per-function tensor is formed.  Every sum over a coefficient axis
+is an explicit elementwise multiply-add (no BLAS, ``einsum`` or pairwise
+``np.sum``), so each row's result is independent of the number of rows.
 """
 
 from __future__ import annotations
@@ -53,23 +67,28 @@ def _hermite_values(p, x):
     return V
 
 
-def _hermite_tables(p, x):
+# The table builders return (V, D1, D2) for order 2 and (V, D1) for
+# order 1; V and D1 are the same arrays either way.
+
+def _hermite_tables(p, x, order=2):
     V = _hermite_values(p, x)
     D1 = np.zeros_like(V)
-    D2 = np.zeros_like(V)
     for n in range(1, p + 1):
         D1[n] = n * V[n - 1]
+    if order == 1:
+        return V, D1
+    D2 = np.zeros_like(V)
     for n in range(2, p + 1):
         D2[n] = n * (n - 1) * V[n - 2]
     return V, D1, D2
 
 
-def _legendre_tables(p, u):
+def _legendre_tables(p, u, order=2):
     """Orthonormal-on-[-1,1] (uniform probability measure) Legendre tables."""
     m = np.shape(u)
     V = np.empty((p + 1,) + m)
     D1 = np.zeros((p + 1,) + m)
-    D2 = np.zeros((p + 1,) + m)
+    D2 = np.zeros((p + 1,) + m) if order == 2 else None
     V[0] = 1.0
     if p >= 1:
         V[1] = u
@@ -79,24 +98,39 @@ def _legendre_tables(p, u):
         a, b = (2 * n + 1) / (n + 1), n / (n + 1)
         V[n + 1] = a * u * V[n] - b * V[n - 1]
         D1[n + 1] = a * (V[n] + u * D1[n]) - b * D1[n - 1]
-        D2[n + 1] = a * (2.0 * D1[n] + u * D2[n]) - b * D2[n - 1]
+        if order == 2:
+            D2[n + 1] = a * (2.0 * D1[n] + u * D2[n]) - b * D2[n - 1]
     scale = np.sqrt(2.0 * np.arange(p + 1) + 1.0).reshape((p + 1,) + (1,) * len(m))
+    if order == 1:
+        return V * scale, D1 * scale
     return V * scale, D1 * scale, D2 * scale
 
 
-def _monomial_tables(p, x):
+def _monomial_tables(p, x, order=2):
     m = np.shape(x)
     V = np.empty((p + 1,) + m)
     D1 = np.zeros((p + 1,) + m)
-    D2 = np.zeros((p + 1,) + m)
     V[0] = 1.0
     for n in range(1, p + 1):
         V[n] = V[n - 1] * x
     for n in range(1, p + 1):
         D1[n] = n * V[n - 1]
+    if order == 1:
+        return V, D1
+    D2 = np.zeros((p + 1,) + m)
     for n in range(2, p + 1):
         D2[n] = n * (n - 1) * V[n - 2]
     return V, D1, D2
+
+
+def _contract(T, W):
+    """sum_q T[..., q, :] * W[q]: the last coefficient axis of T against a
+    (p+1, m) table, as an explicit multiply-add in q so that every row's
+    result is independent of the number of rows."""
+    out = T[..., 0, :] * W[0]
+    for q in range(1, len(W)):
+        out += T[..., q, :] * W[q]
+    return out
 
 
 def graded_lex_indices(d: int, p: int) -> np.ndarray:
@@ -122,22 +156,23 @@ class BasisSet:
     def size(self) -> int:
         return len(self.multi_indices)
 
-    def _dim_tables(self, X):
-        """Per-dimension 1-D tables (values, d1, d2), chain rule applied."""
+    def _dim_tables(self, X, order=2):
+        """Per-dimension 1-D tables (values, d1, d2), chain rule applied;
+        (values, d1) only when ``order`` is 1."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         tables = []
         for j in range(self.dim):
             xj = X[:, j]
             if self.family == "hermite":
-                tables.append(_hermite_tables(self.degree, xj))
+                tables.append(_hermite_tables(self.degree, xj, order))
             elif self.family == "linear_exact":
-                tables.append(_monomial_tables(self.degree, xj))
+                tables.append(_monomial_tables(self.degree, xj, order))
             else:
                 a, b = self.box[j]
                 u = (2.0 * xj - (a + b)) / (b - a)
-                V, D1, D2 = _legendre_tables(self.degree, u)
+                V, D1, *D2 = _legendre_tables(self.degree, u, order)
                 s = 2.0 / (b - a)
-                tables.append((V, D1 * s, D2 * s * s))
+                tables.append((V, D1 * s) + tuple(D * s * s for D in D2))
         return tables
 
     def values(self, X):
@@ -168,6 +203,20 @@ class BasisSet:
                     g *= A[j]
             grads[i] = g
         return vals.T, np.ascontiguousarray(grads.transpose(2, 1, 0))
+
+    def value_grad(self, a, X):
+        """Value (m,) and gradient (m, d) of the expansion sum_k a[k] psi_k,
+        by the row-local tensor-product contraction the module docstring
+        describes."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        tables = self._dim_tables(X, order=1)
+        coef = np.zeros((self.degree + 1,) * self.dim)
+        coef[tuple(self.multi_indices.T)] = a
+        val, grads = coef[..., None], []   # the row axis is always last
+        for V, D in reversed(tables):
+            grads = [_contract(val, D)] + [_contract(g, V) for g in grads]
+            val = _contract(val, V)
+        return val, np.stack(grads, axis=1)
 
     def element_jet_batch(self, k, X, tables=None):
         """Jet of element k at many points: (m,), (m, d), (m, d, d)."""

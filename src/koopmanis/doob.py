@@ -10,7 +10,6 @@ c * B(x)^T grad(Phi)/max(Phi, floor).
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +137,12 @@ class Controller:
       order of that product, which fixes the last bit of every weight;
     - its serialization, where it has one.
 
+    ``bias_batch`` is row-local: row i of its result depends only on X[i],
+    bit for bit, whatever the number of rows.  The path engine's
+    block-size invariance rests on this.  ``SpdeController`` is the one
+    exception: its ``Y @ w1`` is a BLAS product whose last bit depends on
+    the number of rows.
+
     Controllers are immutable after construction: ``with_multiplier``
     returns a copy with a new c, so multiplier sweeps never mutate a
     controller in flight.
@@ -178,6 +183,20 @@ class DoobController(Controller):
         self.floor = float(floor)
         self.margin = float(margin)
         self.model_name = model_name
+        # the components stacked once: a(t) = Re sum_k exp(lam_k tau) g_k
+        # (c_re,k + i c_im,k) with g_k = f_re,k - i f_im,k; a real
+        # component has lam_im = f_im = 0 and c_im = 0
+        comps, n = self.components, basis.size
+        first = np.cumsum([0] + [comp.n_columns for comp in comps])[:-1]
+        f = self.coefficients
+        self._lam = np.array([complex(comp.lam_re, comp.lam_im)
+                              for comp in comps], dtype=complex)
+        self._g = np.array([complex(f[col], 0.0 if comp.c_im is None
+                                    else -f[col + 1])
+                            for col, comp in zip(first, comps)], dtype=complex)
+        self._c = np.array(
+            [(comp.c_re, np.zeros(n) if comp.c_im is None else -comp.c_im)
+             for comp in comps], dtype=float).reshape(2 * len(comps), n)
 
     @property
     def n_eigenfunctions(self) -> int:
@@ -186,32 +205,23 @@ class DoobController(Controller):
 
     def basis_coefficients(self, t: float) -> np.ndarray:
         """Combined dictionary coefficients of the surrogate at time t."""
-        tau = self.horizon - t
-        a = np.zeros(self.basis.size)
-        col = 0
-        for comp in self.components:
-            decay = math.exp(comp.lam_re * tau)
-            if comp.c_im is None:
-                a += self.coefficients[col] * decay * comp.c_re
-                col += 1
-            else:
-                cw, sw = math.cos(comp.lam_im * tau), math.sin(comp.lam_im * tau)
-                f_re, f_im = self.coefficients[col], self.coefficients[col + 1]
-                a += decay * ((f_re * cw + f_im * sw) * comp.c_re
-                              + (f_im * cw - f_re * sw) * comp.c_im)
-                col += 2
-        return a
+        z = np.exp(self._lam * (self.horizon - t)) * self._g
+        return z.view(float) @ self._c   # [Re z_0, Im z_0, Re z_1, ...]
 
     def value_grad_batch(self, t, X):
         self._check_time(t)
-        a = self.basis_coefficients(t)
-        vals, grads = self.basis.values_and_grads(X)
-        return vals @ a, np.einsum("mnd,n->md", grads, a)
+        return self.basis.value_grad(self.basis_coefficients(t), X)
 
     def bias_batch(self, t, X):
         val, grad = self.value_grad_batch(t, X)
         denom, nf = self._floor(val)
-        u = (self.multiplier / denom)[:, None] * (grad @ self.diffusion_const)
+        # grad @ D as an explicit multiply-add over the state axis: BLAS
+        # picks another kernel for a single row, which can move its last bit
+        D = self.diffusion_const
+        gD = grad[:, :1] * D[0]
+        for j in range(1, len(D)):
+            gD += grad[:, j:j + 1] * D[j]
+        u = (self.multiplier / denom)[:, None] * gD
         return u, nf
 
     def to_dict(self) -> dict:

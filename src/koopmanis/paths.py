@@ -24,9 +24,15 @@ Determinism contract: path i draws its noise only from
 ``derive_path_rng(master_seed, i)``, in time order and in the same amounts
 whatever the chunking; blocks are independent and assembled in path-index
 order.  Results are therefore bit-identical for any worker count, and for
-any block size when the stepper's arithmetic does not depend on the
-number of rows (the SDE steppers; the SPDE mode-coupling matmul is
-shape-sensitive at the ulp level).  A path whose state becomes non-finite
+any block size when both the stepper and the controller are row-local:
+row i of a step or of ``bias_batch`` depends only on row i of the input,
+bit for bit, whatever the number of rows.  The Doob and exact OU
+controllers are.  The SDE steppers are on every built-in model, whose
+products B v are exact (B diagonal or a single noise column); a dense B
+with two or more noise columns would make that BLAS product
+shape-sensitive.  The known exceptions are the SPDE stepper
+(``spde.exp_euler``) and ``SpdeController``, whose mode-coupling matmuls
+are shape-sensitive at the ulp level.  A path whose state becomes non-finite
 is marked blown and frozen at zero.  ``simulate_path`` is the single-path
 reference the engine is tested against.
 """

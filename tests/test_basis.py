@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from koopmanis import build_basis, hermite_jet
-from koopmanis.basis import graded_lex_indices
+from koopmanis.basis import FAMILIES, BasisSet, graded_lex_indices
 from koopmanis.errors import ConfigError
 
 
@@ -133,6 +134,28 @@ def test_values_and_grads_consistent_with_jets():
         v, g, _ = b.element_jet_batch(k, X)
         assert np.allclose(V[:, k], v)
         assert np.allclose(G[:, k, :], g)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("d,p,index_set", [
+    (1, 6, "total"), (2, 10, "total"), (3, 4, "total"),
+    (2, 4, "tensor"), (3, 3, "tensor")])
+def test_value_grad_contraction_matches_per_function_reference(
+        family, d, p, index_set):
+    box = [[-3.0, 2.5], [-2.0, 4.0], [-2.5, 2.5]][:d]
+    b = build_basis(family, d, p, box)
+    if index_set == "tensor":   # full (p+1)^d grid: no zeros in the tensor
+        grid = np.array(list(itertools.product(range(p + 1), repeat=d)))
+        b = BasisSet(family, d, p, grid, b.box)
+    rng = np.random.default_rng(d * 100 + p)
+    X = rng.uniform(-2.0, 2.0, size=(200, d))
+    a = rng.normal(size=b.size)
+    V, G = b.values_and_grads(X)
+    val, grad = b.value_grad(a, X)
+    assert val.shape == (200,) and grad.shape == (200, d)
+    np.testing.assert_allclose(val, V @ a, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(grad, np.einsum("mnd,n->md", G, a),
+                               rtol=1e-12, atol=1e-14)
 
 
 def test_basis_jet_is_element_jet():

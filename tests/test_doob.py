@@ -208,6 +208,72 @@ def test_complex_pair_evaluation_matches_complex_arithmetic():
         assert np.abs(vals.imag).max() == 0.0 if np.iscomplexobj(vals) else True
 
 
+def _basis_coefficients_loop(ctrl, t):
+    """Component-by-component form of DoobController.basis_coefficients."""
+    tau = ctrl.horizon - t
+    a = np.zeros(ctrl.basis.size)
+    col = 0
+    for comp in ctrl.components:
+        decay = math.exp(comp.lam_re * tau)
+        if comp.c_im is None:
+            a += ctrl.coefficients[col] * decay * comp.c_re
+            col += 1
+        else:
+            cw, sw = math.cos(comp.lam_im * tau), math.sin(comp.lam_im * tau)
+            f_re, f_im = ctrl.coefficients[col], ctrl.coefficients[col + 1]
+            a += decay * ((f_re * cw + f_im * sw) * comp.c_re
+                          + (f_im * cw - f_re * sw) * comp.c_im)
+            col += 2
+    return a
+
+
+@pytest.mark.parametrize("family", ["hermite", "legendre_box", "linear_exact"])
+def test_basis_coefficients_match_component_loop(fitted_controllers, family):
+    # nonnormal2d has a real spectrum; vdp and brownian_osc have complex pairs
+    _, ctrl, _ = fitted_controllers[family]
+    for t in (0.0, 0.37, 1.0):
+        ref = _basis_coefficients_loop(ctrl, t)
+        np.testing.assert_allclose(ctrl.basis_coefficients(t), ref,
+                                   rtol=1e-13)
+
+
+def _assert_bias_row_local(ctrl, t, X):
+    u, _ = ctrl.bias_batch(t, X)
+    m = len(X)
+    for s, e in ((0, 1), (7, 8), (m - 1, m), (3, 40), (17, m), (0, m - 1)):
+        assert np.array_equal(u[s:e], ctrl.bias_batch(t, X[s:e])[0])
+
+
+# SpdeController is left out: its Y @ w1 is a BLAS product whose last bit
+# depends on the number of rows, like the SPDE stepper's mode coupling
+# (see the paths module docstring).
+
+@pytest.mark.parametrize("family", ["hermite", "legendre_box", "linear_exact"])
+def test_doob_bias_is_row_local(fitted_controllers, family):
+    model, ctrl, x0 = fitted_controllers[family]
+    rng = np.random.default_rng(8)
+    X = x0 + rng.normal(size=(97, model.dim_state))
+    # the same surrogate with a dense (d, 1) B-map, where a single row takes
+    # another BLAS kernel than many
+    dense = doob.DoobController(ctrl.basis, ctrl.components,
+                                ctrl.coefficients,
+                                rng.normal(size=(model.dim_state, 1)),
+                                ctrl.horizon, multiplier=4.0)
+    for c in (ctrl, dense):
+        for t in (0.0, 0.37, 1.0):
+            _assert_bias_row_local(c, t, X)
+
+
+@pytest.mark.parametrize("terminal", ["indicator", "mollified"])
+def test_ou_exact_bias_is_row_local(terminal):
+    m = make_builtin_model("ou1d")
+    ev = make_event("coordinate", 2.0, sharpness=3.0, mode=terminal)
+    ctrl = estimator.ou_exact_controller(m, ev, 1.0, terminal=terminal)
+    X = np.random.default_rng(9).normal(size=(97, 1)) * 1.5
+    for t in (0.0, 0.37, 1.0):
+        _assert_bias_row_local(ctrl, t, X)
+
+
 def test_regression_residual_nested(ou_spectrum):
     """Appending eigenfunctions never increases the LS residual."""
     m, spec, pts = ou_spectrum

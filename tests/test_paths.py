@@ -153,6 +153,21 @@ def test_block_size_and_workers_are_bitwise_invariant():
         assert np.array_equal(ref.log_weight, alt.log_weight)
 
 
+@pytest.mark.parametrize("family", ["legendre_box", "linear_exact"])
+def test_fitted_controller_ensembles_are_bitwise_invariant(fitted_controllers,
+                                                           family):
+    """The invariance above with a fitted Doob controller (vdp, degree-10
+    Legendre; brownian_osc, exact monomials): block size 64 leaves a
+    one-row tail block of the 257 paths."""
+    model, ctrl, x0 = fitted_controllers[family]
+    runs = [run_paths(model, ctrl, None, x0, 1.0, 1e-2, M=257, master_seed=5,
+                      block_size=bs, workers=workers)
+            for bs, workers in ((257, 1), (64, 1), (64, 3), (31, 2))]
+    for alt in runs[1:]:
+        assert np.array_equal(runs[0].terminal, alt.terminal)
+        assert np.array_equal(runs[0].log_weight, alt.log_weight)
+
+
 def test_unbiasedness_under_bounded_controller():
     """Weighted mean under biasing agrees with the unweighted mean."""
     m = make_builtin_model("ou1d")
