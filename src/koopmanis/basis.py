@@ -13,9 +13,11 @@ Multi-indices are ordered graded-lexicographically (degree first, then
 lexicographic), which puts the constant element first.  All jets come from
 derivative recurrences, never finite differences.
 
-Per-element arrays (``values``, ``element_jet_batch``) serve the gEDMD
-set-up, which needs one column per function; ``values_and_grads`` is the
-per-function reference the contraction below is tested against.  An expansion
+``BasisSet.jets`` is the one per-function evaluator: it gathers each
+element's 1-D table entries and multiplies them into (n, m) arrays of
+values, gradients and Hessians for all n elements at all m points at once.
+``values`` and ``values_and_grads`` are views of it; the gEDMD set-up
+applies the generator to its order-2 output.  An expansion
 sum_k a_k psi_k -- the controller's value surrogate at time t -- is
 evaluated by ``value_grad`` as a tensor-product contraction instead: a is
 scattered into a (p+1)^d coefficient tensor (zero outside the index set),
@@ -30,7 +32,6 @@ is an explicit elementwise multiply-add (no BLAS, ``einsum`` or pairwise
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -47,11 +48,8 @@ def hermite_jet(n_order: int, x):
     Uses He_{k+1} = x He_k - k He_{k-1} and He_n' = n He_{n-1}.
     """
     x = np.asarray(x, dtype=float)
-    V = _hermite_values(n_order, x)
-    val = V[n_order]
-    d1 = n_order * V[n_order - 1] if n_order >= 1 else np.zeros_like(x)
-    d2 = n_order * (n_order - 1) * V[n_order - 2] if n_order >= 2 \
-        else np.zeros_like(x)
+    val, d1, d2 = (D[n_order] for D in
+                   _power_rule_tables(_hermite_values(n_order, x), 2))
     if np.ndim(x) == 0:
         return float(val), float(d1), float(d2)
     return val, d1, d2
@@ -67,18 +65,27 @@ def _hermite_values(p, x):
     return V
 
 
+def _monomial_values(p, x):
+    V = np.empty((p + 1,) + np.shape(x))
+    V[0] = 1.0
+    for n in range(1, p + 1):
+        V[n] = V[n - 1] * x
+    return V
+
+
 # The table builders return (V, D1, D2) for order 2 and (V, D1) for
 # order 1; V and D1 are the same arrays either way.
 
-def _hermite_tables(p, x, order=2):
-    V = _hermite_values(p, x)
-    D1 = np.zeros_like(V)
-    for n in range(1, p + 1):
+def _power_rule_tables(V, order):
+    """Derivative tables of a family with P_n' = n P_{n-1} (Hermite,
+    monomials): D1[n] = n V[n-1] and, for order 2, D2[n] = n(n-1) V[n-2]."""
+    D1 = np.zeros(V.shape)
+    for n in range(1, len(V)):
         D1[n] = n * V[n - 1]
     if order == 1:
         return V, D1
-    D2 = np.zeros_like(V)
-    for n in range(2, p + 1):
+    D2 = np.zeros(V.shape)
+    for n in range(2, len(V)):
         D2[n] = n * (n - 1) * V[n - 2]
     return V, D1, D2
 
@@ -104,23 +111,6 @@ def _legendre_tables(p, u, order=2):
     if order == 1:
         return V * scale, D1 * scale
     return V * scale, D1 * scale, D2 * scale
-
-
-def _monomial_tables(p, x, order=2):
-    m = np.shape(x)
-    V = np.empty((p + 1,) + m)
-    D1 = np.zeros((p + 1,) + m)
-    V[0] = 1.0
-    for n in range(1, p + 1):
-        V[n] = V[n - 1] * x
-    for n in range(1, p + 1):
-        D1[n] = n * V[n - 1]
-    if order == 1:
-        return V, D1
-    D2 = np.zeros((p + 1,) + m)
-    for n in range(2, p + 1):
-        D2[n] = n * (n - 1) * V[n - 2]
-    return V, D1, D2
 
 
 def _contract(T, W):
@@ -164,9 +154,11 @@ class BasisSet:
         for j in range(self.dim):
             xj = X[:, j]
             if self.family == "hermite":
-                tables.append(_hermite_tables(self.degree, xj, order))
+                tables.append(_power_rule_tables(
+                    _hermite_values(self.degree, xj), order))
             elif self.family == "linear_exact":
-                tables.append(_monomial_tables(self.degree, xj, order))
+                tables.append(_power_rule_tables(
+                    _monomial_values(self.degree, xj), order))
             else:
                 a, b = self.box[j]
                 u = (2.0 * xj - (a + b)) / (b - a)
@@ -175,34 +167,51 @@ class BasisSet:
                 tables.append((V, D1 * s) + tuple(D * s * s for D in D2))
         return tables
 
+    def jets(self, X, order=2):
+        """Every element's jet at every point, from the gathered 1-D tables.
+
+        Returns [V] for order 0, [V, G] for order 1 and [V, G, H] for
+        order 2: V is (n, m), G a list of d gradient arrays (n, m) and H a
+        d x d grid of Hessian arrays (n, m), H[i][j] the same array as
+        H[j][i].  Each entry is the derivative factors times the product of
+        the value factors of the other dimensions, taken in order 0..d-1.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        tables = self._dim_tables(X, max(order, 1))
+        idx, d = self.multi_indices, self.dim
+        # T[k][j]: k-th derivative factor along x_j of every element, (n, m)
+        T = [[tables[j][k][idx[:, j]] for j in range(d)]
+             for k in range(order + 1)]
+
+        def rest(*skip):   # 1 * a * b ... leaves the bits of a * b ...
+            out = 1.0
+            for j in range(d):
+                if j not in skip:
+                    out = out * T[0][j]
+            return out
+
+        out = [rest()]
+        if order >= 1:
+            R = [rest(i) for i in range(d)]
+            out.append([T[1][i] * R[i] for i in range(d)])
+        if order == 2:
+            H = [[None] * d for _ in range(d)]
+            for i in range(d):
+                H[i][i] = T[2][i] * R[i]
+                for j in range(i + 1, d):
+                    H[i][j] = H[j][i] = T[1][i] * T[1][j] * rest(i, j)
+            out.append(H)
+        return out
+
     def values(self, X):
         """(m, n) matrix of basis values."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        tables = self._dim_tables(X)
-        out = np.ones((len(self.multi_indices), X.shape[0]))
-        for j in range(self.dim):
-            out *= tables[j][0][self.multi_indices[:, j]]
-        return out.T
+        return self.jets(X, 0)[0].T
 
     def values_and_grads(self, X):
-        """Values (m, n) and gradients (m, n, d)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        tables = self._dim_tables(X)
-        idx = self.multi_indices
-        n, d, m = len(idx), self.dim, X.shape[0]
-        A = [tables[j][0][idx[:, j]] for j in range(d)]   # each (n, m)
-        D = [tables[j][1][idx[:, j]] for j in range(d)]
-        vals = np.ones((n, m))
-        for j in range(d):
-            vals *= A[j]
-        grads = np.empty((d, n, m))
-        for i in range(d):
-            g = D[i].copy()
-            for j in range(d):
-                if j != i:
-                    g *= A[j]
-            grads[i] = g
-        return vals.T, np.ascontiguousarray(grads.transpose(2, 1, 0))
+        """Values (m, n) and gradients (m, n, d): the per-function reference
+        ``value_grad`` is tested against."""
+        V, G = self.jets(X, 1)
+        return V.T, np.ascontiguousarray(np.transpose(G, (2, 1, 0)))
 
     def value_grad(self, a, X):
         """Value (m,) and gradient (m, d) of the expansion sum_k a[k] psi_k,
@@ -217,45 +226,6 @@ class BasisSet:
             grads = [_contract(val, D)] + [_contract(g, V) for g in grads]
             val = _contract(val, V)
         return val, np.stack(grads, axis=1)
-
-    def element_jet_batch(self, k, X, tables=None):
-        """Jet of element k at many points: (m,), (m, d), (m, d, d)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if tables is None:
-            tables = self._dim_tables(X)
-        alpha = self.multi_indices[k]
-        d, m = self.dim, X.shape[0]
-        v1 = [tables[j][0][alpha[j]] for j in range(d)]
-        d1 = [tables[j][1][alpha[j]] for j in range(d)]
-        d2 = [tables[j][2][alpha[j]] for j in range(d)]
-
-        def prod_except(skip):
-            out = np.ones(m)
-            for j in range(d):
-                if j not in skip:
-                    out = out * v1[j]
-            return out
-
-        val = prod_except(())
-        grad = np.empty((m, d))
-        hess = np.empty((m, d, d))
-        for i in range(d):
-            grad[:, i] = d1[i] * prod_except((i,))
-        for i in range(d):
-            hess[:, i, i] = d2[i] * prod_except((i,))
-            for j in range(i + 1, d):
-                hij = d1[i] * d1[j] * prod_except((i, j))
-                hess[:, i, j] = hij
-                hess[:, j, i] = hij
-        return val, grad, hess
-
-    def element_jet(self, k, x):
-        """Scalar jet (value, gradient (d,), Hessian (d, d)) of element k."""
-        if not 0 <= k < self.size:
-            raise IndexError(f"basis element {k} out of range [0, {self.size})")
-        x = np.asarray(x, dtype=float)
-        v, g, h = self.element_jet_batch(k, x[None, :])
-        return float(v[0]), g[0], h[0]
 
     def contains(self, X):
         """True per point when inside the evaluation box (legendre only)."""

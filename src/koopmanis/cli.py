@@ -174,29 +174,41 @@ def prepare_controller(cfg: ExperimentConfig) -> PipelineState:
     return state
 
 
+def _tune(cfg: ExperimentConfig, state: PipelineState):
+    """Multiplier sweep for the state's controller."""
+    run = cfg.run
+    return doob.tune_multiplier(
+        state.controller, state.model, state.event, run.get("x0"),
+        float(run["T"]), float(run["dt"]), cfg.doob["multiplier_grid"],
+        cfg.doob["tuning_batch"], cfg.doob["target_fraction"],
+        seed=_tuning_seed(cfg), scheme=run.get("scheme"),
+        workers=run["workers"])
+
+
+def _ensemble(cfg: ExperimentConfig, state: PipelineState):
+    """The configured final ensemble under the state's controller."""
+    run = cfg.run
+    return estimator.run_ensemble(
+        state.model, state.controller, state.event, run.get("x0"),
+        float(run["T"]), float(run["dt"]), scheme=run.get("scheme"),
+        M=int(run["M"]), master_seed=run["master_seed"],
+        workers=run["workers"], block_size=run["block_size"],
+        trajectory_count=cfg.output.get("trajectory_count", 0),
+        trajectory_stride=cfg.output.get("trajectory_stride"))
+
+
 def run_pipeline(cfg: ExperimentConfig, tune=True) -> PipelineState:
     """Full pipeline; for method mc the controller stages are skipped."""
-    run = cfg.run
-    T, dt, M = float(run["T"]), float(run["dt"]), int(run["M"])
-    if run["method"] == "mc":
+    if cfg.run["method"] == "mc":
         model = make_builtin_model(cfg.model["name"], cfg.model.get("params"))
         state = PipelineState(model, _build_event(cfg))
     else:
         state = prepare_controller(cfg)
         if tune:
-            state.tune = doob.tune_multiplier(
-                state.controller, state.model, state.event, run.get("x0"),
-                T, dt, cfg.doob["multiplier_grid"], cfg.doob["tuning_batch"],
-                cfg.doob["target_fraction"], seed=_tuning_seed(cfg),
-                scheme=run.get("scheme"), workers=run["workers"])
+            state.tune = _tune(cfg, state)
             state.controller = state.controller.with_multiplier(
                 state.tune.multiplier)
-    state.report = estimator.run_ensemble(
-        state.model, state.controller, state.event, run.get("x0"), T, dt,
-        scheme=run.get("scheme"), M=M, master_seed=run["master_seed"],
-        workers=run["workers"], block_size=run["block_size"],
-        trajectory_count=cfg.output.get("trajectory_count", 0),
-        trajectory_stride=cfg.output.get("trajectory_stride"))
+    state.report = _ensemble(cfg, state)
     return state
 
 
@@ -225,6 +237,15 @@ def _write_csv(path, header, rows):
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+
+
+def _write_sweep(outdir, tune) -> Path:
+    path = outdir / "sweep.csv"
+    _write_csv(path,
+               ["c", "hit_fraction", "estimate", "variance", "relative_error"],
+               [[repr(float(c)), repr(f), repr(e), repr(v), repr(r)]
+                for c, f, e, v, r in tune.table])
+    return path
 
 
 def _append_results_row(path, report):
@@ -283,12 +304,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None,
                 else doob.DoobController).from_dict(data)
         model = make_builtin_model(cfg.model["name"], cfg.model.get("params"))
         state = PipelineState(model, _build_event(cfg), controller=ctrl)
-        run = cfg.run
-        state.report = estimator.run_ensemble(
-            model, ctrl, state.event, run.get("x0"), float(run["T"]),
-            float(run["dt"]), scheme=run.get("scheme"), M=int(run["M"]),
-            master_seed=run["master_seed"], workers=run["workers"],
-            block_size=run["block_size"])
+        state.report = _ensemble(cfg, state)
     else:
         state = run_pipeline(cfg)
 
@@ -310,13 +326,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None,
             json.dump(state.controller.to_dict(), fh, indent=1, sort_keys=True)
         written["controller"] = controller_path
     if state.tune is not None:
-        sweep_path = outdir / "sweep.csv"
-        _write_csv(sweep_path,
-                   ["c", "hit_fraction", "estimate", "variance",
-                    "relative_error"],
-                   [[repr(float(c)), repr(f), repr(e), repr(v), repr(r)]
-                    for c, f, e, v, r in state.tune.table])
-        written["sweep"] = sweep_path
+        written["sweep"] = _write_sweep(outdir, state.tune)
     if state.spectrum is not None:
         header, rows = _eigen_report_rows(state.spectrum)
         eig_path = outdir / "eigen_report.csv"
@@ -349,20 +359,8 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     cfg = load_config(args.config)
-    state = prepare_controller(cfg)
-    run = cfg.run
-    tune = doob.tune_multiplier(
-        state.controller, state.model, state.event, run.get("x0"),
-        float(run["T"]), float(run["dt"]), cfg.doob["multiplier_grid"],
-        cfg.doob["tuning_batch"], cfg.doob["target_fraction"],
-        seed=_tuning_seed(cfg), scheme=run.get("scheme"),
-        workers=run["workers"])
-    outdir = _resolve_outdir(cfg, args.output_dir)
-    sweep_path = outdir / "sweep.csv"
-    _write_csv(sweep_path,
-               ["c", "hit_fraction", "estimate", "variance", "relative_error"],
-               [[repr(float(c)), repr(f), repr(e), repr(v), repr(r)]
-                for c, f, e, v, r in tune.table])
+    tune = _tune(cfg, prepare_controller(cfg))
+    sweep_path = _write_sweep(_resolve_outdir(cfg, args.output_dir), tune)
     print("c  hit_fraction  estimate  variance  relative_error")
     for c, f, e, v, r in tune.table:
         print(f"{c:g}  {f:.6g}  {e:.6g}  {v:.6g}  {r:.6g}")
@@ -374,8 +372,9 @@ def _cmd_sweep(args):
 def _cmd_oracle(args):
     model = make_builtin_model(args.model)
     event = default_event(model)
-    if args.threshold is not None:
-        event = make_event(event.kind, args.threshold, event.component)
+    threshold = event.threshold if args.threshold is None else args.threshold
+    event = make_event(event.kind, threshold, event.component,
+                       mode="indicator")
     T = args.T if args.T is not None else _DEFAULT_T.get(args.model, 10.0)
     res = estimator.analytic_oracles(model, event, T, seed=args.seed)
     print(f"model={args.model} event={event.kind}>={event.threshold} T={T}")

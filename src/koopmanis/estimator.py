@@ -168,8 +168,13 @@ def analytic_oracles(model: SdeModel, event: EventObservable, T: float,
 
     Coordinate and absolute-coordinate events use 1-D Gaussian tails; norm
     events use diagonal-Gaussian Monte Carlo with a reported standard
-    error.
+    error.  The result is the indicator probability, so the event must be
+    in indicator mode.
     """
+    if event.mode != "indicator":
+        raise InvalidParameterError(
+            f"the oracle gives P(X_T in E), not E[f] for a {event.mode!r} "
+            "event; build the event with mode='indicator'")
     mean, cov = terminal_gaussian(model, T, x0)
     i = event.component
     L = event.threshold

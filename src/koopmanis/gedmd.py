@@ -20,7 +20,7 @@ import numpy as np
 from .basis import BasisSet
 from .errors import (ConfigError, EmptySpectrumError, NumericalError,
                      RankDeficiencyWarning)
-from .model import SdeModel, generator_apply_batch, half_diffusion_sq
+from .model import SdeModel, half_diffusion_sq
 from .paths import (default_scheme, derive_path_rng, sde_stepper,
                     trajectory_snapshots)
 
@@ -101,17 +101,28 @@ def sample_gaussian_points(model: SdeModel, mean, std, count: int,
 
 
 def assemble_matrices(basis: BasisSet, model: SdeModel, pts):
-    """Feature matrix Psi_X and generator-applied matrix dPsi_X, both (n, m)."""
+    """Feature matrix Psi_X and generator-applied matrix dPsi_X, both (n, m).
+
+    One order-2 ``basis.jets`` evaluation gives every element's value,
+    gradients G_i and Hessian entries H_ij at every point; the drift a is
+    evaluated once, and dPsi = sum_i a_i G_i + sum_ij Q_ij H_ij with
+    Q = 0.5 B B^T, constant or per point when the model has no
+    ``diffusion_const``.  The drift sum runs in axis order and the trace
+    sum row-major, elementwise, so every column depends only on its own
+    point.
+    """
     points = pts.points if isinstance(pts, TestPointSet) else np.atleast_2d(pts)
-    m, n = len(points), basis.size
-    tables = basis._dim_tables(points)
-    Psi = np.empty((n, m))
-    dPsi = np.empty((n, m))
-    for k in range(n):
-        val, grad, hess = basis.element_jet_batch(k, points, tables)
-        Psi[k] = val
-        dPsi[k] = generator_apply_batch(model, grad, hess, points)
-    return Psi, dPsi
+    Psi, G, H = basis.jets(points, 2)
+    a = model.drift(points)
+    if model.diffusion_const is not None:
+        Q = half_diffusion_sq(model)
+    else:
+        B = model.diffusion(points)
+        Q = np.moveaxis(0.5 * np.einsum("mik,mjk->mij", B, B), 0, -1)
+    d = basis.dim
+    drift = sum(a[:, i] * G[i] for i in range(d))
+    return Psi, drift + sum(Q[i, j] * H[i][j]
+                            for i in range(d) for j in range(d))
 
 
 @dataclass(eq=False)

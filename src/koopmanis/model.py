@@ -226,21 +226,3 @@ def generator_apply(model: SdeModel, jet, x) -> float:
     a = model.drift(x[None, :])[0]
     Q = half_diffusion_sq(model, x)
     return float(a @ grad + (Q * hess).sum())
-
-
-def generator_apply_batch(model: SdeModel, grads, hessians, X):
-    """Generator applied to many jets at once (constant-diffusion models).
-
-    grads (m, d), hessians (m, d, d), X (m, d) -> (m,).
-    """
-    X = np.asarray(X, dtype=float)
-    a = model.drift(X)
-    drift_term = (a * grads).sum(axis=1)
-    if model.diffusion_const is not None:
-        Q = half_diffusion_sq(model)
-        trace_term = np.einsum("mij,ij->m", hessians, Q)
-    else:
-        B = model.diffusion(X)
-        Q = 0.5 * np.einsum("mik,mjk->mij", B, B)
-        trace_term = np.einsum("mij,mij->m", hessians, Q)
-    return drift_term + trace_term

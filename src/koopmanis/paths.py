@@ -27,14 +27,13 @@ order.  Results are therefore bit-identical for any worker count, and for
 any block size when both the stepper and the controller are row-local:
 row i of a step or of ``bias_batch`` depends only on row i of the input,
 bit for bit, whatever the number of rows.  The Doob and exact OU
-controllers are.  The SDE steppers are on every built-in model, whose
-products B v are exact (B diagonal or a single noise column); a dense B
-with two or more noise columns would make that BLAS product
-shape-sensitive.  The known exceptions are the SPDE stepper
-(``spde.exp_euler``) and ``SpdeController``, whose mode-coupling matmuls
-are shape-sensitive at the ulp level.  A path whose state becomes non-finite
-is marked blown and frozen at zero.  ``simulate_path`` is the single-path
-reference the engine is tested against.
+controllers are, and so are the SDE steppers on additive-noise models,
+which form B v as a multiply-add over the noise columns.  The known
+exceptions are the SPDE stepper (``spde.exp_euler``) and
+``SpdeController``, whose mode-coupling matmuls are shape-sensitive at the
+ulp level.  A path whose state becomes non-finite is marked blown and
+frozen at zero.  ``simulate_path`` is the single-path reference the engine
+is tested against.
 """
 
 from __future__ import annotations
@@ -93,7 +92,14 @@ def _check_scheme(model, scheme):
 def _apply_diffusion(model, x, v):
     """B(x) @ v for a batch of states x (B_, d) and vectors v (B_, r)."""
     if model.diffusion_const is not None:
-        return v @ model.diffusion_const.T
+        # an explicit multiply-add over the noise columns: a BLAS product
+        # picks its kernel by the row count, which can move a row's last bit.
+        # Formed as (d, B_) so that each multiply runs along the rows.
+        B = model.diffusion_const
+        out = B[:, :1] * v[:, 0]
+        for k in range(1, B.shape[1]):
+            out += B[:, k:k + 1] * v[:, k]
+        return out.T
     B = model.diffusion(x)  # (B_, d, r)
     return np.einsum("bdr,br->bd", B, v)
 

@@ -48,11 +48,18 @@ def test_missing_box_errors():
         build_basis("fourier", 1, 3)
 
 
+def _point_jet(b, k, x):
+    """Value, gradient (d,) and Hessian (d, d) of element k at one point."""
+    V, G, H = b.jets(np.asarray(x, dtype=float)[None, :], 2)
+    return (V[k, 0], np.array([g[k, 0] for g in G]),
+            np.array([[h[k, 0] for h in row] for row in H]))
+
+
 def test_constant_element_jet():
     for fam, box in (("hermite", None), ("legendre_box", [[-2, 2]]),
                      ("linear_exact", None)):
         b = build_basis(fam, 1, 3, box)
-        v, g, h = b.element_jet(0, np.array([0.37]))
+        v, g, h = _point_jet(b, 0, [0.37])
         assert v == pytest.approx(1.0)
         assert np.all(g == 0) and np.all(h == 0)
 
@@ -60,7 +67,7 @@ def test_constant_element_jet():
 def test_hermite_he2_jet():
     b = build_basis("hermite", 1, 3)
     k = int(np.where((b.multi_indices[:, 0] == 2))[0][0])
-    v, g, h = b.element_jet(k, np.array([2.0]))
+    v, g, h = _point_jet(b, k, [2.0])
     assert v == pytest.approx(3.0)
     assert g[0] == pytest.approx(4.0)
     assert h[0, 0] == pytest.approx(2.0)
@@ -68,16 +75,10 @@ def test_hermite_he2_jet():
 
 def test_legendre_degree_one_orthonormal_value():
     b = build_basis("legendre_box", 1, 1, [[-1.0, 1.0]])
-    v, g, h = b.element_jet(1, np.array([0.5]))
+    v, g, h = _point_jet(b, 1, [0.5])
     assert v == pytest.approx(math.sqrt(3.0) * 0.5)
     assert g[0] == pytest.approx(math.sqrt(3.0))
     assert h[0, 0] == pytest.approx(0.0)
-
-
-def test_element_out_of_range():
-    b = build_basis("hermite", 1, 1)
-    with pytest.raises(IndexError):
-        b.element_jet(2, np.array([0.0]))
 
 
 @pytest.mark.parametrize("fam,box", [("hermite", None),
@@ -88,16 +89,13 @@ def test_gradients_match_finite_differences(fam, box):
     rng = np.random.default_rng(9)
     X = rng.uniform(-2.0, 2.0, size=(100, 2))
     step = 1e-5
-    for k in range(0, b.size, 3):
-        v, g, h = b.element_jet_batch(k, X)
-        for i in range(2):
-            Xp = X.copy(); Xp[:, i] += step
-            Xm = X.copy(); Xm[:, i] -= step
-            vp, _, _ = b.element_jet_batch(k, Xp)
-            vm, _, _ = b.element_jet_batch(k, Xm)
-            fd = (vp - vm) / (2 * step)
-            scale = np.maximum(np.abs(fd), 1e-3)
-            assert np.all(np.abs(g[:, i] - fd) / scale < 1e-6)
+    _, G = b.jets(X, 1)
+    for i in range(2):
+        Xp = X.copy(); Xp[:, i] += step
+        Xm = X.copy(); Xm[:, i] -= step
+        fd = (b.jets(Xp, 0)[0] - b.jets(Xm, 0)[0]) / (2 * step)
+        scale = np.maximum(np.abs(fd), 1e-3)
+        assert np.all(np.abs(G[i] - fd) / scale < 1e-6)
 
 
 def test_hessian_matches_finite_differences():
@@ -105,15 +103,15 @@ def test_hessian_matches_finite_differences():
     rng = np.random.default_rng(2)
     X = rng.uniform(-3.0, 3.0, size=(40, 2))
     step = 1e-4
-    for k in (3, 10, 17):
-        _, _, h = b.element_jet_batch(k, X)
-        for i in range(2):
-            Xp = X.copy(); Xp[:, i] += step
-            Xm = X.copy(); Xm[:, i] -= step
-            _, gp, _ = b.element_jet_batch(k, Xp)
-            _, gm, _ = b.element_jet_batch(k, Xm)
-            fd = (gp - gm) / (2 * step)
-            assert np.allclose(h[:, i, :], fd, rtol=1e-4, atol=1e-5)
+    _, _, H = b.jets(X, 2)
+    for i in range(2):
+        Xp = X.copy(); Xp[:, i] += step
+        Xm = X.copy(); Xm[:, i] -= step
+        _, Gp = b.jets(Xp, 1)
+        _, Gm = b.jets(Xm, 1)
+        for j in range(2):
+            fd = (Gp[j] - Gm[j]) / (2 * step)
+            assert np.allclose(H[i][j], fd, rtol=1e-4, atol=1e-5)
 
 
 def test_legendre_gram_is_identity():
@@ -126,14 +124,17 @@ def test_legendre_gram_is_identity():
 
 
 def test_values_and_grads_consistent_with_jets():
-    b = build_basis("legendre_box", 2, 8, [[-2.5, 2.5], [-2.5, 2.5]])
+    """``values`` and ``values_and_grads`` are the order-2 jets' leading
+    arrays, bit for bit, although they build only order-1 tables."""
     rng = np.random.default_rng(4)
     X = rng.uniform(-2.0, 2.0, size=(30, 2))
-    V, G = b.values_and_grads(X)
-    for k in range(b.size):
-        v, g, _ = b.element_jet_batch(k, X)
-        assert np.allclose(V[:, k], v)
-        assert np.allclose(G[:, k, :], g)
+    for family in FAMILIES:
+        b = build_basis(family, 2, 8, [[-2.5, 2.5], [-2.5, 2.5]])
+        V2, G2, _ = b.jets(X, 2)
+        V, G = b.values_and_grads(X)
+        assert np.array_equal(b.values(X), V2.T) and np.array_equal(V, V2.T)
+        for i in range(2):
+            assert np.array_equal(G[:, :, i], G2[i].T)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -159,9 +160,13 @@ def test_value_grad_contraction_matches_per_function_reference(
 
 
 def test_basis_jet_is_element_jet():
+    """One point's jet is that point's column of a batch, bit for bit."""
     b = build_basis("hermite", 2, 3)
-    x = np.array([0.4, -1.2])
-    v, g, h = b.element_jet_batch(5, x[None, :])
-    val, grad, hess = b.element_jet(5, x)
-    assert val == v[0]
-    assert np.array_equal(grad, g[0]) and np.array_equal(hess, h[0])
+    X = np.array([[0.4, -1.2], [1.7, 0.3], [-0.9, 2.2]])
+    V, G, H = b.jets(X, 2)
+    for p, x in enumerate(X):
+        for k in range(b.size):
+            val, grad, hess = _point_jet(b, k, x)
+            assert val == V[k, p]
+            assert np.array_equal(grad, [g[k, p] for g in G])
+            assert np.array_equal(hess, [[h[k, p] for h in row] for row in H])

@@ -93,6 +93,16 @@ def test_reuse_controller_flag(tmp_path):
     assert rows[-1][9] == repr(2.5)
 
 
+def test_reuse_controller_writes_the_same_trajectories(tmp_path):
+    raw = _tiny_ou_config(tmp_path)
+    raw["output"].update(trajectory_count=2, trajectory_stride=10)
+    cfg = cli.ExperimentConfig.from_dict(raw)
+    fresh = cli.run_experiment(cfg)["trajectories"].read_bytes()
+    (tmp_path / "out" / "trajectories.csv").unlink()
+    reused = cli.run_experiment(cfg, reuse_controller=True)
+    assert reused["trajectories"].read_bytes() == fresh
+
+
 def test_unknown_model_exit_code(tmp_path):
     raw = _tiny_ou_config(tmp_path)
     raw["model"]["name"] = "lorenz"
@@ -117,6 +127,10 @@ def test_cli_oracle_verb(capsys):
     assert cli.main(["oracle", "ou1d", "--T", "1.0"]) == 0
     out = capsys.readouterr().out
     assert "1.57" in out  # 1.5745e-2
+    # the oracle gives the indicator probability, with or without a
+    # threshold override of the (mollified) default event
+    assert cli.main(["oracle", "ou1d", "--T", "1.0", "--threshold", "2.0"]) == 0
+    assert capsys.readouterr().out == out
     assert cli.main(["oracle", "lorenz"]) == 1
 
 

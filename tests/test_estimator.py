@@ -106,6 +106,12 @@ def test_oracle_rejects_nonlinear():
         estimator.analytic_oracles(m, ev, 10.0)
 
 
+def test_oracle_rejects_mollified_event():
+    m = make_builtin_model("ou1d")
+    with pytest.raises(InvalidParameterError):
+        estimator.analytic_oracles(m, make_event("coordinate", 2.0), 1.0)
+
+
 def test_oracle_reproducible():
     m = make_builtin_model("nonnormal2d")
     ev = make_event("norm", 0.75, mode="indicator")

@@ -6,7 +6,7 @@ import pytest
 from koopmanis import build_basis, make_builtin_model, make_event
 from koopmanis.errors import EmptySpectrumError, RankDeficiencyWarning
 from koopmanis import gedmd
-from koopmanis.model import SdeModel
+from koopmanis.model import SdeModel, half_diffusion_sq
 from koopmanis.paths import _step_block, adjust_steps, derive_path_rng
 
 
@@ -104,6 +104,62 @@ def test_assembly_shapes_and_rows(ou_setup):
     assert Psi.shape == dPsi.shape == (4, pts.m)
     assert np.allclose(dPsi[0], 0.0)           # constants are annihilated
     assert np.allclose(dPsi[1], -pts.points[:, 0])  # A(He_1) = -He_1
+
+
+def _reference_assembly(basis, model, points):
+    """The per-element loop ``assemble_matrices`` replaced: one jet per
+    dictionary element and, per element, one generator application that
+    evaluates the drift again."""
+    tables = basis._dim_tables(points)
+    n, m, d = basis.size, len(points), basis.dim
+    Psi, dPsi = np.empty((n, m)), np.empty((n, m))
+    for k, alpha in enumerate(basis.multi_indices):
+        v1, d1, d2 = ([tables[j][o][alpha[j]] for j in range(d)]
+                      for o in range(3))
+
+        def prod_except(skip):
+            out = np.ones(m)
+            for j in range(d):
+                if j not in skip:
+                    out = out * v1[j]
+            return out
+
+        grad, hess = np.empty((m, d)), np.empty((m, d, d))
+        for i in range(d):
+            grad[:, i] = d1[i] * prod_except((i,))
+            hess[:, i, i] = d2[i] * prod_except((i,))
+            for j in range(i + 1, d):
+                hess[:, i, j] = hess[:, j, i] = \
+                    d1[i] * d1[j] * prod_except((i, j))
+        Psi[k] = prod_except(())
+        drift = (model.drift(points) * grad).sum(axis=1)
+        if model.diffusion_const is not None:
+            Q = half_diffusion_sq(model)
+            trace = np.einsum("mij,ij->m", hess, Q)
+        else:
+            B = model.diffusion(points)
+            Q = 0.5 * np.einsum("mik,mjk->mij", B, B)
+            trace = np.einsum("mij,mij->m", hess, Q)
+        dPsi[k] = drift + trace
+    return Psi, dPsi
+
+
+@pytest.mark.parametrize("name,family,degree,box", [
+    ("vdp", "legendre_box", 10, [[-4.0, 4.0], [-4.0, 4.0]]),
+    ("nonnormal2d", "hermite", 6, None),
+    ("duffing", "legendre_box", 8, [[-3.0, 3.0], [-3.0, 3.0]]),
+    ("ou1d", "hermite", 5, None)])
+def test_assembly_matches_reference_loop(name, family, degree, box):
+    m = make_builtin_model(name)
+    b = build_basis(family, m.dim_state, degree, box)
+    lo = -2.5 if box is None else box[0][0] + 0.5
+    grid = {"box": [[lo, -lo]] * m.dim_state, "counts": [6] * m.dim_state}
+    pts = gedmd.generate_test_points(m, grid, T_traj=1.0, stride=0.1, seed=3,
+                                     dt=1e-2, basis=b)
+    Psi, dPsi = gedmd.assemble_matrices(b, m, pts)
+    ref_Psi, ref_dPsi = _reference_assembly(b, m, pts.points)
+    assert np.array_equal(Psi, ref_Psi)
+    assert np.array_equal(dPsi, ref_dPsi)
 
 
 def test_koopman_matrix_ou_spectrum(ou_setup):

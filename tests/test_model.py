@@ -6,7 +6,8 @@ import pytest
 from koopmanis import basis, generator_apply, make_builtin_model, make_event
 from koopmanis.errors import (InvalidParameterError, ModelNotFoundError,
                               ShapeError)
-from koopmanis.model import generator_apply_batch
+from koopmanis.gedmd import assemble_matrices
+from koopmanis.model import SdeModel
 
 
 def test_ou1d_reference_values():
@@ -119,17 +120,32 @@ def test_linear_generator_closed_form_on_quadratics(name):
                 assert got == pytest.approx(ref, rel=1e-13, abs=1e-13)
 
 
+def _state_dependent_model():
+    A = np.array([[-1.0, 0.4], [-0.3, -0.8]])
+    B = np.array([[0.6, 0.2], [-0.1, 0.5]])
+
+    def diffusion(x):   # (d,) -> (d, r) and (m, d) -> (m, d, r)
+        return (1.0 + 0.5 * np.tanh(np.asarray(x, float)[..., :1, None])) * B
+
+    return SdeModel("multiplicative", 2, 2, lambda x: x @ A.T, diffusion)
+
+
 def test_generator_batch_matches_scalar():
-    m = make_builtin_model("duffing")
-    rng = np.random.default_rng(5)
-    X = rng.normal(size=(50, 2))
-    grads = rng.normal(size=(50, 2))
-    hessians = rng.normal(size=(50, 2, 2))
-    hessians = hessians + hessians.transpose(0, 2, 1)
-    batch = generator_apply_batch(m, grads, hessians, X)
-    for i in range(50):
-        one = generator_apply(m, (0.0, grads[i], hessians[i]), X[i])
-        assert batch[i] == pytest.approx(one, rel=1e-13)
+    """``assemble_matrices`` applies the generator to every element at every
+    point; the scalar ``generator_apply`` is the reference, on constant
+    (duffing) and on per-point diffusion."""
+    b = basis.build_basis("legendre_box", 2, 4, [[-3.0, 3.0], [-3.0, 3.0]])
+    X = np.random.default_rng(5).uniform(-2.5, 2.5, size=(40, 2))
+    V, G, H = b.jets(X, 2)
+    for m in (make_builtin_model("duffing"), _state_dependent_model()):
+        Psi, dPsi = assemble_matrices(b, m, X)
+        assert np.array_equal(Psi, V)
+        for p, x in enumerate(X):
+            for k in range(b.size):
+                grad = np.array([g[k, p] for g in G])
+                hess = np.array([[h[k, p] for h in row] for row in H])
+                one = generator_apply(m, (V[k, p], grad, hess), x)
+                assert dPsi[k, p] == pytest.approx(one, rel=1e-12)
 
 
 def test_mollified_observable_values():

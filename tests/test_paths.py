@@ -153,6 +153,23 @@ def test_block_size_and_workers_are_bitwise_invariant():
         assert np.array_equal(ref.log_weight, alt.log_weight)
 
 
+@pytest.mark.parametrize("B", [[[0.7, -0.45]],
+                               [[0.6, 0.3], [-0.2, 0.5]]])
+def test_dense_diffusion_is_bitwise_invariant(B):
+    """A dense constant B with two noise columns: block size 64 leaves a
+    one-row tail block of the 257 paths, block size 1 runs each alone."""
+    B = np.array(B)
+    d = len(B)
+    m = SdeModel("dense", d, 2, lambda x: -np.asarray(x, float),
+                 lambda x: B, diffusion_const=B)
+    runs = [run_paths(m, None, None, np.ones(d), 1.0, 1e-2,
+                      scheme="euler_maruyama", M=257, master_seed=5,
+                      block_size=bs)
+            for bs in (257, 64, 1)]
+    for alt in runs[1:]:
+        assert np.array_equal(runs[0].terminal, alt.terminal)
+
+
 @pytest.mark.parametrize("family", ["legendre_box", "linear_exact"])
 def test_fitted_controller_ensembles_are_bitwise_invariant(fitted_controllers,
                                                            family):
