@@ -1,8 +1,8 @@
 """Rare-event importance sampling for SDEs via stochastic Koopman eigenfunctions."""
 
 from .basis import BasisSet, build_basis, hermite_jet
-from .doob import (DoobController, build_controller, positivize,
-                   regress_observable, tune_multiplier)
+from .doob import (DoobController, build_controller, fit_surrogate,
+                   positivize, tune_multiplier)
 from .errors import KoopmanisError
 from .estimator import (EstimatorReport, analytic_oracles, ou_exact_controller,
                         run_ensemble, second_moment_bound)
@@ -24,10 +24,9 @@ __all__ = [
     "SpdeController", "SpectralSpde", "TestPointSet", "analytic_oracles",
     "assemble_matrices", "build_basis", "build_controller", "default_event",
     "derive_path_rng", "eigenpairs", "exact_koopman_matrix", "exp_euler_step",
-    "generate_test_points", "generator_apply", "hermite_jet", "integrate_step",
-    "koopman_matrix", "l2_norm", "make_builtin_model", "make_event",
-    "ou_exact_controller", "positivize", "qwiener_increment",
-    "regress_observable", "run_ensemble", "run_paths", "second_moment_bound",
-    "simulate_path", "spectral_setup", "tune_multiplier",
-    "validate_eigenpairs",
+    "fit_surrogate", "generate_test_points", "generator_apply", "hermite_jet",
+    "integrate_step", "koopman_matrix", "l2_norm", "make_builtin_model",
+    "make_event", "ou_exact_controller", "positivize", "qwiener_increment",
+    "run_ensemble", "run_paths", "second_moment_bound", "simulate_path",
+    "spectral_setup", "tune_multiplier", "validate_eigenpairs",
 ]

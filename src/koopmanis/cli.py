@@ -37,6 +37,7 @@ _DEFAULT_T = {"ou1d": 1.0}
 
 _BLOCK_DEFAULTS = {
     "event": {"sharpness": 3.0, "component": 0, "mode": "indicator"},
+    "points": {"kind": "grid"},
     "gedmd": {"validation_threshold": 0.04, "max_eigenfunctions": None},
     "doob": {"multiplier_grid": [1, 2, 4, 6, 8, 16], "tuning_batch": 100,
              "target_fraction": 0.5, "offset": None},
@@ -62,7 +63,8 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)
         required = ["model", "event", "run", "output"]
-        method = data.get("run", {}).get("method", "is")
+        method = data.get("run", {}).get("method",
+                                         _BLOCK_DEFAULTS["run"]["method"])
         if method == "is":
             required += ["points", "basis", "gedmd", "doob"]
             if data.get("model", {}).get("name") == "advdiff":
@@ -103,8 +105,8 @@ def load_config(path) -> ExperimentConfig:
 
 def _build_event(cfg: ExperimentConfig):
     ev = cfg.event
-    return make_event(ev["kind"], ev["threshold"], ev.get("component", 0),
-                      ev.get("sharpness", 3.0), ev.get("mode", "indicator"))
+    return make_event(ev["kind"], ev["threshold"], ev["component"],
+                      ev["sharpness"], ev["mode"])
 
 
 def _tuning_seed(cfg: ExperimentConfig) -> int:
@@ -146,7 +148,7 @@ def prepare_controller(cfg: ExperimentConfig) -> PipelineState:
     basis = build_basis(b["family"], model.dim_state, b["degree"],
                         b.get("box"))
     pts_cfg = cfg.points
-    if pts_cfg.get("kind", "grid") == "gaussian":
+    if pts_cfg["kind"] == "gaussian":
         pts = gedmd.sample_gaussian_points(model, pts_cfg["mean"],
                                            pts_cfg["std"], pts_cfg["count"],
                                            pts_cfg["seed"])
@@ -165,12 +167,13 @@ def prepare_controller(cfg: ExperimentConfig) -> PipelineState:
     spec = gedmd.eigenpairs(k_res, basis, pts.points)
     spec = gedmd.validate_eigenpairs(spec, model, pts.holdout,
                                      cfg.gedmd["validation_threshold"])
-    spec = gedmd.truncate_spectrum(spec, cfg.gedmd.get("max_eigenfunctions"))
+    spec = gedmd.truncate_spectrum(spec, cfg.gedmd["max_eigenfunctions"])
     state.spectrum = spec
     f_vals = event.mollified(pts.points)
+    # an mc config may omit the doob block and still export its spectrum
+    doob_cfg = cfg.doob or _BLOCK_DEFAULTS["doob"]
     state.controller = doob.build_controller(
-        spec, model, pts.points, f_vals, T,
-        offset=(cfg.doob or {}).get("offset"))
+        spec, model, pts.points, f_vals, T, offset=doob_cfg["offset"])
     return state
 
 
@@ -181,7 +184,7 @@ def _tune(cfg: ExperimentConfig, state: PipelineState):
         state.controller, state.model, state.event, run.get("x0"),
         float(run["T"]), float(run["dt"]), cfg.doob["multiplier_grid"],
         cfg.doob["tuning_batch"], cfg.doob["target_fraction"],
-        seed=_tuning_seed(cfg), scheme=run.get("scheme"),
+        seed=_tuning_seed(cfg), scheme=run["scheme"],
         workers=run["workers"])
 
 
@@ -190,11 +193,11 @@ def _ensemble(cfg: ExperimentConfig, state: PipelineState):
     run = cfg.run
     return estimator.run_ensemble(
         state.model, state.controller, state.event, run.get("x0"),
-        float(run["T"]), float(run["dt"]), scheme=run.get("scheme"),
+        float(run["T"]), float(run["dt"]), scheme=run["scheme"],
         M=int(run["M"]), master_seed=run["master_seed"],
         workers=run["workers"], block_size=run["block_size"],
-        trajectory_count=cfg.output.get("trajectory_count", 0),
-        trajectory_stride=cfg.output.get("trajectory_stride"))
+        trajectory_count=cfg.output["trajectory_count"],
+        trajectory_stride=cfg.output["trajectory_stride"])
 
 
 def run_pipeline(cfg: ExperimentConfig, tune=True) -> PipelineState:
@@ -280,7 +283,7 @@ def _resolve_outdir(cfg: ExperimentConfig, override=None) -> Path:
 
 
 def _histogram_range(cfg, stats):
-    rng = cfg.output.get("histogram_range")
+    rng = cfg.output["histogram_range"]
     if rng is not None:
         return rng
     return [float(np.floor(stats.min())), float(np.ceil(stats.max()))]

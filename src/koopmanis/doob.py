@@ -59,38 +59,15 @@ def realify_spectrum(spectrum: KoopmanSpectrum) -> list[_Component]:
 
 def design_matrix(components, basis: BasisSet, points) -> np.ndarray:
     """(m, n_columns) real design matrix of eigenfunction values."""
-    feats = basis.values(points)  # (m, n)
-    cols = []
-    for comp in components:
-        cols.append(feats @ comp.c_re)
-        if comp.c_im is not None:
-            cols.append(feats @ comp.c_im)
-    return np.stack(cols, axis=1)
+    cols = [c for comp in components for c in (comp.c_re, comp.c_im)
+            if c is not None]
+    return basis.values(points) @ np.array(cols).T
 
 
 def _svd_lstsq(C, rhs, rtol=SVD_RTOL):
     U, s, Vt = np.linalg.svd(C, full_matrices=False)
     keep = s > rtol * (s[0] if len(s) else 0.0)
     return Vt[keep].T @ ((U[:, keep].T @ rhs) / s[keep])
-
-
-@dataclass(eq=False)
-class RegressionResult:
-    components: list
-    coefficients: np.ndarray   # over realified columns
-    fitted: np.ndarray         # C @ coefficients at the regression points
-
-
-def regress_observable(spectrum: KoopmanSpectrum, points,
-                       f_values) -> RegressionResult:
-    """Least-squares fit of the observable values onto the eigenfunctions."""
-    if spectrum.n_pairs == 0:
-        raise EmptySpectrumError("cannot regress on an empty spectrum")
-    comps = realify_spectrum(spectrum)
-    C = design_matrix(comps, spectrum.basis, points)
-    f_values = np.asarray(f_values, dtype=float)
-    coeffs = _svd_lstsq(C, f_values)
-    return RegressionResult(comps, coeffs, C @ coeffs)
 
 
 def _constant_column(components) -> int:
@@ -102,18 +79,16 @@ def _constant_column(components) -> int:
     raise ConfigError("constant eigenfunction absent; cannot positivize")
 
 
-def positivize(components, coefficients, fitted, margin: float | None = None):
+def positivize(coefficients, fitted, col, margin: float):
     """Shift the constant coefficient so every fitted value is positive.
 
-    If the minimum fitted value -eps falls below the margin, the constant
-    coefficient gains max(eps, 0) + margin; the gradient field of the
-    surrogate is untouched.  Returns (coefficients, fitted, shift).
+    If the minimum fitted value -eps falls below the margin, coefficient
+    ``col``, the constant function's, gains max(eps, 0) + margin; the
+    gradient field of the surrogate is untouched.  Returns (coefficients,
+    fitted, shift).
     """
     coefficients = np.asarray(coefficients, dtype=float).copy()
     fitted = np.asarray(fitted, dtype=float)
-    if margin is None:
-        margin = 1e-6 * float(np.max(np.abs(fitted))) if len(fitted) else 0.0
-    col = _constant_column(components)
     lo = float(fitted.min())
     shift = 0.0
     if lo < margin:
@@ -121,6 +96,24 @@ def positivize(components, coefficients, fitted, margin: float | None = None):
         coefficients[col] += shift
         fitted = fitted + shift
     return coefficients, fitted, shift
+
+
+def fit_surrogate(C, f_values, col, offset=None):
+    """The one surrogate fit of every controller: a truncated-SVD solve of
+    C a = f, with the constant column ``col`` shifted by ``positivize`` at
+    margin 1e-6 * scale, scale = max |C a|.  Passing ``offset`` applies
+    exactly that shift instead (the protocol behind the reference sweep
+    tables, where the offset is tuned rather than taken from the fitted
+    minimum).  Returns (a, scale); controllers floor Phi at 1e-8 * scale.
+    """
+    coeffs = _svd_lstsq(C, np.asarray(f_values, dtype=float))
+    fitted = C @ coeffs
+    scale = float(np.max(np.abs(fitted))) if len(fitted) else 1.0
+    if offset is None:
+        coeffs, _, _ = positivize(coeffs, fitted, col, 1e-6 * scale)
+    else:
+        coeffs[col] += float(offset)
+    return coeffs, scale
 
 
 class Controller:
@@ -131,17 +124,16 @@ class Controller:
 
     - ``value_grad_batch(t, X) -> (Phi (m,), grad Phi (m, d))`` for
       t in [0, horizon], which it enforces with ``_check_time``;
-    - ``bias_batch(t, X) -> (u (m, r), floored)``: c times its own B-map
-      applied to grad Phi, over Phi floored by ``_floor``; ``floored`` counts
-      the rows where the floor was active.  Each subclass keeps its own
-      order of that product, which fixes the last bit of every weight;
+    - ``_noise_map(grad) -> (m, r)``: its B(x)^T applied to grad Phi;
     - its serialization, where it has one.
 
-    ``bias_batch`` is row-local: row i of its result depends only on X[i],
-    bit for bit, whatever the number of rows.  The path engine's
-    block-size invariance rests on this.  ``SpdeController`` is the one
-    exception: its ``Y @ w1`` is a BLAS product whose last bit depends on
-    the number of rows.
+    ``bias_batch(t, X) -> (u (m, r), floored)`` is the one bias formula,
+    (c / max(Phi, floor)) * B^T grad Phi, with ``floored`` the number of
+    rows where the floor was active.  It is row-local when both methods
+    are: row i of its result depends only on X[i], bit for bit, whatever
+    the number of rows.  The path engine's block-size invariance rests on
+    this.  ``SpdeController`` is the one exception: its ``Y @ w1`` is a
+    BLAS product whose last bit depends on the number of rows.
 
     Controllers are immutable after construction: ``with_multiplier``
     returns a copy with a new c, so multiplier sweeps never mutate a
@@ -161,10 +153,11 @@ class Controller:
         if t < -1e-12 or t > self.horizon + 1e-12:
             raise ValueError("t outside [0, T]")
 
-    def _floor(self, val):
-        """max(Phi, floor) per row and the number of rows it floored."""
-        return (np.maximum(val, self.floor),
-                int(np.count_nonzero(val < self.floor)))
+    def bias_batch(self, t, X):
+        val, grad = self.value_grad_batch(t, X)
+        u = (self.multiplier / np.maximum(val, self.floor))[:, None] \
+            * self._noise_map(grad)
+        return u, int(np.count_nonzero(val < self.floor))
 
 
 class DoobController(Controller):
@@ -173,7 +166,7 @@ class DoobController(Controller):
 
     def __init__(self, basis: BasisSet, components, coefficients,
                  diffusion_const, T, multiplier=1.0, floor=1e-12,
-                 margin=0.0, model_name=""):
+                 model_name=""):
         self.basis = basis
         self.components = list(components)
         self.coefficients = np.asarray(coefficients, dtype=float)
@@ -181,8 +174,8 @@ class DoobController(Controller):
         self.horizon = float(T)
         self.multiplier = float(multiplier)
         self.floor = float(floor)
-        self.margin = float(margin)
         self.model_name = model_name
+        self.n_eigenfunctions = len(self.coefficients)
         # the components stacked once: a(t) = Re sum_k exp(lam_k tau) g_k
         # (c_re,k + i c_im,k) with g_k = f_re,k - i f_im,k; a real
         # component has lam_im = f_im = 0 and c_im = 0
@@ -198,11 +191,6 @@ class DoobController(Controller):
             [(comp.c_re, np.zeros(n) if comp.c_im is None else -comp.c_im)
              for comp in comps], dtype=float).reshape(2 * len(comps), n)
 
-    @property
-    def n_eigenfunctions(self) -> int:
-        return sum(2 if comp.c_im is not None else 1
-                   for comp in self.components)
-
     def basis_coefficients(self, t: float) -> np.ndarray:
         """Combined dictionary coefficients of the surrogate at time t."""
         z = np.exp(self._lam * (self.horizon - t)) * self._g
@@ -212,17 +200,17 @@ class DoobController(Controller):
         self._check_time(t)
         return self.basis.value_grad(self.basis_coefficients(t), X)
 
-    def bias_batch(self, t, X):
-        val, grad = self.value_grad_batch(t, X)
-        denom, nf = self._floor(val)
+    # own binding: the benchmark's layer trace patches each class's bias_batch
+    bias_batch = Controller.bias_batch
+
+    def _noise_map(self, grad):
         # grad @ D as an explicit multiply-add over the state axis: BLAS
         # picks another kernel for a single row, which can move its last bit
         D = self.diffusion_const
         gD = grad[:, :1] * D[0]
         for j in range(1, len(D)):
             gD += grad[:, j:j + 1] * D[j]
-        u = (self.multiplier / denom)[:, None] * gD
-        return u, nf
+        return gD
 
     def to_dict(self) -> dict:
         return {
@@ -241,11 +229,12 @@ class DoobController(Controller):
             "T": self.horizon,
             "multiplier": self.multiplier,
             "floor": self.floor,
-            "margin": self.margin,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "DoobController":
+        """Inverse of ``to_dict``; the ``margin`` key of older files is
+        ignored."""
         comps = [
             _Component(c["lam_re"], c["lam_im"], np.array(c["c_re"]),
                        None if c["c_im"] is None else np.array(c["c_im"]),
@@ -255,33 +244,23 @@ class DoobController(Controller):
         return cls(basis_from_descriptor(data["basis"]), comps,
                    np.array(data["coefficients"]), np.array(data["diffusion"]),
                    data["T"], data["multiplier"], data["floor"],
-                   data["margin"], data.get("model", ""))
+                   data.get("model", ""))
 
 
 def build_controller(spectrum: KoopmanSpectrum, model, points, f_values, T,
                      multiplier=1.0, offset=None) -> DoobController:
-    """Regress, positivize and assemble a controller in one step.
-
-    By default the constant coefficient is shifted by the automatic
-    minimum rule; passing ``offset`` applies exactly that shift instead
-    (the protocol behind the reference sweep tables, where the offset is
-    tuned rather than taken from the fitted minimum).
-    """
-    reg = regress_observable(spectrum, points, f_values)
-    scale = float(np.max(np.abs(reg.fitted))) if len(reg.fitted) else 1.0
-    margin = 1e-6 * scale
-    if offset is None:
-        coeffs, _, _ = positivize(reg.components, reg.coefficients,
-                                  reg.fitted, margin)
-    else:
-        coeffs = np.asarray(reg.coefficients, dtype=float).copy()
-        coeffs[_constant_column(reg.components)] += float(offset)
+    """Fit the observable onto the realified eigenfunctions with
+    ``fit_surrogate`` and assemble the controller."""
+    if spectrum.n_pairs == 0:
+        raise EmptySpectrumError("cannot regress on an empty spectrum")
     if model.diffusion_const is None:
         raise ConfigError("eigen controllers require constant diffusion")
-    return DoobController(spectrum.basis, reg.components, coeffs,
+    comps = realify_spectrum(spectrum)
+    C = design_matrix(comps, spectrum.basis, points)
+    coeffs, scale = fit_surrogate(C, f_values, _constant_column(comps), offset)
+    return DoobController(spectrum.basis, comps, coeffs,
                           model.diffusion_const, T, multiplier,
-                          floor=1e-8 * scale, margin=margin,
-                          model_name=model.name)
+                          floor=1e-8 * scale, model_name=model.name)
 
 
 @dataclass(eq=False)

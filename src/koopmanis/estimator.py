@@ -18,7 +18,8 @@ from scipy.linalg import expm
 from scipy.special import erfc, erfcx
 
 from .doob import Controller
-from .errors import ConfigError, DiagnosticError, InvalidParameterError
+from .errors import (ConfigError, DiagnosticError, InvalidParameterError,
+                     NumericalError)
 from .model import EventObservable, SdeModel
 from .paths import PathEnsemble, derive_path_rng, run_paths
 from .spde import run_spde_paths
@@ -26,6 +27,8 @@ from .spde import run_spde_paths
 CSV_COLUMNS = ("method", "model", "estimate", "variance", "relative_error",
                "proportion_in_event", "M", "dt", "seed", "c",
                "N_eigenfunctions", "blowup_count")
+# the largest log-weight whose exp is a finite double
+_MAX_LOG_WEIGHT = math.log(np.finfo(float).max)
 
 
 @dataclass(eq=False)
@@ -77,7 +80,8 @@ def run_ensemble(model: SdeModel, controller, obs: EventObservable, x0, T,
     Per-path outcomes are f(X_T) exp(log_weight) with f the strict
     indicator (or the mollified surrogate when the observable is in
     mollified mode).  Blown-up paths are excluded from the estimate but
-    counted, and flag the report as unreliable.
+    counted, and flag the report as unreliable.  A surviving path whose
+    weight overflows a double raises ``NumericalError``.
     """
     if M < 2:
         raise ConfigError("need at least two paths")
@@ -99,8 +103,13 @@ def run_ensemble(model: SdeModel, controller, obs: EventObservable, x0, T,
     blowups = M - n_ok
     if n_ok < 2:
         raise ConfigError("fewer than two paths survived; cannot estimate")
-    fvals = obs.value(ens.terminal[ok])
-    outcomes = fvals * np.exp(ens.log_weight[ok])
+    log_w = ens.log_weight[ok]
+    n_big = int(np.count_nonzero(log_w > _MAX_LOG_WEIGHT))
+    if n_big:
+        raise NumericalError(
+            f"{n_big} path weights overflow: largest log-weight "
+            f"{float(log_w.max()):.6g} exceeds {_MAX_LOG_WEIGHT:.6g}")
+    outcomes = obs.value(ens.terminal[ok]) * np.exp(log_w)
     estimate, variance = _fsum_mean_var(outcomes)
     proportion = math.fsum(ens.in_event[ok].astype(float)) / n_ok
     rel = math.sqrt(variance) / estimate if estimate > 0 else math.inf
@@ -286,19 +295,20 @@ class OuExactController(Controller):
             grad += (self._fprime(pts) * w).sum(axis=1)
         return val, (m_fac * grad)[:, None]
 
+    def _noise_map(self, grad):
+        return self.noise * grad
+
     def bias_batch(self, t, X):
         self._check_time(t)
-        x = np.asarray(X, dtype=float).reshape(-1)
         m_fac, sd = self._transition(t)
-        if self.terminal == "indicator" and sd > 1e-13:
-            # hazard-rate form, stable arbitrarily deep in the tail
-            z = (self.threshold - m_fac * x) / sd
-            hazard = math.sqrt(2.0 / math.pi) / erfcx(z / math.sqrt(2.0))
-            u = self.multiplier * self.noise * m_fac / sd * hazard
-            return u[:, None], 0
-        val, grad = self.value_grad_batch(t, X)
-        denom, nf = self._floor(val)
-        return self.multiplier * self.noise * grad / denom[:, None], nf
+        if self.terminal != "indicator" or sd <= 1e-13:
+            return super().bias_batch(t, X)
+        # hazard-rate form, stable arbitrarily deep in the tail
+        x = np.asarray(X, dtype=float).reshape(-1)
+        z = (self.threshold - m_fac * x) / sd
+        hazard = math.sqrt(2.0 / math.pi) / erfcx(z / math.sqrt(2.0))
+        u = self.multiplier * self.noise * m_fac / sd * hazard
+        return u[:, None], 0
 
     def value_at_origin(self, x0) -> float:
         val, _ = self.value_grad_batch(0.0, np.asarray(x0, float).reshape(1))

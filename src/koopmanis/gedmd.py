@@ -10,7 +10,6 @@ points involved, which makes the retained spectrum exact up to round-off.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -204,11 +203,16 @@ class KoopmanSpectrum:
     eigenvalues: np.ndarray      # (N,) complex
     coefficients: np.ndarray     # (N, n) complex, RMS-1 over training points
     validation_mse: np.ndarray   # (N,), nan until validated
-    conjugate_closed: bool = True
 
     @property
     def n_pairs(self) -> int:
         return len(self.eigenvalues)
+
+    @property
+    def conjugate_closed(self) -> bool:
+        """Does every eigenvalue have its conjugate in the list?"""
+        return all(_conjugate_partner(self.eigenvalues, i) is not None
+                   for i in range(self.n_pairs))
 
     def values(self, points) -> np.ndarray:
         """Eigenfunction values at points, (m, N) complex."""
@@ -216,11 +220,19 @@ class KoopmanSpectrum:
 
     def constant_index(self) -> int:
         """Index of the constant eigenfunction, or -1 if absent."""
-        for i, (lam, c) in enumerate(zip(self.eigenvalues, self.coefficients)):
-            rest = np.linalg.norm(np.delete(c, 0))
-            if abs(lam) <= 1e-10 and rest <= 1e-8 * np.linalg.norm(c):
-                return i
-        return -1
+        found = np.flatnonzero(_is_constant(self.eigenvalues,
+                                            self.coefficients))
+        return int(found[0]) if len(found) else -1
+
+
+def _is_constant(eigs, coeffs):
+    """Per pair, is it the constant eigenfunction: |lambda| <= 1e-10 max(1,
+    max |lambda|), and every coefficient but the first (the dictionary's
+    constant element) negligible?"""
+    lam_tol = 1e-10 * max(1.0, float(np.abs(eigs).max(initial=0.0)))
+    rest = np.linalg.norm(coeffs[:, 1:], axis=1)
+    return (np.abs(eigs) <= lam_tol) \
+        & (rest <= 1e-8 * np.linalg.norm(coeffs, axis=1))
 
 
 def _sorted_order(eigs):
@@ -233,7 +245,9 @@ def eigenpairs(K_result, basis: BasisSet, training_points) -> KoopmanSpectrum:
 
     Coefficients solve K^T c = lambda c; each eigenfunction is scaled to
     unit root-mean-square over the training points, the pair list is closed
-    under conjugation, and pairs are ordered by ascending |Re lambda|.
+    under conjugation, and pairs are ordered by ascending |Re lambda|.  A
+    constant eigenfunction becomes lambda = 0 and the first dictionary
+    element, identically 1 in every basis family.
     """
     K = K_result.matrix if isinstance(K_result, KoopmanMatrixResult) else K_result
     try:
@@ -245,57 +259,30 @@ def eigenpairs(K_result, basis: BasisSet, training_points) -> KoopmanSpectrum:
     order = _sorted_order(eigs)
     eigs = eigs[order]
     vecs = vecs[:, order]
-    coeffs = []
-    kept_eigs = []
-    dropped = 0
-    for i in range(len(eigs)):
-        c = vecs[:, i]
-        resid = np.linalg.norm(K.T @ c - eigs[i] * c)
-        if resid > RESIDUAL_TOL * np.linalg.norm(c):
-            dropped += 1
-            continue
-        phi = feats @ c
-        rms = math.sqrt(float(np.mean(np.abs(phi) ** 2)))
-        if rms == 0.0:
-            dropped += 1
-            continue
-        c = c / rms
-        kept_eigs.append(eigs[i])
-        coeffs.append(c)
-    if not kept_eigs:
+    resid = np.linalg.norm(K.T @ vecs - vecs * eigs, axis=0)
+    rms = np.sqrt(np.mean(np.abs(feats @ vecs) ** 2, axis=0))
+    keep = (resid <= RESIDUAL_TOL * np.linalg.norm(vecs, axis=0)) & (rms > 0)
+    if not keep.any():
         raise NumericalError("no eigenpair met the residual tolerance")
+    dropped = len(keep) - int(keep.sum())
     if dropped:
         warnings.warn(f"dropped {dropped} eigenpairs failing the residual "
                       f"tolerance {RESIDUAL_TOL}", stacklevel=2)
-    eigs = np.array(kept_eigs, dtype=complex)
-    coeffs = np.array(coeffs, dtype=complex)
-    # canonicalize the constant eigenfunction when the span contains it
-    for i in range(len(eigs)):
-        c = coeffs[i]
-        rest = np.linalg.norm(np.delete(c, 0))
-        if abs(eigs[i]) <= 1e-10 * max(1.0, np.abs(eigs).max()) \
-                and rest <= 1e-8 * np.linalg.norm(c):
-            eigs[i] = 0.0
-            e0 = np.zeros(basis.size, dtype=complex)
-            e0[0] = 1.0 / feats[0, 0]
-            coeffs[i] = e0
-    closed = _is_conjugate_closed(eigs)
-    return KoopmanSpectrum(basis, eigs, coeffs,
-                           np.full(len(eigs), np.nan), closed)
-
-
-def _is_conjugate_closed(eigs, tol=1e-8):
-    for lam in eigs:
-        if abs(lam.imag) > tol:
-            if not np.any(np.abs(eigs - lam.conjugate()) <= tol * max(1.0, abs(lam))):
-                return False
-    return True
+    eigs = eigs[keep]
+    coeffs = (vecs[:, keep] / rms[keep]).T
+    const = _is_constant(eigs, coeffs)
+    eigs[const] = 0.0
+    coeffs[const] = 0.0
+    coeffs[const, 0] = 1.0
+    return KoopmanSpectrum(basis, eigs, coeffs, np.full(len(eigs), np.nan))
 
 
 def _conjugate_partner(eigs, i, tol=1e-8):
+    """Index of the conjugate of eigs[i] (i itself for a real eigenvalue),
+    or None when the list lacks it."""
     lam = eigs[i]
     if abs(lam.imag) <= tol:
-        return None
+        return i
     diffs = np.abs(eigs - lam.conjugate())
     j = int(np.argmin(diffs))
     return j if diffs[j] <= tol * max(1.0, abs(lam)) else None
@@ -331,8 +318,7 @@ def validate_eigenpairs(spectrum: KoopmanSpectrum, model: SdeModel,
             f"all {len(keep)} eigenpairs exceeded validation MSE {threshold}; "
             "enlarge the basis or the point set")
     return KoopmanSpectrum(spectrum.basis, spectrum.eigenvalues[keep],
-                           spectrum.coefficients[keep], mse[keep],
-                           _is_conjugate_closed(spectrum.eigenvalues[keep]))
+                           spectrum.coefficients[keep], mse[keep])
 
 
 def truncate_spectrum(spectrum: KoopmanSpectrum, max_pairs: int | None):
@@ -341,13 +327,11 @@ def truncate_spectrum(spectrum: KoopmanSpectrum, max_pairs: int | None):
         return spectrum
     cut = max_pairs
     lam = spectrum.eigenvalues
-    if abs(lam[cut - 1].imag) > 1e-8:
-        j = _conjugate_partner(lam, cut - 1)
-        if j is not None and j >= cut:
-            cut -= 1
+    j = _conjugate_partner(lam, cut - 1)
+    if j is not None and j >= cut:
+        cut -= 1
     keep = np.zeros(len(lam), dtype=bool)
     keep[:cut] = True
     return KoopmanSpectrum(spectrum.basis, lam[keep],
                            spectrum.coefficients[keep],
-                           spectrum.validation_mse[keep],
-                           _is_conjugate_closed(lam[keep]))
+                           spectrum.validation_mse[keep])

@@ -26,12 +26,14 @@ whatever the chunking; blocks are independent and assembled in path-index
 order.  Results are therefore bit-identical for any worker count, and for
 any block size when both the stepper and the controller are row-local:
 row i of a step or of ``bias_batch`` depends only on row i of the input,
-bit for bit, whatever the number of rows.  The Doob and exact OU
-controllers are, and so are the SDE steppers on additive-noise models,
-which form B v as a multiply-add over the noise columns.  The known
-exceptions are the SPDE stepper (``spde.exp_euler``) and
-``SpdeController``, whose mode-coupling matmuls are shape-sensitive at the
-ulp level.  A path whose state becomes non-finite is marked blown and
+bit for bit, whatever the number of rows.  Every controller shares the
+one bias formula of ``doob.Controller.bias_batch``, which is row-local
+when the controller's ``value_grad_batch`` and ``_noise_map`` are.  The
+Doob and exact OU controllers are, and so are the SDE steppers on
+additive-noise models, which form B v as a multiply-add over the noise
+columns.  The known exceptions are the SPDE stepper (``spde.exp_euler``)
+and ``SpdeController``, whose mode-coupling matmuls are shape-sensitive
+at the ulp level.  A path whose state becomes non-finite is marked blown and
 frozen at zero.  ``simulate_path`` is the single-path reference the engine
 is tested against.
 """

@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .doob import Controller
+from .doob import Controller, fit_surrogate
 from .errors import InvalidParameterError, NumericalError, PathBlowupError
 from .paths import adjust_steps, run_engine, trajectory_snapshots
 # bound here for the benchmark's layer trace, which patches each module's
@@ -187,9 +187,7 @@ class SpdeController(Controller):
         self.multiplier = float(multiplier)
         self.floor = float(floor)
 
-    @property
-    def n_eigenfunctions(self) -> int:
-        return 2
+    n_eigenfunctions = 2
 
     def value_grad_batch(self, t, Y):
         self._check_time(t)
@@ -201,11 +199,11 @@ class SpdeController(Controller):
         coef = self.f2 * decay * 2.0 * self.spde.quad_scale * q
         return val, np.multiply.outer(coef, w1)
 
-    def bias_batch(self, t, Y):
-        val, grad = self.value_grad_batch(t, Y)
-        denom, nf = self._floor(val)
-        scale = self.multiplier * math.sqrt(self.spde.eps_noise)
-        return scale * grad / denom[:, None], nf
+    # own binding: the benchmark's layer trace patches each class's bias_batch
+    bias_batch = Controller.bias_batch
+
+    def _noise_map(self, grad):
+        return math.sqrt(self.spde.eps_noise) * grad
 
     def to_dict(self) -> dict:
         return {"type": "spde", "f0": self.f0, "f2": self.f2,
@@ -228,23 +226,16 @@ def build_spde_controller(spde: SpectralSpde, snapshots, event, T,
                           multiplier: float = 1.0) -> SpdeController:
     """Fit the mollified event indicator onto {1, phi2} over mode snapshots.
 
-    Mirrors the generic regression + positivization flow but with the
-    two-functional family evaluated directly in mode coordinates.
+    The fit is ``doob.fit_surrogate`` on the two-functional family,
+    evaluated directly in mode coordinates.
     """
     snapshots = np.atleast_2d(np.asarray(snapshots, dtype=float))
     q = snapshots @ spde.adjoint_w1
-    phi2 = spde.quad_scale * q * q - 1.0
-    C = np.stack([np.ones(len(snapshots)), phi2], axis=1)
-    F = event.mollified(snapshots)
-    coeffs, *_ = np.linalg.lstsq(C, F, rcond=None)
-    fitted = C @ coeffs
-    scale = float(np.max(np.abs(fitted))) if len(fitted) else 1.0
-    margin = 1e-6 * scale
-    lo = float(fitted.min())
-    if lo < margin:
-        coeffs[0] += max(-lo, 0.0) + margin
-    return SpdeController(spde, coeffs[0], coeffs[1], T,
-                          multiplier=multiplier, floor=1e-8 * scale)
+    C = np.stack([np.ones(len(snapshots)), spde.quad_scale * q * q - 1.0],
+                 axis=1)
+    (f0, f2), scale = fit_surrogate(C, event.mollified(snapshots), 0)
+    return SpdeController(spde, f0, f2, T, multiplier=multiplier,
+                          floor=1e-8 * scale)
 
 
 def run_spde_paths(spde, controller, obs, Y0, T, dt, M, master_seed,

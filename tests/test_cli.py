@@ -62,13 +62,15 @@ def test_run_rows_identical_across_reruns(tmp_path):
     w1 = cli.run_experiment(cfg)
     with open(w1["results"]) as fh:
         first = list(csv.reader(fh))[-1]
+    # every non-appending output, read before the rerun overwrites it
+    outputs = ("controller", "sweep", "eigen_report", "histogram")
+    blobs = {key: w1[key].read_bytes() for key in outputs}
     w2 = cli.run_experiment(cfg)
     with open(w2["results"]) as fh:
         rows = list(csv.reader(fh))
     assert rows[-1] == first == rows[-2]
-    # every non-appending output byte-identical under rerun
-    h1 = w1["histogram"].read_bytes()
-    assert h1 == w2["histogram"].read_bytes()
+    for key in outputs:
+        assert w2[key].read_bytes() == blobs[key], key
 
 
 def test_controller_file_reproduced_when_deleted(tmp_path):
@@ -144,6 +146,14 @@ def test_cli_export_eigen(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0][:3] == ["index", "eigenvalue_re", "eigenvalue_im"]
     assert len(rows) == 3  # constant + He_1
+    # an mc config without a doob block exports the same spectrum
+    blob = report.read_bytes()
+    report.unlink()
+    raw["run"]["method"] = "mc"
+    del raw["doob"]
+    path.write_text(json.dumps(raw))
+    assert cli.main(["export-eigen", str(path)]) == 0
+    assert report.read_bytes() == blob
 
 
 def test_emit_histogram_cases():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,25 +19,33 @@ def ou_spectrum():
     return m, spec, pts
 
 
+def _regress(spec, points, f):
+    """The unshifted fit onto the realified eigenfunctions: (coefficients,
+    constant column, design matrix)."""
+    comps = doob.realify_spectrum(spec)
+    C = doob.design_matrix(comps, spec.basis, points)
+    col = doob._constant_column(comps)
+    coeffs, _ = doob.fit_surrogate(C, f, col, offset=0.0)
+    return coeffs, col, C
+
+
 def test_regress_recovers_single_eigenfunction(ou_spectrum):
     m, spec, pts = ou_spectrum
     comps = doob.realify_spectrum(spec)
     C = doob.design_matrix(comps, spec.basis, pts.points)
     target_col = 3
-    reg = doob.regress_observable(spec, pts.points, C[:, target_col])
+    coeffs, _, _ = _regress(spec, pts.points, C[:, target_col])
     expect = np.zeros(C.shape[1])
     expect[target_col] = 1.0
-    assert np.allclose(reg.coefficients, expect, atol=1e-10)
+    assert np.allclose(coeffs, expect, atol=1e-10)
 
 
 def test_regress_constant_target(ou_spectrum):
     m, spec, pts = ou_spectrum
-    reg = doob.regress_observable(spec, pts.points, np.ones(pts.m))
-    comps = reg.components
-    const_col = doob._constant_column(comps)
-    expect = np.zeros(len(reg.coefficients))
+    coeffs, const_col, _ = _regress(spec, pts.points, np.ones(pts.m))
+    expect = np.zeros(len(coeffs))
     expect[const_col] = 1.0
-    assert np.allclose(reg.coefficients, expect, atol=1e-10)
+    assert np.allclose(coeffs, expect, atol=1e-10)
 
 
 def test_regress_matches_normal_equations():
@@ -48,10 +57,9 @@ def test_regress_matches_normal_equations():
     Psi, dPsi = gedmd.assemble_matrices(b, m, pts)
     spec = gedmd.eigenpairs(gedmd.koopman_matrix(Psi, dPsi), b, pts.points)
     f = ev.mollified(pts.points)
-    reg = doob.regress_observable(spec, pts.points, f)
-    C = doob.design_matrix(reg.components, spec.basis, pts.points)
+    coeffs, _, C = _regress(spec, pts.points, f)
     ref = np.linalg.solve(C.T @ C, C.T @ f)
-    assert np.allclose(reg.coefficients, ref, rtol=1e-10)
+    assert np.allclose(coeffs, ref, rtol=1e-10)
 
 
 def test_positivize_cases(ou_spectrum):
@@ -59,15 +67,15 @@ def test_positivize_cases(ou_spectrum):
     comps = doob.realify_spectrum(spec)
     n_cols = sum(c.n_columns for c in comps)
     coeffs = np.zeros(n_cols)
+    col = doob._constant_column(comps)
     # already positive: unchanged at zero margin
-    out, fitted, shift = doob.positivize(comps, coeffs,
-                                         np.array([0.3, 0.5]), margin=0.0)
+    out, fitted, shift = doob.positivize(coeffs, np.array([0.3, 0.5]), col,
+                                         margin=0.0)
     assert shift == 0.0 and np.array_equal(out, coeffs)
     # min -0.2 with margin 1e-6: constant gains 0.200001
-    out, fitted, shift = doob.positivize(comps, coeffs,
-                                         np.array([-0.2, 0.5]), margin=1e-6)
+    out, fitted, shift = doob.positivize(coeffs, np.array([-0.2, 0.5]), col,
+                                         margin=1e-6)
     assert shift == pytest.approx(0.200001)
-    col = doob._constant_column(comps)
     assert out[col] == pytest.approx(0.200001)
     assert fitted.min() == pytest.approx(1e-6)
 
@@ -77,10 +85,11 @@ def test_positivize_requires_constant(ou_spectrum):
     keep = np.abs(spec.eigenvalues) > 1e-8
     no_const = gedmd.KoopmanSpectrum(spec.basis, spec.eigenvalues[keep],
                                      spec.coefficients[keep],
-                                     spec.validation_mse[keep], True)
-    comps = doob.realify_spectrum(no_const)
-    with pytest.raises(ConfigError):
-        doob.positivize(comps, np.zeros(len(comps)), np.array([-1.0]))
+                                     spec.validation_mse[keep])
+    ev = make_event("coordinate", 2.0, mode="mollified")
+    with pytest.raises(ConfigError, match="constant eigenfunction absent"):
+        doob.build_controller(no_const, m, pts.points,
+                              ev.mollified(pts.points), T=1.0)
 
 
 def test_positivization_preserves_gradient(ou_spectrum):
@@ -102,10 +111,10 @@ def test_kbe_terminal_value_is_positivized_fit(ou_spectrum):
     m, spec, pts = ou_spectrum
     ev = make_event("coordinate", 2.0, mode="mollified")
     f = ev.mollified(pts.points)
-    reg = doob.regress_observable(spec, pts.points, f)
-    scale = np.max(np.abs(reg.fitted))
-    coeffs, fitted, shift = doob.positivize(reg.components, reg.coefficients,
-                                            reg.fitted, 1e-6 * scale)
+    coeffs, col, C = _regress(spec, pts.points, f)
+    scale = np.max(np.abs(C @ coeffs))
+    coeffs, fitted, shift = doob.positivize(coeffs, C @ coeffs, col,
+                                            1e-6 * scale)
     ctrl = doob.build_controller(spec, m, pts.points, f, T=1.0)
     vals, _ = ctrl.value_grad_batch(1.0, pts.points)
     assert np.allclose(vals, fitted, rtol=1e-9)
@@ -117,7 +126,7 @@ def test_kbe_constant_only_spectrum(ou_spectrum):
     i = spec.constant_index()
     const_only = gedmd.KoopmanSpectrum(
         spec.basis, spec.eigenvalues[[i]], spec.coefficients[[i]],
-        spec.validation_mse[[i]], True)
+        spec.validation_mse[[i]])
     comps = doob.realify_spectrum(const_only)
     ctrl = doob.DoobController(spec.basis, comps, np.array([2.5]),
                                m.diffusion_const, T=1.0)
@@ -136,7 +145,7 @@ def test_kbe_single_decaying_mode(ou_spectrum):
     c = np.zeros(b.size, dtype=complex)
     c[1] = 1.0
     one = gedmd.KoopmanSpectrum(b, np.array([-1.0 + 0j]), c[None, :],
-                                np.array([np.nan]), True)
+                                np.array([np.nan]))
     comps = doob.realify_spectrum(one)
     ctrl = doob.DoobController(b, comps, np.array([1.0]), m.diffusion_const,
                                T=1.0)
@@ -153,7 +162,7 @@ def test_bias_two_term_expansion(ou_spectrum):
     coeffs = np.zeros((2, b.size), dtype=complex)
     coeffs[0, 0] = 1.0
     coeffs[1, 1] = 1.0
-    two = gedmd.KoopmanSpectrum(b, eigs, coeffs, np.full(2, np.nan), True)
+    two = gedmd.KoopmanSpectrum(b, eigs, coeffs, np.full(2, np.nan))
     comps = doob.realify_spectrum(two)
     ctrl = doob.DoobController(b, comps, np.array([1.0, 1.0]),
                                m.diffusion_const, T=1.0)
@@ -282,8 +291,8 @@ def test_regression_residual_nested(ou_spectrum):
     prev = np.inf
     for n_keep in range(1, spec.n_pairs + 1):
         sub = gedmd.truncate_spectrum(spec, n_keep)
-        reg = doob.regress_observable(sub, pts.points, f)
-        resid = np.linalg.norm(f - reg.fitted)
+        coeffs, _, C = _regress(sub, pts.points, f)
+        resid = np.linalg.norm(f - C @ coeffs)
         assert resid <= prev + 1e-12
         prev = resid
 
@@ -346,6 +355,23 @@ def test_controller_serialization_roundtrip(ou_spectrum):
         u0, _ = ctrl.bias_batch(t, X)
         u1, _ = back.bias_batch(t, X)
         assert np.array_equal(u0, u1)
+
+
+def test_controller_file_with_margin_key_loads(ou_spectrum):
+    """Controller files written before the unread ``margin`` field was
+    dropped still load, to the same controller."""
+    m, spec, pts = ou_spectrum
+    ev = make_event("coordinate", 2.0, mode="mollified")
+    ctrl = doob.build_controller(spec, m, pts.points,
+                                 ev.mollified(pts.points), T=1.0)
+    data = ctrl.to_dict()
+    assert "margin" not in data
+    old = json.loads(json.dumps({**data, "margin": 1e-6}))
+    back = doob.DoobController.from_dict(old)
+    assert back.to_dict() == data
+    X = np.random.default_rng(0).normal(size=(20, 1)) * 2
+    assert np.array_equal(back.bias_batch(0.5, X)[0],
+                          ctrl.bias_batch(0.5, X)[0])
 
 
 def _controller(kind):

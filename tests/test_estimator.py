@@ -7,7 +7,9 @@ from scipy.special import erfc
 
 from koopmanis import make_builtin_model, make_event
 from koopmanis import doob, estimator
-from koopmanis.errors import ConfigError, DiagnosticError, InvalidParameterError
+from koopmanis.errors import (ConfigError, DiagnosticError,
+                              InvalidParameterError, NumericalError)
+from koopmanis.paths import PathEnsemble
 
 
 def _sf(z):
@@ -215,6 +217,23 @@ def test_report_determinism_bitwise():
     assert a.estimate == b.estimate
     assert a.sample_variance == b.sample_variance
     assert a.csv_row() == b.csv_row()
+
+
+def test_weight_overflow_raises(monkeypatch):
+    """A surviving path whose weight overflows a double is a typed error,
+    not an overflow warning and an inf or nan estimate."""
+    m = make_builtin_model("ou1d")
+    ev = make_event("coordinate", 2.0, mode="indicator")
+    log_w = np.array([0.0, -3.0, 709.9, 712.5])
+    ens = PathEnsemble(terminal=np.array([[3.0], [0.0], [3.0], [0.0]]),
+                       log_weight=log_w, in_event=np.array([1, 0, 1, 0], bool),
+                       blown=np.zeros(4, bool), K=100, dt=1e-2)
+    monkeypatch.setattr(estimator, "run_paths", lambda *a, **k: ens)
+    with pytest.raises(NumericalError, match="2 path weights overflow.*712.5"):
+        estimator.run_ensemble(m, None, ev, [0.0], 1.0, 1e-2, M=4)
+    log_w[2:] = 300.0  # finite weights still reduce
+    rep = estimator.run_ensemble(m, None, ev, [0.0], 1.0, 1e-2, M=4)
+    assert math.isfinite(rep.estimate)
 
 
 def test_csv_row_schema():

@@ -219,6 +219,11 @@ def test_brownian_osc_conjugate_pair():
     assert len(cplx) == 2
     assert np.allclose(cplx.real, -0.5, atol=1e-10)
     assert spec.conjugate_closed
+    # dropping one member of the pair breaks closure
+    half = np.abs(spec.eigenvalues - cplx[0]) > 1e-10
+    assert not gedmd.KoopmanSpectrum(b, spec.eigenvalues[half],
+                                     spec.coefficients[half],
+                                     spec.validation_mse[half]).conjugate_closed
 
 
 def test_eigenpair_residuals_and_normalization(ou_setup):
@@ -261,7 +266,7 @@ def test_validation_rejects_perturbed_eigenvalue(ou_setup):
     spec = gedmd.eigenpairs(gedmd.koopman_matrix(Psi, dPsi), b, pts.points)
     bad = gedmd.KoopmanSpectrum(
         b, spec.eigenvalues + 0.5, spec.coefficients,
-        np.full(spec.n_pairs, np.nan), spec.conjugate_closed)
+        np.full(spec.n_pairs, np.nan))
     mse = gedmd.eigen_mse(bad, m, pts.holdout)
     phi2 = np.mean(np.abs(bad.values(pts.holdout)) ** 2, axis=0)
     assert np.allclose(mse, 0.25 * phi2, rtol=1e-10)
