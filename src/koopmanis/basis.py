@@ -42,19 +42,6 @@ from .errors import ConfigError
 FAMILIES = ("hermite", "legendre_box", "linear_exact")
 
 
-def hermite_jet(n_order: int, x):
-    """He_n(x) with first and second derivatives.
-
-    Uses He_{k+1} = x He_k - k He_{k-1} and He_n' = n He_{n-1}.
-    """
-    x = np.asarray(x, dtype=float)
-    val, d1, d2 = (D[n_order] for D in
-                   _power_rule_tables(_hermite_values(n_order, x), 2))
-    if np.ndim(x) == 0:
-        return float(val), float(d1), float(d2)
-    return val, d1, d2
-
-
 def _hermite_values(p, x):
     V = np.empty((p + 1,) + np.shape(x))
     V[0] = 1.0

@@ -362,6 +362,8 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     cfg = load_config(args.config)
+    if cfg.doob is None:
+        raise ConfigError("sweep-c needs a doob block")
     tune = _tune(cfg, prepare_controller(cfg))
     sweep_path = _write_sweep(_resolve_outdir(cfg, args.output_dir), tune)
     print("c  hit_fraction  estimate  variance  relative_error")

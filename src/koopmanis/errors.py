@@ -48,9 +48,5 @@ class TuningFailedError(KoopmanisError):
     """No multiplier in the sweep grid produced any event hits."""
 
 
-class DiagnosticError(KoopmanisError):
-    """A diagnostic precondition failed (e.g. non-positive value function)."""
-
-
 class RankDeficiencyWarning(UserWarning):
     """Feature matrix rank fell below the dictionary size."""

@@ -18,8 +18,7 @@ from scipy.linalg import expm
 from scipy.special import erfc, erfcx
 
 from .doob import Controller
-from .errors import (ConfigError, DiagnosticError, InvalidParameterError,
-                     NumericalError)
+from .errors import ConfigError, InvalidParameterError, NumericalError
 from .model import EventObservable, SdeModel
 from .paths import PathEnsemble, derive_path_rng, run_paths
 from .spde import run_spde_paths
@@ -27,8 +26,7 @@ from .spde import run_spde_paths
 CSV_COLUMNS = ("method", "model", "estimate", "variance", "relative_error",
                "proportion_in_event", "M", "dt", "seed", "c",
                "N_eigenfunctions", "blowup_count")
-# the largest log-weight whose exp is a finite double
-_MAX_LOG_WEIGHT = math.log(np.finfo(float).max)
+_LOG_MAX_DOUBLE = math.log(np.finfo(float).max)
 
 
 @dataclass(eq=False)
@@ -81,7 +79,10 @@ def run_ensemble(model: SdeModel, controller, obs: EventObservable, x0, T,
     indicator (or the mollified surrogate when the observable is in
     mollified mode).  Blown-up paths are excluded from the estimate but
     counted, and flag the report as unreliable.  A surviving path whose
-    weight overflows a double raises ``NumericalError``.
+    weight is too large for the variance to stay finite, above
+    sqrt(max double / n) for n surviving paths, raises ``NumericalError``.  The event is
+    evaluated once on the surviving terminal states; its indicator gives
+    both the hit fraction and, in indicator mode, f.
     """
     if M < 2:
         raise ConfigError("need at least two paths")
@@ -90,11 +91,11 @@ def run_ensemble(model: SdeModel, controller, obs: EventObservable, x0, T,
             f"controller horizon {controller.horizon} != ensemble horizon {T}")
     if model.spde is not None:
         y0 = np.zeros(model.spde.n_modes) if x0 is None else np.asarray(x0, float)
-        ens = run_spde_paths(model.spde, controller, obs, y0, T, dt, M,
+        ens = run_spde_paths(model.spde, controller, y0, T, dt, M,
                              master_seed, block_size=min(block_size, 2048),
                              workers=workers)
     else:
-        ens = run_paths(model, controller, obs, x0, T, dt, scheme, M,
+        ens = run_paths(model, controller, x0, T, dt, scheme, M,
                         master_seed, block_size=block_size, workers=workers,
                         trajectory_count=trajectory_count,
                         trajectory_stride=trajectory_stride)
@@ -104,14 +105,19 @@ def run_ensemble(model: SdeModel, controller, obs: EventObservable, x0, T,
     if n_ok < 2:
         raise ConfigError("fewer than two paths survived; cannot estimate")
     log_w = ens.log_weight[ok]
-    n_big = int(np.count_nonzero(log_w > _MAX_LOG_WEIGHT))
+    # weights up to sqrt(max double / n) keep every square of the variance
+    # and their sum finite
+    limit = 0.5 * (_LOG_MAX_DOUBLE - math.log(n_ok))
+    n_big = int(np.count_nonzero(log_w > limit))
     if n_big:
         raise NumericalError(
             f"{n_big} path weights overflow: largest log-weight "
-            f"{float(log_w.max()):.6g} exceeds {_MAX_LOG_WEIGHT:.6g}")
-    outcomes = obs.value(ens.terminal[ok]) * np.exp(log_w)
-    estimate, variance = _fsum_mean_var(outcomes)
-    proportion = math.fsum(ens.in_event[ok].astype(float)) / n_ok
+            f"{float(log_w.max()):.6g} exceeds {limit:.6g}")
+    terminal = ens.terminal[ok]
+    hits = obs.indicator(terminal)
+    f = hits if obs.mode == "indicator" else obs.mollified(terminal)
+    estimate, variance = _fsum_mean_var(f * np.exp(log_w))
+    proportion = math.fsum(hits) / n_ok
     rel = math.sqrt(variance) / estimate if estimate > 0 else math.inf
     return EstimatorReport(
         method="mc" if controller is None else "is",
@@ -155,10 +161,6 @@ def terminal_gaussian(model: SdeModel, T: float, x0=None):
 
 def _norm_sf(z):
     return 0.5 * erfc(z / math.sqrt(2.0))
-
-
-def _norm_pdf(z):
-    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(eq=False)
@@ -221,14 +223,16 @@ class OuExactController(Controller):
     """Exact biasing for the 1-D linear model from its Gaussian transition.
 
     The value function E[f(X_T) | X_t = x] is evaluated in closed form for
-    the indicator terminal function and by Gauss-Hermite quadrature for the
-    mollified one (which is the C^2, strictly positive setting in which the
-    weighted outcome is constant path-by-path up to discretization error).
-    The B-map is the noise intensity.
+    the indicator terminal function and by composite Gauss-Legendre
+    quadrature for the mollified one (which is the C^2, strictly positive
+    setting in which the weighted outcome is constant path-by-path up to
+    discretization error).  The terminal form, threshold and sharpness are
+    the event's (``ou_exact_controller``).  The B-map is the noise
+    intensity.
     """
 
-    def __init__(self, rate, noise, threshold, T, terminal="mollified",
-                 sharpness=3.0, multiplier=1.0, quad_nodes=96):
+    def __init__(self, rate, noise, threshold, T, terminal, sharpness,
+                 multiplier=1.0):
         if terminal not in ("indicator", "mollified"):
             raise InvalidParameterError("terminal must be indicator|mollified")
         self.rate = float(rate)
@@ -240,11 +244,10 @@ class OuExactController(Controller):
         self.multiplier = float(multiplier)
         self.floor = 1e-300
         # composite rule in the standardized coordinate u = (v - mean)/sd:
-        # three panels of [-12, 12] with the middle panel tracking the
-        # mollifier transition, which keeps every panel well clear of the
-        # tanh poles
-        self._gl_x, self._gl_w = np.polynomial.legendre.leggauss(
-            max(8, quad_nodes // 3))
+        # three 32-node panels of [-12, 12] with the middle panel tracking
+        # the mollifier transition, which keeps every panel well clear of
+        # the tanh poles
+        self._gl_x, self._gl_w = np.polynomial.legendre.leggauss(32)
 
     n_eigenfunctions = 0
 
@@ -310,38 +313,15 @@ class OuExactController(Controller):
         u = self.multiplier * self.noise * m_fac / sd * hazard
         return u[:, None], 0
 
-    def value_at_origin(self, x0) -> float:
-        val, _ = self.value_grad_batch(0.0, np.asarray(x0, float).reshape(1))
-        return float(val[0])
-
 
 def ou_exact_controller(model: SdeModel, event: EventObservable, T: float,
-                        terminal="mollified", multiplier=1.0) -> OuExactController:
+                        multiplier=1.0) -> OuExactController:
+    """The exact controller for ``event``: its mode is the terminal form,
+    and its threshold and sharpness are the controller's."""
     if model.name != "ou1d" or model.linear_spec is None:
         raise InvalidParameterError("exact controller exists for ou1d only")
     if event.kind != "coordinate":
         raise InvalidParameterError("exact controller needs a threshold event")
     return OuExactController(model.params["rate"], model.params["noise"],
-                             event.threshold, T, terminal, event.sharpness,
+                             event.threshold, T, event.mode, event.sharpness,
                              multiplier)
-
-
-def second_moment_bound(controller, x0, event_samples):
-    """Upper bound on the estimator second moment from the value surrogate.
-
-    Uses exp(2 log Phi(0, x0) - 2 min_y log Phi(T, y)) over the supplied
-    finite sample of the event; the finite minimum only upper-bounds the
-    true infimum, so the bound is approximate in that one respect.
-    """
-    event_samples = np.atleast_2d(np.asarray(event_samples, dtype=float))
-    v0, _ = controller.value_grad_batch(0.0, np.asarray(x0, float).reshape(1, -1))
-    v0 = float(v0[0])
-    vT, _ = controller.value_grad_batch(controller.horizon, event_samples)
-    vT = np.asarray(vT, dtype=float).reshape(-1)
-    if v0 <= 0 or np.any(vT <= 0):
-        raise DiagnosticError(
-            "value surrogate is non-positive on the event sample; "
-            "positivization insufficient")
-    min_log = float(np.log(vT).min())
-    bound = math.exp(2.0 * math.log(v0) - 2.0 * min_log)
-    return bound, {"log_phi0": math.log(v0), "min_log_phiT": min_log}

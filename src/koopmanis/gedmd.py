@@ -323,6 +323,9 @@ def validate_eigenpairs(spectrum: KoopmanSpectrum, model: SdeModel,
 
 def truncate_spectrum(spectrum: KoopmanSpectrum, max_pairs: int | None):
     """Keep the leading pairs by |Re lambda| without splitting conjugates."""
+    if max_pairs is not None and max_pairs < 1:
+        raise ConfigError(f"max_eigenfunctions must be at least 1, "
+                          f"got {max_pairs}")
     if max_pairs is None or spectrum.n_pairs <= max_pairs:
         return spectrum
     cut = max_pairs

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import InvalidParameterError, ModelNotFoundError, ShapeError
+from .errors import InvalidParameterError, ModelNotFoundError
 
 if TYPE_CHECKING:
     from .spde import SpectralSpde
@@ -44,7 +44,7 @@ class EventObservable:
 
     margin: Callable         # (..., d) -> (...)
     sharpness: float = 3.0
-    mode: str = "mollified"  # "indicator" | "mollified"
+    mode: str = "indicator"  # "indicator" | "mollified"
     kind: str = "custom"     # coordinate | abs_coordinate | norm | custom
     threshold: float = 0.0
     component: int = 0
@@ -57,16 +57,13 @@ class EventObservable:
         g = self.margin(np.asarray(x, dtype=float))
         return 0.5 * (1.0 + np.tanh(self.sharpness * g))
 
-    def value(self, x):
-        return self.indicator(x) if self.mode == "indicator" else self.mollified(x)
-
     def statistic(self, x):
         """Raw scalar the event thresholds (margin shifted back by L)."""
         return self.margin(np.asarray(x, dtype=float)) + self.threshold
 
 
 def make_event(kind: str, threshold: float, component: int = 0,
-               sharpness: float = 3.0, mode: str = "mollified") -> EventObservable:
+               sharpness: float = 3.0, mode: str = "indicator") -> EventObservable:
     if kind == "coordinate":
         margin = lambda x: x[..., component] - threshold
     elif kind == "abs_coordinate":
@@ -206,23 +203,3 @@ def half_diffusion_sq(model: SdeModel, x=None):
     B = model.diffusion_const if model.diffusion_const is not None \
         else model.diffusion(np.asarray(x, dtype=float))
     return 0.5 * B @ B.T
-
-
-def generator_apply(model: SdeModel, jet, x) -> float:
-    """Apply the infinitesimal generator to a function jet at a state.
-
-    jet = (value, gradient, hessian); returns
-    <drift(x), grad> + Tr[0.5 B(x) B(x)^T hess].
-    """
-    _, grad, hess = jet
-    x = np.asarray(x, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    hess = np.asarray(hess, dtype=float)
-    d = model.dim_state
-    if x.shape != (d,) or grad.shape != (d,) or hess.shape != (d, d):
-        raise ShapeError("jet/state dimensions do not match the model")
-    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
-        raise ValueError("jet components must be finite")
-    a = model.drift(x[None, :])[0]
-    Q = half_diffusion_sq(model, x)
-    return float(a @ grad + (Q * hess).sum())

@@ -12,13 +12,17 @@ and SPDE mode snapshots (``spde.generate_mode_snapshots``).  It takes
 
 - a stepper ``step(x, u, xi) -> x`` that advances a block of states (B, d)
   by one step, given the control u (B, r) or None and standard normal
-  draws xi (B, r): Euler-Maruyama or SRK through ``_step_block``, or the
+  draws xi (B, r): Euler-Maruyama or SRK through ``sde_stepper``, or the
   exponential Euler recurrence of ``spde.exp_euler``;
 - a per-path start of shape (M, d);
 - one snapshot stride: the states of the first ``record`` paths are kept at
   t = 0 and after every ``stride`` steps.  ``run_paths`` builds its
   trajectory rows from these snapshots and adds the terminal state when K
   is not a multiple of the stride.
+
+The engine knows no event: it returns terminal states, log-weights and
+blow-up flags, and the estimator evaluates the event once on the
+surviving terminal states.
 
 Determinism contract: path i draws its noise only from
 ``derive_path_rng(master_seed, i)``, in time order and in the same amounts
@@ -34,8 +38,8 @@ additive-noise models, which form B v as a multiply-add over the noise
 columns.  The known exceptions are the SPDE stepper (``spde.exp_euler``)
 and ``SpdeController``, whose mode-coupling matmuls are shape-sensitive
 at the ulp level.  A path whose state becomes non-finite is marked blown and
-frozen at zero.  ``simulate_path`` is the single-path reference the engine
-is tested against.
+frozen at zero.  The single-path reference the engine is tested against,
+one path stepped alone through ``sde_stepper``, is ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PathBlowupError, ShapeError, UnsupportedSchemeError
+from .errors import ShapeError, UnsupportedSchemeError
 
 _MASK64 = (1 << 64) - 1
 
@@ -106,26 +110,6 @@ def _apply_diffusion(model, x, v):
     return np.einsum("bdr,br->bd", B, v)
 
 
-def integrate_step(model, scheme, x, u_val, dt, xi):
-    """One step of the controlled system with drift A(x) + B(x) u_val.
-
-    The control is held fixed at its left-endpoint value through the step;
-    srk_additive is a two-stage scheme of weak order 2 on additive-noise
-    models (Heun average of the drift, shared Brownian increment).
-    """
-    _check_scheme(model, scheme)
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if x.shape != (model.dim_state,) or xi.shape != (model.dim_noise,):
-        raise ShapeError(
-            f"expected state ({model.dim_state},) and noise ({model.dim_noise},)"
-        )
-    xb = x[None, :]
-    ub = None if u_val is None else np.asarray(u_val, dtype=float)[None, :]
-    out = _step_block(model, scheme, xb, ub, dt, xi[None, :])
-    return out[0]
-
-
 def _step_block(model, scheme, x, u, dt, xi):
     a = model.drift(x)
     incr = _apply_diffusion(model, x, xi) * math.sqrt(dt)
@@ -138,17 +122,13 @@ def _step_block(model, scheme, x, u, dt, xi):
 
 
 def sde_stepper(model, scheme, dt):
-    """Engine stepper for one EM or SRK step of size dt."""
+    """Engine stepper for one EM or SRK step of size dt.
+
+    The control is held at its left-endpoint value through the step;
+    srk_additive is a two-stage scheme of weak order 2 on additive-noise
+    models (Heun average of the drift, shared Brownian increment).
+    """
     return lambda x, u, xi: _step_block(model, scheme, x, u, dt, xi)
-
-
-@dataclass
-class PathResult:
-    terminal_state: np.ndarray
-    log_weight: float
-    in_event: bool
-    path_index: int
-    trajectory: list | None = None
 
 
 @dataclass
@@ -157,53 +137,11 @@ class PathEnsemble:
 
     terminal: np.ndarray          # (M, d)
     log_weight: np.ndarray        # (M,)
-    in_event: np.ndarray          # (M,) bool, False for blown paths
     blown: np.ndarray             # (M,) bool
     floor_count: int = 0
     trajectories: list = field(default_factory=list)
     K: int = 0
     dt: float = 0.0
-
-
-def simulate_path(model, controller, obs, x0, T, dt, scheme=None,
-                  rng=None, master_seed=0, path_index=0,
-                  trajectory_stride=None) -> PathResult:
-    """Simulate a single path; reference implementation of the block engine.
-
-    Raises PathBlowupError (with the offending step index) if the state
-    leaves the finite region.
-    """
-    scheme = scheme or default_scheme(model)
-    _check_scheme(model, scheme)
-    if controller is not None and abs(controller.horizon - T) > 1e-12:
-        raise ValueError("controller horizon does not match requested T")
-    if rng is None:
-        rng = derive_path_rng(master_seed, path_index)
-    K, dt = adjust_steps(T, dt)
-    sqdt = math.sqrt(dt)
-    x = np.array(x0, dtype=float)
-    if x.shape != (model.dim_state,):
-        raise ShapeError("x0 has wrong dimension")
-    logw = 0.0
-    traj = None
-    if trajectory_stride is not None:
-        traj = [(0.0, x.copy())]
-    for k in range(K):
-        t = k * dt
-        xi = rng.standard_normal(model.dim_noise)
-        if controller is not None:
-            u = controller.bias_batch(t, x[None, :])[0][0]
-            logw -= float(u @ xi) * sqdt + 0.5 * float(u @ u) * dt
-        else:
-            u = None
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = integrate_step(model, scheme, x, u, dt, xi)
-        if not np.all(np.isfinite(x)):
-            raise PathBlowupError(k)
-        if traj is not None and ((k + 1) % trajectory_stride == 0 or k == K - 1):
-            traj.append(((k + 1) * dt, x.copy()))
-    in_event = bool(obs.indicator(x)) if obs is not None else False
-    return PathResult(x, logw, in_event, path_index, traj)
 
 
 def _block_ranges(M, block_size):
@@ -248,9 +186,8 @@ def _run_block(step, r, x0, K, dt, controller, master_seed, start, stride,
     return x, logw, blown, floor_count, snaps
 
 
-def run_engine(step, r, starts, K, dt, controller=None, obs=None,
-               master_seed=0, block_size=8192, workers=1, stride=1,
-               record=0):
+def run_engine(step, r, starts, K, dt, controller=None, master_seed=0,
+               block_size=8192, workers=1, stride=1, record=0):
     """The block engine: K steps of ``step(x, u, xi) -> x`` from each row of
     ``starts``, with r standard normal draws per path and step and the
     control of ``controller`` when one is given.
@@ -274,15 +211,8 @@ def run_engine(step, r, starts, K, dt, controller=None, obs=None,
     else:
         results = [work(rg) for rg in ranges]
     terminal, log_weight, blown, floors, snaps = zip(*results)
-    terminal = np.concatenate(terminal)
-    blown = np.concatenate(blown)
-    in_event = np.zeros(M, dtype=bool)
-    if obs is not None:
-        ok = ~blown
-        if ok.any():
-            in_event[ok] = obs.indicator(terminal[ok]).astype(bool)
-    ens = PathEnsemble(terminal, np.concatenate(log_weight), in_event, blown,
-                       sum(floors), [], K, dt)
+    ens = PathEnsemble(np.concatenate(terminal), np.concatenate(log_weight),
+                       np.concatenate(blown), sum(floors), [], K, dt)
     return ens, np.concatenate(snaps)
 
 
@@ -306,7 +236,7 @@ def trajectory_snapshots(make_step, r, starts, T_traj, stride, seed, dt):
     return kept.reshape(-1, starts.shape[1]), (n - len(kept)) * snaps.shape[1]
 
 
-def run_paths(model, controller, obs, x0, T, dt, scheme=None, M=1,
+def run_paths(model, controller, x0, T, dt, scheme=None, M=1,
               master_seed=0, block_size=8192, workers=1,
               trajectory_count=0, trajectory_stride=None) -> PathEnsemble:
     """Simulate M paths and collect terminal states and Girsanov weights.
@@ -323,9 +253,12 @@ def run_paths(model, controller, obs, x0, T, dt, scheme=None, M=1,
     if trajectory_count and not trajectory_stride:
         trajectory_stride = max(1, K // 200)
     stride = trajectory_stride or 1
+    if x0 is None or np.shape(x0) != (model.dim_state,):
+        raise ShapeError(f"x0 must be a state of the model dimension "
+                         f"{model.dim_state}, got {x0!r}")
     starts = np.tile(np.asarray(x0, dtype=float), (M, 1))
     ens, snaps = run_engine(sde_stepper(model, scheme, dt), model.dim_noise,
-                            starts, K, dt, controller, obs, master_seed,
+                            starts, K, dt, controller, master_seed,
                             block_size, workers, stride, trajectory_count)
     steps = range(0, K + 1, stride)
     for p, traj in enumerate(snaps):

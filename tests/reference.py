@@ -1,0 +1,83 @@
+"""Single-point reference implementations the package is tested against.
+
+``simulate_path`` runs one path step by step through the engine's own
+stepper on a one-row block; ``generator_apply`` applies the generator to
+one function jet at one state.  Neither is used by the pipeline, which
+works on blocks of paths and on whole dictionaries at once.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from koopmanis.errors import PathBlowupError, ShapeError
+from koopmanis.model import SdeModel, half_diffusion_sq
+from koopmanis.paths import (_check_scheme, adjust_steps, default_scheme,
+                             derive_path_rng, sde_stepper)
+
+
+@dataclass
+class PathResult:
+    terminal_state: np.ndarray
+    log_weight: float
+    path_index: int
+    trajectory: list | None = None
+
+
+def simulate_path(model, controller, x0, T, dt, scheme=None, master_seed=0,
+                  path_index=0, trajectory_stride=None) -> PathResult:
+    """Simulate path ``path_index`` alone, with the noise stream and the
+    Girsanov weight of the block engine.
+
+    Raises PathBlowupError (with the offending step index) if the state
+    leaves the finite region.
+    """
+    scheme = scheme or default_scheme(model)
+    _check_scheme(model, scheme)
+    if controller is not None and abs(controller.horizon - T) > 1e-12:
+        raise ValueError("controller horizon does not match requested T")
+    rng = derive_path_rng(master_seed, path_index)
+    K, dt = adjust_steps(T, dt)
+    step = sde_stepper(model, scheme, dt)
+    sqdt = math.sqrt(dt)
+    x = np.array(x0, dtype=float)
+    if x.shape != (model.dim_state,):
+        raise ShapeError("x0 has wrong dimension")
+    logw = 0.0
+    traj = None if trajectory_stride is None else [(0.0, x.copy())]
+    for k in range(K):
+        xi = rng.standard_normal(model.dim_noise)
+        u = None
+        if controller is not None:
+            u = controller.bias_batch(k * dt, x[None, :])[0]
+            logw -= float(u[0] @ xi) * sqdt + 0.5 * float(u[0] @ u[0]) * dt
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = step(x[None, :], u, xi[None, :])[0]
+        if not np.all(np.isfinite(x)):
+            raise PathBlowupError(k)
+        if traj is not None and ((k + 1) % trajectory_stride == 0 or k == K - 1):
+            traj.append(((k + 1) * dt, x.copy()))
+    return PathResult(x, logw, path_index, traj)
+
+
+def generator_apply(model: SdeModel, jet, x) -> float:
+    """Apply the infinitesimal generator to a function jet at a state.
+
+    jet = (value, gradient, hessian); returns
+    <drift(x), grad> + Tr[0.5 B(x) B(x)^T hess].
+    """
+    _, grad, hess = jet
+    x = np.asarray(x, dtype=float)
+    grad = np.asarray(grad, dtype=float)
+    hess = np.asarray(hess, dtype=float)
+    d = model.dim_state
+    if x.shape != (d,) or grad.shape != (d,) or hess.shape != (d, d):
+        raise ShapeError("jet/state dimensions do not match the model")
+    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+        raise ValueError("jet components must be finite")
+    a = model.drift(x[None, :])[0]
+    Q = half_diffusion_sq(model, x)
+    return float(a @ grad + (Q * hess).sum())

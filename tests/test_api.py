@@ -1,0 +1,52 @@
+"""The package holds only code the pipeline runs.
+
+Every module-level function in ``src/koopmanis`` must be referenced
+somewhere in the package other than its own definition, or be exported
+through ``koopmanis.__all__``.  A helper only the tests call belongs in
+``tests/reference.py``, and a helper nothing calls should be deleted.
+"""
+
+import ast
+from pathlib import Path
+
+import koopmanis
+
+SRC = Path(koopmanis.__file__).resolve().parent
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _references(tree):
+    """Names a module uses: bare names and attribute names."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+    return refs
+
+
+def test_every_module_function_is_used_or_exported():
+    trees = _trees()
+    refs = {name: _references(tree) for name, tree in trees.items()}
+    exported = set(koopmanis.__all__)
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if name in exported:
+                continue
+            # a function's own body does not count as a use of it
+            rest = ast.Module(body=[n for n in tree.body if n is not node],
+                              type_ignores=[])
+            if name not in _references(rest) and not any(
+                    name in r for m, r in refs.items() if m != module):
+                unused.append(f"{module}.{name}")
+    assert unused == [], f"unused module-level functions: {unused}"
+

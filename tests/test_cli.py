@@ -125,12 +125,22 @@ def test_cli_run_and_sweep_verbs(tmp_path, capsys):
     assert "chosen c" in out
 
 
+def test_sweep_without_doob_block_is_a_config_error(tmp_path, capsys):
+    """An mc config may omit the doob block; sweep-c then has no grid."""
+    raw = _tiny_ou_config(tmp_path, method="mc")
+    del raw["doob"]
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["sweep-c", str(path)]) == 1
+    assert "ConfigError" in capsys.readouterr().err
+
+
 def test_cli_oracle_verb(capsys):
     assert cli.main(["oracle", "ou1d", "--T", "1.0"]) == 0
     out = capsys.readouterr().out
     assert "1.57" in out  # 1.5745e-2
     # the oracle gives the indicator probability, with or without a
-    # threshold override of the (mollified) default event
+    # threshold override of the default event
     assert cli.main(["oracle", "ou1d", "--T", "1.0", "--threshold", "2.0"]) == 0
     assert capsys.readouterr().out == out
     assert cli.main(["oracle", "lorenz"]) == 1

@@ -277,7 +277,7 @@ def test_doob_bias_is_row_local(fitted_controllers, family):
 def test_ou_exact_bias_is_row_local(terminal):
     m = make_builtin_model("ou1d")
     ev = make_event("coordinate", 2.0, sharpness=3.0, mode=terminal)
-    ctrl = estimator.ou_exact_controller(m, ev, 1.0, terminal=terminal)
+    ctrl = estimator.ou_exact_controller(m, ev, 1.0)
     X = np.random.default_rng(9).normal(size=(97, 1)) * 1.5
     for t in (0.0, 0.37, 1.0):
         _assert_bias_row_local(ctrl, t, X)
@@ -387,7 +387,7 @@ def _controller(kind):
         return spde.SpdeController(sp, 1.0, 0.3, 1.0), 8
     m = make_builtin_model("ou1d")
     ev = make_event("coordinate", 2.0, sharpness=5.0, mode="indicator")
-    return estimator.ou_exact_controller(m, ev, 1.0, terminal="indicator"), 1
+    return estimator.ou_exact_controller(m, ev, 1.0), 1
 
 
 @pytest.mark.parametrize("kind", ["eigen", "spde", "ou_exact"])

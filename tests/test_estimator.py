@@ -7,13 +7,16 @@ from scipy.special import erfc
 
 from koopmanis import make_builtin_model, make_event
 from koopmanis import doob, estimator
-from koopmanis.errors import (ConfigError, DiagnosticError,
-                              InvalidParameterError, NumericalError)
+from koopmanis.errors import ConfigError, InvalidParameterError, NumericalError
 from koopmanis.paths import PathEnsemble
 
 
 def _sf(z):
     return 0.5 * erfc(z / math.sqrt(2.0))
+
+
+def _value_at_origin(ctrl):
+    return ctrl.value_grad_batch(0.0, np.array([[0.0]]))[0][0]
 
 
 def test_certain_event_has_zero_variance():
@@ -111,7 +114,8 @@ def test_oracle_rejects_nonlinear():
 def test_oracle_rejects_mollified_event():
     m = make_builtin_model("ou1d")
     with pytest.raises(InvalidParameterError):
-        estimator.analytic_oracles(m, make_event("coordinate", 2.0), 1.0)
+        estimator.analytic_oracles(
+            m, make_event("coordinate", 2.0, mode="mollified"), 1.0)
 
 
 def test_oracle_reproducible():
@@ -125,16 +129,16 @@ def test_oracle_reproducible():
 def test_exact_controller_value_matches_oracle():
     m = make_builtin_model("ou1d")
     ev = make_event("coordinate", 2.0, mode="indicator")
-    ctrl = estimator.ou_exact_controller(m, ev, 1.0, terminal="indicator")
+    ctrl = estimator.ou_exact_controller(m, ev, 1.0)
     res = estimator.analytic_oracles(m, ev, 1.0)
-    assert ctrl.value_at_origin([0.0]) == pytest.approx(res.rho, rel=1e-12)
+    assert _value_at_origin(ctrl) == pytest.approx(res.rho, rel=1e-12)
 
 
 def test_exact_controller_mollified_quadrature():
     """Quadrature value function vs direct numerical integration."""
     m = make_builtin_model("ou1d")
     ev = make_event("coordinate", 2.0, sharpness=3.0, mode="mollified")
-    ctrl = estimator.ou_exact_controller(m, ev, 1.0, terminal="mollified")
+    ctrl = estimator.ou_exact_controller(m, ev, 1.0)
     sd = math.sqrt(1.0 - math.exp(-2.0))
 
     def integrand(y):
@@ -142,13 +146,13 @@ def test_exact_controller_mollified_quadrature():
         return f * math.exp(-0.5 * (y / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
 
     ref, _ = quad(integrand, -12, 14, limit=300)
-    assert ctrl.value_at_origin([0.0]) == pytest.approx(ref, rel=1e-6)
+    assert _value_at_origin(ctrl) == pytest.approx(ref, rel=1e-6)
 
 
 def test_exact_controller_bias_is_hazard_rate():
     m = make_builtin_model("ou1d")
     ev = make_event("coordinate", 2.0, mode="indicator")
-    ctrl = estimator.ou_exact_controller(m, ev, 1.0, terminal="indicator")
+    ctrl = estimator.ou_exact_controller(m, ev, 1.0)
     # deep in the tail the hazard form stays finite and positive
     u, _ = ctrl.bias_batch(0.5, np.array([[-50.0]]))
     assert np.isfinite(u[0, 0]) and u[0, 0] > 0
@@ -162,49 +166,12 @@ def test_exact_controller_bias_is_hazard_rate():
 def test_exact_controller_multiplier_tuning():
     m = make_builtin_model("ou1d")
     ev = make_event("coordinate", 2.0, mode="indicator")
-    ctrl = estimator.ou_exact_controller(m, ev, 1.0, terminal="indicator")
+    ctrl = estimator.ou_exact_controller(m, ev, 1.0)
     res = doob.tune_multiplier(ctrl, m, ev, [0.0], 1.0, 1e-2,
                                grid=[0.5, 1.0], batch=100)
     assert res.multiplier in (0.5, 1.0)
     assert [row[0] for row in res.table] == [0.5, 1.0]
     assert ctrl.multiplier == 1.0
-
-
-def test_second_moment_bound_cases():
-    m = make_builtin_model("ou1d")
-    ev = make_event("coordinate", 2.0, mode="indicator")
-    ctrl = estimator.ou_exact_controller(m, ev, 1.0, terminal="indicator")
-    samples = np.linspace(2.001, 6.0, 500)[:, None]
-    # terminal values equal the indicator = 1 on the event, so the bound
-    # collapses to rho^2 (the zero-variance case)
-    bound, terms = estimator.second_moment_bound(ctrl, [0.0], samples)
-    rho = estimator.analytic_oracles(m, ev, 1.0).rho
-    assert bound == pytest.approx(rho * rho, rel=1e-9)
-    assert terms["min_log_phiT"] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_second_moment_bound_constant_surrogate():
-    class Flat:
-        horizon = 1.0
-
-        def value_grad_batch(self, t, X):
-            return np.full(len(np.atleast_2d(X)), 3.7), None
-
-    bound, _ = estimator.second_moment_bound(Flat(), [0.0],
-                                             np.ones((4, 1)) * 3.0)
-    assert bound == pytest.approx(1.0)
-
-
-def test_second_moment_bound_rejects_nonpositive():
-    class Bad:
-        horizon = 1.0
-
-        def value_grad_batch(self, t, X):
-            X = np.atleast_2d(X)
-            return np.where(X[:, 0] > 2.5, -1.0, 0.5), None
-
-    with pytest.raises(DiagnosticError):
-        estimator.second_moment_bound(Bad(), [0.0], np.array([[3.0]]))
 
 
 def test_report_determinism_bitwise():
@@ -226,14 +193,20 @@ def test_weight_overflow_raises(monkeypatch):
     ev = make_event("coordinate", 2.0, mode="indicator")
     log_w = np.array([0.0, -3.0, 709.9, 712.5])
     ens = PathEnsemble(terminal=np.array([[3.0], [0.0], [3.0], [0.0]]),
-                       log_weight=log_w, in_event=np.array([1, 0, 1, 0], bool),
-                       blown=np.zeros(4, bool), K=100, dt=1e-2)
+                       log_weight=log_w, blown=np.zeros(4, bool), K=100,
+                       dt=1e-2)
     monkeypatch.setattr(estimator, "run_paths", lambda *a, **k: ens)
     with pytest.raises(NumericalError, match="2 path weights overflow.*712.5"):
+        estimator.run_ensemble(m, None, ev, [0.0], 1.0, 1e-2, M=4)
+    # finite weights whose squared deviations overflow: the check bounds
+    # log w by (log(max double) - log 4) / 2 = 354.2
+    log_w[2:] = 360.0
+    with pytest.raises(NumericalError, match="2 path weights overflow"):
         estimator.run_ensemble(m, None, ev, [0.0], 1.0, 1e-2, M=4)
     log_w[2:] = 300.0  # finite weights still reduce
     rep = estimator.run_ensemble(m, None, ev, [0.0], 1.0, 1e-2, M=4)
     assert math.isfinite(rep.estimate)
+    assert math.isfinite(rep.sample_variance)
 
 
 def test_csv_row_schema():

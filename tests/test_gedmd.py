@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from koopmanis import build_basis, make_builtin_model, make_event
-from koopmanis.errors import EmptySpectrumError, RankDeficiencyWarning
+from koopmanis.errors import (ConfigError, EmptySpectrumError,
+                              RankDeficiencyWarning)
 from koopmanis import gedmd
 from koopmanis.model import SdeModel, half_diffusion_sq
 from koopmanis.paths import _step_block, adjust_steps, derive_path_rng
@@ -307,6 +308,18 @@ def test_truncation_keeps_conjugates_whole():
         tr = gedmd.truncate_spectrum(spec, cut)
         assert tr.n_pairs <= cut
         assert tr.conjugate_closed
+
+
+@pytest.mark.parametrize("max_pairs", [0, -1])
+def test_truncation_to_no_pairs_is_a_config_error(max_pairs):
+    """A cut below one pair used to index pair -1: on {0, -1+2i, -1-2i}
+    the last pair's partner sits before it, so two pairs were kept."""
+    spec = gedmd.KoopmanSpectrum(build_basis("hermite", 1, 2),
+                                 np.array([0.0, -1 + 2j, -1 - 2j]),
+                                 np.eye(3, dtype=complex), np.zeros(3))
+    assert gedmd.truncate_spectrum(spec, 1).n_pairs == 1
+    with pytest.raises(ConfigError, match="max_eigenfunctions"):
+        gedmd.truncate_spectrum(spec, max_pairs)
 
 
 def test_gaussian_points_reproducible():

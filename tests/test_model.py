@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from koopmanis import basis, generator_apply, make_builtin_model, make_event
+from koopmanis import basis, make_builtin_model, make_event
 from koopmanis.errors import (InvalidParameterError, ModelNotFoundError,
                               ShapeError)
 from koopmanis.gedmd import assemble_matrices
 from koopmanis.model import SdeModel
+from reference import generator_apply
 
 
 def test_ou1d_reference_values():
@@ -88,9 +89,10 @@ def test_ou_hermite_eigenfunctions():
     m = make_builtin_model("ou1d")
     rng = np.random.default_rng(3)
     xs = rng.normal(size=100)
+    V, G, H = basis.build_basis("hermite", 1, 5).jets(xs[:, None], 2)
     for n in range(6):
-        for x in xs:
-            v, d1, d2 = basis.hermite_jet(n, x)
+        for p, x in enumerate(xs):
+            v, d1, d2 = V[n, p], G[0][n, p], H[0][0][n, p]
             got = generator_apply(m, (v, np.array([d1]), np.array([[d2]])),
                                   np.array([x]))
             ref = -n * v
@@ -150,21 +152,21 @@ def test_generator_batch_matches_scalar():
 
 def test_mollified_observable_values():
     ev = make_event("coordinate", 2.0, sharpness=3.0, mode="mollified")
-    assert ev.value(np.array([2.0])) == pytest.approx(0.5)
-    assert ev.value(np.array([50.0])) == pytest.approx(1.0)
+    assert ev.mollified(np.array([2.0])) == pytest.approx(0.5)
+    assert ev.mollified(np.array([50.0])) == pytest.approx(1.0)
     # direct evaluation: 0.5*(1 + tanh(-3))
-    assert ev.value(np.array([1.0])) == pytest.approx(
+    assert ev.mollified(np.array([1.0])) == pytest.approx(
         0.5 * (1.0 + math.tanh(-3.0)))
-    assert ev.value(np.array([1.0])) == pytest.approx(0.0024726232, rel=1e-6)
+    assert ev.mollified(np.array([1.0])) == pytest.approx(0.0024726232, rel=1e-6)
 
 
 def test_indicator_boundary_and_monotonicity():
     ev = make_event("coordinate", 2.0, mode="indicator")
-    assert ev.value(np.array([2.0])) == 0.0
-    assert ev.value(np.array([2.0 + 1e-12])) == 1.0
+    assert ev.indicator(np.array([2.0])) == 0.0
+    assert ev.indicator(np.array([2.0 + 1e-12])) == 1.0
     ev_m = make_event("coordinate", 2.0, mode="mollified")
     xs = np.linspace(-3, 5, 200)[:, None]
-    vals = ev_m.value(xs)
+    vals = ev_m.mollified(xs)
     assert np.all(np.diff(vals) >= 0)
     assert np.all((vals > 0) & (vals < 1))
 
@@ -172,10 +174,10 @@ def test_indicator_boundary_and_monotonicity():
 def test_mollified_converges_to_indicator():
     for x in (1.5, 2.5, -1.0, 3.0):
         ind = make_event("coordinate", 2.0, mode="indicator")
-        target = ind.value(np.array([x]))
+        target = ind.indicator(np.array([x]))
         for s in (10.0, 100.0, 1000.0):
             ev = make_event("coordinate", 2.0, sharpness=s, mode="mollified")
-            err = abs(ev.value(np.array([x])) - target)
+            err = abs(ev.mollified(np.array([x])) - target)
             assert err <= math.exp(-2 * s * abs(x - 2.0)) + 1e-12
 
 

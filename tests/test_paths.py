@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from koopmanis import (derive_path_rng, integrate_step, make_builtin_model,
-                       make_event, run_paths, simulate_path)
-from koopmanis.errors import PathBlowupError, UnsupportedSchemeError
+from koopmanis import (derive_path_rng, make_builtin_model, make_event,
+                       run_ensemble, run_paths)
+from koopmanis.errors import (PathBlowupError, ShapeError,
+                              UnsupportedSchemeError)
 from koopmanis.model import SdeModel
-from koopmanis.paths import _step_block, adjust_steps
+from koopmanis.paths import _step_block, adjust_steps, sde_stepper
+from reference import simulate_path
 
 
 def _deterministic_decay_model():
@@ -74,14 +76,14 @@ def test_adjust_steps_rounds_up():
 
 def test_euler_step_deterministic():
     m = make_builtin_model("ou1d")
-    out = integrate_step(m, "euler_maruyama", np.array([1.0]), None, 0.01,
-                         np.array([0.0]))
-    assert out[0] == pytest.approx(0.99)
+    out = sde_stepper(m, "euler_maruyama", 0.01)(np.array([[1.0]]), None,
+                                                np.array([[0.0]]))
+    assert out[0, 0] == pytest.approx(0.99)
 
 
 def test_ode_decay_accuracy():
     m = _deterministic_decay_model()
-    res = simulate_path(m, None, None, [1.0], 1.0, 1e-4,
+    res = simulate_path(m, None, [1.0], 1.0, 1e-4,
                         scheme="euler_maruyama", master_seed=0, path_index=0)
     assert res.terminal_state[0] == pytest.approx(math.exp(-1.0), abs=1e-3)
 
@@ -92,7 +94,7 @@ def test_srk_second_order_on_drift():
     exact = 1.0 / math.sqrt(1.0 + 2.0)  # dx=-x^3 from 1 over T=1
     errs = []
     for dt in (1e-2, 5e-3):
-        res = simulate_path(m, None, None, [1.0], 1.0, dt,
+        res = simulate_path(m, None, [1.0], 1.0, dt,
                             scheme="srk_additive", master_seed=0)
         errs.append(abs(res.terminal_state[0] - exact))
     assert errs[0] / errs[1] > 3.5  # ~4x for order 2
@@ -101,13 +103,12 @@ def test_srk_second_order_on_drift():
 def test_srk_rejects_multiplicative_noise():
     m = _multiplicative_model()
     with pytest.raises(UnsupportedSchemeError):
-        integrate_step(m, "srk_additive", np.array([1.0]), None, 0.01,
-                       np.array([0.1]))
+        run_paths(m, None, [1.0], 0.1, 0.01, scheme="srk_additive", M=2)
 
 
 def test_ou_terminal_moments():
     m = make_builtin_model("ou1d")
-    ens = run_paths(m, None, None, [0.0], 1.0, 1e-2, M=100_000, master_seed=9)
+    ens = run_paths(m, None, [0.0], 1.0, 1e-2, M=100_000, master_seed=9)
     var_exact = 1.0 - math.exp(-2.0)
     se_mean = math.sqrt(var_exact / 100_000)
     assert abs(ens.terminal.mean()) < 3 * se_mean
@@ -118,10 +119,10 @@ def test_ou_terminal_moments():
 
 def test_zero_controller_weight_is_exactly_zero():
     m = make_builtin_model("ou1d")
-    ens = run_paths(m, None, None, [0.0], 0.5, 1e-2, M=64, master_seed=3)
+    ens = run_paths(m, None, [0.0], 0.5, 1e-2, M=64, master_seed=3)
     assert np.all(ens.log_weight == 0.0)
     ctrl = _ConstantController([0.0], 0.5)
-    ens2 = run_paths(m, ctrl, None, [0.0], 0.5, 1e-2, M=64, master_seed=3)
+    ens2 = run_paths(m, ctrl, [0.0], 0.5, 1e-2, M=64, master_seed=3)
     assert np.all(ens2.log_weight == 0.0)
     assert np.array_equal(ens.terminal, ens2.terminal)
 
@@ -130,24 +131,24 @@ def test_single_path_matches_block_engine():
     m = make_builtin_model("duffing")
     ev = make_event("coordinate", 0.0, mode="indicator")
     ctrl = _ConstantController([0.3], 2.0)
-    ens = run_paths(m, ctrl, ev, [-1.5, 0.0], 2.0, 1e-2, M=5, master_seed=21)
+    ens = run_paths(m, ctrl, [-1.5, 0.0], 2.0, 1e-2, M=5, master_seed=21)
     for i in range(5):
-        res = simulate_path(m, ctrl, ev, [-1.5, 0.0], 2.0, 1e-2,
+        res = simulate_path(m, ctrl, [-1.5, 0.0], 2.0, 1e-2,
                             master_seed=21, path_index=i)
         assert np.allclose(res.terminal_state, ens.terminal[i], rtol=1e-12,
                            atol=1e-14)
         assert res.log_weight == pytest.approx(ens.log_weight[i], rel=1e-12,
                                                abs=1e-14)
-        assert res.in_event == ens.in_event[i]
+        assert ev.indicator(res.terminal_state) == ev.indicator(ens.terminal[i])
 
 
 def test_block_size_and_workers_are_bitwise_invariant():
     m = make_builtin_model("vdp")
     ctrl = _ConstantController([0.2, -0.1], 1.0, r=2)
-    ref = run_paths(m, ctrl, None, [2.0, 0.0], 1.0, 1e-2, M=257,
+    ref = run_paths(m, ctrl, [2.0, 0.0], 1.0, 1e-2, M=257,
                     master_seed=5, block_size=257)
     for bs, workers in ((64, 1), (64, 3), (31, 2), (257, 4)):
-        alt = run_paths(m, ctrl, None, [2.0, 0.0], 1.0, 1e-2, M=257,
+        alt = run_paths(m, ctrl, [2.0, 0.0], 1.0, 1e-2, M=257,
                         master_seed=5, block_size=bs, workers=workers)
         assert np.array_equal(ref.terminal, alt.terminal)
         assert np.array_equal(ref.log_weight, alt.log_weight)
@@ -162,7 +163,7 @@ def test_dense_diffusion_is_bitwise_invariant(B):
     d = len(B)
     m = SdeModel("dense", d, 2, lambda x: -np.asarray(x, float),
                  lambda x: B, diffusion_const=B)
-    runs = [run_paths(m, None, None, np.ones(d), 1.0, 1e-2,
+    runs = [run_paths(m, None, np.ones(d), 1.0, 1e-2,
                       scheme="euler_maruyama", M=257, master_seed=5,
                       block_size=bs)
             for bs in (257, 64, 1)]
@@ -177,7 +178,7 @@ def test_fitted_controller_ensembles_are_bitwise_invariant(fitted_controllers,
     Legendre; brownian_osc, exact monomials): block size 64 leaves a
     one-row tail block of the 257 paths."""
     model, ctrl, x0 = fitted_controllers[family]
-    runs = [run_paths(model, ctrl, None, x0, 1.0, 1e-2, M=257, master_seed=5,
+    runs = [run_paths(model, ctrl, x0, 1.0, 1e-2, M=257, master_seed=5,
                       block_size=bs, workers=workers)
             for bs, workers in ((257, 1), (64, 1), (64, 3), (31, 2))]
     for alt in runs[1:]:
@@ -190,9 +191,9 @@ def test_unbiasedness_under_bounded_controller():
     m = make_builtin_model("ou1d")
     ev = make_event("coordinate", 2.0, sharpness=3.0, mode="mollified")
     M = 100_000
-    plain = run_paths(m, None, ev, [0.0], 1.0, 1e-2, M=M, master_seed=77)
+    plain = run_paths(m, None, [0.0], 1.0, 1e-2, M=M, master_seed=77)
     ctrl = _ConstantController([0.7], 1.0)
-    biased = run_paths(m, ctrl, ev, [0.0], 1.0, 1e-2, M=M, master_seed=78)
+    biased = run_paths(m, ctrl, [0.0], 1.0, 1e-2, M=M, master_seed=78)
     y0 = ev.mollified(plain.terminal)
     y1 = ev.mollified(biased.terminal) * np.exp(biased.log_weight)
     se = math.sqrt(y0.var() / M + y1.var() / M)
@@ -201,16 +202,27 @@ def test_unbiasedness_under_bounded_controller():
 
 def test_terminal_mean_symmetry():
     m = make_builtin_model("ou1d")
-    ens = run_paths(m, None, None, [0.0], 1.0, 1e-2, M=100_000, master_seed=1)
+    ens = run_paths(m, None, [0.0], 1.0, 1e-2, M=100_000, master_seed=1)
     se = math.sqrt((1 - math.exp(-2)) / 100_000)
     assert abs(ens.terminal.mean()) < 3 * se
+
+
+@pytest.mark.parametrize("x0", [None, [0.0, 0.0], [[0.0]]])
+def test_run_paths_rejects_a_start_of_the_wrong_dimension(x0):
+    """Not NaN starts and a "fewer than two paths survived" error."""
+    m = make_builtin_model("ou1d")
+    with pytest.raises(ShapeError, match="x0 .*dimension 1"):
+        run_paths(m, None, x0, 1.0, 1e-2, M=4)
+    with pytest.raises(ShapeError, match="x0"):
+        run_ensemble(m, None, make_event("coordinate", 2.0), x0, 1.0, 1e-2,
+                     M=4)
 
 
 def test_blowup_raises_in_single_path():
     m = SdeModel("explode", 1, 1, lambda x: np.asarray(x, float) ** 3,
                  lambda x: np.zeros((1, 1)), diffusion_const=np.zeros((1, 1)))
     with pytest.raises(PathBlowupError) as exc:
-        simulate_path(m, None, None, [10.0], 1.0, 0.05,
+        simulate_path(m, None, [10.0], 1.0, 0.05,
                       scheme="euler_maruyama", master_seed=0)
     assert exc.value.step_index >= 0
 
@@ -218,22 +230,21 @@ def test_blowup_raises_in_single_path():
 def test_blowup_counted_in_ensemble():
     m = SdeModel("explode", 1, 1, lambda x: np.asarray(x, float) ** 3,
                  lambda x: np.zeros((1, 1)), diffusion_const=np.zeros((1, 1)))
-    ens = run_paths(m, None, make_event("coordinate", 0.0, mode="indicator"),
-                    [10.0], 1.0, 0.05, scheme="euler_maruyama", M=4,
+    ens = run_paths(m, None, [10.0], 1.0, 0.05, scheme="euler_maruyama", M=4,
                     master_seed=0)
     assert ens.blown.all()
-    assert not ens.in_event.any()
+    assert np.all(ens.terminal == 0.0)   # frozen at zero
 
 
 def test_trajectory_capture():
     m = make_builtin_model("ou1d")
-    ens = run_paths(m, None, None, [0.0], 1.0, 1e-2, M=10, master_seed=2,
+    ens = run_paths(m, None, [0.0], 1.0, 1e-2, M=10, master_seed=2,
                     trajectory_count=3, trajectory_stride=20)
     idx = sorted({row[0] for row in ens.trajectories})
     assert idx == [0, 1, 2]
     times = [t for pi, t, _ in ens.trajectories if pi == 0]
     assert times[0] == 0.0 and times[-1] == pytest.approx(1.0)
-    res = simulate_path(m, None, None, [0.0], 1.0, 1e-2, master_seed=2,
+    res = simulate_path(m, None, [0.0], 1.0, 1e-2, master_seed=2,
                         path_index=1, trajectory_stride=20)
     mine = [row for row in ens.trajectories if row[0] == 1]
     assert len(res.trajectory) == len(mine)
@@ -271,7 +282,7 @@ def test_trajectory_rows_match_reference_when_stride_leaves_a_remainder():
     ctrl = _ConstantController([0.3], 1.0)
     # K = 100 steps, stride 7: the final row at T is off the stride grid;
     # block size 2 splits the recorded paths across blocks
-    ens = run_paths(m, ctrl, None, [-1.5, 0.0], 1.0, 1e-2, M=5,
+    ens = run_paths(m, ctrl, [-1.5, 0.0], 1.0, 1e-2, M=5,
                     master_seed=4, block_size=2, trajectory_count=3,
                     trajectory_stride=7)
     ref = _reference_rows(m, ctrl, [-1.5, 0.0], 1.0, 1e-2, "srk_additive",

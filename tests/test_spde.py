@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from koopmanis import (exp_euler_step, l2_norm, make_builtin_model, make_event,
-                       qwiener_increment, spectral_setup)
+from koopmanis import make_builtin_model, make_event, spectral_setup
 from koopmanis import spde as spde_mod
 from koopmanis.errors import InvalidParameterError
 from koopmanis.paths import adjust_steps, derive_path_rng
@@ -73,21 +72,23 @@ def test_qwiener_std_limits(sp64):
     assert np.allclose(std, math.sqrt(1e-3), rtol=1e-4)
     sp0 = spectral_setup(4, 0.1, 0.0, 0.0)
     rng = derive_path_rng(0, 0)
-    assert np.all(qwiener_increment(sp0, 1e-3, rng) == 0.0)
+    assert np.all(spde_mod.noise_std(sp0, 1e-3) * rng.standard_normal(4)
+                  == 0.0)
 
 
 def test_qwiener_sample_variance(sp64):
     rng = derive_path_rng(1, 0)
-    draws = np.array([qwiener_increment(sp64, 1e-2, rng)[0]
+    std = spde_mod.noise_std(sp64, 1e-2)
+    draws = np.array([(std * rng.standard_normal(64))[0]
                       for _ in range(200_000)])
-    ref = spde_mod.noise_std(sp64, 1e-2)[0] ** 2
+    ref = std[0] ** 2
     assert draws.var() == pytest.approx(ref, rel=0.01)
 
 
 def test_exp_euler_pure_decay(sp64):
     Y = np.ones(64)
-    out = exp_euler_step(spectral_setup(64, 0.1, 0.0, 0.0), Y, None, 0.01,
-                         np.zeros(64))
+    out = spde_mod.exp_euler(spectral_setup(64, 0.1, 0.0, 0.0), 0.01)(
+        Y, None, np.zeros(64))
     assert np.allclose(out, np.exp(-sp64.lam * 0.01))
 
 
@@ -115,11 +116,10 @@ def test_exp_euler_stationary_variance():
 
 
 def test_exp_euler_one_step_moments(sp64):
+    """The engine stepper from Y = 0: one step's noise, drawn per path."""
     rng = derive_path_rng(9, 0)
-    draws = np.stack([exp_euler_step(sp64, np.zeros(64), None, 1e-2,
-                                     spde_mod.noise_std(sp64, 1e-2)
-                                     * rng.standard_normal(64))
-                      for _ in range(50_000)])
+    draws = spde_mod._engine_stepper(sp64, 1e-2)(
+        np.zeros((50_000, 64)), None, rng.standard_normal((50_000, 64)))
     ref = spde_mod.noise_std(sp64, 1e-2) ** 2
     assert np.abs(draws.mean(axis=0)).max() < 4 * math.sqrt(ref[0] / 50_000)
     assert np.allclose(draws.var(axis=0), ref, rtol=0.05)
@@ -143,6 +143,8 @@ def test_quadratic_functional_is_generator_eigenfunction(sp64):
 
 
 def test_l2_norm_cases(sp64):
+    """The advdiff norm event thresholds the field's L2 norm."""
+    l2_norm = make_event("norm", 2.5).statistic
     assert l2_norm(np.zeros(8)) == 0.0
     e1 = np.zeros(8); e1[0] = 1.0
     assert l2_norm(e1) == 1.0
@@ -151,11 +153,16 @@ def test_l2_norm_cases(sp64):
 
 
 def test_parseval_against_grid_quadrature(sp64):
+    """The norm event's statistic on the sine coefficients is the L2 norm
+    of the field they expand, evaluated on a fine grid."""
     rng = np.random.default_rng(1)
     Y = rng.normal(size=64) / (1.0 + np.arange(64)) ** 2
-    x, field = spde_mod.reconstruct_field(Y, grid_points=20001)
+    x = np.linspace(0.0, 1.0, 20001)
+    k = np.arange(1, 65)
+    field = Y @ (math.sqrt(2.0) * np.sin(np.outer(x, k) * math.pi)).T
     quad_norm = math.sqrt(np.trapezoid(field ** 2, x))
-    assert quad_norm == pytest.approx(l2_norm(Y), abs=1e-6)
+    stat = make_event("norm", 2.5).statistic(Y)
+    assert quad_norm == pytest.approx(stat, abs=1e-6)
 
 
 def test_advection_preserves_norm(sp64):
@@ -173,8 +180,9 @@ def test_exp_euler_noiseless_norm_never_grows(sp64):
     rng = np.random.default_rng(4)
     Y = rng.normal(size=64)
     norms = [np.linalg.norm(Y)]
+    step = spde_mod.exp_euler(sp, 1e-3)
     for _ in range(1000):
-        Y = exp_euler_step(sp, Y, None, 1e-3, np.zeros(64))
+        Y = step(Y, None, np.zeros(64))
         norms.append(np.linalg.norm(Y))
     norms = np.array(norms)
     assert np.all(np.diff(norms) <= 1e-3 * norms[:-1])
@@ -205,13 +213,13 @@ def test_spde_unbiasedness_non_rare():
     sp = model.spde
     ev = make_event("norm", 1.0, mode="indicator")
     M = 10_000
-    plain = spde_mod.run_spde_paths(sp, None, ev, np.zeros(16), 2.0, 5e-3,
+    plain = spde_mod.run_spde_paths(sp, None, np.zeros(16), 2.0, 5e-3,
                                     M, master_seed=11)
     ctrl = spde_mod.SpdeController(sp, 1.0, 0.25, 2.0, multiplier=2.0)
-    biased = spde_mod.run_spde_paths(sp, ctrl, ev, np.zeros(16), 2.0, 5e-3,
+    biased = spde_mod.run_spde_paths(sp, ctrl, np.zeros(16), 2.0, 5e-3,
                                      M, master_seed=12)
-    y0 = plain.in_event.astype(float)
-    y1 = biased.in_event.astype(float) * np.exp(biased.log_weight)
+    y0 = ev.indicator(plain.terminal)
+    y1 = ev.indicator(biased.terminal) * np.exp(biased.log_weight)
     se = math.sqrt(y0.var() / M + y1.var() / M)
     assert abs(y0.mean() - y1.mean()) < 4 * se
 
@@ -219,10 +227,9 @@ def test_spde_unbiasedness_non_rare():
 def test_spde_paths_deterministic(sp64):
     # worker count must not change a byte (block size is a fixed engine
     # parameter: mode-coupling matmuls are shape-sensitive at the ulp level)
-    ev = make_event("norm", 1.0, mode="indicator")
-    a = spde_mod.run_spde_paths(sp64, None, ev, np.zeros(64), 0.2, 5e-3,
+    a = spde_mod.run_spde_paths(sp64, None, np.zeros(64), 0.2, 5e-3,
                                 100, master_seed=3, block_size=32)
-    b = spde_mod.run_spde_paths(sp64, None, ev, np.zeros(64), 0.2, 5e-3,
+    b = spde_mod.run_spde_paths(sp64, None, np.zeros(64), 0.2, 5e-3,
                                 100, master_seed=3, block_size=32, workers=3)
     assert np.array_equal(a.terminal, b.terminal)
     assert np.array_equal(a.log_weight, b.log_weight)
