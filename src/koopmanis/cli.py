@@ -48,6 +48,14 @@ _BLOCK_DEFAULTS = {
 }
 
 
+def _controller_blocks(model_name) -> list:
+    """The config blocks the controller stages read: the SPDE model
+    (advdiff) samples its own snapshots and needs no basis or gEDMD."""
+    if model_name == "advdiff":
+        return ["points"]
+    return ["points", "basis", "gedmd"]
+
+
 @dataclass
 class ExperimentConfig:
     model: dict
@@ -66,10 +74,8 @@ class ExperimentConfig:
         method = data.get("run", {}).get("method",
                                          _BLOCK_DEFAULTS["run"]["method"])
         if method == "is":
-            required += ["points", "basis", "gedmd", "doob"]
-            if data.get("model", {}).get("name") == "advdiff":
-                required.remove("basis")
-                required.remove("gedmd")
+            required += _controller_blocks(data.get("model", {}).get("name"))
+            required.append("doob")
         missing = [blk for blk in required if blk not in data]
         if missing:
             raise ConfigError(f"missing config blocks: {missing}")
@@ -127,6 +133,13 @@ class PipelineState:
 
 def prepare_controller(cfg: ExperimentConfig) -> PipelineState:
     """Stages 1-5: points, spectrum, regression, positivization."""
+    # an is config has these blocks; an mc config reaches here only
+    # through sweep-c or export-eigen
+    missing = [blk for blk in _controller_blocks(cfg.model["name"])
+               if getattr(cfg, blk) is None]
+    if missing:
+        raise ConfigError(f"the controller stages need the config blocks "
+                          f"{missing}")
     model = make_builtin_model(cfg.model["name"], cfg.model.get("params"))
     event = _build_event(cfg)
     state = PipelineState(model, event)

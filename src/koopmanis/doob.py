@@ -128,11 +128,13 @@ class Controller:
     - its serialization, where it has one.
 
     ``bias_batch(t, X) -> (u (m, r), floored)`` is the one bias formula,
-    (c / max(Phi, floor)) * B^T grad Phi, with ``floored`` the number of
-    rows where the floor was active.  It is row-local when both methods
-    are: row i of its result depends only on X[i], bit for bit, whatever
-    the number of rows.  The path engine's block-size invariance rests on
-    this.  ``SpdeController`` is the one exception: its ``Y @ w1`` is a
+    (c / max(Phi, floor)) * B^T grad Phi, with ``floored`` the (m,) mask of
+    the rows where the floor was active (0 where no row can be).  The
+    multiplier c is a scalar or one value per row of X.  The formula is
+    row-local when both methods are: row i of its result depends only on
+    X[i] and c[i], bit for bit, whatever the number of rows.  The path
+    engine's block-size invariance and the stacked multiplier sweep rest
+    on this.  ``SpdeController`` is the one exception: its ``Y @ w1`` is a
     BLAS product whose last bit depends on the number of rows.
 
     Controllers are immutable after construction: ``with_multiplier``
@@ -141,12 +143,15 @@ class Controller:
     """
 
     horizon: float
-    multiplier: float
+    multiplier: float | np.ndarray
     floor: float
 
-    def with_multiplier(self, c: float):
+    def with_multiplier(self, c):
+        """A copy at multiplier c: a scalar, or an array with one value
+        per row of the ensemble it runs (the engine slices it per block)."""
         out = copy.copy(self)
-        out.multiplier = float(c)
+        out.multiplier = float(c) if np.ndim(c) == 0 \
+            else np.asarray(c, dtype=float)
         return out
 
     def _check_time(self, t):
@@ -157,7 +162,7 @@ class Controller:
         val, grad = self.value_grad_batch(t, X)
         u = (self.multiplier / np.maximum(val, self.floor))[:, None] \
             * self._noise_map(grad)
-        return u, int(np.count_nonzero(val < self.floor))
+        return u, val < self.floor
 
 
 class DoobController(Controller):
@@ -273,22 +278,33 @@ def tune_multiplier(controller, model, obs, x0, T, dt, grid, batch,
                     target=0.5, seed=0, scheme=None, workers=1) -> TuneResult:
     """Sweep the multiplier grid with common random numbers per value.
 
-    Returns the multiplier whose event-hit fraction is closest to the
-    target, breaking ties toward the smaller value, along with the full
-    sweep table.
+    The sweep runs as one stacked ensemble of len(grid) * batch rows: row
+    g * batch + i is path i of ``seed`` at multiplier grid[g], so each
+    path's noise is drawn once and replayed for every c.  Because the
+    engine and the controllers are row-local, every row is bit for bit the
+    path an ensemble at that c alone would give.  Each c's rows are then
+    reduced by ``estimator.run_ensemble``.  Returns the multiplier whose
+    event-hit fraction is closest to the target, breaking ties toward the
+    smaller value, along with the full sweep table.
     """
-    from .estimator import run_ensemble  # local import: estimator uses paths only
+    from . import estimator  # local import: estimator imports this module
 
     grid = sorted(float(c) for c in grid)
     if not grid:
         raise ConfigError("multiplier grid is empty")
     if batch < 50:
         raise ConfigError("tuning batch must be at least 50")
+    n = len(grid)
+    stacked = estimator.simulate_ensemble(
+        model, controller.with_multiplier(np.repeat(grid, batch)), x0, T,
+        dt, scheme=scheme, M=n * batch, master_seed=seed, workers=workers,
+        path_index=np.tile(np.arange(batch), n))
     rows = []
-    for c in grid:
-        rep = run_ensemble(model, controller.with_multiplier(c), obs, x0, T,
-                           dt, scheme=scheme, M=batch, master_seed=seed,
-                           workers=workers)
+    for g, c in enumerate(grid):
+        rep = estimator.run_ensemble(
+            model, controller.with_multiplier(c), obs, x0, T, dt,
+            scheme=scheme, M=batch, master_seed=seed,
+            ensemble=stacked.rows(g * batch, (g + 1) * batch))
         rows.append((c, rep.proportion_in_event, rep.estimate,
                      rep.sample_variance, rep.relative_error_per_sample))
     if all(row[1] == 0.0 for row in rows):

@@ -21,17 +21,6 @@ class UnsupportedSchemeError(KoopmanisError):
     """Integration scheme not applicable to the given model."""
 
 
-class PathBlowupError(KoopmanisError):
-    """A simulated path left the finite-state region.
-
-    Carries the step index at which the first non-finite value appeared.
-    """
-
-    def __init__(self, step_index, message=None):
-        self.step_index = step_index
-        super().__init__(message or f"non-finite state at step {step_index}")
-
-
 class ConfigError(KoopmanisError):
     """Experiment configuration is inconsistent or incomplete."""
 

@@ -18,7 +18,8 @@ from scipy.linalg import expm
 from scipy.special import erfc, erfcx
 
 from .doob import Controller
-from .errors import ConfigError, InvalidParameterError, NumericalError
+from .errors import (ConfigError, InvalidParameterError, NumericalError,
+                     ShapeError)
 from .model import EventObservable, SdeModel
 from .paths import PathEnsemble, derive_path_rng, run_paths
 from .spde import run_spde_paths
@@ -69,36 +70,55 @@ def _fsum_mean_var(values):
     return mean, var
 
 
+def simulate_ensemble(model: SdeModel, controller, x0, T, dt=1e-3,
+                      scheme=None, M=2, master_seed=0, workers=1,
+                      block_size=8192, trajectory_count=0,
+                      trajectory_stride=None, path_index=None) -> PathEnsemble:
+    """The M-row ensemble of ``run_ensemble``, simulated and not reduced:
+    SDE models run through ``run_paths``, SPDE models through
+    ``run_spde_paths`` (from the zero field when x0 is None).  Row i is
+    path ``path_index[i]`` (default i) of ``master_seed``."""
+    if controller is not None and abs(controller.horizon - T) > 1e-12:
+        raise ConfigError(
+            f"controller horizon {controller.horizon} != ensemble horizon {T}")
+    if model.spde is not None:
+        return run_spde_paths(model.spde, controller, x0, T, dt, M,
+                              master_seed, block_size=min(block_size, 2048),
+                              workers=workers, path_index=path_index)
+    return run_paths(model, controller, x0, T, dt, scheme, M, master_seed,
+                     block_size=block_size, workers=workers,
+                     trajectory_count=trajectory_count,
+                     trajectory_stride=trajectory_stride,
+                     path_index=path_index)
+
+
 def run_ensemble(model: SdeModel, controller, obs: EventObservable, x0, T,
                  dt=1e-3, scheme=None, M=2, master_seed=0, workers=1,
                  block_size=8192, trajectory_count=0,
-                 trajectory_stride=None) -> EstimatorReport:
+                 trajectory_stride=None, ensemble=None) -> EstimatorReport:
     """Estimate E[f(X_T)] over M paths, optionally under a biasing controller.
 
+    The paths come from ``simulate_ensemble``, or are ``ensemble`` when it
+    is given: M rows already simulated with this controller, such as one
+    multiplier's rows of the stacked sweep in ``doob.tune_multiplier``.
     Per-path outcomes are f(X_T) exp(log_weight) with f the strict
     indicator (or the mollified surrogate when the observable is in
     mollified mode).  Blown-up paths are excluded from the estimate but
     counted, and flag the report as unreliable.  A surviving path whose
     weight is too large for the variance to stay finite, above
-    sqrt(max double / n) for n surviving paths, raises ``NumericalError``.  The event is
-    evaluated once on the surviving terminal states; its indicator gives
-    both the hit fraction and, in indicator mode, f.
+    sqrt(max double / n) for n surviving paths, raises ``NumericalError``.
+    The event is evaluated once on the surviving terminal states; its
+    indicator gives both the hit fraction and, in indicator mode, f.
     """
     if M < 2:
         raise ConfigError("need at least two paths")
-    if controller is not None and abs(controller.horizon - T) > 1e-12:
-        raise ConfigError(
-            f"controller horizon {controller.horizon} != ensemble horizon {T}")
-    if model.spde is not None:
-        y0 = np.zeros(model.spde.n_modes) if x0 is None else np.asarray(x0, float)
-        ens = run_spde_paths(model.spde, controller, y0, T, dt, M,
-                             master_seed, block_size=min(block_size, 2048),
-                             workers=workers)
-    else:
-        ens = run_paths(model, controller, x0, T, dt, scheme, M,
-                        master_seed, block_size=block_size, workers=workers,
-                        trajectory_count=trajectory_count,
-                        trajectory_stride=trajectory_stride)
+    ens = ensemble
+    if ens is None:
+        ens = simulate_ensemble(model, controller, x0, T, dt, scheme, M,
+                                master_seed, workers, block_size,
+                                trajectory_count, trajectory_stride)
+    elif len(ens.terminal) != M:
+        raise ShapeError(f"ensemble has {len(ens.terminal)} rows, not M = {M}")
     ok = ~ens.blown
     n_ok = int(ok.sum())
     blowups = M - n_ok
@@ -124,7 +144,7 @@ def run_ensemble(model: SdeModel, controller, obs: EventObservable, x0, T,
         model_name=model.name, estimate=estimate, sample_variance=variance,
         relative_error_per_sample=rel, proportion_in_event=proportion,
         M=n_ok, master_seed=master_seed, dt=ens.dt, blowup_count=blowups,
-        floor_count=ens.floor_count,
+        floor_count=int(np.sum(ens.floored)),
         multiplier=None if controller is None else controller.multiplier,
         n_eigenfunctions=None if controller is None
         else getattr(controller, "n_eigenfunctions", None),

@@ -24,22 +24,32 @@ The engine knows no event: it returns terminal states, log-weights and
 blow-up flags, and the estimator evaluates the event once on the
 surviving terminal states.
 
-Determinism contract: path i draws its noise only from
-``derive_path_rng(master_seed, i)``, in time order and in the same amounts
-whatever the chunking; blocks are independent and assembled in path-index
-order.  Results are therefore bit-identical for any worker count, and for
-any block size when both the stepper and the controller are row-local:
-row i of a step or of ``bias_batch`` depends only on row i of the input,
-bit for bit, whatever the number of rows.  Every controller shares the
-one bias formula of ``doob.Controller.bias_batch``, which is row-local
-when the controller's ``value_grad_batch`` and ``_noise_map`` are.  The
-Doob and exact OU controllers are, and so are the SDE steppers on
-additive-noise models, which form B v as a multiply-add over the noise
-columns.  The known exceptions are the SPDE stepper (``spde.exp_euler``)
-and ``SpdeController``, whose mode-coupling matmuls are shape-sensitive
-at the ulp level.  A path whose state becomes non-finite is marked blown and
-frozen at zero.  The single-path reference the engine is tested against,
-one path stepped alone through ``sde_stepper``, is ``tests/reference.py``.
+Determinism contract: row i of an ensemble draws its noise only from
+``derive_path_rng(master_seed, path_index[i])`` (by default path_index[i]
+= i), in time order and in the same amounts whatever the chunking; blocks
+are independent and assembled in row order.  Rows that share a path index
+replay one stream: each distinct path of a block is derived and drawn once
+per noise chunk, and its draws are gathered into every row that names it.
+A controller's multiplier is a scalar or one value per row; the engine
+hands each block the slice of its rows, next to their starts.  Results are
+therefore bit-identical for any worker count, and for any block size when
+both the stepper and the controller are row-local: row i of a step or of
+``bias_batch`` depends only on row i of the input (its state and its
+multiplier), bit for bit, whatever the number of rows.  A row run with
+path index p and multiplier c is then bit for bit path p of an ensemble
+run at c alone, which is what lets ``doob.tune_multiplier`` run its whole
+sweep as one stacked ensemble.  Every controller shares the one bias
+formula of ``doob.Controller.bias_batch``, which is row-local when the
+controller's ``value_grad_batch`` and ``_noise_map`` are.  The Doob and
+exact OU controllers are, and so are the SDE steppers on additive-noise
+models, which form B v as a multiply-add over the noise columns.  The
+known exceptions are the SPDE stepper (``spde.exp_euler``) and
+``SpdeController``: their mode-coupling matmuls are shape-sensitive at the
+ulp level, so SPDE rows are bit-identical across block sizes and stackings
+only as far as those BLAS products are.  A path whose state becomes
+non-finite is marked blown and frozen at zero.  The single-path reference
+the engine is tested against, one path stepped alone through
+``sde_stepper``, is ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -133,46 +143,59 @@ def sde_stepper(model, scheme, dt):
 
 @dataclass
 class PathEnsemble:
-    """Raw per-path output of a simulated ensemble, in path-index order."""
+    """Raw per-row output of a simulated ensemble, in row order."""
 
     terminal: np.ndarray          # (M, d)
     log_weight: np.ndarray        # (M,)
     blown: np.ndarray             # (M,) bool
-    floor_count: int = 0
+    floored: np.ndarray           # (M,) steps at which Phi was floored
     trajectories: list = field(default_factory=list)
     K: int = 0
     dt: float = 0.0
+
+    def rows(self, start, stop) -> "PathEnsemble":
+        """Rows start..stop-1 as an ensemble of their own, without
+        trajectories."""
+        return PathEnsemble(self.terminal[start:stop],
+                            self.log_weight[start:stop],
+                            self.blown[start:stop],
+                            self.floored[start:stop], [], self.K, self.dt)
 
 
 def _block_ranges(M, block_size):
     return [(s, min(s + block_size, M)) for s in range(0, M, block_size)]
 
 
-def _run_block(step, r, x0, K, dt, controller, master_seed, start, stride,
-               record):
+def _run_block(step, r, x0, K, dt, controller, master_seed, path_index,
+               stride, record):
     B = len(x0)
     sqdt = math.sqrt(dt)
-    gens = [derive_path_rng(master_seed, i) for i in range(start, start + B)]
+    # one stream per distinct path; inv maps each row to its stream
+    paths, inv = np.unique(path_index, return_inverse=True)
+    if np.array_equal(inv, np.arange(B)):
+        inv = slice(None)  # a stream per row, in order: read draws in place
+    gens = [derive_path_rng(master_seed, int(p)) for p in paths]
     x = np.array(x0, dtype=float)
     logw = np.zeros(B)
     blown = np.zeros(B, dtype=bool)
-    floor_count = 0
+    floored = np.zeros(B, dtype=np.int64)
     snaps = np.empty((record, 1 + K // stride) + x.shape[1:])
     snaps[:, 0] = x[:record]
 
     # noise is pre-drawn per path in time-ordered chunks so each stream is
-    # consumed identically no matter the chunking
-    chunk_steps = max(1, 4_000_000 // max(1, B * r))
+    # consumed identically no matter the chunking; rows gather their
+    # path's draws one step at a time
+    chunk_steps = max(1, 4_000_000 // max(1, len(paths) * r))
     k = 0
     while k < K:
         kc = min(chunk_steps, K - k)
         xi_chunk = np.stack([g.standard_normal((kc, r)) for g in gens])
         for j in range(kc):
-            xi = xi_chunk[:, j, :]
+            xi = xi_chunk[inv, j]
             u = None
             if controller is not None:
                 u, nf = controller.bias_batch((k + j) * dt, x)
-                floor_count += nf
+                floored += nf
                 logw -= (u * xi).sum(axis=1) * sqdt + 0.5 * (u * u).sum(axis=1) * dt
             with np.errstate(over="ignore", invalid="ignore"):
                 x = step(x, u, xi)
@@ -183,36 +206,52 @@ def _run_block(step, r, x0, K, dt, controller, master_seed, start, stride,
             if record and (k + j + 1) % stride == 0:
                 snaps[:, (k + j + 1) // stride] = x[:record]
         k += kc
-    return x, logw, blown, floor_count, snaps
+    return x, logw, blown, floored, snaps
 
 
 def run_engine(step, r, starts, K, dt, controller=None, master_seed=0,
-               block_size=8192, workers=1, stride=1, record=0):
+               block_size=8192, workers=1, stride=1, record=0,
+               path_index=None):
     """The block engine: K steps of ``step(x, u, xi) -> x`` from each row of
-    ``starts``, with r standard normal draws per path and step and the
+    ``starts``, with r standard normal draws per row and step and the
     control of ``controller`` when one is given.
 
+    Row i draws the noise of path ``path_index[i]`` (default i), and runs
+    at ``controller.multiplier[i]`` when the multiplier is an array.
     Returns the ensemble and the snapshots (record, 1 + K // stride, d) of
-    paths 0..record-1, taken at t = 0 and after every ``stride`` steps.
+    rows 0..record-1, taken at t = 0 and after every ``stride`` steps.
     """
     M = len(starts)
     if M == 0:
         raise ValueError("no paths to simulate")
+    path_index = np.arange(M) if path_index is None \
+        else np.asarray(path_index)
+    if path_index.shape != (M,):
+        raise ShapeError(f"path_index must hold one index per row ({M}), "
+                         f"got shape {path_index.shape}")
+    per_row = controller is not None and np.ndim(controller.multiplier) > 0
+    if per_row and np.shape(controller.multiplier) != (M,):
+        raise ShapeError(f"a per-row multiplier needs one value per row "
+                         f"({M}), got shape {np.shape(controller.multiplier)}")
     ranges = _block_ranges(M, block_size)
 
     def work(rng_pair):
         s, e = rng_pair
-        return _run_block(step, r, starts[s:e], K, dt, controller,
-                          master_seed, s, stride, max(0, min(record, e) - s))
+        ctrl = controller.with_multiplier(controller.multiplier[s:e]) \
+            if per_row else controller
+        return _run_block(step, r, starts[s:e], K, dt, ctrl, master_seed,
+                          path_index[s:e], stride,
+                          max(0, min(record, e) - s))
 
     if workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, ranges))
     else:
         results = [work(rg) for rg in ranges]
-    terminal, log_weight, blown, floors, snaps = zip(*results)
+    terminal, log_weight, blown, floored, snaps = zip(*results)
     ens = PathEnsemble(np.concatenate(terminal), np.concatenate(log_weight),
-                       np.concatenate(blown), sum(floors), [], K, dt)
+                       np.concatenate(blown), np.concatenate(floored), [], K,
+                       dt)
     return ens, np.concatenate(snaps)
 
 
@@ -236,16 +275,26 @@ def trajectory_snapshots(make_step, r, starts, T_traj, stride, seed, dt):
     return kept.reshape(-1, starts.shape[1]), (n - len(kept)) * snaps.shape[1]
 
 
+def tile_start(x0, dim, M) -> np.ndarray:
+    """The start x0 repeated for M rows; the one check, for the SDE and
+    the SPDE engine alike, that x0 is a state of dimension ``dim``."""
+    if x0 is None or np.shape(x0) != (dim,):
+        raise ShapeError(f"x0 must be a state of the model dimension "
+                         f"{dim}, got {x0!r}")
+    return np.tile(np.asarray(x0, dtype=float), (M, 1))
+
+
 def run_paths(model, controller, x0, T, dt, scheme=None, M=1,
               master_seed=0, block_size=8192, workers=1,
-              trajectory_count=0, trajectory_stride=None) -> PathEnsemble:
-    """Simulate M paths and collect terminal states and Girsanov weights.
+              trajectory_count=0, trajectory_stride=None,
+              path_index=None) -> PathEnsemble:
+    """Simulate M rows and collect terminal states and Girsanov weights.
 
-    Paths are partitioned into blocks that may run on worker threads; the
-    result arrays are always assembled in path-index order and are
-    bit-identical for any block size or worker count.  The first
-    ``trajectory_count`` paths also report (path, t, state) rows every
-    ``trajectory_stride`` steps and at T.
+    Rows are partitioned into blocks that may run on worker threads; the
+    result arrays are always assembled in row order and are bit-identical
+    for any block size or worker count.  Row i is path ``path_index[i]``
+    (default i).  The first ``trajectory_count`` rows also report
+    (row, t, state) rows every ``trajectory_stride`` steps and at T.
     """
     scheme = scheme or default_scheme(model)
     _check_scheme(model, scheme)
@@ -253,13 +302,11 @@ def run_paths(model, controller, x0, T, dt, scheme=None, M=1,
     if trajectory_count and not trajectory_stride:
         trajectory_stride = max(1, K // 200)
     stride = trajectory_stride or 1
-    if x0 is None or np.shape(x0) != (model.dim_state,):
-        raise ShapeError(f"x0 must be a state of the model dimension "
-                         f"{model.dim_state}, got {x0!r}")
-    starts = np.tile(np.asarray(x0, dtype=float), (M, 1))
+    starts = tile_start(x0, model.dim_state, M)
     ens, snaps = run_engine(sde_stepper(model, scheme, dt), model.dim_noise,
                             starts, K, dt, controller, master_seed,
-                            block_size, workers, stride, trajectory_count)
+                            block_size, workers, stride, trajectory_count,
+                            path_index)
     steps = range(0, K + 1, stride)
     for p, traj in enumerate(snaps):
         ens.trajectories.extend((p, kk * dt, x) for kk, x in zip(steps, traj))

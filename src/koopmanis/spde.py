@@ -21,7 +21,8 @@ import numpy as np
 
 from .doob import Controller, fit_surrogate
 from .errors import InvalidParameterError, NumericalError
-from .paths import adjust_steps, run_engine, trajectory_snapshots
+from .paths import (adjust_steps, run_engine, tile_start,
+                    trajectory_snapshots)
 # bound here for the benchmark's layer trace, which patches each module's
 # derive_path_rng
 from .paths import derive_path_rng  # noqa: F401
@@ -207,12 +208,17 @@ def build_spde_controller(spde: SpectralSpde, snapshots, event, T,
 
 
 def run_spde_paths(spde, controller, Y0, T, dt, M, master_seed,
-                   block_size=2048, workers=1):
-    """Ensemble of SPDE mode paths; same determinism contract as run_paths."""
+                   block_size=2048, workers=1, path_index=None):
+    """Ensemble of SPDE mode paths from Y0 (the zero field when None);
+    same determinism contract as run_paths, as far as the mode-coupling
+    matmuls allow."""
     K, dt = adjust_steps(T, dt)
-    starts = np.tile(np.asarray(Y0, dtype=float), (M, 1))
+    if Y0 is None:
+        Y0 = np.zeros(spde.n_modes)
+    starts = tile_start(Y0, spde.n_modes, M)
     ens, _ = run_engine(_engine_stepper(spde, dt), spde.n_modes, starts, K,
-                        dt, controller, master_seed, block_size, workers)
+                        dt, controller, master_seed, block_size, workers,
+                        path_index=path_index)
     return ens
 
 

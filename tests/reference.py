@@ -1,9 +1,11 @@
-"""Single-point reference implementations the package is tested against.
+"""Reference implementations the package is tested against.
 
 ``simulate_path`` runs one path step by step through the engine's own
 stepper on a one-row block; ``generator_apply`` applies the generator to
-one function jet at one state.  Neither is used by the pipeline, which
-works on blocks of paths and on whole dictionaries at once.
+one function jet at one state; ``sweep_table_per_c`` runs the multiplier
+sweep as one ensemble per multiplier.  None is used by the pipeline,
+which works on blocks of paths, on whole dictionaries and on one stacked
+sweep ensemble at once.
 """
 
 from __future__ import annotations
@@ -13,10 +15,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from koopmanis.errors import PathBlowupError, ShapeError
+from koopmanis.errors import KoopmanisError, ShapeError
+from koopmanis.estimator import run_ensemble
 from koopmanis.model import SdeModel, half_diffusion_sq
 from koopmanis.paths import (_check_scheme, adjust_steps, default_scheme,
                              derive_path_rng, sde_stepper)
+
+
+class PathBlowupError(KoopmanisError):
+    """A path simulated alone left the finite-state region.
+
+    Carries the step index at which the first non-finite value appeared.
+    The block engine raises no such error: it marks blown paths and
+    freezes them at zero.
+    """
+
+    def __init__(self, step_index, message=None):
+        self.step_index = step_index
+        super().__init__(message or f"non-finite state at step {step_index}")
 
 
 @dataclass
@@ -81,3 +97,18 @@ def generator_apply(model: SdeModel, jet, x) -> float:
     a = model.drift(x[None, :])[0]
     Q = half_diffusion_sq(model, x)
     return float(a @ grad + (Q * hess).sum())
+
+
+def sweep_table_per_c(controller, model, obs, x0, T, dt, grid, batch, seed=0,
+                      scheme=None, workers=1) -> list:
+    """The table of ``doob.tune_multiplier`` from one ensemble per grid
+    value: each draws every path's noise afresh, with the same seed and
+    path indices 0..batch-1 (common random numbers)."""
+    rows = []
+    for c in sorted(float(c) for c in grid):
+        rep = run_ensemble(model, controller.with_multiplier(c), obs, x0, T,
+                           dt, scheme=scheme, M=batch, master_seed=seed,
+                           workers=workers)
+        rows.append((c, rep.proportion_in_event, rep.estimate,
+                     rep.sample_variance, rep.relative_error_per_sample))
+    return rows

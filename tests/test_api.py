@@ -1,9 +1,10 @@
 """The package holds only code the pipeline runs.
 
-Every module-level function in ``src/koopmanis`` must be referenced
-somewhere in the package other than its own definition, or be exported
-through ``koopmanis.__all__``.  A helper only the tests call belongs in
-``tests/reference.py``, and a helper nothing calls should be deleted.
+Every module-level function and class in ``src/koopmanis`` must be
+referenced somewhere in the package other than its own definition, or be
+exported through ``koopmanis.__all__``.  A helper only the tests use
+belongs in ``tests/reference.py``, and a helper nothing uses should be
+deleted.
 """
 
 import ast
@@ -30,23 +31,34 @@ def _references(tree):
     return refs
 
 
-def test_every_module_function_is_used_or_exported():
+def _unused(kinds):
+    """Module-level definitions of the given node kinds that nothing in
+    the package uses and ``__all__`` does not export, as module.name."""
     trees = _trees()
     refs = {name: _references(tree) for name, tree in trees.items()}
     exported = set(koopmanis.__all__)
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not isinstance(node, kinds):
                 continue
             name = node.name
             if name in exported:
                 continue
-            # a function's own body does not count as a use of it
+            # a definition's own body does not count as a use of it
             rest = ast.Module(body=[n for n in tree.body if n is not node],
                               type_ignores=[])
             if name not in _references(rest) and not any(
                     name in r for m, r in refs.items() if m != module):
                 unused.append(f"{module}.{name}")
+    return unused
+
+
+def test_every_module_function_is_used_or_exported():
+    unused = _unused((ast.FunctionDef, ast.AsyncFunctionDef))
     assert unused == [], f"unused module-level functions: {unused}"
 
+
+def test_every_module_class_is_used_or_exported():
+    unused = _unused(ast.ClassDef)
+    assert unused == [], f"unused module-level classes: {unused}"

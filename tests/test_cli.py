@@ -135,6 +135,24 @@ def test_sweep_without_doob_block_is_a_config_error(tmp_path, capsys):
     assert "ConfigError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["sweep-c", "export-eigen"])
+@pytest.mark.parametrize("dropped", [["points"], ["basis"],
+                                     ["points", "basis", "gedmd"]])
+def test_controller_verbs_name_a_missing_block(tmp_path, capsys, verb,
+                                               dropped):
+    """An mc config may omit the controller blocks; the verbs that fit a
+    controller then fail with a ConfigError naming them."""
+    raw = _tiny_ou_config(tmp_path, method="mc")
+    for blk in dropped:
+        del raw[blk]
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main([verb, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err
+    assert all(repr(blk) in err for blk in dropped)
+
+
 def test_cli_oracle_verb(capsys):
     assert cli.main(["oracle", "ou1d", "--T", "1.0"]) == 0
     out = capsys.readouterr().out

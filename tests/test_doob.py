@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from koopmanis import build_basis, make_builtin_model, make_event
-from koopmanis import doob, estimator, gedmd, spde
-from koopmanis.errors import ConfigError, TuningFailedError
+from koopmanis import (build_basis, derive_path_rng, make_builtin_model,
+                       make_event, ou_exact_controller, run_paths)
+from koopmanis import doob, estimator, gedmd, paths, spde
+from koopmanis.errors import ConfigError, ShapeError, TuningFailedError
+from reference import sweep_table_per_c
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +342,97 @@ def test_tune_batch_minimum():
     with pytest.raises(ConfigError):
         doob.tune_multiplier(_FlatController(1.0), m, ev, [0.0], 1.0, 1e-2,
                              grid=[1], batch=10, target=0.5, seed=5)
+
+
+def _sweep_case(name, fitted_controllers):
+    """(controller, model, event, x0) of one stacked-sweep case; T = 1."""
+    if name in fitted_controllers:
+        model, ctrl, x0 = fitted_controllers[name]
+        return ctrl, model, make_event("norm", 2.0, mode="indicator"), x0
+    if name.startswith("ou_"):
+        model = make_builtin_model("ou1d")
+        ev = make_event("coordinate", 2.0, mode=name[3:])
+        return ou_exact_controller(model, ev, 1.0), model, ev, [0.0]
+    model = make_builtin_model("advdiff", {"n_modes": 8})
+    ctrl = spde.SpdeController(model.spde, 1.0, 0.4, 1.0)
+    return ctrl, model, make_event("norm", 1.0, mode="indicator"), None
+
+
+def _hex_table(rows):
+    return [tuple(float(v).hex() for v in row) for row in rows]
+
+
+_SWEEP_CASES = ["legendre_box", "linear_exact", "ou_indicator",
+                "ou_mollified", "spde"]
+
+
+@pytest.mark.parametrize("name", _SWEEP_CASES)
+def test_stacked_rows_match_one_ensemble_per_multiplier(
+        fitted_controllers, name):
+    """Rows that share a path index replay its noise at their own
+    multiplier: each c's rows of a stacked ensemble, run on two workers in
+    blocks that straddle the multipliers, are bit for bit the ensemble at
+    that c alone.  The SPDE matmuls are shape-sensitive, so there each
+    block holds the rows of one c, as the ensemble at that c does."""
+    ctrl, model, ev, x0 = _sweep_case(name, fitted_controllers)
+    grid, batch = [1.0, 2.0, 4.0], 50
+    stacked = estimator.simulate_ensemble(
+        model, ctrl.with_multiplier(np.repeat(grid, batch)), x0, 1.0, 1e-2,
+        M=len(grid) * batch, master_seed=9, workers=2,
+        block_size=batch if name == "spde" else 64,
+        path_index=np.tile(np.arange(batch), len(grid)))
+    for g, c in enumerate(grid):
+        alone = estimator.simulate_ensemble(
+            model, ctrl.with_multiplier(c), x0, 1.0, 1e-2, M=batch,
+            master_seed=9)
+        rows = stacked.rows(g * batch, (g + 1) * batch)
+        for field in ("terminal", "log_weight", "blown", "floored"):
+            assert getattr(rows, field).tobytes() \
+                == getattr(alone, field).tobytes(), (c, field)
+
+
+@pytest.mark.parametrize("name", _SWEEP_CASES)
+def test_stacked_sweep_matches_one_ensemble_per_multiplier(
+        fitted_controllers, name):
+    """The stacked sweep gives the per-c ensembles' table, bit for bit
+    where the controller and the stepper are row-local; the SPDE rows are
+    as exact as their BLAS products on a block of all the sweep's rows."""
+    ctrl, model, ev, x0 = _sweep_case(name, fitted_controllers)
+    grid, batch = [4, 1, 2], 50
+    want = sweep_table_per_c(ctrl, model, ev, x0, 1.0, 1e-2, grid, batch,
+                             seed=9)
+    res = doob.tune_multiplier(ctrl, model, ev, x0, 1.0, 1e-2, grid, batch,
+                               seed=9, workers=2)
+    if name == "spde":
+        assert np.allclose(res.table, want, rtol=1e-9, atol=0.0)
+    else:
+        assert _hex_table(res.table) == _hex_table(want)
+    assert ctrl.multiplier == 1.0  # the sweep leaves the controller as it was
+
+
+def test_stacked_sweep_draws_each_path_once(monkeypatch):
+    m = make_builtin_model("ou1d")
+    ev = make_event("coordinate", 2.0, mode="indicator")
+    ctrl = ou_exact_controller(m, ev, 1.0)
+    derived = []
+
+    def counting(seed, index):
+        derived.append(index)
+        return derive_path_rng(seed, index)
+
+    monkeypatch.setattr(paths, "derive_path_rng", counting)
+    res = doob.tune_multiplier(ctrl, m, ev, [0.0], 1.0, 1e-2,
+                               grid=[1, 2, 4], batch=60, seed=3)
+    assert len(res.table) == 3
+    assert sorted(derived) == list(range(60))
+
+
+def test_per_row_multiplier_needs_one_value_per_row():
+    m = make_builtin_model("ou1d")
+    ev = make_event("coordinate", 2.0, mode="indicator")
+    ctrl = ou_exact_controller(m, ev, 1.0).with_multiplier([1.0, 2.0, 3.0])
+    with pytest.raises(ShapeError, match="per-row multiplier"):
+        run_paths(m, ctrl, [0.0], 1.0, 1e-2, M=4)
 
 
 def test_controller_serialization_roundtrip(ou_spectrum):

@@ -7,7 +7,8 @@ from scipy.special import erfc
 
 from koopmanis import make_builtin_model, make_event
 from koopmanis import doob, estimator
-from koopmanis.errors import ConfigError, InvalidParameterError, NumericalError
+from koopmanis.errors import (ConfigError, InvalidParameterError,
+                              NumericalError, ShapeError)
 from koopmanis.paths import PathEnsemble
 
 
@@ -193,8 +194,8 @@ def test_weight_overflow_raises(monkeypatch):
     ev = make_event("coordinate", 2.0, mode="indicator")
     log_w = np.array([0.0, -3.0, 709.9, 712.5])
     ens = PathEnsemble(terminal=np.array([[3.0], [0.0], [3.0], [0.0]]),
-                       log_weight=log_w, blown=np.zeros(4, bool), K=100,
-                       dt=1e-2)
+                       log_weight=log_w, blown=np.zeros(4, bool),
+                       floored=np.zeros(4, int), K=100, dt=1e-2)
     monkeypatch.setattr(estimator, "run_paths", lambda *a, **k: ens)
     with pytest.raises(NumericalError, match="2 path weights overflow.*712.5"):
         estimator.run_ensemble(m, None, ev, [0.0], 1.0, 1e-2, M=4)
@@ -207,6 +208,23 @@ def test_weight_overflow_raises(monkeypatch):
     rep = estimator.run_ensemble(m, None, ev, [0.0], 1.0, 1e-2, M=4)
     assert math.isfinite(rep.estimate)
     assert math.isfinite(rep.sample_variance)
+
+
+def test_presimulated_rows_reduce_like_the_ensemble():
+    """run_ensemble on rows simulated beforehand is the one reduction of
+    the ensemble it would simulate itself; the row count must be M."""
+    m = make_builtin_model("ou1d")
+    ev = make_event("coordinate", 1.0, mode="indicator")
+    rep = estimator.run_ensemble(m, None, ev, [0.0], 1.0, 1e-2, M=300,
+                                 master_seed=4)
+    ens = estimator.simulate_ensemble(m, None, [0.0], 1.0, 1e-2, M=300,
+                                      master_seed=4)
+    again = estimator.run_ensemble(m, None, ev, [0.0], 1.0, 1e-2, M=300,
+                                   master_seed=4, ensemble=ens)
+    assert again.csv_row() == rep.csv_row()
+    with pytest.raises(ShapeError, match="300 rows, not M = 200"):
+        estimator.run_ensemble(m, None, ev, [0.0], 1.0, 1e-2, M=200,
+                               ensemble=ens)
 
 
 def test_csv_row_schema():

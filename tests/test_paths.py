@@ -5,11 +5,10 @@ import pytest
 
 from koopmanis import (derive_path_rng, make_builtin_model, make_event,
                        run_ensemble, run_paths)
-from koopmanis.errors import (PathBlowupError, ShapeError,
-                              UnsupportedSchemeError)
+from koopmanis.errors import ShapeError, UnsupportedSchemeError
 from koopmanis.model import SdeModel
 from koopmanis.paths import _step_block, adjust_steps, sde_stepper
-from reference import simulate_path
+from reference import PathBlowupError, simulate_path
 
 
 def _deterministic_decay_model():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from koopmanis import make_builtin_model, make_event, spectral_setup
+from koopmanis import (make_builtin_model, make_event, run_ensemble,
+                       spectral_setup, tune_multiplier)
 from koopmanis import spde as spde_mod
-from koopmanis.errors import InvalidParameterError
+from koopmanis.errors import InvalidParameterError, ShapeError
 from koopmanis.paths import adjust_steps, derive_path_rng
 
 
@@ -222,6 +223,18 @@ def test_spde_unbiasedness_non_rare():
     y1 = ev.indicator(biased.terminal) * np.exp(biased.log_weight)
     se = math.sqrt(y0.var() / M + y1.var() / M)
     assert abs(y0.mean() - y1.mean()) < 4 * se
+
+
+def test_spde_start_of_the_wrong_dimension_is_a_shape_error():
+    """The SPDE ensemble and the sweep check x0 like the SDE engine."""
+    model = make_builtin_model("advdiff", {"n_modes": 8})
+    ev = make_event("norm", 1.0, mode="indicator")
+    ctrl = spde_mod.SpdeController(model.spde, 1.0, 0.4, 1.0)
+    with pytest.raises(ShapeError, match="x0 .*dimension 8"):
+        run_ensemble(model, None, ev, [0.0, 0.0, 0.0], 1.0, 1e-2, M=4)
+    with pytest.raises(ShapeError, match="x0 .*dimension 8"):
+        tune_multiplier(ctrl, model, ev, [0.0, 0.0, 0.0], 1.0, 1e-2, [1, 2],
+                        batch=50)
 
 
 def test_spde_paths_deterministic(sp64):
