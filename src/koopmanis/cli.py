@@ -11,6 +11,14 @@ Verbs:
 
 All seeds come from the config; nothing is time-seeded.  Identical
 (config, seed) runs produce byte-identical outputs.
+
+The ``run`` block: M, T, master_seed (required), x0, method, dt, scheme
+and workers, the one parallelism knob: the path engine splits each
+ensemble into ``workers`` blocks on as many threads (``paths`` has the
+layout rule), with byte-identical SDE outputs.  Threads pay off only where
+numpy releases the interpreter lock long enough.  Final ensembles at c = 8
+on 2 cores, one BLAS thread, 1 -> 2 workers: advdiff 5.01 -> 2.84 s, vdp
+1.99 -> 2.79 s, brownian_osc 0.55 -> 1.31 s.  The default is 1.
 """
 
 from __future__ import annotations
@@ -41,8 +49,7 @@ _BLOCK_DEFAULTS = {
     "gedmd": {"validation_threshold": 0.04, "max_eigenfunctions": None},
     "doob": {"multiplier_grid": [1, 2, 4, 6, 8, 16], "tuning_batch": 100,
              "target_fraction": 0.5, "offset": None},
-    "run": {"method": "is", "dt": 1e-3, "scheme": None, "workers": 1,
-            "block_size": 8192},
+    "run": {"method": "is", "dt": 1e-3, "scheme": None, "workers": 1},
     "output": {"histogram_bins": 50, "histogram_range": None,
                "trajectory_stride": None, "trajectory_count": 0},
 }
@@ -116,8 +123,7 @@ def _build_event(cfg: ExperimentConfig):
 
 
 def _tuning_seed(cfg: ExperimentConfig) -> int:
-    return cfg.doob.get("tuning_seed",
-                        cfg.run["master_seed"] + TUNE_SEED_OFFSET)
+    return cfg.run["master_seed"] + TUNE_SEED_OFFSET
 
 
 @dataclass(eq=False)
@@ -208,7 +214,7 @@ def _ensemble(cfg: ExperimentConfig, state: PipelineState):
         state.model, state.controller, state.event, run.get("x0"),
         float(run["T"]), float(run["dt"]), scheme=run["scheme"],
         M=int(run["M"]), master_seed=run["master_seed"],
-        workers=run["workers"], block_size=run["block_size"],
+        workers=run["workers"],
         trajectory_count=cfg.output["trajectory_count"],
         trajectory_stride=cfg.output["trajectory_stride"])
 

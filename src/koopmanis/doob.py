@@ -133,7 +133,7 @@ class Controller:
     multiplier c is a scalar or one value per row of X.  The formula is
     row-local when both methods are: row i of its result depends only on
     X[i] and c[i], bit for bit, whatever the number of rows.  The path
-    engine's block-size invariance and the stacked multiplier sweep rest
+    engine's worker-count invariance and the stacked multiplier sweep rest
     on this.  ``SpdeController`` is the one exception: its ``Y @ w1`` is a
     BLAS product whose last bit depends on the number of rows.
 

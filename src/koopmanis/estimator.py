@@ -72,8 +72,8 @@ def _fsum_mean_var(values):
 
 def simulate_ensemble(model: SdeModel, controller, x0, T, dt=1e-3,
                       scheme=None, M=2, master_seed=0, workers=1,
-                      block_size=8192, trajectory_count=0,
-                      trajectory_stride=None, path_index=None) -> PathEnsemble:
+                      trajectory_count=0, trajectory_stride=None,
+                      path_index=None) -> PathEnsemble:
     """The M-row ensemble of ``run_ensemble``, simulated and not reduced:
     SDE models run through ``run_paths``, SPDE models through
     ``run_spde_paths`` (from the zero field when x0 is None).  Row i is
@@ -83,19 +83,17 @@ def simulate_ensemble(model: SdeModel, controller, x0, T, dt=1e-3,
             f"controller horizon {controller.horizon} != ensemble horizon {T}")
     if model.spde is not None:
         return run_spde_paths(model.spde, controller, x0, T, dt, M,
-                              master_seed, block_size=min(block_size, 2048),
-                              workers=workers, path_index=path_index)
+                              master_seed, workers, trajectory_count,
+                              trajectory_stride, path_index)
     return run_paths(model, controller, x0, T, dt, scheme, M, master_seed,
-                     block_size=block_size, workers=workers,
-                     trajectory_count=trajectory_count,
-                     trajectory_stride=trajectory_stride,
-                     path_index=path_index)
+                     workers, trajectory_count, trajectory_stride,
+                     path_index)
 
 
 def run_ensemble(model: SdeModel, controller, obs: EventObservable, x0, T,
                  dt=1e-3, scheme=None, M=2, master_seed=0, workers=1,
-                 block_size=8192, trajectory_count=0,
-                 trajectory_stride=None, ensemble=None) -> EstimatorReport:
+                 trajectory_count=0, trajectory_stride=None,
+                 ensemble=None) -> EstimatorReport:
     """Estimate E[f(X_T)] over M paths, optionally under a biasing controller.
 
     The paths come from ``simulate_ensemble``, or are ``ensemble`` when it
@@ -115,8 +113,8 @@ def run_ensemble(model: SdeModel, controller, obs: EventObservable, x0, T,
     ens = ensemble
     if ens is None:
         ens = simulate_ensemble(model, controller, x0, T, dt, scheme, M,
-                                master_seed, workers, block_size,
-                                trajectory_count, trajectory_stride)
+                                master_seed, workers, trajectory_count,
+                                trajectory_stride)
     elif len(ens.terminal) != M:
         raise ShapeError(f"ensemble has {len(ens.terminal)} rows, not M = {M}")
     ok = ~ens.blown

@@ -153,7 +153,10 @@ def exact_koopman_matrix(basis: BasisSet, model: SdeModel) -> KoopmanMatrixResul
     """Exact generator projection on the monomial dictionary.
 
     Valid for constant-coefficient linear models, whose generator maps
-    polynomials of total degree p into the same space.
+    polynomials of total degree p into the same space.  Each nonzero
+    A[i, l] and Q[i, j] adds its term to every element at once: the
+    differentiated monomial is found in a dense, flattened (p+1)^d
+    position table, the scatter ``BasisSet.value_grad`` uses.
     """
     if basis.family != "linear_exact":
         raise ConfigError("exact projection requires the linear_exact family")
@@ -162,38 +165,25 @@ def exact_koopman_matrix(basis: BasisSet, model: SdeModel) -> KoopmanMatrixResul
     A, _ = model.linear_spec
     Q = half_diffusion_sq(model)
     idx = basis.multi_indices
-    col = {tuple(a): i for i, a in enumerate(idx)}
     n, d = idx.shape
+    # E[i]: the unit exponent vector e_i as an offset in the flat table
+    E = (basis.degree + 1) ** np.arange(d - 1, -1, -1)
+    flat = idx @ E
+    pos = np.zeros((basis.degree + 1) ** d, dtype=int)
+    pos[flat] = np.arange(n)
+    # (coefficient, elements it applies to, shift), in summation order
+    terms = [(A[i, l] * idx[:, i], idx[:, i] > 0, E[l] - E[i])
+             for i, l in zip(*np.nonzero(A))]
+    for i, j in zip(*np.nonzero(Q)):
+        a, b = idx[:, i], idx[:, j]
+        if i == j:
+            terms.append((Q[i, i] * a * (a - 1), a > 1, -2 * E[i]))
+        else:
+            terms.append((Q[i, j] * a * b, (a > 0) & (b > 0), -E[i] - E[j]))
     K = np.zeros((n, n))
-    for k, alpha in enumerate(idx):
-        alpha = tuple(alpha)
-        for i in range(d):
-            if alpha[i] == 0:
-                continue
-            for l in range(d):
-                if A[i, l] == 0.0:
-                    continue
-                beta = list(alpha)
-                beta[i] -= 1
-                beta[l] += 1
-                K[k, col[tuple(beta)]] += A[i, l] * alpha[i]
-        for i in range(d):
-            for j in range(d):
-                if Q[i, j] == 0.0:
-                    continue
-                if i == j:
-                    if alpha[i] < 2:
-                        continue
-                    beta = list(alpha)
-                    beta[i] -= 2
-                    K[k, col[tuple(beta)]] += Q[i, i] * alpha[i] * (alpha[i] - 1)
-                else:
-                    if alpha[i] == 0 or alpha[j] == 0:
-                        continue
-                    beta = list(alpha)
-                    beta[i] -= 1
-                    beta[j] -= 1
-                    K[k, col[tuple(beta)]] += Q[i, j] * alpha[i] * alpha[j]
+    for coef, applies, shift in terms:
+        rows = np.flatnonzero(applies)
+        K[rows, pos[flat[rows] + shift]] += coef[rows]
     return KoopmanMatrixResult(K, np.array([]), n, False)
 
 

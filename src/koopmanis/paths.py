@@ -16,9 +16,11 @@ and SPDE mode snapshots (``spde.generate_mode_snapshots``).  It takes
   exponential Euler recurrence of ``spde.exp_euler``;
 - a per-path start of shape (M, d);
 - one snapshot stride: the states of the first ``record`` paths are kept at
-  t = 0 and after every ``stride`` steps.  ``run_paths`` builds its
-  trajectory rows from these snapshots and adds the terminal state when K
-  is not a multiple of the stride.
+  t = 0 and after every ``stride`` steps; ``PathEnsemble.trajectories``
+  turns them into trajectory rows, for SDE and SPDE ensembles alike.
+
+Layout rule: M rows run as blocks of min(MAX_BLOCK_ROWS, ceil(M / workers))
+rows, on ``workers`` threads when there is more than one block.
 
 The engine knows no event: it returns terminal states, log-weights and
 blow-up flags, and the estimator evaluates the event once on the
@@ -32,7 +34,7 @@ replay one stream: each distinct path of a block is derived and drawn once
 per noise chunk, and its draws are gathered into every row that names it.
 A controller's multiplier is a scalar or one value per row; the engine
 hands each block the slice of its rows, next to their starts.  Results are
-therefore bit-identical for any worker count, and for any block size when
+therefore bit-identical for any worker count, and so for any layout, when
 both the stepper and the controller are row-local: row i of a step or of
 ``bias_batch`` depends only on row i of the input (its state and its
 multiplier), bit for bit, whatever the number of rows.  A row run with
@@ -45,9 +47,9 @@ exact OU controllers are, and so are the SDE steppers on additive-noise
 models, which form B v as a multiply-add over the noise columns.  The
 known exceptions are the SPDE stepper (``spde.exp_euler``) and
 ``SpdeController``: their mode-coupling matmuls are shape-sensitive at the
-ulp level, so SPDE rows are bit-identical across block sizes and stackings
-only as far as those BLAS products are.  A path whose state becomes
-non-finite is marked blown and frozen at zero.  The single-path reference
+ulp level, so SPDE rows are bit-identical across worker counts and
+stackings only as far as those BLAS products are.  A path whose state
+becomes non-finite is marked blown and frozen at zero.  The single-path reference
 the engine is tested against, one path stepped alone through
 ``sde_stepper``, is ``tests/reference.py``.
 """
@@ -56,13 +58,15 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, UnsupportedSchemeError
+from .errors import (ConfigError, InvalidParameterError, ShapeError,
+                     UnsupportedSchemeError)
 
 _MASK64 = (1 << 64) - 1
+MAX_BLOCK_ROWS = 8192
 
 SCHEMES = ("euler_maruyama", "srk_additive")
 
@@ -87,7 +91,8 @@ def adjust_steps(T: float, dt: float) -> tuple[int, float]:
     so the horizon is hit exactly.
     """
     if T <= 0 or dt <= 0:
-        raise ValueError("T and dt must be positive")
+        raise InvalidParameterError(
+            f"T and dt must be positive, got T = {T}, dt = {dt}")
     K = max(1, int(math.ceil(T / dt - 1e-9)))
     return K, T / K
 
@@ -149,9 +154,21 @@ class PathEnsemble:
     log_weight: np.ndarray        # (M,)
     blown: np.ndarray             # (M,) bool
     floored: np.ndarray           # (M,) steps at which Phi was floored
-    trajectories: list = field(default_factory=list)
     K: int = 0
     dt: float = 0.0
+    stride: int = 1
+    snapshots: np.ndarray | tuple = ()   # (record, 1 + K // stride, d)
+
+    @property
+    def trajectories(self) -> list:
+        """(row, t, state) rows of rows 0..record-1: at t = 0, after every
+        ``stride`` steps and at T."""
+        rows, steps = [], range(0, self.K + 1, self.stride)
+        for p, traj in enumerate(self.snapshots):
+            rows.extend((p, k * self.dt, x) for k, x in zip(steps, traj))
+            if self.K % self.stride:
+                rows.append((p, self.K * self.dt, self.terminal[p]))
+        return rows
 
     def rows(self, start, stop) -> "PathEnsemble":
         """Rows start..stop-1 as an ensemble of their own, without
@@ -159,11 +176,7 @@ class PathEnsemble:
         return PathEnsemble(self.terminal[start:stop],
                             self.log_weight[start:stop],
                             self.blown[start:stop],
-                            self.floored[start:stop], [], self.K, self.dt)
-
-
-def _block_ranges(M, block_size):
-    return [(s, min(s + block_size, M)) for s in range(0, M, block_size)]
+                            self.floored[start:stop], self.K, self.dt)
 
 
 def _run_block(step, r, x0, K, dt, controller, master_seed, path_index,
@@ -210,20 +223,23 @@ def _run_block(step, r, x0, K, dt, controller, master_seed, path_index,
 
 
 def run_engine(step, r, starts, K, dt, controller=None, master_seed=0,
-               block_size=8192, workers=1, stride=1, record=0,
-               path_index=None):
+               workers=1, stride=None, record=0,
+               path_index=None) -> PathEnsemble:
     """The block engine: K steps of ``step(x, u, xi) -> x`` from each row of
     ``starts``, with r standard normal draws per row and step and the
     control of ``controller`` when one is given.
 
     Row i draws the noise of path ``path_index[i]`` (default i), and runs
-    at ``controller.multiplier[i]`` when the multiplier is an array.
-    Returns the ensemble and the snapshots (record, 1 + K // stride, d) of
-    rows 0..record-1, taken at t = 0 and after every ``stride`` steps.
+    at ``controller.multiplier[i]`` when the multiplier is an array.  The
+    rows are laid out by the module's layout rule.  The ensemble keeps the
+    snapshots of rows 0..record-1, taken at t = 0 and after every
+    ``stride`` steps (default max(1, K // 200)).
     """
     M = len(starts)
     if M == 0:
         raise ValueError("no paths to simulate")
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     path_index = np.arange(M) if path_index is None \
         else np.asarray(path_index)
     if path_index.shape != (M,):
@@ -233,7 +249,9 @@ def run_engine(step, r, starts, K, dt, controller=None, master_seed=0,
     if per_row and np.shape(controller.multiplier) != (M,):
         raise ShapeError(f"a per-row multiplier needs one value per row "
                          f"({M}), got shape {np.shape(controller.multiplier)}")
-    ranges = _block_ranges(M, block_size)
+    stride = stride or max(1, K // 200)
+    size = min(MAX_BLOCK_ROWS, math.ceil(M / workers))
+    ranges = [(s, min(s + size, M)) for s in range(0, M, size)]
 
     def work(rng_pair):
         s, e = rng_pair
@@ -249,10 +267,9 @@ def run_engine(step, r, starts, K, dt, controller=None, master_seed=0,
     else:
         results = [work(rg) for rg in ranges]
     terminal, log_weight, blown, floored, snaps = zip(*results)
-    ens = PathEnsemble(np.concatenate(terminal), np.concatenate(log_weight),
-                       np.concatenate(blown), np.concatenate(floored), [], K,
-                       dt)
-    return ens, np.concatenate(snaps)
+    return PathEnsemble(np.concatenate(terminal), np.concatenate(log_weight),
+                        np.concatenate(blown), np.concatenate(floored), K,
+                        dt, stride, np.concatenate(snaps))
 
 
 def trajectory_snapshots(make_step, r, starts, T_traj, stride, seed, dt):
@@ -269,10 +286,11 @@ def trajectory_snapshots(make_step, r, starts, T_traj, stride, seed, dt):
     K, dt = adjust_steps(T_traj, dt)
     every = max(1, int(round(stride / dt)))
     n = len(starts)
-    ens, snaps = run_engine(make_step(dt), r, starts, K, dt, master_seed=seed,
-                            block_size=n, stride=every, record=n)
-    kept = snaps[~ens.blown]
-    return kept.reshape(-1, starts.shape[1]), (n - len(kept)) * snaps.shape[1]
+    ens = run_engine(make_step(dt), r, starts, K, dt, master_seed=seed,
+                     stride=every, record=n)
+    kept = ens.snapshots[~ens.blown]
+    return (kept.reshape(-1, starts.shape[1]),
+            (n - len(kept)) * ens.snapshots.shape[1])
 
 
 def tile_start(x0, dim, M) -> np.ndarray:
@@ -285,31 +303,18 @@ def tile_start(x0, dim, M) -> np.ndarray:
 
 
 def run_paths(model, controller, x0, T, dt, scheme=None, M=1,
-              master_seed=0, block_size=8192, workers=1,
-              trajectory_count=0, trajectory_stride=None,
-              path_index=None) -> PathEnsemble:
+              master_seed=0, workers=1, trajectory_count=0,
+              trajectory_stride=None, path_index=None) -> PathEnsemble:
     """Simulate M rows and collect terminal states and Girsanov weights.
 
-    Rows are partitioned into blocks that may run on worker threads; the
-    result arrays are always assembled in row order and are bit-identical
-    for any block size or worker count.  Row i is path ``path_index[i]``
-    (default i).  The first ``trajectory_count`` rows also report
-    (row, t, state) rows every ``trajectory_stride`` steps and at T.
+    Row i is path ``path_index[i]`` (default i).  The first
+    ``trajectory_count`` rows also report trajectory rows every
+    ``trajectory_stride`` steps and at T.
     """
     scheme = scheme or default_scheme(model)
     _check_scheme(model, scheme)
     K, dt = adjust_steps(T, dt)
-    if trajectory_count and not trajectory_stride:
-        trajectory_stride = max(1, K // 200)
-    stride = trajectory_stride or 1
-    starts = tile_start(x0, model.dim_state, M)
-    ens, snaps = run_engine(sde_stepper(model, scheme, dt), model.dim_noise,
-                            starts, K, dt, controller, master_seed,
-                            block_size, workers, stride, trajectory_count,
-                            path_index)
-    steps = range(0, K + 1, stride)
-    for p, traj in enumerate(snaps):
-        ens.trajectories.extend((p, kk * dt, x) for kk, x in zip(steps, traj))
-        if K % stride:
-            ens.trajectories.append((p, K * dt, ens.terminal[p]))
-    return ens
+    return run_engine(sde_stepper(model, scheme, dt), model.dim_noise,
+                      tile_start(x0, model.dim_state, M), K, dt, controller,
+                      master_seed, workers, trajectory_stride,
+                      trajectory_count, path_index)

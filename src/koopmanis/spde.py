@@ -207,19 +207,19 @@ def build_spde_controller(spde: SpectralSpde, snapshots, event, T,
                           floor=1e-8 * scale)
 
 
-def run_spde_paths(spde, controller, Y0, T, dt, M, master_seed,
-                   block_size=2048, workers=1, path_index=None):
+def run_spde_paths(spde, controller, Y0, T, dt, M, master_seed, workers=1,
+                   trajectory_count=0, trajectory_stride=None,
+                   path_index=None):
     """Ensemble of SPDE mode paths from Y0 (the zero field when None);
-    same determinism contract as run_paths, as far as the mode-coupling
-    matmuls allow."""
+    same determinism contract and trajectory rows as run_paths, as far as
+    the mode-coupling matmuls allow."""
     K, dt = adjust_steps(T, dt)
     if Y0 is None:
         Y0 = np.zeros(spde.n_modes)
-    starts = tile_start(Y0, spde.n_modes, M)
-    ens, _ = run_engine(_engine_stepper(spde, dt), spde.n_modes, starts, K,
-                        dt, controller, master_seed, block_size, workers,
-                        path_index=path_index)
-    return ens
+    return run_engine(_engine_stepper(spde, dt), spde.n_modes,
+                      tile_start(Y0, spde.n_modes, M), K, dt, controller,
+                      master_seed, workers, trajectory_stride,
+                      trajectory_count, path_index)
 
 
 def generate_mode_snapshots(spde, amplitudes, T_traj, stride, seed, dt=1e-3):

@@ -3,9 +3,10 @@
 ``simulate_path`` runs one path step by step through the engine's own
 stepper on a one-row block; ``generator_apply`` applies the generator to
 one function jet at one state; ``sweep_table_per_c`` runs the multiplier
-sweep as one ensemble per multiplier.  None is used by the pipeline,
-which works on blocks of paths, on whole dictionaries and on one stacked
-sweep ensemble at once.
+sweep as one ensemble per multiplier; ``exact_koopman_loop`` builds the
+exact generator projection one dictionary element and one term at a time.
+None is used by the pipeline, which works on blocks of paths, on whole
+dictionaries and on one stacked sweep ensemble at once.
 """
 
 from __future__ import annotations
@@ -112,3 +113,46 @@ def sweep_table_per_c(controller, model, obs, x0, T, dt, grid, batch, seed=0,
         rows.append((c, rep.proportion_in_event, rep.estimate,
                      rep.sample_variance, rep.relative_error_per_sample))
     return rows
+
+
+def exact_koopman_loop(basis, model) -> np.ndarray:
+    """The matrix of ``gedmd.exact_koopman_matrix``, entry by entry: for
+    each element, the drift terms over nonzero A[i, l] and then the
+    diffusion terms over nonzero Q[i, j], both row-major."""
+    A, _ = model.linear_spec
+    Q = half_diffusion_sq(model)
+    idx = basis.multi_indices
+    col = {tuple(a): i for i, a in enumerate(idx)}
+    n, d = idx.shape
+    K = np.zeros((n, n))
+    for k, alpha in enumerate(idx):
+        alpha = tuple(alpha)
+        for i in range(d):
+            if alpha[i] == 0:
+                continue
+            for l in range(d):
+                if A[i, l] == 0.0:
+                    continue
+                beta = list(alpha)
+                beta[i] -= 1
+                beta[l] += 1
+                K[k, col[tuple(beta)]] += A[i, l] * alpha[i]
+        for i in range(d):
+            for j in range(d):
+                if Q[i, j] == 0.0:
+                    continue
+                if i == j:
+                    if alpha[i] < 2:
+                        continue
+                    beta = list(alpha)
+                    beta[i] -= 2
+                    K[k, col[tuple(beta)]] += \
+                        Q[i, i] * alpha[i] * (alpha[i] - 1)
+                else:
+                    if alpha[i] == 0 or alpha[j] == 0:
+                        continue
+                    beta = list(alpha)
+                    beta[i] -= 1
+                    beta[j] -= 1
+                    K[k, col[tuple(beta)]] += Q[i, j] * alpha[i] * alpha[j]
+    return K

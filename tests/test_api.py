@@ -4,13 +4,15 @@ Every module-level function and class in ``src/koopmanis`` must be
 referenced somewhere in the package other than its own definition, or be
 exported through ``koopmanis.__all__``.  A helper only the tests use
 belongs in ``tests/reference.py``, and a helper nothing uses should be
-deleted.
+deleted.  Every config key the CLI gives a default must be read by the
+package.
 """
 
 import ast
 from pathlib import Path
 
 import koopmanis
+from koopmanis import cli
 
 SRC = Path(koopmanis.__file__).resolve().parent
 
@@ -62,3 +64,28 @@ def test_every_module_function_is_used_or_exported():
 def test_every_module_class_is_used_or_exported():
     unused = _unused(ast.ClassDef)
     assert unused == [], f"unused module-level classes: {unused}"
+
+
+def _read_keys():
+    """String keys the package reads: ``d["key"]`` and ``d.get("key")``."""
+    keys = set()
+    for tree in _trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript):
+                key = node.slice
+            elif isinstance(node, ast.Call) and node.args \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "get":
+                key = node.args[0]
+            else:
+                continue
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                keys.add(key.value)
+    return keys
+
+
+def test_every_config_default_is_read():
+    read = _read_keys()
+    unread = [f"{blk}.{key}" for blk, defaults in cli._BLOCK_DEFAULTS.items()
+              for key in defaults if key not in read]
+    assert unread == [], f"config defaults nothing reads: {unread}"

@@ -227,3 +227,41 @@ def test_worker_count_does_not_change_rows(tmp_path):
     with open(w2["results"]) as fh:
         alt = list(csv.reader(fh))[-1]
     assert base == alt
+
+
+@pytest.mark.parametrize("key, value, error",
+                         [("dt", 0, "InvalidParameterError"),
+                          ("dt", -1e-2, "InvalidParameterError"),
+                          ("workers", 0, "ConfigError"),
+                          ("workers", -2, "ConfigError")])
+def test_bad_run_parameters_are_typed_errors(tmp_path, capsys, key, value,
+                                             error):
+    raw = _tiny_ou_config(tmp_path)
+    raw["run"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path)]) == 1
+    assert f"error ({error})" in capsys.readouterr().err
+
+
+def test_spde_run_writes_trajectories(tmp_path):
+    """The SPDE ensemble reports output.trajectory_count rows like an SDE
+    ensemble: 3 paths at t = 0 and every 10 of the 50 steps."""
+    raw = {
+        "model": {"name": "advdiff", "params": {"n_modes": 8}},
+        "event": {"kind": "norm", "threshold": 0.5},
+        "points": {"box": [[-2.0, 2.0]], "counts": [5], "T_traj": 1.0,
+                   "stride": 0.25, "dt": 0.01, "seed": 11},
+        "doob": {"multiplier_grid": [1, 4]},
+        "run": {"M": 50, "T": 0.5, "dt": 0.01, "master_seed": 1},
+        "output": {"directory": str(tmp_path / "out"),
+                   "trajectory_count": 3, "trajectory_stride": 10},
+    }
+    path = tmp_path / "advdiff.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path)]) == 0
+    with open(tmp_path / "out" / "trajectories.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["path_index", "time"] + [f"x{i}" for i in range(1, 9)]
+    assert [(int(r[0]), round(float(r[1]), 9)) for r in rows[1:]] == [
+        (p, round(0.1 * k, 9)) for p in range(3) for k in range(6)]

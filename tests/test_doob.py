@@ -370,16 +370,17 @@ _SWEEP_CASES = ["legendre_box", "linear_exact", "ou_indicator",
 def test_stacked_rows_match_one_ensemble_per_multiplier(
         fitted_controllers, name):
     """Rows that share a path index replay its noise at their own
-    multiplier: each c's rows of a stacked ensemble, run on two workers in
-    blocks that straddle the multipliers, are bit for bit the ensemble at
-    that c alone.  The SPDE matmuls are shape-sensitive, so there each
-    block holds the rows of one c, as the ensemble at that c does."""
+    multiplier: each c's rows of a stacked ensemble, run on four workers in
+    38-row blocks that straddle the multipliers, are bit for bit the
+    ensemble at that c alone.  The SPDE matmuls are shape-sensitive, so
+    there three workers run 50-row blocks, each the rows of one c, as the
+    ensemble at that c does."""
     ctrl, model, ev, x0 = _sweep_case(name, fitted_controllers)
     grid, batch = [1.0, 2.0, 4.0], 50
     stacked = estimator.simulate_ensemble(
         model, ctrl.with_multiplier(np.repeat(grid, batch)), x0, 1.0, 1e-2,
-        M=len(grid) * batch, master_seed=9, workers=2,
-        block_size=batch if name == "spde" else 64,
+        M=len(grid) * batch, master_seed=9,
+        workers=3 if name == "spde" else 4,
         path_index=np.tile(np.arange(batch), len(grid)))
     for g, c in enumerate(grid):
         alone = estimator.simulate_ensemble(
@@ -396,7 +397,8 @@ def test_stacked_sweep_matches_one_ensemble_per_multiplier(
         fitted_controllers, name):
     """The stacked sweep gives the per-c ensembles' table, bit for bit
     where the controller and the stepper are row-local; the SPDE rows are
-    as exact as their BLAS products on a block of all the sweep's rows."""
+    as exact as their BLAS products on the two 75-row blocks of two
+    workers."""
     ctrl, model, ev, x0 = _sweep_case(name, fitted_controllers)
     grid, batch = [4, 1, 2], 50
     want = sweep_table_per_c(ctrl, model, ev, x0, 1.0, 1e-2, grid, batch,

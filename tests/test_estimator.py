@@ -181,7 +181,7 @@ def test_report_determinism_bitwise():
     a = estimator.run_ensemble(m, None, ev, [0.0], 1.0, 1e-2, M=2000,
                                master_seed=42)
     b = estimator.run_ensemble(m, None, ev, [0.0], 1.0, 1e-2, M=2000,
-                               master_seed=42, workers=3, block_size=511)
+                               master_seed=42, workers=3)
     assert a.estimate == b.estimate
     assert a.sample_variance == b.sample_variance
     assert a.csv_row() == b.csv_row()

@@ -7,8 +7,9 @@ from koopmanis import build_basis, make_builtin_model, make_event
 from koopmanis.errors import (ConfigError, EmptySpectrumError,
                               RankDeficiencyWarning)
 from koopmanis import gedmd
-from koopmanis.model import SdeModel, half_diffusion_sq
+from koopmanis.model import SdeModel, _linear_model, half_diffusion_sq
 from koopmanis.paths import _step_block, adjust_steps, derive_path_rng
+from reference import exact_koopman_loop
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +189,27 @@ def test_exact_projection_nonnormal_eigenvalues():
     eigs = np.sort(np.linalg.eigvals(res.matrix).real)
     assert np.allclose(np.sort(eigs), [-2.0, -1.3, -1.0, -0.6, -0.3, 0.0],
                        atol=1e-10)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_exact_projection_matches_the_loop(d):
+    """The scatter over all elements per term gives the entry-by-entry
+    loop bit for bit, for degrees 1-5: sparse A and B, dense A with a
+    diagonal Q, and dense A with a full Q."""
+    rng = np.random.default_rng(d)
+
+    def sparse(*shape):
+        return rng.standard_normal(shape) * (rng.random(shape) < 0.5)
+
+    cases = [(sparse(d, d), sparse(d, d)),
+             (rng.standard_normal((d, d)), np.diag(rng.random(d) + 0.5)),
+             (rng.standard_normal((d, d)), rng.standard_normal((d, 2)))]
+    for p in range(1, 6):
+        b = build_basis("linear_exact", d, p)
+        for k, (A, B) in enumerate(cases):
+            m = _linear_model("random", A, B, {})
+            assert np.array_equal(gedmd.exact_koopman_matrix(b, m).matrix,
+                                  exact_koopman_loop(b, m)), (p, k)
 
 
 def test_exact_projection_left_eigenvector_alignment():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from koopmanis import (derive_path_rng, make_builtin_model, make_event,
-                       run_ensemble, run_paths)
+                       paths, run_ensemble, run_paths)
 from koopmanis.errors import ShapeError, UnsupportedSchemeError
 from koopmanis.model import SdeModel
 from koopmanis.paths import _step_block, adjust_steps, sde_stepper
@@ -141,45 +141,91 @@ def test_single_path_matches_block_engine():
         assert ev.indicator(res.terminal_state) == ev.indicator(ens.terminal[i])
 
 
-def test_block_size_and_workers_are_bitwise_invariant():
+def test_block_size_and_workers_are_bitwise_invariant(monkeypatch):
+    """257 rows on 2, 3 and 4 workers, and in blocks capped at 64 rows
+    (one worker, three workers) or 31 rows (two workers), give the
+    one-block ensemble bit for bit."""
     m = make_builtin_model("vdp")
     ctrl = _ConstantController([0.2, -0.1], 1.0, r=2)
-    ref = run_paths(m, ctrl, [2.0, 0.0], 1.0, 1e-2, M=257,
-                    master_seed=5, block_size=257)
-    for bs, workers in ((64, 1), (64, 3), (31, 2), (257, 4)):
-        alt = run_paths(m, ctrl, [2.0, 0.0], 1.0, 1e-2, M=257,
-                        master_seed=5, block_size=bs, workers=workers)
+
+    def run(workers):
+        return run_paths(m, ctrl, [2.0, 0.0], 1.0, 1e-2, M=257,
+                         master_seed=5, workers=workers)
+
+    ref = run(1)
+    alts = [run(w) for w in (2, 3, 4)]
+    monkeypatch.setattr(paths, "MAX_BLOCK_ROWS", 64)
+    alts += [run(1), run(3)]
+    monkeypatch.setattr(paths, "MAX_BLOCK_ROWS", 31)
+    alts.append(run(2))
+    for alt in alts:
         assert np.array_equal(ref.terminal, alt.terminal)
         assert np.array_equal(ref.log_weight, alt.log_weight)
 
 
+def test_workers_split_the_rows_into_equal_blocks():
+    """100 rows on two workers run as two 50-row blocks and give the
+    one-worker ensemble, one 100-row block, bit for bit."""
+    m = make_builtin_model("vdp")
+    seen = []
+
+    class Recording(_ConstantController):
+        def bias_batch(self, t, X):
+            seen.append(len(X))
+            return super().bias_batch(t, X)
+
+    ctrl = Recording([0.2, -0.1], 1.0, r=2)
+    one = run_paths(m, ctrl, [2.0, 0.0], 1.0, 1e-2, M=100, master_seed=5)
+    assert seen == [100] * 100
+    seen.clear()
+    two = run_paths(m, ctrl, [2.0, 0.0], 1.0, 1e-2, M=100, master_seed=5,
+                    workers=2)
+    assert seen == [50] * 200
+    assert one.terminal.tobytes() == two.terminal.tobytes()
+    assert one.log_weight.tobytes() == two.log_weight.tobytes()
+
+
 @pytest.mark.parametrize("B", [[[0.7, -0.45]],
                                [[0.6, 0.3], [-0.2, 0.5]]])
-def test_dense_diffusion_is_bitwise_invariant(B):
-    """A dense constant B with two noise columns: block size 64 leaves a
-    one-row tail block of the 257 paths, block size 1 runs each alone."""
+def test_dense_diffusion_is_bitwise_invariant(B, monkeypatch):
+    """A dense constant B with two noise columns: the 257 rows on four
+    workers, in blocks capped at 64 rows (a one-row tail block) and in
+    one-row blocks each give the one-block ensemble."""
     B = np.array(B)
     d = len(B)
     m = SdeModel("dense", d, 2, lambda x: -np.asarray(x, float),
                  lambda x: B, diffusion_const=B)
-    runs = [run_paths(m, None, np.ones(d), 1.0, 1e-2,
-                      scheme="euler_maruyama", M=257, master_seed=5,
-                      block_size=bs)
-            for bs in (257, 64, 1)]
+
+    def run(workers=1):
+        return run_paths(m, None, np.ones(d), 1.0, 1e-2,
+                         scheme="euler_maruyama", M=257, master_seed=5,
+                         workers=workers)
+
+    runs = [run(), run(4)]
+    for cap in (64, 1):
+        monkeypatch.setattr(paths, "MAX_BLOCK_ROWS", cap)
+        runs.append(run())
     for alt in runs[1:]:
         assert np.array_equal(runs[0].terminal, alt.terminal)
 
 
 @pytest.mark.parametrize("family", ["legendre_box", "linear_exact"])
 def test_fitted_controller_ensembles_are_bitwise_invariant(fitted_controllers,
-                                                           family):
+                                                           family,
+                                                           monkeypatch):
     """The invariance above with a fitted Doob controller (vdp, degree-10
-    Legendre; brownian_osc, exact monomials): block size 64 leaves a
-    one-row tail block of the 257 paths."""
+    Legendre; brownian_osc, exact monomials): 257 rows on 2 and 4 workers,
+    and in blocks capped at 64 rows, which leaves a one-row tail block, on
+    one and three workers."""
     model, ctrl, x0 = fitted_controllers[family]
-    runs = [run_paths(model, ctrl, x0, 1.0, 1e-2, M=257, master_seed=5,
-                      block_size=bs, workers=workers)
-            for bs, workers in ((257, 1), (64, 1), (64, 3), (31, 2))]
+
+    def run(workers):
+        return run_paths(model, ctrl, x0, 1.0, 1e-2, M=257, master_seed=5,
+                         workers=workers)
+
+    runs = [run(w) for w in (1, 2, 4)]
+    monkeypatch.setattr(paths, "MAX_BLOCK_ROWS", 64)
+    runs += [run(1), run(3)]
     for alt in runs[1:]:
         assert np.array_equal(runs[0].terminal, alt.terminal)
         assert np.array_equal(runs[0].log_weight, alt.log_weight)
@@ -280,9 +326,10 @@ def test_trajectory_rows_match_reference_when_stride_leaves_a_remainder():
     m = make_builtin_model("duffing")
     ctrl = _ConstantController([0.3], 1.0)
     # K = 100 steps, stride 7: the final row at T is off the stride grid;
-    # block size 2 splits the recorded paths across blocks
+    # three workers run the 5 rows in blocks of 2, 2 and 1, which splits
+    # the recorded paths across blocks
     ens = run_paths(m, ctrl, [-1.5, 0.0], 1.0, 1e-2, M=5,
-                    master_seed=4, block_size=2, trajectory_count=3,
+                    master_seed=4, workers=3, trajectory_count=3,
                     trajectory_stride=7)
     ref = _reference_rows(m, ctrl, [-1.5, 0.0], 1.0, 1e-2, "srk_additive",
                           4, 5, 3, 7)

@@ -238,14 +238,37 @@ def test_spde_start_of_the_wrong_dimension_is_a_shape_error():
 
 
 def test_spde_paths_deterministic(sp64):
-    # worker count must not change a byte (block size is a fixed engine
-    # parameter: mode-coupling matmuls are shape-sensitive at the ulp level)
-    a = spde_mod.run_spde_paths(sp64, None, np.zeros(64), 0.2, 5e-3,
-                                100, master_seed=3, block_size=32)
-    b = spde_mod.run_spde_paths(sp64, None, np.zeros(64), 0.2, 5e-3,
-                                100, master_seed=3, block_size=32, workers=3)
-    assert np.array_equal(a.terminal, b.terminal)
-    assert np.array_equal(a.log_weight, b.log_weight)
+    # worker threads must not change a byte: two workers run 100 rows as
+    # two 50-row blocks, and each block alone gives the same rows (the
+    # mode-coupling matmuls are shape-sensitive at the ulp level, so the
+    # comparison keeps the block shapes)
+    def run(M, workers=1, path_index=None):
+        return spde_mod.run_spde_paths(sp64, None, np.zeros(64), 0.2, 5e-3,
+                                       M, master_seed=3, workers=workers,
+                                       path_index=path_index)
+
+    both = run(100, workers=2)
+    halves = [run(50, path_index=np.arange(s, s + 50)) for s in (0, 50)]
+    for field in ("terminal", "log_weight"):
+        assert getattr(both, field).tobytes() == b"".join(
+            getattr(h, field).tobytes() for h in halves)
+
+
+def test_spde_trajectory_rows(sp64):
+    """SPDE ensembles report trajectory rows like SDE ones: every stride
+    steps from t = 0, and the terminal state at T off the stride grid."""
+    Y0 = 0.1 * sp64.adjoint_w1
+    ens = spde_mod.run_spde_paths(sp64, None, Y0, 0.2, 5e-3, 4,
+                                  master_seed=3, trajectory_count=2,
+                                  trajectory_stride=7)
+    rows = ens.trajectories
+    assert len(rows) == 2 * (1 + 40 // 7 + 1)
+    for p in (0, 1):
+        mine = [row for row in rows if row[0] == p]
+        assert mine[0][1] == 0.0 and np.array_equal(mine[0][2], Y0)
+        assert mine[1][1] == 7 * 5e-3
+        assert mine[-1][1] == pytest.approx(0.2)
+        assert np.array_equal(mine[-1][2], ens.terminal[p])
 
 
 def test_mode_snapshots_shapes(sp64):
