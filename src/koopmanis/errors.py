@@ -26,7 +26,8 @@ class ConfigError(KoopmanisError):
 
 
 class NumericalError(KoopmanisError):
-    """An eigensolve or linear solve failed to meet its tolerance."""
+    """An eigensolve, linear solve or quadrature failed to meet its
+    tolerance, or path weights overflowed."""
 
 
 class EmptySpectrumError(KoopmanisError):

@@ -3,14 +3,15 @@
 Per-path weighted outcomes are reduced in path-index order with exact
 (compensated) summation, so a report is a pure function of (config, seed).
 For constant-coefficient linear models the terminal law is Gaussian with
-covariance from the integrated Lyapunov equation; half-space and
-coordinate events then have closed-form probabilities, norm events use a
-large diagonal-Gaussian Monte Carlo with a reported standard error.
+covariance from the integrated Lyapunov equation; coordinate events then
+have closed-form Gaussian tails, and norm events the exact tail of a
+quadratic form in Gaussians (Imhof's integral).
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,13 +22,16 @@ from .doob import Controller
 from .errors import (ConfigError, InvalidParameterError, NumericalError,
                      ShapeError)
 from .model import EventObservable, SdeModel
-from .paths import PathEnsemble, derive_path_rng, run_paths
+from .paths import PathEnsemble, run_paths
 from .spde import run_spde_paths
 
 CSV_COLUMNS = ("method", "model", "estimate", "variance", "relative_error",
                "proportion_in_event", "M", "dt", "seed", "c",
                "N_eigenfunctions", "blowup_count")
 _LOG_MAX_DOUBLE = math.log(np.finfo(float).max)
+# absolute tolerance of each Imhof quadrature: at 1e-14 QAWF reports bad
+# integrand behaviour, at 1e-12 deep tails lose their leading digits
+_IMHOF_EPSABS = 1e-13
 
 
 @dataclass(eq=False)
@@ -190,15 +194,63 @@ class OracleResult:
     method: str
 
 
-def analytic_oracles(model: SdeModel, event: EventObservable, T: float,
-                     x0=None, norm_mc_samples: int = 10_000_000,
-                     seed: int = 0) -> OracleResult:
-    """Reference probability of the event at time T for linear models.
+def _imhof_tail(lam, delta2, x):
+    """P(sum_i lam_i (Z_i + delta_i)^2 > x) for independent standard
+    normal Z_i, lam_i > 0 and x > 0, from Imhof's (1961) integral
+    1/2 + 1/pi int_0^inf sin(theta(u) - x u/2) / (u rho(u)) du.
 
-    Coordinate and absolute-coordinate events use 1-D Gaussian tails; norm
-    events use diagonal-Gaussian Monte Carlo with a reported standard
-    error.  The result is the indicator probability, so the event must be
-    in indicator mode.
+    [0, 4 pi / x] is an ordinary adaptive quadrature.  Beyond it the
+    oscillation is split off, sin(theta - x u/2) = sin(theta) cos(x u/2) -
+    cos(theta) sin(x u/2), and QUADPACK's QAWF integrates the slowly
+    decaying envelopes against cos and sin.  An integration warning, or an
+    error bound above 1e-6 of the result, raises ``NumericalError``.
+    """
+    from scipy.integrate import IntegrationWarning, quad
+
+    def integrand(u, trig, shift):
+        lu = lam * u
+        q = lu * lu
+        s = 1.0 + q
+        theta = 0.5 * float(np.sum(np.arctan(lu) + delta2 * lu / s))
+        log_rho = float(np.sum(0.25 * np.log1p(q) + 0.5 * delta2 * q / s))
+        return trig(theta - shift * u) * math.exp(-log_rho) / u
+
+    a = 4.0 * math.pi / x
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            parts = [
+                quad(integrand, 0.0, a, (math.sin, 0.5 * x),
+                     epsabs=_IMHOF_EPSABS, epsrel=0.0, limit=200),
+                quad(integrand, a, np.inf, (math.sin, 0.0), weight="cos",
+                     wvar=0.5 * x, epsabs=_IMHOF_EPSABS),
+                quad(integrand, a, np.inf, (math.cos, 0.0), weight="sin",
+                     wvar=0.5 * x, epsabs=_IMHOF_EPSABS)]
+    except IntegrationWarning as exc:
+        raise NumericalError(f"Imhof integral for P(Q > {x:.6g}): {exc}") \
+            from exc
+    (i0, e0), (i1, e1), (i2, e2) = parts
+    rho = 0.5 + (i0 + i1 - i2) / math.pi
+    err = (e0 + e1 + e2) / math.pi
+    if not err <= 1e-6 * rho:
+        raise NumericalError(
+            f"Imhof integral for P(Q > {x:.6g}) = {rho:.6g} has error bound "
+            f"{err:.2g}, above 1e-6 of the value")
+    return rho
+
+
+def analytic_oracles(model: SdeModel, event: EventObservable, T: float,
+                     x0=None) -> OracleResult:
+    """Exact probability of the event at time T for linear models.
+
+    Coordinate and absolute-coordinate events use 1-D Gaussian tails.  A
+    norm event |X_T| >= L is, in the eigenbasis V diag(v) V^T of the
+    terminal covariance, sum_i v_i (Z_i + delta_i)^2 >= L^2 with
+    delta = V^T m / sqrt(v); its tail is Imhof's integral.  A direction
+    with variance at most 1e-14 of the largest adds only its squared mean,
+    which is taken off L^2.  The result is the indicator probability, so
+    the event must be in indicator mode.  Every method is deterministic
+    and reports a standard error of 0.
     """
     if event.mode != "indicator":
         raise InvalidParameterError(
@@ -218,22 +270,16 @@ def analytic_oracles(model: SdeModel, event: EventObservable, T: float,
         return OracleResult(rho, 0.0, mean, cov, "gaussian_tail")
     if event.kind == "norm":
         vals, vecs = np.linalg.eigh(cov)
-        vals = np.clip(vals, 0.0, None)
-        scale = np.sqrt(vals)
-        rng = derive_path_rng(seed, 0)
-        hits = 0
-        done = 0
-        chunk = min(norm_mc_samples, 500_000)
-        L2 = L * L
-        while done < norm_mc_samples:
-            nb = min(chunk, norm_mc_samples - done)
-            Z = rng.standard_normal((nb, len(vals)))
-            X = mean + (Z * scale) @ vecs.T
-            hits += int(((X * X).sum(axis=1) >= L2).sum())
-            done += nb
-        rho = hits / norm_mc_samples
-        se = math.sqrt(max(rho * (1.0 - rho), 0.0) / norm_mc_samples)
-        return OracleResult(rho, se, mean, cov, "diagonal_gaussian_mc")
+        proj = vecs.T @ mean
+        live = vals > 1e-14 * vals.max()
+        x = L * L - math.fsum(proj[~live] ** 2)
+        if x <= 0.0:
+            rho = 1.0
+        elif not live.any():
+            rho = 0.0
+        else:
+            rho = _imhof_tail(vals[live], proj[live] ** 2 / vals[live], x)
+        return OracleResult(rho, 0.0, mean, cov, "imhof")
     raise InvalidParameterError(f"no oracle for event kind {event.kind!r}")
 
 

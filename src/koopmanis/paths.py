@@ -57,6 +57,7 @@ the engine is tested against, one path stepped alone through
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -233,13 +234,22 @@ def run_engine(step, r, starts, K, dt, controller=None, master_seed=0,
     at ``controller.multiplier[i]`` when the multiplier is an array.  The
     rows are laid out by the module's layout rule.  The ensemble keeps the
     snapshots of rows 0..record-1, taken at t = 0 and after every
-    ``stride`` steps (default max(1, K // 200)).
+    ``stride`` steps (default max(1, K // 200)).  A stride that is not a
+    positive integer, or a record count that is not a non-negative
+    integer, raises ``ConfigError``.
     """
     M = len(starts)
     if M == 0:
         raise ValueError("no paths to simulate")
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
+    if stride is not None and not (isinstance(stride, numbers.Integral)
+                                   and stride >= 1):
+        raise ConfigError(f"the trajectory stride must be a positive whole "
+                          f"number of steps, got {stride!r}")
+    if not (isinstance(record, numbers.Integral) and record >= 0):
+        raise ConfigError(f"the trajectory count must be a non-negative "
+                          f"integer, got {record!r}")
     path_index = np.arange(M) if path_index is None \
         else np.asarray(path_index)
     if path_index.shape != (M,):
@@ -249,7 +259,8 @@ def run_engine(step, r, starts, K, dt, controller=None, master_seed=0,
     if per_row and np.shape(controller.multiplier) != (M,):
         raise ShapeError(f"a per-row multiplier needs one value per row "
                          f"({M}), got shape {np.shape(controller.multiplier)}")
-    stride = stride or max(1, K // 200)
+    if stride is None:
+        stride = max(1, K // 200)
     size = min(MAX_BLOCK_ROWS, math.ceil(M / workers))
     ranges = [(s, min(s + size, M)) for s in range(0, M, size)]
 

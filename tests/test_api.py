@@ -89,3 +89,10 @@ def test_every_config_default_is_read():
     unread = [f"{blk}.{key}" for blk, defaults in cli._BLOCK_DEFAULTS.items()
               for key in defaults if key not in read]
     assert unread == [], f"config defaults nothing reads: {unread}"
+
+
+def test_every_accepted_config_key_is_read():
+    read = _read_keys()
+    unread = [f"{blk}.{key}" for blk, keys in cli._BLOCK_KEYS.items()
+              for key in keys if key not in read]
+    assert unread == [], f"accepted config keys nothing reads: {unread}"

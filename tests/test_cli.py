@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +155,41 @@ def test_controller_verbs_name_a_missing_block(tmp_path, capsys, verb,
     err = capsys.readouterr().err
     assert "ConfigError" in err
     assert all(repr(blk) in err for blk in dropped)
+
+
+@pytest.mark.parametrize("block, key", [("run", "wrokers"),
+                                        ("run", "block_size"),
+                                        ("points", "cuont"),
+                                        ("dob", None)])
+def test_unknown_config_key_is_a_config_error(tmp_path, capsys, block, key):
+    """A misspelt or removed key, or an unknown block, stops the run
+    instead of being ignored."""
+    raw = _tiny_ou_config(tmp_path)
+    if key is None:
+        raw[block] = {}
+        name = block
+    else:
+        raw[block][key] = 2
+        name = f"{block}.{key}"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error (ConfigError)" in err and repr(name) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    """Only the norm-event oracle needs scipy.integrate; importing the
+    CLI must not pay for it."""
+    code = ("import sys, koopmanis.cli; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]),
+         env.get("PYTHONPATH", "")])
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode \
+        == 0
 
 
 def test_cli_oracle_verb(capsys):

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 from scipy.special import erfc
+from scipy.stats import chi2, ncx2
 
 from koopmanis import make_builtin_model, make_event
 from koopmanis import doob, estimator
 from koopmanis.errors import (ConfigError, InvalidParameterError,
                               NumericalError, ShapeError)
+from koopmanis.model import _linear_model
 from koopmanis.paths import PathEnsemble
 
 
@@ -83,26 +85,97 @@ def test_oracle_brownian_oscillator():
     assert res.rho == pytest.approx(2.28e-5, rel=0.05)
 
 
+def _centred_norm_tail_2d(cov, L):
+    """P(|X| >= L) for X ~ N(0, cov) in 2-D by one quadrature over the
+    first eigen-coordinate z: beyond the edge L / sqrt(d1) the event holds
+    whatever the second coordinate; inside, the second must pass the rest
+    of L^2."""
+    d1, d2 = np.linalg.eigvalsh(cov)
+    edge = L / math.sqrt(d1)
+
+    def inside(z):
+        dens = math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+        return 2.0 * _sf(math.sqrt((L * L - d1 * z * z) / d2)) * dens
+
+    half, _ = quad(inside, 0.0, edge, epsabs=0.0, epsrel=1e-13, limit=200)
+    return 2.0 * (half + _sf(edge))
+
+
 def test_oracle_nonnormal_norm_event_vs_quadrature():
     m = make_builtin_model("nonnormal2d")
     ev = make_event("norm", 0.75, mode="indicator")
-    res = estimator.analytic_oracles(m, ev, 10.0, norm_mc_samples=4_000_000,
-                                     seed=3)
-    d1, d2 = np.linalg.eigvalsh(res.cov)
-    L = 0.75
-
-    def integrand(z):
-        rem = L * L - d1 * z * z
-        dens = math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
-        if rem <= 0:
-            return dens
-        return 2.0 * _sf(math.sqrt(rem / d2)) * dens
-
-    ref, _ = quad(integrand, -40, 40, limit=400)
-    assert abs(res.rho - ref) < 4 * res.standard_error + 1e-12
-    assert ref == pytest.approx(1.5965e-5, rel=1e-3)
+    res = estimator.analytic_oracles(m, ev, 10.0)
+    ref = _centred_norm_tail_2d(res.cov, 0.75)
+    assert res.method == "imhof" and res.standard_error == 0.0
+    assert res.rho == pytest.approx(ref, rel=1e-8)
+    assert ref == pytest.approx(1.596508e-5, rel=1e-6)
     # table-reported reference value is within ~5 percent of the exact law
     assert ref == pytest.approx(1.64e-5, rel=0.05)
+
+
+def _isotropic_model(n):
+    """dX = -X dt + sqrt(2) dW in n dimensions: X_T has covariance
+    (1 - exp(-2T)) I and mean exp(-T) x0."""
+    return _linear_model("isotropic", -np.eye(n), math.sqrt(2.0) * np.eye(n),
+                         {})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64])
+@pytest.mark.parametrize("shift", [0.0, 1.5])
+@pytest.mark.parametrize("tail", [1e-2, 1e-5])
+def test_oracle_norm_event_vs_chi_square(n, shift, tail):
+    """Equal variances s^2: |X_T|^2 / s^2 is chi-square with n degrees of
+    freedom, noncentral with |mean|^2 / s^2 when x0 is off the origin."""
+    T = 1.0
+    var = 1.0 - math.exp(-2.0 * T)
+    x0 = np.full(n, shift / math.sqrt(n))
+    nc = float(np.sum((math.exp(-T) * x0) ** 2)) / var
+    law = chi2(n) if shift == 0.0 else ncx2(n, nc)
+    L = math.sqrt(var * law.isf(tail))
+    res = estimator.analytic_oracles(
+        _isotropic_model(n), make_event("norm", L, mode="indicator"), T, x0)
+    assert res.rho == pytest.approx(law.sf(L * L / var), rel=1e-6)
+
+
+def test_oracle_noncentral_norm_event_vs_dblquad():
+    """nonnormal2d from x0 off the origin, against the Gaussian density
+    integrated over the disc |x| < L in polar coordinates."""
+    m = make_builtin_model("nonnormal2d")
+    L, T, x0 = 0.5, 2.0, [0.6, -0.3]
+    res = estimator.analytic_oracles(m, make_event("norm", L), T, x0)
+    mean, cov = res.mean, res.cov
+    prec = np.linalg.inv(cov)
+    norm = 1.0 / (2.0 * math.pi * math.sqrt(np.linalg.det(cov)))
+
+    def dens(r, phi):
+        e = np.array([r * math.cos(phi), r * math.sin(phi)]) - mean
+        return norm * math.exp(-0.5 * e @ prec @ e) * r
+
+    disc, _ = dblquad(dens, 0.0, 2.0 * math.pi, 0.0, L, epsabs=1e-13,
+                      epsrel=1e-12)
+    assert 1e-3 < res.rho < 0.5
+    assert res.rho == pytest.approx(1.0 - disc, rel=1e-6)
+
+
+def test_oracle_deep_norm_tail_is_exact_or_an_error():
+    """Far in the tail the integral's absolute error is the whole answer:
+    the oracle either raises or agrees with the 1-D reference."""
+    m = make_builtin_model("nonnormal2d")
+    try:
+        res = estimator.analytic_oracles(m, make_event("norm", 3.0), 10.0)
+    except NumericalError:
+        return
+    assert res.rho == pytest.approx(_centred_norm_tail_2d(res.cov, 3.0),
+                                    rel=1e-6)
+
+
+def test_oracle_norm_event_without_spread_is_certain():
+    """At T = 0 the law is a point mass at x0: every direction is
+    degenerate and only the squared mean is left."""
+    m = make_builtin_model("nonnormal2d")
+    ev = make_event("norm", 0.5)
+    assert estimator.analytic_oracles(m, ev, 0.0, [0.3, 0.5]).rho == 1.0
+    assert estimator.analytic_oracles(m, ev, 0.0, [0.3, 0.3]).rho == 0.0
 
 
 def test_oracle_rejects_nonlinear():
@@ -122,9 +195,10 @@ def test_oracle_rejects_mollified_event():
 def test_oracle_reproducible():
     m = make_builtin_model("nonnormal2d")
     ev = make_event("norm", 0.75, mode="indicator")
-    a = estimator.analytic_oracles(m, ev, 10.0, norm_mc_samples=200_000, seed=5)
-    b = estimator.analytic_oracles(m, ev, 10.0, norm_mc_samples=200_000, seed=5)
+    a = estimator.analytic_oracles(m, ev, 10.0)
+    b = estimator.analytic_oracles(m, ev, 10.0)
     assert a.rho == b.rho
+    assert a.standard_error == b.standard_error == 0.0
 
 
 def test_exact_controller_value_matches_oracle():

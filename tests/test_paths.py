@@ -5,9 +5,10 @@ import pytest
 
 from koopmanis import (derive_path_rng, make_builtin_model, make_event,
                        paths, run_ensemble, run_paths)
-from koopmanis.errors import ShapeError, UnsupportedSchemeError
+from koopmanis.errors import ConfigError, ShapeError, UnsupportedSchemeError
 from koopmanis.model import SdeModel
 from koopmanis.paths import _step_block, adjust_steps, sde_stepper
+from koopmanis.spde import run_spde_paths
 from reference import PathBlowupError, simulate_path
 
 
@@ -294,6 +295,26 @@ def test_trajectory_capture():
     mine = [row for row in ens.trajectories if row[0] == 1]
     assert len(res.trajectory) == len(mine)
     assert np.allclose(res.trajectory[-1][1], mine[-1][2])
+
+
+@pytest.mark.parametrize("engine", ["sde", "spde"])
+@pytest.mark.parametrize("count, stride", [(2, -5), (2, 0), (2, 2.5),
+                                           (2, "3"), (-1, 10), (1.5, 10)])
+def test_bad_trajectory_settings_are_config_errors(engine, count, stride):
+    """The engine checks the trajectory settings once for SDE and SPDE
+    ensembles alike, before numpy sees a negative or fractional size."""
+    if engine == "sde":
+        model = make_builtin_model("ou1d")
+        run = lambda: run_paths(model, None, [0.0], 1.0, 1e-2, M=4,
+                                trajectory_count=count,
+                                trajectory_stride=stride)
+    else:
+        spde = make_builtin_model("advdiff", {"n_modes": 8}).spde
+        run = lambda: run_spde_paths(spde, None, None, 0.1, 1e-2, 4, 0,
+                                     trajectory_count=count,
+                                     trajectory_stride=stride)
+    with pytest.raises(ConfigError):
+        run()
 
 
 def _reference_rows(model, controller, x0, T, dt, scheme, master_seed, M,
