@@ -19,7 +19,10 @@ ensemble into ``workers`` blocks on as many threads (``paths`` has the
 layout rule), with byte-identical SDE outputs.  Threads pay off only where
 numpy releases the interpreter lock long enough.  Final ensembles at c = 8
 on 2 cores, one BLAS thread, 1 -> 2 workers: advdiff 5.01 -> 2.84 s, vdp
-1.99 -> 2.79 s, brownian_osc 0.55 -> 1.31 s.  The default is 1.
+1.99 -> 2.79 s, brownian_osc 0.55 -> 1.31 s.  Memory grows with workers:
+each running block holds its own noise buffer of up to
+``paths.NOISE_BUFFER_DOUBLES`` doubles (32 MB).  The default is 1.
+M, workers and doob.tuning_batch are whole numbers (2000 or 2000.0).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -67,6 +71,20 @@ _BLOCK_KEYS = {
     "run": ("M", "T", "master_seed", "x0"),
     "output": ("directory",),
 }
+
+
+# counts, read as ints: 2.5 paths is a ConfigError, not 2 paths
+_WHOLE_NUMBER_KEYS = (("run", "M"), ("run", "workers"),
+                      ("doob", "tuning_batch"))
+
+
+def _whole_number(name, val) -> int:
+    """``val`` as an int when it is a whole number (2000 or 2000.0)."""
+    if isinstance(val, bool) or not (
+            isinstance(val, numbers.Integral)
+            or isinstance(val, float) and val.is_integer()):
+        raise ConfigError(f"{name} must be a whole number, got {val!r}")
+    return int(val)
 
 
 def _controller_blocks(model_name) -> list:
@@ -121,6 +139,9 @@ class ExperimentConfig:
         for key in ("M", "T", "master_seed"):
             if key not in (cfg["run"] or {}):
                 raise ConfigError(f"run block must define {key!r}")
+        for blk, key in _WHOLE_NUMBER_KEYS:
+            if cfg[blk] is not None:
+                cfg[blk][key] = _whole_number(f"{blk}.{key}", cfg[blk][key])
         return cls(**cfg)
 
     def to_dict(self) -> dict:
@@ -235,7 +256,7 @@ def _ensemble(cfg: ExperimentConfig, state: PipelineState):
     return estimator.run_ensemble(
         state.model, state.controller, state.event, run.get("x0"),
         float(run["T"]), float(run["dt"]), scheme=run["scheme"],
-        M=int(run["M"]), master_seed=run["master_seed"],
+        M=run["M"], master_seed=run["master_seed"],
         workers=run["workers"],
         trajectory_count=cfg.output["trajectory_count"],
         trajectory_stride=cfg.output["trajectory_stride"])

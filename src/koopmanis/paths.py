@@ -22,6 +22,13 @@ and SPDE mode snapshots (``spde.generate_mode_snapshots``).  It takes
 Layout rule: M rows run as blocks of min(MAX_BLOCK_ROWS, ceil(M / workers))
 rows, on ``workers`` threads when there is more than one block.
 
+Noise memory: each block allocates one buffer for its paths' noise and
+draws every time-ordered chunk into it in place, as many steps per chunk
+as fit in NOISE_BUFFER_DOUBLES doubles (at least one).  A block's noise is
+thus at most NOISE_BUFFER_DOUBLES doubles (32 MB) or one step's draws,
+whichever is more, and ``workers`` blocks running at once hold ``workers``
+buffers.  The budget changes no bits (see the determinism contract).
+
 The engine knows no event: it returns terminal states, log-weights and
 blow-up flags, and the estimator evaluates the event once on the
 surviving terminal states.
@@ -68,6 +75,7 @@ from .errors import (ConfigError, InvalidParameterError, ShapeError,
 
 _MASK64 = (1 << 64) - 1
 MAX_BLOCK_ROWS = 8192
+NOISE_BUFFER_DOUBLES = 4_000_000  # noise pre-drawn per block, in doubles
 
 SCHEMES = ("euler_maruyama", "srk_additive")
 
@@ -198,14 +206,17 @@ def _run_block(step, r, x0, K, dt, controller, master_seed, path_index,
 
     # noise is pre-drawn per path in time-ordered chunks so each stream is
     # consumed identically no matter the chunking; rows gather their
-    # path's draws one step at a time
-    chunk_steps = max(1, 4_000_000 // max(1, len(paths) * r))
+    # path's draws one step at a time.  Every chunk overwrites the one
+    # buffer: no stepper or controller keeps a view of xi.
+    chunk_steps = max(1, NOISE_BUFFER_DOUBLES // max(1, len(paths) * r))
+    noise = np.empty((len(paths), min(chunk_steps, K), r))
     k = 0
     while k < K:
         kc = min(chunk_steps, K - k)
-        xi_chunk = np.stack([g.standard_normal((kc, r)) for g in gens])
+        for g, draws in zip(gens, noise):
+            g.standard_normal(out=draws[:kc])
         for j in range(kc):
-            xi = xi_chunk[inv, j]
+            xi = noise[inv, j]
             u = None
             if controller is not None:
                 u, nf = controller.bias_batch((k + j) * dt, x)
@@ -289,9 +300,13 @@ def trajectory_snapshots(make_step, r, starts, T_traj, stride, seed, dt):
 
     ``make_step(dt)`` builds the stepper for the (adjusted) step size.
     Trajectories that blow up are left out; returns the points and the
-    number of points left out that way.
+    number of points left out that way.  No starts (an empty point grid)
+    is a ``ConfigError``.
     """
     starts = np.asarray(starts, dtype=float)
+    if len(starts) == 0:
+        raise ConfigError("the point grid is empty: points.counts gives "
+                          "no trajectory starts")
     if T_traj <= 0:
         return starts.copy(), 0
     K, dt = adjust_steps(T_traj, dt)

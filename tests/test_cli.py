@@ -283,6 +283,53 @@ def test_bad_run_parameters_are_typed_errors(tmp_path, capsys, key, value,
     assert f"error ({error})" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb, block, key, value",
+                         [("run", "run", "M", 2.5),
+                          ("run", "run", "workers", 1.5),
+                          ("run", "run", "M", "400"),
+                          ("run", "run", "workers", True),
+                          ("sweep-c", "doob", "tuning_batch", 100.5)])
+def test_counts_must_be_whole_numbers(tmp_path, capsys, verb, block, key,
+                                      value):
+    """run.M 2.5 would run 2 paths and doob.tuning_batch 100.5 would stop
+    in np.repeat: each count is checked once, when the config is read."""
+    raw = _tiny_ou_config(tmp_path)
+    raw[block][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main([verb, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error (ConfigError)" in err and f"{block}.{key}" in err
+
+
+def test_whole_float_counts_are_read_as_integers(tmp_path):
+    raw = _tiny_ou_config(tmp_path)
+    raw["run"].update(M=400.0, workers=1.0)
+    raw["doob"]["tuning_batch"] = 200.0
+    cfg = cli.ExperimentConfig.from_dict(raw)
+    assert [type(cfg.run["M"]), type(cfg.run["workers"]),
+            type(cfg.doob["tuning_batch"])] == [int, int, int]
+    assert cfg.to_dict() == cli.ExperimentConfig.from_dict(
+        _tiny_ou_config(tmp_path)).to_dict()
+
+
+@pytest.mark.parametrize("model", ["ou1d", "advdiff"])
+def test_empty_point_grid_is_a_config_error(tmp_path, capsys, model):
+    raw = _tiny_ou_config(tmp_path)
+    raw["points"] = {"kind": "grid", "box": [[-2.0, 2.0]], "counts": [0],
+                     "T_traj": 1.0, "stride": 0.1, "seed": 3}
+    if model == "advdiff":
+        raw["model"] = {"name": "advdiff", "params": {"n_modes": 8}}
+        raw["event"] = {"kind": "norm", "threshold": 0.5}
+        raw["run"]["x0"] = None
+        del raw["basis"], raw["gedmd"]
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error (ConfigError)" in err and "point grid is empty" in err
+
+
 def test_spde_run_writes_trajectories(tmp_path):
     """The SPDE ensemble reports output.trajectory_count rows like an SDE
     ensemble: 3 paths at t = 0 and every 10 of the 50 steps."""

@@ -53,24 +53,20 @@ def test_vdp_points_approx_count_and_box():
 
 def _reference_snapshots(model, ics, T_traj, stride, seed, dt, scheme):
     """Loop version of the test-point trajectories, kept as the reference
-    for the block engine."""
+    for the block engine: each path's whole (K, r) noise stream is drawn
+    at once."""
     n_ic, d = ics.shape
     K, dt = adjust_steps(T_traj, dt)
     step_per = max(1, int(round(stride / dt)))
-    gens = [derive_path_rng(seed, i) for i in range(n_ic)]
+    r = model.dim_noise
+    xi = np.array([derive_path_rng(seed, i).standard_normal((K, r))
+                   for i in range(n_ic)])
     x = ics.astype(float).copy()
     snaps = [x.copy()]
-    r = model.dim_noise
-    chunk_steps = max(1, 4_000_000 // max(1, n_ic * r))
-    k = 0
-    while k < K:
-        kc = min(chunk_steps, K - k)
-        xi_chunk = np.stack([g.standard_normal((kc, r)) for g in gens])
-        for j in range(kc):
-            x = _step_block(model, scheme, x, None, dt, xi_chunk[:, j, :])
-            if (k + j + 1) % step_per == 0:
-                snaps.append(x.copy())
-        k += kc
+    for k in range(K):
+        x = _step_block(model, scheme, x, None, dt, xi[:, k, :])
+        if (k + 1) % step_per == 0:
+            snaps.append(x.copy())
     return np.stack(snaps, axis=1).reshape(-1, d)
 
 

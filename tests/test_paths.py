@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from koopmanis import (derive_path_rng, make_builtin_model, make_event,
 from koopmanis.errors import ConfigError, ShapeError, UnsupportedSchemeError
 from koopmanis.model import SdeModel
 from koopmanis.paths import _step_block, adjust_steps, sde_stepper
-from koopmanis.spde import run_spde_paths
+from koopmanis.spde import SpdeController, run_spde_paths, spectral_setup
 from reference import PathBlowupError, simulate_path
 
 
@@ -230,6 +231,69 @@ def test_fitted_controller_ensembles_are_bitwise_invariant(fitted_controllers,
     for alt in runs[1:]:
         assert np.array_equal(runs[0].terminal, alt.terminal)
         assert np.array_equal(runs[0].log_weight, alt.log_weight)
+
+
+@pytest.mark.parametrize("case", ["sde", "stacked_sweep", "spde"])
+def test_noise_budget_does_not_change_results(fitted_controllers, case,
+                                              monkeypatch):
+    """A noise budget of one step per chunk, one of 7 steps (50 steps end
+    in a 1-step chunk) and the default (one 50-step chunk) give the same
+    rows bit for bit: a plain SDE ensemble, a stacked sweep whose rows
+    repeat path indices, and an SPDE ensemble."""
+    model, ctrl, x0 = fitted_controllers["legendre_box"]
+    if case == "sde":
+        def run():
+            return run_paths(model, ctrl, x0, 1.0, 2e-2, M=40, master_seed=5)
+        per_step = 40 * model.dim_noise
+    elif case == "stacked_sweep":
+        swept = ctrl.with_multiplier(np.repeat([1.0, 2.0, 4.0], 20))
+
+        def run():
+            return run_paths(model, swept, x0, 1.0, 2e-2, M=60,
+                             master_seed=5,
+                             path_index=np.tile(np.arange(20), 3))
+        per_step = 20 * model.dim_noise  # 20 distinct paths
+    else:
+        sp = spectral_setup(8, 0.1, 1.0, 1.0)
+        spde_ctrl = SpdeController(sp, 1.0, 0.4, 1.0, multiplier=2.0)
+
+        def run():
+            return run_spde_paths(sp, spde_ctrl, None, 1.0, 2e-2, 40,
+                                  master_seed=5)
+        per_step = 40 * sp.n_modes
+    ref = run()
+    alts = []
+    for budget in (1, 7 * per_step):
+        monkeypatch.setattr(paths, "NOISE_BUFFER_DOUBLES", budget)
+        alts.append(run())
+    for alt in alts:
+        for field in ("terminal", "log_weight", "floored"):
+            assert getattr(ref, field).tobytes() == \
+                getattr(alt, field).tobytes()
+
+
+def test_noise_is_held_in_one_buffer_per_block(monkeypatch):
+    """2000 rows over 200 steps in 4 noise chunks of 50 steps: the traced
+    peak stays below 1.5 noise buffers plus the rows' noise streams and
+    per-step scratch, so no chunk is held twice and no chunk outlives the
+    next one."""
+    m = make_builtin_model("vdp")
+    M, r, chunk = 2000, m.dim_noise, 50
+    monkeypatch.setattr(paths, "NOISE_BUFFER_DOUBLES", chunk * M * r)
+    buffer_bytes = chunk * M * r * 8
+    scratch_bytes = 20 * M * m.dim_state * 8
+    tracemalloc.start()
+    try:
+        gens = [derive_path_rng(5, i) for i in range(M)]
+        stream_bytes, _ = tracemalloc.get_traced_memory()
+        del gens
+        tracemalloc.reset_peak()
+        ens = run_paths(m, None, [2.0, 0.0], 2.0, 1e-2, M=M, master_seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ens.K == 4 * chunk
+    assert peak < 1.5 * buffer_bytes + stream_bytes + scratch_bytes
 
 
 def test_unbiasedness_under_bounded_controller():
