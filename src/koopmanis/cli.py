@@ -17,12 +17,14 @@ The ``run`` block: M, T, master_seed (required), x0, method, dt, scheme
 and workers, the one parallelism knob: the path engine splits each
 ensemble into ``workers`` blocks on as many threads (``paths`` has the
 layout rule), with byte-identical SDE outputs.  Threads pay off only where
-numpy releases the interpreter lock long enough.  Final ensembles at c = 8
-on 2 cores, one BLAS thread, 1 -> 2 workers: advdiff 5.01 -> 2.84 s, vdp
-1.99 -> 2.79 s, brownian_osc 0.55 -> 1.31 s.  Memory grows with workers:
+numpy releases the interpreter lock long enough.  Final ensembles of the
+bench workloads at c = 8 on 2 cores, one BLAS thread, 1 -> 2 workers
+(median of 3): advdiff 4.5 -> 2.3 s, vdp 1.08 -> 2.0 s, brownian_osc
+0.48 -> 0.95 s.  Memory grows with workers:
 each running block holds its own noise buffer of up to
 ``paths.NOISE_BUFFER_DOUBLES`` doubles (32 MB).  The default is 1.
-M, workers and doob.tuning_batch are whole numbers (2000 or 2000.0).
+M, workers and doob.tuning_batch are whole numbers (2000 or 2000.0), and
+points.counts is a list of whole numbers >= 0.
 """
 
 from __future__ import annotations
@@ -87,6 +89,16 @@ def _whole_number(name, val) -> int:
     return int(val)
 
 
+def _grid_counts(counts) -> list:
+    """points.counts, the grid points per axis, as a list of ints >= 0."""
+    if not isinstance(counts, (list, tuple)):
+        raise ConfigError(f"points.counts must be a list, got {counts!r}")
+    out = [_whole_number("points.counts", c) for c in counts]
+    if any(c < 0 for c in out):
+        raise ConfigError(f"points.counts must be >= 0, got {counts!r}")
+    return out
+
+
 def _controller_blocks(model_name) -> list:
     """The config blocks the controller stages read: the SPDE model
     (advdiff) samples its own snapshots and needs no basis or gEDMD."""
@@ -142,6 +154,8 @@ class ExperimentConfig:
         for blk, key in _WHOLE_NUMBER_KEYS:
             if cfg[blk] is not None:
                 cfg[blk][key] = _whole_number(f"{blk}.{key}", cfg[blk][key])
+        if "counts" in (cfg["points"] or {}):
+            cfg["points"]["counts"] = _grid_counts(cfg["points"]["counts"])
         return cls(**cfg)
 
     def to_dict(self) -> dict:
@@ -197,7 +211,7 @@ def prepare_controller(cfg: ExperimentConfig) -> PipelineState:
     if model.spde is not None:
         pts = cfg.points
         amps = np.linspace(pts["box"][0][0], pts["box"][0][1],
-                           int(pts["counts"][0]))
+                           pts["counts"][0])
         snaps = spde.generate_mode_snapshots(
             model.spde, amps, pts["T_traj"], pts["stride"], pts["seed"],
             dt=pts.get("dt", cfg.run["dt"]))

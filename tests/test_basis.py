@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
 from koopmanis import build_basis
-from koopmanis.basis import FAMILIES, BasisSet, graded_lex_indices
+from koopmanis.basis import (FAMILIES, BasisSet, _legendre_tables,
+                             graded_lex_indices)
 from koopmanis.errors import ConfigError
 
 
@@ -143,17 +145,34 @@ def test_values_and_grads_consistent_with_jets():
             assert np.array_equal(G[:, :, i], G2[i].T)
 
 
+def _index_set(kind, d, p):
+    """Irregular multi-index sets for the contraction's extents skip."""
+    grid = np.array(list(itertools.product(range(p + 1), repeat=d)))
+    if kind == "tensor":   # full (p+1)^d grid: no zeros in the tensor
+        return grid
+    if kind == "hyperbolic":   # hyperbolic cross: prod(alpha_i + 1) <= p + 1
+        return grid[np.prod(grid + 1, axis=1) <= p + 1]
+    # "hole": total degree without the slab alpha_last = 1 (a slab with no
+    # index at all) and without the alpha_last = 0 indices with alpha_0 >= 2,
+    # so the slab alpha_last = 0 is narrower than the slab alpha_last = 2
+    idx = graded_lex_indices(d, p)
+    keep = (idx[:, -1] != 1) & ((idx[:, -1] != 0) | (idx[:, 0] < 2))
+    return idx[keep]
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("d,p,index_set", [
     (1, 6, "total"), (2, 10, "total"), (3, 4, "total"),
-    (2, 4, "tensor"), (3, 3, "tensor")])
+    (2, 4, "tensor"), (3, 3, "tensor"),
+    (2, 7, "hole"), (3, 5, "hole"), (2, 9, "hyperbolic"),
+    (3, 7, "hyperbolic"), (1, 0, "total"), (3, 0, "total"),
+    (1, 1, "total"), (2, 1, "total"), (3, 1, "total")])
 def test_value_grad_contraction_matches_per_function_reference(
         family, d, p, index_set):
     box = [[-3.0, 2.5], [-2.0, 4.0], [-2.5, 2.5]][:d]
     b = build_basis(family, d, p, box)
-    if index_set == "tensor":   # full (p+1)^d grid: no zeros in the tensor
-        grid = np.array(list(itertools.product(range(p + 1), repeat=d)))
-        b = BasisSet(family, d, p, grid, b.box)
+    if index_set != "total":
+        b = BasisSet(family, d, p, _index_set(index_set, d, p), b.box)
     rng = np.random.default_rng(d * 100 + p)
     X = rng.uniform(-2.0, 2.0, size=(200, d))
     a = rng.normal(size=b.size)
@@ -176,3 +195,31 @@ def test_basis_jet_is_element_jet():
             assert val == V[k, p]
             assert np.array_equal(grad, [g[k, p] for g in G])
             assert np.array_equal(hess, [[h[k, p] for h in row] for row in H])
+
+
+def test_legendre_derivative_identity_is_stable_at_high_degree():
+    """p = 20 at the box edges and outside the box, where engine states
+    go: the tables match numpy's Legendre series, ``value_grad`` matches the
+    per-function reference, and the order-2 jets match finite differences
+    of the order-1 gradients."""
+    p, (lo, hi) = 20, (-2.0, 3.0)
+    b = build_basis("legendre_box", 1, p, [[lo, hi]])
+    rng = np.random.default_rng(20)
+    X = np.concatenate([[lo, hi, lo - 1e-9, hi + 1e-9, lo - 0.25, hi + 0.25,
+                         lo - 1.0, hi + 1.0], rng.uniform(lo, hi, 40)])[:, None]
+    u = (2.0 * X[:, 0] - (lo + hi)) / (hi - lo)
+    for k, table in enumerate(_legendre_tables(p, u, 2)):
+        for n in range(p + 1):
+            ref = legendre.legval(u, legendre.legder(np.eye(p + 1)[n], k))
+            np.testing.assert_allclose(table[n], ref, rtol=1e-12,
+                                       atol=1e-13 * np.abs(ref).max())
+    a = rng.normal(size=b.size)
+    V, G = b.values_and_grads(X)
+    val, grad = b.value_grad(a, X)
+    np.testing.assert_allclose(val, V @ a, rtol=1e-12)
+    np.testing.assert_allclose(grad[:, 0], G[:, :, 0] @ a, rtol=1e-12)
+    step = 1e-6
+    _, _, H = b.jets(X, 2)
+    fd = (b.jets(X + step, 1)[1][0] - b.jets(X - step, 1)[1][0]) / (2 * step)
+    np.testing.assert_allclose(H[0][0], fd, rtol=1e-6,
+                               atol=1e-8 * np.abs(fd).max())

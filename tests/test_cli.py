@@ -330,6 +330,26 @@ def test_empty_point_grid_is_a_config_error(tmp_path, capsys, model):
     assert "error (ConfigError)" in err and "point grid is empty" in err
 
 
+@pytest.mark.parametrize("model", ["ou1d", "advdiff"])
+@pytest.mark.parametrize("counts", [[2.5], [-1], 3])
+def test_point_counts_are_checked_when_read(tmp_path, capsys, model, counts):
+    """counts 2.5 would run a grid of 2 and -1 would stop in np.linspace,
+    on the SDE grid and on the SPDE amplitudes alike."""
+    raw = _tiny_ou_config(tmp_path)
+    raw["points"] = {"kind": "grid", "box": [[-2.0, 2.0]], "counts": counts,
+                     "T_traj": 1.0, "stride": 0.1, "seed": 3}
+    if model == "advdiff":
+        raw["model"] = {"name": "advdiff", "params": {"n_modes": 8}}
+        raw["event"] = {"kind": "norm", "threshold": 0.5}
+        raw["run"]["x0"] = None
+        del raw["basis"], raw["gedmd"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error (ConfigError)" in err and "points.counts" in err
+
+
 def test_spde_run_writes_trajectories(tmp_path):
     """The SPDE ensemble reports output.trajectory_count rows like an SDE
     ensemble: 3 paths at t = 0 and every 10 of the 50 steps."""
