@@ -4,8 +4,7 @@ from .basis import BasisSet, build_basis
 from .doob import (DoobController, build_controller, fit_surrogate,
                    positivize, tune_multiplier)
 from .errors import KoopmanisError
-from .estimator import (EstimatorReport, analytic_oracles, ou_exact_controller,
-                        run_ensemble)
+from .estimator import EstimatorReport, analytic_oracles, run_ensemble
 from .gedmd import (KoopmanSpectrum, TestPointSet, assemble_matrices,
                     eigenpairs, exact_koopman_matrix, generate_test_points,
                     koopman_matrix, validate_eigenpairs)
@@ -23,6 +22,6 @@ __all__ = [
     "build_basis", "build_controller", "default_event", "derive_path_rng",
     "eigenpairs", "exact_koopman_matrix", "fit_surrogate",
     "generate_test_points", "koopman_matrix", "make_builtin_model",
-    "make_event", "ou_exact_controller", "positivize", "run_ensemble",
-    "run_paths", "spectral_setup", "tune_multiplier", "validate_eigenpairs",
+    "make_event", "positivize", "run_ensemble", "run_paths",
+    "spectral_setup", "tune_multiplier", "validate_eigenpairs",
 ]

@@ -23,8 +23,10 @@ bench workloads at c = 8 on 2 cores, one BLAS thread, 1 -> 2 workers
 0.48 -> 0.95 s.  Memory grows with workers:
 each running block holds its own noise buffer of up to
 ``paths.NOISE_BUFFER_DOUBLES`` doubles (32 MB).  The default is 1.
-M, workers and doob.tuning_batch are whole numbers (2000 or 2000.0), and
-points.counts is a list of whole numbers >= 0.
+M, workers, doob.tuning_batch and output.histogram_bins are whole numbers
+(2000 or 2000.0), points.counts is a list of whole numbers >= 0, and
+output.histogram_range is null or [lo, hi], two finite numbers with
+lo < hi.  Every one of these is checked when the config is read.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import numbers
 import os
 import sys
@@ -77,7 +80,7 @@ _BLOCK_KEYS = {
 
 # counts, read as ints: 2.5 paths is a ConfigError, not 2 paths
 _WHOLE_NUMBER_KEYS = (("run", "M"), ("run", "workers"),
-                      ("doob", "tuning_batch"))
+                      ("doob", "tuning_batch"), ("output", "histogram_bins"))
 
 
 def _whole_number(name, val) -> int:
@@ -97,6 +100,18 @@ def _grid_counts(counts) -> list:
     if any(c < 0 for c in out):
         raise ConfigError(f"points.counts must be >= 0, got {counts!r}")
     return out
+
+
+def _check_histogram_range(rng):
+    """output.histogram_range: null, or two finite numbers lo < hi."""
+    if rng is None:
+        return
+    if not (isinstance(rng, (list, tuple)) and len(rng) == 2
+            and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in rng)
+            and rng[0] < rng[1]):
+        raise ConfigError(f"output.histogram_range must be null or [lo, hi] "
+                          f"with finite lo < hi, got {rng!r}")
 
 
 def _controller_blocks(model_name) -> list:
@@ -136,7 +151,7 @@ class ExperimentConfig:
         if method == "is":
             required += _controller_blocks(data.get("model", {}).get("name"))
             required.append("doob")
-        missing = [blk for blk in required if blk not in data]
+        missing = [blk for blk in required if data.get(blk) is None]
         if missing:
             raise ConfigError(f"missing config blocks: {missing}")
         cfg = {}
@@ -156,6 +171,10 @@ class ExperimentConfig:
                 cfg[blk][key] = _whole_number(f"{blk}.{key}", cfg[blk][key])
         if "counts" in (cfg["points"] or {}):
             cfg["points"]["counts"] = _grid_counts(cfg["points"]["counts"])
+        if cfg["output"]["histogram_bins"] < 1:
+            raise ConfigError(f"output.histogram_bins must be at least 1, "
+                              f"got {cfg['output']['histogram_bins']}")
+        _check_histogram_range(cfg["output"]["histogram_range"])
         return cls(**cfg)
 
     def to_dict(self) -> dict:
@@ -317,22 +336,19 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def _write_sweep(outdir, tune) -> Path:
-    path = outdir / "sweep.csv"
-    _write_csv(path,
-               ["c", "hit_fraction", "estimate", "variance", "relative_error"],
-               [[repr(float(c)), repr(f), repr(e), repr(v), repr(r)]
-                for c, f, e, v, r in tune.table])
-    return path
+def _sweep_rows(tune):
+    return (["c", "hit_fraction", "estimate", "variance", "relative_error"],
+            [[repr(float(c)), repr(f), repr(e), repr(v), repr(r)]
+             for c, f, e, v, r in tune.table])
 
 
-def _append_results_row(path, report):
+def _append_results_row(path, row):
     new = not Path(path).exists()
     with open(path, "a", newline="") as fh:
         w = csv.writer(fh)
         if new:
             w.writerow(estimator.CSV_COLUMNS)
-        w.writerow(report.csv_row())
+        w.writerow(row)
 
 
 def _eigen_report_rows(spectrum):
@@ -368,8 +384,9 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None,
                    reuse_controller=False) -> dict:
     """Execute the configured experiment and write every output file.
 
-    Outputs are written only after all stages succeed, so a failed run
-    leaves no partial files behind.
+    Every output is computed before the first is written, so a run that
+    fails in any stage, or while forming its outputs, leaves no partial
+    files behind.
     """
     outdir = _resolve_outdir(cfg, output_dir)
     controller_path = outdir / "controller.json"
@@ -386,39 +403,40 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None,
     else:
         state = run_pipeline(cfg)
 
-    written = {}
-    results_path = outdir / "results.csv"
-    _append_results_row(results_path, state.report)
-    written["results"] = results_path
-
+    # name -> (file, writer of the file, its content), in writing order
     stats = state.event.statistic(state.report.ensemble.terminal)
-    rows = emit_histogram(stats, cfg.output["histogram_bins"],
+    hist = emit_histogram(stats, cfg.output["histogram_bins"],
                           _histogram_range(cfg, stats))
-    hist_path = outdir / "histogram.csv"
-    _write_csv(hist_path, ["bin_lo", "bin_hi", "count"],
-               [[repr(lo), repr(hi), n] for lo, hi, n in rows])
-    written["histogram"] = hist_path
-
+    outputs = {
+        "results": ("results.csv", _append_results_row,
+                    (state.report.csv_row(),)),
+        "histogram": ("histogram.csv", _write_csv,
+                      (["bin_lo", "bin_hi", "count"],
+                       [[repr(lo), repr(hi), n] for lo, hi, n in hist]))}
     if state.controller is not None:
-        with open(controller_path, "w") as fh:
-            json.dump(state.controller.to_dict(), fh, indent=1, sort_keys=True)
-        written["controller"] = controller_path
+        outputs["controller"] = (
+            "controller.json", Path.write_text,
+            (json.dumps(state.controller.to_dict(), indent=1,
+                        sort_keys=True),))
     if state.tune is not None:
-        written["sweep"] = _write_sweep(outdir, state.tune)
+        outputs["sweep"] = ("sweep.csv", _write_csv,
+                            _sweep_rows(state.tune))
     if state.spectrum is not None:
-        header, rows = _eigen_report_rows(state.spectrum)
-        eig_path = outdir / "eigen_report.csv"
-        _write_csv(eig_path, header, rows)
-        written["eigen_report"] = eig_path
+        outputs["eigen_report"] = ("eigen_report.csv", _write_csv,
+                                   _eigen_report_rows(state.spectrum))
     traj = state.report.ensemble.trajectories
     if traj:
         d = state.model.dim_state
-        traj_path = outdir / "trajectories.csv"
-        _write_csv(traj_path,
-                   ["path_index", "time"] + [f"x{i+1}" for i in range(d)],
-                   [[idx, repr(float(t))] + [repr(float(v)) for v in x]
-                    for idx, t, x in traj])
-        written["trajectories"] = traj_path
+        outputs["trajectories"] = (
+            "trajectories.csv", _write_csv,
+            (["path_index", "time"] + [f"x{i+1}" for i in range(d)],
+             [[idx, repr(float(t))] + [repr(float(v)) for v in x]
+              for idx, t, x in traj]))
+
+    written = {}
+    for name, (file, write, content) in outputs.items():
+        written[name] = outdir / file
+        write(written[name], *content)
     return written
 
 
@@ -440,7 +458,8 @@ def _cmd_sweep(args):
     if cfg.doob is None:
         raise ConfigError("sweep-c needs a doob block")
     tune = _tune(cfg, prepare_controller(cfg))
-    sweep_path = _write_sweep(_resolve_outdir(cfg, args.output_dir), tune)
+    sweep_path = _resolve_outdir(cfg, args.output_dir) / "sweep.csv"
+    _write_csv(sweep_path, *_sweep_rows(tune))
     print("c  hit_fraction  estimate  variance  relative_error")
     for c, f, e, v, r in tune.table:
         print(f"{c:g}  {f:.6g}  {e:.6g}  {v:.6g}  {r:.6g}")

@@ -4,7 +4,8 @@ The terminal observable is regressed onto the eigenfunctions (complex
 pairs realified into Re/Im columns), the fit is shifted positive through
 the constant eigenfunction, and the value surrogate is propagated in time
 through the eigenvalue exponentials.  The biasing is
-c * B(x)^T grad(Phi)/max(Phi, floor).
+c * B^T grad(Phi)/max(Phi, floor), with B the model's constant noise
+matrix.
 """
 
 from __future__ import annotations
@@ -117,25 +118,26 @@ def fit_surrogate(C, f_values, col, offset=None):
 
 
 class Controller:
-    """Base of every biasing controller: the Doob bias c B(x)^T grad(Phi)/Phi.
+    """Base of every biasing controller: the Doob bias c B^T grad(Phi)/Phi.
 
     A subclass sets ``horizon``, ``multiplier`` (c) and ``floor`` and
     supplies three things:
 
     - ``value_grad_batch(t, X) -> (Phi (m,), grad Phi (m, d))`` for
       t in [0, horizon], which it enforces with ``_check_time``;
-    - ``_noise_map(grad) -> (m, r)``: its B(x)^T applied to grad Phi;
-    - its serialization, where it has one.
+    - ``_noise_map(grad) -> (m, r)``: the constant B^T applied to grad Phi
+      (every model has additive noise, so B does not depend on X);
+    - its serialization.
 
     ``bias_batch(t, X) -> (u (m, r), floored)`` is the one bias formula,
     (c / max(Phi, floor)) * B^T grad Phi, with ``floored`` the (m,) mask of
-    the rows where the floor was active (0 where no row can be).  The
-    multiplier c is a scalar or one value per row of X.  The formula is
-    row-local when both methods are: row i of its result depends only on
-    X[i] and c[i], bit for bit, whatever the number of rows.  The path
-    engine's worker-count invariance and the stacked multiplier sweep rest
-    on this.  ``SpdeController`` is the one exception: its ``Y @ w1`` is a
-    BLAS product whose last bit depends on the number of rows.
+    the rows where the floor was active.  The multiplier c is a scalar or
+    one value per row of X.  The formula is row-local when both methods
+    are: row i of its result depends only on X[i] and c[i], bit for bit,
+    whatever the number of rows.  The path engine's worker-count
+    invariance and the stacked multiplier sweep rest on this.
+    ``SpdeController`` is the one exception: its ``Y @ w1`` is a BLAS
+    product whose last bit depends on the number of rows.
 
     Controllers are immutable after construction: ``with_multiplier``
     returns a copy with a new c, so multiplier sweeps never mutate a
@@ -258,8 +260,6 @@ def build_controller(spectrum: KoopmanSpectrum, model, points, f_values, T,
     ``fit_surrogate`` and assemble the controller."""
     if spectrum.n_pairs == 0:
         raise EmptySpectrumError("cannot regress on an empty spectrum")
-    if model.diffusion_const is None:
-        raise ConfigError("eigen controllers require constant diffusion")
     comps = realify_spectrum(spectrum)
     C = design_matrix(comps, spectrum.basis, points)
     coeffs, scale = fit_surrogate(C, f_values, _constant_column(comps), offset)

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import erfc, erfcx
+from scipy.special import erfc
 
-from .doob import Controller
 from .errors import (ConfigError, InvalidParameterError, NumericalError,
                      ShapeError)
 from .model import EventObservable, SdeModel
@@ -281,111 +280,3 @@ def analytic_oracles(model: SdeModel, event: EventObservable, T: float,
             rho = _imhof_tail(vals[live], proj[live] ** 2 / vals[live], x)
         return OracleResult(rho, 0.0, mean, cov, "imhof")
     raise InvalidParameterError(f"no oracle for event kind {event.kind!r}")
-
-
-class OuExactController(Controller):
-    """Exact biasing for the 1-D linear model from its Gaussian transition.
-
-    The value function E[f(X_T) | X_t = x] is evaluated in closed form for
-    the indicator terminal function and by composite Gauss-Legendre
-    quadrature for the mollified one (which is the C^2, strictly positive
-    setting in which the weighted outcome is constant path-by-path up to
-    discretization error).  The terminal form, threshold and sharpness are
-    the event's (``ou_exact_controller``).  The B-map is the noise
-    intensity.
-    """
-
-    def __init__(self, rate, noise, threshold, T, terminal, sharpness,
-                 multiplier=1.0):
-        if terminal not in ("indicator", "mollified"):
-            raise InvalidParameterError("terminal must be indicator|mollified")
-        self.rate = float(rate)
-        self.noise = float(noise)
-        self.threshold = float(threshold)
-        self.horizon = float(T)
-        self.terminal = terminal
-        self.sharpness = float(sharpness)
-        self.multiplier = float(multiplier)
-        self.floor = 1e-300
-        # composite rule in the standardized coordinate u = (v - mean)/sd:
-        # three 32-node panels of [-12, 12] with the middle panel tracking
-        # the mollifier transition, which keeps every panel well clear of
-        # the tanh poles
-        self._gl_x, self._gl_w = np.polynomial.legendre.leggauss(32)
-
-    n_eigenfunctions = 0
-
-    def _transition(self, t):
-        tau = max(self.horizon - t, 0.0)
-        m_fac = math.exp(-self.rate * tau)
-        var = self.noise ** 2 * (1.0 - math.exp(-2.0 * self.rate * tau)) \
-            / (2.0 * self.rate)
-        return m_fac, math.sqrt(var)
-
-    def _f(self, v):
-        return 0.5 * (1.0 + np.tanh(self.sharpness * (v - self.threshold)))
-
-    def _fprime(self, v):
-        th = np.tanh(self.sharpness * (v - self.threshold))
-        return 0.5 * self.sharpness * (1.0 - th * th)
-
-    def value_grad_batch(self, t, X):
-        self._check_time(t)
-        x = np.asarray(X, dtype=float).reshape(-1)
-        m_fac, sd = self._transition(t)
-        if sd < 1e-13:  # at the horizon the value is the terminal function
-            if self.terminal == "indicator":
-                val = (x > self.threshold).astype(float)
-                grad = np.zeros_like(x)
-            else:
-                val, grad = self._f(x), self._fprime(x)
-            return val, grad[:, None]
-        mean = m_fac * x
-        if self.terminal == "indicator":
-            z = (self.threshold - mean) / sd
-            val = 0.5 * erfc(z / math.sqrt(2.0))
-            grad = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * m_fac / sd
-            return val, grad[:, None]
-        kink = np.clip((self.threshold - mean) / sd, -11.0, 11.0)[:, None]
-        edges = np.concatenate([np.full_like(kink, -12.0), kink - 1.0,
-                                kink + 1.0, np.full_like(kink, 12.0)], axis=1)
-        val = np.zeros_like(mean)
-        grad = np.zeros_like(mean)
-        for p in range(3):
-            c = 0.5 * (edges[:, p + 1] + edges[:, p])[:, None]
-            h = 0.5 * (edges[:, p + 1] - edges[:, p])[:, None]
-            u = c + h * self._gl_x[None, :]
-            dens = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-            w = h * self._gl_w[None, :] * dens
-            pts = mean[:, None] + sd * u
-            val += (self._f(pts) * w).sum(axis=1)
-            grad += (self._fprime(pts) * w).sum(axis=1)
-        return val, (m_fac * grad)[:, None]
-
-    def _noise_map(self, grad):
-        return self.noise * grad
-
-    def bias_batch(self, t, X):
-        self._check_time(t)
-        m_fac, sd = self._transition(t)
-        if self.terminal != "indicator" or sd <= 1e-13:
-            return super().bias_batch(t, X)
-        # hazard-rate form, stable arbitrarily deep in the tail
-        x = np.asarray(X, dtype=float).reshape(-1)
-        z = (self.threshold - m_fac * x) / sd
-        hazard = math.sqrt(2.0 / math.pi) / erfcx(z / math.sqrt(2.0))
-        u = self.multiplier * self.noise * m_fac / sd * hazard
-        return u[:, None], 0
-
-
-def ou_exact_controller(model: SdeModel, event: EventObservable, T: float,
-                        multiplier=1.0) -> OuExactController:
-    """The exact controller for ``event``: its mode is the terminal form,
-    and its threshold and sharpness are the controller's."""
-    if model.name != "ou1d" or model.linear_spec is None:
-        raise InvalidParameterError("exact controller exists for ou1d only")
-    if event.kind != "coordinate":
-        raise InvalidParameterError("exact controller needs a threshold event")
-    return OuExactController(model.params["rate"], model.params["noise"],
-                             event.threshold, T, event.mode, event.sharpness,
-                             multiplier)

@@ -20,8 +20,7 @@ from .basis import BasisSet
 from .errors import (ConfigError, EmptySpectrumError, NumericalError,
                      RankDeficiencyWarning)
 from .model import SdeModel, half_diffusion_sq
-from .paths import (default_scheme, derive_path_rng, sde_stepper,
-                    trajectory_snapshots)
+from .paths import derive_path_rng, sde_stepper, trajectory_snapshots
 
 RESIDUAL_TOL = 1e-8
 SVD_RTOL = 1e-10
@@ -57,7 +56,6 @@ def generate_test_points(model: SdeModel, ic_grid: dict, T_traj: float,
     dropped; so are all snapshots of a trajectory that blows up.  Both are
     counted in the provenance record.
     """
-    scheme = scheme or default_scheme(model)
     ics = _ic_grid(ic_grid["box"], ic_grid["counts"])
     if ics.shape[1] != model.dim_state:
         raise ConfigError("IC grid dimension does not match the model")
@@ -104,20 +102,15 @@ def assemble_matrices(basis: BasisSet, model: SdeModel, pts):
 
     One order-2 ``basis.jets`` evaluation gives every element's value,
     gradients G_i and Hessian entries H_ij at every point; the drift a is
-    evaluated once, and dPsi = sum_i a_i G_i + sum_ij Q_ij H_ij with
-    Q = 0.5 B B^T, constant or per point when the model has no
-    ``diffusion_const``.  The drift sum runs in axis order and the trace
-    sum row-major, elementwise, so every column depends only on its own
-    point.
+    evaluated once, and dPsi = sum_i a_i G_i + sum_ij Q_ij H_ij with the
+    model's constant Q = 0.5 B B^T.  The drift sum runs in axis order and
+    the trace sum row-major, elementwise, so every column depends only on
+    its own point.
     """
     points = pts.points if isinstance(pts, TestPointSet) else np.atleast_2d(pts)
     Psi, G, H = basis.jets(points, 2)
     a = model.drift(points)
-    if model.diffusion_const is not None:
-        Q = half_diffusion_sq(model)
-    else:
-        B = model.diffusion(points)
-        Q = np.moveaxis(0.5 * np.einsum("mik,mjk->mij", B, B), 0, -1)
+    Q = half_diffusion_sq(model)
     d = basis.dim
     drift = sum(a[:, i] * G[i] for i in range(d))
     return Psi, drift + sum(Q[i, j] * H[i][j]

@@ -1,11 +1,17 @@
 """SDE models and rare-event observables.
 
-A model bundles drift/diffusion callables (batched over states), the state
-and noise dimensions, and, for constant-coefficient linear systems, the
-(A_lin, B_lin) matrices enabling exact spectra and Gaussian oracles.
-Events are described by a signed margin g(x): positive strictly inside the
-event, zero on its boundary.  A single mollifier 0.5*(1 + tanh(s*g(x)))
-serves every benchmark.
+Every model is an additive-noise SDE dX = a(X) dt + B dW: a drift callable
+(batched over states) and one constant noise matrix B of shape (d, r),
+from which the state and noise dimensions are read.  Noise never depends
+on the state because the biasing control c B^T grad(Phi)/Phi maps the
+gradient through B: a constant B keeps that map, the path engine's
+diffusion term and the generator's second-order part 0.5 B B^T one fixed
+matrix each.  The six built-in models, rank-deficient B included
+(brownian_osc, duffing), all have this form.  Constant-coefficient linear
+systems also carry (A_lin, B_lin), enabling exact spectra and Gaussian
+oracles.  Events are described by a signed margin g(x): positive strictly
+inside the event, zero on its boundary.  A single mollifier
+0.5*(1 + tanh(s*g(x))) serves every benchmark.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import InvalidParameterError, ModelNotFoundError
+from .errors import InvalidParameterError, ModelNotFoundError, ShapeError
 
 if TYPE_CHECKING:
     from .spde import SpectralSpde
@@ -27,15 +33,45 @@ BUILTIN_MODELS = ("ou1d", "nonnormal2d", "brownian_osc", "advdiff", "vdp",
 
 @dataclass(eq=False)
 class SdeModel:
+    """dX = drift(X) dt + diffusion_const dW.
+
+    ``diffusion_const`` must be a finite 2-D float array with at least one
+    row and one column (``ShapeError`` or ``InvalidParameterError``
+    otherwise); ``dim_state`` and ``dim_noise`` are its shape.
+    """
+
     name: str
-    dim_state: int
-    dim_noise: int
-    drift: Callable          # (..., d) -> (..., d)
-    diffusion: Callable      # x -> (d, r), or (m, d, r) for batches
+    drift: Callable                  # (..., d) -> (..., d)
+    diffusion_const: np.ndarray      # B, (d, r)
     linear_spec: tuple | None = None          # (A_lin, B_lin)
-    diffusion_const: np.ndarray | None = None  # set iff diffusion is additive
     params: dict = field(default_factory=dict)
     spde: SpectralSpde | None = None
+
+    def __post_init__(self):
+        B = self.diffusion_const
+        try:
+            if np.iscomplexobj(B):
+                raise TypeError("it has complex entries")
+            B = np.asarray(B, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameterError(
+                f"diffusion_const of {self.name!r} is not a real float "
+                f"array: {exc}") from exc
+        if B.ndim != 2 or 0 in B.shape:
+            raise ShapeError(f"diffusion_const of {self.name!r} must be a "
+                             f"(d, r) matrix, got shape {B.shape}")
+        if not np.isfinite(B).all():
+            raise InvalidParameterError(
+                f"diffusion_const of {self.name!r} must be finite")
+        self.diffusion_const = B
+
+    @property
+    def dim_state(self) -> int:
+        return self.diffusion_const.shape[0]
+
+    @property
+    def dim_noise(self) -> int:
+        return self.diffusion_const.shape[1]
 
 
 @dataclass(eq=False)
@@ -64,6 +100,13 @@ class EventObservable:
 
 def make_event(kind: str, threshold: float, component: int = 0,
                sharpness: float = 3.0, mode: str = "indicator") -> EventObservable:
+    """The event of ``kind`` at ``threshold``.  ``mode`` is "indicator" or
+    "mollified", spelt exactly: the estimator takes the mollified branch
+    for anything but "indicator", so any other mode is an
+    ``InvalidParameterError``."""
+    if mode not in ("indicator", "mollified"):
+        raise InvalidParameterError(
+            f"unknown event mode {mode!r}: use 'indicator' or 'mollified'")
     if kind == "coordinate":
         margin = lambda x: x[..., component] - threshold
     elif kind == "abs_coordinate":
@@ -96,16 +139,11 @@ def _merge_params(defaults, params, model_name):
 def _linear_model(name, A, B, params):
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    d, r = B.shape
 
     def drift(x):
         return np.asarray(x, dtype=float) @ A.T
 
-    def diffusion(x):
-        return B
-
-    return SdeModel(name, d, r, drift, diffusion, linear_spec=(A, B),
-                    diffusion_const=B, params=params)
+    return SdeModel(name, drift, B, linear_spec=(A, B), params=params)
 
 
 def make_builtin_model(name: str, params: dict | None = None) -> SdeModel:
@@ -161,8 +199,7 @@ def make_builtin_model(name: str, params: dict | None = None) -> SdeModel:
             x1, x2 = x[..., 0], x[..., 1]
             return np.stack([x2, mu * (1.0 - x1 * x1) * x2 - x1], axis=-1)
 
-        return SdeModel(name, 2, 2, drift, lambda x: B,
-                        diffusion_const=B, params=p)
+        return SdeModel(name, drift, B, params=p)
 
     if name == "duffing":
         p = _merge_params({"alpha": 1.0, "beta": -1.0, "delta": 0.5,
@@ -176,8 +213,7 @@ def make_builtin_model(name: str, params: dict | None = None) -> SdeModel:
             x1, x2 = x[..., 0], x[..., 1]
             return np.stack([x2, -de * x2 - x1 * (be + al * x1 * x1)], axis=-1)
 
-        return SdeModel(name, 2, 1, drift, lambda x: B,
-                        diffusion_const=B, params=p)
+        return SdeModel(name, drift, B, params=p)
 
     raise ModelNotFoundError(f"no built-in model named {name!r}")
 
@@ -198,8 +234,7 @@ def default_event(model: SdeModel) -> EventObservable:
     return make_event(kind, threshold, comp)
 
 
-def half_diffusion_sq(model: SdeModel, x=None):
-    """Q(x) = 0.5 B(x) B(x)^T as a (d, d) matrix (constant-diffusion path)."""
-    B = model.diffusion_const if model.diffusion_const is not None \
-        else model.diffusion(np.asarray(x, dtype=float))
+def half_diffusion_sq(model: SdeModel):
+    """Q = 0.5 B B^T, the generator's second-order coefficient, (d, d)."""
+    B = model.diffusion_const
     return 0.5 * B @ B.T

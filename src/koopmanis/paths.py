@@ -3,7 +3,7 @@
 Every path owns a deterministic noise stream derived from (master_seed,
 path_index).  The Girsanov log-weight is accumulated alongside the state
 using the same noise increments that drive the path, with the control
-c B(x)^T grad(Phi)/Phi read from the controller's ``bias_batch``.
+c B^T grad(Phi)/Phi read from the controller's ``bias_batch``.
 
 One engine (``run_engine``) runs every multi-path simulation in the
 package: SDE ensembles (``run_paths``), SPDE mode ensembles
@@ -49,9 +49,9 @@ path index p and multiplier c is then bit for bit path p of an ensemble
 run at c alone, which is what lets ``doob.tune_multiplier`` run its whole
 sweep as one stacked ensemble.  Every controller shares the one bias
 formula of ``doob.Controller.bias_batch``, which is row-local when the
-controller's ``value_grad_batch`` and ``_noise_map`` are.  The Doob and
-exact OU controllers are, and so are the SDE steppers on additive-noise
-models, which form B v as a multiply-add over the noise columns.  The
+controller's ``value_grad_batch`` and ``_noise_map`` are.  The Doob
+controller is, and so are the SDE steppers, which form B v with the
+model's constant B as a multiply-add over the noise columns.  The
 known exceptions are the SPDE stepper (``spde.exp_euler``) and
 ``SpdeController``: their mode-coupling matmuls are shape-sensitive at the
 ulp level, so SPDE rows are bit-identical across worker counts and
@@ -106,39 +106,24 @@ def adjust_steps(T: float, dt: float) -> tuple[int, float]:
     return K, T / K
 
 
-def default_scheme(model) -> str:
-    return "srk_additive" if model.diffusion_const is not None else "euler_maruyama"
-
-
-def _check_scheme(model, scheme):
-    if scheme not in SCHEMES:
-        raise UnsupportedSchemeError(f"unknown scheme {scheme!r}")
-    if scheme == "srk_additive" and model.diffusion_const is None:
-        raise UnsupportedSchemeError(
-            "srk_additive requires state-independent diffusion"
-        )
-
-
-def _apply_diffusion(model, x, v):
-    """B(x) @ v for a batch of states x (B_, d) and vectors v (B_, r)."""
-    if model.diffusion_const is not None:
-        # an explicit multiply-add over the noise columns: a BLAS product
-        # picks its kernel by the row count, which can move a row's last bit.
-        # Formed as (d, B_) so that each multiply runs along the rows.
-        B = model.diffusion_const
-        out = B[:, :1] * v[:, 0]
-        for k in range(1, B.shape[1]):
-            out += B[:, k:k + 1] * v[:, k]
-        return out.T
-    B = model.diffusion(x)  # (B_, d, r)
-    return np.einsum("bdr,br->bd", B, v)
+def _apply_diffusion(B, v):
+    """B @ v for the constant noise matrix B (d, r) and a batch of vectors
+    v (B_, r), as (B_, d)."""
+    # an explicit multiply-add over the noise columns: a BLAS product
+    # picks its kernel by the row count, which can move a row's last bit.
+    # Formed as (d, B_) so that each multiply runs along the rows.
+    out = B[:, :1] * v[:, 0]
+    for k in range(1, B.shape[1]):
+        out += B[:, k:k + 1] * v[:, k]
+    return out.T
 
 
 def _step_block(model, scheme, x, u, dt, xi):
     a = model.drift(x)
-    incr = _apply_diffusion(model, x, xi) * math.sqrt(dt)
+    B = model.diffusion_const
+    incr = _apply_diffusion(B, xi) * math.sqrt(dt)
     if u is not None:
-        incr = incr + _apply_diffusion(model, x, u) * dt
+        incr = incr + _apply_diffusion(B, u) * dt
     if scheme == "euler_maruyama":
         return x + a * dt + incr
     pred = x + a * dt + incr
@@ -146,12 +131,17 @@ def _step_block(model, scheme, x, u, dt, xi):
 
 
 def sde_stepper(model, scheme, dt):
-    """Engine stepper for one EM or SRK step of size dt.
+    """Engine stepper for one step of size dt of ``scheme``, one of
+    SCHEMES, or srk_additive when it is None; any other name is an
+    ``UnsupportedSchemeError``.
 
     The control is held at its left-endpoint value through the step;
-    srk_additive is a two-stage scheme of weak order 2 on additive-noise
-    models (Heun average of the drift, shared Brownian increment).
+    srk_additive is a two-stage scheme of weak order 2 for additive noise
+    (Heun average of the drift, shared Brownian increment).
     """
+    scheme = scheme or "srk_additive"
+    if scheme not in SCHEMES:
+        raise UnsupportedSchemeError(f"unknown scheme {scheme!r}")
     return lambda x, u, xi: _step_block(model, scheme, x, u, dt, xi)
 
 
@@ -337,8 +327,6 @@ def run_paths(model, controller, x0, T, dt, scheme=None, M=1,
     ``trajectory_count`` rows also report trajectory rows every
     ``trajectory_stride`` steps and at T.
     """
-    scheme = scheme or default_scheme(model)
-    _check_scheme(model, scheme)
     K, dt = adjust_steps(T, dt)
     return run_engine(sde_stepper(model, scheme, dt), model.dim_noise,
                       tile_start(x0, model.dim_state, M), K, dt, controller,

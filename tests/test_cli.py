@@ -302,6 +302,51 @@ def test_counts_must_be_whole_numbers(tmp_path, capsys, verb, block, key,
     assert "error (ConfigError)" in err and f"{block}.{key}" in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("histogram_bins", 0), ("histogram_bins", -3), ("histogram_bins", 2.5),
+    ("histogram_bins", True), ("histogram_bins", "20"),
+    ("histogram_range", [6.0, -4.0]), ("histogram_range", [1.0, 1.0]),
+    ("histogram_range", [0.0, math.inf]), ("histogram_range", [math.nan, 1]),
+    ("histogram_range", [-4.0, 0.0, 6.0]), ("histogram_range", "[-4, 6]"),
+    ("histogram_range", [False, 6.0])])
+def test_bad_histogram_options_fail_when_read(tmp_path, capsys, key, value):
+    """Not after the whole pipeline has run, nor as a raw TypeError or
+    numpy ValueError, and with no results row left behind."""
+    raw = _tiny_ou_config(tmp_path, method="mc")
+    raw["output"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error (ConfigError)" in err and f"output.{key}" in err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
+def test_misspelt_event_mode_writes_nothing(tmp_path, capsys):
+    """"Indicator" would run the mollified estimator without a word."""
+    raw = _tiny_ou_config(tmp_path, method="mc")
+    raw["event"]["mode"] = "Indicator"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path)]) == 1
+    assert "error (InvalidParameterError)" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
+def test_a_failing_output_leaves_no_partial_files(tmp_path, monkeypatch):
+    """The eigenfunction report is formed last but before any file is
+    written: when it fails, not even the results row is left."""
+    cfg = cli.ExperimentConfig.from_dict(_tiny_ou_config(tmp_path))
+
+    def broken(spectrum):
+        raise RuntimeError("report failed")
+
+    monkeypatch.setattr(cli, "_eigen_report_rows", broken)
+    with pytest.raises(RuntimeError, match="report failed"):
+        cli.run_experiment(cfg)
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_whole_float_counts_are_read_as_integers(tmp_path):
     raw = _tiny_ou_config(tmp_path)
     raw["run"].update(M=400.0, workers=1.0)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from koopmanis import (build_basis, derive_path_rng, make_builtin_model,
-                       make_event, ou_exact_controller, run_paths)
+                       make_event, run_paths)
 from koopmanis import doob, estimator, gedmd, paths, spde
 from koopmanis.errors import ConfigError, ShapeError, TuningFailedError
-from reference import sweep_table_per_c
+from reference import ou_exact_controller, sweep_table_per_c
 
 
 @pytest.fixture(scope="module")
@@ -279,7 +279,7 @@ def test_doob_bias_is_row_local(fitted_controllers, family):
 def test_ou_exact_bias_is_row_local(terminal):
     m = make_builtin_model("ou1d")
     ev = make_event("coordinate", 2.0, sharpness=3.0, mode=terminal)
-    ctrl = estimator.ou_exact_controller(m, ev, 1.0)
+    ctrl = ou_exact_controller(m, ev, 1.0)
     X = np.random.default_rng(9).normal(size=(97, 1)) * 1.5
     for t in (0.0, 0.37, 1.0):
         _assert_bias_row_local(ctrl, t, X)
@@ -482,7 +482,7 @@ def _controller(kind):
         return spde.SpdeController(sp, 1.0, 0.3, 1.0), 8
     m = make_builtin_model("ou1d")
     ev = make_event("coordinate", 2.0, sharpness=5.0, mode="indicator")
-    return estimator.ou_exact_controller(m, ev, 1.0), 1
+    return ou_exact_controller(m, ev, 1.0), 1
 
 
 @pytest.mark.parametrize("kind", ["eigen", "spde", "ou_exact"])

@@ -12,6 +12,7 @@ from koopmanis.errors import (ConfigError, InvalidParameterError,
                               NumericalError, ShapeError)
 from koopmanis.model import _linear_model
 from koopmanis.paths import PathEnsemble
+from reference import ou_exact_controller
 
 
 def _sf(z):
@@ -59,7 +60,7 @@ def test_indicator_mc_variance_identity():
 def test_report_requires_matching_horizon():
     m = make_builtin_model("ou1d")
     ev = make_event("coordinate", 2.0, mode="indicator")
-    ctrl = estimator.ou_exact_controller(m, ev, T=2.0)
+    ctrl = ou_exact_controller(m, ev, T=2.0)
     with pytest.raises(ConfigError):
         estimator.run_ensemble(m, ctrl, ev, [0.0], 1.0, 1e-2, M=10,
                                master_seed=0)
@@ -204,7 +205,7 @@ def test_oracle_reproducible():
 def test_exact_controller_value_matches_oracle():
     m = make_builtin_model("ou1d")
     ev = make_event("coordinate", 2.0, mode="indicator")
-    ctrl = estimator.ou_exact_controller(m, ev, 1.0)
+    ctrl = ou_exact_controller(m, ev, 1.0)
     res = estimator.analytic_oracles(m, ev, 1.0)
     assert _value_at_origin(ctrl) == pytest.approx(res.rho, rel=1e-12)
 
@@ -213,7 +214,7 @@ def test_exact_controller_mollified_quadrature():
     """Quadrature value function vs direct numerical integration."""
     m = make_builtin_model("ou1d")
     ev = make_event("coordinate", 2.0, sharpness=3.0, mode="mollified")
-    ctrl = estimator.ou_exact_controller(m, ev, 1.0)
+    ctrl = ou_exact_controller(m, ev, 1.0)
     sd = math.sqrt(1.0 - math.exp(-2.0))
 
     def integrand(y):
@@ -227,7 +228,7 @@ def test_exact_controller_mollified_quadrature():
 def test_exact_controller_bias_is_hazard_rate():
     m = make_builtin_model("ou1d")
     ev = make_event("coordinate", 2.0, mode="indicator")
-    ctrl = estimator.ou_exact_controller(m, ev, 1.0)
+    ctrl = ou_exact_controller(m, ev, 1.0)
     # deep in the tail the hazard form stays finite and positive
     u, _ = ctrl.bias_batch(0.5, np.array([[-50.0]]))
     assert np.isfinite(u[0, 0]) and u[0, 0] > 0
@@ -241,7 +242,7 @@ def test_exact_controller_bias_is_hazard_rate():
 def test_exact_controller_multiplier_tuning():
     m = make_builtin_model("ou1d")
     ev = make_event("coordinate", 2.0, mode="indicator")
-    ctrl = estimator.ou_exact_controller(m, ev, 1.0)
+    ctrl = ou_exact_controller(m, ev, 1.0)
     res = doob.tune_multiplier(ctrl, m, ev, [0.0], 1.0, 1e-2,
                                grid=[0.5, 1.0], batch=100)
     assert res.multiplier in (0.5, 1.0)

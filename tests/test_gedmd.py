@@ -83,9 +83,8 @@ def test_test_points_match_reference_loop():
 
 
 def test_blown_trajectories_are_dropped_and_counted():
-    zero = np.zeros((1, 1))
-    m = SdeModel("explode", 1, 1, lambda x: np.asarray(x, float) ** 3,
-                 lambda x: zero, diffusion_const=zero)
+    m = SdeModel("explode", lambda x: np.asarray(x, float) ** 3,
+                 np.zeros((1, 1)))
     # from 0.5 the ODE x' = x^3 stays finite up to t = 2; from 10 it
     # blows up at t = 0.005
     pts = gedmd.generate_test_points(m, {"box": [[0.5, 10.0]], "counts": [2]},
@@ -131,13 +130,7 @@ def _reference_assembly(basis, model, points):
                     d1[i] * d1[j] * prod_except((i, j))
         Psi[k] = prod_except(())
         drift = (model.drift(points) * grad).sum(axis=1)
-        if model.diffusion_const is not None:
-            Q = half_diffusion_sq(model)
-            trace = np.einsum("mij,ij->m", hess, Q)
-        else:
-            B = model.diffusion(points)
-            Q = 0.5 * np.einsum("mik,mjk->mij", B, B)
-            trace = np.einsum("mij,mij->m", hess, Q)
+        trace = np.einsum("mij,ij->m", hess, half_diffusion_sq(model))
         dPsi[k] = drift + trace
     return Psi, dPsi
 

@@ -15,7 +15,7 @@ def test_ou1d_reference_values():
     m = make_builtin_model("ou1d")
     assert m.dim_state == 1 and m.dim_noise == 1
     assert m.drift(np.array([2.0]))[0] == pytest.approx(-2.0)
-    assert m.diffusion(np.array([0.0]))[0, 0] == pytest.approx(math.sqrt(2.0))
+    assert m.diffusion_const[0, 0] == pytest.approx(math.sqrt(2.0))
 
 
 def test_duffing_drift_substitution():
@@ -51,7 +51,7 @@ def test_linear_spec_matches_callables(name):
     rng = np.random.default_rng(0)
     X = rng.normal(size=(32, m.dim_state))
     assert np.allclose(m.drift(X), X @ A.T)
-    assert np.allclose(m.diffusion(X[0]), B)
+    assert np.array_equal(m.diffusion_const, B)
 
 
 def test_generator_quadratic_ou():
@@ -122,24 +122,14 @@ def test_linear_generator_closed_form_on_quadratics(name):
                 assert got == pytest.approx(ref, rel=1e-13, abs=1e-13)
 
 
-def _state_dependent_model():
-    A = np.array([[-1.0, 0.4], [-0.3, -0.8]])
-    B = np.array([[0.6, 0.2], [-0.1, 0.5]])
-
-    def diffusion(x):   # (d,) -> (d, r) and (m, d) -> (m, d, r)
-        return (1.0 + 0.5 * np.tanh(np.asarray(x, float)[..., :1, None])) * B
-
-    return SdeModel("multiplicative", 2, 2, lambda x: x @ A.T, diffusion)
-
-
 def test_generator_batch_matches_scalar():
     """``assemble_matrices`` applies the generator to every element at every
-    point; the scalar ``generator_apply`` is the reference, on constant
-    (duffing) and on per-point diffusion."""
+    point; the scalar ``generator_apply`` is the reference, on a
+    rank-deficient (duffing) and a full-rank (vdp) noise matrix."""
     b = basis.build_basis("legendre_box", 2, 4, [[-3.0, 3.0], [-3.0, 3.0]])
     X = np.random.default_rng(5).uniform(-2.5, 2.5, size=(40, 2))
     V, G, H = b.jets(X, 2)
-    for m in (make_builtin_model("duffing"), _state_dependent_model()):
+    for m in (make_builtin_model("duffing"), make_builtin_model("vdp")):
         Psi, dPsi = assemble_matrices(b, m, X)
         assert np.array_equal(Psi, V)
         for p, x in enumerate(X):
@@ -148,6 +138,26 @@ def test_generator_batch_matches_scalar():
                 hess = np.array([[h[k, p] for h in row] for row in H])
                 one = generator_apply(m, (V[k, p], grad, hess), x)
                 assert dPsi[k, p] == pytest.approx(one, rel=1e-12)
+
+
+@pytest.mark.parametrize("B, error", [
+    ([0.5, 0.2], ShapeError),                  # 1-D
+    ([[[0.5]]], ShapeError),                   # 3-D
+    (np.zeros((2, 0)), ShapeError),            # no noise columns
+    ([[0.5, np.nan]], InvalidParameterError),
+    ([[np.inf], [0.1]], InvalidParameterError),
+    ([["a", "b"]], InvalidParameterError),
+    ([[1.0 + 2.0j]], InvalidParameterError),
+    (lambda x: np.eye(2), InvalidParameterError)])
+def test_diffusion_const_must_be_a_finite_matrix(B, error):
+    with pytest.raises(error, match="diffusion_const"):
+        SdeModel("bad", lambda x: x, B)
+
+
+def test_model_dimensions_follow_the_noise_matrix():
+    m = SdeModel("tall", lambda x: -x, [[1, 0], [0, 2], [3, 0]])
+    assert (m.dim_state, m.dim_noise) == (3, 2)
+    assert m.diffusion_const.dtype == float
 
 
 def test_mollified_observable_values():
@@ -188,3 +198,10 @@ def test_event_margins():
     assert abs_ev.indicator(np.array([-3.5, 0.0])) == 1.0
     assert abs_ev.indicator(np.array([2.9, 100.0])) == 0.0
     assert norm_ev.statistic(np.array([3.0, 4.0])) == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("mode", ["Indicator", "mollify", "", None])
+def test_unknown_event_mode_is_rejected(mode):
+    """A misspelt mode would otherwise select the mollified estimator."""
+    with pytest.raises(InvalidParameterError, match="mode"):
+        make_event("coordinate", 2.0, mode=mode)

@@ -7,6 +7,7 @@ import pytest
 from koopmanis import (derive_path_rng, make_builtin_model, make_event,
                        paths, run_ensemble, run_paths)
 from koopmanis.errors import ConfigError, ShapeError, UnsupportedSchemeError
+from koopmanis.gedmd import generate_test_points
 from koopmanis.model import SdeModel
 from koopmanis.paths import _step_block, adjust_steps, sde_stepper
 from koopmanis.spde import SpdeController, run_spde_paths, spectral_setup
@@ -15,26 +16,12 @@ from reference import PathBlowupError, simulate_path
 
 def _deterministic_decay_model():
     # dx = -x dt with diffusion forced to zero
-    B = np.zeros((1, 1))
-    return SdeModel("decay", 1, 1, lambda x: -np.asarray(x, float),
-                    lambda x: B, diffusion_const=B)
+    return SdeModel("decay", lambda x: -np.asarray(x, float), np.zeros((1, 1)))
 
 
 def _cubic_model():
-    B = np.zeros((1, 1))
-    return SdeModel("cubic", 1, 1,
-                    lambda x: -np.asarray(x, float) ** 3,
-                    lambda x: B, diffusion_const=B)
-
-
-def _multiplicative_model():
-    # geometric-style diffusion, state dependent
-    def diffusion(x):
-        x = np.atleast_2d(np.asarray(x, float))
-        return x[:, :, None] if x.shape[0] > 1 else x[0][:, None]
-
-    return SdeModel("gbm", 1, 1, lambda x: 0.1 * np.asarray(x, float),
-                    diffusion, diffusion_const=None)
+    return SdeModel("cubic", lambda x: -np.asarray(x, float) ** 3,
+                    np.zeros((1, 1)))
 
 
 class _ConstantController:
@@ -101,10 +88,16 @@ def test_srk_second_order_on_drift():
     assert errs[0] / errs[1] > 3.5  # ~4x for order 2
 
 
-def test_srk_rejects_multiplicative_noise():
-    m = _multiplicative_model()
-    with pytest.raises(UnsupportedSchemeError):
-        run_paths(m, None, [1.0], 0.1, 0.01, scheme="srk_additive", M=2)
+@pytest.mark.parametrize("scheme", ["milstein", "SRK_additive"])
+def test_unknown_scheme_is_rejected(scheme):
+    """Ensembles and test points alike; a stepper for an unknown name
+    would otherwise run the SRK step."""
+    m = make_builtin_model("ou1d")
+    with pytest.raises(UnsupportedSchemeError, match="scheme"):
+        run_paths(m, None, [1.0], 0.1, 0.01, scheme=scheme, M=2)
+    with pytest.raises(UnsupportedSchemeError, match="scheme"):
+        generate_test_points(m, {"box": [[-1.0, 1.0]], "counts": [3]}, 0.1,
+                             0.05, 0, dt=0.01, scheme=scheme)
 
 
 def test_ou_terminal_moments():
@@ -187,21 +180,24 @@ def test_workers_split_the_rows_into_equal_blocks():
     assert one.log_weight.tobytes() == two.log_weight.tobytes()
 
 
-@pytest.mark.parametrize("B", [[[0.7, -0.45]],
-                               [[0.6, 0.3], [-0.2, 0.5]]])
-def test_dense_diffusion_is_bitwise_invariant(B, monkeypatch):
-    """A dense constant B with two noise columns: the 257 rows on four
-    workers, in blocks capped at 64 rows (a one-row tail block) and in
-    one-row blocks each give the one-block ensemble."""
+@pytest.mark.parametrize("B, scheme", [
+    ([[0.7, -0.45]], "euler_maruyama"),
+    ([[0.6, 0.3], [-0.2, 0.5]], "euler_maruyama"),
+    ([[0.6, 0.3], [-0.2, 0.5], [0.1, -0.8]], "euler_maruyama"),
+    ([[0.6, 0.3], [-0.2, 0.5]], None)],
+    ids=["B0", "B1", "B_3x2", "B1_default_srk"])
+def test_dense_diffusion_is_bitwise_invariant(B, scheme, monkeypatch):
+    """A dense constant B with two noise columns, under Euler-Maruyama and
+    under the default SRK scheme: the 257 rows on four workers, in blocks
+    capped at 64 rows (a one-row tail block) and in one-row blocks each
+    give the one-block ensemble."""
     B = np.array(B)
     d = len(B)
-    m = SdeModel("dense", d, 2, lambda x: -np.asarray(x, float),
-                 lambda x: B, diffusion_const=B)
+    m = SdeModel("dense", lambda x: -np.asarray(x, float), B)
 
     def run(workers=1):
-        return run_paths(m, None, np.ones(d), 1.0, 1e-2,
-                         scheme="euler_maruyama", M=257, master_seed=5,
-                         workers=workers)
+        return run_paths(m, None, np.ones(d), 1.0, 1e-2, scheme=scheme,
+                         M=257, master_seed=5, workers=workers)
 
     runs = [run(), run(4)]
     for cap in (64, 1):
@@ -329,8 +325,8 @@ def test_run_paths_rejects_a_start_of_the_wrong_dimension(x0):
 
 
 def test_blowup_raises_in_single_path():
-    m = SdeModel("explode", 1, 1, lambda x: np.asarray(x, float) ** 3,
-                 lambda x: np.zeros((1, 1)), diffusion_const=np.zeros((1, 1)))
+    m = SdeModel("explode", lambda x: np.asarray(x, float) ** 3,
+                 np.zeros((1, 1)))
     with pytest.raises(PathBlowupError) as exc:
         simulate_path(m, None, [10.0], 1.0, 0.05,
                       scheme="euler_maruyama", master_seed=0)
@@ -338,8 +334,8 @@ def test_blowup_raises_in_single_path():
 
 
 def test_blowup_counted_in_ensemble():
-    m = SdeModel("explode", 1, 1, lambda x: np.asarray(x, float) ** 3,
-                 lambda x: np.zeros((1, 1)), diffusion_const=np.zeros((1, 1)))
+    m = SdeModel("explode", lambda x: np.asarray(x, float) ** 3,
+                 np.zeros((1, 1)))
     ens = run_paths(m, None, [10.0], 1.0, 0.05, scheme="euler_maruyama", M=4,
                     master_seed=0)
     assert ens.blown.all()
