@@ -193,9 +193,16 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _build_event(cfg: ExperimentConfig):
+    # also called by bench/oracle.py
     ev = cfg.event
     return make_event(ev["kind"], ev["threshold"], ev["component"],
                       ev["sharpness"], ev["mode"])
+
+
+def _model_and_event(cfg: ExperimentConfig):
+    """The configured model and event."""
+    model = make_builtin_model(cfg.model["name"], cfg.model.get("params"))
+    return model, _build_event(cfg)
 
 
 def _tuning_seed(cfg: ExperimentConfig) -> int:
@@ -222,8 +229,7 @@ def prepare_controller(cfg: ExperimentConfig) -> PipelineState:
     if missing:
         raise ConfigError(f"the controller stages need the config blocks "
                           f"{missing}")
-    model = make_builtin_model(cfg.model["name"], cfg.model.get("params"))
-    event = _build_event(cfg)
+    model, event = _model_and_event(cfg)
     state = PipelineState(model, event)
     T = float(cfg.run["T"])
 
@@ -283,29 +289,25 @@ def _tune(cfg: ExperimentConfig, state: PipelineState):
         workers=run["workers"])
 
 
-def _ensemble(cfg: ExperimentConfig, state: PipelineState):
-    """The configured final ensemble under the state's controller."""
+def run_pipeline(cfg: ExperimentConfig, controller=None) -> PipelineState:
+    """Full pipeline, ending in the configured final ensemble.  For method
+    mc the controller stages and the sweep are skipped; a given
+    ``controller`` (one loaded by ``--reuse-controller``) replaces them."""
+    if cfg.run["method"] == "mc" or controller is not None:
+        state = PipelineState(*_model_and_event(cfg), controller=controller)
+    else:
+        state = prepare_controller(cfg)
+        state.tune = _tune(cfg, state)
+        state.controller = state.controller.with_multiplier(
+            state.tune.multiplier)
     run = cfg.run
-    return estimator.run_ensemble(
+    state.report = estimator.run_ensemble(
         state.model, state.controller, state.event, run.get("x0"),
         float(run["T"]), float(run["dt"]), scheme=run["scheme"],
         M=run["M"], master_seed=run["master_seed"],
         workers=run["workers"],
         trajectory_count=cfg.output["trajectory_count"],
         trajectory_stride=cfg.output["trajectory_stride"])
-
-
-def run_pipeline(cfg: ExperimentConfig) -> PipelineState:
-    """Full pipeline; for method mc the controller stages are skipped."""
-    if cfg.run["method"] == "mc":
-        model = make_builtin_model(cfg.model["name"], cfg.model.get("params"))
-        state = PipelineState(model, _build_event(cfg))
-    else:
-        state = prepare_controller(cfg)
-        state.tune = _tune(cfg, state)
-        state.controller = state.controller.with_multiplier(
-            state.tune.multiplier)
-    state.report = _ensemble(cfg, state)
     return state
 
 
@@ -390,18 +392,13 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None,
     """
     outdir = _resolve_outdir(cfg, output_dir)
     controller_path = outdir / "controller.json"
-    state = None
+    controller = None
     if reuse_controller and cfg.run["method"] == "is" \
             and controller_path.exists():
-        with open(controller_path) as fh:
-            data = json.load(fh)
-        ctrl = (spde.SpdeController if data["type"] == "spde"
-                else doob.DoobController).from_dict(data)
-        model = make_builtin_model(cfg.model["name"], cfg.model.get("params"))
-        state = PipelineState(model, _build_event(cfg), controller=ctrl)
-        state.report = _ensemble(cfg, state)
-    else:
-        state = run_pipeline(cfg)
+        data = json.loads(controller_path.read_text())
+        controller = (spde.SpdeController if data["type"] == "spde"
+                      else doob.DoobController).from_dict(data)
+    state = run_pipeline(cfg, controller)
 
     # name -> (file, writer of the file, its content), in writing order
     stats = state.event.statistic(state.report.ensemble.terminal)

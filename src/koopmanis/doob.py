@@ -17,9 +17,8 @@ import numpy as np
 
 from .basis import BasisSet, basis_from_descriptor
 from .errors import ConfigError, EmptySpectrumError, TuningFailedError
-from .gedmd import KoopmanSpectrum, SVD_RTOL
-
-_PAIR_TOL = 1e-8
+from .gedmd import KoopmanSpectrum, SVD_RTOL, conjugate_partner
+from .paths import rowlocal_product
 
 
 @dataclass(eq=False)
@@ -41,7 +40,8 @@ def realify_spectrum(spectrum: KoopmanSpectrum) -> list[_Component]:
     """Collapse the conjugate-closed pair list into real components.
 
     Complex pairs are represented once (the Im > 0 member); their real and
-    imaginary parts become two regression columns.
+    imaginary parts become two regression columns.  An eigenvalue is real
+    when it is its own partner under ``gedmd.conjugate_partner``.
     """
     if not spectrum.conjugate_closed:
         raise ConfigError("spectrum is not closed under conjugation")
@@ -49,7 +49,7 @@ def realify_spectrum(spectrum: KoopmanSpectrum) -> list[_Component]:
     comps = []
     for i, lam in enumerate(spectrum.eigenvalues):
         c = spectrum.coefficients[i]
-        if abs(lam.imag) <= _PAIR_TOL:
+        if conjugate_partner(spectrum.eigenvalues, i) == i:
             comps.append(_Component(float(lam.real), 0.0, c.real.copy(),
                                     None, i == const_idx))
         elif lam.imag > 0:
@@ -105,7 +105,8 @@ def fit_surrogate(C, f_values, col, offset=None):
     margin 1e-6 * scale, scale = max |C a|.  Passing ``offset`` applies
     exactly that shift instead (the protocol behind the reference sweep
     tables, where the offset is tuned rather than taken from the fitted
-    minimum).  Returns (a, scale); controllers floor Phi at 1e-8 * scale.
+    minimum).  Returns (a, floor), with floor = 1e-8 * scale the value at
+    which every controller floors Phi.
     """
     coeffs = _svd_lstsq(C, np.asarray(f_values, dtype=float))
     fitted = C @ coeffs
@@ -114,7 +115,7 @@ def fit_surrogate(C, f_values, col, offset=None):
         coeffs, _, _ = positivize(coeffs, fitted, col, 1e-6 * scale)
     else:
         coeffs[col] += float(offset)
-    return coeffs, scale
+    return coeffs, 1e-8 * scale
 
 
 class Controller:
@@ -126,7 +127,9 @@ class Controller:
     - ``value_grad_batch(t, X) -> (Phi (m,), grad Phi (m, d))`` for
       t in [0, horizon], which it enforces with ``_check_time``;
     - ``_noise_map(grad) -> (m, r)``: the constant B^T applied to grad Phi
-      (every model has additive noise, so B does not depend on X);
+      (every model has additive noise, so B does not depend on X); where
+      B is a matrix this is ``paths.rowlocal_product``, the one per-step
+      product;
     - its serialization.
 
     ``bias_batch(t, X) -> (u (m, r), floored)`` is the one bias formula,
@@ -211,13 +214,7 @@ class DoobController(Controller):
     bias_batch = Controller.bias_batch
 
     def _noise_map(self, grad):
-        # grad @ D as an explicit multiply-add over the state axis: BLAS
-        # picks another kernel for a single row, which can move its last bit
-        D = self.diffusion_const
-        gD = grad[:, :1] * D[0]
-        for j in range(1, len(D)):
-            gD += grad[:, j:j + 1] * D[j]
-        return gD
+        return rowlocal_product(grad, self.diffusion_const)
 
     def to_dict(self) -> dict:
         return {
@@ -255,17 +252,17 @@ class DoobController(Controller):
 
 
 def build_controller(spectrum: KoopmanSpectrum, model, points, f_values, T,
-                     multiplier=1.0, offset=None) -> DoobController:
+                     offset=None) -> DoobController:
     """Fit the observable onto the realified eigenfunctions with
     ``fit_surrogate`` and assemble the controller."""
     if spectrum.n_pairs == 0:
         raise EmptySpectrumError("cannot regress on an empty spectrum")
     comps = realify_spectrum(spectrum)
     C = design_matrix(comps, spectrum.basis, points)
-    coeffs, scale = fit_surrogate(C, f_values, _constant_column(comps), offset)
+    coeffs, floor = fit_surrogate(C, f_values, _constant_column(comps), offset)
     return DoobController(spectrum.basis, comps, coeffs,
-                          model.diffusion_const, T, multiplier,
-                          floor=1e-8 * scale, model_name=model.name)
+                          model.diffusion_const, T, floor=floor,
+                          model_name=model.name)
 
 
 @dataclass(eq=False)

@@ -48,7 +48,6 @@ class EstimatorReport:
     floor_count: int = 0
     multiplier: float | None = None
     n_eigenfunctions: int | None = None
-    unreliable: bool = False
     ensemble: PathEnsemble | None = field(default=None, repr=False)
 
     @property
@@ -105,7 +104,7 @@ def run_ensemble(model: SdeModel, controller, obs: EventObservable, x0, T,
     Per-path outcomes are f(X_T) exp(log_weight) with f the strict
     indicator (or the mollified surrogate when the observable is in
     mollified mode).  Blown-up paths are excluded from the estimate but
-    counted, and flag the report as unreliable.  A surviving path whose
+    counted in ``blowup_count``.  A surviving path whose
     weight is too large for the variance to stay finite, above
     sqrt(max double / n) for n surviving paths, raises ``NumericalError``.
     The event is evaluated once on the surviving terminal states; its
@@ -148,8 +147,7 @@ def run_ensemble(model: SdeModel, controller, obs: EventObservable, x0, T,
         floor_count=int(np.sum(ens.floored)),
         multiplier=None if controller is None else controller.multiplier,
         n_eigenfunctions=None if controller is None
-        else getattr(controller, "n_eigenfunctions", None),
-        unreliable=blowups > 0, ensemble=ens)
+        else controller.n_eigenfunctions, ensemble=ens)
 
 
 def terminal_gaussian(model: SdeModel, T: float, x0=None):

@@ -24,6 +24,7 @@ from .paths import derive_path_rng, sde_stepper, trajectory_snapshots
 
 RESIDUAL_TOL = 1e-8
 SVD_RTOL = 1e-10
+CONJUGATE_TOL = 1e-8
 
 
 @dataclass(eq=False)
@@ -120,9 +121,7 @@ def assemble_matrices(basis: BasisSet, model: SdeModel, pts):
 @dataclass(eq=False)
 class KoopmanMatrixResult:
     matrix: np.ndarray
-    singular_values: np.ndarray
     rank: int
-    rank_deficient: bool
 
 
 def koopman_matrix(Psi: np.ndarray, dPsi: np.ndarray,
@@ -134,12 +133,11 @@ def koopman_matrix(Psi: np.ndarray, dPsi: np.ndarray,
     rank = int(keep.sum())
     proj = (dPsi @ Vt[keep].T) / s[keep]
     K = proj @ U[:, keep].T
-    deficient = rank < n
-    if deficient:
+    if rank < n:
         warnings.warn(
             f"feature matrix rank {rank} below dictionary size {n}",
             RankDeficiencyWarning, stacklevel=2)
-    return KoopmanMatrixResult(K, s, rank, deficient)
+    return KoopmanMatrixResult(K, rank)
 
 
 def exact_koopman_matrix(basis: BasisSet, model: SdeModel) -> KoopmanMatrixResult:
@@ -177,7 +175,7 @@ def exact_koopman_matrix(basis: BasisSet, model: SdeModel) -> KoopmanMatrixResul
     for coef, applies, shift in terms:
         rows = np.flatnonzero(applies)
         K[rows, pos[flat[rows] + shift]] += coef[rows]
-    return KoopmanMatrixResult(K, np.array([]), n, False)
+    return KoopmanMatrixResult(K, n)
 
 
 @dataclass(eq=False)
@@ -194,7 +192,7 @@ class KoopmanSpectrum:
     @property
     def conjugate_closed(self) -> bool:
         """Does every eigenvalue have its conjugate in the list?"""
-        return all(_conjugate_partner(self.eigenvalues, i) is not None
+        return all(conjugate_partner(self.eigenvalues, i) is not None
                    for i in range(self.n_pairs))
 
     def values(self, points) -> np.ndarray:
@@ -223,7 +221,8 @@ def _sorted_order(eigs):
                        np.abs(eigs.real)))
 
 
-def eigenpairs(K_result, basis: BasisSet, training_points) -> KoopmanSpectrum:
+def eigenpairs(K_result: KoopmanMatrixResult, basis: BasisSet,
+               training_points) -> KoopmanSpectrum:
     """Eigenpairs of the projected generator, normalized and sorted.
 
     Coefficients solve K^T c = lambda c; each eigenfunction is scaled to
@@ -232,7 +231,7 @@ def eigenpairs(K_result, basis: BasisSet, training_points) -> KoopmanSpectrum:
     constant eigenfunction becomes lambda = 0 and the first dictionary
     element, identically 1 in every basis family.
     """
-    K = K_result.matrix if isinstance(K_result, KoopmanMatrixResult) else K_result
+    K = K_result.matrix
     try:
         eigs, vecs = np.linalg.eig(K.T)
     except np.linalg.LinAlgError as exc:
@@ -260,15 +259,16 @@ def eigenpairs(K_result, basis: BasisSet, training_points) -> KoopmanSpectrum:
     return KoopmanSpectrum(basis, eigs, coeffs, np.full(len(eigs), np.nan))
 
 
-def _conjugate_partner(eigs, i, tol=1e-8):
-    """Index of the conjugate of eigs[i] (i itself for a real eigenvalue),
-    or None when the list lacks it."""
+def conjugate_partner(eigs, i):
+    """Index of the conjugate of eigs[i] (i itself for a real eigenvalue,
+    |Im| <= CONJUGATE_TOL), or None when the list lacks it: the one pair
+    rule of validation, truncation and the controller's realification."""
     lam = eigs[i]
-    if abs(lam.imag) <= tol:
+    if abs(lam.imag) <= CONJUGATE_TOL:
         return i
     diffs = np.abs(eigs - lam.conjugate())
     j = int(np.argmin(diffs))
-    return j if diffs[j] <= tol * max(1.0, abs(lam)) else None
+    return j if diffs[j] <= CONJUGATE_TOL * max(1.0, abs(lam)) else None
 
 
 def eigen_mse(spectrum: KoopmanSpectrum, model: SdeModel, points) -> np.ndarray:
@@ -293,7 +293,7 @@ def validate_eigenpairs(spectrum: KoopmanSpectrum, model: SdeModel,
     mse = eigen_mse(spectrum, model, holdout)
     keep = mse <= threshold
     for i in range(len(keep)):
-        j = _conjugate_partner(spectrum.eigenvalues, i)
+        j = conjugate_partner(spectrum.eigenvalues, i)
         if j is not None and not (keep[i] and keep[j]):
             keep[i] = keep[j] = False
     if not keep.any():
@@ -313,7 +313,7 @@ def truncate_spectrum(spectrum: KoopmanSpectrum, max_pairs: int | None):
         return spectrum
     cut = max_pairs
     lam = spectrum.eigenvalues
-    j = _conjugate_partner(lam, cut - 1)
+    j = conjugate_partner(lam, cut - 1)
     if j is not None and j >= cut:
         cut -= 1
     keep = np.zeros(len(lam), dtype=bool)

@@ -49,16 +49,16 @@ path index p and multiplier c is then bit for bit path p of an ensemble
 run at c alone, which is what lets ``doob.tune_multiplier`` run its whole
 sweep as one stacked ensemble.  Every controller shares the one bias
 formula of ``doob.Controller.bias_batch``, which is row-local when the
-controller's ``value_grad_batch`` and ``_noise_map`` are.  The Doob
-controller is, and so are the SDE steppers, which form B v with the
-model's constant B as a multiply-add over the noise columns.  The
-known exceptions are the SPDE stepper (``spde.exp_euler``) and
-``SpdeController``: their mode-coupling matmuls are shape-sensitive at the
-ulp level, so SPDE rows are bit-identical across worker counts and
-stackings only as far as those BLAS products are.  A path whose state
-becomes non-finite is marked blown and frozen at zero.  The single-path reference
-the engine is tested against, one path stepped alone through
-``sde_stepper``, is ``tests/reference.py``.
+controller's ``value_grad_batch`` and ``_noise_map`` are.  The one
+per-step product with a constant matrix is ``rowlocal_product``: the SDE
+steppers form B xi and B u with it, and the Doob controller B^T grad Phi,
+so both are row-local.  The known exceptions are the SPDE stepper
+(``spde.exp_euler``) and ``SpdeController``: their mode-coupling matmuls
+are shape-sensitive at the ulp level, so SPDE rows are bit-identical
+across worker counts and stackings only as far as those BLAS products are.
+A path whose state becomes non-finite is marked blown and frozen at zero.
+The single-path reference the engine is tested against, one path stepped
+alone through ``sde_stepper``, is ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -106,24 +106,27 @@ def adjust_steps(T: float, dt: float) -> tuple[int, float]:
     return K, T / K
 
 
-def _apply_diffusion(B, v):
-    """B @ v for the constant noise matrix B (d, r) and a batch of vectors
-    v (B_, r), as (B_, d)."""
-    # an explicit multiply-add over the noise columns: a BLAS product
-    # picks its kernel by the row count, which can move a row's last bit.
-    # Formed as (d, B_) so that each multiply runs along the rows.
-    out = B[:, :1] * v[:, 0]
-    for k in range(1, B.shape[1]):
-        out += B[:, k:k + 1] * v[:, k]
+def rowlocal_product(v, M):
+    """v @ M for a batch of rows v (n, p) and a constant matrix M (p, q),
+    as (n, q): the one per-step product of the engine and the controllers.
+
+    An explicit multiply-add over the columns of v, so row i depends only
+    on v[i], bit for bit, whatever n: a BLAS product picks its kernel by
+    the row count, which can move a row's last bit.  Formed as (q, n) so
+    that each multiply runs along the rows.
+    """
+    out = M[0][:, None] * v[:, 0]
+    for k in range(1, len(M)):
+        out += M[k][:, None] * v[:, k]
     return out.T
 
 
 def _step_block(model, scheme, x, u, dt, xi):
     a = model.drift(x)
-    B = model.diffusion_const
-    incr = _apply_diffusion(B, xi) * math.sqrt(dt)
+    Bt = model.diffusion_const.T
+    incr = rowlocal_product(xi, Bt) * math.sqrt(dt)
     if u is not None:
-        incr = incr + _apply_diffusion(B, u) * dt
+        incr = incr + rowlocal_product(u, Bt) * dt
     if scheme == "euler_maruyama":
         return x + a * dt + incr
     pred = x + a * dt + incr

@@ -191,8 +191,8 @@ class SpdeController(Controller):
                    data["multiplier"], data["floor"])
 
 
-def build_spde_controller(spde: SpectralSpde, snapshots, event, T,
-                          multiplier: float = 1.0) -> SpdeController:
+def build_spde_controller(spde: SpectralSpde, snapshots, event,
+                          T) -> SpdeController:
     """Fit the mollified event indicator onto {1, phi2} over mode snapshots.
 
     The fit is ``doob.fit_surrogate`` on the two-functional family,
@@ -202,9 +202,8 @@ def build_spde_controller(spde: SpectralSpde, snapshots, event, T,
     q = snapshots @ spde.adjoint_w1
     C = np.stack([np.ones(len(snapshots)), spde.quad_scale * q * q - 1.0],
                  axis=1)
-    (f0, f2), scale = fit_surrogate(C, event.mollified(snapshots), 0)
-    return SpdeController(spde, f0, f2, T, multiplier=multiplier,
-                          floor=1e-8 * scale)
+    (f0, f2), floor = fit_surrogate(C, event.mollified(snapshots), 0)
+    return SpdeController(spde, f0, f2, T, floor=floor)
 
 
 def run_spde_paths(spde, controller, Y0, T, dt, M, master_seed, workers=1,

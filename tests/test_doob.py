@@ -275,6 +275,28 @@ def test_doob_bias_is_row_local(fitted_controllers, family):
             _assert_bias_row_local(c, t, X)
 
 
+@pytest.mark.parametrize("family", ["hermite", "legendre_box", "linear_exact"])
+def test_noise_map_is_the_rowlocal_product(fitted_controllers, family):
+    """B^T grad Phi is ``paths.rowlocal_product`` bit for bit, and keeps the
+    bits of the multiply-add over the state axis it replaced, for the
+    model's B and a dense (d, 3) one."""
+    model, ctrl, _ = fitted_controllers[family]
+    rng = np.random.default_rng(11)
+    grad = rng.normal(size=(97, model.dim_state))
+    dense = doob.DoobController(ctrl.basis, ctrl.components,
+                                ctrl.coefficients,
+                                rng.normal(size=(model.dim_state, 3)),
+                                ctrl.horizon)
+    for c in (ctrl, dense):
+        D = c.diffusion_const
+        old = grad[:, :1] * D[0]
+        for j in range(1, len(D)):
+            old += grad[:, j:j + 1] * D[j]
+        got = c._noise_map(grad)
+        assert np.array_equal(got, paths.rowlocal_product(grad, D))
+        assert np.array_equal(got, old)
+
+
 @pytest.mark.parametrize("terminal", ["indicator", "mollified"])
 def test_ou_exact_bias_is_row_local(terminal):
     m = make_builtin_model("ou1d")
@@ -441,8 +463,8 @@ def test_controller_serialization_roundtrip(ou_spectrum):
     m, spec, pts = ou_spectrum
     ev = make_event("coordinate", 2.0, mode="mollified")
     ctrl = doob.build_controller(spec, m, pts.points,
-                                 ev.mollified(pts.points), T=1.0,
-                                 multiplier=4.0)
+                                 ev.mollified(pts.points),
+                                 T=1.0).with_multiplier(4.0)
     back = doob.DoobController.from_dict(ctrl.to_dict())
     rng = np.random.default_rng(0)
     X = rng.normal(size=(20, 1)) * 2

@@ -159,7 +159,7 @@ def test_koopman_matrix_ou_spectrum(ou_setup):
     res = gedmd.koopman_matrix(Psi, dPsi)
     eigs = np.sort(np.linalg.eigvals(res.matrix).real)
     assert np.allclose(eigs, [-3, -2, -1, 0], atol=1e-8)
-    assert not res.rank_deficient
+    assert res.rank == b.size
 
 
 def test_koopman_matrix_zero_and_rank_warning():

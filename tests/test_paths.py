@@ -9,7 +9,8 @@ from koopmanis import (derive_path_rng, make_builtin_model, make_event,
 from koopmanis.errors import ConfigError, ShapeError, UnsupportedSchemeError
 from koopmanis.gedmd import generate_test_points
 from koopmanis.model import SdeModel
-from koopmanis.paths import _step_block, adjust_steps, sde_stepper
+from koopmanis.paths import (_step_block, adjust_steps, rowlocal_product,
+                             sde_stepper)
 from koopmanis.spde import SpdeController, run_spde_paths, spectral_setup
 from reference import PathBlowupError, simulate_path
 
@@ -178,6 +179,24 @@ def test_workers_split_the_rows_into_equal_blocks():
     assert seen == [50] * 200
     assert one.terminal.tobytes() == two.terminal.tobytes()
     assert one.log_weight.tobytes() == two.log_weight.tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_rowlocal_product_rows_do_not_depend_on_the_row_count(p, q):
+    """Row i of v @ M is bit for bit the same for 1, 7 and 2000 rows and
+    for a strided view of v, such as the engine's noise view of one step."""
+    rng = np.random.default_rng(10 * p + q)
+    M = rng.normal(size=(p, q))
+    v = rng.normal(size=(2000, p))
+    full = rowlocal_product(v, M)
+    assert full.shape == (2000, q)
+    assert np.allclose(full, v @ M, rtol=1e-13, atol=1e-13)
+    for s, e in ((0, 1), (5, 6), (0, 7), (993, 1000)):
+        assert np.array_equal(rowlocal_product(v[s:e], M), full[s:e])
+    chunk = rng.normal(size=(2000, 3, p))
+    chunk[:, 1] = v
+    assert np.array_equal(rowlocal_product(chunk[:, 1], M), full)
 
 
 @pytest.mark.parametrize("B, scheme", [
