@@ -23,10 +23,25 @@ bench workloads at c = 8 on 2 cores, one BLAS thread, 1 -> 2 workers
 0.48 -> 0.95 s.  Memory grows with workers:
 each running block holds its own noise buffer of up to
 ``paths.NOISE_BUFFER_DOUBLES`` doubles (32 MB).  The default is 1.
-M, workers, doob.tuning_batch and output.histogram_bins are whole numbers
-(2000 or 2000.0), points.counts is a list of whole numbers >= 0, and
-output.histogram_range is null or [lo, hi], two finite numbers with
-lo < hi.  Every one of these is checked when the config is read.
+
+These are checked when the config is read, each as a ``ConfigError``
+that names its key:
+- run.method is "is" or "mc", run.scheme null or one of
+  ``paths.SCHEMES``, and points.kind "grid" or "gaussian";
+- counts and indices are whole numbers (2000 or 2000.0): run.M >= 2,
+  run.workers >= 1, run.master_seed, doob.tuning_batch >= 50,
+  output.histogram_bins >= 1, event.component >= 0, points.count,
+  points.seed, basis.degree and gedmd.max_eigenfunctions >= 1 (or null);
+- times, thresholds and fractions (run.T, run.dt, event.threshold,
+  event.sharpness, points.T_traj, points.stride, points.dt,
+  gedmd.validation_threshold, doob.target_fraction, doob.offset) are
+  finite numbers;
+- points.counts is a list of whole numbers >= 0, doob.multiplier_grid a
+  non-empty list of finite numbers, and output.histogram_range null or
+  [lo, hi], two finite numbers with lo < hi.
+event.component must also be below the model dimension, checked when the
+model is built, before any stage runs.  The output directory is made only
+when the first file is written, so a run that fails leaves none behind.
 """
 
 from __future__ import annotations
@@ -47,6 +62,7 @@ from . import doob, estimator, gedmd, spde
 from .basis import build_basis
 from .errors import ConfigError, KoopmanisError
 from .model import default_event, make_builtin_model, make_event
+from .paths import SCHEMES
 
 ENV_OUTPUT_DIR = "KOOPMANIS_OUTPUT_DIR"
 TUNE_SEED_OFFSET = 1_000_003
@@ -78,28 +94,67 @@ _BLOCK_KEYS = {
 }
 
 
-# counts, read as ints: 2.5 paths is a ConfigError, not 2 paths
-_WHOLE_NUMBER_KEYS = (("run", "M"), ("run", "workers"),
-                      ("doob", "tuning_batch"), ("output", "histogram_bins"))
+# Every key of these tables is checked when the config is read; a key
+# whose default is null may be null.
+# counts and indices, read as ints (2.5 paths is a ConfigError, not 2
+# paths), with their least value
+_WHOLE_NUMBER_KEYS = {
+    ("run", "M"): 2, ("run", "workers"): 1, ("run", "master_seed"): None,
+    ("doob", "tuning_batch"): 50, ("output", "histogram_bins"): 1,
+    ("event", "component"): 0, ("points", "count"): None,
+    ("points", "seed"): None, ("basis", "degree"): None,
+    ("gedmd", "max_eigenfunctions"): 1}
+# finite real numbers, kept as given
+_REAL_NUMBER_KEYS = (("run", "T"), ("run", "dt"), ("event", "threshold"),
+                     ("event", "sharpness"), ("points", "T_traj"),
+                     ("points", "stride"), ("points", "dt"),
+                     ("gedmd", "validation_threshold"),
+                     ("doob", "target_fraction"), ("doob", "offset"))
+# names, each one of a fixed set: "MC" would otherwise run IS
+_CHOICE_KEYS = {("run", "method"): ("is", "mc"), ("run", "scheme"): SCHEMES,
+                ("points", "kind"): ("grid", "gaussian")}
 
 
-def _whole_number(name, val) -> int:
-    """``val`` as an int when it is a whole number (2000 or 2000.0)."""
+def _whole_number(name, val, least=None) -> int:
+    """``val`` as an int when it is a whole number (2000 or 2000.0), at
+    least ``least`` when that is given."""
     if isinstance(val, bool) or not (
             isinstance(val, numbers.Integral)
             or isinstance(val, float) and val.is_integer()):
         raise ConfigError(f"{name} must be a whole number, got {val!r}")
+    if least is not None and val < least:
+        raise ConfigError(f"{name} must be at least {least}, got {val!r}")
     return int(val)
+
+
+def _check_real(name, val):
+    if isinstance(val, bool) or not (isinstance(val, numbers.Real)
+                                     and math.isfinite(val)):
+        raise ConfigError(f"{name} must be a finite number, got {val!r}")
+
+
+def _holds(cfg, blk, key) -> bool:
+    """Does the config set blk.key?  A null where null is the default does
+    not count."""
+    block = cfg[blk] or {}
+    return block.get(key) is not None or key in block \
+        and _BLOCK_DEFAULTS.get(blk, {}).get(key, 0) is not None
 
 
 def _grid_counts(counts) -> list:
     """points.counts, the grid points per axis, as a list of ints >= 0."""
     if not isinstance(counts, (list, tuple)):
         raise ConfigError(f"points.counts must be a list, got {counts!r}")
-    out = [_whole_number("points.counts", c) for c in counts]
-    if any(c < 0 for c in out):
-        raise ConfigError(f"points.counts must be >= 0, got {counts!r}")
-    return out
+    return [_whole_number("points.counts", c, 0) for c in counts]
+
+
+def _check_multiplier_grid(grid):
+    """doob.multiplier_grid: a non-empty list of finite numbers."""
+    if not isinstance(grid, (list, tuple)) or not grid:
+        raise ConfigError(f"doob.multiplier_grid must be a non-empty list, "
+                          f"got {grid!r}")
+    for c in grid:
+        _check_real("doob.multiplier_grid", c)
 
 
 def _check_histogram_range(rng):
@@ -166,14 +221,21 @@ class ExperimentConfig:
         for key in ("M", "T", "master_seed"):
             if key not in (cfg["run"] or {}):
                 raise ConfigError(f"run block must define {key!r}")
-        for blk, key in _WHOLE_NUMBER_KEYS:
-            if cfg[blk] is not None:
-                cfg[blk][key] = _whole_number(f"{blk}.{key}", cfg[blk][key])
+        for (blk, key), allowed in _CHOICE_KEYS.items():
+            if _holds(cfg, blk, key) and cfg[blk][key] not in allowed:
+                raise ConfigError(f"{blk}.{key} must be one of "
+                                  f"{list(allowed)}, got {cfg[blk][key]!r}")
+        for (blk, key), least in _WHOLE_NUMBER_KEYS.items():
+            if _holds(cfg, blk, key):
+                cfg[blk][key] = _whole_number(f"{blk}.{key}", cfg[blk][key],
+                                              least)
+        for blk, key in _REAL_NUMBER_KEYS:
+            if _holds(cfg, blk, key):
+                _check_real(f"{blk}.{key}", cfg[blk][key])
         if "counts" in (cfg["points"] or {}):
             cfg["points"]["counts"] = _grid_counts(cfg["points"]["counts"])
-        if cfg["output"]["histogram_bins"] < 1:
-            raise ConfigError(f"output.histogram_bins must be at least 1, "
-                              f"got {cfg['output']['histogram_bins']}")
+        if cfg["doob"] is not None:
+            _check_multiplier_grid(cfg["doob"]["multiplier_grid"])
         _check_histogram_range(cfg["output"]["histogram_range"])
         return cls(**cfg)
 
@@ -200,8 +262,13 @@ def _build_event(cfg: ExperimentConfig):
 
 
 def _model_and_event(cfg: ExperimentConfig):
-    """The configured model and event."""
+    """The configured model and event, built before any stage runs; an
+    event component outside the model's state is a ``ConfigError``."""
     model = make_builtin_model(cfg.model["name"], cfg.model.get("params"))
+    if cfg.event["component"] >= model.dim_state:
+        raise ConfigError(f"event.component must be below the dimension "
+                          f"{model.dim_state} of {model.name!r}, got "
+                          f"{cfg.event['component']}")
     return model, _build_event(cfg)
 
 
@@ -368,11 +435,19 @@ def _eigen_report_rows(spectrum):
 
 
 def _resolve_outdir(cfg: ExperimentConfig, override=None) -> Path:
-    base = override or cfg.output.get("directory") \
-        or os.environ.get(ENV_OUTPUT_DIR) or "koopmanis-out"
-    out = Path(base)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(override or cfg.output.get("directory")
+                or os.environ.get(ENV_OUTPUT_DIR) or "koopmanis-out")
+
+
+def _write_outputs(outdir: Path, outputs: dict) -> dict:
+    """Write each name -> (file, writer, content) of ``outputs`` in order
+    into ``outdir``, made only now, and return name -> path."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    written = {}
+    for name, (file, write, content) in outputs.items():
+        written[name] = outdir / file
+        write(written[name], *content)
+    return written
 
 
 def _histogram_range(cfg, stats):
@@ -388,7 +463,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None,
 
     Every output is computed before the first is written, so a run that
     fails in any stage, or while forming its outputs, leaves no partial
-    files behind.
+    files behind, and no output directory it would have made.
     """
     outdir = _resolve_outdir(cfg, output_dir)
     controller_path = outdir / "controller.json"
@@ -429,12 +504,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None,
             (["path_index", "time"] + [f"x{i+1}" for i in range(d)],
              [[idx, repr(float(t))] + [repr(float(v)) for v in x]
               for idx, t, x in traj]))
-
-    written = {}
-    for name, (file, write, content) in outputs.items():
-        written[name] = outdir / file
-        write(written[name], *content)
-    return written
+    return _write_outputs(outdir, outputs)
 
 
 def _cmd_run(args):
@@ -455,13 +525,13 @@ def _cmd_sweep(args):
     if cfg.doob is None:
         raise ConfigError("sweep-c needs a doob block")
     tune = _tune(cfg, prepare_controller(cfg))
-    sweep_path = _resolve_outdir(cfg, args.output_dir) / "sweep.csv"
-    _write_csv(sweep_path, *_sweep_rows(tune))
+    written = _write_outputs(_resolve_outdir(cfg, args.output_dir), {
+        "sweep": ("sweep.csv", _write_csv, _sweep_rows(tune))})
     print("c  hit_fraction  estimate  variance  relative_error")
     for c, f, e, v, r in tune.table:
         print(f"{c:g}  {f:.6g}  {e:.6g}  {v:.6g}  {r:.6g}")
     print(f"chosen c = {tune.multiplier:g}")
-    print(f"wrote sweep: {sweep_path}")
+    print(f"wrote sweep: {written['sweep']}")
     return 0
 
 
@@ -483,11 +553,11 @@ def _cmd_export_eigen(args):
     state = prepare_controller(cfg)
     if state.spectrum is None:
         raise ConfigError("this model has no eigenfunction report")
-    outdir = _resolve_outdir(cfg, args.output_dir)
     header, rows = _eigen_report_rows(state.spectrum)
-    path = outdir / "eigen_report.csv"
-    _write_csv(path, header, rows)
-    print(f"wrote eigen report ({len(rows)} pairs): {path}")
+    written = _write_outputs(_resolve_outdir(cfg, args.output_dir), {
+        "eigen_report": ("eigen_report.csv", _write_csv, (header, rows))})
+    print(f"wrote eigen report ({len(rows)} pairs): "
+          f"{written['eigen_report']}")
     return 0
 
 

@@ -335,7 +335,8 @@ def test_misspelt_event_mode_writes_nothing(tmp_path, capsys):
 
 def test_a_failing_output_leaves_no_partial_files(tmp_path, monkeypatch):
     """The eigenfunction report is formed last but before any file is
-    written: when it fails, not even the results row is left."""
+    written: when it fails, not even the results row, nor the output
+    directory, is left."""
     cfg = cli.ExperimentConfig.from_dict(_tiny_ou_config(tmp_path))
 
     def broken(spectrum):
@@ -344,7 +345,60 @@ def test_a_failing_output_leaves_no_partial_files(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_eigen_report_rows", broken)
     with pytest.raises(RuntimeError, match="report failed"):
         cli.run_experiment(cfg)
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("run", "method", "MC"), ("run", "method", "qmc"),
+    ("points", "kind", "sobol"), ("run", "scheme", "rk4"),
+    ("doob", "multiplier_grid", ["x"]), ("doob", "multiplier_grid", 4),
+    ("doob", "multiplier_grid", []), ("doob", "target_fraction", "half"),
+    ("doob", "tuning_batch", 49), ("run", "T", "abc"),
+    ("run", "T", math.inf), ("event", "threshold", "a"),
+    ("event", "sharpness", "a"), ("gedmd", "validation_threshold", "a"),
+    ("gedmd", "max_eigenfunctions", "a"), ("points", "count", "a"),
+    ("basis", "degree", "a"), ("event", "component", 5),
+    ("event", "component", "a"), ("event", "component", -1)])
+def test_bad_config_values_fail_before_any_stage(tmp_path, capsys, block,
+                                                  key, value):
+    """Each value once ended in a raw traceback, ran another method
+    ("MC" ran importance sampling), or failed only after the set-up; now
+    each is a ConfigError naming its key, and nothing is written."""
+    raw = _tiny_ou_config(tmp_path)
+    raw[block][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error (ConfigError)" in err and f"{block}.{key}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb, failing", [
+    ("run", None), ("sweep-c", None), ("export-eigen", None),
+    ("run", "_eigen_report_rows"), ("sweep-c", "_sweep_rows"),
+    ("export-eigen", "_eigen_report_rows")])
+def test_a_failing_verb_leaves_no_output_directory(tmp_path, capsys,
+                                                   monkeypatch, verb,
+                                                   failing):
+    """The output directory is made when the first file is written: not
+    when the set-up fails (a negative validation threshold drops every
+    eigenpair), nor when forming the verb's output fails."""
+    raw = _tiny_ou_config(tmp_path)
+    if failing is None:
+        raw["gedmd"]["validation_threshold"] = -1.0
+        error = "EmptySpectrumError"
+    else:
+        def broken(*args):
+            raise ConfigError("output failed")
+
+        monkeypatch.setattr(cli, failing, broken)
+        error = "ConfigError"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main([verb, str(path)]) == 1
+    assert f"error ({error})" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_whole_float_counts_are_read_as_integers(tmp_path):
