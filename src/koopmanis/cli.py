@@ -19,13 +19,25 @@ ensemble into ``workers`` blocks on as many threads (``paths`` has the
 layout rule), with byte-identical SDE outputs.  Threads pay off only where
 numpy releases the interpreter lock long enough.  Final ensembles of the
 bench workloads at c = 8 on 2 cores, one BLAS thread, 1 -> 2 workers
-(median of 3): advdiff 4.5 -> 2.3 s, vdp 1.08 -> 2.0 s, brownian_osc
-0.48 -> 0.95 s.  Memory grows with workers:
-each running block holds its own noise buffer of up to
-``paths.NOISE_BUFFER_DOUBLES`` doubles (32 MB).  The default is 1.
+(median of 3, measured with the control evaluated at every step, hold_time
+0): advdiff 4.5 -> 2.3 s, vdp 1.08 -> 2.0 s, brownian_osc 0.48 -> 0.95 s.
+Memory grows with workers: each running block holds its own noise buffer
+of up to ``paths.NOISE_BUFFER_DOUBLES`` doubles (32 MB).  The default is 1.
+
+The ``doob`` block's hold_time (default 0.02, in model time units) is how
+long the importance-sampling control is held: the path engine evaluates it
+once per ``paths.hold_steps(hold_time, dt)`` steps, for the multiplier
+sweep and the final ensemble alike, and the Girsanov weight uses the held
+control, so estimates stay unbiased.  0, or any hold up to one step, is
+per-step control.  Monte Carlo runs have no control and ignore it.
 
 These are checked when the config is read, each as a ``ConfigError``
 that names its key:
+- each block present sets the keys its stage reads: model.name,
+  event.kind and .threshold, run.M, .T and .master_seed, basis.family and
+  .degree, and points box, counts, T_traj, stride and seed for a grid
+  (the only kind advdiff takes) or mean, std, count and seed for gaussian
+  points;
 - run.method is "is" or "mc", run.scheme null or one of
   ``paths.SCHEMES``, and points.kind "grid" or "gaussian";
 - counts and indices are whole numbers (2000 or 2000.0): run.M >= 2,
@@ -34,14 +46,17 @@ that names its key:
   points.seed, basis.degree and gedmd.max_eigenfunctions >= 1 (or null);
 - times, thresholds and fractions (run.T, run.dt, event.threshold,
   event.sharpness, points.T_traj, points.stride, points.dt,
-  gedmd.validation_threshold, doob.target_fraction, doob.offset) are
-  finite numbers;
-- points.counts is a list of whole numbers >= 0, doob.multiplier_grid a
-  non-empty list of finite numbers, and output.histogram_range null or
-  [lo, hi], two finite numbers with lo < hi.
-event.component must also be below the model dimension, checked when the
-model is built, before any stage runs.  The output directory is made only
-when the first file is written, so a run that fails leaves none behind.
+  gedmd.validation_threshold, doob.target_fraction, doob.offset,
+  doob.hold_time >= 0) and the values of model.params are finite numbers;
+- points.counts is a list of whole numbers >= 0, points.mean and
+  points.std lists of finite numbers, points.box and basis.box lists of
+  [lo, hi] with finite lo < hi, doob.multiplier_grid a non-empty list of
+  finite numbers, and output.histogram_range null or one [lo, hi].
+event.component must also be below the model dimension, and the per-axis
+lists (points.mean, .std, .box, .counts and basis.box) must have one entry
+per axis, checked when the model is built, before any stage runs.  The
+output directory is made only when the first file is written, so a run
+that fails leaves none behind.
 """
 
 from __future__ import annotations
@@ -74,7 +89,7 @@ _BLOCK_DEFAULTS = {
     "points": {"kind": "grid"},
     "gedmd": {"validation_threshold": 0.04, "max_eigenfunctions": None},
     "doob": {"multiplier_grid": [1, 2, 4, 6, 8, 16], "tuning_batch": 100,
-             "target_fraction": 0.5, "offset": None},
+             "target_fraction": 0.5, "offset": None, "hold_time": 0.02},
     "run": {"method": "is", "dt": 1e-3, "scheme": None, "workers": 1},
     "output": {"histogram_bins": 50, "histogram_range": None,
                "trajectory_stride": None, "trajectory_count": 0},
@@ -96,6 +111,13 @@ _BLOCK_KEYS = {
 
 # Every key of these tables is checked when the config is read; a key
 # whose default is null may be null.
+# the keys each block must set; for points, those of its kind
+_REQUIRED_KEYS = {
+    ("model", None): ("name",), ("event", None): ("kind", "threshold"),
+    ("run", None): ("M", "T", "master_seed"),
+    ("points", "grid"): ("box", "counts", "T_traj", "stride", "seed"),
+    ("points", "gaussian"): ("mean", "std", "count", "seed"),
+    ("basis", None): ("family", "degree")}
 # counts and indices, read as ints (2.5 paths is a ConfigError, not 2
 # paths), with their least value
 _WHOLE_NUMBER_KEYS = {
@@ -104,12 +126,18 @@ _WHOLE_NUMBER_KEYS = {
     ("event", "component"): 0, ("points", "count"): None,
     ("points", "seed"): None, ("basis", "degree"): None,
     ("gedmd", "max_eigenfunctions"): 1}
-# finite real numbers, kept as given
-_REAL_NUMBER_KEYS = (("run", "T"), ("run", "dt"), ("event", "threshold"),
-                     ("event", "sharpness"), ("points", "T_traj"),
-                     ("points", "stride"), ("points", "dt"),
-                     ("gedmd", "validation_threshold"),
-                     ("doob", "target_fraction"), ("doob", "offset"))
+# finite real numbers, kept as given, with their least value
+_REAL_NUMBER_KEYS = {
+    ("run", "T"): None, ("run", "dt"): None, ("event", "threshold"): None,
+    ("event", "sharpness"): None, ("points", "T_traj"): None,
+    ("points", "stride"): None, ("points", "dt"): None,
+    ("gedmd", "validation_threshold"): None,
+    ("doob", "target_fraction"): None, ("doob", "offset"): None,
+    ("doob", "hold_time"): 0}
+# lists of finite numbers, one per axis, and lists of [lo, hi] intervals,
+# one per axis; their lengths are checked when the model is built
+_NUMBER_LIST_KEYS = (("points", "mean"), ("points", "std"))
+_BOX_KEYS = (("points", "box"), ("basis", "box"))
 # names, each one of a fixed set: "MC" would otherwise run IS
 _CHOICE_KEYS = {("run", "method"): ("is", "mc"), ("run", "scheme"): SCHEMES,
                 ("points", "kind"): ("grid", "gaussian")}
@@ -127,10 +155,43 @@ def _whole_number(name, val, least=None) -> int:
     return int(val)
 
 
-def _check_real(name, val):
+def _check_real(name, val, least=None):
     if isinstance(val, bool) or not (isinstance(val, numbers.Real)
                                      and math.isfinite(val)):
         raise ConfigError(f"{name} must be a finite number, got {val!r}")
+    if least is not None and val < least:
+        raise ConfigError(f"{name} must be at least {least}, got {val!r}")
+
+
+def _is_interval(rng) -> bool:
+    """Is ``rng`` [lo, hi], two finite numbers with lo < hi?"""
+    return (isinstance(rng, (list, tuple)) and len(rng) == 2
+            and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in rng)
+            and rng[0] < rng[1])
+
+
+def _check_list(name, val, interval=False):
+    """A list of finite numbers, or with ``interval`` of [lo, hi]
+    intervals, one per axis."""
+    if not isinstance(val, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {val!r}")
+    for v in val:
+        if not interval:
+            _check_real(name, v)
+        elif not _is_interval(v):
+            raise ConfigError(f"{name} must hold [lo, hi] intervals with "
+                              f"finite lo < hi, got {v!r}")
+
+
+def _check_params(params):
+    """model.params: null or a mapping of names to finite numbers."""
+    if params is None:
+        return
+    if not isinstance(params, dict):
+        raise ConfigError(f"model.params must be a mapping, got {params!r}")
+    for key, val in params.items():
+        _check_real(f"model.params.{key}", val)
 
 
 def _holds(cfg, blk, key) -> bool:
@@ -159,12 +220,7 @@ def _check_multiplier_grid(grid):
 
 def _check_histogram_range(rng):
     """output.histogram_range: null, or two finite numbers lo < hi."""
-    if rng is None:
-        return
-    if not (isinstance(rng, (list, tuple)) and len(rng) == 2
-            and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    and math.isfinite(v) for v in rng)
-            and rng[0] < rng[1]):
+    if rng is not None and not _is_interval(rng):
         raise ConfigError(f"output.histogram_range must be null or [lo, hi] "
                           f"with finite lo < hi, got {rng!r}")
 
@@ -218,20 +274,37 @@ class ExperimentConfig:
             merged = dict(_BLOCK_DEFAULTS.get(blk, {}))
             merged.update(val)
             cfg[blk] = merged
-        for key in ("M", "T", "master_seed"):
-            if key not in (cfg["run"] or {}):
-                raise ConfigError(f"run block must define {key!r}")
         for (blk, key), allowed in _CHOICE_KEYS.items():
             if _holds(cfg, blk, key) and cfg[blk][key] not in allowed:
                 raise ConfigError(f"{blk}.{key} must be one of "
                                   f"{list(allowed)}, got {cfg[blk][key]!r}")
+        if cfg["points"] is not None and cfg["model"].get("name") \
+                == "advdiff" and cfg["points"]["kind"] != "grid":
+            raise ConfigError("points.kind must be 'grid' for advdiff, "
+                              "which starts its snapshots on a grid of "
+                              "amplitudes")
+        for (blk, kind), keys in _REQUIRED_KEYS.items():
+            block = cfg[blk]
+            if block is None or kind is not None and block["kind"] != kind:
+                continue
+            missing = [f"{blk}.{key}" for key in keys
+                       if block.get(key) is None]
+            if missing:
+                of_kind = "" if kind is None else f" of kind {kind!r}"
+                raise ConfigError(f"the {blk} block{of_kind} must set "
+                                  f"{missing}")
         for (blk, key), least in _WHOLE_NUMBER_KEYS.items():
             if _holds(cfg, blk, key):
                 cfg[blk][key] = _whole_number(f"{blk}.{key}", cfg[blk][key],
                                               least)
-        for blk, key in _REAL_NUMBER_KEYS:
+        for (blk, key), least in _REAL_NUMBER_KEYS.items():
             if _holds(cfg, blk, key):
-                _check_real(f"{blk}.{key}", cfg[blk][key])
+                _check_real(f"{blk}.{key}", cfg[blk][key], least)
+        for keys, interval in ((_NUMBER_LIST_KEYS, False), (_BOX_KEYS, True)):
+            for blk, key in keys:
+                if (cfg[blk] or {}).get(key) is not None:
+                    _check_list(f"{blk}.{key}", cfg[blk][key], interval)
+        _check_params(cfg["model"].get("params"))
         if "counts" in (cfg["points"] or {}):
             cfg["points"]["counts"] = _grid_counts(cfg["points"]["counts"])
         if cfg["doob"] is not None:
@@ -263,12 +336,23 @@ def _build_event(cfg: ExperimentConfig):
 
 def _model_and_event(cfg: ExperimentConfig):
     """The configured model and event, built before any stage runs; an
-    event component outside the model's state is a ``ConfigError``."""
+    event component outside the model's state, or a per-axis list whose
+    length is not the number of axes, is a ``ConfigError``.  The points
+    of the SPDE model have one axis, the amplitude along its adjoint
+    mode."""
     model = make_builtin_model(cfg.model["name"], cfg.model.get("params"))
-    if cfg.event["component"] >= model.dim_state:
+    d = model.dim_state
+    if cfg.event["component"] >= d:
         raise ConfigError(f"event.component must be below the dimension "
-                          f"{model.dim_state} of {model.name!r}, got "
+                          f"{d} of {model.name!r}, got "
                           f"{cfg.event['component']}")
+    axes = {"points": 1 if model.spde is not None else d, "basis": d}
+    for blk, key in (*_NUMBER_LIST_KEYS, *_BOX_KEYS, ("points", "counts")):
+        val = (getattr(cfg, blk) or {}).get(key)
+        if val is not None and len(val) != axes[blk]:
+            raise ConfigError(f"{blk}.{key} must have {axes[blk]} entries, "
+                              f"one per axis of {model.name!r}, got "
+                              f"{len(val)}")
     return model, _build_event(cfg)
 
 
@@ -353,7 +437,7 @@ def _tune(cfg: ExperimentConfig, state: PipelineState):
         float(run["T"]), float(run["dt"]), cfg.doob["multiplier_grid"],
         cfg.doob["tuning_batch"], cfg.doob["target_fraction"],
         seed=_tuning_seed(cfg), scheme=run["scheme"],
-        workers=run["workers"])
+        workers=run["workers"], hold_time=cfg.doob["hold_time"])
 
 
 def run_pipeline(cfg: ExperimentConfig, controller=None) -> PipelineState:
@@ -368,13 +452,16 @@ def run_pipeline(cfg: ExperimentConfig, controller=None) -> PipelineState:
         state.controller = state.controller.with_multiplier(
             state.tune.multiplier)
     run = cfg.run
+    # an mc config may omit the doob block; its runs have no control to hold
+    doob_cfg = cfg.doob or _BLOCK_DEFAULTS["doob"]
     state.report = estimator.run_ensemble(
         state.model, state.controller, state.event, run.get("x0"),
         float(run["T"]), float(run["dt"]), scheme=run["scheme"],
         M=run["M"], master_seed=run["master_seed"],
         workers=run["workers"],
         trajectory_count=cfg.output["trajectory_count"],
-        trajectory_stride=cfg.output["trajectory_stride"])
+        trajectory_stride=cfg.output["trajectory_stride"],
+        hold_time=doob_cfg["hold_time"])
     return state
 
 

@@ -142,6 +142,11 @@ class Controller:
     ``SpdeController`` is the one exception: its ``Y @ w1`` is a BLAS
     product whose last bit depends on the number of rows.
 
+    The path engine calls ``bias_batch`` once per control hold, at the
+    hold's first step, and drives the hold's remaining steps, and their
+    Girsanov terms, with the same u (``paths`` has the rule); ``floored``
+    then counts for every step of the hold.
+
     Controllers are immutable after construction: ``with_multiplier``
     returns a copy with a new c, so multiplier sweeps never mutate a
     controller in flight.
@@ -272,17 +277,20 @@ class TuneResult:
 
 
 def tune_multiplier(controller, model, obs, x0, T, dt, grid, batch,
-                    target=0.5, seed=0, scheme=None, workers=1) -> TuneResult:
+                    target=0.5, seed=0, scheme=None, workers=1,
+                    hold_time=0.0) -> TuneResult:
     """Sweep the multiplier grid with common random numbers per value.
 
     The sweep runs as one stacked ensemble of len(grid) * batch rows: row
     g * batch + i is path i of ``seed`` at multiplier grid[g], so each
     path's noise is drawn once and replayed for every c.  Because the
     engine and the controllers are row-local, every row is bit for bit the
-    path an ensemble at that c alone would give.  Each c's rows are then
-    reduced by ``estimator.run_ensemble``.  Returns the multiplier whose
-    event-hit fraction is closest to the target, breaking ties toward the
-    smaller value, along with the full sweep table.
+    path an ensemble at that c alone would give.  The control is held for
+    ``hold_time`` as in the final ensemble, so the chosen c fits the run
+    that uses it.  Each c's rows are then reduced by
+    ``estimator.run_ensemble``.  Returns the multiplier whose event-hit
+    fraction is closest to the target, breaking ties toward the smaller
+    value, along with the full sweep table.
     """
     from . import estimator  # local import: estimator imports this module
 
@@ -295,7 +303,7 @@ def tune_multiplier(controller, model, obs, x0, T, dt, grid, batch,
     stacked = estimator.simulate_ensemble(
         model, controller.with_multiplier(np.repeat(grid, batch)), x0, T,
         dt, scheme=scheme, M=n * batch, master_seed=seed, workers=workers,
-        path_index=np.tile(np.arange(batch), n))
+        path_index=np.tile(np.arange(batch), n), hold_time=hold_time)
     rows = []
     for g, c in enumerate(grid):
         rep = estimator.run_ensemble(

@@ -56,9 +56,19 @@ so both are row-local.  The known exceptions are the SPDE stepper
 (``spde.exp_euler``) and ``SpdeController``: their mode-coupling matmuls
 are shape-sensitive at the ulp level, so SPDE rows are bit-identical
 across worker counts and stackings only as far as those BLAS products are.
-A path whose state becomes non-finite is marked blown and frozen at zero.
-The single-path reference the engine is tested against, one path stepped
-alone through ``sde_stepper``, is ``tests/reference.py``.
+The control is held: the engine evaluates ``bias_batch`` at steps 0, s,
+2s, ... only, s = ``hold`` (``hold_steps`` turns a hold time into s), and
+keeps u, the floored mask and 1/2 |u|^2 dt through the s - 1 steps after.
+Every step still subtracts (u . xi) sqrt(dt) + 1/2 |u|^2 dt from the
+log-weight and adds the mask to ``floored``, so the weight is the
+Girsanov weight of the control that drove the path, and the estimate stays
+unbiased for the discrete chain; only its variance depends on s.  The hold
+counts global step indices, alike for every row, so rows stay row-local;
+s = 1 is per-step control.
+A path whose state becomes non-finite is marked blown and frozen at zero,
+and so is its held control.  The single-path reference the engine is
+tested against, one path stepped alone through ``sde_stepper``, is
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -155,7 +165,8 @@ class PathEnsemble:
     terminal: np.ndarray          # (M, d)
     log_weight: np.ndarray        # (M,)
     blown: np.ndarray             # (M,) bool
-    floored: np.ndarray           # (M,) steps at which Phi was floored
+    floored: np.ndarray           # (M,) steps driven by a floored Phi,
+                                  # held steps included
     K: int = 0
     dt: float = 0.0
     stride: int = 1
@@ -182,7 +193,7 @@ class PathEnsemble:
 
 
 def _run_block(step, r, x0, K, dt, controller, master_seed, path_index,
-               stride, record):
+               stride, record, hold):
     B = len(x0)
     sqdt = math.sqrt(dt)
     # one stream per distinct path; inv maps each row to its stream
@@ -196,6 +207,7 @@ def _run_block(step, r, x0, K, dt, controller, master_seed, path_index,
     floored = np.zeros(B, dtype=np.int64)
     snaps = np.empty((record, 1 + K // stride) + x.shape[1:])
     snaps[:, 0] = x[:record]
+    u = None
 
     # noise is pre-drawn per path in time-ordered chunks so each stream is
     # consumed identically no matter the chunking; rows gather their
@@ -210,17 +222,20 @@ def _run_block(step, r, x0, K, dt, controller, master_seed, path_index,
             g.standard_normal(out=draws[:kc])
         for j in range(kc):
             xi = noise[inv, j]
-            u = None
             if controller is not None:
-                u, nf = controller.bias_batch((k + j) * dt, x)
+                if (k + j) % hold == 0:
+                    u, nf = controller.bias_batch((k + j) * dt, x)
+                    half_uu = 0.5 * (u * u).sum(axis=1) * dt
                 floored += nf
-                logw -= (u * xi).sum(axis=1) * sqdt + 0.5 * (u * u).sum(axis=1) * dt
+                logw -= (u * xi).sum(axis=1) * sqdt + half_uu
             with np.errstate(over="ignore", invalid="ignore"):
                 x = step(x, u, xi)
             if not np.isfinite(x).all():
                 newly = ~np.isfinite(x).all(axis=1) & ~blown
                 blown |= newly
                 x[newly] = 0.0  # frozen; excluded from every estimate
+                if u is not None:
+                    u[newly] = 0.0  # and its held control with it
             if record and (k + j + 1) % stride == 0:
                 snaps[:, (k + j + 1) // stride] = x[:record]
         k += kc
@@ -229,17 +244,19 @@ def _run_block(step, r, x0, K, dt, controller, master_seed, path_index,
 
 def run_engine(step, r, starts, K, dt, controller=None, master_seed=0,
                workers=1, stride=None, record=0,
-               path_index=None) -> PathEnsemble:
+               path_index=None, hold=1) -> PathEnsemble:
     """The block engine: K steps of ``step(x, u, xi) -> x`` from each row of
     ``starts``, with r standard normal draws per row and step and the
     control of ``controller`` when one is given.
 
-    Row i draws the noise of path ``path_index[i]`` (default i), and runs
-    at ``controller.multiplier[i]`` when the multiplier is an array.  The
+    The control is evaluated at steps 0, hold, 2 hold, ... and held through
+    the steps in between (see the determinism contract).  Row i draws the
+    noise of path ``path_index[i]`` (default i), and runs at
+    ``controller.multiplier[i]`` when the multiplier is an array.  The
     rows are laid out by the module's layout rule.  The ensemble keeps the
     snapshots of rows 0..record-1, taken at t = 0 and after every
-    ``stride`` steps (default max(1, K // 200)).  A stride that is not a
-    positive integer, or a record count that is not a non-negative
+    ``stride`` steps (default max(1, K // 200)).  A stride or hold that is
+    not a positive integer, or a record count that is not a non-negative
     integer, raises ``ConfigError``.
     """
     M = len(starts)
@@ -251,6 +268,9 @@ def run_engine(step, r, starts, K, dt, controller=None, master_seed=0,
                                    and stride >= 1):
         raise ConfigError(f"the trajectory stride must be a positive whole "
                           f"number of steps, got {stride!r}")
+    if not (isinstance(hold, numbers.Integral) and hold >= 1):
+        raise ConfigError(f"the control hold must be a positive whole "
+                          f"number of steps, got {hold!r}")
     if not (isinstance(record, numbers.Integral) and record >= 0):
         raise ConfigError(f"the trajectory count must be a non-negative "
                           f"integer, got {record!r}")
@@ -274,7 +294,7 @@ def run_engine(step, r, starts, K, dt, controller=None, master_seed=0,
             if per_row else controller
         return _run_block(step, r, starts[s:e], K, dt, ctrl, master_seed,
                           path_index[s:e], stride,
-                          max(0, min(record, e) - s))
+                          max(0, min(record, e) - s), hold)
 
     if workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -312,6 +332,17 @@ def trajectory_snapshots(make_step, r, starts, T_traj, stride, seed, dt):
             (n - len(kept)) * ens.snapshots.shape[1])
 
 
+def hold_steps(hold_time, dt) -> int:
+    """Steps per control hold: the whole number of steps of size dt (the
+    step after ``adjust_steps``) in ``hold_time`` model time units, at
+    least one.  A hold time that is negative or not finite is a
+    ``ConfigError``."""
+    if not (math.isfinite(hold_time) and hold_time >= 0):
+        raise ConfigError(f"the control hold time must be a finite number "
+                          f">= 0, got {hold_time!r}")
+    return max(1, int(math.floor(hold_time / dt + 1e-9)))
+
+
 def tile_start(x0, dim, M) -> np.ndarray:
     """The start x0 repeated for M rows; the one check, for the SDE and
     the SPDE engine alike, that x0 is a state of dimension ``dim``."""
@@ -323,15 +354,18 @@ def tile_start(x0, dim, M) -> np.ndarray:
 
 def run_paths(model, controller, x0, T, dt, scheme=None, M=1,
               master_seed=0, workers=1, trajectory_count=0,
-              trajectory_stride=None, path_index=None) -> PathEnsemble:
+              trajectory_stride=None, path_index=None,
+              hold_time=0.0) -> PathEnsemble:
     """Simulate M rows and collect terminal states and Girsanov weights.
 
-    Row i is path ``path_index[i]`` (default i).  The first
-    ``trajectory_count`` rows also report trajectory rows every
+    Row i is path ``path_index[i]`` (default i).  The control is held for
+    ``hold_steps(hold_time, dt)`` steps (0: evaluated at every step).  The
+    first ``trajectory_count`` rows also report trajectory rows every
     ``trajectory_stride`` steps and at T.
     """
     K, dt = adjust_steps(T, dt)
     return run_engine(sde_stepper(model, scheme, dt), model.dim_noise,
                       tile_start(x0, model.dim_state, M), K, dt, controller,
                       master_seed, workers, trajectory_stride,
-                      trajectory_count, path_index)
+                      trajectory_count, path_index,
+                      hold_steps(hold_time, dt))

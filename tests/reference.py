@@ -48,9 +48,10 @@ class PathResult:
 
 
 def simulate_path(model, controller, x0, T, dt, scheme=None, master_seed=0,
-                  path_index=0, trajectory_stride=None) -> PathResult:
+                  path_index=0, trajectory_stride=None, hold=1) -> PathResult:
     """Simulate path ``path_index`` alone, with the noise stream and the
-    Girsanov weight of the block engine.
+    Girsanov weight of the block engine; the control is evaluated at steps
+    0, hold, 2 hold, ... and held in between.
 
     Raises PathBlowupError (with the offending step index) if the state
     leaves the finite region.
@@ -66,11 +67,12 @@ def simulate_path(model, controller, x0, T, dt, scheme=None, master_seed=0,
         raise ShapeError("x0 has wrong dimension")
     logw = 0.0
     traj = None if trajectory_stride is None else [(0.0, x.copy())]
+    u = None
     for k in range(K):
         xi = rng.standard_normal(model.dim_noise)
-        u = None
         if controller is not None:
-            u = controller.bias_batch(k * dt, x[None, :])[0]
+            if k % hold == 0:
+                u = controller.bias_batch(k * dt, x[None, :])[0]
             logw -= float(u[0] @ xi) * sqdt + 0.5 * float(u[0] @ u[0]) * dt
         with np.errstate(over="ignore", invalid="ignore"):
             x = step(x[None, :], u, xi[None, :])[0]
@@ -102,7 +104,7 @@ def generator_apply(model: SdeModel, jet, x) -> float:
 
 
 def sweep_table_per_c(controller, model, obs, x0, T, dt, grid, batch, seed=0,
-                      scheme=None, workers=1) -> list:
+                      scheme=None, workers=1, hold_time=0.0) -> list:
     """The table of ``doob.tune_multiplier`` from one ensemble per grid
     value: each draws every path's noise afresh, with the same seed and
     path indices 0..batch-1 (common random numbers)."""
@@ -110,7 +112,7 @@ def sweep_table_per_c(controller, model, obs, x0, T, dt, grid, batch, seed=0,
     for c in sorted(float(c) for c in grid):
         rep = run_ensemble(model, controller.with_multiplier(c), obs, x0, T,
                            dt, scheme=scheme, M=batch, master_seed=seed,
-                           workers=workers)
+                           workers=workers, hold_time=hold_time)
         rows.append((c, rep.proportion_in_event, rep.estimate,
                      rep.sample_variance, rep.relative_error_per_sample))
     return rows

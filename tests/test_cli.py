@@ -358,7 +358,15 @@ def test_a_failing_output_leaves_no_partial_files(tmp_path, monkeypatch):
     ("event", "sharpness", "a"), ("gedmd", "validation_threshold", "a"),
     ("gedmd", "max_eigenfunctions", "a"), ("points", "count", "a"),
     ("basis", "degree", "a"), ("event", "component", 5),
-    ("event", "component", "a"), ("event", "component", -1)])
+    ("event", "component", "a"), ("event", "component", -1),
+    ("model", "params", {"rate": "a"}), ("model", "params", [1.0]),
+    ("points", "mean", ["a"]), ("points", "std", [None]),
+    ("points", "std", 2.0), ("points", "box", [[-1.0, "a"]]),
+    ("basis", "box", [[1.0, -1.0]]), ("points", "mean", [0.0, 0.0]),
+    ("points", "box", [[-1.0, 1.0], [-1.0, 1.0]]),
+    ("basis", "box", [[-1.0, 1.0], [-1.0, 1.0]]),
+    ("doob", "hold_time", -0.01), ("doob", "hold_time", "a"),
+    ("doob", "hold_time", math.inf), ("doob", "hold_time", None)])
 def test_bad_config_values_fail_before_any_stage(tmp_path, capsys, block,
                                                   key, value):
     """Each value once ended in a raw traceback, ran another method
@@ -372,6 +380,41 @@ def test_bad_config_values_fail_before_any_stage(tmp_path, capsys, block,
     err = capsys.readouterr().err
     assert "error (ConfigError)" in err and f"{block}.{key}" in err
     assert not (tmp_path / "out").exists()
+
+
+_GRID_POINTS = {"kind": "grid", "box": [[-2.0, 2.0]], "counts": [4],
+                "T_traj": 0.5, "stride": 0.1, "seed": 3}
+
+
+@pytest.mark.parametrize("block, key", [
+    ("points", "box"), ("points", "counts"), ("points", "seed"),
+    ("points", "mean"), ("points", "std"), ("points", "count"),
+    ("basis", "degree"), ("basis", "family"), ("event", "threshold"),
+    ("model", "name")])
+def test_a_block_without_a_key_its_stage_reads_is_a_config_error(
+        tmp_path, capsys, block, key):
+    """Each once ended in a raw KeyError from the stage that reads it: the
+    grid keys for a grid points block, the gaussian keys for a gaussian
+    one, and the keys of the other blocks."""
+    raw = _tiny_ou_config(tmp_path)
+    if key in _GRID_POINTS:
+        raw["points"] = dict(_GRID_POINTS)
+    del raw[block][key]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error (ConfigError)" in err and f"{block}.{key}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_advdiff_points_must_be_a_grid(tmp_path):
+    raw = _tiny_ou_config(tmp_path)
+    raw["model"] = {"name": "advdiff", "params": {"n_modes": 8}}
+    raw["event"] = {"kind": "norm", "threshold": 0.5}
+    del raw["basis"], raw["gedmd"]
+    with pytest.raises(ConfigError, match="points.kind"):
+        cli.ExperimentConfig.from_dict(raw)
 
 
 @pytest.mark.parametrize("verb, failing", [

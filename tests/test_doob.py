@@ -414,6 +414,36 @@ def test_stacked_rows_match_one_ensemble_per_multiplier(
                 == getattr(alone, field).tobytes(), (c, field)
 
 
+@pytest.mark.parametrize("name", ["legendre_box", "linear_exact",
+                                  "ou_indicator"])
+def test_held_stacked_rows_match_one_ensemble_per_multiplier(
+        fitted_controllers, name):
+    """At a hold of 4 steps the stacked rows, on four workers in 38-row
+    blocks that straddle the multipliers, are still bit for bit each c's
+    ensemble alone, and the sweep's table is the per-c table."""
+    ctrl, model, ev, x0 = _sweep_case(name, fitted_controllers)
+    grid, batch = [1.0, 2.0, 4.0], 50
+    stacked = estimator.simulate_ensemble(
+        model, ctrl.with_multiplier(np.repeat(grid, batch)), x0, 1.0, 1e-2,
+        M=len(grid) * batch, master_seed=9, workers=4,
+        path_index=np.tile(np.arange(batch), len(grid)), hold_time=0.04)
+    for g, c in enumerate(grid):
+        alone = estimator.simulate_ensemble(
+            model, ctrl.with_multiplier(c), x0, 1.0, 1e-2, M=batch,
+            master_seed=9, hold_time=0.04)
+        rows = stacked.rows(g * batch, (g + 1) * batch)
+        for field in ("terminal", "log_weight", "blown", "floored"):
+            assert getattr(rows, field).tobytes() \
+                == getattr(alone, field).tobytes(), (c, field)
+    want = sweep_table_per_c(ctrl, model, ev, x0, 1.0, 1e-2, grid, batch,
+                             seed=9, hold_time=0.04)
+    res = doob.tune_multiplier(ctrl, model, ev, x0, 1.0, 1e-2, grid, batch,
+                               seed=9, workers=2, hold_time=0.04)
+    assert _hex_table(res.table) == _hex_table(want)
+    assert _hex_table(res.table) != _hex_table(sweep_table_per_c(
+        ctrl, model, ev, x0, 1.0, 1e-2, grid, batch, seed=9))
+
+
 @pytest.mark.parametrize("name", _SWEEP_CASES)
 def test_stacked_sweep_matches_one_ensemble_per_multiplier(
         fitted_controllers, name):

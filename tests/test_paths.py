@@ -9,8 +9,8 @@ from koopmanis import (derive_path_rng, make_builtin_model, make_event,
 from koopmanis.errors import ConfigError, ShapeError, UnsupportedSchemeError
 from koopmanis.gedmd import generate_test_points
 from koopmanis.model import SdeModel
-from koopmanis.paths import (_step_block, adjust_steps, rowlocal_product,
-                             sde_stepper)
+from koopmanis.paths import (_step_block, adjust_steps, hold_steps,
+                             rowlocal_product, run_engine, sde_stepper)
 from koopmanis.spde import SpdeController, run_spde_paths, spectral_setup
 from reference import PathBlowupError, simulate_path
 
@@ -438,3 +438,124 @@ def test_trajectory_rows_match_reference_when_stride_leaves_a_remainder():
         assert (p, t) == (p_ref, t_ref)
         assert np.array_equal(x, x_ref)
     assert ens.trajectories[-1][1] == 1.0
+
+
+@pytest.mark.parametrize("hold_time, dt, steps", [
+    (0.0, 5e-3, 1), (0.02, 5e-3, 4), (0.02, 1e-2, 2), (0.02, 1e-3, 20),
+    (0.02, 0.02, 1), (0.02, 0.05, 1), (0.035, 1e-2, 3), (0.1, 0.1 / 3, 3)])
+def test_hold_steps_counts_whole_steps_in_the_hold_time(hold_time, dt, steps):
+    assert hold_steps(hold_time, dt) == steps
+
+
+@pytest.mark.parametrize("hold_time", [-0.01, math.inf, math.nan])
+def test_a_bad_hold_time_is_a_config_error(hold_time):
+    with pytest.raises(ConfigError):
+        hold_steps(hold_time, 1e-2)
+
+
+@pytest.mark.parametrize("hold", [0, -1, 2.0, "4"])
+def test_a_bad_hold_is_a_config_error(hold):
+    m = make_builtin_model("ou1d")
+    with pytest.raises(ConfigError):
+        run_engine(sde_stepper(m, None, 1e-2), 1, np.zeros((4, 1)), 10, 1e-2,
+                   _ConstantController([0.1], 0.1), hold=hold)
+
+
+def _held_cases(fitted_controllers):
+    """(model, controller, x0) with one noise column each, so that the
+    reference's dot product and the engine's row sum agree bit for bit."""
+    model, ctrl, x0 = fitted_controllers["linear_exact"]
+    duffing = make_builtin_model("duffing")
+    return [(model, ctrl.with_multiplier(4.0), x0),
+            (duffing, _ConstantController([0.3], 1.0), np.array([-1.5, 0.0]))]
+
+
+def test_held_control_matches_the_single_path_reference(fitted_controllers):
+    """At a hold of 3 steps (100 steps end one step into a hold) every row
+    of the engine is the reference path held alike, bit for bit."""
+    for model, ctrl, x0 in _held_cases(fitted_controllers):
+        ens = run_paths(model, ctrl, x0, 1.0, 1e-2, M=6, master_seed=21,
+                        workers=2, hold_time=0.03)
+        for i in range(6):
+            res = simulate_path(model, ctrl, x0, 1.0, 1e-2, master_seed=21,
+                                path_index=i, hold=3)
+            assert res.terminal_state.tobytes() == ens.terminal[i].tobytes()
+            assert res.log_weight == ens.log_weight[i]
+
+
+def test_a_hold_of_at_most_one_step_is_per_step_control(fitted_controllers):
+    """hold_time 0, or any hold time up to one step, evaluates the control
+    at every step: the per-step reference rows, bit for bit."""
+    for model, ctrl, x0 in _held_cases(fitted_controllers):
+        want = [simulate_path(model, ctrl, x0, 1.0, 1e-2, master_seed=3,
+                              path_index=i) for i in range(5)]
+        for hold_time in (0.0, 4e-3, 1e-2, 1.5e-2):
+            ens = run_paths(model, ctrl, x0, 1.0, 1e-2, M=5, master_seed=3,
+                            hold_time=hold_time)
+            for i, res in enumerate(want):
+                assert res.terminal_state.tobytes() == \
+                    ens.terminal[i].tobytes()
+                assert res.log_weight == ens.log_weight[i]
+    # while a hold of two steps moves the fitted controller's weights
+    model, ctrl, x0 = _held_cases(fitted_controllers)[0]
+    per_step, held = (run_paths(model, ctrl, x0, 1.0, 1e-2, M=5,
+                                master_seed=3, hold_time=h)
+                      for h in (0.0, 2e-2))
+    assert not np.array_equal(held.log_weight, per_step.log_weight)
+
+
+@pytest.mark.parametrize("family", ["legendre_box", "linear_exact"])
+def test_held_control_ensembles_are_bitwise_invariant(fitted_controllers,
+                                                      family, monkeypatch):
+    """At a hold of 4 steps, 257 rows on one and on three workers, and in
+    blocks capped at 64 rows, give the same rows bit for bit."""
+    model, ctrl, x0 = fitted_controllers[family]
+
+    def run(workers):
+        return run_paths(model, ctrl, x0, 1.0, 1e-2, M=257, master_seed=5,
+                         workers=workers, hold_time=0.04)
+
+    runs = [run(1), run(3)]
+    monkeypatch.setattr(paths, "MAX_BLOCK_ROWS", 64)
+    runs.append(run(3))
+    for alt in runs[1:]:
+        for field in ("terminal", "log_weight", "floored"):
+            assert getattr(runs[0], field).tobytes() == \
+                getattr(alt, field).tobytes()
+
+
+class _FlooredAtStart(_ConstantController):
+    """Phi floored on every row at t = 0 only."""
+
+    def bias_batch(self, t, X):
+        return np.tile(self.u, (len(X), 1)), np.full(len(X), t == 0.0)
+
+
+@pytest.mark.parametrize("hold_time, floored", [(0.0, 1), (0.04, 4),
+                                                (0.2, 10)])
+def test_floored_counts_every_step_of_a_floored_hold(hold_time, floored):
+    """The floor mask of the hold's first step counts for each step the
+    hold drives: 1, 4 or all 10 steps (a hold longer than the horizon)."""
+    m = make_builtin_model("ou1d")
+    ens = run_paths(m, _FlooredAtStart([0.1], 0.1), [0.0], 0.1, 1e-2, M=3,
+                    master_seed=1, hold_time=hold_time)
+    assert ens.floored.tolist() == [floored] * 3
+
+
+def test_a_blown_row_drops_its_held_control():
+    """A control that is infinite away from the origin blows every row up
+    at the first step; the frozen rows then run on without it, to a finite
+    terminal state, instead of on the held infinite control."""
+
+    class FarInfinite(_ConstantController):
+        def bias_batch(self, t, X):
+            return np.where(np.abs(X) > 0.5, np.inf, 0.0), 0
+
+    m = SdeModel("still", lambda x: 0.0 * np.asarray(x, float),
+                 np.full((1, 1), 0.1))
+    with np.errstate(invalid="ignore"):   # the blown rows' weights
+        ens = run_paths(m, FarInfinite([0.0], 1.0), [1.0], 1.0, 1e-2, M=4,
+                        scheme="euler_maruyama", master_seed=2,
+                        hold_time=0.04)
+    assert ens.blown.all()
+    assert np.isfinite(ens.terminal).all()
