@@ -19,17 +19,17 @@ ensemble into ``workers`` blocks on as many threads (``paths`` has the
 layout rule), with byte-identical SDE outputs.  Threads pay off only where
 numpy releases the interpreter lock long enough.  Final ensembles of the
 bench workloads at c = 8 on 2 cores, one BLAS thread, 1 -> 2 workers
-(median of 3, measured with the control evaluated at every step, hold_time
-0): advdiff 4.5 -> 2.3 s, vdp 1.08 -> 2.0 s, brownian_osc 0.48 -> 0.95 s.
+(median of 3, measured with the control evaluated at every step):
+advdiff 4.5 -> 2.3 s, vdp 1.08 -> 2.0 s, brownian_osc 0.48 -> 0.95 s.
 Memory grows with workers: each running block holds its own noise buffer
 of up to ``paths.NOISE_BUFFER_DOUBLES`` doubles (32 MB).  The default is 1.
 
-The ``doob`` block's hold_time (default 0.02, in model time units) is how
-long the importance-sampling control is held: the path engine evaluates it
-once per ``paths.hold_steps(hold_time, dt)`` steps, for the multiplier
-sweep and the final ensemble alike, and the Girsanov weight uses the held
-control, so estimates stay unbiased.  0, or any hold up to one step, is
-per-step control.  Monte Carlo runs have no control and ignore it.
+The multiplier sweep and the final ensemble hold the importance-sampling
+control for ``paths.HOLD_TIME`` model time units (the controller's
+``hold_time``): the path engine evaluates it once per
+``paths.hold_steps(HOLD_TIME, dt)`` steps, and the Girsanov weight uses
+the held control, so estimates stay unbiased.  A run with dt >= 0.02 is
+per-step control.
 
 These are checked when the config is read, each as a ``ConfigError``
 that names its key:
@@ -46,8 +46,8 @@ that names its key:
   points.seed, basis.degree and gedmd.max_eigenfunctions >= 1 (or null);
 - times, thresholds and fractions (run.T, run.dt, event.threshold,
   event.sharpness, points.T_traj, points.stride, points.dt,
-  gedmd.validation_threshold, doob.target_fraction, doob.offset,
-  doob.hold_time >= 0) and the values of model.params are finite numbers;
+  gedmd.validation_threshold, doob.target_fraction, doob.offset) and the
+  values of model.params are finite numbers;
 - points.counts is a list of whole numbers >= 0, points.mean and
   points.std lists of finite numbers, points.box and basis.box lists of
   [lo, hi] with finite lo < hi, doob.multiplier_grid a non-empty list of
@@ -89,7 +89,7 @@ _BLOCK_DEFAULTS = {
     "points": {"kind": "grid"},
     "gedmd": {"validation_threshold": 0.04, "max_eigenfunctions": None},
     "doob": {"multiplier_grid": [1, 2, 4, 6, 8, 16], "tuning_batch": 100,
-             "target_fraction": 0.5, "offset": None, "hold_time": 0.02},
+             "target_fraction": 0.5, "offset": None},
     "run": {"method": "is", "dt": 1e-3, "scheme": None, "workers": 1},
     "output": {"histogram_bins": 50, "histogram_range": None,
                "trajectory_stride": None, "trajectory_count": 0},
@@ -126,14 +126,12 @@ _WHOLE_NUMBER_KEYS = {
     ("event", "component"): 0, ("points", "count"): None,
     ("points", "seed"): None, ("basis", "degree"): None,
     ("gedmd", "max_eigenfunctions"): 1}
-# finite real numbers, kept as given, with their least value
-_REAL_NUMBER_KEYS = {
-    ("run", "T"): None, ("run", "dt"): None, ("event", "threshold"): None,
-    ("event", "sharpness"): None, ("points", "T_traj"): None,
-    ("points", "stride"): None, ("points", "dt"): None,
-    ("gedmd", "validation_threshold"): None,
-    ("doob", "target_fraction"): None, ("doob", "offset"): None,
-    ("doob", "hold_time"): 0}
+# finite real numbers, kept as given
+_REAL_NUMBER_KEYS = (("run", "T"), ("run", "dt"), ("event", "threshold"),
+                     ("event", "sharpness"), ("points", "T_traj"),
+                     ("points", "stride"), ("points", "dt"),
+                     ("gedmd", "validation_threshold"),
+                     ("doob", "target_fraction"), ("doob", "offset"))
 # lists of finite numbers, one per axis, and lists of [lo, hi] intervals,
 # one per axis; their lengths are checked when the model is built
 _NUMBER_LIST_KEYS = (("points", "mean"), ("points", "std"))
@@ -155,12 +153,10 @@ def _whole_number(name, val, least=None) -> int:
     return int(val)
 
 
-def _check_real(name, val, least=None):
+def _check_real(name, val):
     if isinstance(val, bool) or not (isinstance(val, numbers.Real)
                                      and math.isfinite(val)):
         raise ConfigError(f"{name} must be a finite number, got {val!r}")
-    if least is not None and val < least:
-        raise ConfigError(f"{name} must be at least {least}, got {val!r}")
 
 
 def _is_interval(rng) -> bool:
@@ -297,9 +293,9 @@ class ExperimentConfig:
             if _holds(cfg, blk, key):
                 cfg[blk][key] = _whole_number(f"{blk}.{key}", cfg[blk][key],
                                               least)
-        for (blk, key), least in _REAL_NUMBER_KEYS.items():
+        for blk, key in _REAL_NUMBER_KEYS:
             if _holds(cfg, blk, key):
-                _check_real(f"{blk}.{key}", cfg[blk][key], least)
+                _check_real(f"{blk}.{key}", cfg[blk][key])
         for keys, interval in ((_NUMBER_LIST_KEYS, False), (_BOX_KEYS, True)):
             for blk, key in keys:
                 if (cfg[blk] or {}).get(key) is not None:
@@ -437,7 +433,7 @@ def _tune(cfg: ExperimentConfig, state: PipelineState):
         float(run["T"]), float(run["dt"]), cfg.doob["multiplier_grid"],
         cfg.doob["tuning_batch"], cfg.doob["target_fraction"],
         seed=_tuning_seed(cfg), scheme=run["scheme"],
-        workers=run["workers"], hold_time=cfg.doob["hold_time"])
+        workers=run["workers"])
 
 
 def run_pipeline(cfg: ExperimentConfig, controller=None) -> PipelineState:
@@ -452,16 +448,13 @@ def run_pipeline(cfg: ExperimentConfig, controller=None) -> PipelineState:
         state.controller = state.controller.with_multiplier(
             state.tune.multiplier)
     run = cfg.run
-    # an mc config may omit the doob block; its runs have no control to hold
-    doob_cfg = cfg.doob or _BLOCK_DEFAULTS["doob"]
     state.report = estimator.run_ensemble(
         state.model, state.controller, state.event, run.get("x0"),
         float(run["T"]), float(run["dt"]), scheme=run["scheme"],
         M=run["M"], master_seed=run["master_seed"],
         workers=run["workers"],
         trajectory_count=cfg.output["trajectory_count"],
-        trajectory_stride=cfg.output["trajectory_stride"],
-        hold_time=doob_cfg["hold_time"])
+        trajectory_stride=cfg.output["trajectory_stride"])
     return state
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .basis import BasisSet, basis_from_descriptor
 from .errors import ConfigError, EmptySpectrumError, TuningFailedError
 from .gedmd import KoopmanSpectrum, SVD_RTOL, conjugate_partner
-from .paths import rowlocal_product
+from .paths import HOLD_TIME, rowlocal_product
 
 
 @dataclass(eq=False)
@@ -142,19 +142,21 @@ class Controller:
     ``SpdeController`` is the one exception: its ``Y @ w1`` is a BLAS
     product whose last bit depends on the number of rows.
 
-    The path engine calls ``bias_batch`` once per control hold, at the
-    hold's first step, and drives the hold's remaining steps, and their
-    Girsanov terms, with the same u (``paths`` has the rule); ``floored``
-    then counts for every step of the hold.
+    The path engine calls ``bias_batch`` once per control hold of
+    ``hold_time`` model time units (``paths.HOLD_TIME`` unless set), at
+    the hold's first step, and drives the hold's remaining steps, and
+    their Girsanov terms, with the same u (``paths`` has the rule);
+    ``floored`` then counts for every step of the hold.
 
-    Controllers are immutable after construction: ``with_multiplier``
-    returns a copy with a new c, so multiplier sweeps never mutate a
-    controller in flight.
+    Controllers are immutable after construction: ``with_multiplier`` and
+    ``with_hold_time`` return a copy with a new c or hold, so multiplier
+    sweeps never mutate a controller in flight.
     """
 
     horizon: float
     multiplier: float | np.ndarray
     floor: float
+    hold_time: float = HOLD_TIME
 
     def with_multiplier(self, c):
         """A copy at multiplier c: a scalar, or an array with one value
@@ -162,6 +164,13 @@ class Controller:
         out = copy.copy(self)
         out.multiplier = float(c) if np.ndim(c) == 0 \
             else np.asarray(c, dtype=float)
+        return out
+
+    def with_hold_time(self, hold_time):
+        """A copy that holds its control for ``hold_time`` model time
+        units; 0 evaluates it at every step."""
+        out = copy.copy(self)
+        out.hold_time = float(hold_time)
         return out
 
     def _check_time(self, t):
@@ -277,17 +286,16 @@ class TuneResult:
 
 
 def tune_multiplier(controller, model, obs, x0, T, dt, grid, batch,
-                    target=0.5, seed=0, scheme=None, workers=1,
-                    hold_time=0.0) -> TuneResult:
+                    target=0.5, seed=0, scheme=None, workers=1) -> TuneResult:
     """Sweep the multiplier grid with common random numbers per value.
 
     The sweep runs as one stacked ensemble of len(grid) * batch rows: row
     g * batch + i is path i of ``seed`` at multiplier grid[g], so each
     path's noise is drawn once and replayed for every c.  Because the
     engine and the controllers are row-local, every row is bit for bit the
-    path an ensemble at that c alone would give.  The control is held for
-    ``hold_time`` as in the final ensemble, so the chosen c fits the run
-    that uses it.  Each c's rows are then reduced by
+    path an ensemble at that c alone would give.  The rows hold the control
+    for the controller's ``hold_time``, as the final ensemble does, so the
+    chosen c fits the run that uses it.  Each c's rows are then reduced by
     ``estimator.run_ensemble``.  Returns the multiplier whose event-hit
     fraction is closest to the target, breaking ties toward the smaller
     value, along with the full sweep table.
@@ -303,7 +311,7 @@ def tune_multiplier(controller, model, obs, x0, T, dt, grid, batch,
     stacked = estimator.simulate_ensemble(
         model, controller.with_multiplier(np.repeat(grid, batch)), x0, T,
         dt, scheme=scheme, M=n * batch, master_seed=seed, workers=workers,
-        path_index=np.tile(np.arange(batch), n), hold_time=hold_time)
+        path_index=np.tile(np.arange(batch), n))
     rows = []
     for g, c in enumerate(grid):
         rep = estimator.run_ensemble(

@@ -75,34 +75,32 @@ def _fsum_mean_var(values):
 def simulate_ensemble(model: SdeModel, controller, x0, T, dt=1e-3,
                       scheme=None, M=2, master_seed=0, workers=1,
                       trajectory_count=0, trajectory_stride=None,
-                      path_index=None, hold_time=0.0) -> PathEnsemble:
+                      path_index=None) -> PathEnsemble:
     """The M-row ensemble of ``run_ensemble``, simulated and not reduced:
     SDE models run through ``run_paths``, SPDE models through
     ``run_spde_paths`` (from the zero field when x0 is None).  Row i is
-    path ``path_index[i]`` (default i) of ``master_seed``; the control is
-    held for ``hold_time`` model time units (0: every step)."""
+    path ``path_index[i]`` (default i) of ``master_seed``."""
     if controller is not None and abs(controller.horizon - T) > 1e-12:
         raise ConfigError(
             f"controller horizon {controller.horizon} != ensemble horizon {T}")
     if model.spde is not None:
         return run_spde_paths(model.spde, controller, x0, T, dt, M,
                               master_seed, workers, trajectory_count,
-                              trajectory_stride, path_index, hold_time)
+                              trajectory_stride, path_index)
     return run_paths(model, controller, x0, T, dt, scheme, M, master_seed,
                      workers, trajectory_count, trajectory_stride,
-                     path_index, hold_time)
+                     path_index)
 
 
 def run_ensemble(model: SdeModel, controller, obs: EventObservable, x0, T,
                  dt=1e-3, scheme=None, M=2, master_seed=0, workers=1,
                  trajectory_count=0, trajectory_stride=None,
-                 ensemble=None, hold_time=0.0) -> EstimatorReport:
+                 ensemble=None) -> EstimatorReport:
     """Estimate E[f(X_T)] over M paths, optionally under a biasing controller.
 
-    The paths come from ``simulate_ensemble``, with the control held for
-    ``hold_time``, or are ``ensemble`` when it is given: M rows already
-    simulated with this controller, such as one multiplier's rows of the
-    stacked sweep in ``doob.tune_multiplier``.
+    The paths come from ``simulate_ensemble``, or are ``ensemble`` when it
+    is given: M rows already simulated with this controller, such as one
+    multiplier's rows of the stacked sweep in ``doob.tune_multiplier``.
     Per-path outcomes are f(X_T) exp(log_weight) with f the strict
     indicator (or the mollified surrogate when the observable is in
     mollified mode).  Blown-up paths are excluded from the estimate but
@@ -118,7 +116,7 @@ def run_ensemble(model: SdeModel, controller, obs: EventObservable, x0, T,
     if ens is None:
         ens = simulate_ensemble(model, controller, x0, T, dt, scheme, M,
                                 master_seed, workers, trajectory_count,
-                                trajectory_stride, hold_time=hold_time)
+                                trajectory_stride)
     elif len(ens.terminal) != M:
         raise ShapeError(f"ensemble has {len(ens.terminal)} rows, not M = {M}")
     ok = ~ens.blown

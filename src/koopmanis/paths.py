@@ -56,15 +56,16 @@ so both are row-local.  The known exceptions are the SPDE stepper
 (``spde.exp_euler``) and ``SpdeController``: their mode-coupling matmuls
 are shape-sensitive at the ulp level, so SPDE rows are bit-identical
 across worker counts and stackings only as far as those BLAS products are.
-The control is held: the engine evaluates ``bias_batch`` at steps 0, s,
-2s, ... only, s = ``hold`` (``hold_steps`` turns a hold time into s), and
-keeps u, the floored mask and 1/2 |u|^2 dt through the s - 1 steps after.
-Every step still subtracts (u . xi) sqrt(dt) + 1/2 |u|^2 dt from the
-log-weight and adds the mask to ``floored``, so the weight is the
-Girsanov weight of the control that drove the path, and the estimate stays
-unbiased for the discrete chain; only its variance depends on s.  The hold
-counts global step indices, alike for every row, so rows stay row-local;
-s = 1 is per-step control.
+The control is held: a controller's ``hold_time`` (default ``HOLD_TIME``)
+is s = ``hold_steps(hold_time, dt)`` steps, and the engine evaluates
+``bias_batch`` at steps 0, s, 2s, ... only, keeping u, the floored mask
+and 1/2 |u|^2 dt through the s - 1 steps after.  Every step still
+subtracts (u . xi) sqrt(dt) + 1/2 |u|^2 dt from the log-weight and adds
+the mask to ``floored``, so the weight is the Girsanov weight of the
+control that drove the path, and the estimate stays unbiased for the
+discrete chain; only its variance depends on s.  The hold counts global
+step indices, alike for every row, so rows stay row-local; s = 1 (a hold
+time of at most one step, such as 0) is per-step control.
 A path whose state becomes non-finite is marked blown and frozen at zero,
 and so is its held control.  The single-path reference the engine is
 tested against, one path stepped alone through ``sde_stepper``, is
@@ -88,6 +89,10 @@ MAX_BLOCK_ROWS = 8192
 NOISE_BUFFER_DOUBLES = 4_000_000  # noise pre-drawn per block, in doubles
 
 SCHEMES = ("euler_maruyama", "srk_additive")
+# model time units a controller's bias is held for by default (see the
+# determinism contract); on vdp at dt 5e-3 this is 4 steps and halves the
+# final ensemble's time, with the error per sample within seed noise
+HOLD_TIME = 0.02
 
 
 def derive_path_rng(master_seed: int, path_index: int) -> np.random.Generator:
@@ -244,20 +249,19 @@ def _run_block(step, r, x0, K, dt, controller, master_seed, path_index,
 
 def run_engine(step, r, starts, K, dt, controller=None, master_seed=0,
                workers=1, stride=None, record=0,
-               path_index=None, hold=1) -> PathEnsemble:
+               path_index=None) -> PathEnsemble:
     """The block engine: K steps of ``step(x, u, xi) -> x`` from each row of
     ``starts``, with r standard normal draws per row and step and the
     control of ``controller`` when one is given.
 
-    The control is evaluated at steps 0, hold, 2 hold, ... and held through
-    the steps in between (see the determinism contract).  Row i draws the
-    noise of path ``path_index[i]`` (default i), and runs at
-    ``controller.multiplier[i]`` when the multiplier is an array.  The
-    rows are laid out by the module's layout rule.  The ensemble keeps the
-    snapshots of rows 0..record-1, taken at t = 0 and after every
-    ``stride`` steps (default max(1, K // 200)).  A stride or hold that is
-    not a positive integer, or a record count that is not a non-negative
-    integer, raises ``ConfigError``.
+    The control is held for ``controller.hold_time`` (see the determinism
+    contract).  Row i draws the noise of path ``path_index[i]`` (default
+    i), and runs at ``controller.multiplier[i]`` when the multiplier is an
+    array.  The rows are laid out by the module's layout rule.  The
+    ensemble keeps the snapshots of rows 0..record-1, taken at t = 0 and
+    after every ``stride`` steps (default max(1, K // 200)).  A stride
+    that is not a positive integer, or a record count that is not a
+    non-negative integer, raises ``ConfigError``.
     """
     M = len(starts)
     if M == 0:
@@ -268,9 +272,6 @@ def run_engine(step, r, starts, K, dt, controller=None, master_seed=0,
                                    and stride >= 1):
         raise ConfigError(f"the trajectory stride must be a positive whole "
                           f"number of steps, got {stride!r}")
-    if not (isinstance(hold, numbers.Integral) and hold >= 1):
-        raise ConfigError(f"the control hold must be a positive whole "
-                          f"number of steps, got {hold!r}")
     if not (isinstance(record, numbers.Integral) and record >= 0):
         raise ConfigError(f"the trajectory count must be a non-negative "
                           f"integer, got {record!r}")
@@ -285,6 +286,7 @@ def run_engine(step, r, starts, K, dt, controller=None, master_seed=0,
                          f"({M}), got shape {np.shape(controller.multiplier)}")
     if stride is None:
         stride = max(1, K // 200)
+    hold = 1 if controller is None else hold_steps(controller.hold_time, dt)
     size = min(MAX_BLOCK_ROWS, math.ceil(M / workers))
     ranges = [(s, min(s + size, M)) for s in range(0, M, size)]
 
@@ -354,18 +356,15 @@ def tile_start(x0, dim, M) -> np.ndarray:
 
 def run_paths(model, controller, x0, T, dt, scheme=None, M=1,
               master_seed=0, workers=1, trajectory_count=0,
-              trajectory_stride=None, path_index=None,
-              hold_time=0.0) -> PathEnsemble:
+              trajectory_stride=None, path_index=None) -> PathEnsemble:
     """Simulate M rows and collect terminal states and Girsanov weights.
 
-    Row i is path ``path_index[i]`` (default i).  The control is held for
-    ``hold_steps(hold_time, dt)`` steps (0: evaluated at every step).  The
-    first ``trajectory_count`` rows also report trajectory rows every
+    Row i is path ``path_index[i]`` (default i).  The first
+    ``trajectory_count`` rows also report trajectory rows every
     ``trajectory_stride`` steps and at T.
     """
     K, dt = adjust_steps(T, dt)
     return run_engine(sde_stepper(model, scheme, dt), model.dim_noise,
                       tile_start(x0, model.dim_state, M), K, dt, controller,
                       master_seed, workers, trajectory_stride,
-                      trajectory_count, path_index,
-                      hold_steps(hold_time, dt))
+                      trajectory_count, path_index)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .doob import Controller, fit_surrogate
 from .errors import InvalidParameterError, NumericalError
-from .paths import (adjust_steps, hold_steps, run_engine, tile_start,
+from .paths import (adjust_steps, run_engine, tile_start,
                     trajectory_snapshots)
 # bound here for the benchmark's layer trace, which patches each module's
 # derive_path_rng
@@ -208,18 +208,17 @@ def build_spde_controller(spde: SpectralSpde, snapshots, event,
 
 def run_spde_paths(spde, controller, Y0, T, dt, M, master_seed, workers=1,
                    trajectory_count=0, trajectory_stride=None,
-                   path_index=None, hold_time=0.0):
+                   path_index=None):
     """Ensemble of SPDE mode paths from Y0 (the zero field when None);
-    same control hold, determinism contract and trajectory rows as
-    run_paths, as far as the mode-coupling matmuls allow."""
+    same determinism contract and trajectory rows as run_paths, as far as
+    the mode-coupling matmuls allow."""
     K, dt = adjust_steps(T, dt)
     if Y0 is None:
         Y0 = np.zeros(spde.n_modes)
     return run_engine(_engine_stepper(spde, dt), spde.n_modes,
                       tile_start(Y0, spde.n_modes, M), K, dt, controller,
                       master_seed, workers, trajectory_stride,
-                      trajectory_count, path_index,
-                      hold_steps(hold_time, dt))
+                      trajectory_count, path_index)
 
 
 def generate_mode_snapshots(spde, amplitudes, T_traj, stride, seed, dt=1e-3):

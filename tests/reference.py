@@ -23,7 +23,8 @@ from koopmanis.doob import Controller
 from koopmanis.errors import InvalidParameterError, KoopmanisError, ShapeError
 from koopmanis.estimator import run_ensemble
 from koopmanis.model import EventObservable, SdeModel, half_diffusion_sq
-from koopmanis.paths import adjust_steps, derive_path_rng, sde_stepper
+from koopmanis.paths import (adjust_steps, derive_path_rng, hold_steps,
+                             sde_stepper)
 
 
 class PathBlowupError(KoopmanisError):
@@ -48,10 +49,10 @@ class PathResult:
 
 
 def simulate_path(model, controller, x0, T, dt, scheme=None, master_seed=0,
-                  path_index=0, trajectory_stride=None, hold=1) -> PathResult:
+                  path_index=0, trajectory_stride=None) -> PathResult:
     """Simulate path ``path_index`` alone, with the noise stream and the
     Girsanov weight of the block engine; the control is evaluated at steps
-    0, hold, 2 hold, ... and held in between.
+    0, s, 2s, ..., s the controller's hold in steps, and held in between.
 
     Raises PathBlowupError (with the offending step index) if the state
     leaves the finite region.
@@ -68,6 +69,7 @@ def simulate_path(model, controller, x0, T, dt, scheme=None, master_seed=0,
     logw = 0.0
     traj = None if trajectory_stride is None else [(0.0, x.copy())]
     u = None
+    hold = 1 if controller is None else hold_steps(controller.hold_time, dt)
     for k in range(K):
         xi = rng.standard_normal(model.dim_noise)
         if controller is not None:
@@ -104,7 +106,7 @@ def generator_apply(model: SdeModel, jet, x) -> float:
 
 
 def sweep_table_per_c(controller, model, obs, x0, T, dt, grid, batch, seed=0,
-                      scheme=None, workers=1, hold_time=0.0) -> list:
+                      scheme=None, workers=1) -> list:
     """The table of ``doob.tune_multiplier`` from one ensemble per grid
     value: each draws every path's noise afresh, with the same seed and
     path indices 0..batch-1 (common random numbers)."""
@@ -112,7 +114,7 @@ def sweep_table_per_c(controller, model, obs, x0, T, dt, grid, batch, seed=0,
     for c in sorted(float(c) for c in grid):
         rep = run_ensemble(model, controller.with_multiplier(c), obs, x0, T,
                            dt, scheme=scheme, M=batch, master_seed=seed,
-                           workers=workers, hold_time=hold_time)
+                           workers=workers)
         rows.append((c, rep.proportion_in_event, rep.estimate,
                      rep.sample_variance, rep.relative_error_per_sample))
     return rows

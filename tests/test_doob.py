@@ -324,6 +324,8 @@ def test_regression_residual_nested(ou_spectrum):
 class _FlatController:
     """Constant surrogate: zero bias at any multiplier."""
 
+    hold_time = 0.0
+
     def __init__(self, T):
         self.horizon = T
         self.multiplier = 1.0
@@ -422,26 +424,28 @@ def test_held_stacked_rows_match_one_ensemble_per_multiplier(
     blocks that straddle the multipliers, are still bit for bit each c's
     ensemble alone, and the sweep's table is the per-c table."""
     ctrl, model, ev, x0 = _sweep_case(name, fitted_controllers)
+    ctrl = ctrl.with_hold_time(0.04)
     grid, batch = [1.0, 2.0, 4.0], 50
     stacked = estimator.simulate_ensemble(
         model, ctrl.with_multiplier(np.repeat(grid, batch)), x0, 1.0, 1e-2,
         M=len(grid) * batch, master_seed=9, workers=4,
-        path_index=np.tile(np.arange(batch), len(grid)), hold_time=0.04)
+        path_index=np.tile(np.arange(batch), len(grid)))
     for g, c in enumerate(grid):
         alone = estimator.simulate_ensemble(
             model, ctrl.with_multiplier(c), x0, 1.0, 1e-2, M=batch,
-            master_seed=9, hold_time=0.04)
+            master_seed=9)
         rows = stacked.rows(g * batch, (g + 1) * batch)
         for field in ("terminal", "log_weight", "blown", "floored"):
             assert getattr(rows, field).tobytes() \
                 == getattr(alone, field).tobytes(), (c, field)
     want = sweep_table_per_c(ctrl, model, ev, x0, 1.0, 1e-2, grid, batch,
-                             seed=9, hold_time=0.04)
+                             seed=9)
     res = doob.tune_multiplier(ctrl, model, ev, x0, 1.0, 1e-2, grid, batch,
-                               seed=9, workers=2, hold_time=0.04)
+                               seed=9, workers=2)
     assert _hex_table(res.table) == _hex_table(want)
     assert _hex_table(res.table) != _hex_table(sweep_table_per_c(
-        ctrl, model, ev, x0, 1.0, 1e-2, grid, batch, seed=9))
+        ctrl.with_hold_time(0.0), model, ev, x0, 1.0, 1e-2, grid, batch,
+        seed=9))
 
 
 @pytest.mark.parametrize("name", _SWEEP_CASES)

@@ -10,7 +10,7 @@ from koopmanis.errors import ConfigError, ShapeError, UnsupportedSchemeError
 from koopmanis.gedmd import generate_test_points
 from koopmanis.model import SdeModel
 from koopmanis.paths import (_step_block, adjust_steps, hold_steps,
-                             rowlocal_product, run_engine, sde_stepper)
+                             rowlocal_product, sde_stepper)
 from koopmanis.spde import SpdeController, run_spde_paths, spectral_setup
 from reference import PathBlowupError, simulate_path
 
@@ -26,6 +26,8 @@ def _cubic_model():
 
 
 class _ConstantController:
+    hold_time = 0.0   # per-step control unless a test sets a hold
+
     def __init__(self, u, T, r=1):
         self.u = np.atleast_1d(np.asarray(u, float))
         self.horizon = T
@@ -453,55 +455,71 @@ def test_a_bad_hold_time_is_a_config_error(hold_time):
         hold_steps(hold_time, 1e-2)
 
 
-@pytest.mark.parametrize("hold", [0, -1, 2.0, "4"])
-def test_a_bad_hold_is_a_config_error(hold):
-    m = make_builtin_model("ou1d")
-    with pytest.raises(ConfigError):
-        run_engine(sde_stepper(m, None, 1e-2), 1, np.zeros((4, 1)), 10, 1e-2,
-                   _ConstantController([0.1], 0.1), hold=hold)
-
-
-def _held_cases(fitted_controllers):
+def _held_cases(fitted_controllers, hold_time):
     """(model, controller, x0) with one noise column each, so that the
-    reference's dot product and the engine's row sum agree bit for bit."""
+    reference's dot product and the engine's row sum agree bit for bit,
+    each controller holding its control for ``hold_time``."""
     model, ctrl, x0 = fitted_controllers["linear_exact"]
     duffing = make_builtin_model("duffing")
-    return [(model, ctrl.with_multiplier(4.0), x0),
-            (duffing, _ConstantController([0.3], 1.0), np.array([-1.5, 0.0]))]
+    const = _ConstantController([0.3], 1.0)
+    const.hold_time = hold_time
+    return [(model, ctrl.with_multiplier(4.0).with_hold_time(hold_time), x0),
+            (duffing, const, np.array([-1.5, 0.0]))]
 
 
 def test_held_control_matches_the_single_path_reference(fitted_controllers):
     """At a hold of 3 steps (100 steps end one step into a hold) every row
     of the engine is the reference path held alike, bit for bit."""
-    for model, ctrl, x0 in _held_cases(fitted_controllers):
+    for model, ctrl, x0 in _held_cases(fitted_controllers, 0.03):
         ens = run_paths(model, ctrl, x0, 1.0, 1e-2, M=6, master_seed=21,
-                        workers=2, hold_time=0.03)
+                        workers=2)
         for i in range(6):
             res = simulate_path(model, ctrl, x0, 1.0, 1e-2, master_seed=21,
-                                path_index=i, hold=3)
+                                path_index=i)
             assert res.terminal_state.tobytes() == ens.terminal[i].tobytes()
             assert res.log_weight == ens.log_weight[i]
 
 
+def test_the_default_hold_is_held_control(fitted_controllers):
+    """A controller holds its control for ``paths.HOLD_TIME`` unless told
+    otherwise: 2 steps at dt 1e-2, which moves the fitted controller's
+    weights off the per-step ones."""
+    model, ctrl, x0 = fitted_controllers["linear_exact"]
+    assert ctrl.hold_time == paths.HOLD_TIME == 0.02
+    held, per_step = (run_paths(model, c, x0, 1.0, 1e-2, M=5, master_seed=3)
+                      for c in (ctrl, ctrl.with_hold_time(0.0)))
+    want = [simulate_path(model, ctrl.with_hold_time(0.0), x0, 1.0, 1e-2,
+                          master_seed=3, path_index=i) for i in range(5)]
+    assert [r.log_weight for r in want] == per_step.log_weight.tolist()
+    assert not np.array_equal(held.log_weight, per_step.log_weight)
+
+
 def test_a_hold_of_at_most_one_step_is_per_step_control(fitted_controllers):
     """hold_time 0, or any hold time up to one step, evaluates the control
-    at every step: the per-step reference rows, bit for bit."""
-    for model, ctrl, x0 in _held_cases(fitted_controllers):
-        want = [simulate_path(model, ctrl, x0, 1.0, 1e-2, master_seed=3,
-                              path_index=i) for i in range(5)]
-        for hold_time in (0.0, 4e-3, 1e-2, 1.5e-2):
-            ens = run_paths(model, ctrl, x0, 1.0, 1e-2, M=5, master_seed=3,
-                            hold_time=hold_time)
-            for i, res in enumerate(want):
-                assert res.terminal_state.tobytes() == \
-                    ens.terminal[i].tobytes()
-                assert res.log_weight == ens.log_weight[i]
-    # while a hold of two steps moves the fitted controller's weights
-    model, ctrl, x0 = _held_cases(fitted_controllers)[0]
-    per_step, held = (run_paths(model, ctrl, x0, 1.0, 1e-2, M=5,
-                                master_seed=3, hold_time=h)
-                      for h in (0.0, 2e-2))
-    assert not np.array_equal(held.log_weight, per_step.log_weight)
+    at every step: the rows of the per-step reference loop, bit for bit."""
+    for hold_time in (0.0, 4e-3, 1e-2, 1.5e-2):
+        for model, ctrl, x0 in _held_cases(fitted_controllers, hold_time):
+            ens = run_paths(model, ctrl, x0, 1.0, 1e-2, M=5, master_seed=3)
+            for i in range(5):
+                res = _per_step_path(model, ctrl, x0, 1.0, 1e-2, 3, i)
+                assert res[0].tobytes() == ens.terminal[i].tobytes()
+                assert res[1] == ens.log_weight[i]
+
+
+def _per_step_path(model, ctrl, x0, T, dt, master_seed, i):
+    """Path i stepped alone with the control evaluated at every step,
+    whatever the controller's hold: (terminal state, log-weight)."""
+    rng = derive_path_rng(master_seed, i)
+    K, dt = adjust_steps(T, dt)
+    step = sde_stepper(model, None, dt)
+    x, logw = np.array(x0, dtype=float), 0.0
+    for k in range(K):
+        xi = rng.standard_normal(model.dim_noise)
+        u = ctrl.bias_batch(k * dt, x[None, :])[0]
+        logw -= float(u[0] @ xi) * math.sqrt(dt) \
+            + 0.5 * float(u[0] @ u[0]) * dt
+        x = step(x[None, :], u, xi[None, :])[0]
+    return x, logw
 
 
 @pytest.mark.parametrize("family", ["legendre_box", "linear_exact"])
@@ -510,10 +528,11 @@ def test_held_control_ensembles_are_bitwise_invariant(fitted_controllers,
     """At a hold of 4 steps, 257 rows on one and on three workers, and in
     blocks capped at 64 rows, give the same rows bit for bit."""
     model, ctrl, x0 = fitted_controllers[family]
+    ctrl = ctrl.with_hold_time(0.04)
 
     def run(workers):
         return run_paths(model, ctrl, x0, 1.0, 1e-2, M=257, master_seed=5,
-                         workers=workers, hold_time=0.04)
+                         workers=workers)
 
     runs = [run(1), run(3)]
     monkeypatch.setattr(paths, "MAX_BLOCK_ROWS", 64)
@@ -537,8 +556,9 @@ def test_floored_counts_every_step_of_a_floored_hold(hold_time, floored):
     """The floor mask of the hold's first step counts for each step the
     hold drives: 1, 4 or all 10 steps (a hold longer than the horizon)."""
     m = make_builtin_model("ou1d")
-    ens = run_paths(m, _FlooredAtStart([0.1], 0.1), [0.0], 0.1, 1e-2, M=3,
-                    master_seed=1, hold_time=hold_time)
+    ctrl = _FlooredAtStart([0.1], 0.1)
+    ctrl.hold_time = hold_time
+    ens = run_paths(m, ctrl, [0.0], 0.1, 1e-2, M=3, master_seed=1)
     assert ens.floored.tolist() == [floored] * 3
 
 
@@ -548,6 +568,8 @@ def test_a_blown_row_drops_its_held_control():
     terminal state, instead of on the held infinite control."""
 
     class FarInfinite(_ConstantController):
+        hold_time = 0.04
+
         def bias_batch(self, t, X):
             return np.where(np.abs(X) > 0.5, np.inf, 0.0), 0
 
@@ -555,7 +577,6 @@ def test_a_blown_row_drops_its_held_control():
                  np.full((1, 1), 0.1))
     with np.errstate(invalid="ignore"):   # the blown rows' weights
         ens = run_paths(m, FarInfinite([0.0], 1.0), [1.0], 1.0, 1e-2, M=4,
-                        scheme="euler_maruyama", master_seed=2,
-                        hold_time=0.04)
+                        scheme="euler_maruyama", master_seed=2)
     assert ens.blown.all()
     assert np.isfinite(ens.terminal).all()
