@@ -19,8 +19,8 @@ ensemble into ``workers`` blocks on as many threads (``paths`` has the
 layout rule), with byte-identical SDE outputs.  Threads pay off only where
 numpy releases the interpreter lock long enough.  Final ensembles of the
 bench workloads at c = 8 on 2 cores, one BLAS thread, 1 -> 2 workers
-(median of 3, measured with the control evaluated at every step):
-advdiff 4.5 -> 2.3 s, vdp 1.08 -> 2.0 s, brownian_osc 0.48 -> 0.95 s.
+(median of 3, at the default control hold): advdiff 4.8 -> 2.7 s, vdp
+0.68 -> 1.2 s, brownian_osc 0.57 -> 0.96 s.
 Memory grows with workers: each running block holds its own noise buffer
 of up to ``paths.NOISE_BUFFER_DOUBLES`` doubles (32 MB).  The default is 1.
 

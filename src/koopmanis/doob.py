@@ -139,8 +139,6 @@ class Controller:
     are: row i of its result depends only on X[i] and c[i], bit for bit,
     whatever the number of rows.  The path engine's worker-count
     invariance and the stacked multiplier sweep rest on this.
-    ``SpdeController`` is the one exception: its ``Y @ w1`` is a BLAS
-    product whose last bit depends on the number of rows.
 
     The path engine calls ``bias_batch`` once per control hold of
     ``hold_time`` model time units (``paths.HOLD_TIME`` unless set), at

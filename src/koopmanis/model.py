@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import InvalidParameterError, ModelNotFoundError, ShapeError
+from .paths import rowlocal_product
 
 if TYPE_CHECKING:
     from .spde import SpectralSpde
@@ -141,7 +142,11 @@ def _linear_model(name, A, B, params):
     B = np.asarray(B, dtype=float)
 
     def drift(x):
-        return np.asarray(x, dtype=float) @ A.T
+        # row-local, unlike the BLAS x @ A.T: a row's drift must not
+        # depend on how many rows share its block
+        x = np.asarray(x, dtype=float)
+        return rowlocal_product(x.reshape(-1, x.shape[-1]),
+                                A.T).reshape(x.shape)
 
     return SdeModel(name, drift, B, linear_spec=(A, B), params=params)
 

@@ -13,14 +13,22 @@ and SPDE mode snapshots (``spde.generate_mode_snapshots``).  It takes
 - a stepper ``step(x, u, xi) -> x`` that advances a block of states (B, d)
   by one step, given the control u (B, r) or None and standard normal
   draws xi (B, r): Euler-Maruyama or SRK through ``sde_stepper``, or the
-  exponential Euler recurrence of ``spde.exp_euler``;
+  exponential Euler recurrence of ``spde.spde_stepper``.  Every stepper
+  takes the control as a shift of the draws: ``step(x, u, xi)`` is
+  ``step(x, None, xi + sqrt(dt) u)`` up to rounding, so the engine's
+  Girsanov weight is the exact likelihood ratio of the stepped chain;
 - a per-path start of shape (M, d);
 - one snapshot stride: the states of the first ``record`` paths are kept at
   t = 0 and after every ``stride`` steps; ``PathEnsemble.trajectories``
   turns them into trajectory rows, for SDE and SPDE ensembles alike.
 
 Layout rule: M rows run as blocks of min(MAX_BLOCK_ROWS, ceil(M / workers))
-rows, on ``workers`` threads when there is more than one block.
+rows, on ``workers`` threads when there is more than one block.  A block
+holds its states column-major, the layout of ``rowlocal_product``'s
+results, so the noise increments and a linear drift meet the state in one
+layout and the steppers' elementwise passes read no mixed strides.  The
+layout moves no bits where the stepper and the controller are row-local
+(see the determinism contract).
 
 Noise memory: each block allocates one buffer for its paths' noise and
 draws every time-ordered chunk into it in place, as many steps per chunk
@@ -51,11 +59,12 @@ sweep as one stacked ensemble.  Every controller shares the one bias
 formula of ``doob.Controller.bias_batch``, which is row-local when the
 controller's ``value_grad_batch`` and ``_noise_map`` are.  The one
 per-step product with a constant matrix is ``rowlocal_product``: the SDE
-steppers form B xi and B u with it, and the Doob controller B^T grad Phi,
-so both are row-local.  The known exceptions are the SPDE stepper
-(``spde.exp_euler``) and ``SpdeController``: their mode-coupling matmuls
-are shape-sensitive at the ulp level, so SPDE rows are bit-identical
-across worker counts and stackings only as far as those BLAS products are.
+steppers form B xi and B u with it, and the controllers B^T grad Phi and
+the SPDE projection <Y, w1>, so all are row-local; the weight's row dot
+products u . xi and u . u are ``rowlocal_dot``.  The one known exception
+is the propagator product Y @ P of ``spde.spde_stepper``: a BLAS product,
+shape-sensitive at the ulp level, so SPDE rows are bit-identical across
+worker counts and stackings only as far as that product is.
 The control is held: a controller's ``hold_time`` (default ``HOLD_TIME``)
 is s = ``hold_steps(hold_time, dt)`` steps, and the engine evaluates
 ``bias_batch`` at steps 0, s, 2s, ... only, keeping u, the floored mask
@@ -136,6 +145,18 @@ def rowlocal_product(v, M):
     return out.T
 
 
+def rowlocal_dot(a, b):
+    """The row dot products a[i] . b[i] of two (n, r) batches, as (n,):
+    the engine's Girsanov terms u . xi and u . u.
+
+    One pass over the rows with no (n, r) temporary, and row i depends
+    only on a[i] and b[i], bit for bit, whatever n and whether b is a
+    strided view or a gather of repeated rows.  For r <= 2 it is bit for
+    bit ``(a * b).sum(axis=1)``.
+    """
+    return np.einsum("ij,ij->i", a, b)
+
+
 def _step_block(model, scheme, x, u, dt, xi):
     a = model.drift(x)
     Bt = model.diffusion_const.T
@@ -206,7 +227,7 @@ def _run_block(step, r, x0, K, dt, controller, master_seed, path_index,
     if np.array_equal(inv, np.arange(B)):
         inv = slice(None)  # a stream per row, in order: read draws in place
     gens = [derive_path_rng(master_seed, int(p)) for p in paths]
-    x = np.array(x0, dtype=float)
+    x = np.array(x0, dtype=float, order="F")  # see the layout rule
     logw = np.zeros(B)
     blown = np.zeros(B, dtype=bool)
     floored = np.zeros(B, dtype=np.int64)
@@ -230,9 +251,9 @@ def _run_block(step, r, x0, K, dt, controller, master_seed, path_index,
             if controller is not None:
                 if (k + j) % hold == 0:
                     u, nf = controller.bias_batch((k + j) * dt, x)
-                    half_uu = 0.5 * (u * u).sum(axis=1) * dt
+                    half_uu = 0.5 * rowlocal_dot(u, u) * dt
                 floored += nf
-                logw -= (u * xi).sum(axis=1) * sqdt + half_uu
+                logw -= rowlocal_dot(u, xi) * sqdt + half_uu
             with np.errstate(over="ignore", invalid="ignore"):
                 x = step(x, u, xi)
             if not np.isfinite(x).all():

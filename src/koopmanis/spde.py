@@ -3,12 +3,13 @@
 The field v(t, x) on [0, 1] with Dirichlet boundaries is expanded in the
 orthonormal sine basis e_k(x) = sqrt(2) sin(k pi x).  The diffusive part is
 diagonal in this basis and integrated exactly; the advection term b v_x is
-treated through the nonlinearity slot of an exponential Euler recurrence.
+held at its left-endpoint value through each step (exponential Euler).
 Space-time white noise enters mode-by-mode with the exact Ito-isometry
-variance of the stochastically integrated linear flow.
+variance of the stochastically integrated linear flow, and a biasing
+control enters as a shift of the standard normal draws of that noise.
 
 This module owns no path loop: ensembles and mode snapshots run the block
-engine of ``paths`` with the exponential Euler recurrence as its stepper.
+engine of ``paths`` with ``spde_stepper`` as its stepper.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .doob import Controller, fit_surrogate
 from .errors import InvalidParameterError, NumericalError
-from .paths import (adjust_steps, run_engine, tile_start,
+from .paths import (adjust_steps, rowlocal_product, run_engine, tile_start,
                     trajectory_snapshots)
 # bound here for the benchmark's layer trace, which patches each module's
 # derive_path_rng
@@ -113,29 +114,36 @@ def noise_std(spde: SpectralSpde, dt: float) -> np.ndarray:
     return np.sqrt(spde.eps_noise * (1.0 - np.exp(-2.0 * lam * dt)) / (2.0 * lam))
 
 
-def exp_euler(spde: SpectralSpde, dt):
-    """The exponential Euler recurrence for step dt as ``step(Y, u, noise)``.
+def spde_stepper(spde: SpectralSpde, dt):
+    """Engine stepper for one step of size dt, ``step(Y, u, xi)``:
 
-    The control (if any) enters through the same slot as the advection
-    term, scaled by sqrt(eps_noise) to match the diffusion operator.
+        Y' = Y @ P + sigma * (xi + sqrt(dt) u),
+        P  = diag(exp(-lam dt)) + ((1 - exp(-lam dt)) / lam * C)^T,
+
+    with C the advection coupling and sigma = ``noise_std(spde, dt)``.
+    P is the exponential Euler recurrence as one product, built once per
+    (spde, dt).  The control u (B, N) or None shifts the standard normal
+    draws xi by sqrt(dt) u, the shift the engine's Girsanov weight
+    assumes, so that weight is the exact likelihood ratio of this chain.
     """
     decay = np.exp(-spde.lam * dt)
-    fac = (1.0 - decay) / spde.lam
-    sqeps = math.sqrt(spde.eps_noise)
-
-    def step(Y, u, noise):
-        F = Y @ spde.coupling.T
-        if u is not None:
-            F = F + sqeps * u
-        return decay * Y + fac * F + noise
-    return step
-
-
-def _engine_stepper(spde: SpectralSpde, dt):
-    """Engine stepper: exponential Euler driven by standard normal draws."""
-    step = exp_euler(spde, dt)
+    P = np.diag(decay) + (((1.0 - decay) / spde.lam)[:, None]
+                          * spde.coupling).T
     sig = noise_std(spde, dt)
-    return lambda Y, u, xi: step(Y, u, sig * xi)
+    sqdt = math.sqrt(dt)
+
+    def step(Y, u, xi):
+        # the scaled, shifted draws are formed in place on one temporary
+        if u is None:
+            w = sig * xi
+        else:
+            w = sqdt * u
+            w += xi
+            w *= sig
+        out = Y @ P
+        out += w
+        return out
+    return step
 
 
 class SpdeController(Controller):
@@ -162,7 +170,7 @@ class SpdeController(Controller):
         self._check_time(t)
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         w1 = self.spde.adjoint_w1
-        q = Y @ w1
+        q = rowlocal_product(Y, w1[:, None])[:, 0]
         decay = math.exp(-2.0 * self.spde.mu1 * (self.horizon - t))
         val = self.f0 + self.f2 * decay * (self.spde.quad_scale * q * q - 1.0)
         coef = self.f2 * decay * 2.0 * self.spde.quad_scale * q
@@ -211,11 +219,11 @@ def run_spde_paths(spde, controller, Y0, T, dt, M, master_seed, workers=1,
                    path_index=None):
     """Ensemble of SPDE mode paths from Y0 (the zero field when None);
     same determinism contract and trajectory rows as run_paths, as far as
-    the mode-coupling matmuls allow."""
+    the propagator product of ``spde_stepper`` allows."""
     K, dt = adjust_steps(T, dt)
     if Y0 is None:
         Y0 = np.zeros(spde.n_modes)
-    return run_engine(_engine_stepper(spde, dt), spde.n_modes,
+    return run_engine(spde_stepper(spde, dt), spde.n_modes,
                       tile_start(Y0, spde.n_modes, M), K, dt, controller,
                       master_seed, workers, trajectory_stride,
                       trajectory_count, path_index)
@@ -231,7 +239,7 @@ def generate_mode_snapshots(spde, amplitudes, T_traj, stride, seed, dt=1e-3):
     """
     starts = np.multiply.outer(np.asarray(amplitudes, dtype=float),
                                spde.adjoint_w1)
-    snaps, _ = trajectory_snapshots(partial(_engine_stepper, spde),
+    snaps, _ = trajectory_snapshots(partial(spde_stepper, spde),
                                     spde.n_modes, starts, T_traj, stride,
                                     seed, dt)
     return snaps

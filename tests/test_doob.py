@@ -453,8 +453,8 @@ def test_stacked_sweep_matches_one_ensemble_per_multiplier(
         fitted_controllers, name):
     """The stacked sweep gives the per-c ensembles' table, bit for bit
     where the controller and the stepper are row-local; the SPDE rows are
-    as exact as their BLAS products on the two 75-row blocks of two
-    workers."""
+    as exact as the stepper's propagator product on the two 75-row blocks
+    of two workers."""
     ctrl, model, ev, x0 = _sweep_case(name, fitted_controllers)
     grid, batch = [4, 1, 2], 50
     want = sweep_table_per_c(ctrl, model, ev, x0, 1.0, 1e-2, grid, batch,

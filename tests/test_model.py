@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from koopmanis import basis, make_builtin_model, make_event
+from koopmanis import basis, make_builtin_model, make_event, paths
 from koopmanis.errors import (InvalidParameterError, ModelNotFoundError,
                               ShapeError)
 from koopmanis.gedmd import assemble_matrices
-from koopmanis.model import SdeModel
+from koopmanis.model import SdeModel, _linear_model
 from reference import generator_apply
 
 
@@ -52,6 +52,37 @@ def test_linear_spec_matches_callables(name):
     X = rng.normal(size=(32, m.dim_state))
     assert np.allclose(m.drift(X), X @ A.T)
     assert np.array_equal(m.diffusion_const, B)
+
+
+def _random_linear_model():
+    rng = np.random.default_rng(21)
+    return _linear_model("dense3", -np.eye(3) + 0.4 * rng.normal(size=(3, 3)),
+                         0.3 * rng.normal(size=(3, 3)), {})
+
+
+@pytest.mark.parametrize("case", ["nonnormal2d", "dense3"])
+def test_linear_drift_rows_do_not_depend_on_the_row_count(case,
+                                                          monkeypatch):
+    """The linear drift A x is row-local: a row's drift, and so its path,
+    is bit for bit the same in one 257-row block and in one-row blocks,
+    for the built-in nonnormal2d and for a dense 3 x 3 user model."""
+    m = (make_builtin_model("nonnormal2d") if case == "nonnormal2d"
+         else _random_linear_model())
+    x = np.random.default_rng(3).normal(size=(257, m.dim_state))
+    full = m.drift(x)
+    assert np.allclose(full, x @ m.linear_spec[0].T, rtol=1e-13, atol=1e-15)
+    for i in range(257):
+        assert np.array_equal(m.drift(x[i:i + 1]), full[i:i + 1])
+        assert np.array_equal(m.drift(x[i]), full[i])
+
+    def run():
+        return paths.run_paths(m, None, [0.3] * m.dim_state, 1.0, 1e-2,
+                               M=257, master_seed=4)
+
+    one_block = run()
+    monkeypatch.setattr(paths, "MAX_BLOCK_ROWS", 1)
+    one_row_blocks = run()
+    assert one_block.terminal.tobytes() == one_row_blocks.terminal.tobytes()
 
 
 def test_generator_quadratic_ou():

@@ -10,8 +10,9 @@ from koopmanis.errors import ConfigError, ShapeError, UnsupportedSchemeError
 from koopmanis.gedmd import generate_test_points
 from koopmanis.model import SdeModel
 from koopmanis.paths import (_step_block, adjust_steps, hold_steps,
-                             rowlocal_product, sde_stepper)
-from koopmanis.spde import SpdeController, run_spde_paths, spectral_setup
+                             rowlocal_dot, rowlocal_product, sde_stepper)
+from koopmanis.spde import (SpdeController, run_spde_paths, spde_stepper,
+                            spectral_setup)
 from reference import PathBlowupError, simulate_path
 
 
@@ -199,6 +200,60 @@ def test_rowlocal_product_rows_do_not_depend_on_the_row_count(p, q):
     chunk = rng.normal(size=(2000, 3, p))
     chunk[:, 1] = v
     assert np.array_equal(rowlocal_product(chunk[:, 1], M), full)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 64])
+def test_rowlocal_dot_rows_do_not_depend_on_the_row_count(r):
+    """Row i of the weight's dot products u . xi and u . u is bit for bit
+    the same for 1, 7, 257 and 2000 rows, on strided views of the noise
+    buffer and on gathers of repeated rows; for r <= 2 it is bit for bit
+    (u * xi).sum(axis=1)."""
+    rng = np.random.default_rng(r)
+    noise = rng.normal(size=(2000, 5, r))  # (paths, steps, r), as drawn
+    u = rng.normal(size=(2000, r))
+    xi = np.ascontiguousarray(noise[:, 2])
+    full = rowlocal_dot(u, xi)
+    assert full.shape == (2000,)
+    assert np.allclose(full, (u * xi).sum(axis=1), rtol=1e-13, atol=1e-13)
+    assert np.array_equal(rowlocal_dot(u, noise[:, 2]), full)
+    squares = rowlocal_dot(u, u)
+    for n in (1, 7, 257, 2000):
+        for s in (0, (2000 - n) // 2, 2000 - n):
+            rows = slice(s, s + n)
+            assert np.array_equal(rowlocal_dot(u[rows], noise[rows, 2]),
+                                  full[rows])
+            assert np.array_equal(rowlocal_dot(u[rows], u[rows]),
+                                  squares[rows])
+        for inv in (rng.integers(0, 2000, size=n),
+                    np.tile(np.arange(min(n, 5)), n)[:n]):
+            assert np.array_equal(rowlocal_dot(u[inv], noise[inv, 2]),
+                                  full[inv])
+    if r <= 2:
+        assert np.array_equal(full, (u * xi).sum(axis=1))
+        assert np.array_equal(squares, (u * u).sum(axis=1))
+
+
+@pytest.mark.parametrize("stepper", ["euler_maruyama", "srk_additive",
+                                     "spde"])
+def test_the_control_is_a_shift_of_the_draws(stepper):
+    """Every engine stepper takes the control u as the shift
+    xi -> xi + sqrt(dt) u of its standard normal draws, the shift the
+    engine's Girsanov weight assumes."""
+    rng = np.random.default_rng(8)
+    dt = 1e-3
+    if stepper == "spde":
+        step, d, r = spde_stepper(spectral_setup(64, 0.1, 1.0, 1.0), dt), \
+            64, 64
+    else:
+        vdp = make_builtin_model("vdp")
+        model = SdeModel("dense", vdp.drift, rng.normal(size=(2, 3)))
+        step, d, r = sde_stepper(model, stepper, dt), 2, 3
+    x = rng.normal(size=(50, d))
+    u = 3.0 * rng.normal(size=(50, r))
+    xi = rng.normal(size=(50, r))
+    np.testing.assert_allclose(step(x, u, xi),
+                               step(x, None, xi + math.sqrt(dt) * u),
+                               rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("B, scheme", [

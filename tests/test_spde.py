@@ -88,7 +88,7 @@ def test_qwiener_sample_variance(sp64):
 
 def test_exp_euler_pure_decay(sp64):
     Y = np.ones(64)
-    out = spde_mod.exp_euler(spectral_setup(64, 0.1, 0.0, 0.0), 0.01)(
+    out = spde_mod.spde_stepper(spectral_setup(64, 0.1, 0.0, 0.0), 0.01)(
         Y, None, np.zeros(64))
     assert np.allclose(out, np.exp(-sp64.lam * 0.01))
 
@@ -119,7 +119,7 @@ def test_exp_euler_stationary_variance():
 def test_exp_euler_one_step_moments(sp64):
     """The engine stepper from Y = 0: one step's noise, drawn per path."""
     rng = derive_path_rng(9, 0)
-    draws = spde_mod._engine_stepper(sp64, 1e-2)(
+    draws = spde_mod.spde_stepper(sp64, 1e-2)(
         np.zeros((50_000, 64)), None, rng.standard_normal((50_000, 64)))
     ref = spde_mod.noise_std(sp64, 1e-2) ** 2
     assert np.abs(draws.mean(axis=0)).max() < 4 * math.sqrt(ref[0] / 50_000)
@@ -181,7 +181,7 @@ def test_exp_euler_noiseless_norm_never_grows(sp64):
     rng = np.random.default_rng(4)
     Y = rng.normal(size=64)
     norms = [np.linalg.norm(Y)]
-    step = spde_mod.exp_euler(sp, 1e-3)
+    step = spde_mod.spde_stepper(sp, 1e-3)
     for _ in range(1000):
         Y = step(Y, None, np.zeros(64))
         norms.append(np.linalg.norm(Y))
@@ -198,6 +198,16 @@ def test_spde_bias_trivial_cases(sp64):
     ctrl = spde_mod.SpdeController(sp64, 1.0, 0.5, 10.0, multiplier=2.0)
     u, _ = ctrl.bias_batch(0.0, Yp[None, :])
     assert np.allclose(u, 0.0, atol=1e-12)
+
+
+def test_spde_bias_rows_do_not_depend_on_the_row_count(sp64):
+    """The SPDE bias is row-local: a row's control is bit for bit the same
+    alone, among 7 rows and among 2000."""
+    ctrl = spde_mod.SpdeController(sp64, 1.0, 0.4, 10.0, multiplier=3.0)
+    Y = np.random.default_rng(6).normal(size=(2000, 64))
+    full, _ = ctrl.bias_batch(2.0, Y)
+    for s, e in ((0, 1), (5, 6), (0, 7), (993, 1000), (1999, 2000)):
+        assert np.array_equal(ctrl.bias_batch(2.0, Y[s:e])[0], full[s:e])
 
 
 def test_spde_controller_scales_linearly(sp64):
@@ -240,8 +250,8 @@ def test_spde_start_of_the_wrong_dimension_is_a_shape_error():
 def test_spde_paths_deterministic(sp64):
     # worker threads must not change a byte: two workers run 100 rows as
     # two 50-row blocks, and each block alone gives the same rows (the
-    # mode-coupling matmuls are shape-sensitive at the ulp level, so the
-    # comparison keeps the block shapes)
+    # stepper's propagator product is shape-sensitive at the ulp level, so
+    # the comparison keeps the block shapes)
     def run(M, workers=1, path_index=None):
         return spde_mod.run_spde_paths(sp64, None, np.zeros(64), 0.2, 5e-3,
                                        M, master_seed=3, workers=workers,
