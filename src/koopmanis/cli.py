@@ -31,32 +31,14 @@ control for ``paths.HOLD_TIME`` model time units (the controller's
 the held control, so estimates stay unbiased.  A run with dt >= 0.02 is
 per-step control.
 
-These are checked when the config is read, each as a ``ConfigError``
-that names its key:
-- each block present sets the keys its stage reads: model.name,
-  event.kind and .threshold, run.M, .T and .master_seed, basis.family and
-  .degree, and points box, counts, T_traj, stride and seed for a grid
-  (the only kind advdiff takes) or mean, std, count and seed for gaussian
-  points;
-- run.method is "is" or "mc", run.scheme null or one of
-  ``paths.SCHEMES``, and points.kind "grid" or "gaussian";
-- counts and indices are whole numbers (2000 or 2000.0): run.M >= 2,
-  run.workers >= 1, run.master_seed, doob.tuning_batch >= 50,
-  output.histogram_bins >= 1, event.component >= 0, points.count,
-  points.seed, basis.degree and gedmd.max_eigenfunctions >= 1 (or null);
-- times, thresholds and fractions (run.T, run.dt, event.threshold,
-  event.sharpness, points.T_traj, points.stride, points.dt,
-  gedmd.validation_threshold, doob.target_fraction, doob.offset) and the
-  values of model.params are finite numbers;
-- points.counts is a list of whole numbers >= 0, points.mean and
-  points.std lists of finite numbers, points.box and basis.box lists of
-  [lo, hi] with finite lo < hi, doob.multiplier_grid a non-empty list of
-  finite numbers, and output.histogram_range null or one [lo, hi].
-event.component must also be below the model dimension, and the per-axis
-lists (points.mean, .std, .box, .counts and basis.box) must have one entry
-per axis, checked when the model is built, before any stage runs.  The
-output directory is made only when the first file is written, so a run
-that fails leaves none behind.
+Each config key has one row in ``_CONFIG``: its default, whether its
+block must set it, and the check its value must pass when the config is
+read, each failure a ``ConfigError`` that names the key.  Two rules are
+not rows: the per-axis lists must have one entry per axis, and
+event.component must be below the model dimension, both checked when the
+model is built, before any stage runs; and the output directory is made
+only when the first file is written, so a run that fails leaves none
+behind.
 """
 
 from __future__ import annotations
@@ -70,6 +52,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,141 +67,115 @@ TUNE_SEED_OFFSET = 1_000_003
 
 _DEFAULT_T = {"ou1d": 1.0}
 
-_BLOCK_DEFAULTS = {
-    "event": {"sharpness": 3.0, "component": 0, "mode": "indicator"},
-    "points": {"kind": "grid"},
-    "gedmd": {"validation_threshold": 0.04, "max_eigenfunctions": None},
-    "doob": {"multiplier_grid": [1, 2, 4, 6, 8, 16], "tuning_batch": 100,
-             "target_fraction": 0.5, "offset": None},
-    "run": {"method": "is", "dt": 1e-3, "scheme": None, "workers": 1},
-    "output": {"histogram_bins": 50, "histogram_range": None,
-               "trajectory_stride": None, "trajectory_count": 0},
+_NO_DEFAULT = object()
+
+
+class _Row(NamedTuple):
+    """How one config key is read: see ``_CONFIG``."""
+    check: str | None            # what _checked takes; None: a stage checks it
+    arg: object = None           # least value or choices (of a list's entries)
+    default: object = _NO_DEFAULT  # filled in when the key is absent
+    need: object = None          # True, or the points.kind that must set it
+    per_axis: bool = False       # one entry per axis of the model's state
+
+    @property
+    def nullable(self) -> bool:
+        return self.default is None \
+            or self.check in ("list of reals", "list of intervals",
+                               "mapping", "path")
+
+
+# One row per config key, block by block; any other block or key is a
+# ConfigError.  A present block gets the defaults of its absent keys, must
+# set each key it needs (a null does not set it), and has every key
+# checked.  A null passes the check where the default is null, and for a
+# list of reals or intervals, a mapping or a path (``_Row.nullable``).
+_CONFIG = {
+    "model": {"name": _Row(None, need=True), "params": _Row("mapping")},
+    "event": {"kind": _Row(None, need=True),
+              "threshold": _Row("real", need=True),
+              "component": _Row("whole", 0, 0),
+              "sharpness": _Row("real", default=3.0),
+              "mode": _Row(None, default="indicator")},
+    "points": {"kind": _Row("choice", ("grid", "gaussian"), "grid"),
+               "box": _Row("list of intervals", need="grid", per_axis=True),
+               "counts": _Row("list of whole numbers", 0, need="grid",
+                              per_axis=True),
+               "T_traj": _Row("real", need="grid"),
+               "stride": _Row("real", need="grid"),
+               "dt": _Row("real"), "seed": _Row("whole", need=True),
+               "mean": _Row("list of reals", need="gaussian", per_axis=True),
+               "std": _Row("list of reals", need="gaussian", per_axis=True),
+               "count": _Row("whole", need="gaussian")},
+    "basis": {"family": _Row(None, need=True),
+              "degree": _Row("whole", need=True),
+              "box": _Row("list of intervals", per_axis=True)},
+    "gedmd": {"validation_threshold": _Row("real", default=0.04),
+              "max_eigenfunctions": _Row("whole", 1, None)},
+    "doob": {"multiplier_grid": _Row(
+                 "non-empty list of reals", default=[1, 2, 4, 6, 8, 16]),
+             "tuning_batch": _Row("whole", 50, 100),
+             "target_fraction": _Row("real", default=0.5),
+             "offset": _Row("real", default=None)},
+    "run": {"method": _Row("choice", ("is", "mc"), "is"),
+            "M": _Row("whole", 2, need=True),
+            "T": _Row("real", need=True),
+            "master_seed": _Row("whole", need=True),
+            "x0": _Row("list of reals", per_axis=True),
+            "dt": _Row("real", default=1e-3),
+            "scheme": _Row("choice", SCHEMES, None),
+            "workers": _Row("whole", 1, 1)},
+    "output": {"directory": _Row("path"),
+               "histogram_bins": _Row("whole", 1, 50),
+               "histogram_range": _Row("interval", default=None),
+               "trajectory_count": _Row("whole", 0, 0),
+               "trajectory_stride": _Row("whole", 1, None)},
 }
-# the keys each block accepts besides its defaults above; any other key,
-# or any other block, is a ConfigError
-_BLOCK_KEYS = {
-    "model": ("name", "params"),
-    "event": ("kind", "threshold"),
-    "points": ("box", "counts", "T_traj", "stride", "dt", "seed", "mean",
-               "std", "count"),
-    "basis": ("family", "degree", "box"),
-    "gedmd": (),
-    "doob": (),
-    "run": ("M", "T", "master_seed", "x0"),
-    "output": ("directory",),
-}
+# the list checks, each with the check of its entries
+_LISTS = {"list of reals": "real", "non-empty list of reals": "real",
+          "list of whole numbers": "whole", "list of intervals": "interval"}
 
 
-# Every key of these tables is checked when the config is read; a key
-# whose default is null may be null.
-# the keys each block must set; for points, those of its kind
-_REQUIRED_KEYS = {
-    ("model", None): ("name",), ("event", None): ("kind", "threshold"),
-    ("run", None): ("M", "T", "master_seed"),
-    ("points", "grid"): ("box", "counts", "T_traj", "stride", "seed"),
-    ("points", "gaussian"): ("mean", "std", "count", "seed"),
-    ("basis", None): ("family", "degree")}
-# counts and indices, read as ints (2.5 paths is a ConfigError, not 2
-# paths), with their least value
-_WHOLE_NUMBER_KEYS = {
-    ("run", "M"): 2, ("run", "workers"): 1, ("run", "master_seed"): None,
-    ("doob", "tuning_batch"): 50, ("output", "histogram_bins"): 1,
-    ("event", "component"): 0, ("points", "count"): None,
-    ("points", "seed"): None, ("basis", "degree"): None,
-    ("gedmd", "max_eigenfunctions"): 1}
-# finite real numbers, kept as given
-_REAL_NUMBER_KEYS = (("run", "T"), ("run", "dt"), ("event", "threshold"),
-                     ("event", "sharpness"), ("points", "T_traj"),
-                     ("points", "stride"), ("points", "dt"),
-                     ("gedmd", "validation_threshold"),
-                     ("doob", "target_fraction"), ("doob", "offset"))
-# lists of finite numbers, one per axis, and lists of [lo, hi] intervals,
-# one per axis; their lengths are checked when the model is built
-_NUMBER_LIST_KEYS = (("points", "mean"), ("points", "std"))
-_BOX_KEYS = (("points", "box"), ("basis", "box"))
-# names, each one of a fixed set: "MC" would otherwise run IS
-_CHOICE_KEYS = {("run", "method"): ("is", "mc"), ("run", "scheme"): SCHEMES,
-                ("points", "kind"): ("grid", "gaussian")}
+def _finite(val) -> bool:
+    return isinstance(val, numbers.Real) and not isinstance(val, bool) \
+        and math.isfinite(val)
 
 
-def _whole_number(name, val, least=None) -> int:
-    """``val`` as an int when it is a whole number (2000 or 2000.0), at
-    least ``least`` when that is given."""
-    if isinstance(val, bool) or not (
-            isinstance(val, numbers.Integral)
-            or isinstance(val, float) and val.is_integer()):
-        raise ConfigError(f"{name} must be a whole number, got {val!r}")
-    if least is not None and val < least:
-        raise ConfigError(f"{name} must be at least {least}, got {val!r}")
-    return int(val)
-
-
-def _check_real(name, val):
-    if isinstance(val, bool) or not (isinstance(val, numbers.Real)
-                                     and math.isfinite(val)):
-        raise ConfigError(f"{name} must be a finite number, got {val!r}")
-
-
-def _is_interval(rng) -> bool:
-    """Is ``rng`` [lo, hi], two finite numbers with lo < hi?"""
-    return (isinstance(rng, (list, tuple)) and len(rng) == 2
-            and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    and math.isfinite(v) for v in rng)
-            and rng[0] < rng[1])
-
-
-def _check_list(name, val, interval=False):
-    """A list of finite numbers, or with ``interval`` of [lo, hi]
-    intervals, one per axis."""
-    if not isinstance(val, (list, tuple)):
-        raise ConfigError(f"{name} must be a list, got {val!r}")
-    for v in val:
-        if not interval:
-            _check_real(name, v)
-        elif not _is_interval(v):
-            raise ConfigError(f"{name} must hold [lo, hi] intervals with "
-                              f"finite lo < hi, got {v!r}")
-
-
-def _check_params(params):
-    """model.params: null or a mapping of names to finite numbers."""
-    if params is None:
-        return
-    if not isinstance(params, dict):
-        raise ConfigError(f"model.params must be a mapping, got {params!r}")
-    for key, val in params.items():
-        _check_real(f"model.params.{key}", val)
-
-
-def _holds(cfg, blk, key) -> bool:
-    """Does the config set blk.key?  A null where null is the default does
-    not count."""
-    block = cfg[blk] or {}
-    return block.get(key) is not None or key in block \
-        and _BLOCK_DEFAULTS.get(blk, {}).get(key, 0) is not None
-
-
-def _grid_counts(counts) -> list:
-    """points.counts, the grid points per axis, as a list of ints >= 0."""
-    if not isinstance(counts, (list, tuple)):
-        raise ConfigError(f"points.counts must be a list, got {counts!r}")
-    return [_whole_number("points.counts", c, 0) for c in counts]
-
-
-def _check_multiplier_grid(grid):
-    """doob.multiplier_grid: a non-empty list of finite numbers."""
-    if not isinstance(grid, (list, tuple)) or not grid:
-        raise ConfigError(f"doob.multiplier_grid must be a non-empty list, "
-                          f"got {grid!r}")
-    for c in grid:
-        _check_real("doob.multiplier_grid", c)
-
-
-def _check_histogram_range(rng):
-    """output.histogram_range: null, or two finite numbers lo < hi."""
-    if rng is not None and not _is_interval(rng):
-        raise ConfigError(f"output.histogram_range must be null or [lo, hi] "
-                          f"with finite lo < hi, got {rng!r}")
+def _checked(name, val, check, arg=None):
+    """``val`` of the config key ``name`` when it passes ``check`` (a
+    whole number as an int, 2000 or 2000.0, at least ``arg`` when that is
+    given); a ``ConfigError`` naming the key otherwise."""
+    if check in _LISTS:
+        if not isinstance(val, (list, tuple)) \
+                or check.startswith("non-empty") and not val:
+            raise ConfigError(f"{name} must be a {check}, got {val!r}")
+        return [_checked(f"each entry of {name}", v, _LISTS[check], arg)
+                for v in val]
+    if check == "mapping":
+        if not isinstance(val, dict):
+            raise ConfigError(f"{name} must be a mapping, got {val!r}")
+        return {k: _checked(f"{name}.{k}", v, "real") for k, v in val.items()}
+    if check == "whole":
+        if isinstance(val, bool) or not (
+                isinstance(val, numbers.Integral)
+                or isinstance(val, float) and val.is_integer()):
+            raise ConfigError(f"{name} must be a whole number, got {val!r}")
+        if arg is not None and val < arg:
+            raise ConfigError(f"{name} must be at least {arg}, got {val!r}")
+        return int(val)
+    if check == "real":
+        ok, want = _finite(val), "a finite number"
+    elif check == "choice":
+        ok, want = val in arg, f"one of {list(arg)}"
+    elif check == "path":
+        ok, want = isinstance(val, (str, os.PathLike)), "a path"
+    else:  # interval
+        ok = isinstance(val, (list, tuple)) and len(val) == 2 \
+            and all(map(_finite, val)) and val[0] < val[1]
+        want = "[lo, hi] with finite lo < hi"
+    if not ok:
+        raise ConfigError(f"{name} must be {want}, got {val!r}")
+    return val
 
 
 def _controller_blocks(model_name) -> list:
@@ -242,80 +199,49 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        unknown = []
-        for blk, val in data.items():
-            if blk not in _BLOCK_KEYS:
-                unknown.append(blk)
-            elif val is not None:
-                known = {*_BLOCK_KEYS[blk], *_BLOCK_DEFAULTS.get(blk, {})}
-                unknown += [f"{blk}.{key}" for key in val if key not in known]
+        """The config ``data`` read by the rows of ``_CONFIG``."""
+        unknown = [blk for blk in data if blk not in _CONFIG]
+        unknown += [f"{blk}.{key}" for blk, val in data.items()
+                    if blk in _CONFIG and val is not None
+                    for key in val if key not in _CONFIG[blk]]
         if unknown:
             raise ConfigError(f"unknown config blocks or keys: {unknown}")
         required = ["model", "event", "run", "output"]
-        method = data.get("run", {}).get("method",
-                                         _BLOCK_DEFAULTS["run"]["method"])
-        if method == "is":
-            required += _controller_blocks(data.get("model", {}).get("name"))
-            required.append("doob")
+        if (data.get("run") or {}).get(
+                "method", _CONFIG["run"]["method"].default) == "is":
+            required += _controller_blocks(
+                (data.get("model") or {}).get("name")) + ["doob"]
         missing = [blk for blk in required if data.get(blk) is None]
         if missing:
             raise ConfigError(f"missing config blocks: {missing}")
-        cfg = {}
-        for blk in _BLOCK_KEYS:
-            val = data.get(blk)
-            if val is None:
-                cfg[blk] = None
+        cfg, missing = dict.fromkeys(_CONFIG), []
+        for blk, rows in _CONFIG.items():
+            if data.get(blk) is None:
                 continue
-            merged = dict(_BLOCK_DEFAULTS.get(blk, {}))
-            merged.update(val)
-            cfg[blk] = merged
-        for (blk, key), allowed in _CHOICE_KEYS.items():
-            if _holds(cfg, blk, key) and cfg[blk][key] not in allowed:
-                raise ConfigError(f"{blk}.{key} must be one of "
-                                  f"{list(allowed)}, got {cfg[blk][key]!r}")
-        if cfg["points"] is not None and cfg["model"].get("name") \
-                == "advdiff" and cfg["points"]["kind"] != "grid":
+            block = cfg[blk] = dict(data[blk])
+            for key, row in rows.items():
+                if key not in block and row.default is not _NO_DEFAULT:
+                    block[key] = row.default
+                val = block.get(key)
+                if val is None and row.need is not None \
+                        and row.need in (True, block.get("kind")):
+                    missing.append(f"{blk}.{key}")
+                elif key in block and row.check is not None \
+                        and not (val is None and row.nullable):
+                    block[key] = _checked(f"{blk}.{key}", val, row.check,
+                                          row.arg)
+        if missing:
+            raise ConfigError(f"missing config keys: {missing}")
+        if cfg["points"] is not None and cfg["model"]["name"] == "advdiff" \
+                and cfg["points"]["kind"] != "grid":
             raise ConfigError("points.kind must be 'grid' for advdiff, "
                               "which starts its snapshots on a grid of "
                               "amplitudes")
-        for (blk, kind), keys in _REQUIRED_KEYS.items():
-            block = cfg[blk]
-            if block is None or kind is not None and block["kind"] != kind:
-                continue
-            missing = [f"{blk}.{key}" for key in keys
-                       if block.get(key) is None]
-            if missing:
-                of_kind = "" if kind is None else f" of kind {kind!r}"
-                raise ConfigError(f"the {blk} block{of_kind} must set "
-                                  f"{missing}")
-        for (blk, key), least in _WHOLE_NUMBER_KEYS.items():
-            if _holds(cfg, blk, key):
-                cfg[blk][key] = _whole_number(f"{blk}.{key}", cfg[blk][key],
-                                              least)
-        for blk, key in _REAL_NUMBER_KEYS:
-            if _holds(cfg, blk, key):
-                _check_real(f"{blk}.{key}", cfg[blk][key])
-        for keys, interval in ((_NUMBER_LIST_KEYS, False), (_BOX_KEYS, True)):
-            for blk, key in keys:
-                if (cfg[blk] or {}).get(key) is not None:
-                    _check_list(f"{blk}.{key}", cfg[blk][key], interval)
-        _check_params(cfg["model"].get("params"))
-        if "counts" in (cfg["points"] or {}):
-            cfg["points"]["counts"] = _grid_counts(cfg["points"]["counts"])
-        if cfg["doob"] is not None:
-            _check_multiplier_grid(cfg["doob"]["multiplier_grid"])
-        _check_histogram_range(cfg["output"]["histogram_range"])
         return cls(**cfg)
 
     def to_dict(self) -> dict:
-        out = {}
-        for blk in ("model", "event", "points", "basis", "gedmd", "doob",
-                    "run", "output"):
-            val = getattr(self, blk)
-            if val is not None:
-                out[blk] = val
-        return out
+        return {blk: getattr(self, blk) for blk in _CONFIG
+                if getattr(self, blk) is not None}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -342,13 +268,15 @@ def _model_and_event(cfg: ExperimentConfig):
         raise ConfigError(f"event.component must be below the dimension "
                           f"{d} of {model.name!r}, got "
                           f"{cfg.event['component']}")
-    axes = {"points": 1 if model.spde is not None else d, "basis": d}
-    for blk, key in (*_NUMBER_LIST_KEYS, *_BOX_KEYS, ("points", "counts")):
-        val = (getattr(cfg, blk) or {}).get(key)
-        if val is not None and len(val) != axes[blk]:
-            raise ConfigError(f"{blk}.{key} must have {axes[blk]} entries, "
-                              f"one per axis of {model.name!r}, got "
-                              f"{len(val)}")
+    axes = {"points": 1 if model.spde is not None else d, "basis": d,
+            "run": d}
+    for blk, rows in _CONFIG.items():
+        for key, row in rows.items():
+            val = (getattr(cfg, blk) or {}).get(key)
+            if row.per_axis and val is not None and len(val) != axes[blk]:
+                raise ConfigError(f"{blk}.{key} must have {axes[blk]} "
+                                  f"entries, one per axis of "
+                                  f"{model.name!r}, got {len(val)}")
     return model, _build_event(cfg)
 
 
@@ -419,9 +347,10 @@ def prepare_controller(cfg: ExperimentConfig) -> PipelineState:
     state.spectrum = spec
     f_vals = event.mollified(pts.points)
     # an mc config may omit the doob block and still export its spectrum
-    doob_cfg = cfg.doob or _BLOCK_DEFAULTS["doob"]
-    state.controller = doob.build_controller(
-        spec, model, pts.points, f_vals, T, offset=doob_cfg["offset"])
+    offset = cfg.doob["offset"] if cfg.doob is not None \
+        else _CONFIG["doob"]["offset"].default
+    state.controller = doob.build_controller(spec, model, pts.points,
+                                             f_vals, T, offset=offset)
     return state
 
 

@@ -17,6 +17,7 @@ inside the event, zero on its boundary.  A single mollifier
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -104,10 +105,15 @@ def make_event(kind: str, threshold: float, component: int = 0,
     """The event of ``kind`` at ``threshold``.  ``mode`` is "indicator" or
     "mollified", spelt exactly: the estimator takes the mollified branch
     for anything but "indicator", so any other mode is an
-    ``InvalidParameterError``."""
+    ``InvalidParameterError``.  So is a ``sharpness`` that is not a finite
+    positive number: a negative one mollifies the complement event."""
     if mode not in ("indicator", "mollified"):
         raise InvalidParameterError(
             f"unknown event mode {mode!r}: use 'indicator' or 'mollified'")
+    if not (isinstance(sharpness, numbers.Real) and math.isfinite(sharpness)
+            and sharpness > 0):
+        raise InvalidParameterError(f"event sharpness must be a finite "
+                                    f"positive number, got {sharpness!r}")
     if kind == "coordinate":
         margin = lambda x: x[..., component] - threshold
     elif kind == "abs_coordinate":
@@ -202,7 +208,9 @@ def make_builtin_model(name: str, params: dict | None = None) -> SdeModel:
         def drift(x):
             x = np.asarray(x, dtype=float)
             x1, x2 = x[..., 0], x[..., 1]
-            return np.stack([x2, mu * (1.0 - x1 * x1) * x2 - x1], axis=-1)
+            out = np.empty_like(x)  # keeps the layout of x
+            out[..., 0], out[..., 1] = x2, mu * (1.0 - x1 * x1) * x2 - x1
+            return out
 
         return SdeModel(name, drift, B, params=p)
 
@@ -216,7 +224,9 @@ def make_builtin_model(name: str, params: dict | None = None) -> SdeModel:
         def drift(x):
             x = np.asarray(x, dtype=float)
             x1, x2 = x[..., 0], x[..., 1]
-            return np.stack([x2, -de * x2 - x1 * (be + al * x1 * x1)], axis=-1)
+            out = np.empty_like(x)  # keeps the layout of x
+            out[..., 0], out[..., 1] = x2, -de * x2 - x1 * (be + al * x1 * x1)
+            return out
 
         return SdeModel(name, drift, B, params=p)
 

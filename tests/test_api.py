@@ -4,8 +4,7 @@ Every module-level function and class in ``src/koopmanis`` must be
 referenced somewhere in the package other than its own definition, or be
 exported through ``koopmanis.__all__``.  A helper only the tests use
 belongs in ``tests/reference.py``, and a helper nothing uses should be
-deleted.  Every config key the CLI gives a default must be read by the
-package.
+deleted.  Every config key the CLI accepts must be read by the package.
 """
 
 import ast
@@ -86,13 +85,14 @@ def _read_keys():
 
 def test_every_config_default_is_read():
     read = _read_keys()
-    unread = [f"{blk}.{key}" for blk, defaults in cli._BLOCK_DEFAULTS.items()
-              for key in defaults if key not in read]
+    unread = [f"{blk}.{key}" for blk, rows in cli._CONFIG.items()
+              for key, row in rows.items()
+              if row.default is not cli._NO_DEFAULT and key not in read]
     assert unread == [], f"config defaults nothing reads: {unread}"
 
 
 def test_every_accepted_config_key_is_read():
     read = _read_keys()
-    unread = [f"{blk}.{key}" for blk, keys in cli._BLOCK_KEYS.items()
-              for key in keys if key not in read]
+    unread = [f"{blk}.{key}" for blk, rows in cli._CONFIG.items()
+              for key in rows if key not in read]
     assert unread == [], f"accepted config keys nothing reads: {unread}"

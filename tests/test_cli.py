@@ -364,7 +364,9 @@ def test_a_failing_output_leaves_no_partial_files(tmp_path, monkeypatch):
     ("points", "std", 2.0), ("points", "box", [[-1.0, "a"]]),
     ("basis", "box", [[1.0, -1.0]]), ("points", "mean", [0.0, 0.0]),
     ("points", "box", [[-1.0, 1.0], [-1.0, 1.0]]),
-    ("basis", "box", [[-1.0, 1.0], [-1.0, 1.0]])])
+    ("basis", "box", [[-1.0, 1.0], [-1.0, 1.0]]), ("run", "x0", ["a"]),
+    ("run", "x0", [0.0, 0.0]), ("run", "x0", 0.0),
+    ("output", "directory", 3)])
 def test_bad_config_values_fail_before_any_stage(tmp_path, capsys, block,
                                                   key, value):
     """Each value once ended in a raw traceback, ran another method
@@ -511,3 +513,86 @@ def test_spde_run_writes_trajectories(tmp_path):
     assert rows[0] == ["path_index", "time"] + [f"x{i}" for i in range(1, 9)]
     assert [(int(r[0]), round(float(r[1]), 9)) for r in rows[1:]] == [
         (p, round(0.1 * k, 9)) for p in range(3) for k in range(6)]
+
+
+_EVENT_DEFAULTS = {"sharpness": 3.0, "component": 0, "mode": "indicator"}
+_GEDMD_DEFAULTS = {"validation_threshold": 0.04, "max_eigenfunctions": None}
+_DOOB_DEFAULTS = {"multiplier_grid": [1, 2, 4, 6, 8, 16], "tuning_batch": 100,
+                  "target_fraction": 0.5, "offset": None}
+_OUTPUT_DEFAULTS = {"histogram_bins": 50, "histogram_range": None,
+                    "trajectory_stride": None, "trajectory_count": 0}
+_RESOLVED = {
+    "vdp_eigen_is": {
+        "model": {"name": "vdp", "params": {"mu": 0.3, "eps": 0.01}},
+        "event": {**_EVENT_DEFAULTS, "kind": "norm", "threshold": 2.7},
+        "points": {"kind": "grid", "box": [[-4.0, 4.0], [-4.0, 4.0]],
+                   "counts": [20, 20], "T_traj": 1.0, "stride": 0.1,
+                   "seed": 11},
+        "basis": {"family": "legendre_box", "degree": 10,
+                  "box": [[-4.0, 4.0], [-4.0, 4.0]]},
+        "gedmd": _GEDMD_DEFAULTS, "doob": _DOOB_DEFAULTS,
+        "run": {"method": "is", "dt": 0.005, "scheme": None, "workers": 1,
+                "M": 2000, "T": 5.0, "x0": [2.0, 0.0], "master_seed": 1},
+        "output": _OUTPUT_DEFAULTS},
+    "brownian_osc_exact_is": {
+        "model": {"name": "brownian_osc", "params": {}},
+        "event": {**_EVENT_DEFAULTS, "kind": "abs_coordinate",
+                  "threshold": 3.0},
+        "points": {"kind": "gaussian", "mean": [0.0, 0.0],
+                   "std": [1.5, 1.5], "count": 2000, "seed": 11},
+        "basis": {"family": "linear_exact", "degree": 2},
+        "gedmd": _GEDMD_DEFAULTS, "doob": _DOOB_DEFAULTS,
+        "run": {"method": "is", "dt": 0.01, "scheme": None, "workers": 1,
+                "M": 4000, "T": 10.0, "x0": [0.0, 0.0], "master_seed": 1},
+        "output": _OUTPUT_DEFAULTS},
+    "advdiff_spde_is": {
+        "model": {"name": "advdiff", "params": {"n_modes": 64}},
+        "event": {**_EVENT_DEFAULTS, "kind": "norm", "threshold": 2.5},
+        "points": {"kind": "grid", "box": [[-4.0, 4.0]], "counts": [9],
+                   "T_traj": 2.0, "stride": 0.25, "dt": 0.005, "seed": 11},
+        "doob": _DOOB_DEFAULTS,
+        "run": {"method": "is", "dt": 0.001, "scheme": None, "workers": 1,
+                "M": 2000, "T": 1.0, "master_seed": 1},
+        "output": _OUTPUT_DEFAULTS},
+}
+_BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
+
+
+@pytest.mark.parametrize("workload", sorted(_RESOLVED))
+def test_bench_workload_configs_resolve_to_pinned_dicts(workload):
+    """Every default the reader fills in, and no other key: points.dt and
+    run.x0 have none, so a null default would reach the stages."""
+    cfg = cli.load_config(_BENCH_WORKLOADS / f"{workload}.json")
+    assert cfg.to_dict() == _RESOLVED[workload]
+
+
+def test_tiny_config_resolves_to_a_pinned_dict(tmp_path):
+    cfg = cli.ExperimentConfig.from_dict(_tiny_ou_config(tmp_path))
+    assert cfg.to_dict() == {
+        "model": {"name": "ou1d", "params": {}},
+        "event": {**_EVENT_DEFAULTS, "kind": "coordinate", "threshold": 2.0},
+        "points": {"kind": "gaussian", "mean": [0.0], "std": [2.0],
+                   "count": 50, "seed": 8},
+        "basis": {"family": "hermite", "degree": 1},
+        "gedmd": _GEDMD_DEFAULTS,
+        "doob": {"multiplier_grid": [1, 4], "tuning_batch": 200,
+                 "target_fraction": 0.5, "offset": 0.0},
+        "run": {"method": "is", "dt": 0.01, "scheme": None, "workers": 1,
+                "M": 400, "T": 1.0, "x0": [0.0], "master_seed": 77},
+        "output": {"histogram_bins": 20, "histogram_range": [-4.0, 6.0],
+                   "trajectory_stride": None, "trajectory_count": 0,
+                   "directory": str(tmp_path / "out")}}
+
+
+@pytest.mark.parametrize("key", ["trajectory_count", "trajectory_stride"])
+def test_trajectory_keys_are_checked_when_read(tmp_path, key):
+    """Not only in the path engine, after the set-up, the sweep and the
+    final ensemble have run; a whole float is read as an int."""
+    raw = _tiny_ou_config(tmp_path)
+    for value in (2.5, -1, "a"):
+        raw["output"][key] = value
+        with pytest.raises(ConfigError, match=f"output.{key}"):
+            cli.ExperimentConfig.from_dict(raw)
+    raw["output"][key] = 10.0
+    val = cli.ExperimentConfig.from_dict(raw).output[key]
+    assert (val, type(val)) == (10, int)

@@ -236,3 +236,11 @@ def test_unknown_event_mode_is_rejected(mode):
     """A misspelt mode would otherwise select the mollified estimator."""
     with pytest.raises(InvalidParameterError, match="mode"):
         make_event("coordinate", 2.0, mode=mode)
+
+
+@pytest.mark.parametrize("sharpness", [-1.0, 0.0, math.inf, math.nan, "3"])
+def test_sharpness_must_be_finite_and_positive(sharpness):
+    """A negative sharpness mollifies the complement event: at L = 2,
+    sharpness -1 gives f(-3) = 0.99995 and f(3) = 0.119."""
+    with pytest.raises(InvalidParameterError, match="sharpness"):
+        make_event("coordinate", 2.0, sharpness=sharpness, mode="mollified")
