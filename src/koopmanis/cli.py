@@ -60,7 +60,7 @@ from . import doob, estimator, gedmd, spde
 from .basis import build_basis
 from .errors import ConfigError, KoopmanisError
 from .model import default_event, make_builtin_model, make_event
-from .paths import SCHEMES
+from .paths import SCHEMES, rowlocal_product
 
 ENV_OUTPUT_DIR = "KOOPMANIS_OUTPUT_DIR"
 TUNE_SEED_OFFSET = 1_000_003
@@ -106,7 +106,7 @@ _CONFIG = {
                "dt": _Row("real"), "seed": _Row("whole", need=True),
                "mean": _Row("list of reals", need="gaussian", per_axis=True),
                "std": _Row("list of reals", need="gaussian", per_axis=True),
-               "count": _Row("whole", need="gaussian")},
+               "count": _Row("whole", 1, need="gaussian")},
     "basis": {"family": _Row(None, need=True),
               "degree": _Row("whole", need=True),
               "box": _Row("list of intervals", per_axis=True)},
@@ -180,7 +180,8 @@ def _checked(name, val, check, arg=None):
 
 def _controller_blocks(model_name) -> list:
     """The config blocks the controller stages read: the SPDE model
-    (advdiff) samples its own snapshots and needs no basis or gEDMD."""
+    (advdiff) fits the exact spectrum of its adjoint coordinate, with a
+    basis of its own, and needs no basis or gEDMD block."""
     if model_name == "advdiff":
         return ["points"]
     return ["points", "basis", "gedmd"]
@@ -200,6 +201,13 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """The config ``data`` read by the rows of ``_CONFIG``."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"a config must be a mapping of blocks, got "
+                              f"{data!r}")
+        for blk, val in data.items():
+            if blk in _CONFIG and not isinstance(val, (dict, type(None))):
+                raise ConfigError(f"config block {blk!r} must be a "
+                                  f"mapping, got {val!r}")
         unknown = [blk for blk in data if blk not in _CONFIG]
         unknown += [f"{blk}.{key}" for blk, val in data.items()
                     if blk in _CONFIG and val is not None
@@ -309,48 +317,55 @@ def prepare_controller(cfg: ExperimentConfig) -> PipelineState:
     T = float(cfg.run["T"])
 
     if model.spde is not None:
-        pts = cfg.points
-        amps = np.linspace(pts["box"][0][0], pts["box"][0][1],
-                           pts["counts"][0])
+        # the Doob controller on the adjoint coordinate q = Y W, fitted on
+        # the exact spectrum of q's OU process: nothing to validate
+        pts_cfg = cfg.points
+        amps = np.linspace(pts_cfg["box"][0][0], pts_cfg["box"][0][1],
+                           pts_cfg["counts"][0])
         snaps = spde.generate_mode_snapshots(
-            model.spde, amps, pts["T_traj"], pts["stride"], pts["seed"],
-            dt=pts.get("dt", cfg.run["dt"]))
-        state.points = snaps
-        state.controller = spde.build_spde_controller(model.spde, snaps,
-                                                      event, T)
-        return state
-
-    b = cfg.basis
-    basis = build_basis(b["family"], model.dim_state, b["degree"],
-                        b.get("box"))
-    pts_cfg = cfg.points
-    if pts_cfg["kind"] == "gaussian":
-        pts = gedmd.sample_gaussian_points(model, pts_cfg["mean"],
-                                           pts_cfg["std"], pts_cfg["count"],
-                                           pts_cfg["seed"])
+            model.spde, amps, pts_cfg["T_traj"], pts_cfg["stride"],
+            pts_cfg["seed"], dt=pts_cfg.get("dt", cfg.run["dt"]))
+        W, fit_model = spde.adjoint_model(model)
+        basis = build_basis("linear_exact", 1, 2)
+        state.points, points, f_vals = (snaps, rowlocal_product(snaps, W),
+                                        event.mollified(snaps))
+        cls = spde.SpdeController
     else:
-        pts = gedmd.generate_test_points(
-            model, {"box": pts_cfg["box"], "counts": pts_cfg["counts"]},
-            pts_cfg["T_traj"], pts_cfg["stride"], pts_cfg["seed"],
-            dt=pts_cfg.get("dt", cfg.run["dt"]), basis=basis)
-    state.points = pts
+        W, fit_model, cls = None, model, doob.DoobController
+        b = cfg.basis
+        basis = build_basis(b["family"], model.dim_state, b["degree"],
+                            b.get("box"))
+        pts_cfg = cfg.points
+        if pts_cfg["kind"] == "gaussian":
+            pts = gedmd.sample_gaussian_points(
+                model, pts_cfg["mean"], pts_cfg["std"], pts_cfg["count"],
+                pts_cfg["seed"])
+        else:
+            pts = gedmd.generate_test_points(
+                model, {"box": pts_cfg["box"], "counts": pts_cfg["counts"]},
+                pts_cfg["T_traj"], pts_cfg["stride"], pts_cfg["seed"],
+                dt=pts_cfg.get("dt", cfg.run["dt"]), basis=basis)
+        state.points, points, f_vals = (pts, pts.points,
+                                        event.mollified(pts.points))
 
     if basis.family == "linear_exact":
-        k_res = gedmd.exact_koopman_matrix(basis, model)
+        k_res = gedmd.exact_koopman_matrix(basis, fit_model)
     else:
         Psi, dPsi = gedmd.assemble_matrices(basis, model, pts)
         k_res = gedmd.koopman_matrix(Psi, dPsi)
-    spec = gedmd.eigenpairs(k_res, basis, pts.points)
-    spec = gedmd.validate_eigenpairs(spec, model, pts.holdout,
-                                     cfg.gedmd["validation_threshold"])
-    spec = gedmd.truncate_spectrum(spec, cfg.gedmd["max_eigenfunctions"])
+    spec = gedmd.eigenpairs(k_res, basis, points)
+    if W is None:
+        spec = gedmd.validate_eigenpairs(spec, model, pts.holdout,
+                                         cfg.gedmd["validation_threshold"])
+        spec = gedmd.truncate_spectrum(spec,
+                                       cfg.gedmd["max_eigenfunctions"])
     state.spectrum = spec
-    f_vals = event.mollified(pts.points)
     # an mc config may omit the doob block and still export its spectrum
     offset = cfg.doob["offset"] if cfg.doob is not None \
         else _CONFIG["doob"]["offset"].default
-    state.controller = doob.build_controller(spec, model, pts.points,
-                                             f_vals, T, offset=offset)
+    state.controller = doob.build_controller(
+        spec, fit_model, points, f_vals, T, offset=offset, coordinates=W,
+        cls=cls)
     return state
 
 
@@ -479,9 +494,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None,
     controller = None
     if reuse_controller and cfg.run["method"] == "is" \
             and controller_path.exists():
-        data = json.loads(controller_path.read_text())
-        controller = (spde.SpdeController if data["type"] == "spde"
-                      else doob.DoobController).from_dict(data)
+        controller = doob.DoobController.from_dict(
+            json.loads(controller_path.read_text()))
     state = run_pipeline(cfg, controller)
 
     # name -> (file, writer of the file, its content), in writing order
@@ -559,10 +573,7 @@ def _cmd_oracle(args):
 
 def _cmd_export_eigen(args):
     cfg = load_config(args.config)
-    state = prepare_controller(cfg)
-    if state.spectrum is None:
-        raise ConfigError("this model has no eigenfunction report")
-    header, rows = _eigen_report_rows(state.spectrum)
+    header, rows = _eigen_report_rows(prepare_controller(cfg).spectrum)
     written = _write_outputs(_resolve_outdir(cfg, args.output_dir), {
         "eigen_report": ("eigen_report.csv", _write_csv, (header, rows))})
     print(f"wrote eigen report ({len(rows)} pairs): "

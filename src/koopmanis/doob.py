@@ -124,12 +124,14 @@ class Controller:
     A subclass sets ``horizon``, ``multiplier`` (c) and ``floor`` and
     supplies three things:
 
-    - ``value_grad_batch(t, X) -> (Phi (m,), grad Phi (m, d))`` for
-      t in [0, horizon], which it enforces with ``_check_time``;
-    - ``_noise_map(grad) -> (m, r)``: the constant B^T applied to grad Phi
-      (every model has additive noise, so B does not depend on X); where
-      B is a matrix this is ``paths.rowlocal_product``, the one per-step
-      product;
+    - ``value_grad_batch(t, X) -> (Phi (m,), grad Phi)`` for t in
+      [0, horizon], which it enforces with ``_check_time``; the gradient
+      is taken in the controller's coordinates, X itself or
+      ``DoobController``'s q = X W;
+    - ``_noise_map(grad) -> (m, r)``: the constant map of that gradient to
+      B^T grad_X Phi (every model has additive noise, so B does not
+      depend on X); where it is a matrix this is
+      ``paths.rowlocal_product``, the one per-step product;
     - its serialization.
 
     ``bias_batch(t, X) -> (u (m, r), floored)`` is the one bias formula,
@@ -184,12 +186,21 @@ class Controller:
 
 class DoobController(Controller):
     """Value surrogate built from a validated spectrum; B-map the constant
-    diffusion matrix."""
+    diffusion matrix.
+
+    With a coordinate matrix W (d, r) the surrogate is a function of
+    q = X W: the basis is evaluated at ``rowlocal_product(X, W)``, the
+    gradient is taken in q, and ``diffusion_const`` is W^T B (r, noise),
+    so the B-map still gives B^T grad_X Phi.  The SPDE controller is this
+    controller on the adjoint coordinate q = <Y, w1> (``spde``).
+    """
 
     def __init__(self, basis: BasisSet, components, coefficients,
                  diffusion_const, T, multiplier=1.0, floor=1e-12,
-                 model_name=""):
+                 model_name="", coordinates=None):
         self.basis = basis
+        self.coordinates = None if coordinates is None \
+            else np.asarray(coordinates, dtype=float)
         self.components = list(components)
         self.coefficients = np.asarray(coefficients, dtype=float)
         self.diffusion_const = np.asarray(diffusion_const, dtype=float)
@@ -220,6 +231,8 @@ class DoobController(Controller):
 
     def value_grad_batch(self, t, X):
         self._check_time(t)
+        if self.coordinates is not None:
+            X = rowlocal_product(X, self.coordinates)
         return self.basis.value_grad(self.basis_coefficients(t), X)
 
     # own binding: the benchmark's layer trace patches each class's bias_batch
@@ -229,7 +242,7 @@ class DoobController(Controller):
         return rowlocal_product(grad, self.diffusion_const)
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "type": "eigen",
             "model": self.model_name,
             "basis": self.basis.descriptor(),
@@ -246,11 +259,19 @@ class DoobController(Controller):
             "multiplier": self.multiplier,
             "floor": self.floor,
         }
+        if self.coordinates is not None:
+            out["coordinates"] = self.coordinates.tolist()
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "DoobController":
         """Inverse of ``to_dict``; the ``margin`` key of older files is
-        ignored."""
+        ignored.  A file of another ``type`` (the "spde" files written
+        before the SPDE controller became this one) is a ``ConfigError``."""
+        if data.get("type") != "eigen":
+            raise ConfigError(f"cannot load a controller of type "
+                              f"{data.get('type')!r}: only 'eigen' "
+                              f"controllers load; refit it")
         comps = [
             _Component(c["lam_re"], c["lam_im"], np.array(c["c_re"]),
                        None if c["c_im"] is None else np.array(c["c_im"]),
@@ -260,21 +281,23 @@ class DoobController(Controller):
         return cls(basis_from_descriptor(data["basis"]), comps,
                    np.array(data["coefficients"]), np.array(data["diffusion"]),
                    data["T"], data["multiplier"], data["floor"],
-                   data.get("model", ""))
+                   data.get("model", ""), data.get("coordinates"))
 
 
 def build_controller(spectrum: KoopmanSpectrum, model, points, f_values, T,
-                     offset=None) -> DoobController:
+                     offset=None, coordinates=None,
+                     cls=DoobController) -> DoobController:
     """Fit the observable onto the realified eigenfunctions with
-    ``fit_surrogate`` and assemble the controller."""
+    ``fit_surrogate`` and assemble the controller, a ``cls``.  With
+    ``coordinates`` W, ``model`` and ``points`` are those of q = X W and
+    ``f_values`` the observable at the X the points came from."""
     if spectrum.n_pairs == 0:
         raise EmptySpectrumError("cannot regress on an empty spectrum")
     comps = realify_spectrum(spectrum)
     C = design_matrix(comps, spectrum.basis, points)
     coeffs, floor = fit_surrogate(C, f_values, _constant_column(comps), offset)
-    return DoobController(spectrum.basis, comps, coeffs,
-                          model.diffusion_const, T, floor=floor,
-                          model_name=model.name)
+    return cls(spectrum.basis, comps, coeffs, model.diffusion_const, T,
+               floor=floor, model_name=model.name, coordinates=coordinates)
 
 
 @dataclass(eq=False)

@@ -60,8 +60,9 @@ formula of ``doob.Controller.bias_batch``, which is row-local when the
 controller's ``value_grad_batch`` and ``_noise_map`` are.  The one
 per-step product with a constant matrix is ``rowlocal_product``: the SDE
 steppers form B xi and B u with it, and the controllers B^T grad Phi and
-the SPDE projection <Y, w1>, so all are row-local; the weight's row dot
-products u . xi and u . u are ``rowlocal_dot``.  The one known exception
+their coordinates q = X W (the SPDE controller's is the adjoint
+coordinate <Y, w1>), so all are row-local; the weight's row dot products
+u . xi and u . u are ``rowlocal_dot``.  The one known exception
 is the propagator product Y @ P of ``spde.spde_stepper``: a BLAS product,
 shape-sensitive at the ulp level, so SPDE rows are bit-identical across
 worker counts and stackings only as far as that product is.
@@ -152,7 +153,10 @@ def rowlocal_dot(a, b):
     One pass over the rows with no (n, r) temporary, and row i depends
     only on a[i] and b[i], bit for bit, whatever n and whether b is a
     strided view or a gather of repeated rows.  For r <= 2 it is bit for
-    bit ``(a * b).sum(axis=1)``.
+    bit ``(a * b).sum(axis=1)``, whatever the layout of a.  For r >= 3
+    its bits depend on the layout of a: C- and F-ordered inputs of equal
+    values give different rows.  The engine therefore holds the control u
+    C-contiguous, the layout of the noise draws.
     """
     return np.einsum("ij,ij->i", a, b)
 
@@ -251,6 +255,8 @@ def _run_block(step, r, x0, K, dt, controller, master_seed, path_index,
             if controller is not None:
                 if (k + j) % hold == 0:
                     u, nf = controller.bias_batch((k + j) * dt, x)
+                    # held in the layout of the draws: see rowlocal_dot
+                    u = np.ascontiguousarray(u)
                     half_uu = 0.5 * rowlocal_dot(u, u) * dt
                 floored += nf
                 logw -= rowlocal_dot(u, xi) * sqdt + half_uu

@@ -8,6 +8,11 @@ Space-time white noise enters mode-by-mode with the exact Ito-isometry
 variance of the stochastically integrated linear flow, and a biasing
 control enters as a shift of the standard normal draws of that noise.
 
+The biasing control is the Doob controller of every other model, on the
+adjoint coordinate q = <Y, w1>: ``adjoint_model`` gives the exact
+one-dimensional OU process q follows, and ``SpdeController`` is a
+``doob.DoobController`` with the coordinate matrix W = w1[:, None].
+
 This module owns no path loop: ensembles and mode snapshots run the block
 engine of ``paths`` with ``spde_stepper`` as its stepper.
 """
@@ -20,10 +25,10 @@ from functools import partial
 
 import numpy as np
 
-from .doob import Controller, fit_surrogate
+from .doob import Controller, DoobController
 from .errors import InvalidParameterError, NumericalError
-from .paths import (adjust_steps, rowlocal_product, run_engine, tile_start,
-                    trajectory_snapshots)
+from .model import _linear_model
+from .paths import adjust_steps, run_engine, tile_start, trajectory_snapshots
 # bound here for the benchmark's layer trace, which patches each module's
 # derive_path_rng
 from .paths import derive_path_rng  # noqa: F401
@@ -45,11 +50,6 @@ class SpectralSpde:
     @property
     def drift_matrix(self) -> np.ndarray:
         return -np.diag(self.lam) + self.coupling
-
-    @property
-    def quad_scale(self) -> float:
-        """Scale making kappa*<Y, w1>^2 - 1 an exact eigenfunctional."""
-        return 2.0 * self.mu1 / (self.eps_noise * float(self.adjoint_w1 @ self.adjoint_w1))
 
 
 def _coupling_matrix(n_modes: int, b: float) -> np.ndarray:
@@ -146,72 +146,26 @@ def spde_stepper(spde: SpectralSpde, dt):
     return step
 
 
-class SpdeController(Controller):
-    """Biasing built from the constant and the leading quadratic functional.
+class SpdeController(DoobController):
+    """The Doob controller on the adjoint coordinate q = <Y, w1>, fitted by
+    ``cli.prepare_controller`` on ``adjoint_model``'s exact spectrum."""
 
-    The value surrogate is  f0 + f2 * exp(-2 mu1 (T - t)) * phi2(Y)  with
-    phi2(Y) = kappa <Y, w1>^2 - 1, an exact eigenfunctional of the
-    discretized generator with decay rate 2 mu1.  Noise enters every mode
-    with intensity sqrt(eps_noise), so the B-map is that scalar.
-    """
-
-    def __init__(self, spde: SpectralSpde, f0: float, f2: float, T: float,
-                 multiplier: float = 1.0, floor: float = 1e-12):
-        self.spde = spde
-        self.f0 = float(f0)
-        self.f2 = float(f2)
-        self.horizon = float(T)
-        self.multiplier = float(multiplier)
-        self.floor = float(floor)
-
-    n_eigenfunctions = 2
-
-    def value_grad_batch(self, t, Y):
-        self._check_time(t)
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        w1 = self.spde.adjoint_w1
-        q = rowlocal_product(Y, w1[:, None])[:, 0]
-        decay = math.exp(-2.0 * self.spde.mu1 * (self.horizon - t))
-        val = self.f0 + self.f2 * decay * (self.spde.quad_scale * q * q - 1.0)
-        coef = self.f2 * decay * 2.0 * self.spde.quad_scale * q
-        return val, np.multiply.outer(coef, w1)
-
-    # own binding: the benchmark's layer trace patches each class's bias_batch
+    # own binding: the benchmark's layer trace patches each class's
+    # bias_batch, and this one is its span for the SPDE controller
     bias_batch = Controller.bias_batch
 
-    def _noise_map(self, grad):
-        return math.sqrt(self.spde.eps_noise) * grad
 
-    def to_dict(self) -> dict:
-        return {"type": "spde", "f0": self.f0, "f2": self.f2,
-                "T": self.horizon, "multiplier": self.multiplier,
-                "floor": self.floor,
-                "spde": {"n_modes": self.spde.n_modes,
-                         "alpha": self.spde.alpha, "b": self.spde.b,
-                         "eps_noise": self.spde.eps_noise}}
+def adjoint_model(model):
+    """(W, the model of q = Y W) for the SPDE model ``model``, with
+    W = w1[:, None] (N, 1).
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SpdeController":
-        sp = data["spde"]
-        spde = spectral_setup(sp["n_modes"], sp["alpha"], sp["b"],
-                              sp["eps_noise"])
-        return cls(spde, data["f0"], data["f2"], data["T"],
-                   data["multiplier"], data["floor"])
-
-
-def build_spde_controller(spde: SpectralSpde, snapshots, event,
-                          T) -> SpdeController:
-    """Fit the mollified event indicator onto {1, phi2} over mode snapshots.
-
-    The fit is ``doob.fit_surrogate`` on the two-functional family,
-    evaluated directly in mode coordinates.
+    A^T w1 = -mu1 w1, so q follows the one-dimensional OU process
+    dq = -mu1 q dt + w1^T B dW exactly.  Its degree-2 ``linear_exact``
+    spectrum is 1 (lambda 0), q (-mu1) and q^2 - eps / (2 mu1) (-2 mu1).
     """
-    snapshots = np.atleast_2d(np.asarray(snapshots, dtype=float))
-    q = snapshots @ spde.adjoint_w1
-    C = np.stack([np.ones(len(snapshots)), spde.quad_scale * q * q - 1.0],
-                 axis=1)
-    (f0, f2), floor = fit_surrogate(C, event.mollified(snapshots), 0)
-    return SpdeController(spde, f0, f2, T, floor=floor)
+    W = model.spde.adjoint_w1[:, None]
+    return W, _linear_model(model.name, [[-model.spde.mu1]],
+                            W.T @ model.diffusion_const, model.params)
 
 
 def run_spde_paths(spde, controller, Y0, T, dt, M, master_seed, workers=1,

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from koopmanis import build_basis, doob, gedmd, make_builtin_model, make_event
+from koopmanis import (build_basis, doob, gedmd, make_builtin_model,
+                       make_event, spde)
+from reference import fit_spde_controller
 
 # basis family -> (model, degree, box, x0): one fitted Doob controller for
 # each family the package has
@@ -15,7 +17,8 @@ _FITS = {
 @pytest.fixture(scope="session")
 def fitted_controllers():
     """Doob controllers fitted through regression and positivization on a
-    gEDMD spectrum, keyed by basis family: family -> (model, controller, x0).
+    gEDMD spectrum, keyed by basis family: family -> (model, controller, x0),
+    and "spde" -> the 8-mode advdiff controller on its adjoint coordinate.
     The horizon is T = 1."""
     out = {}
     for family, (name, degree, box, x0) in _FITS.items():
@@ -33,4 +36,11 @@ def fitted_controllers():
         ctrl = doob.build_controller(spec, model, pts.points,
                                      event.mollified(pts.points), T=1.0)
         out[family] = (model, ctrl, np.array(x0))
+    model = make_builtin_model("advdiff", {"n_modes": 8})
+    snaps = spde.generate_mode_snapshots(model.spde, np.linspace(-2, 2, 5),
+                                         1.0, 0.25, seed=3, dt=5e-3)
+    _, ctrl = fit_spde_controller(
+        model, snaps, make_event("norm", 2.0, sharpness=3.0, mode="mollified"),
+        T=1.0)
+    out["spde"] = (model, ctrl, np.zeros(8))
     return out

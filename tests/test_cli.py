@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from koopmanis import cli
+from koopmanis import cli, make_builtin_model, spde
 from koopmanis.errors import ConfigError
+from reference import fit_spde_controller
 
 
 def _tiny_ou_config(tmp_path, method="is", seed=77):
@@ -366,7 +367,7 @@ def test_a_failing_output_leaves_no_partial_files(tmp_path, monkeypatch):
     ("points", "box", [[-1.0, 1.0], [-1.0, 1.0]]),
     ("basis", "box", [[-1.0, 1.0], [-1.0, 1.0]]), ("run", "x0", ["a"]),
     ("run", "x0", [0.0, 0.0]), ("run", "x0", 0.0),
-    ("output", "directory", 3)])
+    ("output", "directory", 3), ("points", "count", 0)])
 def test_bad_config_values_fail_before_any_stage(tmp_path, capsys, block,
                                                   key, value):
     """Each value once ended in a raw traceback, ran another method
@@ -406,6 +407,80 @@ def test_a_block_without_a_key_its_stage_reads_is_a_config_error(
     err = capsys.readouterr().err
     assert "error (ConfigError)" in err and f"{block}.{key}" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("block, value", [("run", [1]), ("output", "x"),
+                                          ("event", 3), (None, [1])])
+def test_a_config_block_that_is_not_a_mapping_is_a_config_error(
+        tmp_path, block, value):
+    """Not a list of unknown keys such as 'run.1': the block itself, or
+    the whole config (block None), is named."""
+    if block is None:
+        raw, want = value, "a config must be a mapping"
+    else:
+        raw = {**_tiny_ou_config(tmp_path), block: value}
+        want = f"config block '{block}' must be a mapping"
+    with pytest.raises(ConfigError, match=want):
+        cli.ExperimentConfig.from_dict(raw)
+
+
+def _tiny_advdiff_config(tmp_path):
+    return {
+        "model": {"name": "advdiff", "params": {"n_modes": 8}},
+        "event": {"kind": "norm", "threshold": 0.5},
+        "points": {"box": [[-2.0, 2.0]], "counts": [5], "T_traj": 1.0,
+                   "stride": 0.25, "dt": 0.01, "seed": 11},
+        "doob": {"multiplier_grid": [1, 4]},
+        "run": {"M": 50, "T": 0.5, "dt": 0.01, "master_seed": 1},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+
+
+def test_advdiff_controller_is_the_eigen_controller_on_its_adjoint_coordinate(
+        tmp_path):
+    """The SPDE set-up fits the exact spectrum of q = <Y, w1> and writes
+    it as an eigen report, with no validation MSE; its controller file is
+    an eigen controller with coordinates, and reusing it gives the same
+    results row."""
+    cfg = cli.ExperimentConfig.from_dict(_tiny_advdiff_config(tmp_path))
+    state = cli.prepare_controller(cfg)
+    model = make_builtin_model("advdiff", {"n_modes": 8})
+    spec, want = fit_spde_controller(model, state.points, state.event, 0.5)
+    assert type(state.controller) is spde.SpdeController
+    assert state.controller.to_dict() == want.to_dict()
+    assert np.array_equal(state.spectrum.coefficients, spec.coefficients)
+    written = cli.run_experiment(cfg)
+    with open(written["eigen_report"]) as fh:
+        rows = list(csv.reader(fh))
+    assert [r[3] for r in rows[1:]] == ["nan"] * 3
+    data = json.loads(written["controller"].read_text())
+    assert data["type"] == "eigen" and len(data["coordinates"]) == 8
+    with open(written["results"]) as fh:
+        fresh = list(csv.reader(fh))[-1]
+    assert fresh[10] == "3"  # N_eigenfunctions
+    cli.run_experiment(cfg, reuse_controller=True)
+    with open(written["results"]) as fh:
+        assert list(csv.reader(fh))[-1] == fresh
+
+
+def test_an_old_spde_controller_file_is_a_config_error(tmp_path, capsys):
+    """A controller.json of type "spde", the file advdiff runs wrote
+    before its controller became an eigen controller, is refused by
+    --reuse-controller with its type named, and nothing is written."""
+    path = tmp_path / "advdiff.json"
+    path.write_text(json.dumps(_tiny_advdiff_config(tmp_path)))
+    old = {"type": "spde", "f0": 0.01, "f2": 0.2, "T": 0.5,
+           "multiplier": 4.0, "floor": 1e-10,
+           "spde": {"n_modes": 8, "alpha": 0.1, "b": 1.0, "eps_noise": 1.0}}
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "controller.json").write_text(json.dumps(old))
+    assert cli.main(["run", str(path), "--reuse-controller"]) == 1
+    err = capsys.readouterr().err
+    assert "error (ConfigError)" in err and "'spde'" in err
+    assert [p.name for p in (tmp_path / "out").iterdir()] \
+        == ["controller.json"]
+    assert json.loads((tmp_path / "out" / "controller.json").read_text()) \
+        == old
 
 
 def test_advdiff_points_must_be_a_grid(tmp_path):
@@ -495,16 +570,8 @@ def test_point_counts_are_checked_when_read(tmp_path, capsys, model, counts):
 def test_spde_run_writes_trajectories(tmp_path):
     """The SPDE ensemble reports output.trajectory_count rows like an SDE
     ensemble: 3 paths at t = 0 and every 10 of the 50 steps."""
-    raw = {
-        "model": {"name": "advdiff", "params": {"n_modes": 8}},
-        "event": {"kind": "norm", "threshold": 0.5},
-        "points": {"box": [[-2.0, 2.0]], "counts": [5], "T_traj": 1.0,
-                   "stride": 0.25, "dt": 0.01, "seed": 11},
-        "doob": {"multiplier_grid": [1, 4]},
-        "run": {"M": 50, "T": 0.5, "dt": 0.01, "master_seed": 1},
-        "output": {"directory": str(tmp_path / "out"),
-                   "trajectory_count": 3, "trajectory_stride": 10},
-    }
+    raw = _tiny_advdiff_config(tmp_path)
+    raw["output"].update(trajectory_count=3, trajectory_stride=10)
     path = tmp_path / "advdiff.json"
     path.write_text(json.dumps(raw))
     assert cli.main(["run", str(path)]) == 0

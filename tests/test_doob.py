@@ -6,9 +6,10 @@ import pytest
 
 from koopmanis import (build_basis, derive_path_rng, make_builtin_model,
                        make_event, run_paths)
-from koopmanis import doob, estimator, gedmd, paths, spde
+from koopmanis import doob, estimator, gedmd, paths
 from koopmanis.errors import ConfigError, ShapeError, TuningFailedError
-from reference import ou_exact_controller, sweep_table_per_c
+from reference import (ou_exact_controller, spde_quadratic_controller,
+                       sweep_table_per_c)
 
 
 @pytest.fixture(scope="module")
@@ -255,38 +256,38 @@ def _assert_bias_row_local(ctrl, t, X):
         assert np.array_equal(u[s:e], ctrl.bias_batch(t, X[s:e])[0])
 
 
-# SpdeController is left out: its Y @ w1 is a BLAS product whose last bit
-# depends on the number of rows, like the SPDE stepper's mode coupling
-# (see the paths module docstring).
-
-@pytest.mark.parametrize("family", ["hermite", "legendre_box", "linear_exact"])
+@pytest.mark.parametrize("family", ["hermite", "legendre_box", "linear_exact",
+                                    "spde"])
 def test_doob_bias_is_row_local(fitted_controllers, family):
     model, ctrl, x0 = fitted_controllers[family]
     rng = np.random.default_rng(8)
     X = x0 + rng.normal(size=(97, model.dim_state))
-    # the same surrogate with a dense (d, 1) B-map, where a single row takes
-    # another BLAS kernel than many
+    # the same surrogate with a dense (r, 1) B-map, r the dimension of its
+    # coordinates, where a single row takes another BLAS kernel than many
     dense = doob.DoobController(ctrl.basis, ctrl.components,
                                 ctrl.coefficients,
-                                rng.normal(size=(model.dim_state, 1)),
-                                ctrl.horizon, multiplier=4.0)
+                                rng.normal(size=(ctrl.basis.dim, 1)),
+                                ctrl.horizon, multiplier=4.0,
+                                coordinates=ctrl.coordinates)
     for c in (ctrl, dense):
         for t in (0.0, 0.37, 1.0):
             _assert_bias_row_local(c, t, X)
 
 
-@pytest.mark.parametrize("family", ["hermite", "legendre_box", "linear_exact"])
+@pytest.mark.parametrize("family", ["hermite", "legendre_box", "linear_exact",
+                                    "spde"])
 def test_noise_map_is_the_rowlocal_product(fitted_controllers, family):
     """B^T grad Phi is ``paths.rowlocal_product`` bit for bit, and keeps the
     bits of the multiply-add over the state axis it replaced, for the
-    model's B and a dense (d, 3) one."""
+    model's B and a dense (r, 3) one, r the dimension of the controller's
+    coordinates (the SPDE controller's gradient is in q = <Y, w1>)."""
     model, ctrl, _ = fitted_controllers[family]
     rng = np.random.default_rng(11)
-    grad = rng.normal(size=(97, model.dim_state))
+    grad = rng.normal(size=(97, ctrl.basis.dim))
     dense = doob.DoobController(ctrl.basis, ctrl.components,
                                 ctrl.coefficients,
-                                rng.normal(size=(model.dim_state, 3)),
-                                ctrl.horizon)
+                                rng.normal(size=(ctrl.basis.dim, 3)),
+                                ctrl.horizon, coordinates=ctrl.coordinates)
     for c in (ctrl, dense):
         D = c.diffusion_const
         old = grad[:, :1] * D[0]
@@ -370,16 +371,16 @@ def test_tune_batch_minimum():
 
 def _sweep_case(name, fitted_controllers):
     """(controller, model, event, x0) of one stacked-sweep case; T = 1."""
+    if name == "spde":
+        model = make_builtin_model("advdiff", {"n_modes": 8})
+        ctrl = spde_quadratic_controller(model, 1.0, 0.4, 1.0)
+        return ctrl, model, make_event("norm", 1.0, mode="indicator"), None
     if name in fitted_controllers:
         model, ctrl, x0 = fitted_controllers[name]
         return ctrl, model, make_event("norm", 2.0, mode="indicator"), x0
-    if name.startswith("ou_"):
-        model = make_builtin_model("ou1d")
-        ev = make_event("coordinate", 2.0, mode=name[3:])
-        return ou_exact_controller(model, ev, 1.0), model, ev, [0.0]
-    model = make_builtin_model("advdiff", {"n_modes": 8})
-    ctrl = spde.SpdeController(model.spde, 1.0, 0.4, 1.0)
-    return ctrl, model, make_event("norm", 1.0, mode="indicator"), None
+    model = make_builtin_model("ou1d")
+    ev = make_event("coordinate", 2.0, mode=name[3:])
+    return ou_exact_controller(model, ev, 1.0), model, ev, [0.0]
 
 
 def _hex_table(rows):
@@ -534,8 +535,8 @@ def _controller(kind):
         return doob.DoobController(b, comps, np.array([1.0, 0.5]),
                                    np.array([[1.0]]), T=1.0), 1
     if kind == "spde":
-        sp = spde.spectral_setup(8, 0.1, 1.0, 1.0)
-        return spde.SpdeController(sp, 1.0, 0.3, 1.0), 8
+        model = make_builtin_model("advdiff", {"n_modes": 8})
+        return spde_quadratic_controller(model, 1.0, 0.3, 1.0), 8
     m = make_builtin_model("ou1d")
     ev = make_event("coordinate", 2.0, sharpness=5.0, mode="indicator")
     return ou_exact_controller(m, ev, 1.0), 1

@@ -11,9 +11,9 @@ from koopmanis.gedmd import generate_test_points
 from koopmanis.model import SdeModel
 from koopmanis.paths import (_step_block, adjust_steps, hold_steps,
                              rowlocal_dot, rowlocal_product, sde_stepper)
-from koopmanis.spde import (SpdeController, run_spde_paths, spde_stepper,
-                            spectral_setup)
-from reference import PathBlowupError, simulate_path
+from koopmanis.spde import run_spde_paths, spde_stepper, spectral_setup
+from reference import (PathBlowupError, simulate_path,
+                       spde_quadratic_controller)
 
 
 def _deterministic_decay_model():
@@ -326,8 +326,10 @@ def test_noise_budget_does_not_change_results(fitted_controllers, case,
                              path_index=np.tile(np.arange(20), 3))
         per_step = 20 * model.dim_noise  # 20 distinct paths
     else:
-        sp = spectral_setup(8, 0.1, 1.0, 1.0)
-        spde_ctrl = SpdeController(sp, 1.0, 0.4, 1.0, multiplier=2.0)
+        adv = make_builtin_model("advdiff", {"n_modes": 8})
+        sp = adv.spde
+        spde_ctrl = spde_quadratic_controller(adv, 1.0, 0.4, 1.0,
+                                              multiplier=2.0)
 
         def run():
             return run_spde_paths(sp, spde_ctrl, None, 1.0, 2e-2, 40,

@@ -7,13 +7,21 @@ from scipy.linalg import expm
 from koopmanis import (make_builtin_model, make_event, run_ensemble,
                        spectral_setup, tune_multiplier)
 from koopmanis import spde as spde_mod
+from koopmanis.doob import DoobController
 from koopmanis.errors import InvalidParameterError, ShapeError
 from koopmanis.paths import adjust_steps, derive_path_rng
+from reference import fit_spde_controller, spde_quadratic_controller
 
 
 @pytest.fixture(scope="module")
 def sp64():
     return spectral_setup(64, 0.1, 1.0, 1.0)
+
+
+@pytest.fixture(scope="module")
+def adv64():
+    """The advdiff model, whose SPDE is ``sp64``."""
+    return make_builtin_model("advdiff")
 
 
 def test_mode_rates(sp64):
@@ -126,20 +134,29 @@ def test_exp_euler_one_step_moments(sp64):
     assert np.allclose(draws.var(axis=0), ref, rtol=0.05)
 
 
-def test_quadratic_functional_is_generator_eigenfunction(sp64):
-    """<M Y, grad phi2> + (eps/2) lap phi2 = -2 mu1 phi2 at random states."""
+def test_quadratic_functional_is_generator_eigenfunction(adv64):
+    """The third eigenfunction of the adjoint coordinate's exact spectrum,
+    lifted by W, is phi2 = kappa <Y, w1>^2 - 1 (kappa = 2 mu1 / eps) up to
+    scale, and <M Y, grad phi2> + (eps/2) lap phi2 = -2 mu1 phi2 at random
+    states of the 64-mode generator."""
+    sp = adv64.spde
     rng = np.random.default_rng(7)
-    M = sp64.drift_matrix
-    w1 = sp64.adjoint_w1
-    kappa = sp64.quad_scale
+    spec, ctrl = fit_spde_controller(adv64, rng.normal(size=(50, 64)),
+                                     make_event("norm", 2.5), 10.0)
+    assert spec.eigenvalues[2] == pytest.approx(-2.0 * sp.mu1, rel=1e-12)
+    c = spec.coefficients[2].real / -spec.coefficients[2, 0].real
+    assert c[1] == 0.0
+    assert c[2] == pytest.approx(2.0 * sp.mu1 / sp.eps_noise, rel=1e-12)
+    M = sp.drift_matrix
+    w1 = ctrl.coordinates[:, 0]
     for _ in range(100):
         Y = rng.normal(size=64)
         q = Y @ w1
-        phi2 = kappa * q * q - 1.0
-        grad = 2.0 * kappa * q * w1
-        lap = 2.0 * kappa * (w1 @ w1)
+        phi2 = c[0] + c[2] * q * q
+        grad = 2.0 * c[2] * q * w1
+        lap = 2.0 * c[2] * (w1 @ w1)
         gen = (M @ Y) @ grad + 0.5 * 1.0 * lap
-        assert gen == pytest.approx(-2.0 * sp64.mu1 * phi2,
+        assert gen == pytest.approx(-2.0 * sp.mu1 * phi2,
                                     rel=1e-6, abs=1e-4)
 
 
@@ -189,29 +206,29 @@ def test_exp_euler_noiseless_norm_never_grows(sp64):
     assert np.all(np.diff(norms) <= 1e-3 * norms[:-1])
 
 
-def test_spde_bias_trivial_cases(sp64):
+def test_spde_bias_trivial_cases(adv64, sp64):
     Y = np.random.default_rng(0).normal(size=64)
-    flat = spde_mod.SpdeController(sp64, 1.0, 0.0, 10.0, multiplier=2.0)
+    flat = spde_quadratic_controller(adv64, 1.0, 0.0, 10.0, multiplier=2.0)
     assert np.allclose(flat.bias_batch(0.0, Y[None, :])[0], 0.0)
     # zero overlap with w1: gradient vanishes
     Yp = Y - (Y @ sp64.adjoint_w1) * sp64.adjoint_w1
-    ctrl = spde_mod.SpdeController(sp64, 1.0, 0.5, 10.0, multiplier=2.0)
+    ctrl = spde_quadratic_controller(adv64, 1.0, 0.5, 10.0, multiplier=2.0)
     u, _ = ctrl.bias_batch(0.0, Yp[None, :])
     assert np.allclose(u, 0.0, atol=1e-12)
 
 
-def test_spde_bias_rows_do_not_depend_on_the_row_count(sp64):
+def test_spde_bias_rows_do_not_depend_on_the_row_count(adv64):
     """The SPDE bias is row-local: a row's control is bit for bit the same
     alone, among 7 rows and among 2000."""
-    ctrl = spde_mod.SpdeController(sp64, 1.0, 0.4, 10.0, multiplier=3.0)
+    ctrl = spde_quadratic_controller(adv64, 1.0, 0.4, 10.0, multiplier=3.0)
     Y = np.random.default_rng(6).normal(size=(2000, 64))
     full, _ = ctrl.bias_batch(2.0, Y)
     for s, e in ((0, 1), (5, 6), (0, 7), (993, 1000), (1999, 2000)):
         assert np.array_equal(ctrl.bias_batch(2.0, Y[s:e])[0], full[s:e])
 
 
-def test_spde_controller_scales_linearly(sp64):
-    ctrl = spde_mod.SpdeController(sp64, 1.0, 0.4, 10.0, multiplier=1.0)
+def test_spde_controller_scales_linearly(adv64):
+    ctrl = spde_quadratic_controller(adv64, 1.0, 0.4, 10.0, multiplier=1.0)
     Y = np.random.default_rng(5).normal(size=(7, 64))
     u1, _ = ctrl.bias_batch(3.0, Y)
     u3, _ = ctrl.with_multiplier(3.0).bias_batch(3.0, Y)
@@ -226,7 +243,7 @@ def test_spde_unbiasedness_non_rare():
     M = 10_000
     plain = spde_mod.run_spde_paths(sp, None, np.zeros(16), 2.0, 5e-3,
                                     M, master_seed=11)
-    ctrl = spde_mod.SpdeController(sp, 1.0, 0.25, 2.0, multiplier=2.0)
+    ctrl = spde_quadratic_controller(model, 1.0, 0.25, 2.0, multiplier=2.0)
     biased = spde_mod.run_spde_paths(sp, ctrl, np.zeros(16), 2.0, 5e-3,
                                      M, master_seed=12)
     y0 = ev.indicator(plain.terminal)
@@ -239,7 +256,7 @@ def test_spde_start_of_the_wrong_dimension_is_a_shape_error():
     """The SPDE ensemble and the sweep check x0 like the SDE engine."""
     model = make_builtin_model("advdiff", {"n_modes": 8})
     ev = make_event("norm", 1.0, mode="indicator")
-    ctrl = spde_mod.SpdeController(model.spde, 1.0, 0.4, 1.0)
+    ctrl = spde_quadratic_controller(model, 1.0, 0.4, 1.0)
     with pytest.raises(ShapeError, match="x0 .*dimension 8"):
         run_ensemble(model, None, ev, [0.0, 0.0, 0.0], 1.0, 1e-2, M=4)
     with pytest.raises(ShapeError, match="x0 .*dimension 8"):
@@ -309,7 +326,7 @@ def _reference_mode_snapshots(spde, amplitudes, T_traj, stride, seed, dt):
     return np.array(snaps)
 
 
-def test_mode_snapshots_match_reference_loop(sp64):
+def test_mode_snapshots_match_reference_loop(adv64, sp64):
     # the engine advances all amplitudes with one matmul where the loop
     # uses a matrix-vector product per amplitude: equal up to round-off
     amps = np.linspace(-4.0, 4.0, 9)
@@ -319,24 +336,33 @@ def test_mode_snapshots_match_reference_loop(sp64):
     assert snaps.shape == ref.shape == (9 * 9, 64)
     assert np.allclose(snaps, ref, rtol=1e-12, atol=0.0)
     ev = make_event("norm", 2.5, mode="indicator")
-    got = spde_mod.build_spde_controller(sp64, snaps, ev, 1.0)
-    want = spde_mod.build_spde_controller(sp64, ref, ev, 1.0)
-    assert (got.f0, got.f2) == pytest.approx((want.f0, want.f2), rel=1e-12)
+    _, got = fit_spde_controller(adv64, snaps, ev, 1.0)
+    _, want = fit_spde_controller(adv64, ref, ev, 1.0)
+    assert got.coefficients == pytest.approx(want.coefficients, rel=1e-12)
 
 
-def test_build_spde_controller_positive(sp64):
+def test_build_spde_controller_positive(adv64, sp64):
     snaps = spde_mod.generate_mode_snapshots(sp64, np.linspace(-4, 4, 9),
                                              2.0, 0.25, seed=1, dt=5e-3)
     ev = make_event("norm", 2.5, mode="indicator")
-    ctrl = spde_mod.build_spde_controller(sp64, snaps, ev, 10.0)
+    _, ctrl = fit_spde_controller(adv64, snaps, ev, 10.0)
     vals, _ = ctrl.value_grad_batch(10.0, snaps)
     assert np.all(vals > 0)
-    assert ctrl.f2 > 0  # pushes outward along the adjoint direction
+    # pushes outward along the adjoint direction: the coefficient of
+    # <Y, w1>^2 is positive
+    assert ctrl.basis_coefficients(10.0)[2] > 0
 
 
-def test_spde_controller_serialization(sp64):
-    ctrl = spde_mod.SpdeController(sp64, 0.9, 0.3, 10.0, multiplier=4.0)
-    back = spde_mod.SpdeController.from_dict(ctrl.to_dict())
+def test_spde_controller_serialization(adv64):
+    """An eigen controller file with its coordinates; it loads as either
+    class."""
+    ctrl = spde_quadratic_controller(adv64, 0.9, 0.3, 10.0, multiplier=4.0)
+    data = ctrl.to_dict()
+    assert data["type"] == "eigen"
+    assert np.array_equal(data["coordinates"], ctrl.coordinates)
+    back = spde_mod.SpdeController.from_dict(data)
+    assert type(back) is spde_mod.SpdeController
+    assert type(DoobController.from_dict(data)) is DoobController
     Y = np.random.default_rng(8).normal(size=(5, 64))
     u0, _ = ctrl.bias_batch(1.0, Y)
     u1, _ = back.bias_batch(1.0, Y)
