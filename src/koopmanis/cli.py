@@ -19,8 +19,8 @@ ensemble into ``workers`` blocks on as many threads (``paths`` has the
 layout rule), with byte-identical SDE outputs.  Threads pay off only where
 numpy releases the interpreter lock long enough.  Final ensembles of the
 bench workloads at c = 8 on 2 cores, one BLAS thread, 1 -> 2 workers
-(median of 3, at the default control hold): advdiff 4.8 -> 2.7 s, vdp
-0.68 -> 1.2 s, brownian_osc 0.57 -> 0.96 s.
+(median of 3, at the default control hold): advdiff 0.5 -> 0.35 s
+(median of 7), vdp 0.68 -> 1.2 s, brownian_osc 0.57 -> 0.96 s.
 Memory grows with workers: each running block holds its own noise buffer
 of up to ``paths.NOISE_BUFFER_DOUBLES`` doubles (32 MB).  The default is 1.
 
@@ -386,6 +386,8 @@ def run_pipeline(cfg: ExperimentConfig, controller=None) -> PipelineState:
     ``controller`` (one loaded by ``--reuse-controller``) replaces them."""
     if cfg.run["method"] == "mc" or controller is not None:
         state = PipelineState(*_model_and_event(cfg), controller=controller)
+        if controller is not None:
+            controller.check_fits(state.model)
     else:
         state = prepare_controller(cfg)
         state.tune = _tune(cfg, state)
@@ -499,7 +501,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None,
     state = run_pipeline(cfg, controller)
 
     # name -> (file, writer of the file, its content), in writing order
-    stats = state.event.statistic(state.report.ensemble.terminal)
+    stats = state.report.statistic
     hist = emit_histogram(stats, cfg.output["histogram_bins"],
                           _histogram_range(cfg, stats))
     outputs = {
@@ -519,7 +521,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None,
     if state.spectrum is not None:
         outputs["eigen_report"] = ("eigen_report.csv", _write_csv,
                                    _eigen_report_rows(state.spectrum))
-    traj = state.report.ensemble.trajectories
+    traj = state.report.trajectories
     if traj:
         d = state.model.dim_state
         outputs["trajectories"] = (

@@ -267,21 +267,47 @@ class DoobController(Controller):
     def from_dict(cls, data: dict) -> "DoobController":
         """Inverse of ``to_dict``; the ``margin`` key of older files is
         ignored.  A file of another ``type`` (the "spde" files written
-        before the SPDE controller became this one) is a ``ConfigError``."""
+        before the SPDE controller became this one), or one that lacks a
+        key, is a ``ConfigError``."""
         if data.get("type") != "eigen":
             raise ConfigError(f"cannot load a controller of type "
                               f"{data.get('type')!r}: only 'eigen' "
                               f"controllers load; refit it")
-        comps = [
-            _Component(c["lam_re"], c["lam_im"], np.array(c["c_re"]),
-                       None if c["c_im"] is None else np.array(c["c_im"]),
-                       c["is_constant"])
-            for c in data["components"]
-        ]
-        return cls(basis_from_descriptor(data["basis"]), comps,
-                   np.array(data["coefficients"]), np.array(data["diffusion"]),
-                   data["T"], data["multiplier"], data["floor"],
-                   data.get("model", ""), data.get("coordinates"))
+        try:
+            comps = [
+                _Component(c["lam_re"], c["lam_im"], np.array(c["c_re"]),
+                           None if c["c_im"] is None else np.array(c["c_im"]),
+                           c["is_constant"])
+                for c in data["components"]
+            ]
+            basis = basis_from_descriptor(data["basis"])
+            args = (np.array(data["coefficients"]),
+                    np.array(data["diffusion"]), data["T"],
+                    data["multiplier"], data["floor"])
+        except KeyError as exc:
+            raise ConfigError(f"the controller file lacks the key "
+                              f"{exc.args[0]!r}; refit it") from exc
+        return cls(basis, comps, *args, data.get("model", ""),
+                   data.get("coordinates"))
+
+    def check_fits(self, model):
+        """Raise ``ConfigError`` unless this controller can drive
+        ``model``: its diffusion map has one row per basis dimension and
+        the model's noise columns, and its rows are the model's state
+        dimensions or, with coordinates W, W's columns, W having one row
+        per state dimension."""
+        rows, cols = self.diffusion_const.shape
+        W = self.coordinates
+        if not (cols == model.dim_noise and self.basis.dim == rows
+                and (rows == model.dim_state if W is None
+                     else W.shape == (model.dim_state, rows))):
+            on = "" if W is None else f" on {W.shape[0]} x {W.shape[1]} " \
+                "coordinates"
+            raise ConfigError(
+                f"the controller does not fit the model {model.name!r}: its "
+                f"diffusion map is {rows} x {cols}{on}, the model has "
+                f"{model.dim_state} state dimensions and {model.dim_noise} "
+                f"noise columns")
 
 
 def build_controller(spectrum: KoopmanSpectrum, model, points, f_values, T,

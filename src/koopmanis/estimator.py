@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -35,6 +35,12 @@ _IMHOF_EPSABS = 1e-13
 
 @dataclass(eq=False)
 class EstimatorReport:
+    """One ensemble's estimate and health counts.  The report keeps the
+    event statistic of every row and the trajectory rows, not the terminal
+    states: ``ensemble`` is the simulated ensemble without its terminal
+    states and snapshots (its log-weights, blow-up and floor counts, K and
+    dt)."""
+
     method: str
     model_name: str
     estimate: float
@@ -49,6 +55,9 @@ class EstimatorReport:
     multiplier: float | None = None
     n_eigenfunctions: int | None = None
     ensemble: PathEnsemble | None = field(default=None, repr=False)
+    # the event statistic of every row, blown rows included
+    statistic: np.ndarray | None = field(default=None, repr=False)
+    trajectories: list = field(default_factory=list, repr=False)
 
     @property
     def standard_error(self) -> float:
@@ -147,7 +156,10 @@ def run_ensemble(model: SdeModel, controller, obs: EventObservable, x0, T,
         floor_count=int(np.sum(ens.floored)),
         multiplier=None if controller is None else controller.multiplier,
         n_eigenfunctions=None if controller is None
-        else controller.n_eigenfunctions, ensemble=ens)
+        else controller.n_eigenfunctions,
+        ensemble=replace(ens, terminal=None, snapshots=()),
+        statistic=obs.statistic(ens.terminal),
+        trajectories=ens.trajectories)
 
 
 def terminal_gaussian(model: SdeModel, T: float, x0=None):

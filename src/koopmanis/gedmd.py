@@ -63,8 +63,8 @@ def generate_test_points(model: SdeModel, ic_grid: dict, T_traj: float,
 
     def one(seed_k):
         pts, dropped = trajectory_snapshots(
-            partial(sde_stepper, model, scheme), model.dim_noise, ics,
-            T_traj, stride, seed_k, dt)
+            partial(sde_stepper, model, scheme), ics, T_traj, stride,
+            seed_k, dt)
         if basis is not None:
             keep = basis.contains(pts)
             dropped += int((~keep).sum())

@@ -10,17 +10,36 @@ package: SDE ensembles (``run_paths``), SPDE mode ensembles
 (``spde.run_spde_paths``), SDE test points (``gedmd.generate_test_points``)
 and SPDE mode snapshots (``spde.generate_mode_snapshots``).  It takes
 
-- a stepper ``step(x, u, xi) -> x`` that advances a block of states (B, d)
+- a stepper: ``step(x, u, xi) -> x`` advances a block of states (B, d)
   by one step, given the control u (B, r) or None and standard normal
-  draws xi (B, r): Euler-Maruyama or SRK through ``sde_stepper``, or the
-  exponential Euler recurrence of ``spde.spde_stepper``.  Every stepper
-  takes the control as a shift of the draws: ``step(x, u, xi)`` is
-  ``step(x, None, xi + sqrt(dt) u)`` up to rounding, so the engine's
+  draws xi (B, r); ``step.draws(L)`` is the number of standard normals a
+  row draws for a segment of L steps, and ``step.segment(x, u, z, L)``
+  advances the block through such a segment at the held control u (None
+  in an uncontrolled run), from the draws z (B, draws(L)), and returns
+  the new states and the (B, r) sum of the segment's per-step draws,
+  which the Girsanov weight takes; ``step.longest`` is the longest
+  segment it takes, or None.
+  ``sde_stepper`` (Euler-Maruyama or SRK) takes single steps of r draws;
+  ``spde.spde_stepper`` takes segments of any length, each drawing
+  N + rank(R) normals for its exact map (its docstring has it).  Every
+  stepper takes the control as a shift of the draws: ``step(x, u, xi)``
+  is ``step(x, None, xi + sqrt(dt) u)`` up to rounding, so the engine's
   Girsanov weight is the exact likelihood ratio of the stepped chain;
 - a per-path start of shape (M, d);
 - one snapshot stride: the states of the first ``record`` paths are kept at
   t = 0 and after every ``stride`` steps; ``PathEnsemble.trajectories``
   turns them into trajectory rows, for SDE and SPDE ensembles alike.
+
+Segments: the engine walks the K steps in segments that end at every hold
+start of a control (see below), at every snapshot step when rows are
+recorded, every ``step.longest`` steps, and at K.  Each segment runs at
+one held control, and the engine sees the state only at segment ends: it
+evaluates the control, takes the segment's Girsanov terms from the sum of
+its draws, marks non-finite rows blown and takes snapshots there.  SDE
+segments are single steps.  An uncontrolled SPDE run that records no
+rows is one segment; recording rows, or a control's holds, move the ends
+of an SPDE run's segments, and with them every row's draws: the same law,
+another realisation.
 
 Layout rule: M rows run as blocks of min(MAX_BLOCK_ROWS, ceil(M / workers))
 rows, on ``workers`` threads when there is more than one block.  A block
@@ -31,11 +50,13 @@ layout moves no bits where the stepper and the controller are row-local
 (see the determinism contract).
 
 Noise memory: each block allocates one buffer for its paths' noise and
-draws every time-ordered chunk into it in place, as many steps per chunk
-as fit in NOISE_BUFFER_DOUBLES doubles (at least one).  A block's noise is
-thus at most NOISE_BUFFER_DOUBLES doubles (32 MB) or one step's draws,
-whichever is more, and ``workers`` blocks running at once hold ``workers``
-buffers.  The budget changes no bits (see the determinism contract).
+draws every time-ordered chunk into it in place.  A chunk is a run of
+whole segments that fits in NOISE_BUFFER_DOUBLES doubles (or one segment
+that does not), and the runs split the draws about evenly over as many
+chunks as the budget needs.  A block's noise is thus at most
+NOISE_BUFFER_DOUBLES doubles (32 MB) or one segment's draws, whichever is
+more, and ``workers`` blocks running at once hold ``workers`` buffers.
+The budget changes no bits (see the determinism contract).
 
 The engine knows no event: it returns terminal states, log-weights and
 blow-up flags, and the estimator evaluates the event once on the
@@ -43,42 +64,47 @@ surviving terminal states.
 
 Determinism contract: row i of an ensemble draws its noise only from
 ``derive_path_rng(master_seed, path_index[i])`` (by default path_index[i]
-= i), in time order and in the same amounts whatever the chunking; blocks
-are independent and assembled in row order.  Rows that share a path index
-replay one stream: each distinct path of a block is derived and drawn once
-per noise chunk, and its draws are gathered into every row that names it.
-A controller's multiplier is a scalar or one value per row; the engine
-hands each block the slice of its rows, next to their starts.  Results are
-therefore bit-identical for any worker count, and so for any layout, when
-both the stepper and the controller are row-local: row i of a step or of
-``bias_batch`` depends only on row i of the input (its state and its
-multiplier), bit for bit, whatever the number of rows.  A row run with
-path index p and multiplier c is then bit for bit path p of an ensemble
-run at c alone, which is what lets ``doob.tune_multiplier`` run its whole
-sweep as one stacked ensemble.  Every controller shares the one bias
-formula of ``doob.Controller.bias_batch``, which is row-local when the
-controller's ``value_grad_batch`` and ``_noise_map`` are.  The one
-per-step product with a constant matrix is ``rowlocal_product``: the SDE
-steppers form B xi and B u with it, and the controllers B^T grad Phi and
-their coordinates q = X W (the SPDE controller's is the adjoint
-coordinate <Y, w1>), so all are row-local; the weight's row dot products
-u . xi and u . u are ``rowlocal_dot``.  The one known exception
-is the propagator product Y @ P of ``spde.spde_stepper``: a BLAS product,
-shape-sensitive at the ulp level, so SPDE rows are bit-identical across
-worker counts and stackings only as far as that product is.
+= i), segment by segment in time order, ``step.draws(L)`` normals for an
+L-step segment, whatever the chunking; the segments are the same for
+every row.  Blocks are independent and assembled in row order.  Rows that
+share a path index replay one stream: each distinct path of a block is
+derived and drawn once per noise chunk, and its draws are gathered into
+every row that names it.  A controller's multiplier is a scalar or one
+value per row; the engine hands each block the slice of its rows, next to
+their starts.  Results are therefore bit-identical for any worker count,
+and so for any layout, when both the stepper and the controller are
+row-local: row i of a step or of ``bias_batch`` depends only on row i of
+the input (its state and its multiplier), bit for bit, whatever the
+number of rows.  A row run with path index p and multiplier c is then bit
+for bit path p of an ensemble run at c alone, which is what lets
+``doob.tune_multiplier`` run its whole sweep as one stacked ensemble.
+Every controller shares the one bias formula of
+``doob.Controller.bias_batch``, which is row-local when the controller's
+``value_grad_batch`` and ``_noise_map`` are.  The one per-step product
+with a constant matrix is ``rowlocal_product``: the SDE steppers form
+B xi and B u with it, and the controllers B^T grad Phi and their
+coordinates q = X W (the SPDE controller's is the adjoint coordinate
+<Y, w1>), so all are row-local; the weight's row dot products u . xi and
+u . u are ``rowlocal_dot``.  The one known exception is the SPDE stepper:
+its products with P (one step) and with P^L, S / L and R (a segment) are
+BLAS products, shape-sensitive at the ulp level, so SPDE rows are
+bit-identical across worker counts and stackings only as far as those
+products are.
 The control is held: a controller's ``hold_time`` (default ``HOLD_TIME``)
 is s = ``hold_steps(hold_time, dt)`` steps, and the engine evaluates
-``bias_batch`` at steps 0, s, 2s, ... only, keeping u, the floored mask
-and 1/2 |u|^2 dt through the s - 1 steps after.  Every step still
-subtracts (u . xi) sqrt(dt) + 1/2 |u|^2 dt from the log-weight and adds
-the mask to ``floored``, so the weight is the Girsanov weight of the
-control that drove the path, and the estimate stays unbiased for the
-discrete chain; only its variance depends on s.  The hold counts global
-step indices, alike for every row, so rows stay row-local; s = 1 (a hold
-time of at most one step, such as 0) is per-step control.
+``bias_batch`` at steps 0, s, 2s, ... only, keeping u and the floored mask
+through the hold's segments.  Each step still takes
+(u . xi) sqrt(dt) + 1/2 |u|^2 dt off the log-weight, in a segment as the
+sum over its steps, and adds the mask to ``floored``, so the weight is
+the Girsanov weight of the control that drove the path, and the estimate
+stays unbiased for the discrete chain; only its variance depends on s.
+The hold counts global step indices, alike for every row, so rows stay
+row-local; s = 1 (a hold time of at most one step, such as 0) is per-step
+control.
 A path whose state becomes non-finite is marked blown and frozen at zero,
-and so is its held control.  The single-path reference the engine is
-tested against, one path stepped alone through ``sde_stepper``, is
+and so is its held control.  The single-path references the engine is
+tested against, one SDE path stepped alone through ``sde_stepper`` and
+one SPDE path walked alone through the segment maps, are in
 ``tests/reference.py``.
 """
 
@@ -173,11 +199,33 @@ def _step_block(model, scheme, x, u, dt, xi):
     return x + 0.5 * dt * (a + model.drift(pred)) + incr
 
 
+class _SdeStepper:
+    """Engine stepper of an SDE scheme; see ``sde_stepper``."""
+
+    longest = 1   # its segments are single steps
+
+    def __init__(self, model, scheme, dt):
+        self.model, self.scheme, self.dt = model, scheme, dt
+        self.r = model.dim_noise
+
+    def __call__(self, x, u, xi):
+        return _step_block(self.model, self.scheme, x, u, self.dt, xi)
+
+    def draws(self, L):
+        return self.r   # L is 1
+
+    def segment(self, x, u, z, L):
+        return _step_block(self.model, self.scheme, x, u, self.dt, z), z
+
+
 def sde_stepper(model, scheme, dt):
-    """Engine stepper for one step of size dt of ``scheme``, one of
-    SCHEMES, or srk_additive when it is None; any other name is an
+    """Engine stepper for steps of size dt of ``scheme``, one of SCHEMES,
+    or srk_additive when it is None; any other name is an
     ``UnsupportedSchemeError``.
 
+    ``step(x, u, xi)`` is one step.  Its segments are single steps
+    (``longest`` = 1), each drawing r = ``model.dim_noise`` normals: a
+    longer one would only hold more draws in the noise buffer at once.
     The control is held at its left-endpoint value through the step;
     srk_additive is a two-stage scheme of weak order 2 for additive noise
     (Heun average of the drift, shared Brownian increment).
@@ -185,14 +233,14 @@ def sde_stepper(model, scheme, dt):
     scheme = scheme or "srk_additive"
     if scheme not in SCHEMES:
         raise UnsupportedSchemeError(f"unknown scheme {scheme!r}")
-    return lambda x, u, xi: _step_block(model, scheme, x, u, dt, xi)
+    return _SdeStepper(model, scheme, dt)
 
 
 @dataclass
 class PathEnsemble:
     """Raw per-row output of a simulated ensemble, in row order."""
 
-    terminal: np.ndarray          # (M, d)
+    terminal: np.ndarray | None   # (M, d)
     log_weight: np.ndarray        # (M,)
     blown: np.ndarray             # (M,) bool
     floored: np.ndarray           # (M,) steps driven by a floored Phi,
@@ -210,7 +258,7 @@ class PathEnsemble:
         for p, traj in enumerate(self.snapshots):
             rows.extend((p, k * self.dt, x) for k, x in zip(steps, traj))
             if self.K % self.stride:
-                rows.append((p, self.K * self.dt, self.terminal[p]))
+                rows.append((p, self.K * self.dt, self.terminal[p].copy()))
         return rows
 
     def rows(self, start, stop) -> "PathEnsemble":
@@ -222,16 +270,51 @@ class PathEnsemble:
                             self.floored[start:stop], self.K, self.dt)
 
 
-def _run_block(step, r, x0, K, dt, controller, master_seed, path_index,
+def _segments(step, K, hold, stride, record):
+    """The engine's segments as (first step, end step, first draw, end
+    draw).  They end at every hold start (none without a control,
+    ``hold`` None), at every snapshot step when rows are recorded, every
+    ``step.longest`` steps when the stepper sets it, and at K; each draws
+    ``step.draws`` of its length, numbered from 0 in time order."""
+    ends = {K}
+    for every in (hold, stride if record else None, step.longest):
+        if every:
+            ends.update(range(every, K, every))
+    segments, k, lo = [], 0, 0
+    for end in sorted(ends):
+        hi = lo + step.draws(end - k)
+        segments.append((k, end, lo, hi))
+        k, lo = end, hi
+    return segments
+
+
+def _noise_chunks(segments, per_path):
+    """Runs [a, b) of consecutive segments, each drawing at most
+    ``per_path`` normals per path (or one segment, where one alone draws
+    more) and ending once it holds an even share of the draws: as many
+    runs as the budget needs, and a buffer no wider than they need."""
+    total = segments[-1][3]
+    share = total / math.ceil(total / max(per_path, 1))
+    chunks, a = [], 0
+    for i, (_, _, lo, hi) in enumerate(segments):
+        held = lo - segments[a][2]
+        if i > a and (held >= share or hi - segments[a][2] > per_path):
+            chunks.append((a, i))
+            a = i
+    chunks.append((a, len(segments)))
+    return chunks
+
+
+def _run_block(step, x0, K, dt, controller, master_seed, path_index,
                stride, record, hold):
     B = len(x0)
-    sqdt = math.sqrt(dt)
     # one stream per distinct path; inv maps each row to its stream
     paths, inv = np.unique(path_index, return_inverse=True)
     if np.array_equal(inv, np.arange(B)):
         inv = slice(None)  # a stream per row, in order: read draws in place
     gens = [derive_path_rng(master_seed, int(p)) for p in paths]
     x = np.array(x0, dtype=float, order="F")  # see the layout rule
+    sqdt = math.sqrt(dt)
     logw = np.zeros(B)
     blown = np.zeros(B, dtype=bool)
     floored = np.zeros(B, dtype=np.int64)
@@ -239,47 +322,51 @@ def _run_block(step, r, x0, K, dt, controller, master_seed, path_index,
     snaps[:, 0] = x[:record]
     u = None
 
-    # noise is pre-drawn per path in time-ordered chunks so each stream is
-    # consumed identically no matter the chunking; rows gather their
-    # path's draws one step at a time.  Every chunk overwrites the one
-    # buffer: no stepper or controller keeps a view of xi.
-    chunk_steps = max(1, NOISE_BUFFER_DOUBLES // max(1, len(paths) * r))
-    noise = np.empty((len(paths), min(chunk_steps, K), r))
-    k = 0
-    while k < K:
-        kc = min(chunk_steps, K - k)
+    segments = _segments(step, K, hold, stride, record)
+    # noise is pre-drawn per path in time-ordered chunks of whole segments
+    # so each stream is consumed identically no matter the chunking; rows
+    # gather their path's draws one segment at a time.  Every chunk
+    # overwrites the one buffer: no stepper or controller keeps a view of
+    # its draws.
+    chunks = _noise_chunks(segments, NOISE_BUFFER_DOUBLES // len(paths))
+    noise = np.empty((len(paths), max(segments[b - 1][3] - segments[a][2]
+                                      for a, b in chunks)))
+    for a, b in chunks:
+        base = segments[a][2]
         for g, draws in zip(gens, noise):
-            g.standard_normal(out=draws[:kc])
-        for j in range(kc):
-            xi = noise[inv, j]
-            if controller is not None:
-                if (k + j) % hold == 0:
-                    u, nf = controller.bias_batch((k + j) * dt, x)
-                    # held in the layout of the draws: see rowlocal_dot
-                    u = np.ascontiguousarray(u)
-                    half_uu = 0.5 * rowlocal_dot(u, u) * dt
-                floored += nf
-                logw -= rowlocal_dot(u, xi) * sqdt + half_uu
+            g.standard_normal(out=draws[:segments[b - 1][3] - base])
+        for k, end, lo, hi in segments[a:b]:
+            L = end - k
+            if controller is not None and k % hold == 0:
+                u, nf = controller.bias_batch(k * dt, x)
+                # held in the layout of the draws: see rowlocal_dot
+                u = np.ascontiguousarray(u)
+                half_uu = 0.5 * rowlocal_dot(u, u) * dt
             with np.errstate(over="ignore", invalid="ignore"):
-                x = step(x, u, xi)
+                x, xi = step.segment(x, u, noise[inv, lo - base:hi - base],
+                                     L)
+            if u is not None:
+                floored += nf if L == 1 else L * nf
+                logw -= rowlocal_dot(u, xi) * sqdt \
+                    + (half_uu if L == 1 else L * half_uu)
+            del xi  # not held through the next segment
             if not np.isfinite(x).all():
                 newly = ~np.isfinite(x).all(axis=1) & ~blown
                 blown |= newly
                 x[newly] = 0.0  # frozen; excluded from every estimate
                 if u is not None:
                     u[newly] = 0.0  # and its held control with it
-            if record and (k + j + 1) % stride == 0:
-                snaps[:, (k + j + 1) // stride] = x[:record]
-        k += kc
+            if record and end % stride == 0:
+                snaps[:, end // stride] = x[:record]
     return x, logw, blown, floored, snaps
 
 
-def run_engine(step, r, starts, K, dt, controller=None, master_seed=0,
+def run_engine(step, starts, K, dt, controller=None, master_seed=0,
                workers=1, stride=None, record=0,
                path_index=None) -> PathEnsemble:
-    """The block engine: K steps of ``step(x, u, xi) -> x`` from each row of
-    ``starts``, with r standard normal draws per row and step and the
-    control of ``controller`` when one is given.
+    """The block engine: K steps of ``step`` from each row of ``starts``,
+    walked in segments (see the module docstring), with the control of
+    ``controller`` when one is given.
 
     The control is held for ``controller.hold_time`` (see the determinism
     contract).  Row i draws the noise of path ``path_index[i]`` (default
@@ -313,7 +400,8 @@ def run_engine(step, r, starts, K, dt, controller=None, master_seed=0,
                          f"({M}), got shape {np.shape(controller.multiplier)}")
     if stride is None:
         stride = max(1, K // 200)
-    hold = 1 if controller is None else hold_steps(controller.hold_time, dt)
+    hold = None if controller is None \
+        else hold_steps(controller.hold_time, dt)
     size = min(MAX_BLOCK_ROWS, math.ceil(M / workers))
     ranges = [(s, min(s + size, M)) for s in range(0, M, size)]
 
@@ -321,7 +409,7 @@ def run_engine(step, r, starts, K, dt, controller=None, master_seed=0,
         s, e = rng_pair
         ctrl = controller.with_multiplier(controller.multiplier[s:e]) \
             if per_row else controller
-        return _run_block(step, r, starts[s:e], K, dt, ctrl, master_seed,
+        return _run_block(step, starts[s:e], K, dt, ctrl, master_seed,
                           path_index[s:e], stride,
                           max(0, min(record, e) - s), hold)
 
@@ -336,7 +424,7 @@ def run_engine(step, r, starts, K, dt, controller=None, master_seed=0,
                         dt, stride, np.concatenate(snaps))
 
 
-def trajectory_snapshots(make_step, r, starts, T_traj, stride, seed, dt):
+def trajectory_snapshots(make_step, starts, T_traj, stride, seed, dt):
     """Uncontrolled trajectories from each start, sampled every ``stride``
     time units including t = 0, stacked trajectory-major.
 
@@ -354,7 +442,7 @@ def trajectory_snapshots(make_step, r, starts, T_traj, stride, seed, dt):
     K, dt = adjust_steps(T_traj, dt)
     every = max(1, int(round(stride / dt)))
     n = len(starts)
-    ens = run_engine(make_step(dt), r, starts, K, dt, master_seed=seed,
+    ens = run_engine(make_step(dt), starts, K, dt, master_seed=seed,
                      stride=every, record=n)
     kept = ens.snapshots[~ens.blown]
     return (kept.reshape(-1, starts.shape[1]),
@@ -391,7 +479,7 @@ def run_paths(model, controller, x0, T, dt, scheme=None, M=1,
     ``trajectory_stride`` steps and at T.
     """
     K, dt = adjust_steps(T, dt)
-    return run_engine(sde_stepper(model, scheme, dt), model.dim_noise,
+    return run_engine(sde_stepper(model, scheme, dt),
                       tile_start(x0, model.dim_state, M), K, dt, controller,
                       master_seed, workers, trajectory_stride,
                       trajectory_count, path_index)

@@ -1,12 +1,24 @@
 """Spectral Galerkin simulation of the stochastic advection-diffusion equation.
 
 The field v(t, x) on [0, 1] with Dirichlet boundaries is expanded in the
-orthonormal sine basis e_k(x) = sqrt(2) sin(k pi x).  The diffusive part is
-diagonal in this basis and integrated exactly; the advection term b v_x is
-held at its left-endpoint value through each step (exponential Euler).
-Space-time white noise enters mode-by-mode with the exact Ito-isometry
-variance of the stochastically integrated linear flow, and a biasing
-control enters as a shift of the standard normal draws of that noise.
+orthonormal sine basis e_k(x) = sqrt(2) sin(k pi x).  The simulated chain
+is the exponential Euler scheme of the modes: the diffusive part is
+diagonal in this basis and integrated exactly, the advection term b v_x is
+held at its left-endpoint value through each step, and space-time white
+noise enters mode-by-mode with the exact Ito-isometry variance of the
+stochastically integrated linear flow.  A biasing control enters as a
+shift of the standard normal draws of that noise.
+
+The chain is linear with Gaussian noise, so L of its steps under one held
+control have a closed-form Gaussian law, that of the state jointly with
+the sum of the steps' draws, which the Girsanov weight needs.
+``spde_stepper`` advances each control hold, or an uncontrolled run from
+snapshot to snapshot, by that law in one map (exact simulation of linear
+Gaussian dynamics, e.g. Glasserman, Monte Carlo Methods in Financial
+Engineering, 2003, ch. 3): a segment draws N + rank(R) normals, where its
+L steps drew L N, and costs three products with N x N matrices, where
+they cost L.  The chain, and with it every estimate's law, is the
+per-step one.
 
 The biasing control is the Doob controller of every other model, on the
 adjoint coordinate q = <Y, w1>: ``adjoint_model`` gives the exact
@@ -20,6 +32,7 @@ engine of ``paths`` with ``spde_stepper`` as its stepper.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -114,36 +127,99 @@ def noise_std(spde: SpectralSpde, dt: float) -> np.ndarray:
     return np.sqrt(spde.eps_noise * (1.0 - np.exp(-2.0 * lam * dt)) / (2.0 * lam))
 
 
+class _SpdeStepper:
+    """Engine stepper of the SPDE's modes; see ``spde_stepper``."""
+
+    longest = None   # a segment of any length draws N + rank(R) normals
+
+    def __init__(self, spde, dt):
+        decay = np.exp(-spde.lam * dt)
+        self.P = np.diag(decay) + (((1.0 - decay) / spde.lam)[:, None]
+                                   * spde.coupling).T
+        self.sig = noise_std(spde, dt)
+        self.sqdt = math.sqrt(dt)
+        self.r = spde.n_modes
+        self._maps = {}
+        self._lock = threading.Lock()   # blocks may run on threads
+
+    def __call__(self, Y, u, xi):
+        # the scaled, shifted draws are formed in place on one temporary
+        if u is None:
+            w = self.sig * xi
+        else:
+            w = self.sqdt * u
+            w += xi
+            w *= self.sig
+        out = Y @ self.P
+        out += w
+        return out
+
+    def segment_map(self, L):
+        """(P^L, S / L, R) of an L-step segment, built once per L; R has
+        no rows when L is 1."""
+        with self._lock:
+            if L not in self._maps:
+                self._maps[L] = self._build(L)
+            return self._maps[L]
+
+    def _build(self, L):
+        G = np.diag(self.sig)            # diag(sigma) P^j, j = 0..L-1
+        S = np.zeros_like(G)
+        Q = np.zeros_like(G)
+        for _ in range(L):
+            S += G
+            Q += G.T @ G
+            G = G @ self.P
+        PL = np.linalg.matrix_power(self.P, L)
+        vals, vecs = np.linalg.eigh(Q - S.T @ S / L)
+        keep = vals > len(vals) * np.finfo(float).eps * max(vals.max(), 0.0)
+        R = np.sqrt(vals[keep])[:, None] * vecs[:, keep].T
+        return PL, S / L, R
+
+    def draws(self, L):
+        # a one-step segment draws r without building its map
+        return self.r if L == 1 else self.r + len(self.segment_map(L)[2])
+
+    def segment(self, Y, u, z, L):
+        if L == 1:                       # z is the step's r draws
+            return self(Y, u, z), z
+        PL, SL, R = self.segment_map(L)
+        w = math.sqrt(L) * z[:, :self.r]   # Xi, the sum of the steps' draws
+        if u is not None:
+            w += (L * self.sqdt) * u
+        out = Y @ PL
+        out += w @ SL
+        out += z[:, self.r:] @ R
+        # Xi formed again, not held next to w through the products
+        return out, w if u is None else math.sqrt(L) * z[:, :self.r]
+
+
 def spde_stepper(spde: SpectralSpde, dt):
-    """Engine stepper for one step of size dt, ``step(Y, u, xi)``:
+    """Engine stepper for steps of size dt.  One step, ``step(Y, u, xi)``:
 
         Y' = Y @ P + sigma * (xi + sqrt(dt) u),
         P  = diag(exp(-lam dt)) + ((1 - exp(-lam dt)) / lam * C)^T,
 
-    with C the advection coupling and sigma = ``noise_std(spde, dt)``.
-    P is the exponential Euler recurrence as one product, built once per
+    with C the advection coupling and sigma = ``noise_std(spde, dt)``: the
+    exponential Euler recurrence as one product, built once per
     (spde, dt).  The control u (B, N) or None shifts the standard normal
     draws xi by sqrt(dt) u, the shift the engine's Girsanov weight
     assumes, so that weight is the exact likelihood ratio of this chain.
-    """
-    decay = np.exp(-spde.lam * dt)
-    P = np.diag(decay) + (((1.0 - decay) / spde.lam)[:, None]
-                          * spde.coupling).T
-    sig = noise_std(spde, dt)
-    sqdt = math.sqrt(dt)
 
-    def step(Y, u, xi):
-        # the scaled, shifted draws are formed in place on one temporary
-        if u is None:
-            w = sig * xi
-        else:
-            w = sqdt * u
-            w += xi
-            w *= sig
-        out = Y @ P
-        out += w
-        return out
-    return step
+    ``step.segment`` advances an L-step segment at a held u by the exact
+    law of L such steps.  With D = diag(sigma), S = sum_{j<L} D P^j and
+    R^T R = sum_{j<L} (D P^j)^T (D P^j) - S^T S / L,
+
+        Y_L = Y @ P^L + (Xi + L sqrt(dt) u) @ S / L + zeta @ R,
+
+    where Xi = sqrt(L) zeta_1 is the sum of the L per-step draws, which
+    ``segment`` returns for the Girsanov weight, and zeta_1 (N) and zeta
+    (rank R) are the segment's N + rank(R) standard normal draws.  A one-step segment
+    is the step itself and draws N.  (P^L, S / L, R) is built once per L
+    (``segment_map``); R keeps the eigen-directions of R^T R above
+    N eps of its largest eigenvalue.
+    """
+    return _SpdeStepper(spde, dt)
 
 
 class SpdeController(DoobController):
@@ -173,11 +249,11 @@ def run_spde_paths(spde, controller, Y0, T, dt, M, master_seed, workers=1,
                    path_index=None):
     """Ensemble of SPDE mode paths from Y0 (the zero field when None);
     same determinism contract and trajectory rows as run_paths, as far as
-    the propagator product of ``spde_stepper`` allows."""
+    the BLAS products of ``spde_stepper`` allow."""
     K, dt = adjust_steps(T, dt)
     if Y0 is None:
         Y0 = np.zeros(spde.n_modes)
-    return run_engine(spde_stepper(spde, dt), spde.n_modes,
+    return run_engine(spde_stepper(spde, dt),
                       tile_start(Y0, spde.n_modes, M), K, dt, controller,
                       master_seed, workers, trajectory_stride,
                       trajectory_count, path_index)
@@ -193,7 +269,6 @@ def generate_mode_snapshots(spde, amplitudes, T_traj, stride, seed, dt=1e-3):
     """
     starts = np.multiply.outer(np.asarray(amplitudes, dtype=float),
                                spde.adjoint_w1)
-    snaps, _ = trajectory_snapshots(partial(spde_stepper, spde),
-                                    spde.n_modes, starts, T_traj, stride,
-                                    seed, dt)
+    snaps, _ = trajectory_snapshots(partial(spde_stepper, spde), starts,
+                                    T_traj, stride, seed, dt)
     return snaps

@@ -1,7 +1,8 @@
 """Reference implementations the package is tested against.
 
 ``simulate_path`` runs one path step by step through the engine's own
-stepper on a one-row block; ``generator_apply`` applies the generator to
+stepper on a one-row block, and ``simulate_spde_path`` one SPDE mode path
+one segment map at a time; ``generator_apply`` applies the generator to
 one function jet at one state; ``sweep_table_per_c`` runs the multiplier
 sweep as one ensemble per multiplier; ``exact_koopman_loop`` builds the
 exact generator projection one dictionary element and one term at a time;
@@ -30,7 +31,7 @@ from koopmanis.gedmd import eigenpairs, exact_koopman_matrix
 from koopmanis.model import EventObservable, SdeModel, half_diffusion_sq
 from koopmanis.paths import (adjust_steps, derive_path_rng, hold_steps,
                              rowlocal_product, sde_stepper)
-from koopmanis.spde import SpdeController, adjoint_model
+from koopmanis.spde import SpdeController, adjoint_model, spde_stepper
 
 
 class PathBlowupError(KoopmanisError):
@@ -89,6 +90,47 @@ def simulate_path(model, controller, x0, T, dt, scheme=None, master_seed=0,
         if traj is not None and ((k + 1) % trajectory_stride == 0 or k == K - 1):
             traj.append(((k + 1) * dt, x.copy()))
     return PathResult(x, logw, path_index, traj)
+
+
+def simulate_spde_path(spde, controller, Y0, T, dt, master_seed=0,
+                       path_index=0, trajectory_stride=None) -> PathResult:
+    """Simulate SPDE mode path ``path_index`` alone, one segment map at a
+    time: segments end at every hold start (none without a controller),
+    every ``trajectory_stride`` steps and at T, and each draws its
+    N + rank(R) normals from the path's stream in time order.  An L-step segment at the held control u is
+    Y P^L + (Xi + L sqrt(dt) u) S / L + zeta R with Xi = sqrt(L) zeta_1,
+    from ``spde_stepper``'s ``segment_map``, and takes (u . Xi) sqrt(dt)
+    + L |u|^2 dt / 2 off the log-weight; a one-step segment is
+    Y P + sigma (xi + sqrt(dt) u)."""
+    rng = derive_path_rng(master_seed, path_index)
+    K, dt = adjust_steps(T, dt)
+    step = spde_stepper(spde, dt)
+    hold = None if controller is None \
+        else hold_steps(controller.hold_time, dt)
+    ends = sorted({K}.union(*(range(every, K, every) for every
+                              in (hold, trajectory_stride) if every)))
+    Y = np.array(Y0, dtype=float)
+    logw = 0.0
+    traj = None if trajectory_stride is None else [(0.0, Y.copy())]
+    u = np.zeros(spde.n_modes)
+    k = 0
+    for end in ends:
+        L = end - k
+        PL, SL, R = step.segment_map(L)
+        z = rng.standard_normal(spde.n_modes + len(R))
+        if controller is not None and k % hold == 0:
+            u = controller.bias_batch(k * dt, Y[None, :])[0][0]
+        xi = math.sqrt(L) * z[:spde.n_modes]
+        if L == 1:
+            Y = Y @ step.P + step.sig * (xi + math.sqrt(dt) * u)
+        else:
+            Y = Y @ PL + (xi + L * math.sqrt(dt) * u) @ SL \
+                + z[spde.n_modes:] @ R
+        logw -= float(u @ xi) * math.sqrt(dt) + L * 0.5 * float(u @ u) * dt
+        k = end
+        if traj is not None and (k % trajectory_stride == 0 or k == K):
+            traj.append((k * dt, Y.copy()))
+    return PathResult(Y, logw, path_index, traj)
 
 
 def generator_apply(model: SdeModel, jet, x) -> float:

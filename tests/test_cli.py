@@ -483,6 +483,75 @@ def test_an_old_spde_controller_file_is_a_config_error(tmp_path, capsys):
         == old
 
 
+@pytest.fixture(scope="module")
+def ou_controller_file(tmp_path_factory):
+    """The controller.json of the tiny ou1d config, as a dict."""
+    cfg = cli.ExperimentConfig.from_dict(
+        _tiny_ou_config(tmp_path_factory.mktemp("ou")))
+    return json.loads(cli.run_experiment(cfg)["controller"].read_text())
+
+
+def _reuse(tmp_path, raw, controller):
+    """``koopmanis run --reuse-controller`` of the config ``raw`` with
+    ``controller`` as its controller.json: (exit code, stderr lines)."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "controller.json").write_text(json.dumps(controller))
+    return cli.main(["run", str(path), "--reuse-controller"])
+
+
+@pytest.mark.parametrize("key", [
+    "components", "basis", "coefficients", "diffusion", "T", "multiplier",
+    "floor", "components.lam_re", "basis.degree"])
+def test_a_controller_file_without_a_key_is_a_config_error(
+        tmp_path, capsys, ou_controller_file, key):
+    """--reuse-controller on an eigen controller file that lacks a key,
+    at the top or in a component or the basis, is a ConfigError that
+    names the key, not a KeyError, and nothing is written."""
+    data = json.loads(json.dumps(ou_controller_file))
+    *outer, leaf = key.split(".")
+    for block in (data[k] for k in outer):
+        for entry in block if isinstance(block, list) else [block]:
+            del entry[leaf]
+    if not outer:
+        del data[leaf]
+    assert _reuse(tmp_path, _tiny_ou_config(tmp_path), data) == 1
+    err = capsys.readouterr().err
+    assert "error (ConfigError)" in err and f"{leaf!r}" in err
+    assert [p.name for p in (tmp_path / "out").iterdir()] \
+        == ["controller.json"]
+
+
+def test_the_minimal_eigen_file_names_its_first_missing_key(tmp_path,
+                                                            capsys):
+    assert _reuse(tmp_path, _tiny_ou_config(tmp_path),
+                  {"type": "eigen", "T": 10.0}) == 1
+    assert "'components'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["brownian_osc", "advdiff"])
+def test_a_reused_controller_of_another_model_is_a_config_error(
+        tmp_path, capsys, ou_controller_file, target):
+    """The ou1d controller, a 1 x 1 diffusion map, reused on brownian_osc
+    (2 state dimensions, 1 noise column) or on 8-mode advdiff (8 noise
+    columns) is a ConfigError that names the shapes, where it ran a
+    control of the wrong width; nothing is written."""
+    if target == "brownian_osc":
+        raw = _tiny_ou_config(tmp_path)
+        raw["model"]["name"] = "brownian_osc"
+        raw["run"]["x0"] = [0.0, 0.0]
+        raw["points"].update(mean=[0.0, 0.0], std=[2.0, 2.0])
+    else:
+        raw = _tiny_advdiff_config(tmp_path)
+        raw["run"]["T"] = 1.0
+    assert _reuse(tmp_path, raw, ou_controller_file) == 1
+    err = capsys.readouterr().err
+    assert "error (ConfigError)" in err and "does not fit" in err
+    assert [p.name for p in (tmp_path / "out").iterdir()] \
+        == ["controller.json"]
+
+
 def test_advdiff_points_must_be_a_grid(tmp_path):
     raw = _tiny_ou_config(tmp_path)
     raw["model"] = {"name": "advdiff", "params": {"n_modes": 8}}

@@ -311,3 +311,23 @@ def test_csv_row_schema():
     assert len(row) == len(estimator.CSV_COLUMNS)
     assert row[0] == "mc" and row[1] == "ou1d"
     assert row[-1] == 0  # blowup count
+
+
+def test_the_report_keeps_statistics_not_terminal_states():
+    """The report keeps every row's event statistic, the trajectory rows
+    (the last one off the stride grid) and the weights, and drops the
+    (M, d) terminal states."""
+    m = make_builtin_model("brownian_osc")
+    ev = make_event("abs_coordinate", 1.0)
+    args = (m, None, [0.0, 0.0], 1.0, 1e-2)
+    kw = dict(M=50, master_seed=3, trajectory_count=2, trajectory_stride=30)
+    ens = estimator.simulate_ensemble(*args, **kw)
+    rep = estimator.run_ensemble(m, None, ev, *args[2:], **kw)
+    assert rep.ensemble.terminal is None
+    assert rep.statistic.tobytes() == ev.statistic(ens.terminal).tobytes()
+    assert rep.ensemble.log_weight.tobytes() == ens.log_weight.tobytes()
+    assert rep.ensemble.K == 100
+    want = ens.trajectories
+    assert len(rep.trajectories) == len(want) == 2 * (1 + 3 + 1)
+    for (p, t, x), (p_ref, t_ref, x_ref) in zip(rep.trajectories, want):
+        assert (p, t, x.tobytes()) == (p_ref, t_ref, x_ref.tobytes())

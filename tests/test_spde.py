@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ from scipy.linalg import expm
 
 from koopmanis import (make_builtin_model, make_event, run_ensemble,
                        spectral_setup, tune_multiplier)
+from koopmanis import paths
 from koopmanis import spde as spde_mod
 from koopmanis.doob import DoobController
 from koopmanis.errors import InvalidParameterError, ShapeError
-from koopmanis.paths import adjust_steps, derive_path_rng
-from reference import fit_spde_controller, spde_quadratic_controller
+from koopmanis.paths import derive_path_rng
+from reference import (fit_spde_controller, simulate_spde_path,
+                       spde_quadratic_controller)
 
 
 @pytest.fixture(scope="module")
@@ -305,40 +308,155 @@ def test_mode_snapshots_shapes(sp64):
     assert np.allclose(snaps[0], -2.0 * sp64.adjoint_w1)
 
 
-def _reference_mode_snapshots(spde, amplitudes, T_traj, stride, seed, dt):
-    """Per-amplitude loop version of generate_mode_snapshots, kept as the
-    reference for the block engine."""
-    K, dt = adjust_steps(T_traj, dt)
-    step_per = max(1, int(round(stride / dt)))
-    decay = np.exp(-spde.lam * dt)
-    fac = (1.0 - decay) / spde.lam
-    sig = spde_mod.noise_std(spde, dt)
-    snaps = []
-    for idx, a in enumerate(np.asarray(amplitudes, dtype=float)):
-        rng = derive_path_rng(seed, idx)
-        Y = a * spde.adjoint_w1
-        snaps.append(Y.copy())
-        for k in range(K):
-            xi = rng.standard_normal(spde.n_modes)
-            Y = decay * Y + fac * (spde.coupling @ Y) + sig * xi
-            if (k + 1) % step_per == 0:
-                snaps.append(Y.copy())
-    return np.array(snaps)
-
-
 def test_mode_snapshots_match_reference_loop(adv64, sp64):
     # the engine advances all amplitudes with one matmul where the loop
-    # uses a matrix-vector product per amplitude: equal up to round-off
+    # uses a vector-matrix product per amplitude: equal up to round-off
     amps = np.linspace(-4.0, 4.0, 9)
     snaps = spde_mod.generate_mode_snapshots(sp64, amps, 2.0, 0.25, seed=11,
                                              dt=5e-3)
-    ref = _reference_mode_snapshots(sp64, amps, 2.0, 0.25, 11, 5e-3)
+    ref = np.concatenate([
+        [x for _, x in simulate_spde_path(
+            sp64, None, a * sp64.adjoint_w1, 2.0, 5e-3, 11, i,
+            trajectory_stride=50).trajectory]
+        for i, a in enumerate(amps)])
     assert snaps.shape == ref.shape == (9 * 9, 64)
     assert np.allclose(snaps, ref, rtol=1e-12, atol=0.0)
     ev = make_event("norm", 2.5, mode="indicator")
     _, got = fit_spde_controller(adv64, snaps, ev, 1.0)
     _, want = fit_spde_controller(adv64, ref, ev, 1.0)
     assert got.coefficients == pytest.approx(want.coefficients, rel=1e-12)
+
+
+def _per_step_law(spde, dt, L):
+    """(P^L, Cov Y_L, Cov(Xi, Y_L), Var Xi) of L exponential Euler steps
+    Y' = exp(-lam dt) Y + (1 - exp(-lam dt)) / lam (C Y) + sigma xi from
+    Y = 0, Xi the sum of the draws, with P the step's matrix on rows."""
+    decay = np.exp(-spde.lam * dt)
+    fac = (1.0 - decay) / spde.lam
+    P = np.array([decay * e + fac * (spde.coupling @ e)
+                  for e in np.eye(spde.n_modes)])
+    D = np.diag(spde_mod.noise_std(spde, dt))
+    PL, C, X = np.eye(len(D)), np.zeros_like(D), np.zeros_like(D)
+    for _ in range(L):
+        PL, C, X = PL @ P, P.T @ C @ P + D @ D, X @ P + D
+    return PL, C, X, L * np.eye(len(D))
+
+
+@pytest.mark.parametrize("L", [1, 2, 7, 20])
+def test_segment_map_has_the_law_of_the_per_step_chain(sp64, L):
+    """Y_L = Y P^L + Xi S / L + zeta R with Xi = sqrt(L) zeta_1: P^L, the
+    state covariance L (S/L)^T (S/L) + R^T R, its covariance with Xi,
+    L S / L, and Var Xi = L I are those of L one-step recursions, to
+    1e-12 relative; a one-step segment draws r = 64 normals."""
+    step = spde_mod.spde_stepper(sp64, 1e-3)
+    PL, SL, R = step.segment_map(L)
+    got = (PL, L * SL.T @ SL + R.T @ R, L * SL, L * np.eye(64))
+    for a, b in zip(got, _per_step_law(sp64, 1e-3, L)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    assert step.draws(L) == 64 + len(R)
+    if L == 1:
+        assert R.shape == (0, 64) and step.draws(1) == 64
+
+
+def test_engine_rows_match_the_segment_reference_loop(adv64, sp64):
+    """A controlled ensemble at a hold of 20 steps, with trajectory rows
+    every 7 steps, so that snapshots cut the holds into segments of 1 to
+    7 steps: every row is the single-row segment loop, to 1e-12."""
+    ctrl = spde_quadratic_controller(adv64, 1.0, 0.4, 0.2,
+                                     multiplier=2.0).with_hold_time(0.02)
+    Y0 = 0.5 * sp64.adjoint_w1
+    ens = spde_mod.run_spde_paths(sp64, ctrl, Y0, 0.2, 1e-3, 5,
+                                  master_seed=4, trajectory_count=3,
+                                  trajectory_stride=7)
+    for i in range(5):
+        res = simulate_spde_path(sp64, ctrl, Y0, 0.2, 1e-3, 4, i,
+                                 trajectory_stride=7)
+        assert np.allclose(ens.terminal[i], res.terminal_state, rtol=1e-12,
+                           atol=1e-15)
+        assert ens.log_weight[i] == pytest.approx(res.log_weight, rel=1e-12)
+        if i < 3:
+            mine = [(t, x) for p, t, x in ens.trajectories if p == i]
+            assert len(mine) == len(res.trajectory) == 1 + 200 // 7 + 1
+            for (t, x), (t_ref, x_ref) in zip(mine, res.trajectory):
+                assert t == pytest.approx(t_ref)
+                assert np.allclose(x, x_ref, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("controlled", [True, False])
+def test_a_held_segment_draws_r_plus_n_normals(adv64, sp64, monkeypatch,
+                                               controlled):
+    """One 20-step hold draws r + N = 128 normals per row, where 20
+    steps drew 20 r = 1280; so does an uncontrolled run that records no
+    rows, which is one segment."""
+    counts = []
+
+    class Counting:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def standard_normal(self, *args, out=None):
+            counts.append(out.size)
+            return self.gen.standard_normal(*args, out=out)
+
+    monkeypatch.setattr(paths, "derive_path_rng",
+                        lambda *a: Counting(derive_path_rng(*a)))
+    ctrl = spde_quadratic_controller(adv64, 1.0, 0.4, 0.02).with_hold_time(
+        0.02) if controlled else None
+    spde_mod.run_spde_paths(sp64, ctrl, None, 0.02, 1e-3, 6, master_seed=1)
+    assert counts == [64 + 64] * 6
+
+
+def test_worker_threads_build_each_segment_map_once(monkeypatch):
+    """Eight blocks on eight worker threads, with a short switch interval,
+    share one stepper: each segment length's map is built once, and the
+    rows are those of one worker."""
+    model = make_builtin_model("advdiff", {"n_modes": 8})
+    ctrl = spde_quadratic_controller(model, 1.0, 0.4, 0.5, multiplier=2.0)
+    built = []
+    build = spde_mod._SpdeStepper._build
+
+    def counting(self, L):
+        built.append(L)
+        return build(self, L)
+
+    monkeypatch.setattr(spde_mod._SpdeStepper, "_build", counting)
+    monkeypatch.setattr(paths, "MAX_BLOCK_ROWS", 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = spde_mod.run_spde_paths(model.spde, ctrl, None, 0.5, 5e-3, 40,
+                                       master_seed=2, workers=8,
+                                       trajectory_count=1,
+                                       trajectory_stride=6)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(built) == sorted(set(built)) and set(built) == {2, 4}
+    one = spde_mod.run_spde_paths(model.spde, ctrl, None, 0.5, 5e-3, 40,
+                                  master_seed=2, trajectory_count=1,
+                                  trajectory_stride=6)
+    assert np.allclose(many.terminal, one.terminal, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("budget", [1, 300 * 40, 1000 * 40])
+def test_noise_budget_does_not_change_segmented_rows(adv64, budget,
+                                                     monkeypatch):
+    """Held segments of 8 modes (r + N = 16 normals a segment, 4 steps a
+    hold, trajectory cuts every 6 steps) in noise chunks of one segment,
+    of about 300 and of about 1000 normals per row give the rows of the
+    default budget bit for bit."""
+    model = make_builtin_model("advdiff", {"n_modes": 8})
+    ctrl = spde_quadratic_controller(model, 1.0, 0.4, 1.0, multiplier=2.0)
+
+    def run():
+        return spde_mod.run_spde_paths(model.spde, ctrl, None, 1.0, 5e-3,
+                                       40, master_seed=5,
+                                       trajectory_count=2,
+                                       trajectory_stride=6)
+    ref = run()
+    monkeypatch.setattr(paths, "NOISE_BUFFER_DOUBLES", budget)
+    alt = run()
+    for field in ("terminal", "log_weight", "floored", "snapshots"):
+        assert getattr(ref, field).tobytes() == getattr(alt, field).tobytes()
 
 
 def test_build_spde_controller_positive(adv64, sp64):
