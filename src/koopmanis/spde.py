@@ -32,7 +32,6 @@ engine of ``paths`` with ``spde_stepper`` as its stepper.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -140,27 +139,16 @@ class _SpdeStepper:
         self.sqdt = math.sqrt(dt)
         self.r = spde.n_modes
         self._maps = {}
-        self._lock = threading.Lock()   # blocks may run on threads
 
     def __call__(self, Y, u, xi):
-        # the scaled, shifted draws are formed in place on one temporary
-        if u is None:
-            w = self.sig * xi
-        else:
-            w = self.sqdt * u
-            w += xi
-            w *= self.sig
-        out = Y @ self.P
-        out += w
-        return out
+        return self.segment(Y, u, xi, 1)[0]
 
     def segment_map(self, L):
         """(P^L, S / L, R) of an L-step segment, built once per L; R has
         no rows when L is 1."""
-        with self._lock:
-            if L not in self._maps:
-                self._maps[L] = self._build(L)
-            return self._maps[L]
+        if L not in self._maps:
+            self._maps[L] = self._build(L)
+        return self._maps[L]
 
     def _build(self, L):
         G = np.diag(self.sig)            # diag(sigma) P^j, j = 0..L-1
@@ -177,21 +165,18 @@ class _SpdeStepper:
         return PL, S / L, R
 
     def draws(self, L):
-        # a one-step segment draws r without building its map
-        return self.r if L == 1 else self.r + len(self.segment_map(L)[2])
+        return self.r + len(self.segment_map(L)[2])
 
     def segment(self, Y, u, z, L):
-        if L == 1:                       # z is the step's r draws
-            return self(Y, u, z), z
         PL, SL, R = self.segment_map(L)
-        w = math.sqrt(L) * z[:, :self.r]   # Xi, the sum of the steps' draws
+        w = math.sqrt(L) * z[..., :self.r]   # Xi, the sum of the steps' draws
         if u is not None:
             w += (L * self.sqdt) * u
         out = Y @ PL
         out += w @ SL
-        out += z[:, self.r:] @ R
+        out += z[..., self.r:] @ R
         # Xi formed again, not held next to w through the products
-        return out, w if u is None else math.sqrt(L) * z[:, :self.r]
+        return out, w if u is None else math.sqrt(L) * z[..., :self.r]
 
 
 def spde_stepper(spde: SpectralSpde, dt):
@@ -201,10 +186,11 @@ def spde_stepper(spde: SpectralSpde, dt):
         P  = diag(exp(-lam dt)) + ((1 - exp(-lam dt)) / lam * C)^T,
 
     with C the advection coupling and sigma = ``noise_std(spde, dt)``: the
-    exponential Euler recurrence as one product, built once per
-    (spde, dt).  The control u (B, N) or None shifts the standard normal
-    draws xi by sqrt(dt) u, the shift the engine's Girsanov weight
-    assumes, so that weight is the exact likelihood ratio of this chain.
+    exponential Euler recurrence, taken as the one-step segment below
+    (P^1 = P, S = D, no R).  The control u (B, N) or None shifts the
+    standard normal draws xi by sqrt(dt) u, the shift the engine's
+    Girsanov weight assumes, so that weight is the exact likelihood ratio
+    of this chain.
 
     ``step.segment`` advances an L-step segment at a held u by the exact
     law of L such steps.  With D = diag(sigma), S = sum_{j<L} D P^j and
@@ -214,10 +200,11 @@ def spde_stepper(spde: SpectralSpde, dt):
 
     where Xi = sqrt(L) zeta_1 is the sum of the L per-step draws, which
     ``segment`` returns for the Girsanov weight, and zeta_1 (N) and zeta
-    (rank R) are the segment's N + rank(R) standard normal draws.  A one-step segment
-    is the step itself and draws N.  (P^L, S / L, R) is built once per L
-    (``segment_map``); R keeps the eigen-directions of R^T R above
-    N eps of its largest eigenvalue.
+    (rank R) are the segment's N + rank(R) standard normal draws; a
+    one-step segment draws N.  (P^L, S / L, R) is built once per L
+    (``segment_map``; the engine asks ``draws`` of every segment length
+    before its blocks run, so worker threads only read the maps); R keeps
+    the eigen-directions of R^T R above N eps of its largest eigenvalue.
     """
     return _SpdeStepper(spde, dt)
 

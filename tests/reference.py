@@ -97,11 +97,11 @@ def simulate_spde_path(spde, controller, Y0, T, dt, master_seed=0,
     """Simulate SPDE mode path ``path_index`` alone, one segment map at a
     time: segments end at every hold start (none without a controller),
     every ``trajectory_stride`` steps and at T, and each draws its
-    N + rank(R) normals from the path's stream in time order.  An L-step segment at the held control u is
+    N + rank(R) normals from the path's stream in time order.  An L-step
+    segment at the held control u is
     Y P^L + (Xi + L sqrt(dt) u) S / L + zeta R with Xi = sqrt(L) zeta_1,
     from ``spde_stepper``'s ``segment_map``, and takes (u . Xi) sqrt(dt)
-    + L |u|^2 dt / 2 off the log-weight; a one-step segment is
-    Y P + sigma (xi + sqrt(dt) u)."""
+    + L |u|^2 dt / 2 off the log-weight."""
     rng = derive_path_rng(master_seed, path_index)
     K, dt = adjust_steps(T, dt)
     step = spde_stepper(spde, dt)
@@ -121,11 +121,7 @@ def simulate_spde_path(spde, controller, Y0, T, dt, master_seed=0,
         if controller is not None and k % hold == 0:
             u = controller.bias_batch(k * dt, Y[None, :])[0][0]
         xi = math.sqrt(L) * z[:spde.n_modes]
-        if L == 1:
-            Y = Y @ step.P + step.sig * (xi + math.sqrt(dt) * u)
-        else:
-            Y = Y @ PL + (xi + L * math.sqrt(dt) * u) @ SL \
-                + z[spde.n_modes:] @ R
+        Y = Y @ PL + (xi + L * math.sqrt(dt) * u) @ SL + z[spde.n_modes:] @ R
         logw -= float(u @ xi) * math.sqrt(dt) + L * 0.5 * float(u @ u) * dt
         k = end
         if traj is not None and (k % trajectory_stride == 0 or k == K):

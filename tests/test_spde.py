@@ -1,5 +1,5 @@
 import math
-import sys
+import threading
 
 import numpy as np
 import pytest
@@ -406,35 +406,40 @@ def test_a_held_segment_draws_r_plus_n_normals(adv64, sp64, monkeypatch,
     assert counts == [64 + 64] * 6
 
 
-def test_worker_threads_build_each_segment_map_once(monkeypatch):
-    """Eight blocks on eight worker threads, with a short switch interval,
-    share one stepper: each segment length's map is built once, and the
-    rows are those of one worker."""
-    model = make_builtin_model("advdiff", {"n_modes": 8})
-    ctrl = spde_quadratic_controller(model, 1.0, 0.4, 0.5, multiplier=2.0)
+def test_snapshot_cuts_reach_every_block(adv64, sp64, monkeypatch):
+    """Two workers run 40 rows as two 20-row blocks, with one trajectory
+    row, in the first block, every 7 steps cutting the 20-step holds:
+    each block alone, with its path indices and a trajectory row of its
+    own, gives the same rows, so the block that records no row is cut
+    like the one that does.  Every segment map is built once, before the
+    worker threads start."""
     built = []
     build = spde_mod._SpdeStepper._build
 
     def counting(self, L):
-        built.append(L)
+        built.append((L, threading.current_thread() is
+                      threading.main_thread()))
         return build(self, L)
 
     monkeypatch.setattr(spde_mod._SpdeStepper, "_build", counting)
-    monkeypatch.setattr(paths, "MAX_BLOCK_ROWS", 5)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        many = spde_mod.run_spde_paths(model.spde, ctrl, None, 0.5, 5e-3, 40,
-                                       master_seed=2, workers=8,
-                                       trajectory_count=1,
-                                       trajectory_stride=6)
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(built) == sorted(set(built)) and set(built) == {2, 4}
-    one = spde_mod.run_spde_paths(model.spde, ctrl, None, 0.5, 5e-3, 40,
-                                  master_seed=2, trajectory_count=1,
-                                  trajectory_stride=6)
-    assert np.allclose(many.terminal, one.terminal, rtol=1e-12, atol=1e-15)
+    ctrl = spde_quadratic_controller(adv64, 1.0, 0.4, 0.2,
+                                     multiplier=2.0).with_hold_time(0.02)
+
+    def run(M, workers=1, path_index=None):
+        return spde_mod.run_spde_paths(sp64, ctrl, 0.5 * sp64.adjoint_w1,
+                                       0.2, 1e-3, M, master_seed=5,
+                                       workers=workers, trajectory_count=1,
+                                       trajectory_stride=7,
+                                       path_index=path_index)
+
+    both = run(40, workers=2)
+    lengths = [L for L, _ in built]
+    assert sorted(lengths) == sorted(set(lengths)) and {1, 6, 7} <= set(
+        lengths) and all(main for _, main in built)
+    halves = [run(20, path_index=np.arange(s, s + 20)) for s in (0, 20)]
+    for field in ("terminal", "log_weight"):
+        assert getattr(both, field).tobytes() == b"".join(
+            getattr(h, field).tobytes() for h in halves)
 
 
 @pytest.mark.parametrize("budget", [1, 300 * 40, 1000 * 40])
