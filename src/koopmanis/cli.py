@@ -11,7 +11,8 @@ Verbs:
 
 All seeds come from the config; nothing is time-seeded.  Identical
 (config, seed) runs produce byte-identical outputs.  A config block or key
-the runner does not know is a ``ConfigError``, not ignored.
+the runner does not know, or that the run does not read (``_CONFIG`` and
+``_controller_blocks`` say which), is a ``ConfigError``, not ignored.
 
 The ``run`` block: M, T, master_seed (required), x0, method, dt, scheme
 and workers, the one parallelism knob: the path engine splits each
@@ -67,7 +68,8 @@ TUNE_SEED_OFFSET = 1_000_003
 
 _DEFAULT_T = {"ou1d": 1.0}
 
-_NO_DEFAULT = object()
+_NO_DEFAULT = object()   # the key's block must set it
+_OPTIONAL = object()     # the key may be left out, and has no default
 
 
 class _Row(NamedTuple):
@@ -75,41 +77,38 @@ class _Row(NamedTuple):
     check: str | None            # what _checked takes; None: a stage checks it
     arg: object = None           # least value or choices (of a list's entries)
     default: object = _NO_DEFAULT  # filled in when the key is absent
-    need: object = None          # True, or the points.kind that must set it
+    kind: str | None = None      # the one points.kind that reads it
     per_axis: bool = False       # one entry per axis of the model's state
-
-    @property
-    def nullable(self) -> bool:
-        return self.default is None \
-            or self.check in ("list of reals", "list of intervals",
-                               "mapping", "path")
 
 
 # One row per config key, block by block; any other block or key is a
-# ConfigError.  A present block gets the defaults of its absent keys, must
-# set each key it needs (a null does not set it), and has every key
-# checked.  A null passes the check where the default is null, and for a
-# list of reals or intervals, a mapping or a path (``_Row.nullable``).
+# ConfigError.  A present block gets the defaults of its absent keys and
+# must set each other key that is not _OPTIONAL (a null does not set it);
+# each set key is checked (a null passes where the key is optional or its
+# default null), and one of the other points.kind is unread, an error.
 _CONFIG = {
-    "model": {"name": _Row(None, need=True), "params": _Row("mapping")},
-    "event": {"kind": _Row(None, need=True),
-              "threshold": _Row("real", need=True),
+    "model": {"name": _Row(None),
+              "params": _Row("mapping", default=_OPTIONAL)},
+    "event": {"kind": _Row(None),
+              "threshold": _Row("real"),
               "component": _Row("whole", 0, 0),
               "sharpness": _Row("real", default=3.0),
               "mode": _Row(None, default="indicator")},
     "points": {"kind": _Row("choice", ("grid", "gaussian"), "grid"),
-               "box": _Row("list of intervals", need="grid", per_axis=True),
-               "counts": _Row("list of whole numbers", 0, need="grid",
+               "box": _Row("list of intervals", kind="grid", per_axis=True),
+               "counts": _Row("list of whole numbers", 0, kind="grid",
                               per_axis=True),
-               "T_traj": _Row("real", need="grid"),
-               "stride": _Row("real", need="grid"),
-               "dt": _Row("real"), "seed": _Row("whole", need=True),
-               "mean": _Row("list of reals", need="gaussian", per_axis=True),
-               "std": _Row("list of reals", need="gaussian", per_axis=True),
-               "count": _Row("whole", 1, need="gaussian")},
-    "basis": {"family": _Row(None, need=True),
-              "degree": _Row("whole", need=True),
-              "box": _Row("list of intervals", per_axis=True)},
+               "T_traj": _Row("nonnegative", kind="grid"),
+               "stride": _Row("positive", kind="grid"),
+               "dt": _Row("positive", default=_OPTIONAL, kind="grid"),
+               "seed": _Row("whole"),
+               "mean": _Row("list of reals", kind="gaussian", per_axis=True),
+               "std": _Row("list of reals", kind="gaussian", per_axis=True),
+               "count": _Row("whole", 1, kind="gaussian")},
+    "basis": {"family": _Row(None),
+              "degree": _Row("whole"),
+              "box": _Row("list of intervals", default=_OPTIONAL,
+                          per_axis=True)},
     "gedmd": {"validation_threshold": _Row("real", default=0.04),
               "max_eigenfunctions": _Row("whole", 1, None)},
     "doob": {"multiplier_grid": _Row(
@@ -118,14 +117,14 @@ _CONFIG = {
              "target_fraction": _Row("real", default=0.5),
              "offset": _Row("real", default=None)},
     "run": {"method": _Row("choice", ("is", "mc"), "is"),
-            "M": _Row("whole", 2, need=True),
-            "T": _Row("real", need=True),
-            "master_seed": _Row("whole", need=True),
-            "x0": _Row("list of reals", per_axis=True),
-            "dt": _Row("real", default=1e-3),
+            "M": _Row("whole", 2),
+            "T": _Row("positive"),
+            "master_seed": _Row("whole"),
+            "x0": _Row("list of reals", default=_OPTIONAL, per_axis=True),
+            "dt": _Row("positive", default=1e-3),
             "scheme": _Row("choice", SCHEMES, None),
             "workers": _Row("whole", 1, 1)},
-    "output": {"directory": _Row("path"),
+    "output": {"directory": _Row("path", default=_OPTIONAL),
                "histogram_bins": _Row("whole", 1, 50),
                "histogram_range": _Row("interval", default=None),
                "trajectory_count": _Row("whole", 0, 0),
@@ -165,6 +164,9 @@ def _checked(name, val, check, arg=None):
         return int(val)
     if check == "real":
         ok, want = _finite(val), "a finite number"
+    elif check in ("positive", "nonnegative"):
+        ok = _finite(val) and (val > 0 or check == "nonnegative" and val == 0)
+        want = f"a finite {check} number"
     elif check == "choice":
         ok, want = val in arg, f"one of {list(arg)}"
     elif check == "path":
@@ -181,7 +183,7 @@ def _checked(name, val, check, arg=None):
 def _controller_blocks(model_name) -> list:
     """The config blocks the controller stages read: the SPDE model
     (advdiff) fits the exact spectrum of its adjoint coordinate, with a
-    basis of its own, and needs no basis or gEDMD block."""
+    basis of its own, and reads no basis or gEDMD block, nor run.scheme."""
     if model_name == "advdiff":
         return ["points"]
     return ["points", "basis", "gedmd"]
@@ -215,32 +217,42 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config blocks or keys: {unknown}")
         required = ["model", "event", "run", "output"]
+        name = (data.get("model") or {}).get("name")
         if (data.get("run") or {}).get(
                 "method", _CONFIG["run"]["method"].default) == "is":
-            required += _controller_blocks(
-                (data.get("model") or {}).get("name")) + ["doob"]
+            required += _controller_blocks(name) + ["doob"]
         missing = [blk for blk in required if data.get(blk) is None]
         if missing:
             raise ConfigError(f"missing config blocks: {missing}")
+        unread = [blk for blk in ("basis", "gedmd") if data.get(blk)
+                  is not None and blk not in _controller_blocks(name)]
+        if name == "advdiff" and data["run"].get("scheme") is not None:
+            unread.append("run.scheme")   # its modes step by their exact map
         cfg, missing = dict.fromkeys(_CONFIG), []
         for blk, rows in _CONFIG.items():
-            if data.get(blk) is None:
+            if data.get(blk) is None or blk in unread:
                 continue
             block = cfg[blk] = dict(data[blk])
             for key, row in rows.items():
-                if key not in block and row.default is not _NO_DEFAULT:
+                if key not in block \
+                        and row.default not in (_NO_DEFAULT, _OPTIONAL):
                     block[key] = row.default
                 val = block.get(key)
-                if val is None and row.need is not None \
-                        and row.need in (True, block.get("kind")):
+                if row.kind not in (None, block.get("kind")):
+                    if val is not None:
+                        unread.append(f"{blk}.{key}")
+                elif val is None and row.default is _NO_DEFAULT:
                     missing.append(f"{blk}.{key}")
-                elif key in block and row.check is not None \
-                        and not (val is None and row.nullable):
+                elif key in block and row.check is not None and not (
+                        val is None and row.default in (None, _OPTIONAL)):
                     block[key] = _checked(f"{blk}.{key}", val, row.check,
                                           row.arg)
+        if unread:
+            raise ConfigError(f"config blocks or keys the run does not "
+                              f"read: {unread}")
         if missing:
             raise ConfigError(f"missing config keys: {missing}")
-        if cfg["points"] is not None and cfg["model"]["name"] == "advdiff" \
+        if cfg["points"] is not None and name == "advdiff" \
                 and cfg["points"]["kind"] != "grid":
             raise ConfigError("points.kind must be 'grid' for advdiff, "
                               "which starts its snapshots on a grid of "
@@ -315,16 +327,17 @@ def prepare_controller(cfg: ExperimentConfig) -> PipelineState:
     model, event = _model_and_event(cfg)
     state = PipelineState(model, event)
     T = float(cfg.run["T"])
+    pts_cfg = cfg.points
+    pts_dt = pts_cfg.get("dt") or cfg.run["dt"]
 
     if model.spde is not None:
         # the Doob controller on the adjoint coordinate q = Y W, fitted on
         # the exact spectrum of q's OU process: nothing to validate
-        pts_cfg = cfg.points
         amps = np.linspace(pts_cfg["box"][0][0], pts_cfg["box"][0][1],
                            pts_cfg["counts"][0])
         snaps = spde.generate_mode_snapshots(
             model.spde, amps, pts_cfg["T_traj"], pts_cfg["stride"],
-            pts_cfg["seed"], dt=pts_cfg.get("dt", cfg.run["dt"]))
+            pts_cfg["seed"], dt=pts_dt)
         W, fit_model = spde.adjoint_model(model)
         basis = build_basis("linear_exact", 1, 2)
         state.points, points, f_vals = (snaps, rowlocal_product(snaps, W),
@@ -335,7 +348,6 @@ def prepare_controller(cfg: ExperimentConfig) -> PipelineState:
         b = cfg.basis
         basis = build_basis(b["family"], model.dim_state, b["degree"],
                             b.get("box"))
-        pts_cfg = cfg.points
         if pts_cfg["kind"] == "gaussian":
             pts = gedmd.sample_gaussian_points(
                 model, pts_cfg["mean"], pts_cfg["std"], pts_cfg["count"],
@@ -344,7 +356,7 @@ def prepare_controller(cfg: ExperimentConfig) -> PipelineState:
             pts = gedmd.generate_test_points(
                 model, {"box": pts_cfg["box"], "counts": pts_cfg["counts"]},
                 pts_cfg["T_traj"], pts_cfg["stride"], pts_cfg["seed"],
-                dt=pts_cfg.get("dt", cfg.run["dt"]), basis=basis)
+                dt=pts_dt, basis=basis)
         state.points, points, f_vals = (pts, pts.points,
                                         event.mollified(pts.points))
 
@@ -535,7 +547,6 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None,
 def _cmd_run(args):
     cfg = load_config(args.config)
     written = run_experiment(cfg, args.output_dir, args.reuse_controller)
-    rep = None
     with open(written["results"]) as fh:
         rep = list(csv.reader(fh))[-1]
     print(f"method={rep[0]} model={rep[1]} estimate={rep[2]} "

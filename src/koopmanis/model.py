@@ -186,14 +186,12 @@ def make_builtin_model(name: str, params: dict | None = None) -> SdeModel:
     if name == "advdiff":
         p = _merge_params({"b": 1.0, "alpha": 0.1, "eps_noise": 1.0,
                            "n_modes": 64}, params, name)
-        _require_positive(p, ("alpha", "eps_noise"))
+        _require_positive(p, ("eps_noise",))  # spectral_setup checks the rest
         # local import: spde builds on doob, which imports this module
         from .spde import spectral_setup
-        sp = spectral_setup(int(p["n_modes"]), p["alpha"], p["b"],
-                            p["eps_noise"])
-        A = sp.drift_matrix
-        B = math.sqrt(p["eps_noise"]) * np.eye(sp.n_modes)
-        m = _linear_model(name, A, B, p)
+        sp = spectral_setup(p["n_modes"], p["alpha"], p["b"], p["eps_noise"])
+        m = _linear_model(name, sp.drift_matrix,
+                          math.sqrt(p["eps_noise"]) * np.eye(sp.n_modes), p)
         m.spde = sp
         return m
 

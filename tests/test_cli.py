@@ -270,12 +270,14 @@ def test_worker_count_does_not_change_rows(tmp_path):
 
 
 @pytest.mark.parametrize("key, value, error",
-                         [("dt", 0, "InvalidParameterError"),
-                          ("dt", -1e-2, "InvalidParameterError"),
+                         [("dt", 0, "ConfigError"),
+                          ("dt", -1e-2, "ConfigError"),
                           ("workers", 0, "ConfigError"),
                           ("workers", -2, "ConfigError")])
 def test_bad_run_parameters_are_typed_errors(tmp_path, capsys, key, value,
                                              error):
+    """run.dt 0 or below was an InvalidParameterError of the path engine,
+    after the set-up had run; now it fails when the config is read."""
     raw = _tiny_ou_config(tmp_path)
     raw["run"][key] = value
     path = tmp_path / "bad.json"
@@ -349,6 +351,10 @@ def test_a_failing_output_leaves_no_partial_files(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+_GRID_POINTS = {"kind": "grid", "box": [[-2.0, 2.0]], "counts": [4],
+                "T_traj": 0.5, "stride": 0.1, "seed": 3}
+
+
 @pytest.mark.parametrize("block, key, value", [
     ("run", "method", "MC"), ("run", "method", "qmc"),
     ("points", "kind", "sobol"), ("run", "scheme", "rk4"),
@@ -367,13 +373,21 @@ def test_a_failing_output_leaves_no_partial_files(tmp_path, monkeypatch):
     ("points", "box", [[-1.0, 1.0], [-1.0, 1.0]]),
     ("basis", "box", [[-1.0, 1.0], [-1.0, 1.0]]), ("run", "x0", ["a"]),
     ("run", "x0", [0.0, 0.0]), ("run", "x0", 0.0),
-    ("output", "directory", 3), ("points", "count", 0)])
+    ("output", "directory", 3), ("points", "count", 0),
+    ("points", "stride", 0), ("points", "stride", -0.25),
+    ("points", "T_traj", -1), ("points", "dt", 0), ("points", "dt", -0.01),
+    ("run", "T", 0), ("run", "T", -1.0)])
 def test_bad_config_values_fail_before_any_stage(tmp_path, capsys, block,
                                                   key, value):
     """Each value once ended in a raw traceback, ran another method
     ("MC" ran importance sampling), or failed only after the set-up; now
-    each is a ConfigError naming its key, and nothing is written."""
+    each is a ConfigError naming its key, and nothing is written.  A grid
+    key is set in a grid points block.  points.stride 0 or -0.25 recorded
+    every step and T_traj -1 only the starts; run.T 0 was an error only of
+    the path engine."""
     raw = _tiny_ou_config(tmp_path)
+    if block == "points" and cli._CONFIG["points"][key].kind == "grid":
+        raw["points"] = dict(_GRID_POINTS)
     raw[block][key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
@@ -381,10 +395,6 @@ def test_bad_config_values_fail_before_any_stage(tmp_path, capsys, block,
     err = capsys.readouterr().err
     assert "error (ConfigError)" in err and f"{block}.{key}" in err
     assert not (tmp_path / "out").exists()
-
-
-_GRID_POINTS = {"kind": "grid", "box": [[-2.0, 2.0]], "counts": [4],
-                "T_traj": 0.5, "stride": 0.1, "seed": 3}
 
 
 @pytest.mark.parametrize("block, key", [
@@ -550,6 +560,60 @@ def test_a_reused_controller_of_another_model_is_a_config_error(
     assert "error (ConfigError)" in err and "does not fit" in err
     assert [p.name for p in (tmp_path / "out").iterdir()] \
         == ["controller.json"]
+
+
+@pytest.mark.parametrize("points, model, block, key, value", [
+    ("grid", "ou1d", "points", "mean", [0.0]),
+    ("grid", "ou1d", "points", "std", [2.0]),
+    ("grid", "ou1d", "points", "count", 50),
+    ("gaussian", "ou1d", "points", "box", [[-2.0, 2.0]]),
+    ("gaussian", "ou1d", "points", "counts", [4]),
+    ("gaussian", "ou1d", "points", "T_traj", 0.5),
+    ("gaussian", "ou1d", "points", "stride", 0.1),
+    ("gaussian", "ou1d", "points", "dt", 0.01),
+    ("grid", "advdiff", "basis", None, {"family": "hermite", "degree": 7}),
+    ("grid", "advdiff", "gedmd", None, {"max_eigenfunctions": 1}),
+    ("grid", "advdiff", "run", "scheme", "euler_maruyama")])
+def test_a_block_or_key_the_run_does_not_read_is_a_config_error(
+        tmp_path, capsys, points, model, block, key, value):
+    """Each was accepted and ignored: a grid block's gaussian keys, a
+    gaussian block's grid keys, and advdiff's basis and gedmd blocks and
+    run.scheme (advdiff with a degree-7 Hermite basis and
+    max_eigenfunctions 1 still fitted its 3-pair exact spectrum).  Now
+    each is a ConfigError naming it, and nothing is written."""
+    raw = _tiny_advdiff_config(tmp_path) if model == "advdiff" \
+        else _tiny_ou_config(tmp_path)
+    if points == "grid":
+        raw["points"] = dict(_GRID_POINTS)
+    if key is None:
+        raw[block] = value
+    else:
+        raw[block][key] = value
+    path = tmp_path / "unread.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error (ConfigError)" in err and "does not read" in err
+    assert (block if key is None else f"{block}.{key}") in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_grid_with_no_trajectory_time_keeps_its_starts(tmp_path):
+    """points.T_traj 0 is read: the grid's starts are the points."""
+    raw = _tiny_ou_config(tmp_path)
+    raw["points"] = {**_GRID_POINTS, "T_traj": 0}
+    state = cli.prepare_controller(cli.ExperimentConfig.from_dict(raw))
+    assert state.points.m == 4
+
+
+def test_a_null_points_dt_steps_at_the_run_dt(tmp_path):
+    """points.dt is optional: a null, like no key, means run.dt."""
+    raw = _tiny_ou_config(tmp_path)
+    raw["points"] = dict(_GRID_POINTS)
+    absent = cli.prepare_controller(cli.ExperimentConfig.from_dict(raw))
+    raw["points"]["dt"] = None
+    null = cli.prepare_controller(cli.ExperimentConfig.from_dict(raw))
+    assert np.array_equal(null.points.points, absent.points.points)
 
 
 def test_advdiff_points_must_be_a_grid(tmp_path):

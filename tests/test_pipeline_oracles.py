@@ -8,7 +8,9 @@ its relative error per sample must beat plain Monte Carlo's
 sqrt((1 - rho) / rho).
 """
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -44,3 +46,27 @@ def test_pipeline_estimate_matches_oracle(name, seed):
     assert rep.method == "is" and rep.blowup_count == 0
     assert abs(rep.estimate - rho) < 4.0 * rep.standard_error
     assert rep.relative_error_per_sample < math.sqrt((1.0 - rho) / rho)
+
+
+_ADVDIFF = Path(__file__).resolve().parents[1] / "bench" / "workloads" \
+    / "advdiff_spde_is.json"
+
+
+@pytest.mark.xfail(strict=True, reason="the controller on the one adjoint "
+                   "coordinate misses the paths that reach the event along "
+                   "the other modes, so estimate and standard error both "
+                   "miss their mass")
+def test_advdiff_workload_estimates_match_oracle():
+    """The committed advdiff workload config at master seeds 1-6, against
+    the exact 1.93153e-5 of ``analytic_oracles``: every estimate within 4
+    standard errors.  Today z runs from -0.3 down to -17.7."""
+    raw = json.loads(_ADVDIFF.read_text())
+    z = []
+    for seed in range(1, 7):
+        raw["run"]["master_seed"] = seed
+        state = cli.run_pipeline(cli.ExperimentConfig.from_dict(raw))
+        rho = estimator.analytic_oracles(state.model, state.event,
+                                         raw["run"]["T"]).rho
+        rep = state.report
+        z.append((rep.estimate - rho) / rep.standard_error)
+    assert max(map(abs, z)) < 4.0, z

@@ -40,6 +40,42 @@ def test_invalid_parameters():
         spectral_setup(8, -0.1, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("n_modes", [8.7, 2.5, True, math.inf, math.nan])
+def test_n_modes_must_be_a_whole_number(n_modes):
+    """8.7 once built 9 modes in spectral_setup, storing n_modes 8.7, and
+    8 through make_builtin_model."""
+    with pytest.raises(InvalidParameterError, match="n_modes"):
+        spectral_setup(n_modes, 0.1, 1.0, 1.0)
+    with pytest.raises(InvalidParameterError, match="n_modes"):
+        make_builtin_model("advdiff", {"n_modes": n_modes})
+
+
+def test_a_whole_float_n_modes_builds_the_same_model():
+    a = make_builtin_model("advdiff", {"n_modes": 8})
+    b = make_builtin_model("advdiff", {"n_modes": 8.0})
+    assert type(b.spde.n_modes) is int and b.dim_state == 8
+    assert np.array_equal(a.linear_spec[0], b.linear_spec[0])
+    assert np.array_equal(a.spde.adjoint_w1, b.spde.adjoint_w1)
+    with pytest.raises(InvalidParameterError, match="alpha"):
+        make_builtin_model("advdiff", {"alpha": 0.0})
+
+
+@pytest.mark.parametrize("b", [0.0, 1.0, -0.7, 2.5])
+@pytest.mark.parametrize("n_modes", [2, 3, 8, 64, 65, 128])
+def test_coupling_matches_quadrature(n_modes, b):
+    """The closed form of the advection coupling against Gauss-Legendre
+    quadrature of D[j, k] = <b e_k', e_j>
+    = 2 b pi k int_0^1 sin(j pi x) cos(k pi x) dx."""
+    k = np.arange(1, n_modes + 1)
+    nodes, wts = np.polynomial.legendre.leggauss(max(512, 8 * n_modes))
+    x = 0.5 * (nodes + 1.0)
+    S = np.sin(np.outer(k, math.pi * x))
+    C = np.cos(np.outer(k, math.pi * x)) * (0.5 * wts)
+    D_quad = 2.0 * b * math.pi * (S @ C.T) * k[None, :]
+    assert np.allclose(spde_mod._coupling_matrix(n_modes, b), D_quad,
+                       atol=1e-8)
+
+
 def test_coupling_structure(sp64):
     D = sp64.coupling
     assert np.all(np.diag(D) == 0.0)
