@@ -15,13 +15,15 @@ the runner does not know, or that the run does not read (``_CONFIG`` and
 ``_controller_blocks`` say which), is a ``ConfigError``, not ignored.
 
 The ``run`` block: M, T, master_seed (required), x0, method, dt, scheme
-and workers, the one parallelism knob: the path engine splits each
-ensemble into ``workers`` blocks on as many threads (``paths`` has the
-layout rule), with byte-identical SDE outputs.  Threads pay off only where
-numpy releases the interpreter lock long enough.  Final ensembles of the
-bench workloads at c = 8 on 2 cores, one BLAS thread, 1 -> 2 workers
-(median of 3, at the default control hold): advdiff 0.5 -> 0.35 s
-(median of 7), vdp 0.68 -> 1.2 s, brownian_osc 0.57 -> 0.96 s.
+and workers.  ``run.scheme`` is read only by nonlinear models: a linear
+one steps by its exact hold map.  ``run.workers`` is the one parallelism
+knob: the path engine splits each ensemble into ``workers`` blocks on as
+many threads (``paths`` has the layout rule), with byte-identical SDE
+outputs.  Threads pay off only where numpy releases the interpreter lock
+long enough.  Final ensembles of the bench workloads at c = 8 on 2
+cores, one BLAS thread, 1 -> 2 workers (median of 3, at the default
+control hold): advdiff 0.5 -> 0.35 s (median of 7), vdp 0.68 -> 1.2 s,
+brownian_osc 0.57 -> 0.96 s.
 Memory grows with workers: each running block holds its own noise buffer
 of up to ``paths.NOISE_BUFFER_DOUBLES`` doubles (32 MB).  The default is 1.
 
@@ -183,7 +185,7 @@ def _checked(name, val, check, arg=None):
 def _controller_blocks(model_name) -> list:
     """The config blocks the controller stages read: the SPDE model
     (advdiff) fits the exact spectrum of its adjoint coordinate, with a
-    basis of its own, and reads no basis or gEDMD block, nor run.scheme."""
+    basis of its own, and reads no basis or gEDMD block."""
     if model_name == "advdiff":
         return ["points"]
     return ["points", "basis", "gedmd"]
@@ -226,8 +228,6 @@ class ExperimentConfig:
             raise ConfigError(f"missing config blocks: {missing}")
         unread = [blk for blk in ("basis", "gedmd") if data.get(blk)
                   is not None and blk not in _controller_blocks(name)]
-        if name == "advdiff" and data["run"].get("scheme") is not None:
-            unread.append("run.scheme")   # its modes step by their exact map
         cfg, missing = dict.fromkeys(_CONFIG), []
         for blk, rows in _CONFIG.items():
             if data.get(blk) is None or blk in unread:
@@ -278,11 +278,15 @@ def _build_event(cfg: ExperimentConfig):
 
 def _model_and_event(cfg: ExperimentConfig):
     """The configured model and event, built before any stage runs; an
-    event component outside the model's state, or a per-axis list whose
-    length is not the number of axes, is a ``ConfigError``.  The points
-    of the SPDE model have one axis, the amplitude along its adjoint
-    mode."""
+    event component outside the model's state, a per-axis list whose
+    length is not the number of axes, or a run.scheme for a linear model,
+    which steps by its exact map, is a ``ConfigError``.  The points of
+    the SPDE model have one axis, the amplitude along its adjoint mode."""
     model = make_builtin_model(cfg.model["name"], cfg.model.get("params"))
+    if model.linear_spec is not None and cfg.run["scheme"] is not None:
+        raise ConfigError(f"config blocks or keys the run does not read: "
+                          f"['run.scheme'] ({model.name!r} steps by its "
+                          f"exact linear map)")
     d = model.dim_state
     if cfg.event["component"] >= d:
         raise ConfigError(f"event.component must be below the dimension "
@@ -336,7 +340,7 @@ def prepare_controller(cfg: ExperimentConfig) -> PipelineState:
         amps = np.linspace(pts_cfg["box"][0][0], pts_cfg["box"][0][1],
                            pts_cfg["counts"][0])
         snaps = spde.generate_mode_snapshots(
-            model.spde, amps, pts_cfg["T_traj"], pts_cfg["stride"],
+            model, amps, pts_cfg["T_traj"], pts_cfg["stride"],
             pts_cfg["seed"], dt=pts_dt)
         W, fit_model = spde.adjoint_model(model)
         basis = build_basis("linear_exact", 1, 2)

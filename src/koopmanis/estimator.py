@@ -3,7 +3,7 @@
 Per-path weighted outcomes are reduced in path-index order with exact
 (compensated) summation, so a report is a pure function of (config, seed).
 For constant-coefficient linear models the terminal law is Gaussian with
-covariance from the integrated Lyapunov equation; coordinate events then
+covariance from ``paths.linear_gaussian``; coordinate events then
 have closed-form Gaussian tails, and norm events the exact tail of a
 quadratic form in Gaussians (Imhof's integral).
 """
@@ -15,13 +15,12 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import erfc
 
 from .errors import (ConfigError, InvalidParameterError, NumericalError,
                      ShapeError)
 from .model import EventObservable, SdeModel
-from .paths import PathEnsemble, run_paths
+from .paths import PathEnsemble, linear_gaussian, run_paths
 from .spde import run_spde_paths
 
 CSV_COLUMNS = ("method", "model", "estimate", "variance", "relative_error",
@@ -86,14 +85,15 @@ def simulate_ensemble(model: SdeModel, controller, x0, T, dt=1e-3,
                       trajectory_count=0, trajectory_stride=None,
                       path_index=None) -> PathEnsemble:
     """The M-row ensemble of ``run_ensemble``, simulated and not reduced:
-    SDE models run through ``run_paths``, SPDE models through
-    ``run_spde_paths`` (from the zero field when x0 is None).  Row i is
-    path ``path_index[i]`` (default i) of ``master_seed``."""
+    SDE models run through ``run_paths``, the SPDE model through
+    ``run_spde_paths`` (from the zero field when x0 is None); ``scheme``
+    is read only by nonlinear models.  Row i is path ``path_index[i]``
+    (default i) of ``master_seed``."""
     if controller is not None and abs(controller.horizon - T) > 1e-12:
         raise ConfigError(
             f"controller horizon {controller.horizon} != ensemble horizon {T}")
     if model.spde is not None:
-        return run_spde_paths(model.spde, controller, x0, T, dt, M,
+        return run_spde_paths(model, controller, x0, T, dt, M,
                               master_seed, workers, trajectory_count,
                               trajectory_stride, path_index)
     return run_paths(model, controller, x0, T, dt, scheme, M, master_seed,
@@ -163,31 +163,13 @@ def run_ensemble(model: SdeModel, controller, obs: EventObservable, x0, T,
 
 
 def terminal_gaussian(model: SdeModel, T: float, x0=None):
-    """Mean and covariance of X_T for a constant-coefficient linear model.
-
-    Stable drift uses the stationary Lyapunov solution (well-conditioned
-    even for stiff mode matrices); otherwise the finite-horizon covariance
-    comes from the doubled-system exponential.
-    """
+    """Mean and covariance of X_T for a constant-coefficient linear model,
+    from ``paths.linear_gaussian``."""
     if model.linear_spec is None:
         raise InvalidParameterError("analytic law requires a linear model")
     A, B = model.linear_spec
-    d = A.shape[0]
-    eAT = expm(A * T)
-    mean = eAT @ (np.zeros(d) if x0 is None else np.asarray(x0, float))
-    if np.all(np.linalg.eigvals(A).real < 0):
-        from scipy.linalg import solve_continuous_lyapunov
-        sigma_inf = solve_continuous_lyapunov(A, -B @ B.T)
-        cov = sigma_inf - eAT @ sigma_inf @ eAT.T
-    else:
-        block = np.zeros((2 * d, 2 * d))
-        block[:d, :d] = A
-        block[:d, d:] = B @ B.T
-        block[d:, d:] = -A.T
-        E = expm(block * T)
-        cov = E[:d, d:] @ E[:d, :d].T
-    cov = 0.5 * (cov + cov.T)
-    return mean, cov
+    E, _, cov = linear_gaussian(A, B, T)
+    return E @ (np.zeros(len(A)) if x0 is None else np.asarray(x0, float)), cov
 
 
 def _norm_sf(z):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .basis import BasisSet
 from .errors import (ConfigError, EmptySpectrumError, NumericalError,
                      RankDeficiencyWarning)
 from .model import SdeModel, half_diffusion_sq
-from .paths import derive_path_rng, sde_stepper, trajectory_snapshots
+from .paths import derive_path_rng, trajectory_snapshots
 
 RESIDUAL_TOL = 1e-8
 SVD_RTOL = 1e-10
@@ -50,7 +49,9 @@ def generate_test_points(model: SdeModel, ic_grid: dict, T_traj: float,
                          stride: float, seed: int, dt: float = 1e-3,
                          scheme: str | None = None,
                          basis: BasisSet | None = None) -> TestPointSet:
-    """Sample test points from trajectories started on a uniform IC grid.
+    """Sample test points from trajectories started on a uniform IC grid,
+    stepped by ``paths.model_stepper`` (``scheme`` only for a nonlinear
+    model).
 
     The holdout set is generated identically under seed + 1.  When a
     box-restricted basis is supplied, snapshots that leave the box are
@@ -62,9 +63,8 @@ def generate_test_points(model: SdeModel, ic_grid: dict, T_traj: float,
         raise ConfigError("IC grid dimension does not match the model")
 
     def one(seed_k):
-        pts, dropped = trajectory_snapshots(
-            partial(sde_stepper, model, scheme), ics, T_traj, stride,
-            seed_k, dt)
+        pts, dropped = trajectory_snapshots(model, scheme, ics, T_traj,
+                                            stride, seed_k, dt)
         if basis is not None:
             keep = basis.contains(pts)
             dropped += int((~keep).sum())

@@ -8,10 +8,11 @@ gradient through B: a constant B keeps that map, the path engine's
 diffusion term and the generator's second-order part 0.5 B B^T one fixed
 matrix each.  The six built-in models, rank-deficient B included
 (brownian_osc, duffing), all have this form.  Constant-coefficient linear
-systems also carry (A_lin, B_lin), enabling exact spectra and Gaussian
-oracles.  Events are described by a signed margin g(x): positive strictly
-inside the event, zero on its boundary.  A single mollifier
-0.5*(1 + tanh(s*g(x))) serves every benchmark.
+systems also carry (A_lin, B_lin), enabling exact spectra, Gaussian
+oracles and the exact hold map that steps them.  Events are described by
+a signed margin g(x): positive strictly inside the event, zero on its
+boundary.  A single mollifier 0.5*(1 + tanh(s*g(x))) serves every
+benchmark.
 """
 
 from __future__ import annotations
@@ -106,7 +107,9 @@ def make_event(kind: str, threshold: float, component: int = 0,
     "mollified", spelt exactly: the estimator takes the mollified branch
     for anything but "indicator", so any other mode is an
     ``InvalidParameterError``.  So is a ``sharpness`` that is not a finite
-    positive number: a negative one mollifies the complement event."""
+    positive number: a negative one mollifies the complement event, and
+    a norm event with a ``component`` other than 0, which it would not
+    read."""
     if mode not in ("indicator", "mollified"):
         raise InvalidParameterError(
             f"unknown event mode {mode!r}: use 'indicator' or 'mollified'")
@@ -119,27 +122,36 @@ def make_event(kind: str, threshold: float, component: int = 0,
     elif kind == "abs_coordinate":
         margin = lambda x: np.abs(x[..., component]) - threshold
     elif kind == "norm":
+        if component != 0:
+            raise InvalidParameterError(
+                f"a norm event reads every component, so its component "
+                f"must be 0, got {component!r}")
         margin = lambda x: np.sqrt((x * x).sum(axis=-1)) - threshold
     else:
         raise InvalidParameterError(f"unknown event kind {kind!r}")
     return EventObservable(margin, sharpness, mode, kind, threshold, component)
 
 
-def _require_positive(params, keys):
-    for key in keys:
-        if params[key] <= 0:
-            raise InvalidParameterError(f"parameter {key!r} must be positive")
-
-
-def _merge_params(defaults, params, model_name):
+def _merge_params(defaults, params, model_name, positive=()):
+    """The defaults updated by ``params``; a key without a default, a
+    value that is not a finite number, or one of ``positive`` at or below
+    0, is an ``InvalidParameterError`` naming the key."""
     params = dict(params or {})
     unknown = set(params) - set(defaults)
     if unknown:
         raise InvalidParameterError(
             f"unrecognized parameters for {model_name}: {sorted(unknown)}"
         )
-    out = dict(defaults)
-    out.update(params)
+    for key, val in params.items():
+        if isinstance(val, bool) or not (isinstance(val, numbers.Real)
+                                         and math.isfinite(val)):
+            raise InvalidParameterError(f"parameter {key!r} of {model_name} "
+                                        f"must be a finite number, got "
+                                        f"{val!r}")
+    out = {**defaults, **params}
+    for key in positive:
+        if out[key] <= 0:
+            raise InvalidParameterError(f"parameter {key!r} must be positive")
     return out
 
 
@@ -160,46 +172,45 @@ def _linear_model(name, A, B, params):
 def make_builtin_model(name: str, params: dict | None = None) -> SdeModel:
     """Construct one of the six benchmark systems.
 
-    Missing parameters take the reference values; positivity of damping and
-    noise parameters is enforced.
+    Missing parameters take the reference values; each given one must be a
+    finite number, and damping and noise parameters positive.
     """
     if name == "ou1d":
-        p = _merge_params({"rate": 1.0, "noise": math.sqrt(2.0)}, params, name)
-        _require_positive(p, ("rate", "noise"))
+        p = _merge_params({"rate": 1.0, "noise": math.sqrt(2.0)}, params, name,
+                          ("rate", "noise"))
         return _linear_model(name, [[-p["rate"]]], [[p["noise"]]], p)
 
     if name == "nonnormal2d":
-        p = _merge_params({"noise": 0.1, "slow_rate": 0.3}, params, name)
-        _require_positive(p, ("noise", "slow_rate"))
+        p = _merge_params({"noise": 0.1, "slow_rate": 0.3}, params, name,
+                          ("noise", "slow_rate"))
         A = [[-1.0, 0.0], [1.0, -p["slow_rate"]]]
         B = p["noise"] * np.eye(2)
         return _linear_model(name, A, B, p)
 
     if name == "brownian_osc":
-        p = _merge_params({"omega0": 1.0, "zeta": 0.5, "noise": 1.0}, params, name)
-        _require_positive(p, ("omega0", "zeta", "noise"))
+        p = _merge_params({"omega0": 1.0, "zeta": 0.5, "noise": 1.0}, params,
+                          name, ("omega0", "zeta", "noise"))
         w0, ze = p["omega0"], p["zeta"]
         A = [[0.0, 1.0], [-w0 * w0, -2.0 * ze * w0]]
         B = [[0.0], [p["noise"]]]
         return _linear_model(name, A, B, p)
 
     if name == "advdiff":
+        # spectral_setup checks alpha and n_modes
         p = _merge_params({"b": 1.0, "alpha": 0.1, "eps_noise": 1.0,
-                           "n_modes": 64}, params, name)
-        _require_positive(p, ("eps_noise",))  # spectral_setup checks the rest
+                           "n_modes": 64}, params, name, ("eps_noise",))
         # local import: spde builds on doob, which imports this module
         from .spde import spectral_setup
-        sp = spectral_setup(p["n_modes"], p["alpha"], p["b"], p["eps_noise"])
+        sp = spectral_setup(p["n_modes"], p["alpha"], p["b"])
         m = _linear_model(name, sp.drift_matrix,
                           math.sqrt(p["eps_noise"]) * np.eye(sp.n_modes), p)
         m.spde = sp
         return m
 
     if name == "vdp":
-        p = _merge_params({"mu": 0.3, "eps": 0.01}, params, name)
+        p = _merge_params({"mu": 0.3, "eps": 0.01}, params, name, ("eps",))
         if p["mu"] < 0:
             raise InvalidParameterError("parameter 'mu' must be nonnegative")
-        _require_positive(p, ("eps",))
         mu = p["mu"]
         B = math.sqrt(2.0 * p["eps"]) * np.eye(2)
 
@@ -214,8 +225,8 @@ def make_builtin_model(name: str, params: dict | None = None) -> SdeModel:
 
     if name == "duffing":
         p = _merge_params({"alpha": 1.0, "beta": -1.0, "delta": 0.5,
-                           "eps": 0.0025}, params, name)
-        _require_positive(p, ("alpha", "delta", "eps"))
+                           "eps": 0.0025}, params, name,
+                          ("alpha", "delta", "eps"))
         al, be, de = p["alpha"], p["beta"], p["delta"]
         B = np.array([[0.0], [math.sqrt(2.0 * p["eps"])]])
 

@@ -6,29 +6,29 @@ using the same noise increments that drive the path, with the control
 c B^T grad(Phi)/Phi read from the controller's ``bias_batch``.
 
 One engine (``run_engine``) runs every multi-path simulation in the
-package: SDE ensembles (``run_paths``), SPDE mode ensembles
-(``spde.run_spde_paths``), SDE test points (``gedmd.generate_test_points``)
-and SPDE mode snapshots (``spde.generate_mode_snapshots``).  It takes
+package: ensembles (``run_paths``, and ``spde.run_spde_paths`` for the
+SPDE's modes), test points (``gedmd.generate_test_points``) and SPDE mode
+snapshots (``spde.generate_mode_snapshots``).  It takes
 
-- a stepper: ``step(x, u, xi) -> x`` advances a block of states (B, d)
-  by one step, given the control u (B, r) or None and standard normal
-  draws xi (B, r); ``step.draws(L)`` is the number of standard normals a
-  row draws for a segment of L steps, and ``step.segment(x, u, z, L)``
-  advances the block through such a segment at the held control u (None
-  in an uncontrolled run), from the draws z (B, draws(L)), and returns
-  the new states and the (B, r) sum of the segment's per-step draws,
-  which the Girsanov weight takes; ``step.longest`` is the longest
-  segment it takes, or None.
-  ``sde_stepper`` (Euler-Maruyama or SRK) takes single steps of r draws;
-  ``spde.spde_stepper`` takes segments of any length, each drawing
-  N + rank(R) normals for its exact map (its docstring has it).  Every
-  stepper takes the control as a shift of the draws: ``step(x, u, xi)``
-  is ``step(x, None, xi + sqrt(dt) u)`` up to rounding, so the engine's
+- a stepper: ``step.draws(L)`` is the number of standard normals a row
+  draws for a segment of L steps, and ``step.segment(x, u, z, L)``
+  advances a block of states (B, d) through such a segment at the held
+  control u (B, r) (None in an uncontrolled run), from the draws z
+  (B, draws(L)), and returns the new states and the (B, r) sum of the
+  segment's per-step draws, which the Girsanov weight takes;
+  ``step.longest`` is the longest segment it takes, or None.
+  ``model_stepper`` picks the model's stepper: ``linear_stepper`` for
+  every model with a ``linear_spec`` (ou1d, nonnormal2d, brownian_osc and
+  advdiff), whose segments of any length are the exact law of the model
+  and draw r + rank(R) normals (its docstring has the map), and
+  ``sde_stepper`` (Euler-Maruyama or SRK) for the others, whose segments
+  are single steps of r draws.  Every stepper takes the control as a
+  shift of the per-step draws xi -> xi + sqrt(dt) u, so the engine's
   Girsanov weight is the exact likelihood ratio of the stepped chain;
 - a per-path start of shape (M, d);
 - one snapshot stride: the states of the first ``record`` paths are kept at
   t = 0 and after every ``stride`` steps; ``PathEnsemble.trajectories``
-  turns them into trajectory rows, for SDE and SPDE ensembles alike.
+  turns them into trajectory rows, for every model alike.
 
 Segments: the engine walks the K steps in segments that end at every hold
 start of a control (see below), at every snapshot step when the
@@ -36,11 +36,11 @@ ensemble records rows, every ``step.longest`` steps, and at K: one list,
 built before the blocks run, for every block.  Each segment runs at
 one held control, and the engine sees the state only at segment ends: it
 evaluates the control, takes the segment's Girsanov terms from the sum of
-its draws, marks non-finite rows blown and takes snapshots there.  SDE
-segments are single steps.  An uncontrolled SPDE run that records no
-rows is one segment; recording rows, or a control's holds, move the ends
-of an SPDE run's segments, and with them every row's draws: the same law,
-another realisation.
+its draws, marks non-finite rows blown and takes snapshots there.  A
+nonlinear model's segments are single steps.  An uncontrolled linear run
+that records no rows is one segment; recording rows, or a control's
+holds, move the ends of a linear run's segments, and with them every
+row's draws: the same law, another realisation.
 
 Layout rule: M rows run as blocks of min(MAX_BLOCK_ROWS, ceil(M / workers))
 rows, on ``workers`` threads when there is more than one block.  A block
@@ -74,22 +74,24 @@ every row that names it.  A controller's multiplier is a scalar or one
 value per row; the engine hands each block the slice of its rows, next to
 their starts.  Results are therefore bit-identical for any worker count,
 and so for any layout, when both the stepper and the controller are
-row-local: row i of a step or of ``bias_batch`` depends only on row i of
+row-local: row i of a segment or of ``bias_batch`` depends only on row i of
 the input (its state and its multiplier), bit for bit, whatever the
 number of rows.  A row run with path index p and multiplier c is then bit
 for bit path p of an ensemble run at c alone, which is what lets
 ``doob.tune_multiplier`` run its whole sweep as one stacked ensemble.
 Every controller shares the one bias formula of
 ``doob.Controller.bias_batch``, which is row-local when the controller's
-``value_grad_batch`` and ``_noise_map`` are.  The one per-step product
-with a constant matrix is ``rowlocal_product``: the SDE steppers form
-B xi and B u with it, and the controllers B^T grad Phi and their
-coordinates q = X W (the SPDE controller's is the adjoint coordinate
-<Y, w1>), so all are row-local; the weight's row dot products u . xi and
-u . u are ``rowlocal_dot``.  The one known exception is the SPDE stepper:
-its products with P^L, S / L and R are BLAS products, shape-sensitive
-at the ulp level, so SPDE rows are bit-identical across worker counts
-and stackings only as far as those products are.
+``value_grad_batch`` and ``_noise_map`` are.  The one per-segment product
+with a constant matrix is ``rowlocal_product``: the SDE schemes form B xi
+and B u with it, the linear stepper its products with P^L, S / L and R,
+and the controllers B^T grad Phi and their coordinates q = X W (the SPDE
+controller's is the adjoint coordinate <Y, w1>), so all are row-local;
+the weight's row dot products u . xi and u . u are ``rowlocal_dot``.  The
+one known exception is the SPDE's hold map: its N x N products are BLAS
+products (``rowlocal_product`` takes 18 ms where BLAS takes 0.4 ms at
+2000 x 64, one thread of a 2-core Xeon), shape-sensitive at the ulp
+level, so SPDE rows are bit-identical across worker counts and stackings
+only as far as those products are.
 The control is held: a controller's ``hold_time`` (default ``HOLD_TIME``)
 is s = ``hold_steps(hold_time, dt)`` steps, and the engine evaluates
 ``bias_batch`` at steps 0, s, 2s, ... only, keeping u and the floored mask
@@ -97,15 +99,15 @@ through the hold's segments.  Each step still takes
 (u . xi) sqrt(dt) + 1/2 |u|^2 dt off the log-weight, in a segment as the
 sum over its steps, and adds the mask to ``floored``, so the weight is
 the Girsanov weight of the control that drove the path, and the estimate
-stays unbiased for the discrete chain; only its variance depends on s.
+stays unbiased for the stepped chain (for a linear model, the
+continuous-time law); only its variance depends on s.
 The hold counts global step indices, alike for every row, so rows stay
 row-local; s = 1 (a hold time of at most one step, such as 0) is per-step
 control.
 A path whose state becomes non-finite is marked blown and frozen at zero,
-and so is its held control.  The single-path references the engine is
-tested against, one SDE path stepped alone through ``sde_stepper`` and
-one SPDE path walked alone through the segment maps, are in
-``tests/reference.py``.
+and so is its held control.  The single-path reference the engine is
+tested against, one path walked alone through its model's segments, is
+in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -123,6 +125,7 @@ from .errors import (ConfigError, InvalidParameterError, ShapeError,
 _MASK64 = (1 << 64) - 1
 MAX_BLOCK_ROWS = 8192
 NOISE_BUFFER_DOUBLES = 4_000_000  # noise pre-drawn per block, in doubles
+TAYLOR_TERMS = 12   # of linear_gaussian's series: 1e-17 of the first term
 
 SCHEMES = ("euler_maruyama", "srk_additive")
 # model time units a controller's bias is held for by default (see the
@@ -187,18 +190,6 @@ def rowlocal_dot(a, b):
     return np.einsum("ij,ij->i", a, b)
 
 
-def _step_block(model, scheme, x, u, dt, xi):
-    a = model.drift(x)
-    Bt = model.diffusion_const.T
-    incr = rowlocal_product(xi, Bt) * math.sqrt(dt)
-    if u is not None:
-        incr = incr + rowlocal_product(u, Bt) * dt
-    if scheme == "euler_maruyama":
-        return x + a * dt + incr
-    pred = x + a * dt + incr
-    return x + 0.5 * dt * (a + model.drift(pred)) + incr
-
-
 class _SdeStepper:
     """Engine stepper of an SDE scheme; see ``sde_stepper``."""
 
@@ -208,14 +199,19 @@ class _SdeStepper:
         self.model, self.scheme, self.dt = model, scheme, dt
         self.r = model.dim_noise
 
-    def __call__(self, x, u, xi):
-        return _step_block(self.model, self.scheme, x, u, self.dt, xi)
-
     def draws(self, L):
         return self.r   # L is 1
 
-    def segment(self, x, u, z, L):
-        return _step_block(self.model, self.scheme, x, u, self.dt, z), z
+    def segment(self, x, u, xi, L):
+        dt, drift, Bt = self.dt, self.model.drift, self.model.diffusion_const.T
+        a = drift(x)
+        incr = rowlocal_product(xi, Bt) * math.sqrt(dt)
+        if u is not None:
+            incr = incr + rowlocal_product(u, Bt) * dt
+        if self.scheme == "euler_maruyama":
+            return x + a * dt + incr, xi
+        pred = x + a * dt + incr
+        return x + 0.5 * dt * (a + drift(pred)) + incr, xi
 
 
 def sde_stepper(model, scheme, dt):
@@ -223,17 +219,127 @@ def sde_stepper(model, scheme, dt):
     or srk_additive when it is None; any other name is an
     ``UnsupportedSchemeError``.
 
-    ``step(x, u, xi)`` is one step.  Its segments are single steps
-    (``longest`` = 1), each drawing r = ``model.dim_noise`` normals: a
-    longer one would only hold more draws in the noise buffer at once.
-    The control is held at its left-endpoint value through the step;
-    srk_additive is a two-stage scheme of weak order 2 for additive noise
-    (Heun average of the drift, shared Brownian increment).
+    Its segments are single steps (``longest`` = 1), each drawing
+    r = ``model.dim_noise`` normals: a longer one would only hold more
+    draws in the noise buffer at once.  The control is held at its
+    left-endpoint value through the step; srk_additive is a two-stage
+    scheme of weak order 2 for additive noise (Heun average of the drift,
+    shared Brownian increment).
     """
     scheme = scheme or "srk_additive"
     if scheme not in SCHEMES:
         raise UnsupportedSchemeError(f"unknown scheme {scheme!r}")
     return _SdeStepper(model, scheme, dt)
+
+
+def linear_gaussian(A, B, t):
+    """(E, Gamma, Q) of dX = A X dt + B dW over a time t: E = e^{At},
+    Gamma = int_0^t e^{As} B ds and Q = int_0^t e^{As} B B^T e^{A^T s} ds,
+    the covariance of X_t started at 0.  The one home of the
+    linear-Gaussian law, for the terminal law and the hold map alike.
+
+    Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005):
+    TAYLOR_TERMS terms of each series over t / 2^k, |A|_1 t / 2^k <= 1/8,
+    doubled k times by E(2s) = E(s)^2, Gamma(2s) = Gamma(s) + E(s) Gamma(s)
+    and Q(2s) = Q(s) + E(s) Q(s) E(s)^T.  No step subtracts, so stiff modes
+    lose nothing (Van Loan's doubled exponential grows like e^{80} over a
+    20-step hold of advdiff's 64 modes and cancels to nothing), and A need
+    not be stable.  There it takes 1.7 ms, where expm with the stationary
+    Lyapunov form takes 7.8 (one thread of a 2-core Xeon).
+    """
+    k = math.ceil(math.log2(max(8.0 * t * np.abs(A).sum(axis=0).max(), 1.0)))
+    h = t / 2 ** k
+    Ah = A * h
+    E, G, Q = np.eye(len(A)), h * B, h * (B @ B.T)
+    tE, tG, tQ = E, G, Q
+    for n in range(1, TAYLOR_TERMS + 1):
+        tE = Ah @ tE / n
+        tG = Ah @ tG / (n + 1)
+        tQ = Ah @ tQ
+        tQ = (tQ + tQ.T) / (n + 1)
+        E, G, Q = E + tE, G + tG, Q + tQ
+    for _ in range(k):
+        G = G + E @ G
+        Q = Q + E @ Q @ E.T
+        E = E @ E
+    return E, G, 0.5 * (Q + Q.T)
+
+
+class _LinearStepper:
+    """Engine stepper of a linear model; see ``linear_stepper``."""
+
+    longest = None   # a segment of any length draws r + rank(R) normals
+
+    def __init__(self, model, dt):
+        self.A, self.B = model.linear_spec
+        self.r = self.B.shape[1]
+        self.dt, self.sqdt = dt, math.sqrt(dt)
+        # the SPDE's N x N maps are BLAS products, an SDE's row-local ones
+        # (see the determinism contract)
+        self.product = rowlocal_product if model.spde is None else np.matmul
+        self._maps = {}
+
+    def segment_map(self, L):
+        """(P^L, S / L, R) of an L-step segment, built once per L."""
+        if L not in self._maps:
+            h = L * self.dt
+            E, G, Q = linear_gaussian(self.A, self.B, h)
+            vals, vecs = np.linalg.eigh(Q - G @ G.T / h)
+            keep = vals > len(Q) * np.finfo(float).eps * max(vals.max(), 0.0)
+            R = np.sqrt(vals[keep])[:, None] * vecs[:, keep].T
+            self._maps[L] = E.T, G.T / (L * self.sqdt), R
+        return self._maps[L]
+
+    def draws(self, L):
+        return self.r + len(self.segment_map(L)[2])
+
+    def segment(self, x, u, z, L):
+        PL, SL, R = self.segment_map(L)
+        w = math.sqrt(L) * z[:, :self.r]   # Xi, the sum of the steps' draws
+        if u is not None:
+            w += (L * self.sqdt) * u
+        out = self.product(x, PL)
+        out += self.product(w, SL)
+        if len(R):
+            out += self.product(z[:, self.r:], R)
+        # Xi formed again, not held next to w through the products
+        return out, w if u is None else math.sqrt(L) * z[:, :self.r]
+
+
+def linear_stepper(model, dt):
+    """Engine stepper of the linear model dX = A X dt + B dW, (A, B) its
+    ``linear_spec``, for steps of size dt, whose every segment is the
+    exact law of the model (Van Loan, IEEE TAC 23(3), 1978): the chain has
+    no time-step error.  An L-step segment, h = L dt, at a held control u
+    moves a row as
+
+        X_h = X P^L + (Xi + L sqrt(dt) u) S / L + zeta R,
+
+    with P^L = e^{Ah}^T, S / L = Gamma^T / (L sqrt(dt)) and R^T R =
+    Q - Gamma Gamma^T / h, the covariance of the state given the
+    segment's Brownian increment sqrt(dt) Xi, where (e^{Ah}, Gamma, Q) is
+    ``linear_gaussian`` over h.  Xi = sqrt(L) zeta_1, the sum of the L
+    per-step draws, is what ``segment`` returns for the Girsanov weight;
+    zeta_1 (r) and zeta (rank R) are the segment's r + rank(R) standard
+    normal draws.  The control shifts the draws as the engine's weight
+    assumes, so that weight is the exact likelihood ratio of the chain.
+    The maps are built once per L, when the engine asks ``draws`` of each
+    segment length before its blocks run, so worker threads only read
+    them; R keeps the eigen-directions of R^T R above d eps of its largest
+    eigenvalue.
+    """
+    return _LinearStepper(model, dt)
+
+
+def model_stepper(model, scheme, dt):
+    """``linear_stepper`` for a model with a ``linear_spec``, which reads
+    no scheme (one given is a ``ConfigError``), else ``sde_stepper``."""
+    if model.linear_spec is None:
+        return sde_stepper(model, scheme, dt)
+    if scheme is not None:
+        raise ConfigError(f"{model.name!r} steps by its exact linear map "
+                          f"and reads no scheme, got {scheme!r}")
+    return linear_stepper(model, dt)
 
 
 @dataclass
@@ -427,11 +533,11 @@ def run_engine(step, starts, K, dt, controller=None, master_seed=0,
                         dt, stride, np.concatenate(snaps))
 
 
-def trajectory_snapshots(make_step, starts, T_traj, stride, seed, dt):
-    """Uncontrolled trajectories from each start, sampled every ``stride``
-    time units including t = 0, stacked trajectory-major.
+def trajectory_snapshots(model, scheme, starts, T_traj, stride, seed, dt):
+    """Uncontrolled trajectories of ``model`` from each start, stepped by
+    ``model_stepper``, sampled every ``stride`` time units including
+    t = 0, stacked trajectory-major.
 
-    ``make_step(dt)`` builds the stepper for the (adjusted) step size.
     Trajectories that blow up are left out; returns the points and the
     number of points left out that way.  No starts (an empty point grid)
     is a ``ConfigError``.
@@ -445,8 +551,8 @@ def trajectory_snapshots(make_step, starts, T_traj, stride, seed, dt):
     K, dt = adjust_steps(T_traj, dt)
     every = max(1, int(round(stride / dt)))
     n = len(starts)
-    ens = run_engine(make_step(dt), starts, K, dt, master_seed=seed,
-                     stride=every, record=n)
+    ens = run_engine(model_stepper(model, scheme, dt), starts, K, dt,
+                     master_seed=seed, stride=every, record=n)
     kept = ens.snapshots[~ens.blown]
     return (kept.reshape(-1, starts.shape[1]),
             (n - len(kept)) * ens.snapshots.shape[1])
@@ -463,26 +569,22 @@ def hold_steps(hold_time, dt) -> int:
     return max(1, int(math.floor(hold_time / dt + 1e-9)))
 
 
-def tile_start(x0, dim, M) -> np.ndarray:
-    """The start x0 repeated for M rows; the one check, for the SDE and
-    the SPDE engine alike, that x0 is a state of dimension ``dim``."""
-    if x0 is None or np.shape(x0) != (dim,):
-        raise ShapeError(f"x0 must be a state of the model dimension "
-                         f"{dim}, got {x0!r}")
-    return np.tile(np.asarray(x0, dtype=float), (M, 1))
-
-
 def run_paths(model, controller, x0, T, dt, scheme=None, M=1,
               master_seed=0, workers=1, trajectory_count=0,
               trajectory_stride=None, path_index=None) -> PathEnsemble:
-    """Simulate M rows and collect terminal states and Girsanov weights.
+    """Simulate M rows and collect terminal states and Girsanov weights,
+    stepped by ``model_stepper(model, scheme, dt)``.
 
     Row i is path ``path_index[i]`` (default i).  The first
     ``trajectory_count`` rows also report trajectory rows every
     ``trajectory_stride`` steps and at T.
     """
     K, dt = adjust_steps(T, dt)
-    return run_engine(sde_stepper(model, scheme, dt),
-                      tile_start(x0, model.dim_state, M), K, dt, controller,
+    step = model_stepper(model, scheme, dt)
+    if x0 is None or np.shape(x0) != (model.dim_state,):
+        raise ShapeError(f"x0 must be a state of the model dimension "
+                         f"{model.dim_state}, got {x0!r}")
+    return run_engine(step, np.tile(np.asarray(x0, dtype=float), (M, 1)),
+                      K, dt, controller,
                       master_seed, workers, trajectory_stride,
                       trajectory_count, path_index)

@@ -37,7 +37,7 @@ def fitted_controllers():
                                      event.mollified(pts.points), T=1.0)
         out[family] = (model, ctrl, np.array(x0))
     model = make_builtin_model("advdiff", {"n_modes": 8})
-    snaps = spde.generate_mode_snapshots(model.spde, np.linspace(-2, 2, 5),
+    snaps = spde.generate_mode_snapshots(model, np.linspace(-2, 2, 5),
                                          1.0, 0.25, seed=3, dt=5e-3)
     _, ctrl = fit_spde_controller(
         model, snaps, make_event("norm", 2.0, sharpness=3.0, mode="mollified"),

@@ -1,8 +1,9 @@
 """Reference implementations the package is tested against.
 
-``simulate_path`` runs one path step by step through the engine's own
-stepper on a one-row block, and ``simulate_spde_path`` one SPDE mode path
-one segment map at a time; ``generator_apply`` applies the generator to
+``simulate_path`` runs one path alone, segment by segment, through the
+engine's own stepper on a one-row block: step by step for a nonlinear
+model, one exact hold map at a time for every linear one, the SPDE's modes
+included; ``generator_apply`` applies the generator to
 one function jet at one state; ``sweep_table_per_c`` runs the multiplier
 sweep as one ensemble per multiplier; ``exact_koopman_loop`` builds the
 exact generator projection one dictionary element and one term at a time;
@@ -30,8 +31,8 @@ from koopmanis.estimator import run_ensemble
 from koopmanis.gedmd import eigenpairs, exact_koopman_matrix
 from koopmanis.model import EventObservable, SdeModel, half_diffusion_sq
 from koopmanis.paths import (adjust_steps, derive_path_rng, hold_steps,
-                             rowlocal_product, sde_stepper)
-from koopmanis.spde import SpdeController, adjoint_model, spde_stepper
+                             model_stepper, rowlocal_product)
+from koopmanis.spde import SpdeController, adjoint_model
 
 
 class PathBlowupError(KoopmanisError):
@@ -57,76 +58,54 @@ class PathResult:
 
 def simulate_path(model, controller, x0, T, dt, scheme=None, master_seed=0,
                   path_index=0, trajectory_stride=None) -> PathResult:
-    """Simulate path ``path_index`` alone, with the noise stream and the
-    Girsanov weight of the block engine; the control is evaluated at steps
-    0, s, 2s, ..., s the controller's hold in steps, and held in between.
+    """Simulate path ``path_index`` alone, with the noise stream, the
+    segments and the Girsanov weight of the block engine.
 
-    Raises PathBlowupError (with the offending step index) if the state
-    leaves the finite region.
+    Segments end at every hold start (none without a controller), every
+    ``trajectory_stride`` steps, every ``step.longest`` steps and at T;
+    each draws ``step.draws`` of its length from the path's stream in time
+    order and runs ``paths.model_stepper``'s segment on a one-row block.
+    The control is evaluated at each hold start and held; an L-step
+    segment at the held u takes (u . Xi) sqrt(dt) + L |u|^2 dt / 2 off the
+    log-weight, Xi the sum of its per-step draws.
+
+    Raises PathBlowupError, with the first step of the segment that left
+    the finite region, if the state does.
     """
     if controller is not None and abs(controller.horizon - T) > 1e-12:
         raise ValueError("controller horizon does not match requested T")
     rng = derive_path_rng(master_seed, path_index)
     K, dt = adjust_steps(T, dt)
-    step = sde_stepper(model, scheme, dt)
-    sqdt = math.sqrt(dt)
+    step = model_stepper(model, scheme, dt)
     x = np.array(x0, dtype=float)
     if x.shape != (model.dim_state,):
         raise ShapeError("x0 has wrong dimension")
-    logw = 0.0
-    traj = None if trajectory_stride is None else [(0.0, x.copy())]
-    u = None
-    hold = 1 if controller is None else hold_steps(controller.hold_time, dt)
-    for k in range(K):
-        xi = rng.standard_normal(model.dim_noise)
-        if controller is not None:
-            if k % hold == 0:
-                u = controller.bias_batch(k * dt, x[None, :])[0]
-            logw -= float(u[0] @ xi) * sqdt + 0.5 * float(u[0] @ u[0]) * dt
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = step(x[None, :], u, xi[None, :])[0]
-        if not np.all(np.isfinite(x)):
-            raise PathBlowupError(k)
-        if traj is not None and ((k + 1) % trajectory_stride == 0 or k == K - 1):
-            traj.append(((k + 1) * dt, x.copy()))
-    return PathResult(x, logw, path_index, traj)
-
-
-def simulate_spde_path(spde, controller, Y0, T, dt, master_seed=0,
-                       path_index=0, trajectory_stride=None) -> PathResult:
-    """Simulate SPDE mode path ``path_index`` alone, one segment map at a
-    time: segments end at every hold start (none without a controller),
-    every ``trajectory_stride`` steps and at T, and each draws its
-    N + rank(R) normals from the path's stream in time order.  An L-step
-    segment at the held control u is
-    Y P^L + (Xi + L sqrt(dt) u) S / L + zeta R with Xi = sqrt(L) zeta_1,
-    from ``spde_stepper``'s ``segment_map``, and takes (u . Xi) sqrt(dt)
-    + L |u|^2 dt / 2 off the log-weight."""
-    rng = derive_path_rng(master_seed, path_index)
-    K, dt = adjust_steps(T, dt)
-    step = spde_stepper(spde, dt)
     hold = None if controller is None \
         else hold_steps(controller.hold_time, dt)
     ends = sorted({K}.union(*(range(every, K, every) for every
-                              in (hold, trajectory_stride) if every)))
-    Y = np.array(Y0, dtype=float)
+                              in (hold, trajectory_stride, step.longest)
+                              if every)))
     logw = 0.0
-    traj = None if trajectory_stride is None else [(0.0, Y.copy())]
-    u = np.zeros(spde.n_modes)
+    traj = None if trajectory_stride is None else [(0.0, x.copy())]
+    u = None
     k = 0
     for end in ends:
         L = end - k
-        PL, SL, R = step.segment_map(L)
-        z = rng.standard_normal(spde.n_modes + len(R))
+        z = rng.standard_normal(step.draws(L))
         if controller is not None and k % hold == 0:
-            u = controller.bias_batch(k * dt, Y[None, :])[0][0]
-        xi = math.sqrt(L) * z[:spde.n_modes]
-        Y = Y @ PL + (xi + L * math.sqrt(dt) * u) @ SL + z[spde.n_modes:] @ R
-        logw -= float(u @ xi) * math.sqrt(dt) + L * 0.5 * float(u @ u) * dt
+            u = controller.bias_batch(k * dt, x[None, :])[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, xi = step.segment(x[None, :], u, z[None, :], L)
+        x = x[0]
+        if u is not None:
+            logw -= float(u[0] @ xi[0]) * math.sqrt(dt) \
+                + L * (0.5 * float(u[0] @ u[0]) * dt)
+        if not np.all(np.isfinite(x)):
+            raise PathBlowupError(k)
         k = end
         if traj is not None and (k % trajectory_stride == 0 or k == K):
-            traj.append((k * dt, Y.copy()))
-    return PathResult(Y, logw, path_index, traj)
+            traj.append((k * dt, x.copy()))
+    return PathResult(x, logw, path_index, traj)
 
 
 def generator_apply(model: SdeModel, jet, x) -> float:

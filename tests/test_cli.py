@@ -336,6 +336,25 @@ def test_misspelt_event_mode_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "out" / "results.csv").exists()
 
 
+def test_a_norm_event_with_a_component_writes_nothing(tmp_path, capsys):
+    """A norm event reads every component: event.component 1 once gave
+    the component-0 indicator without a word, and is now refused."""
+    raw = _tiny_ou_config(tmp_path, method="mc")
+    del raw["points"], raw["basis"], raw["gedmd"], raw["doob"]
+    raw["model"]["name"] = "nonnormal2d"
+    raw["run"]["x0"] = [0.0, 0.0]
+    raw["event"].update(kind="norm", threshold=0.75, component=1)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error (InvalidParameterError)" in err and "component" in err
+    assert not (tmp_path / "out").exists()
+    raw["event"]["component"] = 0
+    path.write_text(json.dumps(raw))
+    assert cli.main(["run", str(path)]) == 0
+
+
 def test_a_failing_output_leaves_no_partial_files(tmp_path, monkeypatch):
     """The eigenfunction report is formed last but before any file is
     written: when it fails, not even the results row, nor the output
@@ -573,14 +592,17 @@ def test_a_reused_controller_of_another_model_is_a_config_error(
     ("gaussian", "ou1d", "points", "dt", 0.01),
     ("grid", "advdiff", "basis", None, {"family": "hermite", "degree": 7}),
     ("grid", "advdiff", "gedmd", None, {"max_eigenfunctions": 1}),
-    ("grid", "advdiff", "run", "scheme", "euler_maruyama")])
+    ("grid", "advdiff", "run", "scheme", "euler_maruyama"),
+    ("gaussian", "ou1d", "run", "scheme", "euler_maruyama"),
+    ("grid", "ou1d", "run", "scheme", "srk_additive")])
 def test_a_block_or_key_the_run_does_not_read_is_a_config_error(
         tmp_path, capsys, points, model, block, key, value):
     """Each was accepted and ignored: a grid block's gaussian keys, a
-    gaussian block's grid keys, and advdiff's basis and gedmd blocks and
-    run.scheme (advdiff with a degree-7 Hermite basis and
-    max_eigenfunctions 1 still fitted its 3-pair exact spectrum).  Now
-    each is a ConfigError naming it, and nothing is written."""
+    gaussian block's grid keys, advdiff's basis and gedmd blocks (advdiff
+    with a degree-7 Hermite basis and max_eigenfunctions 1 still fitted
+    its 3-pair exact spectrum), and the run.scheme of a linear model,
+    which steps by its exact hold map.  Now each is a ConfigError naming
+    it, and nothing is written."""
     raw = _tiny_advdiff_config(tmp_path) if model == "advdiff" \
         else _tiny_ou_config(tmp_path)
     if points == "grid":

@@ -8,7 +8,7 @@ from koopmanis.errors import (ConfigError, EmptySpectrumError,
                               RankDeficiencyWarning)
 from koopmanis import gedmd
 from koopmanis.model import SdeModel, _linear_model, half_diffusion_sq
-from koopmanis.paths import _step_block, adjust_steps, derive_path_rng
+from koopmanis.paths import adjust_steps, derive_path_rng, sde_stepper
 from reference import exact_koopman_loop
 
 
@@ -59,12 +59,13 @@ def _reference_snapshots(model, ics, T_traj, stride, seed, dt, scheme):
     K, dt = adjust_steps(T_traj, dt)
     step_per = max(1, int(round(stride / dt)))
     r = model.dim_noise
+    step = sde_stepper(model, scheme, dt)
     xi = np.array([derive_path_rng(seed, i).standard_normal((K, r))
                    for i in range(n_ic)])
     x = ics.astype(float).copy()
     snaps = [x.copy()]
     for k in range(K):
-        x = _step_block(model, scheme, x, None, dt, xi[:, k, :])
+        x = step.segment(x, None, xi[:, k, :], 1)[0]
         if (k + 1) % step_per == 0:
             snaps.append(x.copy())
     return np.stack(snaps, axis=1).reshape(-1, d)

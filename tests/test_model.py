@@ -244,3 +244,26 @@ def test_sharpness_must_be_finite_and_positive(sharpness):
     sharpness -1 gives f(-3) = 0.99995 and f(3) = 0.119."""
     with pytest.raises(InvalidParameterError, match="sharpness"):
         make_event("coordinate", 2.0, sharpness=sharpness, mode="mollified")
+
+
+@pytest.mark.parametrize("name, params", [
+    ("advdiff", {"n_modes": "8"}), ("ou1d", {"rate": "1"}),
+    ("vdp", {"mu": None}), ("brownian_osc", {"zeta": [0.5]}),
+    ("duffing", {"eps": True}), ("nonnormal2d", {"noise": math.nan}),
+    ("ou1d", {"noise": math.inf})])
+def test_a_parameter_that_is_not_a_finite_number_names_its_key(name, params):
+    """Each was a raw TypeError from a comparison (or, for nan, a model
+    built with it); now each is an InvalidParameterError naming the key."""
+    (key, _), = params.items()
+    with pytest.raises(InvalidParameterError, match=repr(key)):
+        make_builtin_model(name, params)
+
+
+@pytest.mark.parametrize("component", [1, 2, -1])
+def test_a_norm_event_reads_no_component(component):
+    """The norm reads every component: a norm event built with component
+    1 gave the component-0 indicator.  Now any component but 0 is an
+    InvalidParameterError."""
+    with pytest.raises(InvalidParameterError, match="component"):
+        make_event("norm", 2.0, component)
+    assert make_event("norm", 2.0, 0).indicator(np.array([0.0, 2.5])) == 1.0

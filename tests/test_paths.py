@@ -1,17 +1,21 @@
+import copy
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from koopmanis import (derive_path_rng, make_builtin_model, make_event,
                        paths, run_ensemble, run_paths)
 from koopmanis.errors import ConfigError, ShapeError, UnsupportedSchemeError
 from koopmanis.gedmd import generate_test_points
 from koopmanis.model import SdeModel
-from koopmanis.paths import (_step_block, adjust_steps, hold_steps,
-                             rowlocal_dot, rowlocal_product, sde_stepper)
-from koopmanis.spde import run_spde_paths, spde_stepper, spectral_setup
+from koopmanis.estimator import terminal_gaussian
+from koopmanis.paths import (adjust_steps, hold_steps,
+                             linear_gaussian, linear_stepper, rowlocal_dot,
+                             rowlocal_product, sde_stepper)
+from koopmanis.spde import run_spde_paths
 from reference import (PathBlowupError, simulate_path,
                        spde_quadratic_controller)
 
@@ -67,10 +71,10 @@ def test_adjust_steps_rounds_up():
 
 
 def test_euler_step_deterministic():
-    m = make_builtin_model("ou1d")
-    out = sde_stepper(m, "euler_maruyama", 0.01)(np.array([[1.0]]), None,
-                                                np.array([[0.0]]))
-    assert out[0, 0] == pytest.approx(0.99)
+    m = _deterministic_decay_model()
+    out, xi = sde_stepper(m, "euler_maruyama", 0.01).segment(
+        np.array([[1.0]]), None, np.array([[0.0]]), 1)
+    assert out[0, 0] == pytest.approx(0.99) and xi[0, 0] == 0.0
 
 
 def test_ode_decay_accuracy():
@@ -96,10 +100,22 @@ def test_srk_second_order_on_drift():
 def test_unknown_scheme_is_rejected(scheme):
     """Ensembles and test points alike; a stepper for an unknown name
     would otherwise run the SRK step."""
-    m = make_builtin_model("ou1d")
+    m = _deterministic_decay_model()
     with pytest.raises(UnsupportedSchemeError, match="scheme"):
         run_paths(m, None, [1.0], 0.1, 0.01, scheme=scheme, M=2)
     with pytest.raises(UnsupportedSchemeError, match="scheme"):
+        generate_test_points(m, {"box": [[-1.0, 1.0]], "counts": [3]}, 0.1,
+                             0.05, 0, dt=0.01, scheme=scheme)
+
+
+@pytest.mark.parametrize("scheme", ["euler_maruyama", "srk_additive"])
+def test_a_linear_model_reads_no_scheme(scheme):
+    """A linear model steps by its exact hold map, so a scheme given to
+    its ensemble or its test points is a ConfigError, not ignored."""
+    m = make_builtin_model("ou1d")
+    with pytest.raises(ConfigError, match="reads no scheme"):
+        run_paths(m, None, [1.0], 0.1, 0.01, scheme=scheme, M=2)
+    with pytest.raises(ConfigError, match="reads no scheme"):
         generate_test_points(m, {"box": [[-1.0, 1.0]], "counts": [3]}, 0.1,
                              0.05, 0, dt=0.01, scheme=scheme)
 
@@ -116,8 +132,11 @@ def test_ou_terminal_moments():
 
 
 def test_zero_controller_weight_is_exactly_zero():
+    """A zero control leaves the weight at 0 and the rows of an
+    uncontrolled run cut into the same one-step segments (its holds)."""
     m = make_builtin_model("ou1d")
-    ens = run_paths(m, None, [0.0], 0.5, 1e-2, M=64, master_seed=3)
+    ens = run_paths(m, None, [0.0], 0.5, 1e-2, M=64, master_seed=3,
+                    trajectory_count=1, trajectory_stride=1)
     assert np.all(ens.log_weight == 0.0)
     ctrl = _ConstantController([0.0], 0.5)
     ens2 = run_paths(m, ctrl, [0.0], 0.5, 1e-2, M=64, master_seed=3)
@@ -233,27 +252,36 @@ def test_rowlocal_dot_rows_do_not_depend_on_the_row_count(r):
         assert np.array_equal(squares, (u * u).sum(axis=1))
 
 
-@pytest.mark.parametrize("stepper", ["euler_maruyama", "srk_additive",
-                                     "spde"])
-def test_the_control_is_a_shift_of_the_draws(stepper):
+@pytest.mark.parametrize("stepper, L", [
+    ("euler_maruyama", 1), ("srk_additive", 1), ("brownian_osc", 1),
+    ("brownian_osc", 3), ("advdiff", 1), ("advdiff", 20)],
+    ids=["euler_maruyama", "srk_additive", "brownian_osc", "brownian_osc-3",
+         "spde", "spde-20"])
+def test_the_control_is_a_shift_of_the_draws(stepper, L):
     """Every engine stepper takes the control u as the shift
-    xi -> xi + sqrt(dt) u of its standard normal draws, the shift the
-    engine's Girsanov weight assumes."""
+    xi -> xi + sqrt(dt) u of each step's standard normal draws, the shift
+    the engine's Girsanov weight assumes: an L-step segment's first r
+    draws, whose sum over the steps is sqrt(L) of them, move by
+    sqrt(L dt) u, and the segment returns the unshifted sum."""
     rng = np.random.default_rng(8)
     dt = 1e-3
-    if stepper == "spde":
-        step, d, r = spde_stepper(spectral_setup(64, 0.1, 1.0, 1.0), dt), \
-            64, 64
+    if stepper in ("brownian_osc", "advdiff"):
+        model = make_builtin_model(stepper)
+        step = linear_stepper(model, dt)
     else:
         vdp = make_builtin_model("vdp")
         model = SdeModel("dense", vdp.drift, rng.normal(size=(2, 3)))
-        step, d, r = sde_stepper(model, stepper, dt), 2, 3
+        step = sde_stepper(model, stepper, dt)
+    d, r = model.dim_state, model.dim_noise
     x = rng.normal(size=(50, d))
     u = 3.0 * rng.normal(size=(50, r))
-    xi = rng.normal(size=(50, r))
-    np.testing.assert_allclose(step(x, u, xi),
-                               step(x, None, xi + math.sqrt(dt) * u),
-                               rtol=1e-12, atol=0.0)
+    z = rng.normal(size=(50, step.draws(L)))
+    shifted = z.copy()
+    shifted[:, :r] += math.sqrt(L * dt) * u
+    got, xi = step.segment(x, u, z, L)
+    want, xi_shifted = step.segment(x, None, shifted, L)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(xi, math.sqrt(L) * z[:, :r], rtol=1e-15)
 
 
 @pytest.mark.parametrize("B, scheme", [
@@ -327,14 +355,13 @@ def test_noise_budget_does_not_change_results(fitted_controllers, case,
         per_step = 20 * model.dim_noise  # 20 distinct paths
     else:
         adv = make_builtin_model("advdiff", {"n_modes": 8})
-        sp = adv.spde
         spde_ctrl = spde_quadratic_controller(adv, 1.0, 0.4, 1.0,
                                               multiplier=2.0)
 
         def run():
-            return run_spde_paths(sp, spde_ctrl, None, 1.0, 2e-2, 40,
+            return run_spde_paths(adv, spde_ctrl, None, 1.0, 2e-2, 40,
                                   master_seed=5)
-        per_step = 40 * sp.n_modes
+        per_step = 40 * adv.dim_state
     ref = run()
     alts = []
     for budget in (1, 7 * per_step):
@@ -447,8 +474,8 @@ def test_bad_trajectory_settings_are_config_errors(engine, count, stride):
                                 trajectory_count=count,
                                 trajectory_stride=stride)
     else:
-        spde = make_builtin_model("advdiff", {"n_modes": 8}).spde
-        run = lambda: run_spde_paths(spde, None, None, 0.1, 1e-2, 4, 0,
+        adv = make_builtin_model("advdiff", {"n_modes": 8})
+        run = lambda: run_spde_paths(adv, None, None, 0.1, 1e-2, 4, 0,
                                      trajectory_count=count,
                                      trajectory_stride=stride)
     with pytest.raises(ConfigError):
@@ -460,6 +487,7 @@ def _reference_rows(model, controller, x0, T, dt, scheme, master_seed, M,
     """Loop version of the trajectory rows (one block), kept as the
     reference for the block engine's snapshot stride."""
     K, dt = adjust_steps(T, dt)
+    step = sde_stepper(model, scheme, dt)
     gens = [derive_path_rng(master_seed, i) for i in range(M)]
     x = np.tile(np.asarray(x0, dtype=float), (M, 1))
     blown = np.zeros(M, dtype=bool)
@@ -469,7 +497,7 @@ def _reference_rows(model, controller, x0, T, dt, scheme, master_seed, M,
         xi = np.stack([g.standard_normal(model.dim_noise) for g in gens])
         u = None if controller is None else controller.bias_batch(k * dt, x)[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            x = _step_block(model, scheme, x, u, dt, xi)
+            x = step.segment(x, u, xi, 1)[0]
         newly = ~np.isfinite(x).all(axis=1) & ~blown
         if newly.any():
             blown |= newly
@@ -564,19 +592,13 @@ def test_a_hold_of_at_most_one_step_is_per_step_control(fitted_controllers):
 
 
 def _per_step_path(model, ctrl, x0, T, dt, master_seed, i):
-    """Path i stepped alone with the control evaluated at every step,
-    whatever the controller's hold: (terminal state, log-weight)."""
-    rng = derive_path_rng(master_seed, i)
-    K, dt = adjust_steps(T, dt)
-    step = sde_stepper(model, None, dt)
-    x, logw = np.array(x0, dtype=float), 0.0
-    for k in range(K):
-        xi = rng.standard_normal(model.dim_noise)
-        u = ctrl.bias_batch(k * dt, x[None, :])[0]
-        logw -= float(u[0] @ xi) * math.sqrt(dt) \
-            + 0.5 * float(u[0] @ u[0]) * dt
-        x = step(x[None, :], u, xi[None, :])[0]
-    return x, logw
+    """Path i alone with the control evaluated at every step, whatever the
+    controller's hold: (terminal state, log-weight)."""
+    ctrl = copy.copy(ctrl)
+    ctrl.hold_time = 0.0
+    res = simulate_path(model, ctrl, x0, T, dt, master_seed=master_seed,
+                        path_index=i)
+    return res.terminal_state, res.log_weight
 
 
 @pytest.mark.parametrize("family", ["legendre_box", "linear_exact"])
@@ -637,3 +659,122 @@ def test_a_blown_row_drops_its_held_control():
                         scheme="euler_maruyama", master_seed=2)
     assert ens.blown.all()
     assert np.isfinite(ens.terminal).all()
+
+
+def _quadrature_law(A, B, h, panels=64):
+    """(e^{Ah}, Gamma, Q - Gamma Gamma^T / h) of dX = A X dt + B dW over h
+    by composite 20-node Gauss-Legendre quadrature of f(s) = e^{As} B on
+    [0, h]: Gamma = int f and the conditional covariance in its centred
+    form int (f - Gamma / h)(f - Gamma / h)^T, with no cancellation."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    edges = np.linspace(0.0, h, panels + 1)
+    nodes = np.concatenate([0.5 * (b - a) * x + 0.5 * (a + b)
+                            for a, b in zip(edges[:-1], edges[1:])])
+    wts = np.concatenate([0.5 * (b - a) * w
+                          for a, b in zip(edges[:-1], edges[1:])])
+    f = np.array([expm(A * s) @ B for s in nodes])
+    G = np.einsum("n,nij->ij", wts, f)
+    c = f - G / h
+    return expm(A * h), G, np.einsum("n,nij,nkj->ik", wts, c, c)
+
+
+_LINEAR = [("ou1d", {}, 1e-2), ("nonnormal2d", {}, 1e-2),
+           ("brownian_osc", {}, 1e-2), ("advdiff", {"n_modes": 8}, 1e-3)]
+
+
+@pytest.mark.parametrize("L", [1, 20])
+@pytest.mark.parametrize("name, params, dt", _LINEAR,
+                         ids=[c[0] for c in _LINEAR])
+def test_the_hold_map_is_the_exact_law_of_the_segment(name, params, dt, L):
+    """P^L = e^{Ah}^T, S / L = Gamma^T / (L sqrt(dt)) and R^T R =
+    Q - Gamma Gamma^T / h of an L-step segment, h = L dt, against
+    quadrature: P and Gamma to 1e-12 of their largest entries, and the
+    conditional covariance R^T R to 1e-12 of the largest entry of the
+    state covariance Q it is the part of; and Q itself is
+    ``terminal_gaussian``'s covariance over h."""
+    model = make_builtin_model(name, params)
+    A, B = model.linear_spec
+    h = L * dt
+    step = linear_stepper(model, dt)
+    PL, SL, R = step.segment_map(L)
+    P, G, D = _quadrature_law(A, B, h)
+    Q = D + G @ G.T / h
+    for got, want, scale in ((PL.T, P, P), (SL.T * L * math.sqrt(dt), G, G),
+                             (R.T @ R, D, Q)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(scale).max()
+    _, cov = terminal_gaussian(model, h)
+    assert np.abs(cov - Q).max() <= 1e-12 * np.abs(Q).max()
+    assert step.draws(L) == model.dim_noise + len(R)
+
+
+def test_linear_gaussian_needs_no_stable_drift():
+    """An unstable A (growth rate 1) and a singular one (Brownian motion
+    with a drifting second coordinate) against quadrature, to 1e-12."""
+    B = np.array([[1.0], [0.5]])
+    for A in (np.array([[1.0, 0.3], [0.0, -2.0]]),
+              np.array([[0.0, 1.0], [0.0, 0.0]])):
+        E, G, Q = linear_gaussian(A, B, 3.0)
+        P, G_ref, D = _quadrature_law(A, B, 3.0)
+        Q_ref = D + G_ref @ G_ref.T / 3.0
+        for got, want in ((E, P), (G, G_ref), (Q, Q_ref)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name, params, dt", _LINEAR,
+                         ids=[c[0] for c in _LINEAR])
+def test_uncontrolled_terminal_law_is_the_exact_gaussian(name, params, dt):
+    """20000 uncontrolled rows from x0 = 1, with trajectory rows every 7
+    steps cutting the run into segments: the terminal mean and covariance
+    match ``terminal_gaussian`` within 4 standard errors of each entry
+    (Var of a sample covariance: (S_ii S_jj + S_ij^2) / M)."""
+    model = make_builtin_model(name, params)
+    M, T = 20_000, 0.5
+    x0 = np.ones(model.dim_state)
+    ens = run_paths(model, None, x0, T, dt, M=M, master_seed=17,
+                    trajectory_count=1, trajectory_stride=7)
+    mean, cov = terminal_gaussian(model, T, x0)
+    sd = np.sqrt(np.diag(cov))
+    assert np.all(np.abs(ens.terminal.mean(axis=0) - mean) < 4 * sd
+                  / math.sqrt(M))
+    se = np.sqrt((np.outer(sd ** 2, sd ** 2) + cov ** 2) / M)
+    assert np.all(np.abs(np.cov(ens.terminal.T).reshape(cov.shape) - cov)
+                  < 4 * se)
+
+
+@pytest.mark.parametrize("family", ["linear_exact", "spde"])
+def test_hold_zero_runs_one_step_segments(fitted_controllers, family,
+                                          monkeypatch):
+    """A control held for 0 time units is evaluated at every step, and a
+    linear model then walks one-step segments, each drawing r + rank(R)
+    normals: the rows of the single-path reference, bit for bit on
+    brownian_osc, to 1e-12 on advdiff, whose maps are BLAS products."""
+    model, ctrl, x0 = fitted_controllers[family]
+    ctrl = ctrl.with_multiplier(2.0).with_hold_time(0.0)
+    dt, T = 1e-2, 1.0
+    counts = []
+
+    class Counting:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def standard_normal(self, *args, out=None):
+            counts.append(out.size)
+            return self.gen.standard_normal(*args, out=out)
+
+    monkeypatch.setattr(paths, "derive_path_rng",
+                        lambda *a: Counting(derive_path_rng(*a)))
+    ens = run_paths(model, ctrl, x0, T, dt, M=3, master_seed=6)
+    per_step = linear_stepper(model, dt).draws(1)
+    assert counts == [100 * per_step] * 3
+    assert per_step > model.dim_noise   # the map's R draws too
+    for i in range(3):
+        res = simulate_path(model, ctrl, x0, T, dt, master_seed=6,
+                            path_index=i)
+        if family == "linear_exact":
+            assert res.terminal_state.tobytes() == ens.terminal[i].tobytes()
+            assert res.log_weight == ens.log_weight[i]
+        else:
+            assert np.allclose(res.terminal_state, ens.terminal[i],
+                               rtol=1e-12, atol=1e-15)
+            assert res.log_weight == pytest.approx(ens.log_weight[i],
+                                                   rel=1e-12)

@@ -59,7 +59,8 @@ _ADVDIFF = Path(__file__).resolve().parents[1] / "bench" / "workloads" \
 def test_advdiff_workload_estimates_match_oracle():
     """The committed advdiff workload config at master seeds 1-6, against
     the exact 1.93153e-5 of ``analytic_oracles``: every estimate within 4
-    standard errors.  Today z runs from -0.3 down to -17.7."""
+    standard errors.  On the exact hold map z reads -4.3, -14.1, -3.6,
+    -1.5, -15.4 and -1.5."""
     raw = json.loads(_ADVDIFF.read_text())
     z = []
     for seed in range(1, 7):

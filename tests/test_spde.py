@@ -11,14 +11,15 @@ from koopmanis import paths
 from koopmanis import spde as spde_mod
 from koopmanis.doob import DoobController
 from koopmanis.errors import InvalidParameterError, ShapeError
-from koopmanis.paths import derive_path_rng
-from reference import (fit_spde_controller, simulate_spde_path,
+from koopmanis.model import _linear_model
+from koopmanis.paths import derive_path_rng, linear_stepper
+from reference import (fit_spde_controller, simulate_path,
                        spde_quadratic_controller)
 
 
 @pytest.fixture(scope="module")
 def sp64():
-    return spectral_setup(64, 0.1, 1.0, 1.0)
+    return spectral_setup(64, 0.1, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -35,9 +36,9 @@ def test_mode_rates(sp64):
 
 def test_invalid_parameters():
     with pytest.raises(InvalidParameterError):
-        spectral_setup(1, 0.1, 1.0, 1.0)
+        spectral_setup(1, 0.1, 1.0)
     with pytest.raises(InvalidParameterError):
-        spectral_setup(8, -0.1, 1.0, 1.0)
+        spectral_setup(8, -0.1, 1.0)
 
 
 @pytest.mark.parametrize("n_modes", [8.7, 2.5, True, math.inf, math.nan])
@@ -45,7 +46,7 @@ def test_n_modes_must_be_a_whole_number(n_modes):
     """8.7 once built 9 modes in spectral_setup, storing n_modes 8.7, and
     8 through make_builtin_model."""
     with pytest.raises(InvalidParameterError, match="n_modes"):
-        spectral_setup(n_modes, 0.1, 1.0, 1.0)
+        spectral_setup(n_modes, 0.1, 1.0)
     with pytest.raises(InvalidParameterError, match="n_modes"):
         make_builtin_model("advdiff", {"n_modes": n_modes})
 
@@ -85,7 +86,7 @@ def test_coupling_structure(sp64):
 
 
 def test_zero_advection_coupling():
-    sp = spectral_setup(16, 0.1, 0.0, 1.0)
+    sp = spectral_setup(16, 0.1, 0.0)
     assert np.all(sp.coupling == 0.0)
 
 
@@ -113,64 +114,19 @@ def test_adjoint_residual(sp64):
     assert r <= 1e-6
 
 
-def test_qwiener_std_limits(sp64):
-    # small-rate limit of the noise std is sqrt(q dt)
-    sp = spectral_setup(4, 1e-6, 0.0, 1.0)
-    std = spde_mod.noise_std(sp, 1e-3)
-    assert np.allclose(std, math.sqrt(1e-3), rtol=1e-4)
-    sp0 = spectral_setup(4, 0.1, 0.0, 0.0)
-    rng = derive_path_rng(0, 0)
-    assert np.all(spde_mod.noise_std(sp0, 1e-3) * rng.standard_normal(4)
-                  == 0.0)
-
-
-def test_qwiener_sample_variance(sp64):
-    rng = derive_path_rng(1, 0)
-    std = spde_mod.noise_std(sp64, 1e-2)
-    draws = np.array([(std * rng.standard_normal(64))[0]
-                      for _ in range(200_000)])
-    ref = std[0] ** 2
-    assert draws.var() == pytest.approx(ref, rel=0.01)
-
-
-def test_exp_euler_pure_decay(sp64):
-    Y = np.ones(64)
-    out = spde_mod.spde_stepper(spectral_setup(64, 0.1, 0.0, 0.0), 0.01)(
-        Y, None, np.zeros(64))
-    assert np.allclose(out, np.exp(-sp64.lam * 0.01))
-
-
-def test_exp_euler_stationary_variance():
-    """Time-average of Y_k^2 under pure decay + noise -> q/(2 lambda).
-
-    The per-mode recurrence is exact in law for any step size, so a large
-    dt gives plenty of decorrelated samples over 1e5 steps.
-    """
-    sp = spectral_setup(8, 0.1, 0.0, 1.0)
-    rng = derive_path_rng(3, 0)
-    dt = 0.1
-    decay = np.exp(-sp.lam * dt)
-    sig = spde_mod.noise_std(sp, dt)
-    Y = np.zeros(8)
-    burn = 500
-    acc = np.zeros(8)
-    n = 100_000
-    for k in range(burn + n):
-        Y = decay * Y + sig * rng.standard_normal(8)
-        if k >= burn:
-            acc += Y * Y
-    ref = 1.0 / (2.0 * sp.lam)
-    assert np.allclose(acc / n, ref, rtol=0.02)
-
-
-def test_exp_euler_one_step_moments(sp64):
-    """The engine stepper from Y = 0: one step's noise, drawn per path."""
-    rng = derive_path_rng(9, 0)
-    draws = spde_mod.spde_stepper(sp64, 1e-2)(
-        np.zeros((50_000, 64)), None, rng.standard_normal((50_000, 64)))
-    ref = spde_mod.noise_std(sp64, 1e-2) ** 2
-    assert np.abs(draws.mean(axis=0)).max() < 4 * math.sqrt(ref[0] / 50_000)
-    assert np.allclose(draws.var(axis=0), ref, rtol=0.05)
+def test_qwiener_std_limits():
+    """The modes' space-time noise over one step: its covariance tends to
+    eps dt I as the rates vanish (alpha 1e-6, no advection), and a model
+    without noise draws none beyond its columns."""
+    slow = _linear_model("slow", spectral_setup(4, 1e-6, 0.0).drift_matrix,
+                         np.eye(4), {})
+    _, SL, R = linear_stepper(slow, 1e-3).segment_map(1)
+    assert np.allclose(SL.T @ SL + R.T @ R, 1e-3 * np.eye(4), rtol=1e-4,
+                       atol=1e-12)
+    still = _linear_model("still", spectral_setup(4, 0.1, 0.0).drift_matrix,
+                          np.zeros((4, 4)), {})
+    _, SL, R = linear_stepper(still, 1e-3).segment_map(1)
+    assert np.all(SL == 0.0) and len(R) == 0
 
 
 def test_quadratic_functional_is_generator_eigenfunction(adv64):
@@ -185,7 +141,8 @@ def test_quadratic_functional_is_generator_eigenfunction(adv64):
     assert spec.eigenvalues[2] == pytest.approx(-2.0 * sp.mu1, rel=1e-12)
     c = spec.coefficients[2].real / -spec.coefficients[2, 0].real
     assert c[1] == 0.0
-    assert c[2] == pytest.approx(2.0 * sp.mu1 / sp.eps_noise, rel=1e-12)
+    assert c[2] == pytest.approx(2.0 * sp.mu1 / adv64.params["eps_noise"],
+                                rel=1e-12)
     M = sp.drift_matrix
     w1 = ctrl.coordinates[:, 0]
     for _ in range(100):
@@ -232,17 +189,25 @@ def test_advection_preserves_norm(sp64):
                                                     rel=1e-10)
 
 
-def test_exp_euler_noiseless_norm_never_grows(sp64):
-    sp = spectral_setup(64, 0.1, 1.0, 0.0)
-    rng = np.random.default_rng(4)
-    Y = rng.normal(size=64)
+def test_noiseless_norm_never_grows(sp64):
+    """Without noise a hold map is Y e^{A h}^T, and A = -diag(lam) + C with
+    C skew, so the field's norm never grows from one segment to the next:
+    1000 one-step segments at dt 1e-3."""
+    model = _linear_model("noiseless", sp64.drift_matrix, np.zeros((64, 1)),
+                          {})
+    step = linear_stepper(model, 1e-3)
+    assert step.draws(1) == 1   # the one noise column, R empty
+    Y = np.random.default_rng(4).normal(size=(1, 64))
     norms = [np.linalg.norm(Y)]
-    step = spde_mod.spde_stepper(sp, 1e-3)
     for _ in range(1000):
-        Y = step(Y, None, np.zeros(64))
+        Y = step.segment(Y, None, np.zeros((1, 1)), 1)[0]
         norms.append(np.linalg.norm(Y))
-    norms = np.array(norms)
-    assert np.all(np.diff(norms) <= 1e-3 * norms[:-1])
+    assert np.all(np.diff(norms) <= 1e-12 * np.array(norms[:-1]))
+    out = linear_stepper(_linear_model("decay", -np.diag(sp64.lam),
+                                       np.zeros((64, 1)), {}), 0.01)
+    assert np.allclose(out.segment(np.ones((1, 64)), None, np.zeros((1, 1)),
+                                   1)[0][0], np.exp(-sp64.lam * 0.01),
+                       rtol=1e-12, atol=0.0)
 
 
 def test_spde_bias_trivial_cases(adv64, sp64):
@@ -277,13 +242,12 @@ def test_spde_controller_scales_linearly(adv64):
 def test_spde_unbiasedness_non_rare():
     """Biased vs unbiased estimates of a non-rare norm level agree."""
     model = make_builtin_model("advdiff", {"n_modes": 16})
-    sp = model.spde
     ev = make_event("norm", 1.0, mode="indicator")
     M = 10_000
-    plain = spde_mod.run_spde_paths(sp, None, np.zeros(16), 2.0, 5e-3,
+    plain = spde_mod.run_spde_paths(model, None, np.zeros(16), 2.0, 5e-3,
                                     M, master_seed=11)
     ctrl = spde_quadratic_controller(model, 1.0, 0.25, 2.0, multiplier=2.0)
-    biased = spde_mod.run_spde_paths(sp, ctrl, np.zeros(16), 2.0, 5e-3,
+    biased = spde_mod.run_spde_paths(model, ctrl, np.zeros(16), 2.0, 5e-3,
                                      M, master_seed=12)
     y0 = ev.indicator(plain.terminal)
     y1 = ev.indicator(biased.terminal) * np.exp(biased.log_weight)
@@ -303,13 +267,13 @@ def test_spde_start_of_the_wrong_dimension_is_a_shape_error():
                         batch=50)
 
 
-def test_spde_paths_deterministic(sp64):
+def test_spde_paths_deterministic(adv64):
     # worker threads must not change a byte: two workers run 100 rows as
     # two 50-row blocks, and each block alone gives the same rows (the
     # stepper's propagator product is shape-sensitive at the ulp level, so
     # the comparison keeps the block shapes)
     def run(M, workers=1, path_index=None):
-        return spde_mod.run_spde_paths(sp64, None, np.zeros(64), 0.2, 5e-3,
+        return spde_mod.run_spde_paths(adv64, None, np.zeros(64), 0.2, 5e-3,
                                        M, master_seed=3, workers=workers,
                                        path_index=path_index)
 
@@ -320,11 +284,11 @@ def test_spde_paths_deterministic(sp64):
             getattr(h, field).tobytes() for h in halves)
 
 
-def test_spde_trajectory_rows(sp64):
+def test_spde_trajectory_rows(adv64, sp64):
     """SPDE ensembles report trajectory rows like SDE ones: every stride
     steps from t = 0, and the terminal state at T off the stride grid."""
     Y0 = 0.1 * sp64.adjoint_w1
-    ens = spde_mod.run_spde_paths(sp64, None, Y0, 0.2, 5e-3, 4,
+    ens = spde_mod.run_spde_paths(adv64, None, Y0, 0.2, 5e-3, 4,
                                   master_seed=3, trajectory_count=2,
                                   trajectory_stride=7)
     rows = ens.trajectories
@@ -337,8 +301,8 @@ def test_spde_trajectory_rows(sp64):
         assert np.array_equal(mine[-1][2], ens.terminal[p])
 
 
-def test_mode_snapshots_shapes(sp64):
-    snaps = spde_mod.generate_mode_snapshots(sp64, [-2.0, 0.0, 2.0], 1.0,
+def test_mode_snapshots_shapes(adv64, sp64):
+    snaps = spde_mod.generate_mode_snapshots(adv64, [-2.0, 0.0, 2.0], 1.0,
                                              0.25, seed=0, dt=5e-3)
     assert snaps.shape == (3 * 5, 64)
     assert np.allclose(snaps[0], -2.0 * sp64.adjoint_w1)
@@ -348,12 +312,12 @@ def test_mode_snapshots_match_reference_loop(adv64, sp64):
     # the engine advances all amplitudes with one matmul where the loop
     # uses a vector-matrix product per amplitude: equal up to round-off
     amps = np.linspace(-4.0, 4.0, 9)
-    snaps = spde_mod.generate_mode_snapshots(sp64, amps, 2.0, 0.25, seed=11,
+    snaps = spde_mod.generate_mode_snapshots(adv64, amps, 2.0, 0.25, seed=11,
                                              dt=5e-3)
     ref = np.concatenate([
-        [x for _, x in simulate_spde_path(
-            sp64, None, a * sp64.adjoint_w1, 2.0, 5e-3, 11, i,
-            trajectory_stride=50).trajectory]
+        [x for _, x in simulate_path(
+            adv64, None, a * sp64.adjoint_w1, 2.0, 5e-3, master_seed=11,
+            path_index=i, trajectory_stride=50).trajectory]
         for i, a in enumerate(amps)])
     assert snaps.shape == ref.shape == (9 * 9, 64)
     assert np.allclose(snaps, ref, rtol=1e-12, atol=0.0)
@@ -363,35 +327,30 @@ def test_mode_snapshots_match_reference_loop(adv64, sp64):
     assert got.coefficients == pytest.approx(want.coefficients, rel=1e-12)
 
 
-def _per_step_law(spde, dt, L):
-    """(P^L, Cov Y_L, Cov(Xi, Y_L), Var Xi) of L exponential Euler steps
-    Y' = exp(-lam dt) Y + (1 - exp(-lam dt)) / lam (C Y) + sigma xi from
-    Y = 0, Xi the sum of the draws, with P the step's matrix on rows."""
-    decay = np.exp(-spde.lam * dt)
-    fac = (1.0 - decay) / spde.lam
-    P = np.array([decay * e + fac * (spde.coupling @ e)
-                  for e in np.eye(spde.n_modes)])
-    D = np.diag(spde_mod.noise_std(spde, dt))
-    PL, C, X = np.eye(len(D)), np.zeros_like(D), np.zeros_like(D)
+def _per_step_law(step, L):
+    """(P^L, Cov Y_L, Cov(Xi, Y_L), Var Xi) of L one-step segments
+    Y' = Y P + xi S + zeta R from Y = 0, with (P, S, R) the one-step map
+    and Xi the sum of the draws xi."""
+    P, S, R = step.segment_map(1)
+    D = S.T @ S + R.T @ R
+    PL, C, X = np.eye(len(P)), np.zeros_like(P), np.zeros_like(P)
     for _ in range(L):
-        PL, C, X = PL @ P, P.T @ C @ P + D @ D, X @ P + D
-    return PL, C, X, L * np.eye(len(D))
+        PL, C, X = PL @ P, P.T @ C @ P + D, X @ P + S
+    return PL, C, X, L * np.eye(len(P))
 
 
 @pytest.mark.parametrize("L", [1, 2, 7, 20])
-def test_segment_map_has_the_law_of_the_per_step_chain(sp64, L):
-    """Y_L = Y P^L + Xi S / L + zeta R with Xi = sqrt(L) zeta_1: P^L, the
+def test_segment_map_has_the_law_of_the_per_step_chain(adv64, L):
+    """An L-step segment Y_L = Y P^L + Xi S / L + zeta R with
+    Xi = sqrt(L) zeta_1 has the law of L one-step segments: P^L, the
     state covariance L (S/L)^T (S/L) + R^T R, its covariance with Xi,
-    L S / L, and Var Xi = L I are those of L one-step recursions, to
-    1e-12 relative; a one-step segment draws r = 64 normals."""
-    step = spde_mod.spde_stepper(sp64, 1e-3)
+    L S / L, and Var Xi = L I agree to 1e-12 relative on the 64 modes."""
+    step = linear_stepper(adv64, 1e-3)
     PL, SL, R = step.segment_map(L)
     got = (PL, L * SL.T @ SL + R.T @ R, L * SL, L * np.eye(64))
-    for a, b in zip(got, _per_step_law(sp64, 1e-3, L)):
+    for a, b in zip(got, _per_step_law(step, L)):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
     assert step.draws(L) == 64 + len(R)
-    if L == 1:
-        assert R.shape == (0, 64) and step.draws(1) == 64
 
 
 def test_engine_rows_match_the_segment_reference_loop(adv64, sp64):
@@ -401,12 +360,12 @@ def test_engine_rows_match_the_segment_reference_loop(adv64, sp64):
     ctrl = spde_quadratic_controller(adv64, 1.0, 0.4, 0.2,
                                      multiplier=2.0).with_hold_time(0.02)
     Y0 = 0.5 * sp64.adjoint_w1
-    ens = spde_mod.run_spde_paths(sp64, ctrl, Y0, 0.2, 1e-3, 5,
+    ens = spde_mod.run_spde_paths(adv64, ctrl, Y0, 0.2, 1e-3, 5,
                                   master_seed=4, trajectory_count=3,
                                   trajectory_stride=7)
     for i in range(5):
-        res = simulate_spde_path(sp64, ctrl, Y0, 0.2, 1e-3, 4, i,
-                                 trajectory_stride=7)
+        res = simulate_path(adv64, ctrl, Y0, 0.2, 1e-3, master_seed=4,
+                            path_index=i, trajectory_stride=7)
         assert np.allclose(ens.terminal[i], res.terminal_state, rtol=1e-12,
                            atol=1e-15)
         assert ens.log_weight[i] == pytest.approx(res.log_weight, rel=1e-12)
@@ -419,7 +378,7 @@ def test_engine_rows_match_the_segment_reference_loop(adv64, sp64):
 
 
 @pytest.mark.parametrize("controlled", [True, False])
-def test_a_held_segment_draws_r_plus_n_normals(adv64, sp64, monkeypatch,
+def test_a_held_segment_draws_r_plus_n_normals(adv64, monkeypatch,
                                                controlled):
     """One 20-step hold draws r + N = 128 normals per row, where 20
     steps drew 20 r = 1280; so does an uncontrolled run that records no
@@ -438,7 +397,7 @@ def test_a_held_segment_draws_r_plus_n_normals(adv64, sp64, monkeypatch,
                         lambda *a: Counting(derive_path_rng(*a)))
     ctrl = spde_quadratic_controller(adv64, 1.0, 0.4, 0.02).with_hold_time(
         0.02) if controlled else None
-    spde_mod.run_spde_paths(sp64, ctrl, None, 0.02, 1e-3, 6, master_seed=1)
+    spde_mod.run_spde_paths(adv64, ctrl, None, 0.02, 1e-3, 6, master_seed=1)
     assert counts == [64 + 64] * 6
 
 
@@ -450,19 +409,19 @@ def test_snapshot_cuts_reach_every_block(adv64, sp64, monkeypatch):
     like the one that does.  Every segment map is built once, before the
     worker threads start."""
     built = []
-    build = spde_mod._SpdeStepper._build
+    build = paths.linear_gaussian
 
-    def counting(self, L):
-        built.append((L, threading.current_thread() is
+    def counting(A, B, t):
+        built.append((round(t / 1e-3), threading.current_thread() is
                       threading.main_thread()))
-        return build(self, L)
+        return build(A, B, t)
 
-    monkeypatch.setattr(spde_mod._SpdeStepper, "_build", counting)
+    monkeypatch.setattr(paths, "linear_gaussian", counting)
     ctrl = spde_quadratic_controller(adv64, 1.0, 0.4, 0.2,
                                      multiplier=2.0).with_hold_time(0.02)
 
     def run(M, workers=1, path_index=None):
-        return spde_mod.run_spde_paths(sp64, ctrl, 0.5 * sp64.adjoint_w1,
+        return spde_mod.run_spde_paths(adv64, ctrl, 0.5 * sp64.adjoint_w1,
                                        0.2, 1e-3, M, master_seed=5,
                                        workers=workers, trajectory_count=1,
                                        trajectory_stride=7,
@@ -489,7 +448,7 @@ def test_noise_budget_does_not_change_segmented_rows(adv64, budget,
     ctrl = spde_quadratic_controller(model, 1.0, 0.4, 1.0, multiplier=2.0)
 
     def run():
-        return spde_mod.run_spde_paths(model.spde, ctrl, None, 1.0, 5e-3,
+        return spde_mod.run_spde_paths(model, ctrl, None, 1.0, 5e-3,
                                        40, master_seed=5,
                                        trajectory_count=2,
                                        trajectory_stride=6)
@@ -500,8 +459,8 @@ def test_noise_budget_does_not_change_segmented_rows(adv64, budget,
         assert getattr(ref, field).tobytes() == getattr(alt, field).tobytes()
 
 
-def test_build_spde_controller_positive(adv64, sp64):
-    snaps = spde_mod.generate_mode_snapshots(sp64, np.linspace(-4, 4, 9),
+def test_build_spde_controller_positive(adv64):
+    snaps = spde_mod.generate_mode_snapshots(adv64, np.linspace(-4, 4, 9),
                                              2.0, 0.25, seed=1, dt=5e-3)
     ev = make_event("norm", 2.5, mode="indicator")
     _, ctrl = fit_spde_controller(adv64, snaps, ev, 10.0)
