@@ -3,7 +3,7 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 from koopmanis import (make_builtin_model, make_event, run_ensemble,
                        spectral_setup, tune_multiplier)
@@ -129,6 +129,72 @@ def test_qwiener_std_limits():
     assert np.all(SL == 0.0) and len(R) == 0
 
 
+def test_qwiener_sample_variance():
+    """The space-time noise a one-step segment adds to the first mode,
+    sampled 200000 times on 64 modes without advection, has the variance
+    (1 - e^{-2 lam dt}) / (2 lam) of that mode's Ornstein-Uhlenbeck
+    process at dt 1e-2."""
+    model = make_builtin_model("advdiff", {"b": 0.0})
+    step = linear_stepper(model, 1e-2)
+    rng = derive_path_rng(1, 0)
+    draws = np.concatenate([
+        step.segment(np.zeros((20_000, 64)), None,
+                     rng.standard_normal((20_000, step.draws(1))), 1)[0][:, 0]
+        for _ in range(10)])
+    lam = model.spde.lam[0]
+    ref = -math.expm1(-2.0 * lam * 1e-2) / (2.0 * lam)
+    assert draws.var() == pytest.approx(ref, rel=0.01)
+
+
+def test_exp_euler_pure_decay(sp64):
+    """Without noise or advection the hold map is the exponential-Euler
+    decay e^{-lam dt} of every mode."""
+    out = linear_stepper(_linear_model("decay", -np.diag(sp64.lam),
+                                       np.zeros((64, 1)), {}), 0.01)
+    assert np.allclose(out.segment(np.ones((1, 64)), None, np.zeros((1, 1)),
+                                   1)[0][0], np.exp(-sp64.lam * 0.01),
+                       rtol=1e-12, atol=0.0)
+
+
+def test_exp_euler_stationary_variance():
+    """Time-average of Y_k^2 under pure decay + noise -> 1/(2 lambda).
+
+    The map is exact in law for any step size, so dt 0.1 decorrelates
+    the samples quickly: 2000 chains of one-step segments from Y = 0,
+    averaged over steps 50 to 549 (the slowest mode's correlation time is
+    about 10 steps)."""
+    model = make_builtin_model("advdiff", {"n_modes": 8, "b": 0.0})
+    step = linear_stepper(model, 0.1)
+    rng = derive_path_rng(3, 0)
+    Y = np.zeros((2000, 8))
+    burn, n = 50, 500
+    acc = np.zeros(8)
+    for k in range(burn + n):
+        Y = step.segment(Y, None, rng.standard_normal((2000, step.draws(1))),
+                         1)[0]
+        if k >= burn:
+            acc += (Y * Y).sum(axis=0)
+    ref = 1.0 / (2.0 * model.spde.lam)
+    assert np.allclose(acc / (2000 * n), ref, rtol=0.02)
+
+
+def test_exp_euler_one_step_moments(adv64, sp64):
+    """The engine stepper from Y = 0: one step's noise, drawn per path,
+    has mean 0 and the variances of the exact one-step covariance
+    Sigma - e^{A dt} Sigma e^{A dt}^T, Sigma the stationary solution of
+    A Sigma + Sigma A^T + I = 0, with advection."""
+    step = linear_stepper(adv64, 1e-2)
+    rng = derive_path_rng(9, 0)
+    draws = step.segment(np.zeros((50_000, 64)), None,
+                         rng.standard_normal((50_000, step.draws(1))), 1)[0]
+    A = sp64.drift_matrix
+    sigma = solve_continuous_lyapunov(A, -np.eye(64))
+    P = expm(A * 1e-2)
+    ref = np.diag(sigma - P @ sigma @ P.T)
+    assert np.abs(draws.mean(axis=0)).max() < 4 * math.sqrt(ref[0] / 50_000)
+    assert np.allclose(draws.var(axis=0), ref, rtol=0.05)
+
+
 def test_quadratic_functional_is_generator_eigenfunction(adv64):
     """The third eigenfunction of the adjoint coordinate's exact spectrum,
     lifted by W, is phi2 = kappa <Y, w1>^2 - 1 (kappa = 2 mu1 / eps) up to
@@ -189,7 +255,7 @@ def test_advection_preserves_norm(sp64):
                                                     rel=1e-10)
 
 
-def test_noiseless_norm_never_grows(sp64):
+def test_exp_euler_noiseless_norm_never_grows(sp64):
     """Without noise a hold map is Y e^{A h}^T, and A = -diag(lam) + C with
     C skew, so the field's norm never grows from one segment to the next:
     1000 one-step segments at dt 1e-3."""
@@ -203,11 +269,6 @@ def test_noiseless_norm_never_grows(sp64):
         Y = step.segment(Y, None, np.zeros((1, 1)), 1)[0]
         norms.append(np.linalg.norm(Y))
     assert np.all(np.diff(norms) <= 1e-12 * np.array(norms[:-1]))
-    out = linear_stepper(_linear_model("decay", -np.diag(sp64.lam),
-                                       np.zeros((64, 1)), {}), 0.01)
-    assert np.allclose(out.segment(np.ones((1, 64)), None, np.zeros((1, 1)),
-                                   1)[0][0], np.exp(-sp64.lam * 0.01),
-                       rtol=1e-12, atol=0.0)
 
 
 def test_spde_bias_trivial_cases(adv64, sp64):
