@@ -21,9 +21,9 @@ knob: the path engine splits each ensemble into ``workers`` blocks on as
 many threads (``paths`` has the layout rule), with byte-identical SDE
 outputs.  Threads pay off only where numpy releases the interpreter lock
 long enough.  Final ensembles of the bench workloads at c = 8 on 2
-cores, one BLAS thread, 1 -> 2 workers (median of 3, at the default
-control hold): advdiff 0.5 -> 0.35 s (median of 7), vdp 0.68 -> 1.2 s,
-brownian_osc 0.57 -> 0.96 s.
+cores of a Xeon, one BLAS thread, 1 -> 2 workers (median of 5,
+alternated, at the default control hold): advdiff 0.65 -> 0.42 s, vdp
+0.46 -> 1.1 s, brownian_osc 0.38 -> 0.76 s.
 Memory grows with workers: each running block holds its own noise buffer
 of up to ``paths.NOISE_BUFFER_DOUBLES`` doubles (32 MB).  The default is 1.
 
@@ -61,7 +61,7 @@ import numpy as np
 
 from . import doob, estimator, gedmd, spde
 from .basis import build_basis
-from .errors import ConfigError, KoopmanisError
+from .errors import ConfigError, KoopmanisError, NoHitsError
 from .model import default_event, make_builtin_model, make_event
 from .paths import SCHEMES, rowlocal_product
 
@@ -399,7 +399,9 @@ def _tune(cfg: ExperimentConfig, state: PipelineState):
 def run_pipeline(cfg: ExperimentConfig, controller=None) -> PipelineState:
     """Full pipeline, ending in the configured final ensemble.  For method
     mc the controller stages and the sweep are skipped; a given
-    ``controller`` (one loaded by ``--reuse-controller``) replaces them."""
+    ``controller`` (one loaded by ``--reuse-controller``) replaces them.
+    A controlled final ensemble with no path in the event is a
+    ``NoHitsError``: its estimate 0 with variance 0 would say nothing."""
     if cfg.run["method"] == "mc" or controller is not None:
         state = PipelineState(*_model_and_event(cfg), controller=controller)
         if controller is not None:
@@ -417,6 +419,11 @@ def run_pipeline(cfg: ExperimentConfig, controller=None) -> PipelineState:
         workers=run["workers"],
         trajectory_count=cfg.output["trajectory_count"],
         trajectory_stride=cfg.output["trajectory_stride"])
+    if state.controller is not None and state.report.proportion_in_event == 0:
+        raise NoHitsError(
+            f"no path of the final ensemble reached the event (M = "
+            f"{run['M']}, c = {state.controller.multiplier:g}); raise the "
+            f"multiplier or M")
     return state
 
 

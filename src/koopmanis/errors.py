@@ -38,5 +38,9 @@ class TuningFailedError(KoopmanisError):
     """No multiplier in the sweep grid produced any event hits."""
 
 
+class NoHitsError(KoopmanisError):
+    """The final importance-sampling ensemble put no path in the event."""
+
+
 class RankDeficiencyWarning(UserWarning):
     """Feature matrix rank fell below the dictionary size."""

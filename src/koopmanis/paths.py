@@ -16,7 +16,8 @@ snapshots (``spde.generate_mode_snapshots``).  It takes
   control u (B, r) (None in an uncontrolled run), from the draws z
   (B, draws(L)), and returns the new states and the (B, r) sum of the
   segment's per-step draws, which the Girsanov weight takes;
-  ``step.longest`` is the longest segment it takes, or None.
+  ``step.longest`` is the longest segment it takes, or None, and
+  ``step.time_major`` the layout of its noise (see the layout rule).
   ``model_stepper`` picks the model's stepper: ``linear_stepper`` for
   every model with a ``linear_spec`` (ou1d, nonnormal2d, brownian_osc and
   advdiff), whose segments of any length are the exact law of the model
@@ -46,18 +47,30 @@ Layout rule: M rows run as blocks of min(MAX_BLOCK_ROWS, ceil(M / workers))
 rows, on ``workers`` threads when there is more than one block.  A block
 holds its states column-major, the layout of ``rowlocal_product``'s
 results, so the noise increments and a linear drift meet the state in one
-layout and the steppers' elementwise passes read no mixed strides.  The
-layout moves no bits where the stepper and the controller are row-local
-(see the determinism contract).
+layout and the steppers' elementwise passes read no mixed strides.  Its
+noise follows the stepper's products (``step.time_major``).  A stepper
+whose products are ``rowlocal_product``'s (the SDE schemes, and the linear
+models but the SPDE) reads time-major noise, a (draws, paths) buffer, so
+a segment's (B, draws) view has contiguous columns, the operands of the
+column passes: row-major, a brownian_osc segment reads 3 of each row's
+750 draws and a vdp step 2 of 2000, one cache line per row and column.
+The SPDE's BLAS stepper reads row-major noise, (paths, draws), whose
+128-draw segment rows already fill whole cache lines.  The layout moves
+no bits where the stepper and the controller are row-local (see the
+determinism contract).
 
 Noise memory: each block allocates one buffer for its paths' noise and
-draws every time-ordered chunk into it in place.  A chunk is a run of
-whole segments that fits in NOISE_BUFFER_DOUBLES doubles (or one segment
-that does not), and the runs split the draws about evenly over as many
-chunks as the budget needs.  A block's noise is thus at most
-NOISE_BUFFER_DOUBLES doubles (32 MB) or one segment's draws, whichever is
-more, and ``workers`` blocks running at once hold ``workers`` buffers.
-The budget changes no bits (see the determinism contract).
+draws every time-ordered chunk into it in place: each path into its row
+of a row-major buffer, or into a row of a tile of TILE_ROWS paths that is
+then copied, transposed, into a time-major one (a numpy Generator draws
+only into contiguous memory).  A chunk is a run of whole segments whose
+draws for the block's paths and the tile fit in NOISE_BUFFER_DOUBLES
+doubles (or one segment that does not), and the runs split the draws
+about evenly over as many chunks as the budget needs.  A block's buffer
+and tile thus hold at most NOISE_BUFFER_DOUBLES doubles (32 MB) or one
+segment's draws, whichever is more, and ``workers`` blocks running at
+once hold ``workers`` buffers.  The budget changes no bits (see the
+determinism contract).
 
 The engine knows no event: it returns terminal states, log-weights and
 blow-up flags, and the estimator evaluates the event once on the
@@ -66,19 +79,20 @@ surviving terminal states.
 Determinism contract: row i of an ensemble draws its noise only from
 ``derive_path_rng(master_seed, path_index[i])`` (by default path_index[i]
 = i), segment by segment in time order, ``step.draws(L)`` normals for an
-L-step segment, whatever the chunking; the segments are the same for
-every row.  Blocks are independent and assembled in row order.  Rows that
-share a path index replay one stream: each distinct path of a block is
-derived and drawn once per noise chunk, and its draws are gathered into
-every row that names it.  A controller's multiplier is a scalar or one
-value per row; the engine hands each block the slice of its rows, next to
-their starts.  Results are therefore bit-identical for any worker count,
-and so for any layout, when both the stepper and the controller are
-row-local: row i of a segment or of ``bias_batch`` depends only on row i of
-the input (its state and its multiplier), bit for bit, whatever the
-number of rows.  A row run with path index p and multiplier c is then bit
-for bit path p of an ensemble run at c alone, which is what lets
-``doob.tune_multiplier`` run its whole sweep as one stacked ensemble.
+L-step segment, whatever the chunking, the tile and the layout; the
+segments are the same for every row.  Blocks are independent and
+assembled in row order.  Rows that share a path index replay one stream:
+each distinct path of a block is derived and drawn once per noise chunk,
+and its draws are gathered into every row that names it.  A controller's
+multiplier is a scalar or one value per row; the engine hands each block
+the slice of its rows, next to their starts.  Results are therefore
+bit-identical for any worker count, and so for any layout, when both the
+stepper and the controller are row-local: row i of a segment or of
+``bias_batch`` depends only on row i of the input (its state and its
+multiplier), bit for bit, whatever the number of rows.  A row run with
+path index p and multiplier c is then bit for bit path p of an ensemble
+run at c alone, which is what lets ``doob.tune_multiplier`` run its whole
+sweep as one stacked ensemble.
 Every controller shares the one bias formula of
 ``doob.Controller.bias_batch``, which is row-local when the controller's
 ``value_grad_batch`` and ``_noise_map`` are.  The one per-segment product
@@ -86,7 +100,8 @@ with a constant matrix is ``rowlocal_product``: the SDE schemes form B xi
 and B u with it, the linear stepper its products with P^L, S / L and R,
 and the controllers B^T grad Phi and their coordinates q = X W (the SPDE
 controller's is the adjoint coordinate <Y, w1>), so all are row-local;
-the weight's row dot products u . xi and u . u are ``rowlocal_dot``.  The
+the weight's row dot products u . xi and u . u are ``rowlocal_dot``, whose
+bits depend on no layout, so the noise layout moves no bits either.  The
 one known exception is the SPDE's hold map: its N x N products are BLAS
 products (``rowlocal_product`` takes 18 ms where BLAS takes 0.4 ms at
 2000 x 64, one thread of a 2-core Xeon), shape-sensitive at the ulp
@@ -125,6 +140,7 @@ from .errors import (ConfigError, InvalidParameterError, ShapeError,
 _MASK64 = (1 << 64) - 1
 MAX_BLOCK_ROWS = 8192
 NOISE_BUFFER_DOUBLES = 4_000_000  # noise pre-drawn per block, in doubles
+TILE_ROWS = 32   # paths drawn into a tile per transpose into time-major noise
 TAYLOR_TERMS = 12   # of linear_gaussian's series: 1e-17 of the first term
 
 SCHEMES = ("euler_maruyama", "srk_additive")
@@ -179,14 +195,18 @@ def rowlocal_dot(a, b):
     """The row dot products a[i] . b[i] of two (n, r) batches, as (n,):
     the engine's Girsanov terms u . xi and u . u.
 
-    One pass over the rows with no (n, r) temporary, and row i depends
-    only on a[i] and b[i], bit for bit, whatever n and whether b is a
-    strided view or a gather of repeated rows.  For r <= 2 it is bit for
-    bit ``(a * b).sum(axis=1)``, whatever the layout of a.  For r >= 3
-    its bits depend on the layout of a: C- and F-ordered inputs of equal
-    values give different rows.  The engine therefore holds the control u
-    C-contiguous, the layout of the noise draws.
+    One pass over the rows, and row i depends only on a[i] and b[i], bit
+    for bit, whatever n and the layout of either: a row-major or
+    time-major view of the noise buffer, or a gather of repeated rows.
+    For r <= 2 it is bit for bit ``(a * b).sum(axis=1)`` in any layout.
+    For r >= 3 einsum's order of summation follows the layout (on
+    F-ordered inputs the sum over a row runs in the outer loop, on
+    C-ordered ones in the inner), so both are read C-ordered, copied when
+    they are not; the engine holds the control u C-contiguous, so only a
+    time-major xi is copied.
     """
+    if a.shape[1] >= 3:
+        a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return np.einsum("ij,ij->i", a, b)
 
 
@@ -194,6 +214,7 @@ class _SdeStepper:
     """Engine stepper of an SDE scheme; see ``sde_stepper``."""
 
     longest = 1   # its segments are single steps
+    time_major = True   # its products are rowlocal_product's: layout rule
 
     def __init__(self, model, scheme, dt):
         self.model, self.scheme, self.dt = model, scheme, dt
@@ -275,8 +296,9 @@ class _LinearStepper:
         self.r = self.B.shape[1]
         self.dt, self.sqdt = dt, math.sqrt(dt)
         # the SPDE's N x N maps are BLAS products, an SDE's row-local ones
-        # (see the determinism contract)
+        # (see the determinism contract); the noise layout follows them
         self.product = rowlocal_product if model.spde is None else np.matmul
+        self.time_major = self.product is rowlocal_product
         self._maps = {}
 
     def segment_map(self, L):
@@ -414,6 +436,23 @@ def _noise_chunks(segments, per_path):
     return chunks
 
 
+def _noise_buffers(time_major, n_paths, segments):
+    """(chunks, noise, rows) of a block's noise: the ``_noise_chunks`` of
+    ``segments``, the buffer every chunk is drawn into, time-major
+    (width, n_paths) or row-major (n_paths, width), and the rows each path
+    draws its chunk into: a tile of TILE_ROWS rows, or for row-major noise
+    the buffer itself.  The buffer and the tile together hold at most
+    NOISE_BUFFER_DOUBLES doubles, unless one segment's draws need more."""
+    tile = min(TILE_ROWS, n_paths) if time_major else 0
+    chunks = _noise_chunks(segments,
+                           NOISE_BUFFER_DOUBLES // (n_paths + tile))
+    width = max(segments[b - 1][3] - segments[a][2] for a, b in chunks)
+    if time_major:
+        return chunks, np.empty((width, n_paths)), np.empty((tile, width))
+    noise = np.empty((n_paths, width))
+    return chunks, noise, noise
+
+
 def _run_block(step, x0, K, dt, controller, master_seed, path_index,
                stride, record, hold, segments):
     B = len(x0)
@@ -433,30 +472,35 @@ def _run_block(step, x0, K, dt, controller, master_seed, path_index,
 
     # noise is pre-drawn per path in time-ordered chunks of whole segments
     # so each stream is consumed identically no matter the chunking; rows
-    # gather their path's draws one segment at a time.  Every chunk
-    # overwrites the one buffer: no stepper or controller keeps a view of
-    # its draws.
-    chunks = _noise_chunks(segments, NOISE_BUFFER_DOUBLES // len(paths))
-    noise = np.empty((len(paths), max(segments[b - 1][3] - segments[a][2]
-                                      for a, b in chunks)))
+    # read their path's draws one segment at a time, in the layout of the
+    # stepper's products (see the layout rule).  Every chunk overwrites the
+    # one buffer: no stepper or controller keeps a view of its draws.
+    time_major = step.time_major
+    chunks, noise, rows = _noise_buffers(time_major, len(paths), segments)
     for a, b in chunks:
         base = segments[a][2]
-        for g, draws in zip(gens, noise):
-            g.standard_normal(out=draws[:segments[b - 1][3] - base])
+        width = segments[b - 1][3] - base
+        for t in range(0, len(paths), len(rows)):
+            tile = rows[:len(paths) - t, :width]
+            for g, draws in zip(gens[t:t + len(tile)], tile):
+                g.standard_normal(out=draws)
+            if time_major:
+                noise[:width, t:t + len(tile)] = tile.T
         for k, end, lo, hi in segments[a:b]:
             L = end - k
             if controller is not None and k % hold == 0:
                 u, nf = controller.bias_batch(k * dt, x)
-                # held in the layout of the draws: see rowlocal_dot
+                # held C-ordered, so rowlocal_dot copies it for no segment
                 u = np.ascontiguousarray(u)
                 half_uu = 0.5 * rowlocal_dot(u, u) * dt
             with np.errstate(over="ignore", invalid="ignore"):
-                x, xi = step.segment(x, u, noise[inv, lo - base:hi - base],
-                                     L)
+                z = noise[lo - base:hi - base, inv].T if time_major \
+                    else noise[inv, lo - base:hi - base]
+                x, xi = step.segment(x, u, z, L)
             if u is not None:
                 floored += L * nf
                 logw -= rowlocal_dot(u, xi) * sqdt + L * half_uu
-            del xi  # not held through the next segment
+            del z, xi  # not held through the next segment
             if not np.isfinite(x).all():
                 newly = ~np.isfinite(x).all(axis=1) & ~blown
                 blown |= newly

@@ -21,6 +21,7 @@ engine of ``paths``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +64,15 @@ def _coupling_matrix(n_modes: int, b: float) -> np.ndarray:
 def spectral_setup(n_modes: int, alpha: float, b: float) -> SpectralSpde:
     """Assemble mode rates, the advection coupling and the adjoint data.
 
-    n_modes must be a whole number >= 2 (64 or 64.0) and alpha positive:
-    ``InvalidParameterError`` otherwise.
+    Each parameter must be a finite number, n_modes a whole one >= 2 (64
+    or 64.0) and alpha positive: ``InvalidParameterError`` naming the
+    parameter otherwise.
     """
+    for name, val in (("n_modes", n_modes), ("alpha", alpha), ("b", b)):
+        if isinstance(val, bool) or not (isinstance(val, numbers.Real)
+                                         and math.isfinite(val)):
+            raise InvalidParameterError(f"{name} must be a finite number, "
+                                        f"got {val!r}")
     if not float(n_modes).is_integer() or n_modes < 2:
         raise InvalidParameterError(f"n_modes must be a whole number >= 2, "
                                     f"got {n_modes!r}")

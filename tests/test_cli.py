@@ -581,6 +581,28 @@ def test_a_reused_controller_of_another_model_is_a_config_error(
         == ["controller.json"]
 
 
+def test_a_final_ensemble_without_a_hit_is_an_error(tmp_path, capsys,
+                                                    ou_controller_file):
+    """ou1d at L 5 (rho about 4e-8) under the reused controller at c 0 with
+    M 50 puts no path in the event; the run exits 1 naming M and c and
+    writes no results row, where it reported 0 with variance 0.  Plain MC
+    on the same config still reports its 0."""
+    raw = _tiny_ou_config(tmp_path)
+    raw["event"]["threshold"] = 5.0
+    raw["run"]["M"] = 50
+    ctrl = dict(ou_controller_file, multiplier=0.0)
+    assert _reuse(tmp_path, raw, ctrl) == 1
+    err = capsys.readouterr().err
+    assert "error (NoHitsError)" in err
+    assert "M = 50" in err and "c = 0" in err
+    assert [p.name for p in (tmp_path / "out").iterdir()] \
+        == ["controller.json"]
+    mc = cli.ExperimentConfig.from_dict(dict(raw, run=dict(raw["run"],
+                                                            method="mc")))
+    report = cli.run_pipeline(mc).report
+    assert report.estimate == 0.0 and report.proportion_in_event == 0.0
+
+
 @pytest.mark.parametrize("points, model, block, key, value", [
     ("grid", "ou1d", "points", "mean", [0.0]),
     ("grid", "ou1d", "points", "std", [2.0]),

@@ -224,28 +224,41 @@ def test_rowlocal_product_rows_do_not_depend_on_the_row_count(p, q):
 @pytest.mark.parametrize("r", [1, 2, 3, 64])
 def test_rowlocal_dot_rows_do_not_depend_on_the_row_count(r):
     """Row i of the weight's dot products u . xi and u . u is bit for bit
-    the same for 1, 7, 257 and 2000 rows, on strided views of the noise
-    buffer and on gathers of repeated rows; for r <= 2 it is bit for bit
+    the same for 1, 7, 257 and 2000 rows, on row-major and time-major
+    views of the noise buffer, on gathers of repeated rows from either and
+    with u C- or F-ordered; for r <= 2 it is bit for bit
     (u * xi).sum(axis=1)."""
     rng = np.random.default_rng(r)
-    noise = rng.normal(size=(2000, 5, r))  # (paths, steps, r), as drawn
+    noise = rng.normal(size=(2000, 5, r))  # (paths, steps, r), row-major
     u = rng.normal(size=(2000, r))
     xi = np.ascontiguousarray(noise[:, 2])
     full = rowlocal_dot(u, xi)
     assert full.shape == (2000,)
     assert np.allclose(full, (u * xi).sum(axis=1), rtol=1e-13, atol=1e-13)
     assert np.array_equal(rowlocal_dot(u, noise[:, 2]), full)
+    assert np.array_equal(rowlocal_dot(np.asfortranarray(u), xi), full)
     squares = rowlocal_dot(u, u)
+
+    def time_major(rows):
+        # a block's (draws, paths) buffer and its step-2 (rows, r) view
+        buf = np.ascontiguousarray(noise[rows].reshape(-1, 5 * r).T)
+        return buf[2 * r:3 * r].T
+
+    drawn = time_major(slice(None)).T   # (r, 2000): the engine's rows
     for n in (1, 7, 257, 2000):
         for s in (0, (2000 - n) // 2, 2000 - n):
             rows = slice(s, s + n)
             assert np.array_equal(rowlocal_dot(u[rows], noise[rows, 2]),
+                                  full[rows])
+            assert np.array_equal(rowlocal_dot(u[rows], time_major(rows)),
                                   full[rows])
             assert np.array_equal(rowlocal_dot(u[rows], u[rows]),
                                   squares[rows])
         for inv in (rng.integers(0, 2000, size=n),
                     np.tile(np.arange(min(n, 5)), n)[:n]):
             assert np.array_equal(rowlocal_dot(u[inv], noise[inv, 2]),
+                                  full[inv])
+            assert np.array_equal(rowlocal_dot(u[inv], drawn[:, inv].T),
                                   full[inv])
     if r <= 2:
         assert np.array_equal(full, (u * xi).sum(axis=1))
@@ -309,6 +322,117 @@ def test_dense_diffusion_is_bitwise_invariant(B, scheme, monkeypatch):
         runs.append(run())
     for alt in runs[1:]:
         assert np.array_equal(runs[0].terminal, alt.terminal)
+
+
+@pytest.mark.parametrize("scheme", ["euler_maruyama", None])
+def test_three_noise_columns_are_bitwise_invariant(scheme, monkeypatch):
+    """A user model with three noise columns under a control: 257 rows on
+    1-4 workers and in blocks capped at 1, 7 and 64 rows give the same
+    terminal states and log-weights bit for bit.  Its draws are read
+    time-major, and for r >= 3 einsum sums a row in another order on such
+    F-ordered views (see rowlocal_dot)."""
+    vdp = make_builtin_model("vdp")
+    m = SdeModel("dense3", vdp.drift, np.array([[0.6, 0.3, -0.2],
+                                                [-0.2, 0.5, 0.4]]))
+    ctrl = _ConstantController([0.2, -0.1, 0.3], 1.0, r=3)
+
+    def run(workers=1):
+        return run_paths(m, ctrl, [1.0, 0.0], 1.0, 1e-2, scheme=scheme,
+                         M=257, master_seed=5, workers=workers)
+
+    runs = [run(w) for w in (1, 2, 3, 4)]
+    for cap in (1, 7, 64):
+        monkeypatch.setattr(paths, "MAX_BLOCK_ROWS", cap)
+        runs.append(run())
+    for alt in runs[1:]:
+        assert runs[0].terminal.tobytes() == alt.terminal.tobytes()
+        assert runs[0].log_weight.tobytes() == alt.log_weight.tobytes()
+
+
+class _StateController(_ConstantController):
+    """u + 0.1 sin(x_1) row by row, times its multiplier: a scalar or one
+    value per row."""
+
+    def with_multiplier(self, c):
+        out = copy.copy(self)
+        out.multiplier = c
+        return out
+
+    def bias_batch(self, t, X):
+        u = self.u + 0.1 * np.sin(X[:, :1])
+        return u * np.reshape(self.multiplier, (-1, 1)), 0
+
+
+@pytest.mark.parametrize("case", ["srk", "linear", "stacked"])
+def test_the_noise_layout_moves_no_bits(case, monkeypatch):
+    """Draws filled through tiles of 1, 5 and 32 paths (69 paths, or 45
+    distinct ones in the stacked case: no multiple of 5 or 32), and read
+    row-major instead of time-major, give the same rows bit for bit:
+    vdp's SRK steps, brownian_osc's exact map, and a stacked sweep whose
+    rows gather repeated paths at three multipliers."""
+    ctrl = _StateController([0.2, -0.1], 1.0, r=2)
+    path_index = None
+    if case == "linear":
+        m = make_builtin_model("brownian_osc")
+        step = linear_stepper(m, 1e-2)
+        ctrl = _StateController([0.3], 1.0)
+        ctrl.hold_time = 0.02
+    else:
+        m = make_builtin_model("vdp")
+        step = sde_stepper(m, None, 1e-2)
+    M = 69
+    if case == "stacked":
+        M, path_index = 135, np.tile(np.arange(45), 3)
+        ctrl = ctrl.with_multiplier(np.repeat([1.0, 2.0, 4.0], 45))
+    starts = np.tile([1.0, 0.0], (M, 1))
+
+    def run():
+        return paths.run_engine(step, starts, 100, 1e-2, ctrl, 5,
+                                path_index=path_index)
+
+    assert step.time_major
+    runs = []
+    for tile in (1, 5, 32):
+        monkeypatch.setattr(paths, "TILE_ROWS", tile)
+        runs.append(run())
+    step.time_major = False
+    runs.append(run())
+    for alt in runs[1:]:
+        for field in ("terminal", "log_weight", "floored"):
+            assert getattr(runs[0], field).tobytes() == \
+                getattr(alt, field).tobytes()
+
+
+def test_only_the_spde_reads_its_noise_row_major():
+    """The layout follows the stepper's products: row-local ones read
+    time-major draws, the SPDE's BLAS products row-major ones."""
+    assert sde_stepper(make_builtin_model("vdp"), None, 1e-2).time_major
+    for name in ("ou1d", "nonnormal2d", "brownian_osc"):
+        assert linear_stepper(make_builtin_model(name), 1e-2).time_major
+    adv = make_builtin_model("advdiff", {"n_modes": 8})
+    assert not linear_stepper(adv, 1e-2).time_major
+
+
+@pytest.mark.parametrize("n_paths", [1, 31, 32, 33, 1000])
+@pytest.mark.parametrize("time_major", [True, False])
+def test_the_noise_buffer_and_its_tile_stay_within_the_budget(
+        n_paths, time_major, monkeypatch):
+    """The noise buffer and the tile the paths draw into hold at most
+    NOISE_BUFFER_DOUBLES doubles together, for path counts below, at and
+    above one tile."""
+    monkeypatch.setattr(paths, "NOISE_BUFFER_DOUBLES", 40_000)
+    step = linear_stepper(make_builtin_model("brownian_osc"), 1e-2)
+    segments = paths._segments(step, 500, 2, 1, 0)   # 250 x 3 draws
+    chunks, noise, rows = paths._noise_buffers(time_major, n_paths,
+                                               segments)
+    held = noise.size + (0 if rows is noise else rows.size)
+    assert held <= paths.NOISE_BUFFER_DOUBLES
+    width = max(segments[b - 1][3] - segments[a][2] for a, b in chunks)
+    assert noise.shape == ((width, n_paths) if time_major
+                           else (n_paths, width))
+    assert rows.shape[1] == width
+    if n_paths == 1000:
+        assert len(chunks) > 1
 
 
 @pytest.mark.parametrize("family", ["legendre_box", "linear_exact"])

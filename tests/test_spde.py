@@ -41,6 +41,17 @@ def test_invalid_parameters():
         spectral_setup(8, -0.1, 1.0)
 
 
+@pytest.mark.parametrize("args, name", [
+    (("8", 0.1, 1.0), "n_modes"), ((8, "0.1", 1.0), "alpha"),
+    ((8, 0.1, "1"), "b"), ((8, 0.1, None), "b"),
+    ((8, math.nan, 1.0), "alpha"), ((8, 0.1, math.inf), "b")])
+def test_a_parameter_that_is_not_a_finite_number_is_named(args, name):
+    """Called directly, not through make_builtin_model's parameter check:
+    a string once ended in a raw TypeError from a comparison."""
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be"):
+        spectral_setup(*args)
+
+
 @pytest.mark.parametrize("n_modes", [8.7, 2.5, True, math.inf, math.nan])
 def test_n_modes_must_be_a_whole_number(n_modes):
     """8.7 once built 9 modes in spectral_setup, storing n_modes 8.7, and
