@@ -11,14 +11,14 @@ from .gedmd import (KoopmanSpectrum, TestPointSet, assemble_matrices,
 from .model import (EventObservable, SdeModel, default_event,
                     make_builtin_model, make_event)
 from .paths import derive_path_rng, run_paths
-from .spde import SpdeController, SpectralSpde, spectral_setup
+from .spde import SpdeController, spectral_setup
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BasisSet", "DoobController", "EstimatorReport", "EventObservable",
     "KoopmanSpectrum", "KoopmanisError", "SdeModel", "SpdeController",
-    "SpectralSpde", "TestPointSet", "analytic_oracles", "assemble_matrices",
+    "TestPointSet", "analytic_oracles", "assemble_matrices",
     "build_basis", "build_controller", "default_event", "derive_path_rng",
     "eigenpairs", "exact_koopman_matrix", "fit_surrogate",
     "generate_test_points", "koopman_matrix", "make_builtin_model",

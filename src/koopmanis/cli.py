@@ -15,15 +15,17 @@ the runner does not know, or that the run does not read (``_CONFIG`` and
 ``_controller_blocks`` say which), is a ``ConfigError``, not ignored.
 
 The ``run`` block: M, T, master_seed (required), x0, method, dt, scheme
-and workers.  ``run.scheme`` is read only by nonlinear models: a linear
-one steps by its exact hold map.  ``run.workers`` is the one parallelism
-knob: the path engine splits each ensemble into ``workers`` blocks on as
-many threads (``paths`` has the layout rule), with byte-identical SDE
-outputs.  Threads pay off only where numpy releases the interpreter lock
-long enough.  Final ensembles of the bench workloads at c = 8 on 2
-cores of a Xeon, one BLAS thread, 1 -> 2 workers (median of 5,
-alternated, at the default control hold): advdiff 0.65 -> 0.42 s, vdp
-0.46 -> 1.1 s, brownian_osc 0.38 -> 0.76 s.
+and workers.  ``run`` and ``sweep-c`` need x0 (advdiff starts at the zero
+field), checked before any stage runs.  ``run.scheme`` steps only the
+ensembles of a nonlinear model: a linear one steps by its exact hold map,
+and test points are always SRK-stepped.  ``run.workers`` is the one
+parallelism knob: the path engine splits each ensemble into ``workers``
+blocks on as many threads (``paths`` has the layout rule), with
+byte-identical SDE outputs.  Threads pay off only where numpy releases
+the interpreter lock long enough.  Final ensembles of the bench workloads
+at c = 8 on 2 cores of a Xeon, one BLAS thread, 1 -> 2 workers (median
+of 5, alternated, at the default control hold): advdiff 0.65 -> 0.42 s,
+vdp 0.46 -> 1.1 s, brownian_osc 0.38 -> 0.76 s.
 Memory grows with workers: each running block holds its own noise buffer
 of up to ``paths.NOISE_BUFFER_DOUBLES`` doubles (32 MB).  The default is 1.
 
@@ -63,7 +65,7 @@ from . import doob, estimator, gedmd, spde
 from .basis import build_basis
 from .errors import ConfigError, KoopmanisError, NoHitsError
 from .model import default_event, make_builtin_model, make_event
-from .paths import SCHEMES, rowlocal_product
+from .paths import SCHEMES, rowlocal_product, trajectory_snapshots
 
 ENV_OUTPUT_DIR = "KOOPMANIS_OUTPUT_DIR"
 TUNE_SEED_OFFSET = 1_000_003
@@ -292,8 +294,7 @@ def _model_and_event(cfg: ExperimentConfig):
         raise ConfigError(f"event.component must be below the dimension "
                           f"{d} of {model.name!r}, got "
                           f"{cfg.event['component']}")
-    axes = {"points": 1 if model.spde is not None else d, "basis": d,
-            "run": d}
+    axes = {"points": 1 if model.spde else d, "basis": d, "run": d}
     for blk, rows in _CONFIG.items():
         for key, row in rows.items():
             val = (getattr(cfg, blk) or {}).get(key)
@@ -334,15 +335,16 @@ def prepare_controller(cfg: ExperimentConfig) -> PipelineState:
     pts_cfg = cfg.points
     pts_dt = pts_cfg.get("dt") or cfg.run["dt"]
 
-    if model.spde is not None:
+    if model.spde:
         # the Doob controller on the adjoint coordinate q = Y W, fitted on
-        # the exact spectrum of q's OU process: nothing to validate
+        # the exact spectrum of q's OU process: nothing to validate; the
+        # points are mode snapshots from a * w1, a on the grid
+        W, fit_model = spde.adjoint_model(model)
         amps = np.linspace(pts_cfg["box"][0][0], pts_cfg["box"][0][1],
                            pts_cfg["counts"][0])
-        snaps = spde.generate_mode_snapshots(
-            model, amps, pts_cfg["T_traj"], pts_cfg["stride"],
-            pts_cfg["seed"], dt=pts_dt)
-        W, fit_model = spde.adjoint_model(model)
+        snaps, _ = trajectory_snapshots(
+            model, np.multiply.outer(amps, W[:, 0]), pts_cfg["T_traj"],
+            pts_cfg["stride"], pts_cfg["seed"], pts_dt)
         basis = build_basis("linear_exact", 1, 2)
         state.points, points, f_vals = (snaps, rowlocal_product(snaps, W),
                                         event.mollified(snaps))
@@ -385,6 +387,12 @@ def prepare_controller(cfg: ExperimentConfig) -> PipelineState:
     return state
 
 
+def _check_x0(cfg: ExperimentConfig):
+    """Paths start at run.x0, which only advdiff (the zero field) omits."""
+    if cfg.run.get("x0") is None and cfg.model["name"] != "advdiff":
+        raise ConfigError("missing config keys: ['run.x0']")
+
+
 def _tune(cfg: ExperimentConfig, state: PipelineState):
     """Multiplier sweep for the state's controller."""
     run = cfg.run
@@ -402,6 +410,7 @@ def run_pipeline(cfg: ExperimentConfig, controller=None) -> PipelineState:
     ``controller`` (one loaded by ``--reuse-controller``) replaces them.
     A controlled final ensemble with no path in the event is a
     ``NoHitsError``: its estimate 0 with variance 0 would say nothing."""
+    _check_x0(cfg)
     if cfg.run["method"] == "mc" or controller is not None:
         state = PipelineState(*_model_and_event(cfg), controller=controller)
         if controller is not None:
@@ -571,6 +580,7 @@ def _cmd_sweep(args):
     cfg = load_config(args.config)
     if cfg.doob is None:
         raise ConfigError("sweep-c needs a doob block")
+    _check_x0(cfg)
     tune = _tune(cfg, prepare_controller(cfg))
     written = _write_outputs(_resolve_outdir(cfg, args.output_dir), {
         "sweep": ("sweep.csv", _write_csv, _sweep_rows(tune))})

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSet, basis_from_descriptor
-from .errors import ConfigError, EmptySpectrumError, TuningFailedError
+from .errors import (ConfigError, EmptySpectrumError, InvalidParameterError,
+                     TuningFailedError)
 from .gedmd import KoopmanSpectrum, SVD_RTOL, conjugate_partner
 from .paths import HOLD_TIME, rowlocal_product
 
@@ -175,7 +176,7 @@ class Controller:
 
     def _check_time(self, t):
         if t < -1e-12 or t > self.horizon + 1e-12:
-            raise ValueError("t outside [0, T]")
+            raise InvalidParameterError("t outside the horizon [0, T]")
 
     def bias_batch(self, t, X):
         val, grad = self.value_grad_batch(t, X)

@@ -92,7 +92,7 @@ def simulate_ensemble(model: SdeModel, controller, x0, T, dt=1e-3,
     if controller is not None and abs(controller.horizon - T) > 1e-12:
         raise ConfigError(
             f"controller horizon {controller.horizon} != ensemble horizon {T}")
-    if model.spde is not None:
+    if model.spde:
         return run_spde_paths(model, controller, x0, T, dt, M,
                               master_seed, workers, trajectory_count,
                               trajectory_stride, path_index)
@@ -240,9 +240,11 @@ def analytic_oracles(model: SdeModel, event: EventObservable, T: float,
     delta = V^T m / sqrt(v); its tail is Imhof's integral.  A direction
     with variance at most 1e-14 of the largest adds only its squared mean,
     which is taken off L^2.  The result is the indicator probability, so
-    the event must be in indicator mode.  Every method is deterministic
-    and reports a standard error of 0.
+    the event must be in indicator mode, and T finite and >= 0.  Every
+    method is deterministic and reports a standard error of 0.
     """
+    if not (math.isfinite(T) and T >= 0):
+        raise InvalidParameterError(f"T must be finite and >= 0, got {T!r}")
     if event.mode != "indicator":
         raise InvalidParameterError(
             f"the oracle gives P(X_T in E), not E[f] for a {event.mode!r} "

@@ -47,11 +47,10 @@ def _ic_grid(box, counts):
 
 def generate_test_points(model: SdeModel, ic_grid: dict, T_traj: float,
                          stride: float, seed: int, dt: float = 1e-3,
-                         scheme: str | None = None,
                          basis: BasisSet | None = None) -> TestPointSet:
     """Sample test points from trajectories started on a uniform IC grid,
-    stepped by ``paths.model_stepper`` (``scheme`` only for a nonlinear
-    model).
+    stepped by ``paths.trajectory_snapshots``: the exact hold map of a
+    linear model, SRK steps of a nonlinear one.
 
     The holdout set is generated identically under seed + 1.  When a
     box-restricted basis is supplied, snapshots that leave the box are
@@ -63,8 +62,8 @@ def generate_test_points(model: SdeModel, ic_grid: dict, T_traj: float,
         raise ConfigError("IC grid dimension does not match the model")
 
     def one(seed_k):
-        pts, dropped = trajectory_snapshots(model, scheme, ics, T_traj,
-                                            stride, seed_k, dt)
+        pts, dropped = trajectory_snapshots(model, ics, T_traj, stride,
+                                            seed_k, dt)
         if basis is not None:
             keep = basis.contains(pts)
             dropped += int((~keep).sum())

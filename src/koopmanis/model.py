@@ -9,8 +9,9 @@ diffusion term and the generator's second-order part 0.5 B B^T one fixed
 matrix each.  The six built-in models, rank-deficient B included
 (brownian_osc, duffing), all have this form.  Constant-coefficient linear
 systems also carry (A_lin, B_lin), enabling exact spectra, Gaussian
-oracles and the exact hold map that steps them.  Events are described by
-a signed margin g(x): positive strictly inside the event, zero on its
+oracles and the exact hold map that steps them; advdiff is one, flagged
+``spde``, on the matrix of ``spde.spectral_setup``.  Events are described
+by a signed margin g(x): positive strictly inside the event, zero on its
 boundary.  A single mollifier 0.5*(1 + tanh(s*g(x))) serves every
 benchmark.
 """
@@ -20,15 +21,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidParameterError, ModelNotFoundError, ShapeError
 from .paths import rowlocal_product
-
-if TYPE_CHECKING:
-    from .spde import SpectralSpde
 
 BUILTIN_MODELS = ("ou1d", "nonnormal2d", "brownian_osc", "advdiff", "vdp",
                   "duffing")
@@ -48,7 +46,7 @@ class SdeModel:
     diffusion_const: np.ndarray      # B, (d, r)
     linear_spec: tuple | None = None          # (A_lin, B_lin)
     params: dict = field(default_factory=dict)
-    spde: SpectralSpde | None = None
+    spde: bool = False               # the SPDE's modes (advdiff)
 
     def __post_init__(self):
         B = self.diffusion_const
@@ -107,9 +105,10 @@ def make_event(kind: str, threshold: float, component: int = 0,
     "mollified", spelt exactly: the estimator takes the mollified branch
     for anything but "indicator", so any other mode is an
     ``InvalidParameterError``.  So is a ``sharpness`` that is not a finite
-    positive number: a negative one mollifies the complement event, and
-    a norm event with a ``component`` other than 0, which it would not
-    read."""
+    positive number (a negative one mollifies the complement event), a
+    norm event with a ``component`` other than 0, which it would not
+    read, a ``threshold`` that is not finite, and a negative one of an
+    abs_coordinate or norm event, which every state would be in."""
     if mode not in ("indicator", "mollified"):
         raise InvalidParameterError(
             f"unknown event mode {mode!r}: use 'indicator' or 'mollified'")
@@ -117,6 +116,11 @@ def make_event(kind: str, threshold: float, component: int = 0,
             and sharpness > 0):
         raise InvalidParameterError(f"event sharpness must be a finite "
                                     f"positive number, got {sharpness!r}")
+    if not math.isfinite(threshold) or (
+            kind in ("abs_coordinate", "norm") and threshold < 0):
+        raise InvalidParameterError(f"an event of kind {kind!r} needs a "
+                                    f"finite threshold, >= 0 unless it is a "
+                                    f"coordinate event, got {threshold!r}")
     if kind == "coordinate":
         margin = lambda x: x[..., component] - threshold
     elif kind == "abs_coordinate":
@@ -201,10 +205,10 @@ def make_builtin_model(name: str, params: dict | None = None) -> SdeModel:
                            "n_modes": 64}, params, name, ("eps_noise",))
         # local import: spde builds on doob, which imports this module
         from .spde import spectral_setup
-        sp = spectral_setup(p["n_modes"], p["alpha"], p["b"])
-        m = _linear_model(name, sp.drift_matrix,
-                          math.sqrt(p["eps_noise"]) * np.eye(sp.n_modes), p)
-        m.spde = sp
+        A = spectral_setup(p["n_modes"], p["alpha"], p["b"])
+        m = _linear_model(name, A,
+                          math.sqrt(p["eps_noise"]) * np.eye(len(A)), p)
+        m.spde = True
         return m
 
     if name == "vdp":

@@ -7,8 +7,9 @@ c B^T grad(Phi)/Phi read from the controller's ``bias_batch``.
 
 One engine (``run_engine``) runs every multi-path simulation in the
 package: ensembles (``run_paths``, and ``spde.run_spde_paths`` for the
-SPDE's modes), test points (``gedmd.generate_test_points``) and SPDE mode
-snapshots (``spde.generate_mode_snapshots``).  It takes
+SPDE's modes) and ``trajectory_snapshots``, the trajectories the test
+points of ``gedmd.generate_test_points`` and the SPDE's mode snapshots in
+``cli.prepare_controller`` come from.  It takes
 
 - a stepper: ``step.draws(L)`` is the number of standard normals a row
   draws for a segment of L steps, and ``step.segment(x, u, z, L)``
@@ -297,7 +298,7 @@ class _LinearStepper:
         self.dt, self.sqdt = dt, math.sqrt(dt)
         # the SPDE's N x N maps are BLAS products, an SDE's row-local ones
         # (see the determinism contract); the noise layout follows them
-        self.product = rowlocal_product if model.spde is None else np.matmul
+        self.product = np.matmul if model.spde else rowlocal_product
         self.time_major = self.product is rowlocal_product
         self._maps = {}
 
@@ -524,13 +525,13 @@ def run_engine(step, starts, K, dt, controller=None, master_seed=0,
     i), and runs at ``controller.multiplier[i]`` when the multiplier is an
     array.  The rows are laid out by the module's layout rule.  The
     ensemble keeps the snapshots of rows 0..record-1, taken at t = 0 and
-    after every ``stride`` steps (default max(1, K // 200)).  A stride
-    that is not a positive integer, or a record count that is not a
-    non-negative integer, raises ``ConfigError``.
+    after every ``stride`` steps (default max(1, K // 200)).  No rows, a
+    stride that is not a positive integer, or a record count that is not
+    a non-negative integer, raises ``ConfigError``.
     """
     M = len(starts)
     if M == 0:
-        raise ValueError("no paths to simulate")
+        raise ConfigError("no paths to simulate: the ensemble has 0 rows")
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     if stride is not None and not (isinstance(stride, numbers.Integral)
@@ -577,10 +578,11 @@ def run_engine(step, starts, K, dt, controller=None, master_seed=0,
                         dt, stride, np.concatenate(snaps))
 
 
-def trajectory_snapshots(model, scheme, starts, T_traj, stride, seed, dt):
+def trajectory_snapshots(model, starts, T_traj, stride, seed, dt):
     """Uncontrolled trajectories of ``model`` from each start, stepped by
-    ``model_stepper``, sampled every ``stride`` time units including
-    t = 0, stacked trajectory-major.
+    ``model_stepper`` with no scheme (SRK for a nonlinear model), sampled
+    every ``stride`` time units including t = 0, stacked
+    trajectory-major.
 
     Trajectories that blow up are left out; returns the points and the
     number of points left out that way.  No starts (an empty point grid)
@@ -595,7 +597,7 @@ def trajectory_snapshots(model, scheme, starts, T_traj, stride, seed, dt):
     K, dt = adjust_steps(T_traj, dt)
     every = max(1, int(round(stride / dt)))
     n = len(starts)
-    ens = run_engine(model_stepper(model, scheme, dt), starts, K, dt,
+    ens = run_engine(model_stepper(model, None, dt), starts, K, dt,
                      master_seed=seed, stride=every, record=n)
     kept = ens.snapshots[~ens.blown]
     return (kept.reshape(-1, starts.shape[1]),

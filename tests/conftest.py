@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from koopmanis import (build_basis, doob, gedmd, make_builtin_model,
-                       make_event, spde)
+                       make_event, paths, spde)
 from reference import fit_spde_controller
 
 # basis family -> (model, degree, box, x0): one fitted Doob controller for
@@ -37,8 +37,10 @@ def fitted_controllers():
                                      event.mollified(pts.points), T=1.0)
         out[family] = (model, ctrl, np.array(x0))
     model = make_builtin_model("advdiff", {"n_modes": 8})
-    snaps = spde.generate_mode_snapshots(model, np.linspace(-2, 2, 5),
-                                         1.0, 0.25, seed=3, dt=5e-3)
+    W, _ = spde.adjoint_model(model)
+    snaps, _ = paths.trajectory_snapshots(
+        model, np.multiply.outer(np.linspace(-2, 2, 5), W[:, 0]), 1.0, 0.25,
+        seed=3, dt=5e-3)
     _, ctrl = fit_spde_controller(
         model, snaps, make_event("norm", 2.0, sharpness=3.0, mode="mollified"),
         T=1.0)

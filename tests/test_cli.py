@@ -840,3 +840,43 @@ def test_trajectory_keys_are_checked_when_read(tmp_path, key):
     raw["output"][key] = 10.0
     val = cli.ExperimentConfig.from_dict(raw).output[key]
     assert (val, type(val)) == (10, int)
+
+
+@pytest.mark.parametrize("verb, method", [("run", "is"), ("run", "mc"),
+                                          ("sweep-c", "is")])
+def test_a_missing_x0_fails_before_any_stage(tmp_path, capsys, monkeypatch,
+                                             verb, method):
+    """A config without run.x0 once passed the config check and the whole
+    controller set-up, and failed only in the sweep, with a ShapeError
+    from the path engine.  Now ``run`` and ``sweep-c`` name run.x0 before
+    any stage runs, and write nothing; ``export-eigen`` runs no path and
+    does not read it."""
+    raw = _tiny_ou_config(tmp_path, method=method)
+    del raw["run"]["x0"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+
+    def no_stage(*args):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(cli, "prepare_controller", no_stage)
+    assert cli.main([verb, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error (ConfigError)" in err and "run.x0" in err
+    assert not (tmp_path / "out").exists()
+    monkeypatch.undo()
+    assert cli.main(["export-eigen", str(path)]) == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["brownian_osc", "--threshold", "-1"],
+    ["nonnormal2d", "--threshold", "-0.5"],
+    ["nonnormal2d", "--threshold", "nan"],
+    ["ou1d", "--T", "-1"], ["ou1d", "--T", "nan"]])
+def test_the_oracle_verb_refuses_what_it_cannot_answer(capsys, args):
+    """A negative threshold of an abs_coordinate or norm event once printed
+    an impossible rho (1.84, and 4.2e-3 for a certain event), and a
+    negative or nan T, or a nan threshold, a traceback; each is now an
+    InvalidParameterError and exit code 1."""
+    assert cli.main(["oracle", *args]) == 1
+    assert "error (InvalidParameterError)" in capsys.readouterr().err

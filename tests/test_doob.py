@@ -7,7 +7,8 @@ import pytest
 from koopmanis import (build_basis, derive_path_rng, make_builtin_model,
                        make_event, run_paths)
 from koopmanis import doob, estimator, gedmd, paths
-from koopmanis.errors import ConfigError, ShapeError, TuningFailedError
+from koopmanis.errors import (ConfigError, InvalidParameterError, ShapeError,
+                              TuningFailedError)
 from reference import (ou_exact_controller, spde_quadratic_controller,
                        sweep_table_per_c)
 
@@ -181,9 +182,9 @@ def test_bias_time_range_check(ou_spectrum):
     ev = make_event("coordinate", 2.0, mode="mollified")
     ctrl = doob.build_controller(spec, m, pts.points,
                                  ev.mollified(pts.points), T=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError, match="outside the horizon"):
         ctrl.value_grad_batch(1.5, np.array([[0.0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError, match="outside the horizon"):
         ctrl.value_grad_batch(-0.5, np.array([[0.0]]))
 
 

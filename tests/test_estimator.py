@@ -331,3 +331,12 @@ def test_the_report_keeps_statistics_not_terminal_states():
     assert len(rep.trajectories) == len(want) == 2 * (1 + 3 + 1)
     for (p, t, x), (p_ref, t_ref, x_ref) in zip(rep.trajectories, want):
         assert (p, t, x.tobytes()) == (p_ref, t_ref, x_ref.tobytes())
+
+
+@pytest.mark.parametrize("T", [-1.0, -1e-12, math.nan, math.inf])
+def test_the_oracle_horizon_must_be_finite_and_not_negative(T):
+    """A negative T once ended in a raw math domain error, and a nan one
+    in a raw ValueError; T = 0, the point mass at x0, stays answerable."""
+    m = make_builtin_model("ou1d")
+    with pytest.raises(InvalidParameterError, match="T must be finite"):
+        estimator.analytic_oracles(m, make_event("coordinate", 2.0), T)

@@ -75,7 +75,7 @@ def test_test_points_match_reference_loop():
     m = make_builtin_model("vdp", {"mu": 0.3, "eps": 0.01})
     grid = {"box": [[-4.0, 4.0], [-4.0, 4.0]], "counts": [20, 20]}
     pts = gedmd.generate_test_points(m, grid, T_traj=1.0, stride=0.1,
-                                     seed=11, dt=5e-3, scheme="srk_additive")
+                                     seed=11, dt=5e-3)
     ics = gedmd._ic_grid(grid["box"], grid["counts"])
     for got, seed in ((pts.points, 11), (pts.holdout, 12)):
         ref = _reference_snapshots(m, ics, 1.0, 0.1, seed, 5e-3,
@@ -89,8 +89,7 @@ def test_blown_trajectories_are_dropped_and_counted():
     # from 0.5 the ODE x' = x^3 stays finite up to t = 2; from 10 it
     # blows up at t = 0.005
     pts = gedmd.generate_test_points(m, {"box": [[0.5, 10.0]], "counts": [2]},
-                                     T_traj=1.0, stride=0.1, seed=0, dt=0.05,
-                                     scheme="euler_maruyama")
+                                     T_traj=1.0, stride=0.1, seed=0, dt=0.05)
     assert pts.m == 11 and np.isfinite(pts.points).all()
     assert pts.points[0, 0] == 0.5
     assert pts.provenance["dropped_train"] == 11

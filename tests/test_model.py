@@ -267,3 +267,28 @@ def test_a_norm_event_reads_no_component(component):
     with pytest.raises(InvalidParameterError, match="component"):
         make_event("norm", 2.0, component)
     assert make_event("norm", 2.0, 0).indicator(np.array([0.0, 2.5])) == 1.0
+
+
+@pytest.mark.parametrize("kind", ["abs_coordinate", "norm"])
+def test_a_negative_threshold_is_refused_where_every_state_is_in(kind):
+    """|x_i| > L and |x| > L hold for every state when L < 0, and the
+    oracle's Gaussian-tail and Imhof formulas, which assume L >= 0, gave
+    impossible answers for them (rho 1.84 for brownian_osc at -1, and
+    4.2e-3 for a certain nonnormal2d event at -0.5).  A coordinate event
+    keeps its negative thresholds, and L = 0 stays allowed."""
+    with pytest.raises(InvalidParameterError, match="finite threshold"):
+        make_event(kind, -0.5)
+    with pytest.raises(InvalidParameterError, match="finite threshold"):
+        make_event(kind, -1e-300, mode="mollified")
+    assert make_event(kind, 0.0).indicator(np.array([[0.5, 0.0]]))[0] == 1.0
+    assert make_event("coordinate", -1.0).indicator(np.array([[0.0]]))[0] \
+        == 1.0
+
+
+@pytest.mark.parametrize("kind", ["coordinate", "abs_coordinate", "norm"])
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_a_threshold_that_is_not_finite_is_refused(kind, threshold):
+    """The oracle printed rho = nan for ou1d at a nan threshold, and a
+    norm event's Imhof integral stopped in a ZeroDivisionError."""
+    with pytest.raises(InvalidParameterError, match="finite threshold"):
+        make_event(kind, threshold)

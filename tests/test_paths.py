@@ -98,12 +98,12 @@ def test_srk_second_order_on_drift():
 
 @pytest.mark.parametrize("scheme", ["milstein", "SRK_additive"])
 def test_unknown_scheme_is_rejected(scheme):
-    """Ensembles and test points alike; a stepper for an unknown name
-    would otherwise run the SRK step."""
+    """A stepper for an unknown name would otherwise run the SRK step.
+    Test points take no scheme: they are always SRK-stepped."""
     m = _deterministic_decay_model()
     with pytest.raises(UnsupportedSchemeError, match="scheme"):
         run_paths(m, None, [1.0], 0.1, 0.01, scheme=scheme, M=2)
-    with pytest.raises(UnsupportedSchemeError, match="scheme"):
+    with pytest.raises(TypeError, match="scheme"):
         generate_test_points(m, {"box": [[-1.0, 1.0]], "counts": [3]}, 0.1,
                              0.05, 0, dt=0.01, scheme=scheme)
 
@@ -111,11 +111,12 @@ def test_unknown_scheme_is_rejected(scheme):
 @pytest.mark.parametrize("scheme", ["euler_maruyama", "srk_additive"])
 def test_a_linear_model_reads_no_scheme(scheme):
     """A linear model steps by its exact hold map, so a scheme given to
-    its ensemble or its test points is a ConfigError, not ignored."""
+    its ensemble is a ConfigError, not ignored; its test points take no
+    scheme."""
     m = make_builtin_model("ou1d")
     with pytest.raises(ConfigError, match="reads no scheme"):
         run_paths(m, None, [1.0], 0.1, 0.01, scheme=scheme, M=2)
-    with pytest.raises(ConfigError, match="reads no scheme"):
+    with pytest.raises(TypeError, match="scheme"):
         generate_test_points(m, {"box": [[-1.0, 1.0]], "counts": [3]}, 0.1,
                              0.05, 0, dt=0.01, scheme=scheme)
 
@@ -902,3 +903,13 @@ def test_hold_zero_runs_one_step_segments(fitted_controllers, family,
                                rtol=1e-12, atol=1e-15)
             assert res.log_weight == pytest.approx(ens.log_weight[i],
                                                    rel=1e-12)
+
+
+def test_an_ensemble_of_no_rows_is_a_config_error():
+    """It once ended in a raw ValueError from the engine."""
+    m = make_builtin_model("ou1d")
+    with pytest.raises(ConfigError, match="0 rows"):
+        run_paths(m, None, [0.0], 0.1, 0.01, M=0)
+    with pytest.raises(ConfigError, match="0 rows"):
+        paths.run_engine(paths.model_stepper(m, None, 0.01),
+                         np.zeros((0, 1)), 10, 0.01)

@@ -7,10 +7,10 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 
 from koopmanis import (make_builtin_model, make_event, run_ensemble,
                        spectral_setup, tune_multiplier)
-from koopmanis import paths
+from koopmanis import cli, paths
 from koopmanis import spde as spde_mod
 from koopmanis.doob import DoobController
-from koopmanis.errors import InvalidParameterError, ShapeError
+from koopmanis.errors import InvalidParameterError, NumericalError, ShapeError
 from koopmanis.model import _linear_model
 from koopmanis.paths import derive_path_rng, linear_stepper
 from reference import (fit_spde_controller, simulate_path,
@@ -18,20 +18,48 @@ from reference import (fit_spde_controller, simulate_path,
 
 
 @pytest.fixture(scope="module")
-def sp64():
+def A64():
+    """The Galerkin drift matrix of 64 modes at alpha 0.1, b 1."""
     return spectral_setup(64, 0.1, 1.0)
 
 
 @pytest.fixture(scope="module")
 def adv64():
-    """The advdiff model, whose SPDE is ``sp64``."""
+    """The advdiff model, whose drift matrix is ``A64``."""
     return make_builtin_model("advdiff")
 
 
-def test_mode_rates(sp64):
-    assert sp64.lam[0] == pytest.approx(0.1 * math.pi ** 2)
-    assert np.all(np.diff(sp64.lam) > 0)
-    assert np.all(sp64.lam > 0)
+@pytest.fixture(scope="module")
+def adj64(adv64):
+    """(w1, mu1) of ``adv64``'s adjoint coordinate."""
+    W, reduced = spde_mod.adjoint_model(adv64)
+    return W[:, 0], -reduced.linear_spec[0][0, 0]
+
+
+def _rates(A):
+    """lam = -diag(A)."""
+    return -np.diag(A)
+
+
+def _coupling(A):
+    """C, the off-diagonal part of A."""
+    return A - np.diag(np.diag(A))
+
+
+def _mode_snapshots(model, amplitudes, T_traj, stride, seed, dt):
+    """Mode snapshots from a * w1 for each amplitude a, as
+    ``cli.prepare_controller`` starts them."""
+    W, _ = spde_mod.adjoint_model(model)
+    return paths.trajectory_snapshots(
+        model, np.multiply.outer(np.asarray(amplitudes, float), W[:, 0]),
+        T_traj, stride, seed, dt)[0]
+
+
+def test_mode_rates(A64):
+    lam = _rates(A64)
+    assert lam[0] == pytest.approx(0.1 * math.pi ** 2)
+    assert np.all(np.diff(lam) > 0)
+    assert np.all(lam > 0)
 
 
 def test_invalid_parameters():
@@ -65,9 +93,10 @@ def test_n_modes_must_be_a_whole_number(n_modes):
 def test_a_whole_float_n_modes_builds_the_same_model():
     a = make_builtin_model("advdiff", {"n_modes": 8})
     b = make_builtin_model("advdiff", {"n_modes": 8.0})
-    assert type(b.spde.n_modes) is int and b.dim_state == 8
+    assert b.spde is True and b.dim_state == 8
     assert np.array_equal(a.linear_spec[0], b.linear_spec[0])
-    assert np.array_equal(a.spde.adjoint_w1, b.spde.adjoint_w1)
+    assert np.array_equal(spde_mod.adjoint_model(a)[0],
+                          spde_mod.adjoint_model(b)[0])
     with pytest.raises(InvalidParameterError, match="alpha"):
         make_builtin_model("advdiff", {"alpha": 0.0})
 
@@ -84,12 +113,12 @@ def test_coupling_matches_quadrature(n_modes, b):
     S = np.sin(np.outer(k, math.pi * x))
     C = np.cos(np.outer(k, math.pi * x)) * (0.5 * wts)
     D_quad = 2.0 * b * math.pi * (S @ C.T) * k[None, :]
-    assert np.allclose(spde_mod._coupling_matrix(n_modes, b), D_quad,
+    assert np.allclose(_coupling(spectral_setup(n_modes, 0.1, b)), D_quad,
                        atol=1e-8)
 
 
-def test_coupling_structure(sp64):
-    D = sp64.coupling
+def test_coupling_structure(A64):
+    D = _coupling(A64)
     assert np.all(np.diag(D) == 0.0)
     j, kk = np.meshgrid(np.arange(1, 65), np.arange(1, 65), indexing="ij")
     assert np.all(D[(j + kk) % 2 == 0] == 0.0)
@@ -97,17 +126,18 @@ def test_coupling_structure(sp64):
 
 
 def test_zero_advection_coupling():
-    sp = spectral_setup(16, 0.1, 0.0)
-    assert np.all(sp.coupling == 0.0)
+    A = spectral_setup(16, 0.1, 0.0)
+    assert np.all(_coupling(A) == 0.0)
+    assert np.all(_rates(A) > 0)
 
 
-def test_leading_decay_rate(sp64):
+def test_leading_decay_rate(adj64):
     # analytic value for b d/dx + alpha d2/dx2 with absorbing boundaries
     ref = 0.1 * math.pi ** 2 + 1.0 / (4 * 0.1)
-    assert sp64.mu1 == pytest.approx(ref, abs=1e-3)
+    assert adj64[1] == pytest.approx(ref, abs=1e-3)
 
 
-def test_adjoint_vector_matches_transformed_mode(sp64):
+def test_adjoint_vector_matches_transformed_mode(adj64):
     # adjoint eigenfunction exp(b x / (2 alpha)) sin(pi x), unit normalized
     x = np.linspace(0, 1, 2001)
     w_exact = np.exp(1.0 * x / (2 * 0.1)) * np.sin(math.pi * x)
@@ -116,25 +146,33 @@ def test_adjoint_vector_matches_transformed_mode(sp64):
                                     * np.sin(kk * math.pi * x), x)
                        for kk in k])
     coeffs /= np.linalg.norm(coeffs)
-    assert np.abs(np.abs(coeffs @ sp64.adjoint_w1) - 1.0) < 1e-4
+    assert np.abs(np.abs(coeffs @ adj64[0]) - 1.0) < 1e-4
 
 
-def test_adjoint_residual(sp64):
-    M_t = sp64.drift_matrix.T
-    r = np.linalg.norm(M_t @ sp64.adjoint_w1 + sp64.mu1 * sp64.adjoint_w1)
-    assert r <= 1e-6
+def test_adjoint_residual(A64, adv64, adj64):
+    """w1 is a real unit eigenvector of A^T with eigenvalue -mu1, its
+    first nonzero entry positive, and q = <Y, w1> follows the OU process
+    dq = -mu1 q dt + w1^T B dW."""
+    w1, mu1 = adj64
+    assert np.linalg.norm(A64.T @ w1 + mu1 * w1) <= 1e-6
+    assert np.linalg.norm(w1) == pytest.approx(1.0, rel=1e-14)
+    assert w1[np.nonzero(np.abs(w1) > 1e-12)[0][0]] > 0
+    W, reduced = spde_mod.adjoint_model(adv64)
+    assert np.array_equal(W, w1[:, None])
+    assert np.array_equal(reduced.linear_spec[1],
+                          W.T @ adv64.diffusion_const)
 
 
 def test_qwiener_std_limits():
     """The modes' space-time noise over one step: its covariance tends to
     eps dt I as the rates vanish (alpha 1e-6, no advection), and a model
     without noise draws none beyond its columns."""
-    slow = _linear_model("slow", spectral_setup(4, 1e-6, 0.0).drift_matrix,
-                         np.eye(4), {})
+    slow = _linear_model("slow", spectral_setup(4, 1e-6, 0.0), np.eye(4),
+                         {})
     _, SL, R = linear_stepper(slow, 1e-3).segment_map(1)
     assert np.allclose(SL.T @ SL + R.T @ R, 1e-3 * np.eye(4), rtol=1e-4,
                        atol=1e-12)
-    still = _linear_model("still", spectral_setup(4, 0.1, 0.0).drift_matrix,
+    still = _linear_model("still", spectral_setup(4, 0.1, 0.0),
                           np.zeros((4, 4)), {})
     _, SL, R = linear_stepper(still, 1e-3).segment_map(1)
     assert np.all(SL == 0.0) and len(R) == 0
@@ -152,18 +190,19 @@ def test_qwiener_sample_variance():
         step.segment(np.zeros((20_000, 64)), None,
                      rng.standard_normal((20_000, step.draws(1))), 1)[0][:, 0]
         for _ in range(10)])
-    lam = model.spde.lam[0]
+    lam = _rates(model.linear_spec[0])[0]
     ref = -math.expm1(-2.0 * lam * 1e-2) / (2.0 * lam)
     assert draws.var() == pytest.approx(ref, rel=0.01)
 
 
-def test_exp_euler_pure_decay(sp64):
+def test_exp_euler_pure_decay(A64):
     """Without noise or advection the hold map is the exponential-Euler
     decay e^{-lam dt} of every mode."""
-    out = linear_stepper(_linear_model("decay", -np.diag(sp64.lam),
+    lam = _rates(A64)
+    out = linear_stepper(_linear_model("decay", -np.diag(lam),
                                        np.zeros((64, 1)), {}), 0.01)
     assert np.allclose(out.segment(np.ones((1, 64)), None, np.zeros((1, 1)),
-                                   1)[0][0], np.exp(-sp64.lam * 0.01),
+                                   1)[0][0], np.exp(-lam * 0.01),
                        rtol=1e-12, atol=0.0)
 
 
@@ -185,11 +224,11 @@ def test_exp_euler_stationary_variance():
                          1)[0]
         if k >= burn:
             acc += (Y * Y).sum(axis=0)
-    ref = 1.0 / (2.0 * model.spde.lam)
+    ref = 1.0 / (2.0 * _rates(model.linear_spec[0]))
     assert np.allclose(acc / (2000 * n), ref, rtol=0.02)
 
 
-def test_exp_euler_one_step_moments(adv64, sp64):
+def test_exp_euler_one_step_moments(adv64, A64):
     """The engine stepper from Y = 0: one step's noise, drawn per path,
     has mean 0 and the variances of the exact one-step covariance
     Sigma - e^{A dt} Sigma e^{A dt}^T, Sigma the stationary solution of
@@ -198,7 +237,8 @@ def test_exp_euler_one_step_moments(adv64, sp64):
     rng = derive_path_rng(9, 0)
     draws = step.segment(np.zeros((50_000, 64)), None,
                          rng.standard_normal((50_000, step.draws(1))), 1)[0]
-    A = sp64.drift_matrix
+    A = A64
+    assert np.array_equal(adv64.linear_spec[0], A)
     sigma = solve_continuous_lyapunov(A, -np.eye(64))
     P = expm(A * 1e-2)
     ref = np.diag(sigma - P @ sigma @ P.T)
@@ -206,21 +246,21 @@ def test_exp_euler_one_step_moments(adv64, sp64):
     assert np.allclose(draws.var(axis=0), ref, rtol=0.05)
 
 
-def test_quadratic_functional_is_generator_eigenfunction(adv64):
+def test_quadratic_functional_is_generator_eigenfunction(adv64, adj64):
     """The third eigenfunction of the adjoint coordinate's exact spectrum,
     lifted by W, is phi2 = kappa <Y, w1>^2 - 1 (kappa = 2 mu1 / eps) up to
     scale, and <M Y, grad phi2> + (eps/2) lap phi2 = -2 mu1 phi2 at random
     states of the 64-mode generator."""
-    sp = adv64.spde
+    mu1 = adj64[1]
     rng = np.random.default_rng(7)
     spec, ctrl = fit_spde_controller(adv64, rng.normal(size=(50, 64)),
                                      make_event("norm", 2.5), 10.0)
-    assert spec.eigenvalues[2] == pytest.approx(-2.0 * sp.mu1, rel=1e-12)
+    assert spec.eigenvalues[2] == pytest.approx(-2.0 * mu1, rel=1e-12)
     c = spec.coefficients[2].real / -spec.coefficients[2, 0].real
     assert c[1] == 0.0
-    assert c[2] == pytest.approx(2.0 * sp.mu1 / adv64.params["eps_noise"],
+    assert c[2] == pytest.approx(2.0 * mu1 / adv64.params["eps_noise"],
                                 rel=1e-12)
-    M = sp.drift_matrix
+    M = adv64.linear_spec[0]
     w1 = ctrl.coordinates[:, 0]
     for _ in range(100):
         Y = rng.normal(size=64)
@@ -229,11 +269,11 @@ def test_quadratic_functional_is_generator_eigenfunction(adv64):
         grad = 2.0 * c[2] * q * w1
         lap = 2.0 * c[2] * (w1 @ w1)
         gen = (M @ Y) @ grad + 0.5 * 1.0 * lap
-        assert gen == pytest.approx(-2.0 * sp.mu1 * phi2,
+        assert gen == pytest.approx(-2.0 * mu1 * phi2,
                                     rel=1e-6, abs=1e-4)
 
 
-def test_l2_norm_cases(sp64):
+def test_l2_norm_cases():
     """The advdiff norm event thresholds the field's L2 norm."""
     l2_norm = make_event("norm", 2.5).statistic
     assert l2_norm(np.zeros(8)) == 0.0
@@ -243,7 +283,7 @@ def test_l2_norm_cases(sp64):
     assert l2_norm(v) == pytest.approx(5.0)
 
 
-def test_parseval_against_grid_quadrature(sp64):
+def test_parseval_against_grid_quadrature():
     """The norm event's statistic on the sine coefficients is the L2 norm
     of the field they expand, evaluated on a fine grid."""
     rng = np.random.default_rng(1)
@@ -256,22 +296,21 @@ def test_parseval_against_grid_quadrature(sp64):
     assert quad_norm == pytest.approx(stat, abs=1e-6)
 
 
-def test_advection_preserves_norm(sp64):
+def test_advection_preserves_norm(A64):
     """exp(t D) is orthogonal since D is exactly skew."""
     rng = np.random.default_rng(2)
     Y = rng.normal(size=64)
     for t in (0.1, 1.0, 5.0):
-        out = expm(sp64.coupling * t) @ Y
+        out = expm(_coupling(A64) * t) @ Y
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(Y),
                                                     rel=1e-10)
 
 
-def test_exp_euler_noiseless_norm_never_grows(sp64):
+def test_exp_euler_noiseless_norm_never_grows(A64):
     """Without noise a hold map is Y e^{A h}^T, and A = -diag(lam) + C with
     C skew, so the field's norm never grows from one segment to the next:
     1000 one-step segments at dt 1e-3."""
-    model = _linear_model("noiseless", sp64.drift_matrix, np.zeros((64, 1)),
-                          {})
+    model = _linear_model("noiseless", A64, np.zeros((64, 1)), {})
     step = linear_stepper(model, 1e-3)
     assert step.draws(1) == 1   # the one noise column, R empty
     Y = np.random.default_rng(4).normal(size=(1, 64))
@@ -282,12 +321,13 @@ def test_exp_euler_noiseless_norm_never_grows(sp64):
     assert np.all(np.diff(norms) <= 1e-12 * np.array(norms[:-1]))
 
 
-def test_spde_bias_trivial_cases(adv64, sp64):
+def test_spde_bias_trivial_cases(adv64, adj64):
     Y = np.random.default_rng(0).normal(size=64)
     flat = spde_quadratic_controller(adv64, 1.0, 0.0, 10.0, multiplier=2.0)
     assert np.allclose(flat.bias_batch(0.0, Y[None, :])[0], 0.0)
     # zero overlap with w1: gradient vanishes
-    Yp = Y - (Y @ sp64.adjoint_w1) * sp64.adjoint_w1
+    w1 = adj64[0]
+    Yp = Y - (Y @ w1) * w1
     ctrl = spde_quadratic_controller(adv64, 1.0, 0.5, 10.0, multiplier=2.0)
     u, _ = ctrl.bias_batch(0.0, Yp[None, :])
     assert np.allclose(u, 0.0, atol=1e-12)
@@ -356,10 +396,10 @@ def test_spde_paths_deterministic(adv64):
             getattr(h, field).tobytes() for h in halves)
 
 
-def test_spde_trajectory_rows(adv64, sp64):
+def test_spde_trajectory_rows(adv64, adj64):
     """SPDE ensembles report trajectory rows like SDE ones: every stride
     steps from t = 0, and the terminal state at T off the stride grid."""
-    Y0 = 0.1 * sp64.adjoint_w1
+    Y0 = 0.1 * adj64[0]
     ens = spde_mod.run_spde_paths(adv64, None, Y0, 0.2, 5e-3, 4,
                                   master_seed=3, trajectory_count=2,
                                   trajectory_stride=7)
@@ -373,30 +413,47 @@ def test_spde_trajectory_rows(adv64, sp64):
         assert np.array_equal(mine[-1][2], ens.terminal[p])
 
 
-def test_mode_snapshots_shapes(adv64, sp64):
-    snaps = spde_mod.generate_mode_snapshots(adv64, [-2.0, 0.0, 2.0], 1.0,
-                                             0.25, seed=0, dt=5e-3)
+def _advdiff_points_config(box, count, T_traj, seed):
+    """An advdiff config whose points are ``count`` amplitudes on ``box``,
+    snapshots every 0.25 up to ``T_traj`` at dt 5e-3."""
+    return cli.ExperimentConfig.from_dict({
+        "model": {"name": "advdiff"},
+        "event": {"kind": "norm", "threshold": 2.5},
+        "points": {"box": [box], "counts": [count], "T_traj": T_traj,
+                   "stride": 0.25, "dt": 5e-3, "seed": seed},
+        "doob": {}, "run": {"M": 2, "T": 1.0, "master_seed": 0},
+        "output": {}})
+
+
+def test_mode_snapshots_shapes(adj64):
+    """``cli.prepare_controller`` starts one trajectory at a * w1 for each
+    amplitude a of the grid, recorded from t = 0."""
+    snaps = cli.prepare_controller(
+        _advdiff_points_config([-2.0, 2.0], 3, 1.0, 0)).points
     assert snaps.shape == (3 * 5, 64)
-    assert np.allclose(snaps[0], -2.0 * sp64.adjoint_w1)
+    assert np.allclose(snaps[0], -2.0 * adj64[0])
 
 
-def test_mode_snapshots_match_reference_loop(adv64, sp64):
-    # the engine advances all amplitudes with one matmul where the loop
-    # uses a vector-matrix product per amplitude: equal up to round-off
+def test_mode_snapshots_match_reference_loop(adv64, adj64):
+    """The points and the controller ``cli.prepare_controller`` fits on
+    them, against mode paths walked alone from a * w1 and the controller
+    fitted on those.  The engine advances all amplitudes with one matmul
+    where the loop uses a vector-matrix product per amplitude: equal up
+    to round-off."""
     amps = np.linspace(-4.0, 4.0, 9)
-    snaps = spde_mod.generate_mode_snapshots(adv64, amps, 2.0, 0.25, seed=11,
-                                             dt=5e-3)
+    state = cli.prepare_controller(
+        _advdiff_points_config([-4.0, 4.0], 9, 2.0, 11))
     ref = np.concatenate([
         [x for _, x in simulate_path(
-            adv64, None, a * sp64.adjoint_w1, 2.0, 5e-3, master_seed=11,
+            adv64, None, a * adj64[0], 2.0, 5e-3, master_seed=11,
             path_index=i, trajectory_stride=50).trajectory]
         for i, a in enumerate(amps)])
-    assert snaps.shape == ref.shape == (9 * 9, 64)
-    assert np.allclose(snaps, ref, rtol=1e-12, atol=0.0)
+    assert state.points.shape == ref.shape == (9 * 9, 64)
+    assert np.allclose(state.points, ref, rtol=1e-12, atol=0.0)
     ev = make_event("norm", 2.5, mode="indicator")
-    _, got = fit_spde_controller(adv64, snaps, ev, 1.0)
     _, want = fit_spde_controller(adv64, ref, ev, 1.0)
-    assert got.coefficients == pytest.approx(want.coefficients, rel=1e-12)
+    assert state.controller.coefficients == pytest.approx(want.coefficients,
+                                                          rel=1e-12)
 
 
 def _per_step_law(step, L):
@@ -425,13 +482,13 @@ def test_segment_map_has_the_law_of_the_per_step_chain(adv64, L):
     assert step.draws(L) == 64 + len(R)
 
 
-def test_engine_rows_match_the_segment_reference_loop(adv64, sp64):
+def test_engine_rows_match_the_segment_reference_loop(adv64, adj64):
     """A controlled ensemble at a hold of 20 steps, with trajectory rows
     every 7 steps, so that snapshots cut the holds into segments of 1 to
     7 steps: every row is the single-row segment loop, to 1e-12."""
     ctrl = spde_quadratic_controller(adv64, 1.0, 0.4, 0.2,
                                      multiplier=2.0).with_hold_time(0.02)
-    Y0 = 0.5 * sp64.adjoint_w1
+    Y0 = 0.5 * adj64[0]
     ens = spde_mod.run_spde_paths(adv64, ctrl, Y0, 0.2, 1e-3, 5,
                                   master_seed=4, trajectory_count=3,
                                   trajectory_stride=7)
@@ -473,7 +530,7 @@ def test_a_held_segment_draws_r_plus_n_normals(adv64, monkeypatch,
     assert counts == [64 + 64] * 6
 
 
-def test_snapshot_cuts_reach_every_block(adv64, sp64, monkeypatch):
+def test_snapshot_cuts_reach_every_block(adv64, adj64, monkeypatch):
     """Two workers run 40 rows as two 20-row blocks, with one trajectory
     row, in the first block, every 7 steps cutting the 20-step holds:
     each block alone, with its path indices and a trajectory row of its
@@ -493,7 +550,7 @@ def test_snapshot_cuts_reach_every_block(adv64, sp64, monkeypatch):
                                      multiplier=2.0).with_hold_time(0.02)
 
     def run(M, workers=1, path_index=None):
-        return spde_mod.run_spde_paths(adv64, ctrl, 0.5 * sp64.adjoint_w1,
+        return spde_mod.run_spde_paths(adv64, ctrl, 0.5 * adj64[0],
                                        0.2, 1e-3, M, master_seed=5,
                                        workers=workers, trajectory_count=1,
                                        trajectory_stride=7,
@@ -532,8 +589,8 @@ def test_noise_budget_does_not_change_segmented_rows(adv64, budget,
 
 
 def test_build_spde_controller_positive(adv64):
-    snaps = spde_mod.generate_mode_snapshots(adv64, np.linspace(-4, 4, 9),
-                                             2.0, 0.25, seed=1, dt=5e-3)
+    snaps = _mode_snapshots(adv64, np.linspace(-4, 4, 9), 2.0, 0.25, seed=1,
+                            dt=5e-3)
     ev = make_event("norm", 2.5, mode="indicator")
     _, ctrl = fit_spde_controller(adv64, snaps, ev, 10.0)
     vals, _ = ctrl.value_grad_batch(10.0, snaps)
@@ -557,3 +614,44 @@ def test_spde_controller_serialization(adv64):
     u0, _ = ctrl.bias_batch(1.0, Y)
     u1, _ = back.bias_batch(1.0, Y)
     assert np.allclose(u0, u1, rtol=1e-12)
+
+
+def test_the_adjoint_eigensolve_runs_once_per_controller_fit(monkeypatch,
+                                                             tmp_path):
+    """The N x N eigensolve of the adjoint coordinate runs where the
+    controller is fitted, once per ``cli.prepare_controller``, and neither
+    when the model is built nor in a plain Monte Carlo run."""
+    solves = []
+    eig = np.linalg.eig
+
+    def counting(a):
+        if np.shape(a) == (8, 8):
+            solves.append(1)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    raw = {"model": {"name": "advdiff", "params": {"n_modes": 8}},
+           "event": {"kind": "norm", "threshold": 0.5},
+           "points": {"box": [[-2.0, 2.0]], "counts": [3], "T_traj": 0.5,
+                      "stride": 0.25, "dt": 0.01, "seed": 1},
+           "doob": {}, "run": {"M": 20, "T": 0.5, "dt": 0.01,
+                               "master_seed": 1, "method": "mc"},
+           "output": {}}
+    make_builtin_model("advdiff", {"n_modes": 8})
+    cli.run_pipeline(cli.ExperimentConfig.from_dict(raw))
+    assert solves == []
+    cli.prepare_controller(cli.ExperimentConfig.from_dict(raw))
+    assert solves == [1]
+
+
+def test_an_adjoint_vector_that_is_not_real_fails_where_it_is_fitted():
+    """At alpha 1e-6 advection dominates and the leading eigenvector of
+    A^T is complex.  The model still builds and runs plain Monte Carlo
+    (it once failed to build); fitting its adjoint coordinate is a
+    NumericalError."""
+    model = make_builtin_model("advdiff", {"n_modes": 8, "alpha": 1e-6})
+    ens = spde_mod.run_spde_paths(model, None, None, 0.1, 1e-2, 4,
+                                  master_seed=1)
+    assert np.isfinite(ens.terminal).all()
+    with pytest.raises(NumericalError, match="not real"):
+        spde_mod.adjoint_model(model)
