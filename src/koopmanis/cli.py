@@ -14,11 +14,12 @@ All seeds come from the config; nothing is time-seeded.  Identical
 the runner does not know, or that the run does not read (``_CONFIG`` and
 ``_controller_blocks`` say which), is a ``ConfigError``, not ignored.
 
-The ``run`` block: M, T, master_seed (required), x0, method, dt, scheme
-and workers.  ``run`` and ``sweep-c`` need x0 (advdiff starts at the zero
-field), checked before any stage runs.  ``run.scheme`` steps only the
-ensembles of a nonlinear model: a linear one steps by its exact hold map,
-and test points are always SRK-stepped.  ``run.workers`` is the one
+The ``run`` block: M, T, master_seed (required), x0, method, dt and
+workers.  ``run`` and ``sweep-c`` need x0 (advdiff starts at the zero
+field), checked before any stage runs.  Every path, of an ensemble or of
+the test points, steps by its model's one stepper: a linear model by its
+exact hold map, a nonlinear one by the additive-noise SRK step
+(``paths.model_stepper``).  ``run.workers`` is the one
 parallelism knob: the path engine splits each ensemble into ``workers``
 blocks on as many threads (``paths`` has the layout rule), with
 byte-identical SDE outputs.  Threads pay off only where numpy releases
@@ -65,7 +66,7 @@ from . import doob, estimator, gedmd, spde
 from .basis import build_basis
 from .errors import ConfigError, KoopmanisError, NoHitsError
 from .model import default_event, make_builtin_model, make_event
-from .paths import SCHEMES, rowlocal_product, trajectory_snapshots
+from .paths import rowlocal_product, trajectory_snapshots
 
 ENV_OUTPUT_DIR = "KOOPMANIS_OUTPUT_DIR"
 TUNE_SEED_OFFSET = 1_000_003
@@ -117,16 +118,13 @@ _CONFIG = {
               "max_eigenfunctions": _Row("whole", 1, None)},
     "doob": {"multiplier_grid": _Row(
                  "non-empty list of reals", default=[1, 2, 4, 6, 8, 16]),
-             "tuning_batch": _Row("whole", 50, 100),
-             "target_fraction": _Row("real", default=0.5),
-             "offset": _Row("real", default=None)},
+             "tuning_batch": _Row("whole", 50, 100)},
     "run": {"method": _Row("choice", ("is", "mc"), "is"),
             "M": _Row("whole", 2),
             "T": _Row("positive"),
             "master_seed": _Row("whole"),
             "x0": _Row("list of reals", default=_OPTIONAL, per_axis=True),
             "dt": _Row("positive", default=1e-3),
-            "scheme": _Row("choice", SCHEMES, None),
             "workers": _Row("whole", 1, 1)},
     "output": {"directory": _Row("path", default=_OPTIONAL),
                "histogram_bins": _Row("whole", 1, 50),
@@ -280,15 +278,11 @@ def _build_event(cfg: ExperimentConfig):
 
 def _model_and_event(cfg: ExperimentConfig):
     """The configured model and event, built before any stage runs; an
-    event component outside the model's state, a per-axis list whose
-    length is not the number of axes, or a run.scheme for a linear model,
-    which steps by its exact map, is a ``ConfigError``.  The points of
-    the SPDE model have one axis, the amplitude along its adjoint mode."""
+    event component outside the model's state, or a per-axis list whose
+    length is not the number of axes, is a ``ConfigError``.  The points
+    of the SPDE model have one axis, the amplitude along its adjoint
+    mode."""
     model = make_builtin_model(cfg.model["name"], cfg.model.get("params"))
-    if model.linear_spec is not None and cfg.run["scheme"] is not None:
-        raise ConfigError(f"config blocks or keys the run does not read: "
-                          f"['run.scheme'] ({model.name!r} steps by its "
-                          f"exact linear map)")
     d = model.dim_state
     if cfg.event["component"] >= d:
         raise ConfigError(f"event.component must be below the dimension "
@@ -378,12 +372,8 @@ def prepare_controller(cfg: ExperimentConfig) -> PipelineState:
         spec = gedmd.truncate_spectrum(spec,
                                        cfg.gedmd["max_eigenfunctions"])
     state.spectrum = spec
-    # an mc config may omit the doob block and still export its spectrum
-    offset = cfg.doob["offset"] if cfg.doob is not None \
-        else _CONFIG["doob"]["offset"].default
     state.controller = doob.build_controller(
-        spec, fit_model, points, f_vals, T, offset=offset, coordinates=W,
-        cls=cls)
+        spec, fit_model, points, f_vals, T, coordinates=W, cls=cls)
     return state
 
 
@@ -399,8 +389,7 @@ def _tune(cfg: ExperimentConfig, state: PipelineState):
     return doob.tune_multiplier(
         state.controller, state.model, state.event, run.get("x0"),
         float(run["T"]), float(run["dt"]), cfg.doob["multiplier_grid"],
-        cfg.doob["tuning_batch"], cfg.doob["target_fraction"],
-        seed=_tuning_seed(cfg), scheme=run["scheme"],
+        cfg.doob["tuning_batch"], seed=_tuning_seed(cfg),
         workers=run["workers"])
 
 
@@ -423,7 +412,7 @@ def run_pipeline(cfg: ExperimentConfig, controller=None) -> PipelineState:
     run = cfg.run
     state.report = estimator.run_ensemble(
         state.model, state.controller, state.event, run.get("x0"),
-        float(run["T"]), float(run["dt"]), scheme=run["scheme"],
+        float(run["T"]), float(run["dt"]),
         M=run["M"], master_seed=run["master_seed"],
         workers=run["workers"],
         trajectory_count=cfg.output["trajectory_count"],

@@ -21,6 +21,9 @@ from .errors import (ConfigError, EmptySpectrumError, InvalidParameterError,
 from .gedmd import KoopmanSpectrum, SVD_RTOL, conjugate_partner
 from .paths import HOLD_TIME, rowlocal_product
 
+# the event-hit fraction tune_multiplier picks the multiplier by
+TARGET_HIT_FRACTION = 0.5
+
 
 @dataclass(eq=False)
 class _Component:
@@ -100,22 +103,17 @@ def positivize(coefficients, fitted, col, margin: float):
     return coefficients, fitted, shift
 
 
-def fit_surrogate(C, f_values, col, offset=None):
+def fit_surrogate(C, f_values, col):
     """The one surrogate fit of every controller: a truncated-SVD solve of
     C a = f, with the constant column ``col`` shifted by ``positivize`` at
-    margin 1e-6 * scale, scale = max |C a|.  Passing ``offset`` applies
-    exactly that shift instead (the protocol behind the reference sweep
-    tables, where the offset is tuned rather than taken from the fitted
-    minimum).  Returns (a, floor), with floor = 1e-8 * scale the value at
-    which every controller floors Phi.
+    margin 1e-6 * scale, scale = max |C a|, so the surrogate is positive at
+    every fitted point.  Returns (a, floor), with floor = 1e-8 * scale the
+    value at which every controller floors Phi.
     """
     coeffs = _svd_lstsq(C, np.asarray(f_values, dtype=float))
     fitted = C @ coeffs
     scale = float(np.max(np.abs(fitted))) if len(fitted) else 1.0
-    if offset is None:
-        coeffs, _, _ = positivize(coeffs, fitted, col, 1e-6 * scale)
-    else:
-        coeffs[col] += float(offset)
+    coeffs, _, _ = positivize(coeffs, fitted, col, 1e-6 * scale)
     return coeffs, 1e-8 * scale
 
 
@@ -312,7 +310,7 @@ class DoobController(Controller):
 
 
 def build_controller(spectrum: KoopmanSpectrum, model, points, f_values, T,
-                     offset=None, coordinates=None,
+                     coordinates=None,
                      cls=DoobController) -> DoobController:
     """Fit the observable onto the realified eigenfunctions with
     ``fit_surrogate`` and assemble the controller, a ``cls``.  With
@@ -322,7 +320,7 @@ def build_controller(spectrum: KoopmanSpectrum, model, points, f_values, T,
         raise EmptySpectrumError("cannot regress on an empty spectrum")
     comps = realify_spectrum(spectrum)
     C = design_matrix(comps, spectrum.basis, points)
-    coeffs, floor = fit_surrogate(C, f_values, _constant_column(comps), offset)
+    coeffs, floor = fit_surrogate(C, f_values, _constant_column(comps))
     return cls(spectrum.basis, comps, coeffs, model.diffusion_const, T,
                floor=floor, model_name=model.name, coordinates=coordinates)
 
@@ -333,8 +331,8 @@ class TuneResult:
     table: list  # rows (c, hit_fraction, estimate, variance, rel_error)
 
 
-def tune_multiplier(controller, model, obs, x0, T, dt, grid, batch,
-                    target=0.5, seed=0, scheme=None, workers=1) -> TuneResult:
+def tune_multiplier(controller, model, obs, x0, T, dt, grid, batch, seed=0,
+                    workers=1) -> TuneResult:
     """Sweep the multiplier grid with common random numbers per value.
 
     The sweep runs as one stacked ensemble of len(grid) * batch rows: row
@@ -345,8 +343,8 @@ def tune_multiplier(controller, model, obs, x0, T, dt, grid, batch,
     for the controller's ``hold_time``, as the final ensemble does, so the
     chosen c fits the run that uses it.  Each c's rows are then reduced by
     ``estimator.run_ensemble``.  Returns the multiplier whose event-hit
-    fraction is closest to the target, breaking ties toward the smaller
-    value, along with the full sweep table.
+    fraction is closest to ``TARGET_HIT_FRACTION``, breaking ties toward
+    the smaller value, along with the full sweep table.
     """
     from . import estimator  # local import: estimator imports this module
 
@@ -358,13 +356,13 @@ def tune_multiplier(controller, model, obs, x0, T, dt, grid, batch,
     n = len(grid)
     stacked = estimator.simulate_ensemble(
         model, controller.with_multiplier(np.repeat(grid, batch)), x0, T,
-        dt, scheme=scheme, M=n * batch, master_seed=seed, workers=workers,
+        dt, M=n * batch, master_seed=seed, workers=workers,
         path_index=np.tile(np.arange(batch), n))
     rows = []
     for g, c in enumerate(grid):
         rep = estimator.run_ensemble(
             model, controller.with_multiplier(c), obs, x0, T, dt,
-            scheme=scheme, M=batch, master_seed=seed,
+            M=batch, master_seed=seed,
             ensemble=stacked.rows(g * batch, (g + 1) * batch))
         rows.append((c, rep.proportion_in_event, rep.estimate,
                      rep.sample_variance, rep.relative_error_per_sample))
@@ -372,5 +370,6 @@ def tune_multiplier(controller, model, obs, x0, T, dt, grid, batch,
         raise TuningFailedError(
             "no trajectories reached the event at any multiplier; widen the "
             "grid or improve the spectrum")
-    best = min(rows, key=lambda row: (abs(row[1] - target), row[0]))
+    best = min(rows, key=lambda row: (abs(row[1] - TARGET_HIT_FRACTION),
+                                      row[0]))
     return TuneResult(best[0], rows)

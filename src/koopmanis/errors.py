@@ -17,10 +17,6 @@ class ShapeError(KoopmanisError):
     """Array dimensions do not match the declared model dimensions."""
 
 
-class UnsupportedSchemeError(KoopmanisError):
-    """Integration scheme not applicable to the given model."""
-
-
 class ConfigError(KoopmanisError):
     """Experiment configuration is inconsistent or incomplete."""
 

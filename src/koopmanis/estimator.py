@@ -80,15 +80,15 @@ def _fsum_mean_var(values):
     return mean, var
 
 
-def simulate_ensemble(model: SdeModel, controller, x0, T, dt=1e-3,
-                      scheme=None, M=2, master_seed=0, workers=1,
-                      trajectory_count=0, trajectory_stride=None,
+def simulate_ensemble(model: SdeModel, controller, x0, T, dt=1e-3, M=2,
+                      master_seed=0, workers=1, trajectory_count=0,
+                      trajectory_stride=None,
                       path_index=None) -> PathEnsemble:
     """The M-row ensemble of ``run_ensemble``, simulated and not reduced:
     SDE models run through ``run_paths``, the SPDE model through
-    ``run_spde_paths`` (from the zero field when x0 is None); ``scheme``
-    is read only by nonlinear models.  Row i is path ``path_index[i]``
-    (default i) of ``master_seed``."""
+    ``run_spde_paths`` (from the zero field when x0 is None), each stepped
+    by its model's one stepper (``paths.model_stepper``).  Row i is path
+    ``path_index[i]`` (default i) of ``master_seed``."""
     if controller is not None and abs(controller.horizon - T) > 1e-12:
         raise ConfigError(
             f"controller horizon {controller.horizon} != ensemble horizon {T}")
@@ -96,13 +96,12 @@ def simulate_ensemble(model: SdeModel, controller, x0, T, dt=1e-3,
         return run_spde_paths(model, controller, x0, T, dt, M,
                               master_seed, workers, trajectory_count,
                               trajectory_stride, path_index)
-    return run_paths(model, controller, x0, T, dt, scheme, M, master_seed,
-                     workers, trajectory_count, trajectory_stride,
-                     path_index)
+    return run_paths(model, controller, x0, T, dt, M, master_seed, workers,
+                     trajectory_count, trajectory_stride, path_index)
 
 
 def run_ensemble(model: SdeModel, controller, obs: EventObservable, x0, T,
-                 dt=1e-3, scheme=None, M=2, master_seed=0, workers=1,
+                 dt=1e-3, M=2, master_seed=0, workers=1,
                  trajectory_count=0, trajectory_stride=None,
                  ensemble=None) -> EstimatorReport:
     """Estimate E[f(X_T)] over M paths, optionally under a biasing controller.
@@ -123,7 +122,7 @@ def run_ensemble(model: SdeModel, controller, obs: EventObservable, x0, T,
         raise ConfigError("need at least two paths")
     ens = ensemble
     if ens is None:
-        ens = simulate_ensemble(model, controller, x0, T, dt, scheme, M,
+        ens = simulate_ensemble(model, controller, x0, T, dt, M,
                                 master_seed, workers, trajectory_count,
                                 trajectory_stride)
     elif len(ens.terminal) != M:
@@ -235,13 +234,17 @@ def analytic_oracles(model: SdeModel, event: EventObservable, T: float,
     """Exact probability of the event at time T for linear models.
 
     Coordinate and absolute-coordinate events use 1-D Gaussian tails.  A
-    norm event |X_T| >= L is, in the eigenbasis V diag(v) V^T of the
-    terminal covariance, sum_i v_i (Z_i + delta_i)^2 >= L^2 with
+    norm event |X_T| > L is, in the eigenbasis V diag(v) V^T of the
+    terminal covariance, sum_i v_i (Z_i + delta_i)^2 > L^2 with
     delta = V^T m / sqrt(v); its tail is Imhof's integral.  A direction
     with variance at most 1e-14 of the largest adds only its squared mean,
-    which is taken off L^2.  The result is the indicator probability, so
-    the event must be in indicator mode, and T finite and >= 0.  Every
-    method is deterministic and reports a standard error of 0.
+    which is taken off L^2.  A law with no variance on what the event
+    reads (the coordinate's, or any for a norm event; always so at T = 0)
+    is a point mass at the mean m, and the result is the event's
+    indicator at m (method "point_mass").  The result is the indicator
+    probability, so the event must be in indicator mode, and T finite and
+    >= 0.  Every method is deterministic and reports a standard error of
+    0.
     """
     if not (math.isfinite(T) and T >= 0):
         raise InvalidParameterError(f"T must be finite and >= 0, got {T!r}")
@@ -252,6 +255,10 @@ def analytic_oracles(model: SdeModel, event: EventObservable, T: float,
     mean, cov = terminal_gaussian(model, T, x0)
     i = event.component
     L = event.threshold
+    if event.kind in ("coordinate", "abs_coordinate") and cov[i, i] == 0 \
+            or event.kind == "norm" and not cov.any():
+        return OracleResult(float(event.indicator(mean)), 0.0, mean, cov,
+                            "point_mass")
     if event.kind == "coordinate":
         sd = math.sqrt(cov[i, i])
         rho = float(_norm_sf((L - mean[i]) / sd))
@@ -268,8 +275,6 @@ def analytic_oracles(model: SdeModel, event: EventObservable, T: float,
         x = L * L - math.fsum(proj[~live] ** 2)
         if x <= 0.0:
             rho = 1.0
-        elif not live.any():
-            rho = 0.0
         else:
             rho = _imhof_tail(vals[live], proj[live] ** 2 / vals[live], x)
         return OracleResult(rho, 0.0, mean, cov, "imhof")

@@ -23,8 +23,8 @@ points of ``gedmd.generate_test_points`` and the SPDE's mode snapshots in
   every model with a ``linear_spec`` (ou1d, nonnormal2d, brownian_osc and
   advdiff), whose segments of any length are the exact law of the model
   and draw r + rank(R) normals (its docstring has the map), and
-  ``sde_stepper`` (Euler-Maruyama or SRK) for the others, whose segments
-  are single steps of r draws.  Every stepper takes the control as a
+  ``sde_stepper``, the additive-noise SRK step, for the others, whose
+  segments are single steps of r draws.  Every stepper takes the control as a
   shift of the per-step draws xi -> xi + sqrt(dt) u, so the engine's
   Girsanov weight is the exact likelihood ratio of the stepped chain;
 - a per-path start of shape (M, d);
@@ -50,8 +50,8 @@ holds its states column-major, the layout of ``rowlocal_product``'s
 results, so the noise increments and a linear drift meet the state in one
 layout and the steppers' elementwise passes read no mixed strides.  Its
 noise follows the stepper's products (``step.time_major``).  A stepper
-whose products are ``rowlocal_product``'s (the SDE schemes, and the linear
-models but the SPDE) reads time-major noise, a (draws, paths) buffer, so
+whose products are ``rowlocal_product``'s (the SDE stepper, and the linear
+models' but the SPDE's) reads time-major noise, a (draws, paths) buffer, so
 a segment's (B, draws) view has contiguous columns, the operands of the
 column passes: row-major, a brownian_osc segment reads 3 of each row's
 750 draws and a vdp step 2 of 2000, one cache line per row and column.
@@ -97,7 +97,7 @@ sweep as one stacked ensemble.
 Every controller shares the one bias formula of
 ``doob.Controller.bias_batch``, which is row-local when the controller's
 ``value_grad_batch`` and ``_noise_map`` are.  The one per-segment product
-with a constant matrix is ``rowlocal_product``: the SDE schemes form B xi
+with a constant matrix is ``rowlocal_product``: the SDE stepper forms B xi
 and B u with it, the linear stepper its products with P^L, S / L and R,
 and the controllers B^T grad Phi and their coordinates q = X W (the SPDE
 controller's is the adjoint coordinate <Y, w1>), so all are row-local;
@@ -135,8 +135,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, InvalidParameterError, ShapeError,
-                     UnsupportedSchemeError)
+from .errors import ConfigError, InvalidParameterError, ShapeError
 
 _MASK64 = (1 << 64) - 1
 MAX_BLOCK_ROWS = 8192
@@ -144,7 +143,6 @@ NOISE_BUFFER_DOUBLES = 4_000_000  # noise pre-drawn per block, in doubles
 TILE_ROWS = 32   # paths drawn into a tile per transpose into time-major noise
 TAYLOR_TERMS = 12   # of linear_gaussian's series: 1e-17 of the first term
 
-SCHEMES = ("euler_maruyama", "srk_additive")
 # model time units a controller's bias is held for by default (see the
 # determinism contract); on vdp at dt 5e-3 this is 4 steps and halves the
 # final ensemble's time, with the error per sample within seed noise
@@ -212,13 +210,13 @@ def rowlocal_dot(a, b):
 
 
 class _SdeStepper:
-    """Engine stepper of an SDE scheme; see ``sde_stepper``."""
+    """Engine stepper of a nonlinear SDE; see ``sde_stepper``."""
 
     longest = 1   # its segments are single steps
     time_major = True   # its products are rowlocal_product's: layout rule
 
-    def __init__(self, model, scheme, dt):
-        self.model, self.scheme, self.dt = model, scheme, dt
+    def __init__(self, model, dt):
+        self.model, self.dt = model, dt
         self.r = model.dim_noise
 
     def draws(self, L):
@@ -230,28 +228,21 @@ class _SdeStepper:
         incr = rowlocal_product(xi, Bt) * math.sqrt(dt)
         if u is not None:
             incr = incr + rowlocal_product(u, Bt) * dt
-        if self.scheme == "euler_maruyama":
-            return x + a * dt + incr, xi
         pred = x + a * dt + incr
         return x + 0.5 * dt * (a + drift(pred)) + incr, xi
 
 
-def sde_stepper(model, scheme, dt):
-    """Engine stepper for steps of size dt of ``scheme``, one of SCHEMES,
-    or srk_additive when it is None; any other name is an
-    ``UnsupportedSchemeError``.
+def sde_stepper(model, dt):
+    """Engine stepper for steps of size dt of the additive-noise SRK
+    scheme: a two-stage scheme of weak order 2 for additive noise (Heun
+    average of the drift, shared Brownian increment).
 
     Its segments are single steps (``longest`` = 1), each drawing
     r = ``model.dim_noise`` normals: a longer one would only hold more
     draws in the noise buffer at once.  The control is held at its
-    left-endpoint value through the step; srk_additive is a two-stage
-    scheme of weak order 2 for additive noise (Heun average of the drift,
-    shared Brownian increment).
+    left-endpoint value through the step.
     """
-    scheme = scheme or "srk_additive"
-    if scheme not in SCHEMES:
-        raise UnsupportedSchemeError(f"unknown scheme {scheme!r}")
-    return _SdeStepper(model, scheme, dt)
+    return _SdeStepper(model, dt)
 
 
 def linear_gaussian(A, B, t):
@@ -354,14 +345,11 @@ def linear_stepper(model, dt):
     return _LinearStepper(model, dt)
 
 
-def model_stepper(model, scheme, dt):
-    """``linear_stepper`` for a model with a ``linear_spec``, which reads
-    no scheme (one given is a ``ConfigError``), else ``sde_stepper``."""
+def model_stepper(model, dt):
+    """``linear_stepper`` for a model with a ``linear_spec``, else
+    ``sde_stepper``."""
     if model.linear_spec is None:
-        return sde_stepper(model, scheme, dt)
-    if scheme is not None:
-        raise ConfigError(f"{model.name!r} steps by its exact linear map "
-                          f"and reads no scheme, got {scheme!r}")
+        return sde_stepper(model, dt)
     return linear_stepper(model, dt)
 
 
@@ -580,7 +568,7 @@ def run_engine(step, starts, K, dt, controller=None, master_seed=0,
 
 def trajectory_snapshots(model, starts, T_traj, stride, seed, dt):
     """Uncontrolled trajectories of ``model`` from each start, stepped by
-    ``model_stepper`` with no scheme (SRK for a nonlinear model), sampled
+    ``model_stepper`` (SRK for a nonlinear model), sampled
     every ``stride`` time units including t = 0, stacked
     trajectory-major.
 
@@ -597,7 +585,7 @@ def trajectory_snapshots(model, starts, T_traj, stride, seed, dt):
     K, dt = adjust_steps(T_traj, dt)
     every = max(1, int(round(stride / dt)))
     n = len(starts)
-    ens = run_engine(model_stepper(model, None, dt), starts, K, dt,
+    ens = run_engine(model_stepper(model, dt), starts, K, dt,
                      master_seed=seed, stride=every, record=n)
     kept = ens.snapshots[~ens.blown]
     return (kept.reshape(-1, starts.shape[1]),
@@ -615,18 +603,18 @@ def hold_steps(hold_time, dt) -> int:
     return max(1, int(math.floor(hold_time / dt + 1e-9)))
 
 
-def run_paths(model, controller, x0, T, dt, scheme=None, M=1,
-              master_seed=0, workers=1, trajectory_count=0,
-              trajectory_stride=None, path_index=None) -> PathEnsemble:
+def run_paths(model, controller, x0, T, dt, M=1, master_seed=0,
+              workers=1, trajectory_count=0, trajectory_stride=None,
+              path_index=None) -> PathEnsemble:
     """Simulate M rows and collect terminal states and Girsanov weights,
-    stepped by ``model_stepper(model, scheme, dt)``.
+    stepped by ``model_stepper(model, dt)``.
 
     Row i is path ``path_index[i]`` (default i).  The first
     ``trajectory_count`` rows also report trajectory rows every
     ``trajectory_stride`` steps and at T.
     """
     K, dt = adjust_steps(T, dt)
-    step = model_stepper(model, scheme, dt)
+    step = model_stepper(model, dt)
     if x0 is None or np.shape(x0) != (model.dim_state,):
         raise ShapeError(f"x0 must be a state of the model dimension "
                          f"{model.dim_state}, got {x0!r}")

@@ -114,5 +114,5 @@ def run_spde_paths(model, controller, Y0, T, dt, M, master_seed, workers=1,
     allow."""
     if Y0 is None:
         Y0 = np.zeros(model.dim_state)
-    return run_paths(model, controller, Y0, T, dt, None, M, master_seed,
-                     workers, trajectory_count, trajectory_stride, path_index)
+    return run_paths(model, controller, Y0, T, dt, M, master_seed, workers,
+                     trajectory_count, trajectory_stride, path_index)

@@ -56,8 +56,8 @@ class PathResult:
     trajectory: list | None = None
 
 
-def simulate_path(model, controller, x0, T, dt, scheme=None, master_seed=0,
-                  path_index=0, trajectory_stride=None) -> PathResult:
+def simulate_path(model, controller, x0, T, dt, master_seed=0, path_index=0,
+                  trajectory_stride=None) -> PathResult:
     """Simulate path ``path_index`` alone, with the noise stream, the
     segments and the Girsanov weight of the block engine.
 
@@ -76,7 +76,7 @@ def simulate_path(model, controller, x0, T, dt, scheme=None, master_seed=0,
         raise ValueError("controller horizon does not match requested T")
     rng = derive_path_rng(master_seed, path_index)
     K, dt = adjust_steps(T, dt)
-    step = model_stepper(model, scheme, dt)
+    step = model_stepper(model, dt)
     x = np.array(x0, dtype=float)
     if x.shape != (model.dim_state,):
         raise ShapeError("x0 has wrong dimension")
@@ -129,14 +129,14 @@ def generator_apply(model: SdeModel, jet, x) -> float:
 
 
 def sweep_table_per_c(controller, model, obs, x0, T, dt, grid, batch, seed=0,
-                      scheme=None, workers=1) -> list:
+                      workers=1) -> list:
     """The table of ``doob.tune_multiplier`` from one ensemble per grid
     value: each draws every path's noise afresh, with the same seed and
     path indices 0..batch-1 (common random numbers)."""
     rows = []
     for c in sorted(float(c) for c in grid):
         rep = run_ensemble(model, controller.with_multiplier(c), obs, x0, T,
-                           dt, scheme=scheme, M=batch, master_seed=seed,
+                           dt, M=batch, master_seed=seed,
                            workers=workers)
         rows.append((c, rep.proportion_in_event, rep.estimate,
                      rep.sample_variance, rep.relative_error_per_sample))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,7 @@ def _tiny_ou_config(tmp_path, method="is", seed=77):
                    "count": 50, "seed": 8},
         "basis": {"family": "hermite", "degree": 1},
         "gedmd": {"validation_threshold": 0.04},
-        "doob": {"multiplier_grid": [1, 4], "tuning_batch": 200,
-                 "target_fraction": 0.5, "offset": 0.0},
+        "doob": {"multiplier_grid": [1, 4], "tuning_batch": 200},
         "run": {"method": method, "M": 400, "T": 1.0, "dt": 1e-2,
                 "x0": [0.0], "master_seed": seed},
         "output": {"directory": str(tmp_path / "out"), "histogram_bins": 20,
@@ -161,10 +161,15 @@ def test_controller_verbs_name_a_missing_block(tmp_path, capsys, verb,
 @pytest.mark.parametrize("block, key", [("run", "wrokers"),
                                         ("run", "block_size"),
                                         ("points", "cuont"),
-                                        ("dob", None)])
+                                        ("dob", None), ("run", "scheme"),
+                                        ("doob", "offset"),
+                                        ("doob", "target_fraction")])
 def test_unknown_config_key_is_a_config_error(tmp_path, capsys, block, key):
     """A misspelt or removed key, or an unknown block, stops the run
-    instead of being ignored."""
+    instead of being ignored.  run.scheme, doob.offset and
+    doob.target_fraction are removed keys: every nonlinear model steps by
+    the SRK step, every surrogate is shifted by ``doob.positivize``, and
+    the sweep aims at ``doob.TARGET_HIT_FRACTION``."""
     raw = _tiny_ou_config(tmp_path)
     if key is None:
         raw[block] = {}
@@ -613,18 +618,14 @@ def test_a_final_ensemble_without_a_hit_is_an_error(tmp_path, capsys,
     ("gaussian", "ou1d", "points", "stride", 0.1),
     ("gaussian", "ou1d", "points", "dt", 0.01),
     ("grid", "advdiff", "basis", None, {"family": "hermite", "degree": 7}),
-    ("grid", "advdiff", "gedmd", None, {"max_eigenfunctions": 1}),
-    ("grid", "advdiff", "run", "scheme", "euler_maruyama"),
-    ("gaussian", "ou1d", "run", "scheme", "euler_maruyama"),
-    ("grid", "ou1d", "run", "scheme", "srk_additive")])
+    ("grid", "advdiff", "gedmd", None, {"max_eigenfunctions": 1})])
 def test_a_block_or_key_the_run_does_not_read_is_a_config_error(
         tmp_path, capsys, points, model, block, key, value):
     """Each was accepted and ignored: a grid block's gaussian keys, a
     gaussian block's grid keys, advdiff's basis and gedmd blocks (advdiff
     with a degree-7 Hermite basis and max_eigenfunctions 1 still fitted
-    its 3-pair exact spectrum), and the run.scheme of a linear model,
-    which steps by its exact hold map.  Now each is a ConfigError naming
-    it, and nothing is written."""
+    its 3-pair exact spectrum).  Now each is a ConfigError naming it, and
+    nothing is written."""
     raw = _tiny_advdiff_config(tmp_path) if model == "advdiff" \
         else _tiny_ou_config(tmp_path)
     if points == "grid":
@@ -761,8 +762,7 @@ def test_spde_run_writes_trajectories(tmp_path):
 
 _EVENT_DEFAULTS = {"sharpness": 3.0, "component": 0, "mode": "indicator"}
 _GEDMD_DEFAULTS = {"validation_threshold": 0.04, "max_eigenfunctions": None}
-_DOOB_DEFAULTS = {"multiplier_grid": [1, 2, 4, 6, 8, 16], "tuning_batch": 100,
-                  "target_fraction": 0.5, "offset": None}
+_DOOB_DEFAULTS = {"multiplier_grid": [1, 2, 4, 6, 8, 16], "tuning_batch": 100}
 _OUTPUT_DEFAULTS = {"histogram_bins": 50, "histogram_range": None,
                     "trajectory_stride": None, "trajectory_count": 0}
 _RESOLVED = {
@@ -775,7 +775,7 @@ _RESOLVED = {
         "basis": {"family": "legendre_box", "degree": 10,
                   "box": [[-4.0, 4.0], [-4.0, 4.0]]},
         "gedmd": _GEDMD_DEFAULTS, "doob": _DOOB_DEFAULTS,
-        "run": {"method": "is", "dt": 0.005, "scheme": None, "workers": 1,
+        "run": {"method": "is", "dt": 0.005, "workers": 1,
                 "M": 2000, "T": 5.0, "x0": [2.0, 0.0], "master_seed": 1},
         "output": _OUTPUT_DEFAULTS},
     "brownian_osc_exact_is": {
@@ -786,7 +786,7 @@ _RESOLVED = {
                    "std": [1.5, 1.5], "count": 2000, "seed": 11},
         "basis": {"family": "linear_exact", "degree": 2},
         "gedmd": _GEDMD_DEFAULTS, "doob": _DOOB_DEFAULTS,
-        "run": {"method": "is", "dt": 0.01, "scheme": None, "workers": 1,
+        "run": {"method": "is", "dt": 0.01, "workers": 1,
                 "M": 4000, "T": 10.0, "x0": [0.0, 0.0], "master_seed": 1},
         "output": _OUTPUT_DEFAULTS},
     "advdiff_spde_is": {
@@ -795,7 +795,7 @@ _RESOLVED = {
         "points": {"kind": "grid", "box": [[-4.0, 4.0]], "counts": [9],
                    "T_traj": 2.0, "stride": 0.25, "dt": 0.005, "seed": 11},
         "doob": _DOOB_DEFAULTS,
-        "run": {"method": "is", "dt": 0.001, "scheme": None, "workers": 1,
+        "run": {"method": "is", "dt": 0.001, "workers": 1,
                 "M": 2000, "T": 1.0, "master_seed": 1},
         "output": _OUTPUT_DEFAULTS},
 }
@@ -819,9 +819,8 @@ def test_tiny_config_resolves_to_a_pinned_dict(tmp_path):
                    "count": 50, "seed": 8},
         "basis": {"family": "hermite", "degree": 1},
         "gedmd": _GEDMD_DEFAULTS,
-        "doob": {"multiplier_grid": [1, 4], "tuning_batch": 200,
-                 "target_fraction": 0.5, "offset": 0.0},
-        "run": {"method": "is", "dt": 0.01, "scheme": None, "workers": 1,
+        "doob": {"multiplier_grid": [1, 4], "tuning_batch": 200},
+        "run": {"method": "is", "dt": 0.01, "workers": 1,
                 "M": 400, "T": 1.0, "x0": [0.0], "master_seed": 77},
         "output": {"histogram_bins": 20, "histogram_range": [-4.0, 6.0],
                    "trajectory_stride": None, "trajectory_count": 0,
@@ -880,3 +879,18 @@ def test_the_oracle_verb_refuses_what_it_cannot_answer(capsys, args):
     InvalidParameterError and exit code 1."""
     assert cli.main(["oracle", *args]) == 1
     assert "error (InvalidParameterError)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, rho", [
+    (["ou1d", "--T", "0", "--threshold", "0"], "0.000000e+00"),
+    (["brownian_osc", "--T", "0", "--threshold", "0"], "0.000000e+00"),
+    (["ou1d", "--T", "0", "--threshold", "-1"], "1.000000e+00"),
+    (["nonnormal2d", "--T", "0", "--threshold", "0"], "0.000000e+00")])
+def test_the_oracle_verb_answers_a_point_mass(capsys, args, rho):
+    """At T = 0 the start (the origin) is in the strict event or not:
+    ou1d and brownian_osc at threshold 0 printed rho = nan with a
+    RuntimeWarning, and nonnormal2d printed 1."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["oracle", *args]) == 0
+    assert f"rho = {rho}  (method point_mass)" in capsys.readouterr().out

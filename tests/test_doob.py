@@ -29,8 +29,7 @@ def _regress(spec, points, f):
     comps = doob.realify_spectrum(spec)
     C = doob.design_matrix(comps, spec.basis, points)
     col = doob._constant_column(comps)
-    coeffs, _ = doob.fit_surrogate(C, f, col, offset=0.0)
-    return coeffs, col, C
+    return doob._svd_lstsq(C, f), col, C
 
 
 def test_regress_recovers_single_eigenfunction(ou_spectrum):
@@ -100,7 +99,9 @@ def test_positivization_preserves_gradient(ou_spectrum):
     m, spec, pts = ou_spectrum
     ev = make_event("coordinate", 2.0, mode="mollified")
     f = ev.mollified(pts.points)
-    before = doob.build_controller(spec, m, pts.points, f, T=1.0, offset=0.0)
+    coeffs, _, _ = _regress(spec, pts.points, f)
+    before = doob.DoobController(spec.basis, doob.realify_spectrum(spec),
+                                 coeffs, m.diffusion_const, T=1.0)
     after = doob.build_controller(spec, m, pts.points, f, T=1.0)
     rng = np.random.default_rng(1)
     for _ in range(100):
@@ -347,7 +348,7 @@ def test_tune_tie_break_toward_smaller_multiplier():
     ev = make_event("coordinate", 0.0, mode="indicator")  # non-rare event
     ctrl = _FlatController(1.0)
     res = doob.tune_multiplier(ctrl, m, ev, [0.0], 1.0, 1e-2,
-                               grid=[4, 1, 2], batch=200, target=0.5, seed=5)
+                               grid=[4, 1, 2], batch=200, seed=5)
     fracs = [row[1] for row in res.table]
     assert fracs[0] == fracs[1] == fracs[2]  # common random numbers
     assert res.multiplier == 1.0
@@ -359,7 +360,7 @@ def test_tune_failure_when_no_hits():
     ctrl = _FlatController(1.0)
     with pytest.raises(TuningFailedError):
         doob.tune_multiplier(ctrl, m, ev, [0.0], 1.0, 1e-2,
-                             grid=[1, 2], batch=100, target=0.5, seed=5)
+                             grid=[1, 2], batch=100, seed=5)
 
 
 def test_tune_batch_minimum():
@@ -367,7 +368,7 @@ def test_tune_batch_minimum():
     ev = make_event("coordinate", 0.0, mode="indicator")
     with pytest.raises(ConfigError):
         doob.tune_multiplier(_FlatController(1.0), m, ev, [0.0], 1.0, 1e-2,
-                             grid=[1], batch=10, target=0.5, seed=5)
+                             grid=[1], batch=10, seed=5)
 
 
 def _sweep_case(name, fitted_controllers):

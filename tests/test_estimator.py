@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -331,6 +332,44 @@ def test_the_report_keeps_statistics_not_terminal_states():
     assert len(rep.trajectories) == len(want) == 2 * (1 + 3 + 1)
     for (p, t, x), (p_ref, t_ref, x_ref) in zip(rep.trajectories, want):
         assert (p, t, x.tobytes()) == (p_ref, t_ref, x_ref.tobytes())
+
+
+@pytest.mark.parametrize("model, kind, threshold, x0, want", [
+    ("ou1d", "coordinate", 0.0, None, 0.0),
+    ("ou1d", "coordinate", -1.0, None, 1.0),
+    ("brownian_osc", "abs_coordinate", 0.0, None, 0.0),
+    ("brownian_osc", "abs_coordinate", 0.5, [-0.6, 0.0], 1.0),
+    ("nonnormal2d", "norm", 0.0, None, 0.0),
+    ("nonnormal2d", "norm", 1.0, [0.6, 0.8], 0.0),
+    ("nonnormal2d", "norm", 0.9, [0.6, 0.8], 1.0)])
+def test_the_oracle_of_a_point_mass_is_the_indicator_at_its_mean(
+        model, kind, threshold, x0, want):
+    """At T = 0 the law is a point mass at x0, and the strict event holds
+    there or not.  A coordinate event whose threshold was the start gave
+    nan (0 / 0, with a RuntimeWarning), one below it 1 with a divide
+    warning, and a norm event on its own boundary |x0| = L gave 1."""
+    m = make_builtin_model(model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = estimator.analytic_oracles(m, make_event(kind, threshold), 0.0,
+                                         x0)
+    assert res.rho == want and res.method == "point_mass"
+    assert res.standard_error == 0.0
+
+
+@pytest.mark.parametrize("kind", ["coordinate", "abs_coordinate"])
+def test_a_coordinate_the_noise_never_reaches_is_a_point_mass(kind):
+    """At T > 0 a coordinate with no variance sits at its mean e^{-T} x0,
+    so the oracle is the event's indicator there."""
+    m = _linear_model("half-noisy", -np.eye(2), np.array([[1.0], [0.0]]),
+                      {})
+    mean = estimator.terminal_gaussian(m, 1.0, [0.0, 1.0])[0][1]
+    assert mean == pytest.approx(math.exp(-1.0), rel=1e-14)
+    for L, want in ((mean - 1e-9, 1.0), (mean, 0.0)):
+        ev = make_event(kind, L, component=1)
+        res = estimator.analytic_oracles(m, ev, 1.0, [0.0, 1.0])
+        assert res.cov[1, 1] == 0.0
+        assert (res.rho, res.method) == (want, "point_mass")
 
 
 @pytest.mark.parametrize("T", [-1.0, -1e-12, math.nan, math.inf])

@@ -51,7 +51,7 @@ def test_vdp_points_approx_count_and_box():
     assert pts.provenance["dropped_train"] == 400 * 201 - pts.m
 
 
-def _reference_snapshots(model, ics, T_traj, stride, seed, dt, scheme):
+def _reference_snapshots(model, ics, T_traj, stride, seed, dt):
     """Loop version of the test-point trajectories, kept as the reference
     for the block engine: each path's whole (K, r) noise stream is drawn
     at once."""
@@ -59,7 +59,7 @@ def _reference_snapshots(model, ics, T_traj, stride, seed, dt, scheme):
     K, dt = adjust_steps(T_traj, dt)
     step_per = max(1, int(round(stride / dt)))
     r = model.dim_noise
-    step = sde_stepper(model, scheme, dt)
+    step = sde_stepper(model, dt)
     xi = np.array([derive_path_rng(seed, i).standard_normal((K, r))
                    for i in range(n_ic)])
     x = ics.astype(float).copy()
@@ -78,8 +78,7 @@ def test_test_points_match_reference_loop():
                                      seed=11, dt=5e-3)
     ics = gedmd._ic_grid(grid["box"], grid["counts"])
     for got, seed in ((pts.points, 11), (pts.holdout, 12)):
-        ref = _reference_snapshots(m, ics, 1.0, 0.1, seed, 5e-3,
-                                   "srk_additive")
+        ref = _reference_snapshots(m, ics, 1.0, 0.1, seed, 5e-3)
         assert np.array_equal(got, ref)
 
 

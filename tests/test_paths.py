@@ -8,8 +8,7 @@ from scipy.linalg import expm
 
 from koopmanis import (derive_path_rng, make_builtin_model, make_event,
                        paths, run_ensemble, run_paths)
-from koopmanis.errors import ConfigError, ShapeError, UnsupportedSchemeError
-from koopmanis.gedmd import generate_test_points
+from koopmanis.errors import ConfigError, ShapeError
 from koopmanis.model import SdeModel
 from koopmanis.estimator import terminal_gaussian
 from koopmanis.paths import (adjust_steps, hold_steps,
@@ -70,17 +69,10 @@ def test_adjust_steps_rounds_up():
     assert dt <= 3e-4
 
 
-def test_euler_step_deterministic():
-    m = _deterministic_decay_model()
-    out, xi = sde_stepper(m, "euler_maruyama", 0.01).segment(
-        np.array([[1.0]]), None, np.array([[0.0]]), 1)
-    assert out[0, 0] == pytest.approx(0.99) and xi[0, 0] == 0.0
-
-
 def test_ode_decay_accuracy():
     m = _deterministic_decay_model()
-    res = simulate_path(m, None, [1.0], 1.0, 1e-4,
-                        scheme="euler_maruyama", master_seed=0, path_index=0)
+    res = simulate_path(m, None, [1.0], 1.0, 1e-4, master_seed=0,
+                        path_index=0)
     assert res.terminal_state[0] == pytest.approx(math.exp(-1.0), abs=1e-3)
 
 
@@ -90,35 +82,9 @@ def test_srk_second_order_on_drift():
     exact = 1.0 / math.sqrt(1.0 + 2.0)  # dx=-x^3 from 1 over T=1
     errs = []
     for dt in (1e-2, 5e-3):
-        res = simulate_path(m, None, [1.0], 1.0, dt,
-                            scheme="srk_additive", master_seed=0)
+        res = simulate_path(m, None, [1.0], 1.0, dt, master_seed=0)
         errs.append(abs(res.terminal_state[0] - exact))
     assert errs[0] / errs[1] > 3.5  # ~4x for order 2
-
-
-@pytest.mark.parametrize("scheme", ["milstein", "SRK_additive"])
-def test_unknown_scheme_is_rejected(scheme):
-    """A stepper for an unknown name would otherwise run the SRK step.
-    Test points take no scheme: they are always SRK-stepped."""
-    m = _deterministic_decay_model()
-    with pytest.raises(UnsupportedSchemeError, match="scheme"):
-        run_paths(m, None, [1.0], 0.1, 0.01, scheme=scheme, M=2)
-    with pytest.raises(TypeError, match="scheme"):
-        generate_test_points(m, {"box": [[-1.0, 1.0]], "counts": [3]}, 0.1,
-                             0.05, 0, dt=0.01, scheme=scheme)
-
-
-@pytest.mark.parametrize("scheme", ["euler_maruyama", "srk_additive"])
-def test_a_linear_model_reads_no_scheme(scheme):
-    """A linear model steps by its exact hold map, so a scheme given to
-    its ensemble is a ConfigError, not ignored; its test points take no
-    scheme."""
-    m = make_builtin_model("ou1d")
-    with pytest.raises(ConfigError, match="reads no scheme"):
-        run_paths(m, None, [1.0], 0.1, 0.01, scheme=scheme, M=2)
-    with pytest.raises(TypeError, match="scheme"):
-        generate_test_points(m, {"box": [[-1.0, 1.0]], "counts": [3]}, 0.1,
-                             0.05, 0, dt=0.01, scheme=scheme)
 
 
 def test_ou_terminal_moments():
@@ -267,10 +233,10 @@ def test_rowlocal_dot_rows_do_not_depend_on_the_row_count(r):
 
 
 @pytest.mark.parametrize("stepper, L", [
-    ("euler_maruyama", 1), ("srk_additive", 1), ("brownian_osc", 1),
-    ("brownian_osc", 3), ("advdiff", 1), ("advdiff", 20)],
-    ids=["euler_maruyama", "srk_additive", "brownian_osc", "brownian_osc-3",
-         "spde", "spde-20"])
+    ("srk_additive", 1), ("brownian_osc", 1), ("brownian_osc", 3),
+    ("advdiff", 1), ("advdiff", 20)],
+    ids=["srk_additive", "brownian_osc", "brownian_osc-3", "spde",
+         "spde-20"])
 def test_the_control_is_a_shift_of_the_draws(stepper, L):
     """Every engine stepper takes the control u as the shift
     xi -> xi + sqrt(dt) u of each step's standard normal draws, the shift
@@ -285,7 +251,7 @@ def test_the_control_is_a_shift_of_the_draws(stepper, L):
     else:
         vdp = make_builtin_model("vdp")
         model = SdeModel("dense", vdp.drift, rng.normal(size=(2, 3)))
-        step = sde_stepper(model, stepper, dt)
+        step = sde_stepper(model, dt)
     d, r = model.dim_state, model.dim_noise
     x = rng.normal(size=(50, d))
     u = 3.0 * rng.normal(size=(50, r))
@@ -298,24 +264,21 @@ def test_the_control_is_a_shift_of_the_draws(stepper, L):
     np.testing.assert_allclose(xi, math.sqrt(L) * z[:, :r], rtol=1e-15)
 
 
-@pytest.mark.parametrize("B, scheme", [
-    ([[0.7, -0.45]], "euler_maruyama"),
-    ([[0.6, 0.3], [-0.2, 0.5]], "euler_maruyama"),
-    ([[0.6, 0.3], [-0.2, 0.5], [0.1, -0.8]], "euler_maruyama"),
-    ([[0.6, 0.3], [-0.2, 0.5]], None)],
-    ids=["B0", "B1", "B_3x2", "B1_default_srk"])
-def test_dense_diffusion_is_bitwise_invariant(B, scheme, monkeypatch):
-    """A dense constant B with two noise columns, under Euler-Maruyama and
-    under the default SRK scheme: the 257 rows on four workers, in blocks
-    capped at 64 rows (a one-row tail block) and in one-row blocks each
-    give the one-block ensemble."""
+@pytest.mark.parametrize("B", [
+    [[0.7, -0.45]], [[0.6, 0.3], [-0.2, 0.5]],
+    [[0.6, 0.3], [-0.2, 0.5], [0.1, -0.8]]],
+    ids=["B0", "B1", "B_3x2"])
+def test_dense_diffusion_is_bitwise_invariant(B, monkeypatch):
+    """A dense constant B with two noise columns, under the SRK step: the
+    257 rows on four workers, in blocks capped at 64 rows (a one-row tail
+    block) and in one-row blocks each give the one-block ensemble."""
     B = np.array(B)
     d = len(B)
     m = SdeModel("dense", lambda x: -np.asarray(x, float), B)
 
     def run(workers=1):
-        return run_paths(m, None, np.ones(d), 1.0, 1e-2, scheme=scheme,
-                         M=257, master_seed=5, workers=workers)
+        return run_paths(m, None, np.ones(d), 1.0, 1e-2, M=257,
+                         master_seed=5, workers=workers)
 
     runs = [run(), run(4)]
     for cap in (64, 1):
@@ -325,8 +288,7 @@ def test_dense_diffusion_is_bitwise_invariant(B, scheme, monkeypatch):
         assert np.array_equal(runs[0].terminal, alt.terminal)
 
 
-@pytest.mark.parametrize("scheme", ["euler_maruyama", None])
-def test_three_noise_columns_are_bitwise_invariant(scheme, monkeypatch):
+def test_three_noise_columns_are_bitwise_invariant(monkeypatch):
     """A user model with three noise columns under a control: 257 rows on
     1-4 workers and in blocks capped at 1, 7 and 64 rows give the same
     terminal states and log-weights bit for bit.  Its draws are read
@@ -338,8 +300,8 @@ def test_three_noise_columns_are_bitwise_invariant(scheme, monkeypatch):
     ctrl = _ConstantController([0.2, -0.1, 0.3], 1.0, r=3)
 
     def run(workers=1):
-        return run_paths(m, ctrl, [1.0, 0.0], 1.0, 1e-2, scheme=scheme,
-                         M=257, master_seed=5, workers=workers)
+        return run_paths(m, ctrl, [1.0, 0.0], 1.0, 1e-2, M=257,
+                         master_seed=5, workers=workers)
 
     runs = [run(w) for w in (1, 2, 3, 4)]
     for cap in (1, 7, 64):
@@ -380,7 +342,7 @@ def test_the_noise_layout_moves_no_bits(case, monkeypatch):
         ctrl.hold_time = 0.02
     else:
         m = make_builtin_model("vdp")
-        step = sde_stepper(m, None, 1e-2)
+        step = sde_stepper(m, 1e-2)
     M = 69
     if case == "stacked":
         M, path_index = 135, np.tile(np.arange(45), 3)
@@ -407,7 +369,7 @@ def test_the_noise_layout_moves_no_bits(case, monkeypatch):
 def test_only_the_spde_reads_its_noise_row_major():
     """The layout follows the stepper's products: row-local ones read
     time-major draws, the SPDE's BLAS products row-major ones."""
-    assert sde_stepper(make_builtin_model("vdp"), None, 1e-2).time_major
+    assert sde_stepper(make_builtin_model("vdp"), 1e-2).time_major
     for name in ("ou1d", "nonnormal2d", "brownian_osc"):
         assert linear_stepper(make_builtin_model(name), 1e-2).time_major
     adv = make_builtin_model("advdiff", {"n_modes": 8})
@@ -558,16 +520,14 @@ def test_blowup_raises_in_single_path():
     m = SdeModel("explode", lambda x: np.asarray(x, float) ** 3,
                  np.zeros((1, 1)))
     with pytest.raises(PathBlowupError) as exc:
-        simulate_path(m, None, [10.0], 1.0, 0.05,
-                      scheme="euler_maruyama", master_seed=0)
+        simulate_path(m, None, [10.0], 1.0, 0.05, master_seed=0)
     assert exc.value.step_index >= 0
 
 
 def test_blowup_counted_in_ensemble():
     m = SdeModel("explode", lambda x: np.asarray(x, float) ** 3,
                  np.zeros((1, 1)))
-    ens = run_paths(m, None, [10.0], 1.0, 0.05, scheme="euler_maruyama", M=4,
-                    master_seed=0)
+    ens = run_paths(m, None, [10.0], 1.0, 0.05, M=4, master_seed=0)
     assert ens.blown.all()
     assert np.all(ens.terminal == 0.0)   # frozen at zero
 
@@ -607,12 +567,12 @@ def test_bad_trajectory_settings_are_config_errors(engine, count, stride):
         run()
 
 
-def _reference_rows(model, controller, x0, T, dt, scheme, master_seed, M,
+def _reference_rows(model, controller, x0, T, dt, master_seed, M,
                     traj_count, traj_stride):
     """Loop version of the trajectory rows (one block), kept as the
     reference for the block engine's snapshot stride."""
     K, dt = adjust_steps(T, dt)
-    step = sde_stepper(model, scheme, dt)
+    step = sde_stepper(model, dt)
     gens = [derive_path_rng(master_seed, i) for i in range(M)]
     x = np.tile(np.asarray(x0, dtype=float), (M, 1))
     blown = np.zeros(M, dtype=bool)
@@ -643,8 +603,7 @@ def test_trajectory_rows_match_reference_when_stride_leaves_a_remainder():
     ens = run_paths(m, ctrl, [-1.5, 0.0], 1.0, 1e-2, M=5,
                     master_seed=4, workers=3, trajectory_count=3,
                     trajectory_stride=7)
-    ref = _reference_rows(m, ctrl, [-1.5, 0.0], 1.0, 1e-2, "srk_additive",
-                          4, 5, 3, 7)
+    ref = _reference_rows(m, ctrl, [-1.5, 0.0], 1.0, 1e-2, 4, 5, 3, 7)
     assert len(ens.trajectories) == len(ref) == 3 * (1 + 14 + 1)
     for (p, t, x), (p_ref, t_ref, x_ref) in zip(ens.trajectories, ref):
         assert (p, t) == (p_ref, t_ref)
@@ -781,7 +740,7 @@ def test_a_blown_row_drops_its_held_control():
                  np.full((1, 1), 0.1))
     with np.errstate(invalid="ignore"):   # the blown rows' weights
         ens = run_paths(m, FarInfinite([0.0], 1.0), [1.0], 1.0, 1e-2, M=4,
-                        scheme="euler_maruyama", master_seed=2)
+                        master_seed=2)
     assert ens.blown.all()
     assert np.isfinite(ens.terminal).all()
 
@@ -911,5 +870,5 @@ def test_an_ensemble_of_no_rows_is_a_config_error():
     with pytest.raises(ConfigError, match="0 rows"):
         run_paths(m, None, [0.0], 0.1, 0.01, M=0)
     with pytest.raises(ConfigError, match="0 rows"):
-        paths.run_engine(paths.model_stepper(m, None, 0.01),
+        paths.run_engine(paths.model_stepper(m, 0.01),
                          np.zeros((0, 1)), 10, 0.01)
