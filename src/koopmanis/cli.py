@@ -217,7 +217,8 @@ class ExperimentConfig:
                     if blk in _CONFIG and val is not None
                     for key in val if key not in _CONFIG[blk]]
         if unknown:
-            raise ConfigError(f"unknown config blocks or keys: {unknown}")
+            raise ConfigError(f"unknown config blocks or keys, which the "
+                              f"run does not read: {unknown}")
         required = ["model", "event", "run", "output"]
         name = (data.get("model") or {}).get("name")
         if (data.get("run") or {}).get(

@@ -7,6 +7,9 @@ included; ``generator_apply`` applies the generator to
 one function jet at one state; ``sweep_table_per_c`` runs the multiplier
 sweep as one ensemble per multiplier; ``exact_koopman_loop`` builds the
 exact generator projection one dictionary element and one term at a time;
+``EulerMaruyamaStepper`` is a second row-local engine stepper beside the
+SRK step of ``paths.sde_stepper``, so that the engine's bitwise invariance
+is checked as the engine's, not as one stepper's;
 ``OuExactController`` is the closed-form Doob controller of ``ou1d``;
 ``fit_spde_controller`` is the SPDE branch of ``cli.prepare_controller``
 on given mode snapshots, and ``spde_quadratic_controller`` the SPDE
@@ -106,6 +109,30 @@ def simulate_path(model, controller, x0, T, dt, master_seed=0, path_index=0,
         if traj is not None and (k % trajectory_stride == 0 or k == K):
             traj.append((k * dt, x.copy()))
     return PathResult(x, logw, path_index, traj)
+
+
+class EulerMaruyamaStepper:
+    """Engine stepper of the Euler-Maruyama step x + a(x) dt + B (sqrt(dt)
+    xi + u dt): the interface of ``paths.sde_stepper``, single steps of
+    r = ``model.dim_noise`` draws, with the control held through the
+    step."""
+
+    longest = 1
+    time_major = True   # its products are rowlocal_product's
+
+    def __init__(self, model, dt):
+        self.model, self.dt = model, dt
+        self.r = model.dim_noise
+
+    def draws(self, L):
+        return self.r
+
+    def segment(self, x, u, xi, L):
+        dt, Bt = self.dt, self.model.diffusion_const.T
+        incr = rowlocal_product(xi, Bt) * math.sqrt(dt)
+        if u is not None:
+            incr = incr + rowlocal_product(u, Bt) * dt
+        return x + self.model.drift(x) * dt + incr, xi
 
 
 def generator_apply(model: SdeModel, jet, x) -> float:

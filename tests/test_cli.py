@@ -618,14 +618,19 @@ def test_a_final_ensemble_without_a_hit_is_an_error(tmp_path, capsys,
     ("gaussian", "ou1d", "points", "stride", 0.1),
     ("gaussian", "ou1d", "points", "dt", 0.01),
     ("grid", "advdiff", "basis", None, {"family": "hermite", "degree": 7}),
-    ("grid", "advdiff", "gedmd", None, {"max_eigenfunctions": 1})])
+    ("grid", "advdiff", "gedmd", None, {"max_eigenfunctions": 1}),
+    ("grid", "advdiff", "run", "scheme", "euler_maruyama"),
+    ("gaussian", "ou1d", "run", "scheme", "euler_maruyama"),
+    ("grid", "ou1d", "run", "scheme", "srk_additive")])
 def test_a_block_or_key_the_run_does_not_read_is_a_config_error(
         tmp_path, capsys, points, model, block, key, value):
     """Each was accepted and ignored: a grid block's gaussian keys, a
     gaussian block's grid keys, advdiff's basis and gedmd blocks (advdiff
     with a degree-7 Hermite basis and max_eigenfunctions 1 still fitted
-    its 3-pair exact spectrum).  Now each is a ConfigError naming it, and
-    nothing is written."""
+    its 3-pair exact spectrum), and the run.scheme of a linear model,
+    which steps by its exact hold map.  Now each is a ConfigError naming
+    it, and nothing is written; run.scheme, a removed key, is read by no
+    run."""
     raw = _tiny_advdiff_config(tmp_path) if model == "advdiff" \
         else _tiny_ou_config(tmp_path)
     if points == "grid":

@@ -15,7 +15,7 @@ from koopmanis.paths import (adjust_steps, hold_steps,
                              linear_gaussian, linear_stepper, rowlocal_dot,
                              rowlocal_product, sde_stepper)
 from koopmanis.spde import run_spde_paths
-from reference import (PathBlowupError, simulate_path,
+from reference import (EulerMaruyamaStepper, PathBlowupError, simulate_path,
                        spde_quadratic_controller)
 
 
@@ -67,6 +67,28 @@ def test_adjust_steps_rounds_up():
     K, dt = adjust_steps(1.0, 3e-4)
     assert K == 3334 and K * dt == pytest.approx(1.0)
     assert dt <= 3e-4
+
+
+def _ensemble(model, controller, x0, T, dt, scheme, **kw):
+    """``run_paths`` (scheme None: the model's own stepper), or the same
+    rows walked by the engine with the reference Euler-Maruyama step."""
+    if scheme is None:
+        return run_paths(model, controller, x0, T, dt, **kw)
+    assert scheme == "euler_maruyama"
+    K, dt = adjust_steps(T, dt)
+    M = kw.pop("M")
+    return paths.run_engine(EulerMaruyamaStepper(model, dt),
+                            np.tile(np.asarray(x0, float), (M, 1)), K, dt,
+                            controller, **kw)
+
+
+def test_euler_step_deterministic():
+    """The reference Euler-Maruyama stepper the invariance tests walk
+    is the Euler step x + a(x) dt on a noiseless model."""
+    m = _deterministic_decay_model()
+    out, xi = EulerMaruyamaStepper(m, 0.01).segment(
+        np.array([[1.0]]), None, np.array([[0.0]]), 1)
+    assert out[0, 0] == pytest.approx(0.99) and xi[0, 0] == 0.0
 
 
 def test_ode_decay_accuracy():
@@ -233,10 +255,10 @@ def test_rowlocal_dot_rows_do_not_depend_on_the_row_count(r):
 
 
 @pytest.mark.parametrize("stepper, L", [
-    ("srk_additive", 1), ("brownian_osc", 1), ("brownian_osc", 3),
-    ("advdiff", 1), ("advdiff", 20)],
-    ids=["srk_additive", "brownian_osc", "brownian_osc-3", "spde",
-         "spde-20"])
+    ("euler_maruyama", 1), ("srk_additive", 1), ("brownian_osc", 1),
+    ("brownian_osc", 3), ("advdiff", 1), ("advdiff", 20)],
+    ids=["euler_maruyama", "srk_additive", "brownian_osc", "brownian_osc-3",
+         "spde", "spde-20"])
 def test_the_control_is_a_shift_of_the_draws(stepper, L):
     """Every engine stepper takes the control u as the shift
     xi -> xi + sqrt(dt) u of each step's standard normal draws, the shift
@@ -251,7 +273,8 @@ def test_the_control_is_a_shift_of_the_draws(stepper, L):
     else:
         vdp = make_builtin_model("vdp")
         model = SdeModel("dense", vdp.drift, rng.normal(size=(2, 3)))
-        step = sde_stepper(model, dt)
+        step = sde_stepper(model, dt) if stepper == "srk_additive" \
+            else EulerMaruyamaStepper(model, dt)
     d, r = model.dim_state, model.dim_noise
     x = rng.normal(size=(50, d))
     u = 3.0 * rng.normal(size=(50, r))
@@ -264,20 +287,23 @@ def test_the_control_is_a_shift_of_the_draws(stepper, L):
     np.testing.assert_allclose(xi, math.sqrt(L) * z[:, :r], rtol=1e-15)
 
 
-@pytest.mark.parametrize("B", [
-    [[0.7, -0.45]], [[0.6, 0.3], [-0.2, 0.5]],
-    [[0.6, 0.3], [-0.2, 0.5], [0.1, -0.8]]],
-    ids=["B0", "B1", "B_3x2"])
-def test_dense_diffusion_is_bitwise_invariant(B, monkeypatch):
-    """A dense constant B with two noise columns, under the SRK step: the
-    257 rows on four workers, in blocks capped at 64 rows (a one-row tail
+@pytest.mark.parametrize("B, scheme", [
+    ([[0.7, -0.45]], None),
+    ([[0.6, 0.3], [-0.2, 0.5]], "euler_maruyama"),
+    ([[0.6, 0.3], [-0.2, 0.5], [0.1, -0.8]], None),
+    ([[0.6, 0.3], [-0.2, 0.5]], None)],
+    ids=["B0", "B1", "B_3x2", "B1_default_srk"])
+def test_dense_diffusion_is_bitwise_invariant(B, scheme, monkeypatch):
+    """A dense constant B with two noise columns, under the model's SRK
+    step and, for B1, under the reference Euler-Maruyama step: the 257
+    rows on four workers, in blocks capped at 64 rows (a one-row tail
     block) and in one-row blocks each give the one-block ensemble."""
     B = np.array(B)
     d = len(B)
     m = SdeModel("dense", lambda x: -np.asarray(x, float), B)
 
     def run(workers=1):
-        return run_paths(m, None, np.ones(d), 1.0, 1e-2, M=257,
+        return _ensemble(m, None, np.ones(d), 1.0, 1e-2, scheme, M=257,
                          master_seed=5, workers=workers)
 
     runs = [run(), run(4)]
@@ -288,8 +314,10 @@ def test_dense_diffusion_is_bitwise_invariant(B, monkeypatch):
         assert np.array_equal(runs[0].terminal, alt.terminal)
 
 
-def test_three_noise_columns_are_bitwise_invariant(monkeypatch):
-    """A user model with three noise columns under a control: 257 rows on
+@pytest.mark.parametrize("scheme", ["euler_maruyama", None])
+def test_three_noise_columns_are_bitwise_invariant(scheme, monkeypatch):
+    """A user model with three noise columns under a control, stepped by
+    the reference Euler-Maruyama step and by its SRK step: 257 rows on
     1-4 workers and in blocks capped at 1, 7 and 64 rows give the same
     terminal states and log-weights bit for bit.  Its draws are read
     time-major, and for r >= 3 einsum sums a row in another order on such
@@ -300,7 +328,7 @@ def test_three_noise_columns_are_bitwise_invariant(monkeypatch):
     ctrl = _ConstantController([0.2, -0.1, 0.3], 1.0, r=3)
 
     def run(workers=1):
-        return run_paths(m, ctrl, [1.0, 0.0], 1.0, 1e-2, M=257,
+        return _ensemble(m, ctrl, [1.0, 0.0], 1.0, 1e-2, scheme, M=257,
                          master_seed=5, workers=workers)
 
     runs = [run(w) for w in (1, 2, 3, 4)]
