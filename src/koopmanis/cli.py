@@ -16,17 +16,19 @@ the runner does not know, or that the run does not read (``_CONFIG`` and
 
 The ``run`` block: M, T, master_seed (required), x0, method, dt and
 workers.  ``run`` and ``sweep-c`` need x0 (advdiff starts at the zero
-field), checked before any stage runs.  Every path, of an ensemble or of
-the test points, steps by its model's one stepper: a linear model by its
-exact hold map, a nonlinear one by the additive-noise SRK step
-(``paths.model_stepper``).  ``run.workers`` is the one
-parallelism knob: the path engine splits each ensemble into ``workers``
-blocks on as many threads (``paths`` has the layout rule), with
-byte-identical SDE outputs.  Threads pay off only where numpy releases
-the interpreter lock long enough.  Final ensembles of the bench workloads
-at c = 8 on 2 cores of a Xeon, one BLAS thread, 1 -> 2 workers (median
-of 5, alternated, at the default control hold): advdiff 0.65 -> 0.42 s,
-vdp 0.46 -> 1.1 s, brownian_osc 0.38 -> 0.76 s.
+field), checked before any stage runs.  Every model's ensemble, advdiff's
+included, is one ``paths.run_paths`` call, and every fitted controller a
+plain ``doob.DoobController``, the class ``--reuse-controller`` loads back
+from controller.json.  Every path, of an ensemble or of the test points,
+steps by its model's one stepper: a linear model by its exact hold map, a
+nonlinear one by the additive-noise SRK step (``paths.model_stepper``).
+``run.workers`` is the one parallelism knob: the path engine splits each
+ensemble into ``workers`` blocks on as many threads (``paths`` has the
+layout rule), with byte-identical SDE outputs.  Threads pay off only
+where numpy releases the interpreter lock long enough.  Final ensembles
+of the bench workloads at c = 8 on 2 cores of a Xeon, one BLAS thread,
+1 -> 2 workers (median of 5, alternated, at the default control hold):
+advdiff 0.65 -> 0.42 s, vdp 0.46 -> 1.1 s, brownian_osc 0.38 -> 0.76 s.
 Memory grows with workers: each running block holds its own noise buffer
 of up to ``paths.NOISE_BUFFER_DOUBLES`` doubles (32 MB).  The default is 1.
 
@@ -343,9 +345,8 @@ def prepare_controller(cfg: ExperimentConfig) -> PipelineState:
         basis = build_basis("linear_exact", 1, 2)
         state.points, points, f_vals = (snaps, rowlocal_product(snaps, W),
                                         event.mollified(snaps))
-        cls = spde.SpdeController
     else:
-        W, fit_model, cls = None, model, doob.DoobController
+        W, fit_model = None, model
         b = cfg.basis
         basis = build_basis(b["family"], model.dim_state, b["degree"],
                             b.get("box"))
@@ -374,7 +375,7 @@ def prepare_controller(cfg: ExperimentConfig) -> PipelineState:
                                        cfg.gedmd["max_eigenfunctions"])
     state.spectrum = spec
     state.controller = doob.build_controller(
-        spec, fit_model, points, f_vals, T, coordinates=W, cls=cls)
+        spec, fit_model, points, f_vals, T, coordinates=W)
     return state
 
 
@@ -590,7 +591,7 @@ def _cmd_oracle(args):
                        mode="indicator")
     T = args.T if args.T is not None else _DEFAULT_T.get(args.model, 10.0)
     res = estimator.analytic_oracles(model, event, T)
-    print(f"model={args.model} event={event.kind}>={event.threshold} T={T}")
+    print(f"model={args.model} event={event.kind}>{event.threshold} T={T}")
     print(f"rho = {res.rho:.6e}  (method {res.method})")
     return 0
 

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import estimator
 from .basis import BasisSet, basis_from_descriptor
 from .errors import (ConfigError, EmptySpectrumError, InvalidParameterError,
                      TuningFailedError)
 from .gedmd import KoopmanSpectrum, SVD_RTOL, conjugate_partner
-from .paths import HOLD_TIME, rowlocal_product
+from .paths import HOLD_TIME, rowlocal_product, run_paths
 
 # the event-hit fraction tune_multiplier picks the multiplier by
 TARGET_HIT_FRACTION = 0.5
@@ -190,8 +191,8 @@ class DoobController(Controller):
     With a coordinate matrix W (d, r) the surrogate is a function of
     q = X W: the basis is evaluated at ``rowlocal_product(X, W)``, the
     gradient is taken in q, and ``diffusion_const`` is W^T B (r, noise),
-    so the B-map still gives B^T grad_X Phi.  The SPDE controller is this
-    controller on the adjoint coordinate q = <Y, w1> (``spde``).
+    so the B-map still gives B^T grad_X Phi.  The SPDE's controller is
+    this controller on the adjoint coordinate q = <Y, w1> (``spde``).
     """
 
     def __init__(self, basis: BasisSet, components, coefficients,
@@ -310,10 +311,9 @@ class DoobController(Controller):
 
 
 def build_controller(spectrum: KoopmanSpectrum, model, points, f_values, T,
-                     coordinates=None,
-                     cls=DoobController) -> DoobController:
+                     coordinates=None) -> DoobController:
     """Fit the observable onto the realified eigenfunctions with
-    ``fit_surrogate`` and assemble the controller, a ``cls``.  With
+    ``fit_surrogate`` and assemble the controller.  With
     ``coordinates`` W, ``model`` and ``points`` are those of q = X W and
     ``f_values`` the observable at the X the points came from."""
     if spectrum.n_pairs == 0:
@@ -321,8 +321,9 @@ def build_controller(spectrum: KoopmanSpectrum, model, points, f_values, T,
     comps = realify_spectrum(spectrum)
     C = design_matrix(comps, spectrum.basis, points)
     coeffs, floor = fit_surrogate(C, f_values, _constant_column(comps))
-    return cls(spectrum.basis, comps, coeffs, model.diffusion_const, T,
-               floor=floor, model_name=model.name, coordinates=coordinates)
+    return DoobController(spectrum.basis, comps, coeffs,
+                          model.diffusion_const, T, floor=floor,
+                          model_name=model.name, coordinates=coordinates)
 
 
 @dataclass(eq=False)
@@ -335,26 +336,25 @@ def tune_multiplier(controller, model, obs, x0, T, dt, grid, batch, seed=0,
                     workers=1) -> TuneResult:
     """Sweep the multiplier grid with common random numbers per value.
 
-    The sweep runs as one stacked ensemble of len(grid) * batch rows: row
-    g * batch + i is path i of ``seed`` at multiplier grid[g], so each
-    path's noise is drawn once and replayed for every c.  Because the
-    engine and the controllers are row-local, every row is bit for bit the
-    path an ensemble at that c alone would give.  The rows hold the control
-    for the controller's ``hold_time``, as the final ensemble does, so the
-    chosen c fits the run that uses it.  Each c's rows are then reduced by
-    ``estimator.run_ensemble``.  Returns the multiplier whose event-hit
-    fraction is closest to ``TARGET_HIT_FRACTION``, breaking ties toward
-    the smaller value, along with the full sweep table.
+    The sweep runs as one stacked ``paths.run_paths`` ensemble of
+    len(grid) * batch rows: row g * batch + i is path i of ``seed`` at
+    multiplier grid[g], so each path's noise is drawn once and replayed
+    for every c.  Because the engine and the controllers are row-local,
+    every row is bit for bit the path an ensemble at that c alone would
+    give.  The rows hold the control for the controller's ``hold_time``,
+    as the final ensemble does, so the chosen c fits the run that uses it.
+    Each c's rows are then reduced by ``estimator.run_ensemble``.  Returns
+    the multiplier whose event-hit fraction is closest to
+    ``TARGET_HIT_FRACTION``, breaking ties toward the smaller value, along
+    with the full sweep table.
     """
-    from . import estimator  # local import: estimator imports this module
-
     grid = sorted(float(c) for c in grid)
     if not grid:
         raise ConfigError("multiplier grid is empty")
     if batch < 50:
         raise ConfigError("tuning batch must be at least 50")
     n = len(grid)
-    stacked = estimator.simulate_ensemble(
+    stacked = run_paths(
         model, controller.with_multiplier(np.repeat(grid, batch)), x0, T,
         dt, M=n * batch, master_seed=seed, workers=workers,
         path_index=np.tile(np.arange(batch), n))

@@ -1,11 +1,13 @@
 """Monte Carlo and importance-sampling ensembles, plus analytic oracles.
 
-Per-path weighted outcomes are reduced in path-index order with exact
-(compensated) summation, so a report is a pure function of (config, seed).
-For constant-coefficient linear models the terminal law is Gaussian with
-covariance from ``paths.linear_gaussian``; coordinate events then
-have closed-form Gaussian tails, and norm events the exact tail of a
-quadratic form in Gaussians (Imhof's integral).
+Every model's ensemble, the SPDE's included, is simulated by one call,
+``paths.run_paths``, and reduced here.  Per-path weighted outcomes are
+reduced in path-index order with exact (compensated) summation, so a
+report is a pure function of (config, seed).  For constant-coefficient
+linear models the terminal law is Gaussian with covariance from
+``paths.linear_gaussian``; coordinate events then have closed-form
+Gaussian tails, and norm events the exact tail of a quadratic form in
+Gaussians (Imhof's integral).
 """
 
 from __future__ import annotations
@@ -21,7 +23,10 @@ from .errors import (ConfigError, InvalidParameterError, NumericalError,
                      ShapeError)
 from .model import EventObservable, SdeModel
 from .paths import PathEnsemble, linear_gaussian, run_paths
-from .spde import run_spde_paths
+
+# bound only for the benchmark's layer trace, which patches it by this name;
+# ROADMAP item 5 deletes it together with the trace
+run_spde_paths = run_paths
 
 CSV_COLUMNS = ("method", "model", "estimate", "variance", "relative_error",
                "proportion_in_event", "M", "dt", "seed", "c",
@@ -80,33 +85,13 @@ def _fsum_mean_var(values):
     return mean, var
 
 
-def simulate_ensemble(model: SdeModel, controller, x0, T, dt=1e-3, M=2,
-                      master_seed=0, workers=1, trajectory_count=0,
-                      trajectory_stride=None,
-                      path_index=None) -> PathEnsemble:
-    """The M-row ensemble of ``run_ensemble``, simulated and not reduced:
-    SDE models run through ``run_paths``, the SPDE model through
-    ``run_spde_paths`` (from the zero field when x0 is None), each stepped
-    by its model's one stepper (``paths.model_stepper``).  Row i is path
-    ``path_index[i]`` (default i) of ``master_seed``."""
-    if controller is not None and abs(controller.horizon - T) > 1e-12:
-        raise ConfigError(
-            f"controller horizon {controller.horizon} != ensemble horizon {T}")
-    if model.spde:
-        return run_spde_paths(model, controller, x0, T, dt, M,
-                              master_seed, workers, trajectory_count,
-                              trajectory_stride, path_index)
-    return run_paths(model, controller, x0, T, dt, M, master_seed, workers,
-                     trajectory_count, trajectory_stride, path_index)
-
-
 def run_ensemble(model: SdeModel, controller, obs: EventObservable, x0, T,
                  dt=1e-3, M=2, master_seed=0, workers=1,
                  trajectory_count=0, trajectory_stride=None,
                  ensemble=None) -> EstimatorReport:
     """Estimate E[f(X_T)] over M paths, optionally under a biasing controller.
 
-    The paths come from ``simulate_ensemble``, or are ``ensemble`` when it
+    The paths come from ``paths.run_paths``, or are ``ensemble`` when it
     is given: M rows already simulated with this controller, such as one
     multiplier's rows of the stacked sweep in ``doob.tune_multiplier``.
     Per-path outcomes are f(X_T) exp(log_weight) with f the strict
@@ -122,9 +107,8 @@ def run_ensemble(model: SdeModel, controller, obs: EventObservable, x0, T,
         raise ConfigError("need at least two paths")
     ens = ensemble
     if ens is None:
-        ens = simulate_ensemble(model, controller, x0, T, dt, M,
-                                master_seed, workers, trajectory_count,
-                                trajectory_stride)
+        ens = run_paths(model, controller, x0, T, dt, M, master_seed,
+                        workers, trajectory_count, trajectory_stride)
     elif len(ens.terminal) != M:
         raise ShapeError(f"ensemble has {len(ens.terminal)} rows, not M = {M}")
     ok = ~ens.blown

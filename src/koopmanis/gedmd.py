@@ -194,10 +194,6 @@ class KoopmanSpectrum:
         return all(conjugate_partner(self.eigenvalues, i) is not None
                    for i in range(self.n_pairs))
 
-    def values(self, points) -> np.ndarray:
-        """Eigenfunction values at points, (m, N) complex."""
-        return self.basis.values(points) @ self.coefficients.T
-
     def constant_index(self) -> int:
         """Index of the constant eigenfunction, or -1 if absent."""
         found = np.flatnonzero(_is_constant(self.eigenvalues,

@@ -6,9 +6,10 @@ using the same noise increments that drive the path, with the control
 c B^T grad(Phi)/Phi read from the controller's ``bias_batch``.
 
 One engine (``run_engine``) runs every multi-path simulation in the
-package: ensembles (``run_paths``, and ``spde.run_spde_paths`` for the
-SPDE's modes) and ``trajectory_snapshots``, the trajectories the test
-points of ``gedmd.generate_test_points`` and the SPDE's mode snapshots in
+package: ensembles (``run_paths``, the one call of the estimator and the
+multiplier sweep, for every model, the SPDE's modes included) and
+``trajectory_snapshots``, the trajectories the test points of
+``gedmd.generate_test_points`` and the SPDE's mode snapshots in
 ``cli.prepare_controller`` come from.  It takes
 
 - a stepper: ``step.draws(L)`` is the number of standard normals a row
@@ -19,11 +20,11 @@ points of ``gedmd.generate_test_points`` and the SPDE's mode snapshots in
   segment's per-step draws, which the Girsanov weight takes;
   ``step.longest`` is the longest segment it takes, or None, and
   ``step.time_major`` the layout of its noise (see the layout rule).
-  ``model_stepper`` picks the model's stepper: ``linear_stepper`` for
+  ``model_stepper`` picks the model's stepper: ``LinearStepper`` for
   every model with a ``linear_spec`` (ou1d, nonnormal2d, brownian_osc and
   advdiff), whose segments of any length are the exact law of the model
   and draw r + rank(R) normals (its docstring has the map), and
-  ``sde_stepper``, the additive-noise SRK step, for the others, whose
+  ``SdeStepper``, the additive-noise SRK step, for the others, whose
   segments are single steps of r draws.  Every stepper takes the control as a
   shift of the per-step draws xi -> xi + sqrt(dt) u, so the engine's
   Girsanov weight is the exact likelihood ratio of the stepped chain;
@@ -99,8 +100,8 @@ Every controller shares the one bias formula of
 ``value_grad_batch`` and ``_noise_map`` are.  The one per-segment product
 with a constant matrix is ``rowlocal_product``: the SDE stepper forms B xi
 and B u with it, the linear stepper its products with P^L, S / L and R,
-and the controllers B^T grad Phi and their coordinates q = X W (the SPDE
-controller's is the adjoint coordinate <Y, w1>), so all are row-local;
+and the controllers B^T grad Phi and their coordinates q = X W (on the
+SPDE, the adjoint coordinate <Y, w1>), so all are row-local;
 the weight's row dot products u . xi and u . u are ``rowlocal_dot``, whose
 bits depend on no layout, so the noise layout moves no bits either.  The
 one known exception is the SPDE's hold map: its N x N products are BLAS
@@ -209,8 +210,16 @@ def rowlocal_dot(a, b):
     return np.einsum("ij,ij->i", a, b)
 
 
-class _SdeStepper:
-    """Engine stepper of a nonlinear SDE; see ``sde_stepper``."""
+class SdeStepper:
+    """Engine stepper for steps of size dt of the additive-noise SRK
+    scheme: a two-stage scheme of weak order 2 for additive noise (Heun
+    average of the drift, shared Brownian increment).
+
+    Its segments are single steps (``longest`` = 1), each drawing
+    r = ``model.dim_noise`` normals: a longer one would only hold more
+    draws in the noise buffer at once.  The control is held at its
+    left-endpoint value through the step.
+    """
 
     longest = 1   # its segments are single steps
     time_major = True   # its products are rowlocal_product's: layout rule
@@ -230,19 +239,6 @@ class _SdeStepper:
             incr = incr + rowlocal_product(u, Bt) * dt
         pred = x + a * dt + incr
         return x + 0.5 * dt * (a + drift(pred)) + incr, xi
-
-
-def sde_stepper(model, dt):
-    """Engine stepper for steps of size dt of the additive-noise SRK
-    scheme: a two-stage scheme of weak order 2 for additive noise (Heun
-    average of the drift, shared Brownian increment).
-
-    Its segments are single steps (``longest`` = 1), each drawing
-    r = ``model.dim_noise`` normals: a longer one would only hold more
-    draws in the noise buffer at once.  The control is held at its
-    left-endpoint value through the step.
-    """
-    return _SdeStepper(model, dt)
 
 
 def linear_gaussian(A, B, t):
@@ -278,8 +274,28 @@ def linear_gaussian(A, B, t):
     return E, G, 0.5 * (Q + Q.T)
 
 
-class _LinearStepper:
-    """Engine stepper of a linear model; see ``linear_stepper``."""
+class LinearStepper:
+    """Engine stepper of the linear model dX = A X dt + B dW, (A, B) its
+    ``linear_spec``, for steps of size dt, whose every segment is the
+    exact law of the model (Van Loan, IEEE TAC 23(3), 1978): the chain has
+    no time-step error.  An L-step segment, h = L dt, at a held control u
+    moves a row as
+
+        X_h = X P^L + (Xi + L sqrt(dt) u) S / L + zeta R,
+
+    with P^L = e^{Ah}^T, S / L = Gamma^T / (L sqrt(dt)) and R^T R =
+    Q - Gamma Gamma^T / h, the covariance of the state given the
+    segment's Brownian increment sqrt(dt) Xi, where (e^{Ah}, Gamma, Q) is
+    ``linear_gaussian`` over h.  Xi = sqrt(L) zeta_1, the sum of the L
+    per-step draws, is what ``segment`` returns for the Girsanov weight;
+    zeta_1 (r) and zeta (rank R) are the segment's r + rank(R) standard
+    normal draws.  The control shifts the draws as the engine's weight
+    assumes, so that weight is the exact likelihood ratio of the chain.
+    The maps are built once per L, when the engine asks ``draws`` of each
+    segment length before its blocks run, so worker threads only read
+    them; R keeps the eigen-directions of R^T R above d eps of its largest
+    eigenvalue.
+    """
 
     longest = None   # a segment of any length draws r + rank(R) normals
 
@@ -320,37 +336,12 @@ class _LinearStepper:
         return out, w if u is None else math.sqrt(L) * z[:, :self.r]
 
 
-def linear_stepper(model, dt):
-    """Engine stepper of the linear model dX = A X dt + B dW, (A, B) its
-    ``linear_spec``, for steps of size dt, whose every segment is the
-    exact law of the model (Van Loan, IEEE TAC 23(3), 1978): the chain has
-    no time-step error.  An L-step segment, h = L dt, at a held control u
-    moves a row as
-
-        X_h = X P^L + (Xi + L sqrt(dt) u) S / L + zeta R,
-
-    with P^L = e^{Ah}^T, S / L = Gamma^T / (L sqrt(dt)) and R^T R =
-    Q - Gamma Gamma^T / h, the covariance of the state given the
-    segment's Brownian increment sqrt(dt) Xi, where (e^{Ah}, Gamma, Q) is
-    ``linear_gaussian`` over h.  Xi = sqrt(L) zeta_1, the sum of the L
-    per-step draws, is what ``segment`` returns for the Girsanov weight;
-    zeta_1 (r) and zeta (rank R) are the segment's r + rank(R) standard
-    normal draws.  The control shifts the draws as the engine's weight
-    assumes, so that weight is the exact likelihood ratio of the chain.
-    The maps are built once per L, when the engine asks ``draws`` of each
-    segment length before its blocks run, so worker threads only read
-    them; R keeps the eigen-directions of R^T R above d eps of its largest
-    eigenvalue.
-    """
-    return _LinearStepper(model, dt)
-
-
 def model_stepper(model, dt):
-    """``linear_stepper`` for a model with a ``linear_spec``, else
-    ``sde_stepper``."""
+    """``LinearStepper`` for a model with a ``linear_spec``, else
+    ``SdeStepper``."""
     if model.linear_spec is None:
-        return sde_stepper(model, dt)
-    return linear_stepper(model, dt)
+        return SdeStepper(model, dt)
+    return LinearStepper(model, dt)
 
 
 @dataclass
@@ -606,15 +597,23 @@ def hold_steps(hold_time, dt) -> int:
 def run_paths(model, controller, x0, T, dt, M=1, master_seed=0,
               workers=1, trajectory_count=0, trajectory_stride=None,
               path_index=None) -> PathEnsemble:
-    """Simulate M rows and collect terminal states and Girsanov weights,
-    stepped by ``model_stepper(model, dt)``.
+    """Simulate M rows from x0 and collect terminal states and Girsanov
+    weights, stepped by ``model_stepper(model, dt)``: the one ensemble
+    call of every model.  The SPDE model starts at the zero field when x0
+    is None.
 
     Row i is path ``path_index[i]`` (default i).  The first
     ``trajectory_count`` rows also report trajectory rows every
-    ``trajectory_stride`` steps and at T.
+    ``trajectory_stride`` steps and at T.  A controller fitted for
+    another horizon than T is a ``ConfigError``.
     """
+    if controller is not None and abs(controller.horizon - T) > 1e-12:
+        raise ConfigError(
+            f"controller horizon {controller.horizon} != ensemble horizon {T}")
     K, dt = adjust_steps(T, dt)
     step = model_stepper(model, dt)
+    if x0 is None and model.spde:
+        x0 = np.zeros(model.dim_state)
     if x0 is None or np.shape(x0) != (model.dim_state,):
         raise ShapeError(f"x0 must be a state of the model dimension "
                          f"{model.dim_state}, got {x0!r}")

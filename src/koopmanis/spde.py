@@ -8,19 +8,20 @@ projection of b d/dx onto the basis.  ``spectral_setup`` builds A and
 nothing else: lam and C are -diag(A) and A's off-diagonal part.
 ``model.make_builtin_model`` ("advdiff") builds the SPDE as a linear
 model on A, so the modes step by the exact hold map of
-``paths.linear_stepper``, as every linear model does, with BLAS products
+``paths.LinearStepper``, as every linear model does, with BLAS products
 for its N x N matrices.
 
-The biasing control is the Doob controller of every other model, on the
-adjoint coordinate q = <Y, w1>.  The model does not store w1:
-``adjoint_model`` computes it from A where the controller is fitted
+The biasing control is the plain ``doob.DoobController`` of every other
+model, on the adjoint coordinate q = <Y, w1>: the coordinate matrix
+W = w1[:, None].  The model does not store w1: ``adjoint_model``
+computes it from A where the controller is fitted
 (``cli.prepare_controller``), and gives the exact one-dimensional OU
-process q follows; ``SpdeController`` is a ``doob.DoobController`` with
-the coordinate matrix W = w1[:, None].
+process q follows.
 
-This module owns no path loop: ensembles run the block engine of
-``paths``, and ``cli.prepare_controller`` starts the mode snapshots its
-points come from at a * w1 through ``paths.trajectory_snapshots``.
+This module owns no path loop: ensembles run through ``paths.run_paths``
+like every model's, from the zero field when x0 is None, and
+``cli.prepare_controller`` starts the mode snapshots its points come from
+at a * w1 through ``paths.trajectory_snapshots``.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ import numpy as np
 from .doob import Controller, DoobController
 from .errors import InvalidParameterError, NumericalError
 from .model import _linear_model
-from .paths import run_paths
-# bound here for the benchmark's layer trace, which patches each module's
-# derive_path_rng
+# bound only for the benchmark's layer trace, which patches each module's
+# derive_path_rng; ROADMAP item 5 deletes it together with the trace
 from .paths import derive_path_rng  # noqa: F401
 
 
@@ -66,11 +66,10 @@ def spectral_setup(n_modes: int, alpha: float, b: float) -> np.ndarray:
 
 
 class SpdeController(DoobController):
-    """The Doob controller on the adjoint coordinate q = <Y, w1>, fitted by
-    ``cli.prepare_controller`` on ``adjoint_model``'s exact spectrum."""
+    """Bound only for the benchmark's layer trace, which patches this
+    class's own ``bias_batch``; the package fits and runs no instance.
+    ROADMAP item 5 deletes it together with the trace."""
 
-    # own binding: the benchmark's layer trace patches each class's
-    # bias_batch, and this one is its span for the SPDE controller
     bias_batch = Controller.bias_batch
 
 
@@ -103,16 +102,3 @@ def adjoint_model(model):
     W = w1[:, None]
     return W, _linear_model(model.name, [[-mu1]],
                             W.T @ model.diffusion_const, model.params)
-
-
-def run_spde_paths(model, controller, Y0, T, dt, M, master_seed, workers=1,
-                   trajectory_count=0, trajectory_stride=None,
-                   path_index=None):
-    """Ensemble of the SPDE model's mode paths from Y0 (the zero field when
-    None): ``paths.run_paths``, with its determinism contract and
-    trajectory rows, as far as the BLAS products of the modes' hold map
-    allow."""
-    if Y0 is None:
-        Y0 = np.zeros(model.dim_state)
-    return run_paths(model, controller, Y0, T, dt, M, master_seed, workers,
-                     trajectory_count, trajectory_stride, path_index)

@@ -8,12 +8,12 @@ one function jet at one state; ``sweep_table_per_c`` runs the multiplier
 sweep as one ensemble per multiplier; ``exact_koopman_loop`` builds the
 exact generator projection one dictionary element and one term at a time;
 ``EulerMaruyamaStepper`` is a second row-local engine stepper beside the
-SRK step of ``paths.sde_stepper``, so that the engine's bitwise invariance
+SRK step of ``paths.SdeStepper``, so that the engine's bitwise invariance
 is checked as the engine's, not as one stepper's;
 ``OuExactController`` is the closed-form Doob controller of ``ou1d``;
 ``fit_spde_controller`` is the SPDE branch of ``cli.prepare_controller``
-on given mode snapshots, and ``spde_quadratic_controller`` the SPDE
-controller with chosen coefficients.  None is used by the pipeline, which
+on given mode snapshots, and ``spde_quadratic_controller`` the SPDE's
+Doob controller with chosen coefficients.  None is used by the pipeline, which
 works on blocks of paths, on whole dictionaries and on one stacked sweep
 ensemble at once, and builds its controllers from a fitted spectrum.
 """
@@ -27,15 +27,15 @@ import numpy as np
 from scipy.special import erfc, erfcx
 
 from koopmanis.basis import build_basis
-from koopmanis.doob import (Controller, _Component, build_controller,
-                            realify_spectrum)
+from koopmanis.doob import (Controller, DoobController, _Component,
+                            build_controller, realify_spectrum)
 from koopmanis.errors import InvalidParameterError, KoopmanisError, ShapeError
 from koopmanis.estimator import run_ensemble
 from koopmanis.gedmd import eigenpairs, exact_koopman_matrix
 from koopmanis.model import EventObservable, SdeModel, half_diffusion_sq
 from koopmanis.paths import (adjust_steps, derive_path_rng, hold_steps,
                              model_stepper, rowlocal_product)
-from koopmanis.spde import SpdeController, adjoint_model
+from koopmanis.spde import adjoint_model
 
 
 class PathBlowupError(KoopmanisError):
@@ -113,7 +113,7 @@ def simulate_path(model, controller, x0, T, dt, master_seed=0, path_index=0,
 
 class EulerMaruyamaStepper:
     """Engine stepper of the Euler-Maruyama step x + a(x) dt + B (sqrt(dt)
-    xi + u dt): the interface of ``paths.sde_stepper``, single steps of
+    xi + u dt): the interface of ``paths.SdeStepper``, single steps of
     r = ``model.dim_noise`` draws, with the control held through the
     step."""
 
@@ -329,25 +329,25 @@ def _adjoint_spectrum(reduced, q):
 
 
 def fit_spde_controller(model, snapshots, event, T):
-    """The SPDE controller ``cli.prepare_controller`` fits on the mode
+    """The Doob controller ``cli.prepare_controller`` fits on the mode
     ``snapshots``: (spectrum, controller)."""
     W, reduced = adjoint_model(model)
     q = rowlocal_product(snapshots, W)
     spec = _adjoint_spectrum(reduced, q)
     return spec, build_controller(spec, reduced, q,
                                   event.mollified(snapshots), T,
-                                  coordinates=W, cls=SpdeController)
+                                  coordinates=W)
 
 
 def spde_quadratic_controller(model, f0, f2, T, multiplier=1.0):
-    """The SPDE controller with value f0 + f2 exp(-2 mu1 (T - t)) phi2(Y),
-    phi2 = kappa <Y, w1>^2 - 1 and kappa = 2 mu1 / eps: the constant and
-    the lambda = -2 mu1 components of the adjoint coordinate's exact
-    spectrum, the second scaled to phi2."""
+    """The SPDE's Doob controller with value f0 + f2 exp(-2 mu1 (T - t))
+    phi2(Y), phi2 = kappa <Y, w1>^2 - 1 and kappa = 2 mu1 / eps: the
+    constant and the lambda = -2 mu1 components of the adjoint coordinate's
+    exact spectrum, the second scaled to phi2."""
     W, reduced = adjoint_model(model)
     spec = _adjoint_spectrum(reduced, np.linspace(-1.0, 1.0, 5)[:, None])
     const, _, quad = realify_spectrum(spec)
     phi2 = _Component(quad.lam_re, 0.0, quad.c_re / -quad.c_re[0], None)
-    return SpdeController(spec.basis, [const, phi2], [f0, f2],
+    return DoobController(spec.basis, [const, phi2], [f0, f2],
                           reduced.diffusion_const, T, multiplier,
                           coordinates=W)

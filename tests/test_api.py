@@ -1,19 +1,23 @@
 """The package holds only code the pipeline runs.
 
 Every module-level function and class in ``src/koopmanis`` must be
-referenced somewhere in the package other than its own definition, or be
-exported through ``koopmanis.__all__``.  A helper only the tests use
+referenced somewhere in the package other than its own definition, be
+exported through ``koopmanis.__all__``, or be a name the benchmark's layer
+trace (``bench/layertrace.py``) patches, such as ``spde.SpdeController``,
+bound only for the trace until it is deleted.  A helper only the tests use
 belongs in ``tests/reference.py``, and a helper nothing uses should be
 deleted.  Every config key the CLI accepts must be read by the package.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import koopmanis
 from koopmanis import cli
 
 SRC = Path(koopmanis.__file__).resolve().parent
+LAYERTRACE = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
 
 
 def _trees():
@@ -32,19 +36,30 @@ def _references(tree):
     return refs
 
 
+def _traced():
+    """module.name of every module-level name the layer trace patches."""
+    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    return {f"{module}.{attr.split('.')[0]}"
+            for module, attr in layertrace.patch_points()}
+
+
 def _unused(kinds):
     """Module-level definitions of the given node kinds that nothing in
-    the package uses and ``__all__`` does not export, as module.name."""
+    the package uses, ``__all__`` does not export and the layer trace does
+    not patch, as module.name."""
     trees = _trees()
     refs = {name: _references(tree) for name, tree in trees.items()}
     exported = set(koopmanis.__all__)
+    traced = _traced()
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, kinds):
                 continue
             name = node.name
-            if name in exported:
+            if name in exported or f"{module}.{name}" in traced:
                 continue
             # a definition's own body does not count as a use of it
             rest = ast.Module(body=[n for n in tree.body if n is not node],

@@ -5,6 +5,14 @@
 is left installed.  Moving one of those callables (for example into a base
 class) or unbinding an imported name therefore breaks every benchmark run;
 these tests make that show up in the test suite.
+
+Three of those names exist only for the trace, and the package never calls
+them: ``estimator.run_spde_paths`` (a second binding of ``paths.run_paths``),
+``spde.SpdeController`` (a ``doob.DoobController`` subclass with its own
+``bias_batch`` binding, of which the package makes no instance) and
+``spde.derive_path_rng``.  The spans of the first two read zero: advdiff's
+engine and bias time fall under ``paths.run_paths`` and
+``doob.bias_batch`` like every model's.  ROADMAP item 5 deletes them together with the trace.
 """
 
 import importlib.util

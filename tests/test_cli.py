@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from koopmanis import cli, make_builtin_model, spde
+from koopmanis import cli, doob, make_builtin_model
 from koopmanis.errors import ConfigError
 from reference import fit_spde_controller
 
@@ -207,6 +207,20 @@ def test_cli_oracle_verb(capsys):
     assert cli.main(["oracle", "ou1d", "--T", "1.0", "--threshold", "2.0"]) == 0
     assert capsys.readouterr().out == out
     assert cli.main(["oracle", "lorenz"]) == 1
+
+
+@pytest.mark.parametrize("model, out", [
+    ("ou1d", "model=ou1d event=coordinate>2.0 T=1.0\n"
+             "rho = 1.574480e-02  (method gaussian_tail)\n"),
+    ("brownian_osc", "model=brownian_osc event=abs_coordinate>3.0 T=10.0\n"
+                     "rho = 2.208346e-05  (method gaussian_tail)\n"),
+    ("nonnormal2d", "model=nonnormal2d event=norm>0.75 T=10.0\n"
+                    "rho = 1.596508e-05  (method imhof)\n")])
+def test_the_oracle_verb_prints_the_strict_event(capsys, model, out):
+    """Every event is strict (x > L, |x| > L, |X| > L), and the oracle
+    verb prints it so: it once printed ">=" next to the default event."""
+    assert cli.main(["oracle", model]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_cli_export_eigen(tmp_path):
@@ -474,13 +488,13 @@ def test_advdiff_controller_is_the_eigen_controller_on_its_adjoint_coordinate(
         tmp_path):
     """The SPDE set-up fits the exact spectrum of q = <Y, w1> and writes
     it as an eigen report, with no validation MSE; its controller file is
-    an eigen controller with coordinates, and reusing it gives the same
-    results row."""
+    an eigen controller with coordinates, which reloads as the class that
+    was fitted, and reusing it gives the same results row."""
     cfg = cli.ExperimentConfig.from_dict(_tiny_advdiff_config(tmp_path))
     state = cli.prepare_controller(cfg)
     model = make_builtin_model("advdiff", {"n_modes": 8})
     spec, want = fit_spde_controller(model, state.points, state.event, 0.5)
-    assert type(state.controller) is spde.SpdeController
+    assert type(state.controller) is doob.DoobController
     assert state.controller.to_dict() == want.to_dict()
     assert np.array_equal(state.spectrum.coefficients, spec.coefficients)
     written = cli.run_experiment(cfg)
@@ -489,6 +503,8 @@ def test_advdiff_controller_is_the_eigen_controller_on_its_adjoint_coordinate(
     assert [r[3] for r in rows[1:]] == ["nan"] * 3
     data = json.loads(written["controller"].read_text())
     assert data["type"] == "eigen" and len(data["coordinates"]) == 8
+    assert type(doob.DoobController.from_dict(data)) \
+        is type(state.controller)
     with open(written["results"]) as fh:
         fresh = list(csv.reader(fh))[-1]
     assert fresh[10] == "3"  # N_eigenfunctions

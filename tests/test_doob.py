@@ -282,7 +282,7 @@ def test_noise_map_is_the_rowlocal_product(fitted_controllers, family):
     """B^T grad Phi is ``paths.rowlocal_product`` bit for bit, and keeps the
     bits of the multiply-add over the state axis it replaced, for the
     model's B and a dense (r, 3) one, r the dimension of the controller's
-    coordinates (the SPDE controller's gradient is in q = <Y, w1>)."""
+    coordinates (on the SPDE the gradient is in q = <Y, w1>)."""
     model, ctrl, _ = fitted_controllers[family]
     rng = np.random.default_rng(11)
     grad = rng.normal(size=(97, ctrl.basis.dim))
@@ -404,13 +404,13 @@ def test_stacked_rows_match_one_ensemble_per_multiplier(
     ensemble at that c does."""
     ctrl, model, ev, x0 = _sweep_case(name, fitted_controllers)
     grid, batch = [1.0, 2.0, 4.0], 50
-    stacked = estimator.simulate_ensemble(
+    stacked = run_paths(
         model, ctrl.with_multiplier(np.repeat(grid, batch)), x0, 1.0, 1e-2,
         M=len(grid) * batch, master_seed=9,
         workers=3 if name == "spde" else 4,
         path_index=np.tile(np.arange(batch), len(grid)))
     for g, c in enumerate(grid):
-        alone = estimator.simulate_ensemble(
+        alone = run_paths(
             model, ctrl.with_multiplier(c), x0, 1.0, 1e-2, M=batch,
             master_seed=9)
         rows = stacked.rows(g * batch, (g + 1) * batch)
@@ -429,12 +429,12 @@ def test_held_stacked_rows_match_one_ensemble_per_multiplier(
     ctrl, model, ev, x0 = _sweep_case(name, fitted_controllers)
     ctrl = ctrl.with_hold_time(0.04)
     grid, batch = [1.0, 2.0, 4.0], 50
-    stacked = estimator.simulate_ensemble(
+    stacked = run_paths(
         model, ctrl.with_multiplier(np.repeat(grid, batch)), x0, 1.0, 1e-2,
         M=len(grid) * batch, master_seed=9, workers=4,
         path_index=np.tile(np.arange(batch), len(grid)))
     for g, c in enumerate(grid):
-        alone = estimator.simulate_ensemble(
+        alone = run_paths(
             model, ctrl.with_multiplier(c), x0, 1.0, 1e-2, M=batch,
             master_seed=9)
         rows = stacked.rows(g * batch, (g + 1) * batch)
@@ -486,6 +486,24 @@ def test_stacked_sweep_draws_each_path_once(monkeypatch):
                                grid=[1, 2, 4], batch=60, seed=3)
     assert len(res.table) == 3
     assert sorted(derived) == list(range(60))
+
+
+@pytest.mark.parametrize("name", ["ou_indicator", "spde"])
+@pytest.mark.parametrize("call", ["run_paths", "run_ensemble",
+                                  "tune_multiplier"])
+def test_a_controller_for_another_horizon_is_a_config_error(
+        fitted_controllers, name, call):
+    """A controller fitted for T = 1 run over T = 0.5 is a ConfigError
+    from the engine call, the estimator and the sweep alike, on an SDE and
+    on the SPDE: ``run_paths`` once ran it and returned log-weights."""
+    ctrl, model, ev, x0 = _sweep_case(name, fitted_controllers)
+    run = {"run_paths": lambda: run_paths(model, ctrl, x0, 0.5, 1e-2, M=4),
+           "run_ensemble": lambda: estimator.run_ensemble(
+               model, ctrl, ev, x0, 0.5, 1e-2, M=4),
+           "tune_multiplier": lambda: doob.tune_multiplier(
+               ctrl, model, ev, x0, 0.5, 1e-2, [1.0, 2.0], 50)}[call]
+    with pytest.raises(ConfigError, match="horizon 1.0 != ensemble horizon"):
+        run()
 
 
 def test_per_row_multiplier_needs_one_value_per_row():

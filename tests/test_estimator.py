@@ -12,7 +12,7 @@ from koopmanis import doob, estimator
 from koopmanis.errors import (ConfigError, InvalidParameterError,
                               NumericalError, ShapeError)
 from koopmanis.model import _linear_model
-from koopmanis.paths import PathEnsemble
+from koopmanis.paths import PathEnsemble, run_paths
 from reference import ou_exact_controller
 
 
@@ -293,8 +293,7 @@ def test_presimulated_rows_reduce_like_the_ensemble():
     ev = make_event("coordinate", 1.0, mode="indicator")
     rep = estimator.run_ensemble(m, None, ev, [0.0], 1.0, 1e-2, M=300,
                                  master_seed=4)
-    ens = estimator.simulate_ensemble(m, None, [0.0], 1.0, 1e-2, M=300,
-                                      master_seed=4)
+    ens = run_paths(m, None, [0.0], 1.0, 1e-2, M=300, master_seed=4)
     again = estimator.run_ensemble(m, None, ev, [0.0], 1.0, 1e-2, M=300,
                                    master_seed=4, ensemble=ens)
     assert again.csv_row() == rep.csv_row()
@@ -322,7 +321,7 @@ def test_the_report_keeps_statistics_not_terminal_states():
     ev = make_event("abs_coordinate", 1.0)
     args = (m, None, [0.0, 0.0], 1.0, 1e-2)
     kw = dict(M=50, master_seed=3, trajectory_count=2, trajectory_stride=30)
-    ens = estimator.simulate_ensemble(*args, **kw)
+    ens = run_paths(*args, **kw)
     rep = estimator.run_ensemble(m, None, ev, *args[2:], **kw)
     assert rep.ensemble.terminal is None
     assert rep.statistic.tobytes() == ev.statistic(ens.terminal).tobytes()

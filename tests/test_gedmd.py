@@ -8,7 +8,7 @@ from koopmanis.errors import (ConfigError, EmptySpectrumError,
                               RankDeficiencyWarning)
 from koopmanis import gedmd
 from koopmanis.model import SdeModel, _linear_model, half_diffusion_sq
-from koopmanis.paths import adjust_steps, derive_path_rng, sde_stepper
+from koopmanis.paths import SdeStepper, adjust_steps, derive_path_rng
 from reference import exact_koopman_loop
 
 
@@ -59,7 +59,7 @@ def _reference_snapshots(model, ics, T_traj, stride, seed, dt):
     K, dt = adjust_steps(T_traj, dt)
     step_per = max(1, int(round(stride / dt)))
     r = model.dim_noise
-    step = sde_stepper(model, dt)
+    step = SdeStepper(model, dt)
     xi = np.array([derive_path_rng(seed, i).standard_normal((K, r))
                    for i in range(n_ic)])
     x = ics.astype(float).copy()
@@ -245,7 +245,7 @@ def test_eigenpair_residuals_and_normalization(ou_setup):
     K = res.matrix
     for lam, c in zip(spec.eigenvalues, spec.coefficients):
         assert np.linalg.norm(K.T @ c - lam * c) <= 1e-8 * np.linalg.norm(c)
-    vals = spec.values(pts.points)
+    vals = spec.basis.values(pts.points) @ spec.coefficients.T
     rms = np.sqrt(np.mean(np.abs(vals) ** 2, axis=0))
     assert np.allclose(rms, 1.0, atol=1e-10)
 
@@ -257,7 +257,7 @@ def test_constant_eigenfunction_canonical(ou_setup):
     i = spec.constant_index()
     assert i >= 0
     assert spec.eigenvalues[i] == 0.0
-    vals = spec.values(pts.points)[:, i]
+    vals = (spec.basis.values(pts.points) @ spec.coefficients.T)[:, i]
     assert np.allclose(vals, 1.0)
 
 
@@ -279,7 +279,8 @@ def test_validation_rejects_perturbed_eigenvalue(ou_setup):
         b, spec.eigenvalues + 0.5, spec.coefficients,
         np.full(spec.n_pairs, np.nan))
     mse = gedmd.eigen_mse(bad, m, pts.holdout)
-    phi2 = np.mean(np.abs(bad.values(pts.holdout)) ** 2, axis=0)
+    vals = b.values(pts.holdout) @ bad.coefficients.T
+    phi2 = np.mean(np.abs(vals) ** 2, axis=0)
     assert np.allclose(mse, 0.25 * phi2, rtol=1e-10)
     assert np.all(mse > 0.04)
     with pytest.raises(EmptySpectrumError):

@@ -11,10 +11,9 @@ from koopmanis import (derive_path_rng, make_builtin_model, make_event,
 from koopmanis.errors import ConfigError, ShapeError
 from koopmanis.model import SdeModel
 from koopmanis.estimator import terminal_gaussian
-from koopmanis.paths import (adjust_steps, hold_steps,
-                             linear_gaussian, linear_stepper, rowlocal_dot,
-                             rowlocal_product, sde_stepper)
-from koopmanis.spde import run_spde_paths
+from koopmanis.paths import (LinearStepper, SdeStepper, adjust_steps,
+                             hold_steps, linear_gaussian, rowlocal_dot,
+                             rowlocal_product)
 from reference import (EulerMaruyamaStepper, PathBlowupError, simulate_path,
                        spde_quadratic_controller)
 
@@ -269,11 +268,11 @@ def test_the_control_is_a_shift_of_the_draws(stepper, L):
     dt = 1e-3
     if stepper in ("brownian_osc", "advdiff"):
         model = make_builtin_model(stepper)
-        step = linear_stepper(model, dt)
+        step = LinearStepper(model, dt)
     else:
         vdp = make_builtin_model("vdp")
         model = SdeModel("dense", vdp.drift, rng.normal(size=(2, 3)))
-        step = sde_stepper(model, dt) if stepper == "srk_additive" \
+        step = SdeStepper(model, dt) if stepper == "srk_additive" \
             else EulerMaruyamaStepper(model, dt)
     d, r = model.dim_state, model.dim_noise
     x = rng.normal(size=(50, d))
@@ -365,12 +364,12 @@ def test_the_noise_layout_moves_no_bits(case, monkeypatch):
     path_index = None
     if case == "linear":
         m = make_builtin_model("brownian_osc")
-        step = linear_stepper(m, 1e-2)
+        step = LinearStepper(m, 1e-2)
         ctrl = _StateController([0.3], 1.0)
         ctrl.hold_time = 0.02
     else:
         m = make_builtin_model("vdp")
-        step = sde_stepper(m, 1e-2)
+        step = SdeStepper(m, 1e-2)
     M = 69
     if case == "stacked":
         M, path_index = 135, np.tile(np.arange(45), 3)
@@ -397,11 +396,11 @@ def test_the_noise_layout_moves_no_bits(case, monkeypatch):
 def test_only_the_spde_reads_its_noise_row_major():
     """The layout follows the stepper's products: row-local ones read
     time-major draws, the SPDE's BLAS products row-major ones."""
-    assert sde_stepper(make_builtin_model("vdp"), 1e-2).time_major
+    assert SdeStepper(make_builtin_model("vdp"), 1e-2).time_major
     for name in ("ou1d", "nonnormal2d", "brownian_osc"):
-        assert linear_stepper(make_builtin_model(name), 1e-2).time_major
+        assert LinearStepper(make_builtin_model(name), 1e-2).time_major
     adv = make_builtin_model("advdiff", {"n_modes": 8})
-    assert not linear_stepper(adv, 1e-2).time_major
+    assert not LinearStepper(adv, 1e-2).time_major
 
 
 @pytest.mark.parametrize("n_paths", [1, 31, 32, 33, 1000])
@@ -412,7 +411,7 @@ def test_the_noise_buffer_and_its_tile_stay_within_the_budget(
     NOISE_BUFFER_DOUBLES doubles together, for path counts below, at and
     above one tile."""
     monkeypatch.setattr(paths, "NOISE_BUFFER_DOUBLES", 40_000)
-    step = linear_stepper(make_builtin_model("brownian_osc"), 1e-2)
+    step = LinearStepper(make_builtin_model("brownian_osc"), 1e-2)
     segments = paths._segments(step, 500, 2, 1, 0)   # 250 x 3 draws
     chunks, noise, rows = paths._noise_buffers(time_major, n_paths,
                                                segments)
@@ -474,8 +473,8 @@ def test_noise_budget_does_not_change_results(fitted_controllers, case,
                                               multiplier=2.0)
 
         def run():
-            return run_spde_paths(adv, spde_ctrl, None, 1.0, 2e-2, 40,
-                                  master_seed=5)
+            return run_paths(adv, spde_ctrl, None, 1.0, 2e-2, 40,
+                             master_seed=5)
         per_step = 40 * adv.dim_state
     ref = run()
     alts = []
@@ -588,9 +587,9 @@ def test_bad_trajectory_settings_are_config_errors(engine, count, stride):
                                 trajectory_stride=stride)
     else:
         adv = make_builtin_model("advdiff", {"n_modes": 8})
-        run = lambda: run_spde_paths(adv, None, None, 0.1, 1e-2, 4, 0,
-                                     trajectory_count=count,
-                                     trajectory_stride=stride)
+        run = lambda: run_paths(adv, None, None, 0.1, 1e-2, 4, 0,
+                                trajectory_count=count,
+                                trajectory_stride=stride)
     with pytest.raises(ConfigError):
         run()
 
@@ -600,7 +599,7 @@ def _reference_rows(model, controller, x0, T, dt, master_seed, M,
     """Loop version of the trajectory rows (one block), kept as the
     reference for the block engine's snapshot stride."""
     K, dt = adjust_steps(T, dt)
-    step = sde_stepper(model, dt)
+    step = SdeStepper(model, dt)
     gens = [derive_path_rng(master_seed, i) for i in range(M)]
     x = np.tile(np.asarray(x0, dtype=float), (M, 1))
     blown = np.zeros(M, dtype=bool)
@@ -807,7 +806,7 @@ def test_the_hold_map_is_the_exact_law_of_the_segment(name, params, dt, L):
     model = make_builtin_model(name, params)
     A, B = model.linear_spec
     h = L * dt
-    step = linear_stepper(model, dt)
+    step = LinearStepper(model, dt)
     PL, SL, R = step.segment_map(L)
     P, G, D = _quadrature_law(A, B, h)
     Q = D + G @ G.T / h
@@ -876,7 +875,7 @@ def test_hold_zero_runs_one_step_segments(fitted_controllers, family,
     monkeypatch.setattr(paths, "derive_path_rng",
                         lambda *a: Counting(derive_path_rng(*a)))
     ens = run_paths(model, ctrl, x0, T, dt, M=3, master_seed=6)
-    per_step = linear_stepper(model, dt).draws(1)
+    per_step = LinearStepper(model, dt).draws(1)
     assert counts == [100 * per_step] * 3
     assert per_step > model.dim_noise   # the map's R draws too
     for i in range(3):

@@ -12,7 +12,7 @@ from koopmanis import spde as spde_mod
 from koopmanis.doob import DoobController
 from koopmanis.errors import InvalidParameterError, NumericalError, ShapeError
 from koopmanis.model import _linear_model
-from koopmanis.paths import derive_path_rng, linear_stepper
+from koopmanis.paths import LinearStepper, derive_path_rng, run_paths
 from reference import (fit_spde_controller, simulate_path,
                        spde_quadratic_controller)
 
@@ -169,12 +169,12 @@ def test_qwiener_std_limits():
     without noise draws none beyond its columns."""
     slow = _linear_model("slow", spectral_setup(4, 1e-6, 0.0), np.eye(4),
                          {})
-    _, SL, R = linear_stepper(slow, 1e-3).segment_map(1)
+    _, SL, R = LinearStepper(slow, 1e-3).segment_map(1)
     assert np.allclose(SL.T @ SL + R.T @ R, 1e-3 * np.eye(4), rtol=1e-4,
                        atol=1e-12)
     still = _linear_model("still", spectral_setup(4, 0.1, 0.0),
                           np.zeros((4, 4)), {})
-    _, SL, R = linear_stepper(still, 1e-3).segment_map(1)
+    _, SL, R = LinearStepper(still, 1e-3).segment_map(1)
     assert np.all(SL == 0.0) and len(R) == 0
 
 
@@ -184,7 +184,7 @@ def test_qwiener_sample_variance():
     (1 - e^{-2 lam dt}) / (2 lam) of that mode's Ornstein-Uhlenbeck
     process at dt 1e-2."""
     model = make_builtin_model("advdiff", {"b": 0.0})
-    step = linear_stepper(model, 1e-2)
+    step = LinearStepper(model, 1e-2)
     rng = derive_path_rng(1, 0)
     draws = np.concatenate([
         step.segment(np.zeros((20_000, 64)), None,
@@ -199,8 +199,8 @@ def test_exp_euler_pure_decay(A64):
     """Without noise or advection the hold map is the exponential-Euler
     decay e^{-lam dt} of every mode."""
     lam = _rates(A64)
-    out = linear_stepper(_linear_model("decay", -np.diag(lam),
-                                       np.zeros((64, 1)), {}), 0.01)
+    out = LinearStepper(_linear_model("decay", -np.diag(lam),
+                                      np.zeros((64, 1)), {}), 0.01)
     assert np.allclose(out.segment(np.ones((1, 64)), None, np.zeros((1, 1)),
                                    1)[0][0], np.exp(-lam * 0.01),
                        rtol=1e-12, atol=0.0)
@@ -214,7 +214,7 @@ def test_exp_euler_stationary_variance():
     averaged over steps 50 to 549 (the slowest mode's correlation time is
     about 10 steps)."""
     model = make_builtin_model("advdiff", {"n_modes": 8, "b": 0.0})
-    step = linear_stepper(model, 0.1)
+    step = LinearStepper(model, 0.1)
     rng = derive_path_rng(3, 0)
     Y = np.zeros((2000, 8))
     burn, n = 50, 500
@@ -233,7 +233,7 @@ def test_exp_euler_one_step_moments(adv64, A64):
     has mean 0 and the variances of the exact one-step covariance
     Sigma - e^{A dt} Sigma e^{A dt}^T, Sigma the stationary solution of
     A Sigma + Sigma A^T + I = 0, with advection."""
-    step = linear_stepper(adv64, 1e-2)
+    step = LinearStepper(adv64, 1e-2)
     rng = derive_path_rng(9, 0)
     draws = step.segment(np.zeros((50_000, 64)), None,
                          rng.standard_normal((50_000, step.draws(1))), 1)[0]
@@ -311,7 +311,7 @@ def test_exp_euler_noiseless_norm_never_grows(A64):
     C skew, so the field's norm never grows from one segment to the next:
     1000 one-step segments at dt 1e-3."""
     model = _linear_model("noiseless", A64, np.zeros((64, 1)), {})
-    step = linear_stepper(model, 1e-3)
+    step = LinearStepper(model, 1e-3)
     assert step.draws(1) == 1   # the one noise column, R empty
     Y = np.random.default_rng(4).normal(size=(1, 64))
     norms = [np.linalg.norm(Y)]
@@ -356,11 +356,11 @@ def test_spde_unbiasedness_non_rare():
     model = make_builtin_model("advdiff", {"n_modes": 16})
     ev = make_event("norm", 1.0, mode="indicator")
     M = 10_000
-    plain = spde_mod.run_spde_paths(model, None, np.zeros(16), 2.0, 5e-3,
-                                    M, master_seed=11)
+    plain = run_paths(model, None, np.zeros(16), 2.0, 5e-3, M,
+                      master_seed=11)
     ctrl = spde_quadratic_controller(model, 1.0, 0.25, 2.0, multiplier=2.0)
-    biased = spde_mod.run_spde_paths(model, ctrl, np.zeros(16), 2.0, 5e-3,
-                                     M, master_seed=12)
+    biased = run_paths(model, ctrl, np.zeros(16), 2.0, 5e-3, M,
+                       master_seed=12)
     y0 = ev.indicator(plain.terminal)
     y1 = ev.indicator(biased.terminal) * np.exp(biased.log_weight)
     se = math.sqrt(y0.var() / M + y1.var() / M)
@@ -385,9 +385,9 @@ def test_spde_paths_deterministic(adv64):
     # stepper's propagator product is shape-sensitive at the ulp level, so
     # the comparison keeps the block shapes)
     def run(M, workers=1, path_index=None):
-        return spde_mod.run_spde_paths(adv64, None, np.zeros(64), 0.2, 5e-3,
-                                       M, master_seed=3, workers=workers,
-                                       path_index=path_index)
+        return run_paths(adv64, None, np.zeros(64), 0.2, 5e-3, M,
+                         master_seed=3, workers=workers,
+                         path_index=path_index)
 
     both = run(100, workers=2)
     halves = [run(50, path_index=np.arange(s, s + 50)) for s in (0, 50)]
@@ -400,9 +400,8 @@ def test_spde_trajectory_rows(adv64, adj64):
     """SPDE ensembles report trajectory rows like SDE ones: every stride
     steps from t = 0, and the terminal state at T off the stride grid."""
     Y0 = 0.1 * adj64[0]
-    ens = spde_mod.run_spde_paths(adv64, None, Y0, 0.2, 5e-3, 4,
-                                  master_seed=3, trajectory_count=2,
-                                  trajectory_stride=7)
+    ens = run_paths(adv64, None, Y0, 0.2, 5e-3, 4, master_seed=3,
+                    trajectory_count=2, trajectory_stride=7)
     rows = ens.trajectories
     assert len(rows) == 2 * (1 + 40 // 7 + 1)
     for p in (0, 1):
@@ -474,7 +473,7 @@ def test_segment_map_has_the_law_of_the_per_step_chain(adv64, L):
     Xi = sqrt(L) zeta_1 has the law of L one-step segments: P^L, the
     state covariance L (S/L)^T (S/L) + R^T R, its covariance with Xi,
     L S / L, and Var Xi = L I agree to 1e-12 relative on the 64 modes."""
-    step = linear_stepper(adv64, 1e-3)
+    step = LinearStepper(adv64, 1e-3)
     PL, SL, R = step.segment_map(L)
     got = (PL, L * SL.T @ SL + R.T @ R, L * SL, L * np.eye(64))
     for a, b in zip(got, _per_step_law(step, L)):
@@ -489,9 +488,8 @@ def test_engine_rows_match_the_segment_reference_loop(adv64, adj64):
     ctrl = spde_quadratic_controller(adv64, 1.0, 0.4, 0.2,
                                      multiplier=2.0).with_hold_time(0.02)
     Y0 = 0.5 * adj64[0]
-    ens = spde_mod.run_spde_paths(adv64, ctrl, Y0, 0.2, 1e-3, 5,
-                                  master_seed=4, trajectory_count=3,
-                                  trajectory_stride=7)
+    ens = run_paths(adv64, ctrl, Y0, 0.2, 1e-3, 5, master_seed=4,
+                    trajectory_count=3, trajectory_stride=7)
     for i in range(5):
         res = simulate_path(adv64, ctrl, Y0, 0.2, 1e-3, master_seed=4,
                             path_index=i, trajectory_stride=7)
@@ -526,7 +524,7 @@ def test_a_held_segment_draws_r_plus_n_normals(adv64, monkeypatch,
                         lambda *a: Counting(derive_path_rng(*a)))
     ctrl = spde_quadratic_controller(adv64, 1.0, 0.4, 0.02).with_hold_time(
         0.02) if controlled else None
-    spde_mod.run_spde_paths(adv64, ctrl, None, 0.02, 1e-3, 6, master_seed=1)
+    run_paths(adv64, ctrl, None, 0.02, 1e-3, 6, master_seed=1)
     assert counts == [64 + 64] * 6
 
 
@@ -550,11 +548,9 @@ def test_snapshot_cuts_reach_every_block(adv64, adj64, monkeypatch):
                                      multiplier=2.0).with_hold_time(0.02)
 
     def run(M, workers=1, path_index=None):
-        return spde_mod.run_spde_paths(adv64, ctrl, 0.5 * adj64[0],
-                                       0.2, 1e-3, M, master_seed=5,
-                                       workers=workers, trajectory_count=1,
-                                       trajectory_stride=7,
-                                       path_index=path_index)
+        return run_paths(adv64, ctrl, 0.5 * adj64[0], 0.2, 1e-3, M,
+                         master_seed=5, workers=workers, trajectory_count=1,
+                         trajectory_stride=7, path_index=path_index)
 
     both = run(40, workers=2)
     lengths = [L for L, _ in built]
@@ -577,10 +573,8 @@ def test_noise_budget_does_not_change_segmented_rows(adv64, budget,
     ctrl = spde_quadratic_controller(model, 1.0, 0.4, 1.0, multiplier=2.0)
 
     def run():
-        return spde_mod.run_spde_paths(model, ctrl, None, 1.0, 5e-3,
-                                       40, master_seed=5,
-                                       trajectory_count=2,
-                                       trajectory_stride=6)
+        return run_paths(model, ctrl, None, 1.0, 5e-3, 40, master_seed=5,
+                         trajectory_count=2, trajectory_stride=6)
     ref = run()
     monkeypatch.setattr(paths, "NOISE_BUFFER_DOUBLES", budget)
     alt = run()
@@ -601,15 +595,14 @@ def test_build_spde_controller_positive(adv64):
 
 
 def test_spde_controller_serialization(adv64):
-    """An eigen controller file with its coordinates; it loads as either
-    class."""
+    """An eigen controller file with its coordinates; it loads back as the
+    class that wrote it, the one Doob controller of every model."""
     ctrl = spde_quadratic_controller(adv64, 0.9, 0.3, 10.0, multiplier=4.0)
     data = ctrl.to_dict()
     assert data["type"] == "eigen"
     assert np.array_equal(data["coordinates"], ctrl.coordinates)
-    back = spde_mod.SpdeController.from_dict(data)
-    assert type(back) is spde_mod.SpdeController
-    assert type(DoobController.from_dict(data)) is DoobController
+    back = DoobController.from_dict(data)
+    assert type(back) is type(ctrl) is DoobController
     Y = np.random.default_rng(8).normal(size=(5, 64))
     u0, _ = ctrl.bias_batch(1.0, Y)
     u1, _ = back.bias_batch(1.0, Y)
@@ -650,8 +643,7 @@ def test_an_adjoint_vector_that_is_not_real_fails_where_it_is_fitted():
     (it once failed to build); fitting its adjoint coordinate is a
     NumericalError."""
     model = make_builtin_model("advdiff", {"n_modes": 8, "alpha": 1e-6})
-    ens = spde_mod.run_spde_paths(model, None, None, 0.1, 1e-2, 4,
-                                  master_seed=1)
+    ens = run_paths(model, None, None, 0.1, 1e-2, 4, master_seed=1)
     assert np.isfinite(ens.terminal).all()
     with pytest.raises(NumericalError, match="not real"):
         spde_mod.adjoint_model(model)
