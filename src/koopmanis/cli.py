@@ -267,9 +267,23 @@ class ExperimentConfig:
                 if getattr(self, blk) is not None}
 
 
+def _read_json(path, what):
+    """The JSON document in the file ``path``; a ``ConfigError`` that
+    names the file, the ``what`` it should hold, when it cannot be read or
+    is not valid JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read the {what} {str(path)!r}: "
+                          f"{exc.strerror}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"the {what} {str(path)!r} is not valid JSON: "
+                          f"{exc}") from exc
+
+
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
+    return ExperimentConfig.from_dict(_read_json(path, "config file"))
 
 
 def _build_event(cfg: ExperimentConfig):
@@ -470,16 +484,21 @@ def _append_results_row(path, row):
 
 
 def _eigen_report_rows(spectrum):
+    """One row per eigenvalue: a conjugate pair's entry gives its own row
+    and, after it, the row of its conjugate."""
     n = spectrum.basis.size
     header = ["index", "eigenvalue_re", "eigenvalue_im", "validation_mse"]
     header += [f"c{k}_re" for k in range(n)] + [f"c{k}_im" for k in range(n)]
     rows = []
-    for i, lam in enumerate(spectrum.eigenvalues):
-        c = spectrum.coefficients[i]
-        rows.append([i, repr(float(lam.real)), repr(float(lam.imag)),
-                     repr(float(spectrum.validation_mse[i]))]
-                    + [repr(float(v)) for v in c.real]
-                    + [repr(float(v)) for v in c.imag])
+    for lam, c, mse, pair in zip(spectrum.eigenvalues, spectrum.coefficients,
+                                 spectrum.validation_mse, spectrum.pairs):
+        members = [(lam, c), (np.conj(lam), np.conj(c))] if pair \
+            else [(lam, c)]
+        for z, v in members:
+            rows.append([len(rows), repr(float(z.real)), repr(float(z.imag)),
+                         repr(float(mse))]
+                        + [repr(float(x)) for x in v.real]
+                        + [repr(float(x)) for x in v.imag])
     return header, rows
 
 
@@ -520,7 +539,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None,
     if reuse_controller and cfg.run["method"] == "is" \
             and controller_path.exists():
         controller = doob.DoobController.from_dict(
-            json.loads(controller_path.read_text()))
+            _read_json(controller_path, "controller file"))
     state = run_pipeline(cfg, controller)
 
     # name -> (file, writer of the file, its content), in writing order

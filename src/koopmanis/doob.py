@@ -1,11 +1,14 @@
 """Approximate Doob-transform controllers built from a validated spectrum.
 
-The terminal observable is regressed onto the eigenfunctions (complex
-pairs realified into Re/Im columns), the fit is shifted positive through
-the constant eigenfunction, and the value surrogate is propagated in time
-through the eigenvalue exponentials.  The biasing is
-c * B^T grad(Phi)/max(Phi, floor), with B the model's constant noise
-matrix.
+The spectrum holds one entry per real eigenvalue and one, the Im > 0
+member, per conjugate pair (``gedmd``), and the controller reads it as it
+is: one real term of the surrogate per entry, and its ``n_pairs``, which
+counts eigenvalues, is the number of realified columns.  The terminal
+observable is regressed onto the eigenfunctions (a pair's entry realified
+into Re/Im columns), the fit is shifted positive through the constant
+eigenfunction, and the value surrogate is propagated in time through the
+eigenvalue exponentials.  The biasing is c * B^T grad(Phi)/max(Phi,
+floor), with B the model's constant noise matrix.
 """
 
 from __future__ import annotations
@@ -16,73 +19,48 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimator
-from .basis import BasisSet, basis_from_descriptor
+from .basis import basis_from_descriptor
 from .errors import (ConfigError, EmptySpectrumError, InvalidParameterError,
                      TuningFailedError)
-from .gedmd import KoopmanSpectrum, SVD_RTOL, conjugate_partner
+from .gedmd import CONJUGATE_TOL, SVD_RTOL, KoopmanSpectrum
 from .paths import HOLD_TIME, rowlocal_product, run_paths
 
 # the event-hit fraction tune_multiplier picks the multiplier by
 TARGET_HIT_FRACTION = 0.5
 
 
-@dataclass(eq=False)
-class _Component:
-    """One realified spectral component: a real pair or a conjugate pair."""
-
-    lam_re: float
-    lam_im: float                 # 0.0 for real eigenvalues
-    c_re: np.ndarray              # (n,)
-    c_im: np.ndarray | None       # None for real eigenvalues
-    is_constant: bool = False
-
-    @property
-    def n_columns(self) -> int:
-        return 1 if self.c_im is None else 2
+def _columns(spectrum: KoopmanSpectrum):
+    """Per entry, whether it is a conjugate pair, and the first of its
+    realified columns: Re phi of a real eigenvalue, Re phi and Im phi of a
+    pair.  An entry with Im lambda < -CONJUGATE_TOL, the second member of
+    a pair, is a ``ConfigError``: the pair would count twice."""
+    if (spectrum.eigenvalues.imag < -CONJUGATE_TOL).any():
+        raise ConfigError("the spectrum lists the Im < 0 member of a "
+                          "conjugate pair; keep only the Im > 0 entry")
+    pairs = spectrum.pairs
+    return pairs, np.cumsum(1 + pairs) - 1 - pairs
 
 
-def realify_spectrum(spectrum: KoopmanSpectrum) -> list[_Component]:
-    """Collapse the conjugate-closed pair list into real components.
-
-    Complex pairs are represented once (the Im > 0 member); their real and
-    imaginary parts become two regression columns.  An eigenvalue is real
-    when it is its own partner under ``gedmd.conjugate_partner``.
-    """
-    if not spectrum.conjugate_closed:
-        raise ConfigError("spectrum is not closed under conjugation")
-    const_idx = spectrum.constant_index()
-    comps = []
-    for i, lam in enumerate(spectrum.eigenvalues):
-        c = spectrum.coefficients[i]
-        if conjugate_partner(spectrum.eigenvalues, i) == i:
-            comps.append(_Component(float(lam.real), 0.0, c.real.copy(),
-                                    None, i == const_idx))
-        elif lam.imag > 0:
-            comps.append(_Component(float(lam.real), float(lam.imag),
-                                    c.real.copy(), c.imag.copy()))
-    return comps
-
-
-def design_matrix(components, basis: BasisSet, points) -> np.ndarray:
-    """(m, n_columns) real design matrix of eigenfunction values."""
-    cols = [c for comp in components for c in (comp.c_re, comp.c_im)
-            if c is not None]
-    return basis.values(points) @ np.array(cols).T
+def _read(block, key, shape):
+    """``block[key]`` of a controller file as a float array of ``shape``
+    with every entry finite; a ``ConfigError`` that names the key
+    otherwise."""
+    try:
+        out = np.array(block[key], dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.shape != shape or not np.isfinite(out).all():
+        want = "a finite number" if shape == () \
+            else f"a list of {shape[0]} finite numbers"
+        raise ConfigError(f"the controller file's {key!r} must be {want}; "
+                          f"refit it")
+    return out
 
 
 def _svd_lstsq(C, rhs, rtol=SVD_RTOL):
     U, s, Vt = np.linalg.svd(C, full_matrices=False)
     keep = s > rtol * (s[0] if len(s) else 0.0)
     return Vt[keep].T @ ((U[:, keep].T @ rhs) / s[keep])
-
-
-def _constant_column(components) -> int:
-    col = 0
-    for comp in components:
-        if comp.is_constant:
-            return col
-        col += comp.n_columns
-    raise ConfigError("constant eigenfunction absent; cannot positivize")
 
 
 def positivize(coefficients, fitted, col, margin: float):
@@ -188,6 +166,12 @@ class DoobController(Controller):
     """Value surrogate built from a validated spectrum; B-map the constant
     diffusion matrix.
 
+    ``coefficients`` are the fit's, one per realified column of the
+    spectrum's entries (``build_controller``): one for a real eigenvalue,
+    two for a conjugate pair's entry, which stands for both members, so
+    ``spectrum.n_pairs`` in all.  A spectrum that also lists a pair's
+    Im < 0 member is a ``ConfigError``.
+
     With a coordinate matrix W (d, r) the surrogate is a function of
     q = X W: the basis is evaluated at ``rowlocal_product(X, W)``, the
     gradient is taken in q, and ``diffusion_const`` is W^T B (r, noise),
@@ -195,13 +179,13 @@ class DoobController(Controller):
     this controller on the adjoint coordinate q = <Y, w1> (``spde``).
     """
 
-    def __init__(self, basis: BasisSet, components, coefficients,
+    def __init__(self, spectrum: KoopmanSpectrum, coefficients,
                  diffusion_const, T, multiplier=1.0, floor=1e-12,
                  model_name="", coordinates=None):
-        self.basis = basis
+        self.spectrum = spectrum
+        self.basis = spectrum.basis
         self.coordinates = None if coordinates is None \
             else np.asarray(coordinates, dtype=float)
-        self.components = list(components)
         self.coefficients = np.asarray(coefficients, dtype=float)
         self.diffusion_const = np.asarray(diffusion_const, dtype=float)
         self.horizon = float(T)
@@ -209,20 +193,16 @@ class DoobController(Controller):
         self.floor = float(floor)
         self.model_name = model_name
         self.n_eigenfunctions = len(self.coefficients)
-        # the components stacked once: a(t) = Re sum_k exp(lam_k tau) g_k
-        # (c_re,k + i c_im,k) with g_k = f_re,k - i f_im,k; a real
-        # component has lam_im = f_im = 0 and c_im = 0
-        comps, n = self.components, basis.size
-        first = np.cumsum([0] + [comp.n_columns for comp in comps])[:-1]
+        # a(t) = Re sum_k exp(lam_k tau) g_k c_k with g_k = f_re,k - i f_im,k
+        # over the entries k; a real entry is read as Im lam = f_im = Im c = 0
+        pairs, first = _columns(spectrum)
+        lam, c = spectrum.eigenvalues, spectrum.coefficients
         f = self.coefficients
-        self._lam = np.array([complex(comp.lam_re, comp.lam_im)
-                              for comp in comps], dtype=complex)
-        self._g = np.array([complex(f[col], 0.0 if comp.c_im is None
-                                    else -f[col + 1])
-                            for col, comp in zip(first, comps)], dtype=complex)
-        self._c = np.array(
-            [(comp.c_re, np.zeros(n) if comp.c_im is None else -comp.c_im)
-             for comp in comps], dtype=float).reshape(2 * len(comps), n)
+        self._lam = np.where(pairs, lam, lam.real.astype(complex))
+        self._g = f[first].astype(complex)
+        self._g.imag[pairs] = -f[first[pairs] + 1]
+        self._c = np.stack([c.real, np.where(pairs[:, None], -c.imag, 0.0)],
+                           axis=1).reshape(2 * len(lam), self.basis.size)
 
     def basis_coefficients(self, t: float) -> np.ndarray:
         """Combined dictionary coefficients of the surrogate at time t."""
@@ -242,16 +222,19 @@ class DoobController(Controller):
         return rowlocal_product(grad, self.diffusion_const)
 
     def to_dict(self) -> dict:
+        spec, const = self.spectrum, self.spectrum.constant_index()
         out = {
             "type": "eigen",
             "model": self.model_name,
             "basis": self.basis.descriptor(),
             "components": [
-                {"lam_re": comp.lam_re, "lam_im": comp.lam_im,
-                 "c_re": comp.c_re.tolist(),
-                 "c_im": None if comp.c_im is None else comp.c_im.tolist(),
-                 "is_constant": comp.is_constant}
-                for comp in self.components
+                {"lam_re": float(lam.real),
+                 "lam_im": float(lam.imag) if pair else 0.0,
+                 "c_re": c.real.tolist(),
+                 "c_im": c.imag.tolist() if pair else None,
+                 "is_constant": k == const}
+                for k, (lam, c, pair) in enumerate(zip(
+                    spec.eigenvalues, spec.coefficients, spec.pairs))
             ],
             "coefficients": self.coefficients.tolist(),
             "diffusion": self.diffusion_const.tolist(),
@@ -266,28 +249,38 @@ class DoobController(Controller):
     @classmethod
     def from_dict(cls, data: dict) -> "DoobController":
         """Inverse of ``to_dict``; the ``margin`` key of older files is
-        ignored.  A file of another ``type`` (the "spde" files written
-        before the SPDE controller became this one), or one that lacks a
-        key, is a ``ConfigError``."""
+        ignored, and ``is_constant`` is recomputed from the spectrum.  A
+        file of another ``type`` (the "spde" files written before the SPDE
+        controller became this one), one that lacks a key, or one whose
+        arrays do not fit its basis and components (``_read``) is a
+        ``ConfigError``."""
         if data.get("type") != "eigen":
             raise ConfigError(f"cannot load a controller of type "
                               f"{data.get('type')!r}: only 'eigen' "
                               f"controllers load; refit it")
         try:
-            comps = [
-                _Component(c["lam_re"], c["lam_im"], np.array(c["c_re"]),
-                           None if c["c_im"] is None else np.array(c["c_im"]),
-                           c["is_constant"])
-                for c in data["components"]
-            ]
+            comps = data["components"]
             basis = basis_from_descriptor(data["basis"])
-            args = (np.array(data["coefficients"]),
-                    np.array(data["diffusion"]), data["T"],
-                    data["multiplier"], data["floor"])
+            n = basis.size
+            lam = np.zeros(len(comps), dtype=complex)
+            coeffs = np.zeros((len(comps), n), dtype=complex)
+            for k, comp in enumerate(comps):
+                lam[k] = complex(_read(comp, "lam_re", ()),
+                                 _read(comp, "lam_im", ()))
+                coeffs.real[k] = _read(comp, "c_re", (n,))
+                if abs(lam[k].imag) > CONJUGATE_TOL:
+                    coeffs.imag[k] = _read(comp, "c_im", (n,))
+            spectrum = KoopmanSpectrum(basis, lam, coeffs,
+                                       np.full(len(comps), np.nan))
+            # one coefficient per eigenvalue: a pair's entry has two columns
+            args = (_read(data, "coefficients", (spectrum.n_pairs,)),
+                    np.array(data["diffusion"]),
+                    *(_read(data, key, ())
+                      for key in ("T", "multiplier", "floor")))
         except KeyError as exc:
             raise ConfigError(f"the controller file lacks the key "
                               f"{exc.args[0]!r}; refit it") from exc
-        return cls(basis, comps, *args, data.get("model", ""),
+        return cls(spectrum, *args, data.get("model", ""),
                    data.get("coordinates"))
 
     def check_fits(self, model):
@@ -312,18 +305,25 @@ class DoobController(Controller):
 
 def build_controller(spectrum: KoopmanSpectrum, model, points, f_values, T,
                      coordinates=None) -> DoobController:
-    """Fit the observable onto the realified eigenfunctions with
-    ``fit_surrogate`` and assemble the controller.  With
-    ``coordinates`` W, ``model`` and ``points`` are those of q = X W and
-    ``f_values`` the observable at the X the points came from."""
+    """Fit the observable onto the realified eigenfunctions, Re phi for
+    a real eigenvalue and Re phi, Im phi for a conjugate pair, with
+    ``fit_surrogate``, and assemble the controller.  With ``coordinates``
+    W, ``model`` and ``points`` are those of q = X W and ``f_values`` the
+    observable at the X the points came from."""
     if spectrum.n_pairs == 0:
         raise EmptySpectrumError("cannot regress on an empty spectrum")
-    comps = realify_spectrum(spectrum)
-    C = design_matrix(comps, spectrum.basis, points)
-    coeffs, floor = fit_surrogate(C, f_values, _constant_column(comps))
-    return DoobController(spectrum.basis, comps, coeffs,
-                          model.diffusion_const, T, floor=floor,
-                          model_name=model.name, coordinates=coordinates)
+    pairs, first = _columns(spectrum)
+    const = spectrum.constant_index()
+    if const < 0:
+        raise ConfigError("constant eigenfunction absent; cannot positivize")
+    c = spectrum.coefficients
+    columns = np.insert(c.real, np.flatnonzero(pairs) + 1, c.imag[pairs],
+                        axis=0)
+    coeffs, floor = fit_surrogate(
+        spectrum.basis.values(points) @ columns.T, f_values, first[const])
+    return DoobController(spectrum, coeffs, model.diffusion_const, T,
+                          floor=floor, model_name=model.name,
+                          coordinates=coordinates)
 
 
 @dataclass(eq=False)

@@ -6,6 +6,13 @@ coefficient vector; eigenfunction coefficients are therefore eigenvectors
 of K^T.  For constant-coefficient linear models the projection is computed
 exactly by exponent bookkeeping on the monomial dictionary, with no test
 points involved, which makes the retained spectrum exact up to round-off.
+
+K is real, so its complex eigenvalues come in conjugate pairs whose
+eigenvectors are conjugate too.  A spectrum stores each pair once, as its
+Im lambda > 0 entry, and each real eigenvalue (|Im lambda| <=
+``CONJUGATE_TOL``) as itself: one entry per real term of the Doob
+transform.  ``KoopmanSpectrum.n_pairs`` still counts eigenvalues, a pair
+as two.
 """
 
 from __future__ import annotations
@@ -179,20 +186,27 @@ def exact_koopman_matrix(basis: BasisSet, model: SdeModel) -> KoopmanMatrixResul
 
 @dataclass(eq=False)
 class KoopmanSpectrum:
+    """Eigenpairs of the projected generator, one entry per real
+    eigenvalue and one, the Im lambda > 0 member, per conjugate pair; the
+    pair's other member is the entry's conjugate, eigenvalue and
+    coefficients, with the same validation MSE.  ``n_pairs`` counts
+    eigenvalues, so a pair's entry counts as two."""
+
     basis: BasisSet
     eigenvalues: np.ndarray      # (N,) complex
     coefficients: np.ndarray     # (N, n) complex, RMS-1 over training points
     validation_mse: np.ndarray   # (N,), nan until validated
 
     @property
-    def n_pairs(self) -> int:
-        return len(self.eigenvalues)
+    def pairs(self) -> np.ndarray:
+        """(N,) bool: which entries stand for a conjugate pair,
+        |Im lambda| > CONJUGATE_TOL."""
+        return np.abs(self.eigenvalues.imag) > CONJUGATE_TOL
 
     @property
-    def conjugate_closed(self) -> bool:
-        """Does every eigenvalue have its conjugate in the list?"""
-        return all(conjugate_partner(self.eigenvalues, i) is not None
-                   for i in range(self.n_pairs))
+    def n_pairs(self) -> int:
+        """The number of eigenvalues: a conjugate pair counts as two."""
+        return len(self.eigenvalues) + int(np.count_nonzero(self.pairs))
 
     def constant_index(self) -> int:
         """Index of the constant eigenfunction, or -1 if absent."""
@@ -221,10 +235,13 @@ def eigenpairs(K_result: KoopmanMatrixResult, basis: BasisSet,
     """Eigenpairs of the projected generator, normalized and sorted.
 
     Coefficients solve K^T c = lambda c; each eigenfunction is scaled to
-    unit root-mean-square over the training points, the pair list is closed
-    under conjugation, and pairs are ordered by ascending |Re lambda|.  A
-    constant eigenfunction becomes lambda = 0 and the first dictionary
-    element, identically 1 in every basis family.
+    unit root-mean-square over the training points, and entries are ordered
+    by ascending |Re lambda|.  Of each conjugate pair only the Im lambda > 0
+    member is kept, the one place where pairs are formed: the Im < 0 member
+    sorts right after it and is its exact conjugate, and ``n_pairs`` still
+    counts it.  A constant
+    eigenfunction becomes lambda = 0 and the first dictionary element,
+    identically 1 in every basis family.
     """
     K = K_result.matrix
     try:
@@ -245,6 +262,7 @@ def eigenpairs(K_result: KoopmanMatrixResult, basis: BasisSet,
     if dropped:
         warnings.warn(f"dropped {dropped} eigenpairs failing the residual "
                       f"tolerance {RESIDUAL_TOL}", stacklevel=2)
+    keep &= eigs.imag >= -CONJUGATE_TOL
     eigs = eigs[keep]
     coeffs = (vecs[:, keep] / rms[keep]).T
     const = _is_constant(eigs, coeffs)
@@ -252,18 +270,6 @@ def eigenpairs(K_result: KoopmanMatrixResult, basis: BasisSet,
     coeffs[const] = 0.0
     coeffs[const, 0] = 1.0
     return KoopmanSpectrum(basis, eigs, coeffs, np.full(len(eigs), np.nan))
-
-
-def conjugate_partner(eigs, i):
-    """Index of the conjugate of eigs[i] (i itself for a real eigenvalue,
-    |Im| <= CONJUGATE_TOL), or None when the list lacks it: the one pair
-    rule of validation, truncation and the controller's realification."""
-    lam = eigs[i]
-    if abs(lam.imag) <= CONJUGATE_TOL:
-        return i
-    diffs = np.abs(eigs - lam.conjugate())
-    j = int(np.argmin(diffs))
-    return j if diffs[j] <= CONJUGATE_TOL * max(1.0, abs(lam)) else None
 
 
 def eigen_mse(spectrum: KoopmanSpectrum, model: SdeModel, points) -> np.ndarray:
@@ -277,42 +283,34 @@ def eigen_mse(spectrum: KoopmanSpectrum, model: SdeModel, points) -> np.ndarray:
 
 def validate_eigenpairs(spectrum: KoopmanSpectrum, model: SdeModel,
                         holdout, threshold: float = 0.04) -> KoopmanSpectrum:
-    """Retain pairs whose holdout MSE is below the threshold.
+    """Retain the entries whose holdout MSE is below the threshold.
 
-    Conjugate partners are kept or dropped jointly so the retained set
-    stays closed under conjugation.
+    An entry of a conjugate pair stands for both members, whose MSE is
+    the same, so the pair is kept or dropped as one, two eigenvalues of
+    ``n_pairs``.
     """
     holdout = np.atleast_2d(holdout)
     if len(holdout) == 0:
         raise ConfigError("holdout set is empty")
     mse = eigen_mse(spectrum, model, holdout)
     keep = mse <= threshold
-    for i in range(len(keep)):
-        j = conjugate_partner(spectrum.eigenvalues, i)
-        if j is not None and not (keep[i] and keep[j]):
-            keep[i] = keep[j] = False
     if not keep.any():
         raise EmptySpectrumError(
-            f"all {len(keep)} eigenpairs exceeded validation MSE {threshold}; "
-            "enlarge the basis or the point set")
+            f"all {spectrum.n_pairs} eigenpairs exceeded validation MSE "
+            f"{threshold}; enlarge the basis or the point set")
     return KoopmanSpectrum(spectrum.basis, spectrum.eigenvalues[keep],
                            spectrum.coefficients[keep], mse[keep])
 
 
 def truncate_spectrum(spectrum: KoopmanSpectrum, max_pairs: int | None):
-    """Keep the leading pairs by |Re lambda| without splitting conjugates."""
+    """Keep the leading entries by |Re lambda| while they hold at most
+    ``max_pairs`` eigenvalues, a conjugate pair's entry counting as two."""
     if max_pairs is not None and max_pairs < 1:
         raise ConfigError(f"max_eigenfunctions must be at least 1, "
                           f"got {max_pairs}")
     if max_pairs is None or spectrum.n_pairs <= max_pairs:
         return spectrum
-    cut = max_pairs
-    lam = spectrum.eigenvalues
-    j = conjugate_partner(lam, cut - 1)
-    if j is not None and j >= cut:
-        cut -= 1
-    keep = np.zeros(len(lam), dtype=bool)
-    keep[:cut] = True
-    return KoopmanSpectrum(spectrum.basis, lam[keep],
-                           spectrum.coefficients[keep],
-                           spectrum.validation_mse[keep])
+    cut = int(np.count_nonzero(np.cumsum(1 + spectrum.pairs) <= max_pairs))
+    return KoopmanSpectrum(spectrum.basis, spectrum.eigenvalues[:cut],
+                           spectrum.coefficients[:cut],
+                           spectrum.validation_mse[:cut])

@@ -7,6 +7,8 @@ included; ``generator_apply`` applies the generator to
 one function jet at one state; ``sweep_table_per_c`` runs the multiplier
 sweep as one ensemble per multiplier; ``exact_koopman_loop`` builds the
 exact generator projection one dictionary element and one term at a time;
+``two_entry_eigenpairs`` is the eigensolve that lists both members of each
+conjugate pair, the Im < 0 member right after its partner;
 ``EulerMaruyamaStepper`` is a second row-local engine stepper beside the
 SRK step of ``paths.SdeStepper``, so that the engine's bitwise invariance
 is checked as the engine's, not as one stepper's;
@@ -27,11 +29,12 @@ import numpy as np
 from scipy.special import erfc, erfcx
 
 from koopmanis.basis import build_basis
-from koopmanis.doob import (Controller, DoobController, _Component,
-                            build_controller, realify_spectrum)
-from koopmanis.errors import InvalidParameterError, KoopmanisError, ShapeError
+from koopmanis.doob import Controller, DoobController, build_controller
+from koopmanis.errors import (InvalidParameterError, KoopmanisError,
+                              NumericalError, ShapeError)
 from koopmanis.estimator import run_ensemble
-from koopmanis.gedmd import eigenpairs, exact_koopman_matrix
+from koopmanis.gedmd import (RESIDUAL_TOL, KoopmanSpectrum, _is_constant,
+                             _sorted_order, eigenpairs, exact_koopman_matrix)
 from koopmanis.model import EventObservable, SdeModel, half_diffusion_sq
 from koopmanis.paths import (adjust_steps, derive_path_rng, hold_steps,
                              model_stepper, rowlocal_product)
@@ -308,6 +311,30 @@ class OuExactController(Controller):
         return u[:, None], 0
 
 
+def two_entry_eigenpairs(K_result, basis, training_points):
+    """``gedmd.eigenpairs`` as it was before it kept one entry per conjugate
+    pair: (eigenvalues, coefficients), every eigenvalue its own entry,
+    normalized and sorted by the same rules."""
+    K = K_result.matrix
+    eigs, vecs = np.linalg.eig(K.T)
+    feats = basis.values(np.atleast_2d(training_points))
+    order = _sorted_order(eigs)
+    eigs = eigs[order]
+    vecs = vecs[:, order]
+    resid = np.linalg.norm(K.T @ vecs - vecs * eigs, axis=0)
+    rms = np.sqrt(np.mean(np.abs(feats @ vecs) ** 2, axis=0))
+    keep = (resid <= RESIDUAL_TOL * np.linalg.norm(vecs, axis=0)) & (rms > 0)
+    if not keep.any():
+        raise NumericalError("no eigenpair met the residual tolerance")
+    eigs = eigs[keep]
+    coeffs = (vecs[:, keep] / rms[keep]).T
+    const = _is_constant(eigs, coeffs)
+    eigs[const] = 0.0
+    coeffs[const] = 0.0
+    coeffs[const, 0] = 1.0
+    return eigs, coeffs
+
+
 def ou_exact_controller(model: SdeModel, event: EventObservable, T: float,
                         multiplier=1.0) -> OuExactController:
     """The exact controller for ``event``: its mode is the terminal form,
@@ -346,8 +373,9 @@ def spde_quadratic_controller(model, f0, f2, T, multiplier=1.0):
     exact spectrum, the second scaled to phi2."""
     W, reduced = adjoint_model(model)
     spec = _adjoint_spectrum(reduced, np.linspace(-1.0, 1.0, 5)[:, None])
-    const, _, quad = realify_spectrum(spec)
-    phi2 = _Component(quad.lam_re, 0.0, quad.c_re / -quad.c_re[0], None)
-    return DoobController(spec.basis, [const, phi2], [f0, f2],
-                          reduced.diffusion_const, T, multiplier,
-                          coordinates=W)
+    coeffs = spec.coefficients.real[[0, 2]]
+    coeffs[1] /= -coeffs[1, 0]
+    two = KoopmanSpectrum(spec.basis, spec.eigenvalues.real[[0, 2]], coeffs,
+                          np.full(2, np.nan))
+    return DoobController(two, [f0, f2], reduced.diffusion_const, T,
+                          multiplier, coordinates=W)

@@ -580,6 +580,89 @@ def test_the_minimal_eigen_file_names_its_first_missing_key(tmp_path,
     assert "'components'" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def brownian_osc_controller_file(tmp_path_factory):
+    """The controller.json of a tiny brownian_osc config, one of whose
+    components is a conjugate pair, as a dict."""
+    tmp_path = tmp_path_factory.mktemp("brownian_osc")
+    raw = _tiny_brownian_osc_config(tmp_path)
+    data = json.loads(cli.run_experiment(cli.ExperimentConfig.from_dict(
+        raw))["controller"].read_text())
+    assert any(comp["c_im"] is not None for comp in data["components"])
+    return data
+
+
+def _tiny_brownian_osc_config(tmp_path):
+    raw = _tiny_ou_config(tmp_path)
+    raw["model"]["name"] = "brownian_osc"
+    raw["event"].update(kind="abs_coordinate", threshold=1.5)
+    raw["basis"] = {"family": "linear_exact", "degree": 2}
+    raw["run"].update(x0=[0.0, 0.0], T=2.0)
+    raw["points"].update(mean=[0.0, 0.0], std=[2.0, 2.0])
+    return raw
+
+
+def _pair(data):
+    """The first component of a controller file that is a conjugate pair."""
+    return next(c for c in data["components"] if c["c_im"] is not None)
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda data: data["coefficients"].pop(), "coefficients"),
+    (lambda data: _pair(data)["c_re"].pop(), "c_re"),
+    (lambda data: _pair(data).update(c_im=None), "c_im"),
+    (lambda data: data["coefficients"].__setitem__(1, None), "coefficients"),
+    (lambda data: data.update(multiplier=None), "multiplier"),
+], ids=["a coefficient dropped", "a c_re entry dropped",
+        "a pair without c_im", "a null coefficient", "a null multiplier"])
+def test_a_controller_file_whose_arrays_do_not_fit_is_a_config_error(
+        tmp_path, capsys, brownian_osc_controller_file, edit, key):
+    """--reuse-controller on a brownian_osc controller file with one array
+    cut short or nulled is a ConfigError that names the key, where it was
+    an IndexError, a ValueError, a pair run as a real component into a
+    NoHitsError, a run of nan weights or a TypeError; nothing is
+    written."""
+    data = json.loads(json.dumps(brownian_osc_controller_file))
+    edit(data)
+    assert _reuse(tmp_path, _tiny_brownian_osc_config(tmp_path), data) == 1
+    err = capsys.readouterr().err
+    assert "error (ConfigError)" in err and f"{key!r}" in err
+    assert [p.name for p in (tmp_path / "out").iterdir()] \
+        == ["controller.json"]
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep-c", "export-eigen"])
+@pytest.mark.parametrize("content", [None, "{\"model\": ", "\xff"],
+                         ids=["missing", "not JSON", "not text"])
+def test_an_unreadable_config_file_is_a_config_error(tmp_path, capsys, verb,
+                                                      content):
+    """A config file that is missing, or is not valid JSON, is a
+    ConfigError that names the file, not a traceback."""
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_bytes(content.encode("latin-1"))
+    assert cli.main([verb, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (ConfigError)") and str(path) in err
+    assert [p.name for p in tmp_path.iterdir()] \
+        == ([] if content is None else ["cfg.json"])
+
+
+def test_a_controller_file_that_is_not_json_is_a_config_error(tmp_path,
+                                                              capsys):
+    """--reuse-controller on a controller.json that is not valid JSON is a
+    ConfigError that names the file, and nothing is written."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_tiny_ou_config(tmp_path)))
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "controller.json").write_text('{"type": "eigen",')
+    assert cli.main(["run", str(path), "--reuse-controller"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (ConfigError)") and "controller.json" in err
+    assert [p.name for p in (tmp_path / "out").iterdir()] \
+        == ["controller.json"]
+
+
 @pytest.mark.parametrize("target", ["brownian_osc", "advdiff"])
 def test_a_reused_controller_of_another_model_is_a_config_error(
         tmp_path, capsys, ou_controller_file, target):

@@ -23,19 +23,30 @@ def ou_spectrum():
     return m, spec, pts
 
 
+def _design(spec, points):
+    """The realified design matrix, column by column: Re phi of each
+    entry, then Im phi of a conjugate pair's; and the constant's column."""
+    phi = spec.basis.values(points) @ spec.coefficients.T
+    cols = []
+    for k, pair in enumerate(spec.pairs):
+        if k == spec.constant_index():
+            const = len(cols)
+        cols.append(phi[:, k].real)
+        if pair:
+            cols.append(phi[:, k].imag)
+    return np.stack(cols, axis=1), const
+
+
 def _regress(spec, points, f):
     """The unshifted fit onto the realified eigenfunctions: (coefficients,
     constant column, design matrix)."""
-    comps = doob.realify_spectrum(spec)
-    C = doob.design_matrix(comps, spec.basis, points)
-    col = doob._constant_column(comps)
+    C, col = _design(spec, points)
     return doob._svd_lstsq(C, f), col, C
 
 
 def test_regress_recovers_single_eigenfunction(ou_spectrum):
     m, spec, pts = ou_spectrum
-    comps = doob.realify_spectrum(spec)
-    C = doob.design_matrix(comps, spec.basis, pts.points)
+    C, _ = _design(spec, pts.points)
     target_col = 3
     coeffs, _, _ = _regress(spec, pts.points, C[:, target_col])
     expect = np.zeros(C.shape[1])
@@ -67,10 +78,8 @@ def test_regress_matches_normal_equations():
 
 def test_positivize_cases(ou_spectrum):
     m, spec, pts = ou_spectrum
-    comps = doob.realify_spectrum(spec)
-    n_cols = sum(c.n_columns for c in comps)
-    coeffs = np.zeros(n_cols)
-    col = doob._constant_column(comps)
+    coeffs = np.zeros(spec.n_pairs)
+    _, col = _design(spec, pts.points)
     # already positive: unchanged at zero margin
     out, fitted, shift = doob.positivize(coeffs, np.array([0.3, 0.5]), col,
                                          margin=0.0)
@@ -100,8 +109,7 @@ def test_positivization_preserves_gradient(ou_spectrum):
     ev = make_event("coordinate", 2.0, mode="mollified")
     f = ev.mollified(pts.points)
     coeffs, _, _ = _regress(spec, pts.points, f)
-    before = doob.DoobController(spec.basis, doob.realify_spectrum(spec),
-                                 coeffs, m.diffusion_const, T=1.0)
+    before = doob.DoobController(spec, coeffs, m.diffusion_const, T=1.0)
     after = doob.build_controller(spec, m, pts.points, f, T=1.0)
     rng = np.random.default_rng(1)
     for _ in range(100):
@@ -132,8 +140,7 @@ def test_kbe_constant_only_spectrum(ou_spectrum):
     const_only = gedmd.KoopmanSpectrum(
         spec.basis, spec.eigenvalues[[i]], spec.coefficients[[i]],
         spec.validation_mse[[i]])
-    comps = doob.realify_spectrum(const_only)
-    ctrl = doob.DoobController(spec.basis, comps, np.array([2.5]),
+    ctrl = doob.DoobController(const_only, np.array([2.5]),
                                m.diffusion_const, T=1.0)
     for t in (0.0, 0.3, 1.0):
         v, g = ctrl.value_grad_batch(t, np.array([[0.7]]))
@@ -151,8 +158,7 @@ def test_kbe_single_decaying_mode(ou_spectrum):
     c[1] = 1.0
     one = gedmd.KoopmanSpectrum(b, np.array([-1.0 + 0j]), c[None, :],
                                 np.array([np.nan]))
-    comps = doob.realify_spectrum(one)
-    ctrl = doob.DoobController(b, comps, np.array([1.0]), m.diffusion_const,
+    ctrl = doob.DoobController(one, np.array([1.0]), m.diffusion_const,
                                T=1.0)
     v, g = ctrl.value_grad_batch(0.0, np.array([[2.0]]))
     assert v[0] == pytest.approx(math.exp(-1.0) * 2.0, rel=1e-12)
@@ -168,14 +174,35 @@ def test_bias_two_term_expansion(ou_spectrum):
     coeffs[0, 0] = 1.0
     coeffs[1, 1] = 1.0
     two = gedmd.KoopmanSpectrum(b, eigs, coeffs, np.full(2, np.nan))
-    comps = doob.realify_spectrum(two)
-    ctrl = doob.DoobController(b, comps, np.array([1.0, 1.0]),
+    ctrl = doob.DoobController(two, np.array([1.0, 1.0]),
                                m.diffusion_const, T=1.0)
     u, _ = ctrl.bias_batch(0.0, np.array([[0.0]]))
     assert u[0, 0] == pytest.approx(math.sqrt(2.0) * math.exp(-1.0), rel=1e-12)
     # doubling the multiplier doubles the output exactly
     u2, _ = ctrl.with_multiplier(2.0).bias_batch(0.0, np.array([[0.0]]))
     assert u2[0, 0] == 2.0 * u[0, 0]
+
+
+def test_a_two_entry_spectrum_is_a_config_error():
+    """A spectrum that lists a pair's Im < 0 member beside its Im > 0
+    entry, the form before each pair became one entry, would count the
+    pair twice: fitting on it, or building a controller from it, is a
+    ConfigError."""
+    m = make_builtin_model("brownian_osc")
+    b = build_basis("linear_exact", 2, 1)
+    pts = np.random.default_rng(0).normal(size=(200, 2))
+    spec = gedmd.eigenpairs(gedmd.exact_koopman_matrix(b, m), b, pts)
+    k = int(np.flatnonzero(spec.pairs)[0])
+    two = gedmd.KoopmanSpectrum(
+        b, np.append(spec.eigenvalues, spec.eigenvalues[k].conj()),
+        np.vstack([spec.coefficients, spec.coefficients[k].conj()]),
+        np.full(len(spec.eigenvalues) + 1, np.nan))
+    f = make_event("norm", 2.0, mode="mollified").mollified(pts)
+    doob.build_controller(spec, m, pts, f, T=1.0)
+    with pytest.raises(ConfigError, match="Im < 0 member"):
+        doob.build_controller(two, m, pts, f, T=1.0)
+    with pytest.raises(ConfigError, match="Im < 0 member"):
+        doob.DoobController(two, np.ones(5), m.diffusion_const, T=1.0)
 
 
 def test_bias_time_range_check(ou_spectrum):
@@ -196,24 +223,23 @@ def test_complex_pair_evaluation_matches_complex_arithmetic():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(300, 2))
     spec = gedmd.eigenpairs(res, b, pts)
-    comps = doob.realify_spectrum(spec)
-    n_cols = sum(c.n_columns for c in comps)
-    coeffs = rng.normal(size=n_cols)
-    ctrl = doob.DoobController(b, comps, coeffs, m.diffusion_const, T=2.0)
+    assert spec.pairs.any()
+    coeffs = rng.normal(size=spec.n_pairs)
+    ctrl = doob.DoobController(spec, coeffs, m.diffusion_const, T=2.0)
     # independent complex-arithmetic evaluation of the same surrogate
     for t in (0.0, 0.7, 2.0):
         tau = 2.0 - t
         feats = b.values(pts[:5])
         ref = np.zeros(5)
         col = 0
-        for comp in comps:
-            if comp.c_im is None:
-                phi = feats @ comp.c_re
-                ref = ref + coeffs[col] * math.exp(comp.lam_re * tau) * phi
+        for lam, c, pair in zip(spec.eigenvalues, spec.coefficients,
+                                spec.pairs):
+            if not pair:
+                phi = feats @ c.real
+                ref = ref + coeffs[col] * math.exp(lam.real * tau) * phi
                 col += 1
             else:
-                lam = complex(comp.lam_re, comp.lam_im)
-                phi = feats @ (comp.c_re + 1j * comp.c_im)
+                phi = feats @ c
                 z = np.exp(lam * tau) * phi
                 ref = ref + coeffs[col] * z.real + coeffs[col + 1] * z.imag
                 col += 2
@@ -223,20 +249,21 @@ def test_complex_pair_evaluation_matches_complex_arithmetic():
 
 
 def _basis_coefficients_loop(ctrl, t):
-    """Component-by-component form of DoobController.basis_coefficients."""
+    """Entry-by-entry form of DoobController.basis_coefficients."""
     tau = ctrl.horizon - t
     a = np.zeros(ctrl.basis.size)
     col = 0
-    for comp in ctrl.components:
-        decay = math.exp(comp.lam_re * tau)
-        if comp.c_im is None:
-            a += ctrl.coefficients[col] * decay * comp.c_re
+    spec = ctrl.spectrum
+    for lam, c, pair in zip(spec.eigenvalues, spec.coefficients, spec.pairs):
+        decay = math.exp(lam.real * tau)
+        if not pair:
+            a += ctrl.coefficients[col] * decay * c.real
             col += 1
         else:
-            cw, sw = math.cos(comp.lam_im * tau), math.sin(comp.lam_im * tau)
+            cw, sw = math.cos(lam.imag * tau), math.sin(lam.imag * tau)
             f_re, f_im = ctrl.coefficients[col], ctrl.coefficients[col + 1]
-            a += decay * ((f_re * cw + f_im * sw) * comp.c_re
-                          + (f_im * cw - f_re * sw) * comp.c_im)
+            a += decay * ((f_re * cw + f_im * sw) * c.real
+                          + (f_im * cw - f_re * sw) * c.imag)
             col += 2
     return a
 
@@ -266,8 +293,7 @@ def test_doob_bias_is_row_local(fitted_controllers, family):
     X = x0 + rng.normal(size=(97, model.dim_state))
     # the same surrogate with a dense (r, 1) B-map, r the dimension of its
     # coordinates, where a single row takes another BLAS kernel than many
-    dense = doob.DoobController(ctrl.basis, ctrl.components,
-                                ctrl.coefficients,
+    dense = doob.DoobController(ctrl.spectrum, ctrl.coefficients,
                                 rng.normal(size=(ctrl.basis.dim, 1)),
                                 ctrl.horizon, multiplier=4.0,
                                 coordinates=ctrl.coordinates)
@@ -286,8 +312,7 @@ def test_noise_map_is_the_rowlocal_product(fitted_controllers, family):
     model, ctrl, _ = fitted_controllers[family]
     rng = np.random.default_rng(11)
     grad = rng.normal(size=(97, ctrl.basis.dim))
-    dense = doob.DoobController(ctrl.basis, ctrl.components,
-                                ctrl.coefficients,
+    dense = doob.DoobController(ctrl.spectrum, ctrl.coefficients,
                                 rng.normal(size=(ctrl.basis.dim, 3)),
                                 ctrl.horizon, coordinates=ctrl.coordinates)
     for c in (ctrl, dense):
@@ -549,10 +574,10 @@ def test_controller_file_with_margin_key_loads(ou_spectrum):
 def _controller(kind):
     """A small controller of each class and its state dimension."""
     if kind == "eigen":
-        b = build_basis("hermite", 1, 2)
-        comps = [doob._Component(0.0, 0.0, np.eye(3)[0], None, True),
-                 doob._Component(-1.0, 0.0, np.eye(3)[1], None)]
-        return doob.DoobController(b, comps, np.array([1.0, 0.5]),
+        spec = gedmd.KoopmanSpectrum(build_basis("hermite", 1, 2),
+                                     np.array([0.0, -1.0]), np.eye(3)[:2],
+                                     np.full(2, np.nan))
+        return doob.DoobController(spec, np.array([1.0, 0.5]),
                                    np.array([[1.0]]), T=1.0), 1
     if kind == "spde":
         model = make_builtin_model("advdiff", {"n_modes": 8})

@@ -1,15 +1,18 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from koopmanis import build_basis, make_builtin_model, make_event
+from koopmanis import build_basis, cli, make_builtin_model, make_event
 from koopmanis.errors import (ConfigError, EmptySpectrumError,
                               RankDeficiencyWarning)
 from koopmanis import gedmd
 from koopmanis.model import SdeModel, _linear_model, half_diffusion_sq
 from koopmanis.paths import SdeStepper, adjust_steps, derive_path_rng
-from reference import exact_koopman_loop
+from reference import exact_koopman_loop, two_entry_eigenpairs
+
+_BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
 
 @pytest.fixture(scope="module")
@@ -226,15 +229,14 @@ def test_brownian_osc_conjugate_pair():
     res = gedmd.exact_koopman_matrix(b, m)
     rng = np.random.default_rng(0)
     spec = gedmd.eigenpairs(res, b, rng.normal(size=(200, 2)))
+    # the pair -1/2 +- i sqrt(3)/2 is one entry, its Im > 0 member, and
+    # counts as two eigenvalues beside the constant
     cplx = spec.eigenvalues[np.abs(spec.eigenvalues.imag) > 1e-10]
-    assert len(cplx) == 2
+    assert len(cplx) == 1 and cplx[0].imag > 0
     assert np.allclose(cplx.real, -0.5, atol=1e-10)
-    assert spec.conjugate_closed
-    # dropping one member of the pair breaks closure
-    half = np.abs(spec.eigenvalues - cplx[0]) > 1e-10
-    assert not gedmd.KoopmanSpectrum(b, spec.eigenvalues[half],
-                                     spec.coefficients[half],
-                                     spec.validation_mse[half]).conjugate_closed
+    assert np.allclose(cplx.imag, math.sqrt(3) / 2, atol=1e-10)
+    assert list(spec.pairs) == [False, True]
+    assert spec.n_pairs == 3
 
 
 def test_eigenpair_residuals_and_normalization(ou_setup):
@@ -315,19 +317,51 @@ def test_truncation_keeps_conjugates_whole():
     res = gedmd.exact_koopman_matrix(b, m)
     rng = np.random.default_rng(0)
     spec = gedmd.eigenpairs(res, b, rng.normal(size=(500, 2)))
+    assert spec.pairs.any()
     for cut in range(1, spec.n_pairs + 1):
         tr = gedmd.truncate_spectrum(spec, cut)
-        assert tr.n_pairs <= cut
-        assert tr.conjugate_closed
+        # the longest leading run of entries that holds at most cut
+        # eigenvalues: one short of cut only where a pair would split
+        n = len(tr.eigenvalues)
+        assert cut - 1 <= tr.n_pairs <= cut
+        assert tr.n_pairs == cut or spec.pairs[n]
+        assert np.array_equal(tr.eigenvalues, spec.eigenvalues[:n])
+        assert np.array_equal(tr.coefficients, spec.coefficients[:n])
+
+
+def test_truncation_counts_a_pair_as_two():
+    spec = gedmd.KoopmanSpectrum(build_basis("hermite", 1, 2),
+                                 np.array([0.0, -1 + 2j, -2.0]),
+                                 np.eye(3, dtype=complex), np.zeros(3))
+    assert spec.n_pairs == 4
+    kept = [list(gedmd.truncate_spectrum(spec, cut).eigenvalues)
+            for cut in (1, 2, 3, 4)]
+    assert kept == [[0.0], [0.0], [0.0, -1 + 2j], [0.0, -1 + 2j, -2.0]]
+
+
+def test_validation_drops_a_pair_as_one_entry():
+    """A pair whose eigenvalue is off by 0.5 fails validation as one
+    entry, two eigenvalues; the constant stays."""
+    m = make_builtin_model("brownian_osc")
+    b = build_basis("linear_exact", 2, 1)
+    rng = np.random.default_rng(0)
+    spec = gedmd.eigenpairs(gedmd.exact_koopman_matrix(b, m), b,
+                            rng.normal(size=(200, 2)))
+    assert spec.n_pairs == 3
+    bad = gedmd.KoopmanSpectrum(b, spec.eigenvalues + [0.0, 0.5],
+                                spec.coefficients, spec.validation_mse)
+    val = gedmd.validate_eigenpairs(bad, m, rng.normal(size=(200, 2)))
+    assert val.n_pairs == 1 and len(val.eigenvalues) == 1
+    assert val.eigenvalues[0] == 0.0
 
 
 @pytest.mark.parametrize("max_pairs", [0, -1])
 def test_truncation_to_no_pairs_is_a_config_error(max_pairs):
-    """A cut below one pair used to index pair -1: on {0, -1+2i, -1-2i}
-    the last pair's partner sits before it, so two pairs were kept."""
+    """A cut below one pair used to index pair -1: on {0, -1+2i}, whose
+    -1+2i stands for -1-2i too, two pairs were kept."""
     spec = gedmd.KoopmanSpectrum(build_basis("hermite", 1, 2),
-                                 np.array([0.0, -1 + 2j, -1 - 2j]),
-                                 np.eye(3, dtype=complex), np.zeros(3))
+                                 np.array([0.0, -1 + 2j]),
+                                 np.eye(3, dtype=complex)[:2], np.zeros(2))
     assert gedmd.truncate_spectrum(spec, 1).n_pairs == 1
     with pytest.raises(ConfigError, match="max_eigenfunctions"):
         gedmd.truncate_spectrum(spec, max_pairs)
@@ -340,3 +374,84 @@ def test_gaussian_points_reproducible():
     assert np.array_equal(a.points, b2.points)
     assert np.array_equal(a.holdout, b2.holdout)
     assert not np.array_equal(a.points, a.holdout)
+
+
+def _expanded(spec):
+    """(eigenvalues, coefficients, validation MSE) of ``spec`` with each
+    pair's Im < 0 member, the entry's conjugate, listed after it."""
+    idx = np.repeat(np.arange(len(spec.eigenvalues)), 1 + spec.pairs)
+    second = np.r_[False, idx[1:] == idx[:-1]]
+    eigs, coeffs = spec.eigenvalues[idx], spec.coefficients[idx]
+    eigs[second] = eigs[second].conj()
+    coeffs[second] = coeffs[second].conj()
+    return eigs, coeffs, spec.validation_mse[idx]
+
+
+def _assert_same_as_two_entry(spec, ref_eigs, ref_coeffs, model, holdout):
+    """``spec``, expanded by its conjugates, is the two-entry spectrum
+    (ref_eigs, ref_coeffs) as floats, and so is its MSE on ``holdout``."""
+    eigs, coeffs, _ = _expanded(spec)
+    assert np.array_equal(eigs, ref_eigs)
+    assert np.array_equal(coeffs, ref_coeffs)
+    ref = gedmd.KoopmanSpectrum(spec.basis, ref_eigs, ref_coeffs,
+                                np.full(len(ref_eigs), np.nan))
+    mse = gedmd.eigen_mse(spec, model, holdout)
+    assert np.array_equal(mse[np.repeat(np.arange(len(mse)), 1 + spec.pairs)],
+                          gedmd.eigen_mse(ref, model, holdout))
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_brownian_osc_spectrum_is_the_two_entry_one_halved(degree):
+    m = make_builtin_model("brownian_osc")
+    b = build_basis("linear_exact", 2, degree)
+    res = gedmd.exact_koopman_matrix(b, m)
+    rng = np.random.default_rng(degree)
+    pts = rng.normal(size=(300, 2))
+    spec = gedmd.eigenpairs(res, b, pts)
+    assert spec.pairs.any()
+    _assert_same_as_two_entry(spec, *two_entry_eigenpairs(res, b, pts), m,
+                              rng.normal(size=(300, 2)))
+
+
+@pytest.mark.parametrize("workload", ["vdp_eigen_is", "brownian_osc_exact_is",
+                                      "advdiff_spde_is"])
+def test_workload_spectra_are_the_two_entry_ones_halved(workload,
+                                                         monkeypatch):
+    """Through ``cli.prepare_controller`` on each benchmark workload: the
+    eigensolve before validation (on vdp, every entry of its 66
+    eigenvalues, and their MSE on the holdout points), and the validated
+    spectrum with its MSE, against the two-entry eigensolve with each
+    eigenvalue validated on its own."""
+    cfg = cli.load_config(_BENCH_WORKLOADS / f"{workload}.json")
+    calls = {}
+
+    def record(name):
+        func = getattr(gedmd, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] = (args, func(*args, **kwargs))
+            return calls[name][1]
+        monkeypatch.setattr(gedmd, name, wrapped)
+    record("eigenpairs")
+    record("validate_eigenpairs")
+    state = cli.prepare_controller(cfg)
+    (k_res, basis, points), spec = calls["eigenpairs"]
+    ref_eigs, ref_coeffs = two_entry_eigenpairs(k_res, basis, points)
+    if "validate_eigenpairs" not in calls:    # advdiff: exact, unvalidated
+        assert state.spectrum is spec
+        eigs, coeffs, _ = _expanded(spec)
+        assert np.array_equal(eigs, ref_eigs)
+        assert np.array_equal(coeffs, ref_coeffs)
+        return
+    (_, model, holdout, threshold), _ = calls["validate_eigenpairs"]
+    _assert_same_as_two_entry(spec, ref_eigs, ref_coeffs, model, holdout)
+    ref = gedmd.KoopmanSpectrum(basis, ref_eigs, ref_coeffs,
+                                np.full(len(ref_eigs), np.nan))
+    ref_mse = gedmd.eigen_mse(ref, model, holdout)
+    keep = ref_mse <= threshold
+    eigs, coeffs, mse = _expanded(state.spectrum)
+    assert np.array_equal(eigs, ref_eigs[keep])
+    assert np.array_equal(coeffs, ref_coeffs[keep])
+    assert np.array_equal(mse, ref_mse[keep])
+    if workload == "vdp_eigen_is":
+        assert spec.n_pairs == 66 and state.spectrum.n_pairs == 11
