@@ -43,14 +43,16 @@ def _columns(spectrum: KoopmanSpectrum):
 
 def _read(block, key, shape):
     """``block[key]`` of a controller file as a float array of ``shape``
-    with every entry finite; a ``ConfigError`` that names the key
-    otherwise."""
+    (an axis of None takes any length) with every entry finite; a
+    ``ConfigError`` that names the key otherwise."""
     try:
         out = np.array(block[key], dtype=float)
     except (TypeError, ValueError):
         out = None
-    if out is None or out.shape != shape or not np.isfinite(out).all():
+    if out is None or out.ndim != len(shape) or not np.isfinite(out).all() \
+            or any(w is not None and n != w for n, w in zip(out.shape, shape)):
         want = "a finite number" if shape == () \
+            else "a list of rows of finite numbers" if len(shape) == 2 \
             else f"a list of {shape[0]} finite numbers"
         raise ConfigError(f"the controller file's {key!r} must be {want}; "
                           f"refit it")
@@ -252,7 +254,9 @@ class DoobController(Controller):
         ignored, and ``is_constant`` is recomputed from the spectrum.  A
         file of another ``type`` (the "spde" files written before the SPDE
         controller became this one), one that lacks a key, or one whose
-        arrays do not fit its basis and components (``_read``) is a
+        arrays do not fit its basis and components, or whose ``diffusion``
+        and ``coordinates`` are not finite 2-D arrays (``_read``; their
+        shapes against the model are ``check_fits``'s), is a
         ``ConfigError``."""
         if data.get("type") != "eigen":
             raise ConfigError(f"cannot load a controller of type "
@@ -274,14 +278,15 @@ class DoobController(Controller):
                                        np.full(len(comps), np.nan))
             # one coefficient per eigenvalue: a pair's entry has two columns
             args = (_read(data, "coefficients", (spectrum.n_pairs,)),
-                    np.array(data["diffusion"]),
+                    _read(data, "diffusion", (None, None)),
                     *(_read(data, key, ())
                       for key in ("T", "multiplier", "floor")))
         except KeyError as exc:
             raise ConfigError(f"the controller file lacks the key "
                               f"{exc.args[0]!r}; refit it") from exc
-        return cls(spectrum, *args, data.get("model", ""),
-                   data.get("coordinates"))
+        coordinates = None if data.get("coordinates") is None \
+            else _read(data, "coordinates", (None, None))
+        return cls(spectrum, *args, data.get("model", ""), coordinates)
 
     def check_fits(self, model):
         """Raise ``ConfigError`` unless this controller can drive

@@ -79,22 +79,25 @@ blow-up flags, and the estimator evaluates the event once on the
 surviving terminal states.
 
 Determinism contract: row i of an ensemble draws its noise only from
-``derive_path_rng(master_seed, path_index[i])`` (by default path_index[i]
-= i), segment by segment in time order, ``step.draws(L)`` normals for an
-L-step segment, whatever the chunking, the tile and the layout; the
-segments are the same for every row.  Blocks are independent and
-assembled in row order.  Rows that share a path index replay one stream:
-each distinct path of a block is derived and drawn once per noise chunk,
-and its draws are gathered into every row that names it.  A controller's
-multiplier is a scalar or one value per row; the engine hands each block
-the slice of its rows, next to their starts.  Results are therefore
-bit-identical for any worker count, and so for any layout, when both the
-stepper and the controller are row-local: row i of a segment or of
-``bias_batch`` depends only on row i of the input (its state and its
-multiplier), bit for bit, whatever the number of rows.  A row run with
-path index p and multiplier c is then bit for bit path p of an ensemble
-run at c alone, which is what lets ``doob.tune_multiplier`` run its whole
-sweep as one stacked ensemble.
+``derive_path_rng(master_seed, path_index[i])`` (by default
+path_index[i] = i): the Philox stream keyed by the two words
+(master_seed mod 2^64, path_index[i] mod 2^64), from counter 0, built
+from its key alone and so from no OS entropy.  It draws segment by
+segment in time order, ``step.draws(L)`` normals for an L-step segment,
+whatever the chunking, the tile and the layout; the segments are the
+same for every row.  Blocks are independent and assembled in row order.
+Rows that share a path index replay one stream: each distinct path of a
+block is derived and drawn once per noise chunk, and its draws are
+gathered into every row that names it.  A controller's multiplier is a
+scalar or one value per row; the engine hands each block the slice of
+its rows, next to their starts.  Results are therefore bit-identical for
+any worker count, and so for any layout, when both the stepper and the
+controller are row-local: row i of a segment or of ``bias_batch``
+depends only on row i of the input (its state and its multiplier), bit
+for bit, whatever the number of rows.  A row run with path index p and
+multiplier c is then bit for bit path p of an ensemble run at c alone,
+which is what lets ``doob.tune_multiplier`` run its whole sweep as one
+stacked ensemble.
 Every controller shares the one bias formula of
 ``doob.Controller.bias_batch``, which is row-local when the controller's
 ``value_grad_batch`` and ``_noise_map`` are.  The one per-segment product
@@ -150,17 +153,44 @@ TAYLOR_TERMS = 12   # of linear_gaussian's series: 1e-17 of the first term
 HOLD_TIME = 0.02
 
 
+class _Key:
+    """The key (seed, index) of one path's Philox stream, handed to
+    ``np.random.Philox`` as its seed.
+
+    ``Philox(key=...)`` still builds and keeps a ``SeedSequence()`` drawn
+    from OS entropy, which it never reads.  A seed that is an
+    ``ISeedSequence`` is kept as given, and Philox reads its key from the
+    seed's ``generate_state`` (two uint64 words), which here returns
+    [seed, index]: the stream of ``Philox(key=[seed, index])``, built with
+    no entropy read.  The class is registered with ``ISeedSequence``, not
+    derived from it, and keeps the two words as ints in ``__slots__``, so
+    a stream carries no instance ``__dict__`` and no array.
+    """
+
+    __slots__ = ("seed", "index")
+
+    def __init__(self, seed: int, index: int):
+        self.seed = seed
+        self.index = index
+
+    def generate_state(self, n_words, dtype=np.uint64):
+        return np.array([self.seed, self.index], dtype=np.uint64)
+
+
+np.random.bit_generator.ISeedSequence.register(_Key)
+
+
 def derive_path_rng(master_seed: int, path_index: int) -> np.random.Generator:
     """Return the noise stream owned by one path.
 
-    Streams are keyed (counter-based Philox), so the stream for a given
-    (seed, index) pair never depends on how many other paths exist or in
-    which order they are simulated.
+    The stream is ``Generator(Philox(key=[master_seed mod 2^64,
+    path_index mod 2^64]))`` at counter 0, bit for bit.  Philox is
+    counter-based, so the key alone defines the stream: it never depends
+    on how many other paths exist or in which order they are simulated,
+    and building it reads no OS entropy (``_Key``).
     """
-    key = np.array(
-        [master_seed & _MASK64, path_index & _MASK64], dtype=np.uint64
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(
+        np.random.Philox(_Key(master_seed & _MASK64, path_index & _MASK64)))
 
 
 def adjust_steps(T: float, dt: float) -> tuple[int, float]:

@@ -631,6 +631,25 @@ def test_a_controller_file_whose_arrays_do_not_fit_is_a_config_error(
         == ["controller.json"]
 
 
+@pytest.mark.parametrize("key", ["diffusion", "coordinates"])
+@pytest.mark.parametrize("value", [[["x"]], [1.0], 1.0, [[None]]],
+                         ids=["not a number", "1-D", "a scalar", "null"])
+def test_a_diffusion_or_coordinates_that_is_no_finite_matrix_is_a_config_error(
+        tmp_path, capsys, ou_controller_file, key, value):
+    """--reuse-controller on the ou1d controller file with its diffusion
+    map, or a coordinate matrix, set to a non-number, a flat list, a
+    scalar or a null entry is a ConfigError that names the key, where it
+    was a raw ValueError, or a NaN bias that ran into "fewer than two
+    paths survived"; nothing is written."""
+    data = dict(ou_controller_file, **{key: value})
+    assert _reuse(tmp_path, _tiny_ou_config(tmp_path), data) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error (ConfigError)") and f"{key!r}" in err
+    assert "Traceback" not in err
+    assert [p.name for p in (tmp_path / "out").iterdir()] \
+        == ["controller.json"]
+
+
 @pytest.mark.parametrize("verb", ["run", "sweep-c", "export-eigen"])
 @pytest.mark.parametrize("content", [None, "{\"model\": ", "\xff"],
                          ids=["missing", "not JSON", "not text"])

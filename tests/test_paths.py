@@ -1,5 +1,7 @@
 import copy
 import math
+import pickle
+import random
 import tracemalloc
 
 import numpy as np
@@ -58,6 +60,63 @@ def test_rng_determinism_and_distinctness():
 def test_rng_mean_clt_bound():
     draws = derive_path_rng(1, 0).standard_normal(1_000_000)
     assert abs(draws.mean()) < 4.0 / math.sqrt(1_000_000)
+
+
+_WORDS = [0, 1, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed, index", [
+    *((s, p) for s in _WORDS for p in _WORDS), (7, -3), (2**64 + 5, 11)])
+def test_a_path_stream_is_the_philox_stream_of_its_key(seed, index):
+    """The stream of (seed, index) is numpy's Philox keyed by the two
+    words mod 2^64, from counter 0: a negative index and a seed past
+    2^64 wrap."""
+    key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
+    want = np.random.Generator(np.random.Philox(key=key))
+    got = derive_path_rng(seed, index)
+    for part in ("key", "counter"):
+        assert np.array_equal(got.bit_generator.state["state"][part],
+                              want.bit_generator.state["state"][part])
+    assert np.array_equal(got.standard_normal(1000),
+                          want.standard_normal(1000))
+    assert np.array_equal(got.integers(0, 2**63, 10),
+                          want.integers(0, 2**63, 10))
+
+
+def test_the_first_normals_of_a_path_are_pinned():
+    assert [x.hex() for x in derive_path_rng(1, 0).standard_normal(4)] == [
+        "0x1.053197c7442ddp+0", "0x1.84f9208f01294p-1",
+        "-0x1.f779dcc2eab5ep-3", "0x1.c4af87deeaf4ep-2"]
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy,
+                                   lambda g: pickle.loads(pickle.dumps(g))],
+                         ids=["deepcopy", "pickle"])
+def test_a_cloned_path_stream_continues_the_stream(clone):
+    g = derive_path_rng(5, 9)
+    g.standard_normal(7)
+    h = clone(g)
+    assert np.array_equal(h.standard_normal(50), g.standard_normal(50))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_path_reads_os_entropy(workers, monkeypatch):
+    """numpy's ``SeedSequence()`` draws its entropy through
+    ``random._urandom``; the streams of a 200-row ensemble call it not
+    once (a ``Philox(key=...)`` per path called it once each)."""
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return urandom(n)
+
+    urandom = random._urandom
+    monkeypatch.setattr(random, "_urandom", counting)
+    run_paths(make_builtin_model("ou1d"), None, [0.0], 0.1, 1e-2, M=200,
+              master_seed=3, workers=workers)
+    assert calls == []
+    np.random.SeedSequence()   # the hook does see numpy's entropy draw
+    assert len(calls) == 1
 
 
 def test_adjust_steps_rounds_up():

@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 from scipy.linalg import expm, solve_continuous_lyapunov
 
 from koopmanis import (make_builtin_model, make_event, run_ensemble,
@@ -142,8 +143,8 @@ def test_adjoint_vector_matches_transformed_mode(adj64):
     x = np.linspace(0, 1, 2001)
     w_exact = np.exp(1.0 * x / (2 * 0.1)) * np.sin(math.pi * x)
     k = np.arange(1, 65)
-    coeffs = np.array([np.trapezoid(w_exact * math.sqrt(2.0)
-                                    * np.sin(kk * math.pi * x), x)
+    coeffs = np.array([trapezoid(w_exact * math.sqrt(2.0)
+                                 * np.sin(kk * math.pi * x), x)
                        for kk in k])
     coeffs /= np.linalg.norm(coeffs)
     assert np.abs(np.abs(coeffs @ adj64[0]) - 1.0) < 1e-4
@@ -291,7 +292,7 @@ def test_parseval_against_grid_quadrature():
     x = np.linspace(0.0, 1.0, 20001)
     k = np.arange(1, 65)
     field = Y @ (math.sqrt(2.0) * np.sin(np.outer(x, k) * math.pi)).T
-    quad_norm = math.sqrt(np.trapezoid(field ** 2, x))
+    quad_norm = math.sqrt(trapezoid(field ** 2, x))
     stat = make_event("norm", 2.5).statistic(Y)
     assert quad_norm == pytest.approx(stat, abs=1e-6)
 
