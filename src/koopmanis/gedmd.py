@@ -13,6 +13,15 @@ Im lambda > 0 entry, and each real eigenvalue (|Im lambda| <=
 ``CONJUGATE_TOL``) as itself: one entry per real term of the Doob
 transform.  ``KoopmanSpectrum.n_pairs`` still counts eigenvalues, a pair
 as two.
+
+Assembly walks the points in chunks, so its transient is bounded whatever
+the point count: a chunk holds as many points as fit one order-2 jet of
+every element into ASSEMBLY_BUFFER_DOUBLES doubles, counting per point and
+element the value, the d gradients, the d(d+1)/2 distinct Hessian entries
+and the 3d gathered factor tables (12 per element in two dimensions, 662
+points of vdp's 66 Legendre elements), and at least one point.  Each
+column of Psi and dPsi depends only on its own point, so any chunking
+gives the same bytes.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .paths import derive_path_rng, trajectory_snapshots
 RESIDUAL_TOL = 1e-8
 SVD_RTOL = 1e-10
 CONJUGATE_TOL = 1e-8
+ASSEMBLY_BUFFER_DOUBLES = 1 << 19  # one assembly chunk's jets, in doubles
 
 
 @dataclass(eq=False)
@@ -104,24 +114,50 @@ def sample_gaussian_points(model: SdeModel, mean, std, count: int,
     return TestPointSet(one(seed), one(seed + 1), prov)
 
 
+def _chunk_points(n: int, d: int) -> int:
+    """Points per assembly chunk: an order-2 jet of n elements in d
+    dimensions holds n (1 + d + d(d+1)/2 + 3d) doubles per point (see the
+    module docstring)."""
+    per_point = n * (1 + d + d * (d + 1) // 2 + 3 * d)
+    return max(1, ASSEMBLY_BUFFER_DOUBLES // per_point)
+
+
+def _assemble_chunk(basis: BasisSet, model: SdeModel, Q, X):
+    """Psi and dPsi of one chunk of points X, each a new (n, len(X))."""
+    V, G, H = basis.jets(X, 2)
+    a = model.drift(X)
+    d = basis.dim
+    drift = sum(a[:, i] * G[i] for i in range(d))
+    return V, drift + sum(Q[i, j] * H[i][j]
+                          for i in range(d) for j in range(d))
+
+
 def assemble_matrices(basis: BasisSet, model: SdeModel, pts):
     """Feature matrix Psi_X and generator-applied matrix dPsi_X, both (n, m).
 
-    One order-2 ``basis.jets`` evaluation gives every element's value,
+    The points are taken in chunks of ``_chunk_points`` (the
+    ASSEMBLY_BUFFER_DOUBLES budget of the module docstring), each written
+    into its columns of the two preallocated arrays; a point set that fits
+    one chunk returns that chunk's own arrays, with no copy.  Per chunk,
+    one order-2 ``basis.jets`` evaluation gives every element's value,
     gradients G_i and Hessian entries H_ij at every point; the drift a is
     evaluated once, and dPsi = sum_i a_i G_i + sum_ij Q_ij H_ij with the
     model's constant Q = 0.5 B B^T.  The drift sum runs in axis order and
     the trace sum row-major, elementwise, so every column depends only on
-    its own point.
+    its own point and any chunking gives the same bytes.
     """
     points = pts.points if isinstance(pts, TestPointSet) else np.atleast_2d(pts)
-    Psi, G, H = basis.jets(points, 2)
-    a = model.drift(points)
+    n, m = basis.size, len(points)
     Q = half_diffusion_sq(model)
-    d = basis.dim
-    drift = sum(a[:, i] * G[i] for i in range(d))
-    return Psi, drift + sum(Q[i, j] * H[i][j]
-                            for i in range(d) for j in range(d))
+    step = _chunk_points(n, basis.dim)
+    if m <= step:
+        return _assemble_chunk(basis, model, Q, points)
+    Psi, dPsi = np.empty((n, m)), np.empty((n, m))
+    for lo in range(0, m, step):
+        cols = slice(lo, lo + step)
+        Psi[:, cols], dPsi[:, cols] = _assemble_chunk(basis, model, Q,
+                                                      points[cols])
+    return Psi, dPsi
 
 
 @dataclass(eq=False)

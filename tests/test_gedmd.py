@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -142,17 +143,52 @@ def _reference_assembly(basis, model, points):
     ("nonnormal2d", "hermite", 6, None),
     ("duffing", "legendre_box", 8, [[-3.0, 3.0], [-3.0, 3.0]]),
     ("ou1d", "hermite", 5, None)])
-def test_assembly_matches_reference_loop(name, family, degree, box):
+def test_assembly_matches_reference_loop(name, family, degree, box,
+                                         monkeypatch):
+    """Bit for bit at one point per chunk, at 7 points per chunk with a
+    ragged last chunk, and at the default budget, where the points fit one
+    chunk."""
     m = make_builtin_model(name)
     b = build_basis(family, m.dim_state, degree, box)
     lo = -2.5 if box is None else box[0][0] + 0.5
     grid = {"box": [[lo, -lo]] * m.dim_state, "counts": [6] * m.dim_state}
     pts = gedmd.generate_test_points(m, grid, T_traj=1.0, stride=0.1, seed=3,
                                      dt=1e-2, basis=b)
-    Psi, dPsi = gedmd.assemble_matrices(b, m, pts)
     ref_Psi, ref_dPsi = _reference_assembly(b, m, pts.points)
-    assert np.array_equal(Psi, ref_Psi)
-    assert np.array_equal(dPsi, ref_dPsi)
+    n, d = b.size, b.dim
+    per_point = n * (1 + d + d * (d + 1) // 2 + 3 * d)
+    assert pts.m % 7 != 0
+    for chunk in (1, 7, None):
+        if chunk is not None:
+            monkeypatch.setattr(gedmd, "ASSEMBLY_BUFFER_DOUBLES",
+                                chunk * per_point)
+            assert gedmd._chunk_points(n, d) == chunk
+        else:
+            monkeypatch.undo()
+            assert pts.m <= gedmd._chunk_points(n, d)
+        Psi, dPsi = gedmd.assemble_matrices(b, m, pts)
+        assert np.array_equal(Psi, ref_Psi)
+        assert np.array_equal(dPsi, ref_dPsi)
+
+
+def test_assembly_transient_is_bounded_by_the_chunk_budget():
+    """About 4000 vdp points on the degree-10 Legendre dictionary: the
+    traced peak stays below Psi, dPsi and the points plus 2 chunk budgets
+    (a chunk's jets and their temporaries reach about 1.3), where
+    assembling every point at once held 33 MB."""
+    m = make_builtin_model("vdp")
+    b = build_basis("legendre_box", 2, 10, [[-4.0, 4.0], [-4.0, 4.0]])
+    X = derive_path_rng(0, 0).uniform(-4.0, 4.0, (4000, 2))
+    budget_bytes = 8 * gedmd.ASSEMBLY_BUFFER_DOUBLES
+    out_bytes = 2 * 8 * b.size * len(X)
+    tracemalloc.start()
+    try:
+        gedmd.assemble_matrices(b, m, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(X) > 5 * gedmd._chunk_points(b.size, b.dim)   # 7 chunks
+    assert peak < out_bytes + X.nbytes + 2 * budget_bytes
 
 
 def test_koopman_matrix_ou_spectrum(ou_setup):
