@@ -9,9 +9,8 @@ from .gedmd import (KoopmanSpectrum, TestPointSet, assemble_matrices,
                     eigenpairs, exact_koopman_matrix, generate_test_points,
                     koopman_matrix, validate_eigenpairs)
 from .model import (EventObservable, SdeModel, default_event,
-                    make_builtin_model, make_event)
+                    make_builtin_model, make_event, spectral_setup)
 from .paths import derive_path_rng, run_paths
-from .spde import spectral_setup
 
 __version__ = "0.1.0"
 

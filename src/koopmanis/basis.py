@@ -322,8 +322,10 @@ def build_basis(family: str, d: int, p: int, box=None) -> BasisSet:
     """Construct a total-degree dictionary of size binomial(p + d, d)."""
     if family not in FAMILIES:
         raise ConfigError(f"unknown basis family {family!r}")
-    if p < 0 or d < 1:
-        raise ConfigError("need degree >= 0 and dimension >= 1")
+    for key, val, least in (("degree", p, 0), ("dim", d, 1)):
+        if not (isinstance(val, (int, np.integer)) and val >= least):
+            raise ConfigError(f"the basis {key!r} must be a whole number >= "
+                              f"{least}, got {val!r}")
     if family == "legendre_box":
         if box is None:
             raise ConfigError("legendre_box requires a box")

@@ -15,16 +15,21 @@ the runner does not know, or that the run does not read (``_CONFIG`` and
 ``_controller_blocks`` say which), is a ``ConfigError``, not ignored.
 
 The ``run`` block: M, T, master_seed (required), x0, method, dt and
-workers.  ``run`` and ``sweep-c`` need x0 (advdiff starts at the zero
-field), checked before any stage runs.  Every model's ensemble, advdiff's
-included, is one ``paths.run_paths`` call, and every fitted controller a
+workers.  ``run`` and ``sweep-c`` need x0 of a nonlinear model, checked
+before any stage runs; a linear model's paths start at the origin when
+it is left out (advdiff's at the zero field).  advdiff is the one model
+the runner treats apart (``_on_adjoint_coordinate``): its controller is
+fitted on its adjoint coordinate.  Every model's ensemble is one
+``paths.run_paths`` call, and every fitted controller a
 plain ``doob.DoobController``, the class ``--reuse-controller`` loads back
 from controller.json.  Every path, of an ensemble or of the test points,
 steps by its model's one stepper: a linear model by its exact hold map, a
 nonlinear one by the additive-noise SRK step (``paths.model_stepper``).
 ``run.workers`` is the one parallelism knob: the path engine splits each
 ensemble into ``workers`` blocks on as many threads (``paths`` has the
-layout rule), with byte-identical SDE outputs.  Threads pay off only
+layout rule), with byte-identical outputs for every model stepped by
+row-local products, every model but a linear one of
+``paths.BLAS_MIN_STATES`` or more states.  Threads pay off only
 where numpy releases the interpreter lock long enough.  Final ensembles
 of the bench workloads at c = 8 on 2 cores of a Xeon, one BLAS thread,
 1 -> 2 workers (median of 5, alternated, at the default control hold):
@@ -184,13 +189,19 @@ def _checked(name, val, check, arg=None):
     return val
 
 
+def _on_adjoint_coordinate(model_name) -> bool:
+    """Whether the model is the SPDE, advdiff, whose controller is fitted
+    on its adjoint coordinate (``spde.adjoint_model``): on the exact
+    spectrum of that coordinate, with a basis of its own, from mode
+    snapshots started on a grid of amplitudes along its adjoint mode."""
+    return model_name == "advdiff"
+
+
 def _controller_blocks(model_name) -> list:
-    """The config blocks the controller stages read: the SPDE model
-    (advdiff) fits the exact spectrum of its adjoint coordinate, with a
-    basis of its own, and reads no basis or gEDMD block."""
-    if model_name == "advdiff":
-        return ["points"]
-    return ["points", "basis", "gedmd"]
+    """The config blocks the controller stages read: a controller on the
+    adjoint coordinate reads no basis or gEDMD block."""
+    return ["points"] + ([] if _on_adjoint_coordinate(model_name)
+                         else ["basis", "gedmd"])
 
 
 @dataclass
@@ -255,11 +266,11 @@ class ExperimentConfig:
                               f"read: {unread}")
         if missing:
             raise ConfigError(f"missing config keys: {missing}")
-        if cfg["points"] is not None and name == "advdiff" \
+        if cfg["points"] is not None and _on_adjoint_coordinate(name) \
                 and cfg["points"]["kind"] != "grid":
-            raise ConfigError("points.kind must be 'grid' for advdiff, "
-                              "which starts its snapshots on a grid of "
-                              "amplitudes")
+            raise ConfigError(f"points.kind must be 'grid' for {name}, "
+                              f"which starts its snapshots on a grid of "
+                              f"amplitudes")
         return cls(**cfg)
 
     def to_dict(self) -> dict:
@@ -287,7 +298,6 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _build_event(cfg: ExperimentConfig):
-    # also called by bench/oracle.py
     ev = cfg.event
     return make_event(ev["kind"], ev["threshold"], ev["component"],
                       ev["sharpness"], ev["mode"])
@@ -297,15 +307,16 @@ def _model_and_event(cfg: ExperimentConfig):
     """The configured model and event, built before any stage runs; an
     event component outside the model's state, or a per-axis list whose
     length is not the number of axes, is a ``ConfigError``.  The points
-    of the SPDE model have one axis, the amplitude along its adjoint
-    mode."""
+    of a controller on the adjoint coordinate have one axis, the amplitude
+    along the adjoint mode."""
     model = make_builtin_model(cfg.model["name"], cfg.model.get("params"))
     d = model.dim_state
     if cfg.event["component"] >= d:
         raise ConfigError(f"event.component must be below the dimension "
                           f"{d} of {model.name!r}, got "
                           f"{cfg.event['component']}")
-    axes = {"points": 1 if model.spde else d, "basis": d, "run": d}
+    axes = {"points": 1 if _on_adjoint_coordinate(model.name) else d,
+            "basis": d, "run": d}
     for blk, rows in _CONFIG.items():
         for key, row in rows.items():
             val = (getattr(cfg, blk) or {}).get(key)
@@ -346,13 +357,12 @@ def prepare_controller(cfg: ExperimentConfig) -> PipelineState:
     pts_cfg = cfg.points
     pts_dt = pts_cfg.get("dt") or cfg.run["dt"]
 
-    if model.spde:
+    if _on_adjoint_coordinate(model.name):
         # the Doob controller on the adjoint coordinate q = Y W, fitted on
         # the exact spectrum of q's OU process: nothing to validate; the
         # points are mode snapshots from a * w1, a on the grid
         W, fit_model = spde.adjoint_model(model)
-        amps = np.linspace(pts_cfg["box"][0][0], pts_cfg["box"][0][1],
-                           pts_cfg["counts"][0])
+        amps = np.linspace(*pts_cfg["box"][0], pts_cfg["counts"][0])
         snaps, _ = trajectory_snapshots(
             model, np.multiply.outer(amps, W[:, 0]), pts_cfg["T_traj"],
             pts_cfg["stride"], pts_cfg["seed"], pts_dt)
@@ -394,8 +404,10 @@ def prepare_controller(cfg: ExperimentConfig) -> PipelineState:
 
 
 def _check_x0(cfg: ExperimentConfig):
-    """Paths start at run.x0, which only advdiff (the zero field) omits."""
-    if cfg.run.get("x0") is None and cfg.model["name"] != "advdiff":
+    """Paths start at run.x0, which a linear model may omit: its paths
+    then start at the origin."""
+    if cfg.run.get("x0") is None and make_builtin_model(
+            cfg.model["name"], cfg.model.get("params")).linear_spec is None:
         raise ConfigError("missing config keys: ['run.x0']")
 
 
@@ -518,13 +530,6 @@ def _write_outputs(outdir: Path, outputs: dict) -> dict:
     return written
 
 
-def _histogram_range(cfg, stats):
-    rng = cfg.output["histogram_range"]
-    if rng is not None:
-        return rng
-    return [float(np.floor(stats.min())), float(np.ceil(stats.max()))]
-
-
 def run_experiment(cfg: ExperimentConfig, output_dir=None,
                    reuse_controller=False) -> dict:
     """Execute the configured experiment and write every output file.
@@ -545,7 +550,9 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None,
     # name -> (file, writer of the file, its content), in writing order
     stats = state.report.statistic
     hist = emit_histogram(stats, cfg.output["histogram_bins"],
-                          _histogram_range(cfg, stats))
+                          cfg.output["histogram_range"] or [
+                              float(np.floor(stats.min())),
+                              float(np.ceil(stats.max()))])
     outputs = {
         "results": ("results.csv", _append_results_row,
                     (state.report.csv_row(),)),

@@ -41,17 +41,19 @@ def _columns(spectrum: KoopmanSpectrum):
     return pairs, np.cumsum(1 + pairs) - 1 - pairs
 
 
-def _read(block, key, shape):
+def _read(block, key, shape, positive=False):
     """``block[key]`` of a controller file as a float array of ``shape``
-    (an axis of None takes any length) with every entry finite; a
-    ``ConfigError`` that names the key otherwise."""
+    (an axis of None takes any length) with every entry finite, and above
+    0 where ``positive``; a ``ConfigError`` that names the key otherwise."""
     try:
         out = np.array(block[key], dtype=float)
     except (TypeError, ValueError):
         out = None
-    if out is None or out.ndim != len(shape) or not np.isfinite(out).all() \
-            or any(w is not None and n != w for n, w in zip(out.shape, shape)):
-        want = "a finite number" if shape == () \
+    bad = out is None or out.ndim != len(shape) or any(
+        w is not None and n != w for n, w in zip(out.shape, shape))
+    if bad or not np.isfinite(out).all() or positive and not (out > 0).all():
+        want = "a finite positive number" if positive \
+            else "a finite number" if shape == () \
             else "a list of rows of finite numbers" if len(shape) == 2 \
             else f"a list of {shape[0]} finite numbers"
         raise ConfigError(f"the controller file's {key!r} must be {want}; "
@@ -252,18 +254,29 @@ class DoobController(Controller):
     def from_dict(cls, data: dict) -> "DoobController":
         """Inverse of ``to_dict``; the ``margin`` key of older files is
         ignored, and ``is_constant`` is recomputed from the spectrum.  A
-        file of another ``type`` (the "spde" files written before the SPDE
-        controller became this one), one that lacks a key, or one whose
-        arrays do not fit its basis and components, or whose ``diffusion``
-        and ``coordinates`` are not finite 2-D arrays (``_read``; their
-        shapes against the model are ``check_fits``'s), is a
-        ``ConfigError``."""
+        file that is not a mapping, or of another ``type`` (the "spde"
+        files written before the SPDE controller became this one), one
+        that lacks a key, whose ``components`` are not a list or whose
+        ``basis`` is no mapping of a whole ``dim`` and ``degree``, one
+        whose arrays do not fit its basis and components, or whose
+        ``diffusion`` and ``coordinates`` are not finite 2-D arrays
+        (``_read``; their shapes against the model are ``check_fits``'s),
+        or whose ``T`` or ``floor`` is not above 0, is a ``ConfigError``
+        that names the key."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"a controller file must be a mapping of "
+                              f"keys, got {data!r}; refit it")
         if data.get("type") != "eigen":
             raise ConfigError(f"cannot load a controller of type "
                               f"{data.get('type')!r}: only 'eigen' "
                               f"controllers load; refit it")
         try:
             comps = data["components"]
+            for key, kind, want in (("components", list, "a list"),
+                                    ("basis", dict, "a mapping")):
+                if not isinstance(data[key], kind):
+                    raise ConfigError(f"the controller file's {key!r} must "
+                                      f"be {want}; refit it")
             basis = basis_from_descriptor(data["basis"])
             n = basis.size
             lam = np.zeros(len(comps), dtype=complex)
@@ -279,7 +292,7 @@ class DoobController(Controller):
             # one coefficient per eigenvalue: a pair's entry has two columns
             args = (_read(data, "coefficients", (spectrum.n_pairs,)),
                     _read(data, "diffusion", (None, None)),
-                    *(_read(data, key, ())
+                    *(_read(data, key, (), positive=key != "multiplier")
                       for key in ("T", "multiplier", "floor")))
         except KeyError as exc:
             raise ConfigError(f"the controller file lacks the key "

@@ -78,13 +78,6 @@ class EstimatorReport:
                 self.blowup_count]
 
 
-def _fsum_mean_var(values):
-    n = len(values)
-    mean = math.fsum(values) / n
-    var = math.fsum((values - mean) ** 2) / (n - 1) if n > 1 else 0.0
-    return mean, var
-
-
 def run_ensemble(model: SdeModel, controller, obs: EventObservable, x0, T,
                  dt=1e-3, M=2, master_seed=0, workers=1,
                  trajectory_count=0, trajectory_stride=None,
@@ -128,7 +121,9 @@ def run_ensemble(model: SdeModel, controller, obs: EventObservable, x0, T,
     terminal = ens.terminal[ok]
     hits = obs.indicator(terminal)
     f = hits if obs.mode == "indicator" else obs.mollified(terminal)
-    estimate, variance = _fsum_mean_var(f * np.exp(log_w))
+    values = f * np.exp(log_w)
+    estimate = math.fsum(values) / n_ok
+    variance = math.fsum((values - estimate) ** 2) / (n_ok - 1)
     proportion = math.fsum(hits) / n_ok
     rel = math.sqrt(variance) / estimate if estimate > 0 else math.inf
     return EstimatorReport(
@@ -243,14 +238,11 @@ def analytic_oracles(model: SdeModel, event: EventObservable, T: float,
             or event.kind == "norm" and not cov.any():
         return OracleResult(float(event.indicator(mean)), 0.0, mean, cov,
                             "point_mass")
-    if event.kind == "coordinate":
+    if event.kind in ("coordinate", "abs_coordinate"):
         sd = math.sqrt(cov[i, i])
         rho = float(_norm_sf((L - mean[i]) / sd))
-        return OracleResult(rho, 0.0, mean, cov, "gaussian_tail")
-    if event.kind == "abs_coordinate":
-        sd = math.sqrt(cov[i, i])
-        rho = float(_norm_sf((L - mean[i]) / sd)
-                    + _norm_sf((L + mean[i]) / sd))
+        if event.kind == "abs_coordinate":
+            rho += float(_norm_sf((L + mean[i]) / sd))
         return OracleResult(rho, 0.0, mean, cov, "gaussian_tail")
     if event.kind == "norm":
         vals, vecs = np.linalg.eigh(cov)

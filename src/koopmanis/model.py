@@ -9,8 +9,9 @@ diffusion term and the generator's second-order part 0.5 B B^T one fixed
 matrix each.  The six built-in models, rank-deficient B included
 (brownian_osc, duffing), all have this form.  Constant-coefficient linear
 systems also carry (A_lin, B_lin), enabling exact spectra, Gaussian
-oracles and the exact hold map that steps them; advdiff is one, flagged
-``spde``, on the matrix of ``spde.spectral_setup``.  Events are described
+oracles and the exact hold map that steps them; advdiff is one, on the
+Galerkin matrix of ``spectral_setup`` (the SPDE of ``spde``), and below
+the CLI no code tells it from any other linear model.  Events are described
 by a signed margin g(x): positive strictly inside the event, zero on its
 boundary.  A single mollifier 0.5*(1 + tanh(s*g(x))) serves every
 benchmark.
@@ -46,7 +47,6 @@ class SdeModel:
     diffusion_const: np.ndarray      # B, (d, r)
     linear_spec: tuple | None = None          # (A_lin, B_lin)
     params: dict = field(default_factory=dict)
-    spde: bool = False               # the SPDE's modes (advdiff)
 
     def __post_init__(self):
         B = self.diffusion_const
@@ -159,6 +159,33 @@ def _merge_params(defaults, params, model_name, positive=()):
     return out
 
 
+def spectral_setup(n_modes: int, alpha: float, b: float) -> np.ndarray:
+    """The Galerkin drift matrix A = -diag(lam) + C of ``n_modes`` modes
+    of the advection-diffusion SPDE (``spde`` has the expansion).
+
+    Each parameter must be a finite number, n_modes a whole one >= 2 (64
+    or 64.0) and alpha positive: ``InvalidParameterError`` naming the
+    parameter otherwise.
+    """
+    for name, val in (("n_modes", n_modes), ("alpha", alpha), ("b", b)):
+        if isinstance(val, bool) or not (isinstance(val, numbers.Real)
+                                         and math.isfinite(val)):
+            raise InvalidParameterError(f"{name} must be a finite number, "
+                                        f"got {val!r}")
+    if not float(n_modes).is_integer() or n_modes < 2:
+        raise InvalidParameterError(f"n_modes must be a whole number >= 2, "
+                                    f"got {n_modes!r}")
+    if alpha <= 0:
+        raise InvalidParameterError("diffusivity alpha must be positive")
+    k = np.arange(1, int(n_modes) + 1)
+    j = k[:, None]
+    kk = k[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        C = 4.0 * b * j * kk / (j * j - kk * kk)
+    C[(j + kk) % 2 == 0] = 0.0   # the diagonal among them
+    return -np.diag(alpha * (k * math.pi) ** 2) + C
+
+
 def _linear_model(name, A, B, params):
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -203,13 +230,9 @@ def make_builtin_model(name: str, params: dict | None = None) -> SdeModel:
         # spectral_setup checks alpha and n_modes
         p = _merge_params({"b": 1.0, "alpha": 0.1, "eps_noise": 1.0,
                            "n_modes": 64}, params, name, ("eps_noise",))
-        # local import: spde builds on doob, which imports this module
-        from .spde import spectral_setup
         A = spectral_setup(p["n_modes"], p["alpha"], p["b"])
-        m = _linear_model(name, A,
-                          math.sqrt(p["eps_noise"]) * np.eye(len(A)), p)
-        m.spde = True
-        return m
+        return _linear_model(name, A,
+                             math.sqrt(p["eps_noise"]) * np.eye(len(A)), p)
 
     if name == "vdp":
         p = _merge_params({"mu": 0.3, "eps": 0.01}, params, name, ("eps",))

@@ -51,15 +51,16 @@ holds its states column-major, the layout of ``rowlocal_product``'s
 results, so the noise increments and a linear drift meet the state in one
 layout and the steppers' elementwise passes read no mixed strides.  Its
 noise follows the stepper's products (``step.time_major``).  A stepper
-whose products are ``rowlocal_product``'s (the SDE stepper, and the linear
-models' but the SPDE's) reads time-major noise, a (draws, paths) buffer, so
-a segment's (B, draws) view has contiguous columns, the operands of the
-column passes: row-major, a brownian_osc segment reads 3 of each row's
-750 draws and a vdp step 2 of 2000, one cache line per row and column.
-The SPDE's BLAS stepper reads row-major noise, (paths, draws), whose
-128-draw segment rows already fill whole cache lines.  The layout moves
-no bits where the stepper and the controller are row-local (see the
-determinism contract).
+whose products are ``rowlocal_product``'s (the SDE stepper, and a linear
+model's below BLAS_MIN_STATES states) reads time-major noise, a (draws,
+paths) buffer, so a segment's (B, draws) view has contiguous columns, the
+operands of the column passes: row-major, a brownian_osc segment reads 3
+of each row's 750 draws and a vdp step 2 of 2000, one cache line per row
+and column.  The BLAS stepper of a linear model of BLAS_MIN_STATES or
+more states reads row-major noise, (paths, draws), whose segment rows
+(128 draws on 64-mode advdiff) already fill whole cache lines.  The
+layout moves no bits where the stepper and the controller are row-local
+(see the determinism contract).
 
 Noise memory: each block allocates one buffer for its paths' noise and
 draws every time-ordered chunk into it in place: each path into its row
@@ -101,17 +102,20 @@ stacked ensemble.
 Every controller shares the one bias formula of
 ``doob.Controller.bias_batch``, which is row-local when the controller's
 ``value_grad_batch`` and ``_noise_map`` are.  The one per-segment product
-with a constant matrix is ``rowlocal_product``: the SDE stepper forms B xi
-and B u with it, the linear stepper its products with P^L, S / L and R,
-and the controllers B^T grad Phi and their coordinates q = X W (on the
-SPDE, the adjoint coordinate <Y, w1>), so all are row-local;
-the weight's row dot products u . xi and u . u are ``rowlocal_dot``, whose
-bits depend on no layout, so the noise layout moves no bits either.  The
-one known exception is the SPDE's hold map: its N x N products are BLAS
-products (``rowlocal_product`` takes 18 ms where BLAS takes 0.4 ms at
-2000 x 64, one thread of a 2-core Xeon), shape-sensitive at the ulp
-level, so SPDE rows are bit-identical across worker counts and stackings
-only as far as those products are.
+with a constant matrix is ``rowlocal_product``: the SDE stepper forms
+B xi and B u with it, a linear stepper of fewer than BLAS_MIN_STATES
+states its products with P^L, S / L and R, and the controllers B^T grad
+Phi and their coordinates q = X W (on advdiff, the adjoint coordinate
+<Y, w1>), so all are row-local; the weight's row dot products u . xi and
+u . u are ``rowlocal_dot``, whose bits depend on no layout, so the noise
+layout moves no bits either.  The one exception is the dimension rule: a
+linear model of BLAS_MIN_STATES or more states, whatever it models,
+steps by BLAS products, shape-sensitive at the ulp level, so its rows
+are bit-identical across worker counts and stackings only as far as
+those products are.  At 2000 rows on one BLAS thread of a 2-core Xeon,
+``rowlocal_product`` takes 165 us where BLAS takes 7.8 us at 8 states,
+and 15 ms against 0.37 ms at 64 (advdiff); at 2 states, 7.6 against 3.2
+us, where the row-local bits are worth the cost.
 The control is held: a controller's ``hold_time`` (default ``HOLD_TIME``)
 is s = ``hold_steps(hold_time, dt)`` steps, and the engine evaluates
 ``bias_batch`` at steps 0, s, 2s, ... only, keeping u and the floored mask
@@ -145,6 +149,7 @@ _MASK64 = (1 << 64) - 1
 MAX_BLOCK_ROWS = 8192
 NOISE_BUFFER_DOUBLES = 4_000_000  # noise pre-drawn per block, in doubles
 TILE_ROWS = 32   # paths drawn into a tile per transpose into time-major noise
+BLAS_MIN_STATES = 8   # states from which a linear model steps by BLAS
 TAYLOR_TERMS = 12   # of linear_gaussian's series: 1e-17 of the first term
 
 # model time units a controller's bias is held for by default (see the
@@ -324,7 +329,9 @@ class LinearStepper:
     The maps are built once per L, when the engine asks ``draws`` of each
     segment length before its blocks run, so worker threads only read
     them; R keeps the eigen-directions of R^T R above d eps of its largest
-    eigenvalue.
+    eigenvalue.  Its products are BLAS ones from BLAS_MIN_STATES states
+    on, ``rowlocal_product``'s below (the determinism contract's
+    dimension rule), and its noise layout follows them.
     """
 
     longest = None   # a segment of any length draws r + rank(R) normals
@@ -333,9 +340,8 @@ class LinearStepper:
         self.A, self.B = model.linear_spec
         self.r = self.B.shape[1]
         self.dt, self.sqdt = dt, math.sqrt(dt)
-        # the SPDE's N x N maps are BLAS products, an SDE's row-local ones
-        # (see the determinism contract); the noise layout follows them
-        self.product = np.matmul if model.spde else rowlocal_product
+        self.product = np.matmul if len(self.A) >= BLAS_MIN_STATES \
+            else rowlocal_product
         self.time_major = self.product is rowlocal_product
         self._maps = {}
 
@@ -629,8 +635,8 @@ def run_paths(model, controller, x0, T, dt, M=1, master_seed=0,
               path_index=None) -> PathEnsemble:
     """Simulate M rows from x0 and collect terminal states and Girsanov
     weights, stepped by ``model_stepper(model, dt)``: the one ensemble
-    call of every model.  The SPDE model starts at the zero field when x0
-    is None.
+    call of every model.  A linear model starts at the origin when x0 is
+    None; a nonlinear one needs x0 (``ShapeError``).
 
     Row i is path ``path_index[i]`` (default i).  The first
     ``trajectory_count`` rows also report trajectory rows every
@@ -642,7 +648,7 @@ def run_paths(model, controller, x0, T, dt, M=1, master_seed=0,
             f"controller horizon {controller.horizon} != ensemble horizon {T}")
     K, dt = adjust_steps(T, dt)
     step = model_stepper(model, dt)
-    if x0 is None and model.spde:
+    if x0 is None and model.linear_spec is not None:
         x0 = np.zeros(model.dim_state)
     if x0 is None or np.shape(x0) != (model.dim_state,):
         raise ShapeError(f"x0 must be a state of the model dimension "

@@ -4,12 +4,12 @@ The field v(t, x) on [0, 1] with Dirichlet boundaries is expanded in the
 orthonormal sine basis e_k(x) = sqrt(2) sin(k pi x).  Its N modes Y follow
 the linear SDE dY = A Y dt + sqrt(eps) dW, with A = -diag(lam) + C: the
 diffusive rates lam_k = alpha k^2 pi^2 and the advection coupling C, the
-projection of b d/dx onto the basis.  ``spectral_setup`` builds A and
-nothing else: lam and C are -diag(A) and A's off-diagonal part.
-``model.make_builtin_model`` ("advdiff") builds the SPDE as a linear
-model on A, so the modes step by the exact hold map of
-``paths.LinearStepper``, as every linear model does, with BLAS products
-for its N x N matrices.
+projection of b d/dx onto the basis.  ``model.spectral_setup`` builds A
+and nothing else: lam and C are -diag(A) and A's off-diagonal part.
+``model.make_builtin_model`` ("advdiff") returns the SPDE as a plain
+linear model on A, so the modes step by the exact hold map of
+``paths.LinearStepper`` like every linear model's, its products chosen
+by the state dimension alone (``paths.BLAS_MIN_STATES``).
 
 The biasing control is the plain ``doob.DoobController`` of every other
 model, on the adjoint coordinate q = <Y, w1>: the coordinate matrix
@@ -19,50 +19,23 @@ computes it from A where the controller is fitted
 process q follows.
 
 This module owns no path loop: ensembles run through ``paths.run_paths``
-like every model's, from the zero field when x0 is None, and
-``cli.prepare_controller`` starts the mode snapshots its points come from
-at a * w1 through ``paths.trajectory_snapshots``.
+like every model's, from the zero field, the origin of every linear
+model, when x0 is None, and ``cli.prepare_controller`` starts the mode
+snapshots its points come from at a * w1 through
+``paths.trajectory_snapshots``.  Only ``adjoint_model`` and the CLI know
+that advdiff is special.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
 
 from .doob import Controller, DoobController
-from .errors import InvalidParameterError, NumericalError
+from .errors import NumericalError
 from .model import _linear_model
 # bound only for the benchmark's layer trace, which patches each module's
 # derive_path_rng; ROADMAP item 5 deletes it together with the trace
 from .paths import derive_path_rng  # noqa: F401
-
-
-def spectral_setup(n_modes: int, alpha: float, b: float) -> np.ndarray:
-    """The Galerkin drift matrix A = -diag(lam) + C of ``n_modes`` modes.
-
-    Each parameter must be a finite number, n_modes a whole one >= 2 (64
-    or 64.0) and alpha positive: ``InvalidParameterError`` naming the
-    parameter otherwise.
-    """
-    for name, val in (("n_modes", n_modes), ("alpha", alpha), ("b", b)):
-        if isinstance(val, bool) or not (isinstance(val, numbers.Real)
-                                         and math.isfinite(val)):
-            raise InvalidParameterError(f"{name} must be a finite number, "
-                                        f"got {val!r}")
-    if not float(n_modes).is_integer() or n_modes < 2:
-        raise InvalidParameterError(f"n_modes must be a whole number >= 2, "
-                                    f"got {n_modes!r}")
-    if alpha <= 0:
-        raise InvalidParameterError("diffusivity alpha must be positive")
-    k = np.arange(1, int(n_modes) + 1)
-    j = k[:, None]
-    kk = k[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        C = 4.0 * b * j * kk / (j * j - kk * kk)
-    C[(j + kk) % 2 == 0] = 0.0   # the diagonal among them
-    return -np.diag(alpha * (k * math.pi) ** 2) + C
 
 
 class SpdeController(DoobController):

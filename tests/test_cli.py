@@ -631,20 +631,46 @@ def test_a_controller_file_whose_arrays_do_not_fit_is_a_config_error(
         == ["controller.json"]
 
 
-@pytest.mark.parametrize("key", ["diffusion", "coordinates"])
-@pytest.mark.parametrize("value", [[["x"]], [1.0], 1.0, [[None]]],
-                         ids=["not a number", "1-D", "a scalar", "null"])
+_MALFORMED_ENTRIES = [
+    pytest.param(key, value, id=f"{value_id}-{key}")
+    for value_id, value in [("not a number", [["x"]]), ("1-D", [1.0]),
+                            ("a scalar", 1.0), ("null", [[None]])]
+    for key in ("coordinates", "diffusion")] + [
+    pytest.param(None, [], id="a list-file"),
+    pytest.param("components", 5, id="a number-components"),
+    pytest.param("basis", [1], id="a list-basis"),
+    pytest.param("basis.degree", "2", id="a string-degree"),
+    pytest.param("basis.degree", 2.5, id="a fraction-degree"),
+    pytest.param("basis.dim", "1", id="a string-dim"),
+    pytest.param("floor", -1.0, id="negative-floor"),
+    pytest.param("floor", 0.0, id="zero-floor"),
+    pytest.param("T", 0.0, id="zero-T"),
+    pytest.param("T", -1.0, id="negative-T")]
+
+
+@pytest.mark.parametrize("key, value", _MALFORMED_ENTRIES)
 def test_a_diffusion_or_coordinates_that_is_no_finite_matrix_is_a_config_error(
         tmp_path, capsys, ou_controller_file, key, value):
     """--reuse-controller on the ou1d controller file with its diffusion
     map, or a coordinate matrix, set to a non-number, a flat list, a
     scalar or a null entry is a ConfigError that names the key, where it
     was a raw ValueError, or a NaN bias that ran into "fewer than two
-    paths survived"; nothing is written."""
-    data = dict(ou_controller_file, **{key: value})
+    paths survived"; nothing is written.  So is a file that is a list, a
+    components entry that is no list, a basis that is no mapping or whose
+    degree or dim is no whole number, where each was a traceback, and a
+    floor or horizon T at or below 0: a floor of -1 once loaded, floored
+    no row and was written back to the file."""
+    data = json.loads(json.dumps(ou_controller_file))
+    if key is None:
+        data = value
+    elif key.startswith("basis."):
+        data["basis"][key[len("basis."):]] = value
+    else:
+        data[key] = value
     assert _reuse(tmp_path, _tiny_ou_config(tmp_path), data) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error (ConfigError)") and f"{key!r}" in err
+    named = "mapping" if key is None else repr(key.split(".")[-1])
+    assert err.startswith("error (ConfigError)") and named in err
     assert "Traceback" not in err
     assert [p.name for p in (tmp_path / "out").iterdir()] \
         == ["controller.json"]
@@ -964,16 +990,25 @@ def test_trajectory_keys_are_checked_when_read(tmp_path, key):
     assert (val, type(val)) == (10, int)
 
 
+def _tiny_vdp_config(tmp_path, method="is"):
+    raw = _tiny_ou_config(tmp_path, method=method)
+    raw["model"] = {"name": "vdp", "params": {}}
+    raw["event"].update(kind="norm", threshold=2.7)
+    raw["points"].update(mean=[0.0, 0.0], std=[2.0, 2.0])
+    raw["run"]["x0"] = [2.0, 0.0]
+    return raw
+
+
 @pytest.mark.parametrize("verb, method", [("run", "is"), ("run", "mc"),
                                           ("sweep-c", "is")])
 def test_a_missing_x0_fails_before_any_stage(tmp_path, capsys, monkeypatch,
                                              verb, method):
-    """A config without run.x0 once passed the config check and the whole
-    controller set-up, and failed only in the sweep, with a ShapeError
-    from the path engine.  Now ``run`` and ``sweep-c`` name run.x0 before
-    any stage runs, and write nothing; ``export-eigen`` runs no path and
-    does not read it."""
-    raw = _tiny_ou_config(tmp_path, method=method)
+    """A config of a nonlinear model (vdp) without run.x0 once passed the
+    config check and the whole controller set-up, and failed only in the
+    sweep, with a ShapeError from the path engine.  Now ``run`` and
+    ``sweep-c`` name run.x0 before any stage runs, and write nothing;
+    ``export-eigen`` runs no path and does not read it."""
+    raw = _tiny_vdp_config(tmp_path, method=method)
     del raw["run"]["x0"]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
@@ -988,6 +1023,31 @@ def test_a_missing_x0_fails_before_any_stage(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "out").exists()
     monkeypatch.undo()
     assert cli.main(["export-eigen", str(path)]) == 0
+
+
+@pytest.mark.parametrize("model", ["ou1d", "brownian_osc"])
+@pytest.mark.parametrize("method", ["is", "mc"])
+def test_a_linear_config_without_x0_starts_at_the_origin(tmp_path, capsys,
+                                                         model, method):
+    """run.x0 may be left out of a linear model's config: ``run`` then
+    writes the files of a run from the explicit origin, byte for byte."""
+    raw = _tiny_ou_config(tmp_path, method=method) if model == "ou1d" \
+        else _tiny_brownian_osc_config(tmp_path)
+    raw["run"]["method"] = method
+    assert not any(raw["run"]["x0"])
+    for name in ("origin", "omitted"):
+        if name == "omitted":
+            del raw["run"]["x0"]
+        raw["output"]["directory"] = str(tmp_path / name)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(path)]) == 0
+    files = sorted(p.name for p in (tmp_path / "origin").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "omitted").iterdir())
+    assert "results.csv" in files
+    for name in files:
+        assert (tmp_path / "origin" / name).read_bytes() \
+            == (tmp_path / "omitted" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("args", [

@@ -1,8 +1,12 @@
 import copy
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from scipy.linalg import expm
 from koopmanis import (derive_path_rng, make_builtin_model, make_event,
                        paths, run_ensemble, run_paths)
 from koopmanis.errors import ConfigError, ShapeError
-from koopmanis.model import SdeModel
+from koopmanis.model import SdeModel, _linear_model
 from koopmanis.estimator import terminal_gaussian
 from koopmanis.paths import (LinearStepper, SdeStepper, adjust_steps,
                              hold_steps, linear_gaussian, rowlocal_dot,
@@ -452,14 +456,64 @@ def test_the_noise_layout_moves_no_bits(case, monkeypatch):
                 getattr(alt, field).tobytes()
 
 
-def test_only_the_spde_reads_its_noise_row_major():
-    """The layout follows the stepper's products: row-local ones read
-    time-major draws, the SPDE's BLAS products row-major ones."""
+def _linear_model_of(d):
+    """A linear model of d states: ou1d (1), brownian_osc (2), a dense
+    3 x 3 user model (3), advdiff on d modes otherwise."""
+    if d == 3:
+        rng = np.random.default_rng(21)
+        return _linear_model("dense3",
+                             -np.eye(3) + 0.4 * rng.normal(size=(3, 3)),
+                             0.3 * rng.normal(size=(3, 3)), {})
+    if d < 3:
+        return make_builtin_model(("ou1d", "brownian_osc")[d - 1])
+    return make_builtin_model("advdiff", {"n_modes": d})
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 64])
+def test_a_linear_stepper_chooses_its_product_by_the_state_dimension(d):
+    """The dimension rule: below BLAS_MIN_STATES (8) states a linear model
+    steps by rowlocal_product and reads time-major noise, from it on by
+    BLAS products and row-major noise, whatever the model; the SDE
+    stepper is row-local and time-major."""
+    assert paths.BLAS_MIN_STATES == 8
     assert SdeStepper(make_builtin_model("vdp"), 1e-2).time_major
-    for name in ("ou1d", "nonnormal2d", "brownian_osc"):
-        assert LinearStepper(make_builtin_model(name), 1e-2).time_major
-    adv = make_builtin_model("advdiff", {"n_modes": 8})
-    assert not LinearStepper(adv, 1e-2).time_major
+    model = _linear_model_of(d)
+    step = LinearStepper(model, 1e-2)
+    assert model.dim_state == d
+    blas = d >= 8
+    assert step.product is (np.matmul if blas else paths.rowlocal_product)
+    assert step.time_major is not blas
+
+
+_WORKER_RUNS = """
+import hashlib
+from koopmanis import make_builtin_model, run_paths
+from reference import spde_quadratic_controller
+adv = make_builtin_model("advdiff", {"n_modes": 5})
+ctrl = spde_quadratic_controller(adv, 1.0, 0.4, 1.0, multiplier=2.0)
+for workers in (1, 2, 3):
+    ens = run_paths(adv, ctrl, None, 1.0, 1e-2, M=257, master_seed=5,
+                    workers=workers)
+    print(hashlib.sha256(ens.terminal.tobytes() + ens.log_weight.tobytes()
+                         + ens.floored.tobytes()).hexdigest())
+"""
+
+
+def test_a_row_local_advdiff_is_bitwise_invariant_to_workers_and_threads():
+    """advdiff on 5 modes steps by row-local products: a controlled
+    257-row ensemble is bit for bit the same on 1, 2 and 3 workers, in a
+    process on one BLAS thread and in one on two."""
+    here = Path(__file__).resolve().parent
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(here.parent / "src"), str(here), env.get("PYTHONPATH", "")])
+        out = subprocess.run([sys.executable, "-c", _WORKER_RUNS], env=env,
+                             capture_output=True, text=True, check=True)
+        digests += out.stdout.split()
+    assert len(digests) == 6 and len(set(digests)) == 1
 
 
 @pytest.mark.parametrize("n_paths", [1, 31, 32, 33, 1000])
@@ -593,9 +647,11 @@ def test_terminal_mean_symmetry():
 
 @pytest.mark.parametrize("x0", [None, [0.0, 0.0], [[0.0]]])
 def test_run_paths_rejects_a_start_of_the_wrong_dimension(x0):
-    """Not NaN starts and a "fewer than two paths survived" error."""
-    m = make_builtin_model("ou1d")
-    with pytest.raises(ShapeError, match="x0 .*dimension 1"):
+    """Not NaN starts and a "fewer than two paths survived" error.  A
+    missing x0 is the origin of a linear model, and the same error on a
+    nonlinear one (vdp), which has no origin to start from."""
+    m = make_builtin_model("vdp" if x0 is None else "ou1d")
+    with pytest.raises(ShapeError, match=f"x0 .*dimension {m.dim_state}"):
         run_paths(m, None, x0, 1.0, 1e-2, M=4)
     with pytest.raises(ShapeError, match="x0"):
         run_ensemble(m, None, make_event("coordinate", 2.0), x0, 1.0, 1e-2,

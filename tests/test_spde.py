@@ -94,7 +94,7 @@ def test_n_modes_must_be_a_whole_number(n_modes):
 def test_a_whole_float_n_modes_builds_the_same_model():
     a = make_builtin_model("advdiff", {"n_modes": 8})
     b = make_builtin_model("advdiff", {"n_modes": 8.0})
-    assert b.spde is True and b.dim_state == 8
+    assert b.dim_state == 8
     assert np.array_equal(a.linear_spec[0], b.linear_spec[0])
     assert np.array_equal(spde_mod.adjoint_model(a)[0],
                           spde_mod.adjoint_model(b)[0])
