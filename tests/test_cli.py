@@ -1031,8 +1031,8 @@ def test_a_linear_config_without_x0_starts_at_the_origin(tmp_path, capsys,
                                                          model, method):
     """run.x0 may be left out of a linear model's config: ``run`` then
     writes the files of a run from the explicit origin, byte for byte."""
-    raw = _tiny_ou_config(tmp_path, method=method) if model == "ou1d" \
-        else _tiny_brownian_osc_config(tmp_path)
+    raw = (_tiny_ou_config if model == "ou1d"
+           else _tiny_brownian_osc_config)(tmp_path)
     raw["run"]["method"] = method
     assert not any(raw["run"]["x0"])
     for name in ("origin", "omitted"):
